@@ -20,17 +20,9 @@
 // bundle from a different model generation is refused (recharacterise
 // instead), and individual damaged entries are skipped, never fatal.
 //
-// With -warm-start each sweep point's Newton solve is seeded from the
-// previous point's converged solution (continuation), cutting total
-// iterations substantially on fine grids. Warm artefacts differ from cold
-// ones at solver-tolerance level and are stored under distinct cache
-// keys.
-//
-// With -predictor the transient sweeps behind -prop seed each timestep's
-// Newton solve with a polynomial extrapolation over the previous converged
-// steps (sim.Session.Predictor), cutting per-step iterations; load-curve
-// characterisation is DC-only and unaffected. Predictor artefacts also
-// take distinct cache and store keys.
+// -warm-start and -predictor select the characterisation solver policy
+// (sim.Policy documents both modes); the predictor only affects the
+// transient sweeps behind -prop, since load curves are DC-only.
 //
 // With -nlcaps characterisation runs against the NLMOS nonlinear
 // gate-charge card (tech.Tech.WithNonlinearCaps): gate capacitances follow
@@ -81,6 +73,8 @@ import (
 )
 
 func main() {
+	var policy sim.Policy
+	policy.RegisterFlags(flag.CommandLine)
 	techName := flag.String("tech", "cmos130", "technology: cmos130 or cmos090")
 	cellKind := flag.String("cell", "", "cell kind (INV, NAND2, ...); empty with -all characterises everything")
 	drive := flag.Int("drive", 1, "drive strength")
@@ -88,8 +82,6 @@ func main() {
 	all := flag.Bool("all", false, "characterise every cell kind and input pin")
 	withProp := flag.Bool("prop", false, "also build propagation tables (slow)")
 	grid := flag.Int("grid", 61, "load-curve grid points per axis")
-	warmStart := flag.Bool("warm-start", false, "seed each sweep point's Newton solve from the previous point (faster on fine grids; solver-tolerance differences vs the cold flow)")
-	predictor := flag.Bool("predictor", false, "seed each transient timestep's Newton solve with a polynomial extrapolation over previous steps (fewer iterations per step on -prop sweeps; solver-tolerance differences vs the cold flow)")
 	nlcaps := flag.Bool("nlcaps", false, "characterise with the NLMOS voltage-dependent gate-charge model (distinct cache/store keys, physically different artefacts)")
 	out := flag.String("out", "", "output JSON path (default stdout); farm mode inserts the corner name before the extension")
 	cacheDir := flag.String("cache-dir", "", "persist characterised artefacts to a content-addressed store at this directory")
@@ -193,6 +185,8 @@ func main() {
 		jobs = append(jobs, job{*cellKind, p})
 	}
 
+	lcOpts := charlib.LoadCurveOptions{NVin: *grid, NVout: *grid, Policy: policy}
+	propOpts := charlib.PropOptions{Policy: policy}
 	if *cornerList != "" || *mcSamples > 0 {
 		// Farm mode: characterise every sensitizable job at every corner.
 		corners, err := tech.ParseCorners(*cornerList)
@@ -212,9 +206,9 @@ func main() {
 			cjobs = append(cjobs, charlib.CornerJob{Kind: j.kind, Drive: *drive, Pin: j.pin})
 		}
 		runFarm(ctx, cache, store, t, corners, cjobs, charlib.CornerSweepOptions{
-			LoadCurve:   charlib.LoadCurveOptions{NVin: *grid, NVout: *grid, WarmStart: *warmStart},
+			LoadCurve:   lcOpts,
 			Prop:        *withProp,
-			PropOptions: charlib.PropOptions{WarmStart: *warmStart, Predictor: *predictor},
+			PropOptions: propOpts,
 			Workers:     *workers,
 		}, *out, *statsOut)
 		return
@@ -231,8 +225,7 @@ func main() {
 			fmt.Fprintf(os.Stderr, "libchar: skipping %s pin %s: %v\n", j.kind, j.pin, err)
 			continue
 		}
-		lc, err := cache.LoadCurve(ctx, c, st, j.pin,
-			charlib.LoadCurveOptions{NVin: *grid, NVout: *grid, WarmStart: *warmStart})
+		lc, err := cache.LoadCurve(ctx, c, st, j.pin, lcOpts)
 		if err != nil {
 			fail(fmt.Errorf("%s/%s: %w", j.kind, j.pin, err))
 		}
@@ -241,7 +234,7 @@ func main() {
 			c.Name(), j.pin, st, lc.NVin, lc.NVout,
 			lc.HoldingResistance(c.PinVoltage(st[j.pin]), c.PinVoltage(c.Logic(st))))
 		if *withProp {
-			pt, err := cache.PropTable(ctx, c, st, j.pin, charlib.PropOptions{WarmStart: *warmStart, Predictor: *predictor})
+			pt, err := cache.PropTable(ctx, c, st, j.pin, propOpts)
 			if err != nil {
 				fail(fmt.Errorf("%s/%s propagation: %w", j.kind, j.pin, err))
 			}

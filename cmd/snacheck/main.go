@@ -21,22 +21,10 @@
 // damaged or unwritable store degrades to memory-only caching with a
 // warning on stderr — it never changes results or blocks sign-off.
 //
-// With -warm-start every characterisation sweep seeds its Newton solves
-// from the previous grid point's converged solution (continuation), which
-// cuts characterisation time on fine grids. Each solve differs from the
-// cold flow only at solver tolerance, but a flipped branch decision in
-// the NRC bisection can move a curve height — and therefore a reported
-// noise margin — by up to the bisection tolerance (10 mV by default).
-// Warm artefacts are cached under distinct keys and never mix with cold
-// ones; leave the flag off when reproducibility against earlier cold
-// runs matters.
-//
-// With -predictor every characterisation transient seeds each timestep's
-// Newton solve with a polynomial extrapolation over the previous converged
-// steps (sim.Session.Predictor), typically cutting per-step Newton
-// iterations by a quarter or more on glitch transients. Like -warm-start
-// the mode is opt-in because results differ from the cold flow at solver
-// tolerance; predictor artefacts take distinct cache and store keys.
+// -warm-start and -predictor select the characterisation solver policy;
+// stanoise.Policy documents both modes, what they save and why their
+// artefacts take distinct cache and store keys. Leave them off when
+// reproducibility against earlier cold runs matters.
 //
 // With -feasibility the FRAME-style aggressor-correlation filter runs
 // before evaluation: switching windows, mutex groups and implications
@@ -98,6 +86,8 @@ import (
 )
 
 func main() {
+	var opts stanoise.Options
+	opts.RegisterFlags(flag.CommandLine)
 	designPath := flag.String("design", "", "design JSON file")
 	method := flag.String("method", "macromodel", "victim model: macromodel, superposition, zolotov, golden")
 	align := flag.Bool("align", true, "search worst-case aggressor alignment")
@@ -107,11 +97,6 @@ func main() {
 	jsonOut := flag.Bool("json", false, "emit a machine-readable JSON report on stdout")
 	cacheDir := flag.String("cache-dir", "", "persistent characterisation store directory (warm runs skip all transistor-level sweeps)")
 	deterministic := flag.Bool("deterministic", false, "omit run-varying fields (timings, cache counters) from -json output")
-	warmStart := flag.Bool("warm-start", false, "seed characterisation Newton solves from the previous grid point (faster; solver-tolerance differences vs the cold flow, NRC heights within their bisection tolerance)")
-	predictor := flag.Bool("predictor", false, "seed each transient timestep's Newton solve with a polynomial extrapolation over previous steps (fewer iterations per step; solver-tolerance differences vs the cold flow)")
-	feasibility := flag.Bool("feasibility", false, "prune unrealizable aggressor combinations via switching windows and logic constraints; report realistic margins next to worst-case ones")
-	corner := flag.String("corner", "", "operating corner to analyse at: tt, ff, ss, fs or sf (default nominal; reports gain a corner tag)")
-	nlcaps := flag.Bool("nlcaps", false, "model gate capacitances as voltage-dependent (NLMOS tanh gate-charge model; distinct cache/store keys, physically different noise)")
 	sample := flag.Bool("sample", false, "print a sample design JSON and exit")
 	flag.Parse()
 
@@ -136,11 +121,6 @@ func main() {
 		fmt.Fprintf(os.Stderr, "snacheck: %v\n", err)
 		os.Exit(2)
 	}
-	crn, err := stanoise.CornerByName(*corner)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "snacheck: %v\n", err)
-		os.Exit(2)
-	}
 	f, err := os.Open(*designPath)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "snacheck: %v\n", err)
@@ -156,20 +136,9 @@ func main() {
 	ctx, cancel := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer cancel()
 
-	an := stanoise.NewAnalyzer(design, stanoise.Options{
-		Method:      m,
-		Align:       *align,
-		Dt:          *dt * 1e-12,
-		Workers:     *workers,
-		OnError:     pol,
-		CacheDir:    *cacheDir,
-		WarmStart:   *warmStart,
-		Predictor:   *predictor,
-		Feasibility: *feasibility,
-		Corner:      crn,
-
-		NonlinearCaps: *nlcaps,
-	})
+	opts.Method, opts.Align, opts.Dt = m, *align, *dt*1e-12
+	opts.Workers, opts.OnError, opts.CacheDir = *workers, pol, *cacheDir
+	an := stanoise.NewAnalyzer(design, opts)
 	if err := an.StoreError(); err != nil {
 		fmt.Fprintf(os.Stderr, "snacheck: warning: %v (continuing without a persistent cache)\n", err)
 	}
@@ -184,9 +153,9 @@ func main() {
 	}
 
 	if *jsonOut {
-		writeJSON(design, an, m, pol, reports, clusterErrs, elapsed, *deterministic, *feasibility)
+		writeJSON(design, an, m, pol, reports, clusterErrs, elapsed, *deterministic, opts.Feasibility)
 	} else {
-		writeText(design, an, m, reports, clusterErrs, elapsed, *feasibility)
+		writeText(design, an, m, reports, clusterErrs, elapsed, opts.Feasibility)
 	}
 	switch {
 	case len(clusterErrs) > 0:

@@ -30,6 +30,11 @@
 // constraints are malformed or self-contradictory is rejected with a
 // typed "bad_design" 400.
 //
+// -warm-start, -predictor, -feasibility, -nlcaps and -corner set the
+// server-wide defaults of the matching request knobs (sim.Policy documents
+// the two solver modes). An unknown -corner name is a usage error (exit
+// 2), like every other bad flag.
+//
 // With -cache-dir several snaserve processes may share one directory: the
 // persistent store is safe under concurrent writers, and cross-process
 // build leases (TTL -lease-ttl) single-flight each characterisation so N
@@ -64,7 +69,6 @@ import (
 	"stanoise/internal/core"
 	"stanoise/internal/serve"
 	"stanoise/internal/sna"
-	"stanoise/internal/tech"
 )
 
 func main() {
@@ -76,6 +80,8 @@ func main() {
 
 // run parses flags, builds the server and serves until SIGINT/SIGTERM.
 func run() error {
+	var analysis sna.Options
+	analysis.RegisterFlags(flag.CommandLine)
 	addr := flag.String("addr", ":8347", "listen address")
 	cacheDir := flag.String("cache-dir", "", "persistent characterisation store directory (shareable between snaserve processes)")
 	leaseTTL := flag.Duration("lease-ttl", 0, "cross-process build-lease time-to-live (0 = default 2m)")
@@ -86,38 +92,16 @@ func run() error {
 	maxDeadline := flag.Duration("max-deadline", 0, "clamp on every request's deadline (0 = unclamped)")
 	fleet := flag.Int("fleet", 0, "fleet-wide concurrent cluster evaluations across all requests (0 = GOMAXPROCS, -1 = unbounded)")
 	workers := flag.Int("workers", 0, "per-request concurrent cluster workers (0 = GOMAXPROCS)")
-	warmStart := flag.Bool("warm-start", false, "default the warm-start continuation mode on (requests can still override)")
-	predictor := flag.Bool("predictor", false, "default the polynomial transient predictor on (requests can still override)")
-	feasibility := flag.Bool("feasibility", false, "default the aggressor-correlation feasibility filter on (requests can still override)")
-	corner := flag.String("corner", "", "default operating corner: tt, ff, ss, fs or sf (requests can still override)")
-	nlcaps := flag.Bool("nlcaps", false, "default the NLMOS nonlinear gate-charge model on (requests can still override)")
 	retryAfterCap := flag.Duration("retry-after-cap", 0, "clamp on the saturation-derived Retry-After hint (0 = default 8s)")
 	rigPoolRigs := flag.Int("rig-pool-rigs", 0, "compiled benches retained per worker pool (0 = default)")
 	rigPoolBytes := flag.Int64("rig-pool-bytes", 0, "estimated bytes of compiled benches retained per worker pool (0 = unbounded)")
 	shutdownGrace := flag.Duration("shutdown-grace", 30*time.Second, "how long in-flight streams may finish after SIGINT/SIGTERM")
 	flag.Parse()
 
-	crn, err := tech.CornerByName(*corner)
-	if err != nil {
-		return err
-	}
+	analysis.Workers, analysis.CacheDir = *workers, *cacheDir
+	analysis.RigPoolLimits = core.RigPoolLimits{MaxRigs: *rigPoolRigs, MaxBytes: *rigPoolBytes}
 	srv := serve.NewServer(serve.Config{
-		Analysis: sna.Options{
-			Method:      core.Macromodel,
-			Align:       true,
-			Workers:     *workers,
-			CacheDir:    *cacheDir,
-			WarmStart:   *warmStart,
-			Predictor:   *predictor,
-			Feasibility: *feasibility,
-			Corner:      crn,
-
-			NonlinearCaps: *nlcaps,
-			RigPoolLimits: core.RigPoolLimits{
-				MaxRigs:  *rigPoolRigs,
-				MaxBytes: *rigPoolBytes,
-			},
-		},
+		Analysis:        analysis,
 		MaxInFlight:     *maxInFlight,
 		MaxClusters:     *maxClusters,
 		MaxBodyBytes:    *maxBodyBytes,

@@ -28,6 +28,7 @@ import (
 	"stanoise/internal/cell"
 	"stanoise/internal/charlib"
 	"stanoise/internal/nrc"
+	"stanoise/internal/sim"
 	"stanoise/internal/tech"
 )
 
@@ -49,27 +50,25 @@ var (
 // transient predictor, which shares the cold fixtures (see
 // TestGoldenPredictorCharacterization).
 func goldenLCOpts(warm bool) charlib.LoadCurveOptions {
-	return charlib.LoadCurveOptions{NVin: 9, NVout: 9, WarmStart: warm}
+	return charlib.LoadCurveOptions{NVin: 9, NVout: 9, Policy: sim.Policy{WarmStart: warm}}
 }
 
 func goldenPropOpts(vdd float64, warm, pred bool) charlib.PropOptions {
 	return charlib.PropOptions{
-		Heights:   []float64{0.4 * vdd, 0.9 * vdd},
-		Widths:    []float64{200e-12, 500e-12},
-		Loads:     []float64{25e-15},
-		Dt:        2e-12,
-		WarmStart: warm,
-		Predictor: pred,
+		Heights: []float64{0.4 * vdd, 0.9 * vdd},
+		Widths:  []float64{200e-12, 500e-12},
+		Loads:   []float64{25e-15},
+		Dt:      2e-12,
+		Policy:  sim.Policy{WarmStart: warm, Predictor: pred},
 	}
 }
 
 func goldenNRCOpts(warm, pred bool) nrc.Options {
 	return nrc.Options{
-		Widths:    []float64{200e-12, 800e-12},
-		Tol:       0.02,
-		Dt:        2e-12,
-		WarmStart: warm,
-		Predictor: pred,
+		Widths: []float64{200e-12, 800e-12},
+		Tol:    0.02,
+		Dt:     2e-12,
+		Policy: sim.Policy{WarmStart: warm, Predictor: pred},
 	}
 }
 

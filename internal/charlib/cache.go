@@ -336,36 +336,13 @@ func (c *Cache) Artefact(ctx context.Context, kind string, cl *cell.Cell, st cel
 	return v, err
 }
 
-// warmFP is the fingerprint suffix of the warm-start continuation mode.
-// Warm-started artefacts legitimately differ from cold ones in the last
-// bits, so they must never alias in the cache or the persistent store; the
-// suffix is empty when warm start is off so every pre-existing cold store
-// entry keeps its key.
-func warmFP(warm bool) string {
-	if warm {
-		return ",warm"
-	}
-	return ""
-}
-
-// predFP is the fingerprint suffix of the polynomial-predictor transient
-// mode, with the same contract as warmFP: predictor artefacts differ from
-// cold ones at solver tolerance, so they must never alias cold (or warm)
-// entries, and the suffix is empty when the predictor is off so existing
-// keys are untouched.
-func predFP(pred bool) string {
-	if pred {
-		return ",pred"
-	}
-	return ""
-}
-
 // loadCurveFP fingerprints normalized load-curve options — the exact fp
 // Cache.LoadCurve keys on. The corner-sweep driver reuses it (plus a
 // continuation suffix) so a single-corner farm run and a plain LoadCurve
-// call address the same artefact.
+// call address the same artefact. Every fp ends in the sim.Policy
+// fingerprint, which is empty for the cold policy.
 func loadCurveFP(opts LoadCurveOptions) string {
-	return fmt.Sprintf("%d,%d,%g", opts.NVin, opts.NVout, opts.MarginFrac) + warmFP(opts.WarmStart)
+	return fmt.Sprintf("%d,%d,%g", opts.NVin, opts.NVout, opts.MarginFrac) + opts.Policy.Fingerprint()
 }
 
 // LoadCurve returns the memoized VCCS load-curve table for the cell
@@ -388,8 +365,7 @@ func (c *Cache) LoadCurve(ctx context.Context, cl *cell.Cell, st cell.State, pin
 // Cache.PropTable keys on. The corner-sweep driver reuses it so a farm run
 // and a plain PropTable call address the same artefact.
 func propTableFP(opts PropOptions) string {
-	return fmt.Sprintf("%v,%v,%v,%g", opts.Heights, opts.Widths, opts.Loads, opts.Dt) +
-		warmFP(opts.WarmStart) + predFP(opts.Predictor)
+	return fmt.Sprintf("%v,%v,%v,%g", opts.Heights, opts.Widths, opts.Loads, opts.Dt) + opts.Policy.Fingerprint()
 }
 
 // PropTable returns the memoized propagation table for the cell
@@ -415,8 +391,7 @@ func (c *Cache) NRCCurve(ctx context.Context, recv *cell.Cell, st cell.State, pi
 		return nrc.Characterize(ctx, recv, st, pin, opts)
 	}
 	opts = opts.Normalized()
-	fp := fmt.Sprintf("%v,%g,%g,%g,%g", opts.Widths, opts.LoadCap, opts.FailFrac, opts.Tol, opts.Dt)
-	fp += warmFP(opts.WarmStart) + predFP(opts.Predictor)
+	fp := fmt.Sprintf("%v,%g,%g,%g,%g", opts.Widths, opts.LoadCap, opts.FailFrac, opts.Tol, opts.Dt) + opts.Policy.Fingerprint()
 	v, err := c.Artefact(ctx, "nrc", recv, st, pin, fp, func() (any, error) {
 		return nrc.Characterize(ctx, recv, st, pin, opts)
 	})

@@ -17,7 +17,7 @@ func sweepCorners(t *testing.T, cache *Cache, corners []tech.Corner, warm bool, 
 	t.Helper()
 	res, err := SweepCorners(context.Background(), cache, tech.Tech130(), corners,
 		[]CornerJob{{Kind: "INV", Drive: 1, Pin: "A"}},
-		CornerSweepOptions{LoadCurve: LoadCurveOptions{NVin: grid, NVout: grid, WarmStart: warm}})
+		CornerSweepOptions{LoadCurve: LoadCurveOptions{NVin: grid, NVout: grid, Policy: sim.Policy{WarmStart: warm}}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -72,7 +72,7 @@ func TestCornerContinuationCutsNewtonIterations(t *testing.T) {
 func TestAdjacentCornerSeedWarmsFirstPoint(t *testing.T) {
 	base := tech.Tech130()
 	ss, ff := mustCorners(t, "ss", "ff")[0], mustCorners(t, "ss", "ff")[1]
-	opts := LoadCurveOptions{NVin: 11, NVout: 11, WarmStart: true}
+	opts := LoadCurveOptions{NVin: 11, NVout: 11, Policy: sim.Policy{WarmStart: true}}
 
 	ffCell := cell.MustNew(ff.Apply(base), "INV", 1)
 	st, err := ffCell.SensitizedState("A", true)

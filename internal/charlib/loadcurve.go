@@ -115,14 +115,11 @@ type LoadCurveOptions struct {
 	NVin, NVout int     // grid points per axis; default 61
 	MarginFrac  float64 // sweep margin beyond the rails as a fraction of VDD; default 0.2
 
-	// WarmStart seeds each grid point's Newton solve from the previous
-	// point's converged solution (sim.Session.WarmStart) — the continuation
-	// mode that cuts total Newton iterations substantially on fine grids.
-	// Off by default: warm-started currents can differ from the cold sweep
-	// in the last bits, so bit-identical reproducibility requires the cold
-	// path. Warm and cold results agree within solver tolerance (asserted
-	// by TestWarmStartLoadCurveMatchesCold).
-	WarmStart bool
+	// Policy selects the sweep's solver modes (see sim.Policy). The sweep
+	// is DC-only, so it normalizes to the policy's DC view: the predictor
+	// neither runs nor keys. Warm and cold results agree within solver
+	// tolerance (asserted by TestWarmStartLoadCurveMatchesCold).
+	sim.Policy
 }
 
 func (o LoadCurveOptions) normalize() LoadCurveOptions {
@@ -135,6 +132,7 @@ func (o LoadCurveOptions) normalize() LoadCurveOptions {
 	if o.MarginFrac <= 0 {
 		o.MarginFrac = 0.2
 	}
+	o.Policy = o.Policy.DC()
 	return o
 }
 

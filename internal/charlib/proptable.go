@@ -43,20 +43,10 @@ type PropOptions struct {
 	Loads   []float64 // default {10,40,120,300} fF
 	Dt      float64   // transient step; default 1 ps
 
-	// WarmStart seeds each probe's DC operating-point solve from the
-	// previous probe's converged solution (sim.Session.WarmStart). The
-	// quiet operating point barely moves between (height, width, load)
-	// probes, so the warm solve typically converges in one or two
-	// iterations. Off by default to preserve bit-identical results.
-	WarmStart bool
-
-	// Predictor seeds each transient timestep's Newton solve with a
-	// polynomial extrapolation over the previous converged steps
-	// (sim.Session.Predictor), cutting per-step Newton iterations on the
-	// glitch transients that dominate propagation characterisation. Off by
-	// default to preserve bit-identical results; predictor tables take
-	// distinct cache and store keys, like warm-started ones.
-	Predictor bool
+	// Policy selects the probes' solver modes (see sim.Policy): warm start
+	// seeds each probe's operating point from the previous probe's, the
+	// predictor seeds each transient timestep.
+	sim.Policy
 }
 
 func (o PropOptions) normalize(vdd float64) PropOptions {

@@ -45,7 +45,7 @@ func BenchmarkINVLoadCurveSweepWarm(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		if _, err := CharacterizeLoadCurve(context.Background(), inv, st, "A",
-			LoadCurveOptions{NVin: 61, NVout: 61, WarmStart: true}); err != nil {
+			LoadCurveOptions{NVin: 61, NVout: 61, Policy: sim.Policy{WarmStart: true}}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -70,7 +70,7 @@ func BenchmarkNAND2LoadCurveSweepWarmFine(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				if _, err := CharacterizeLoadCurve(context.Background(), nand, st, "B",
-					LoadCurveOptions{NVin: 121, NVout: 121, WarmStart: warm}); err != nil {
+					LoadCurveOptions{NVin: 121, NVout: 121, Policy: sim.Policy{WarmStart: warm}}); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -178,11 +178,11 @@ func TestLoadCurveSweepMatchesLegacyBitForBit(t *testing.T) {
 // expose per-run costs without the full production grid's runtime.
 func benchPropOptions(pred bool) PropOptions {
 	return PropOptions{
-		Heights:   []float64{0.4, 0.9},
-		Widths:    []float64{150e-12, 400e-12},
-		Loads:     []float64{30e-15, 120e-15},
-		Dt:        2e-12,
-		Predictor: pred,
+		Heights: []float64{0.4, 0.9},
+		Widths:  []float64{150e-12, 400e-12},
+		Loads:   []float64{30e-15, 120e-15},
+		Dt:      2e-12,
+		Policy:  sim.Policy{Predictor: pred},
 	}
 }
 

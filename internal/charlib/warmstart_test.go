@@ -42,7 +42,7 @@ func TestWarmStartLoadCurveMatchesCold(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			warm, err := CharacterizeLoadCurve(ctx, cl, st, noisy, LoadCurveOptions{NVin: 21, NVout: 21, WarmStart: true})
+			warm, err := CharacterizeLoadCurve(ctx, cl, st, noisy, LoadCurveOptions{NVin: 21, NVout: 21, Policy: sim.Policy{WarmStart: true}})
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"stanoise/internal/cell"
+	"stanoise/internal/sim"
 	"stanoise/internal/tech"
 )
 
@@ -37,7 +38,7 @@ func BenchmarkNRCTransient(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		if _, err := Characterize(context.Background(), inv, st, "A",
-			Options{Widths: []float64{100e-12, 300e-12}, Dt: 2e-12, Predictor: true}); err != nil {
+			Options{Widths: []float64{100e-12, 300e-12}, Dt: 2e-12, Policy: sim.Policy{Predictor: true}}); err != nil {
 			b.Fatal(err)
 		}
 	}

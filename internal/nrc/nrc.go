@@ -42,21 +42,10 @@ type Options struct {
 	Tol      float64   // bisection tolerance on height (V); default 10 mV
 	Dt       float64   // transient step; default 2 ps
 
-	// WarmStart seeds each bisection probe's DC operating-point solve from
-	// the previous probe's converged solution (sim.Session.WarmStart); the
-	// receiver's quiet operating point is identical across probes, so every
-	// probe after the first starts converged. Off by default to preserve
-	// bit-identical results (a bisection branch decision near the threshold
-	// could otherwise flip within its own tolerance).
-	WarmStart bool
-
-	// Predictor seeds each transient timestep's Newton solve with a
-	// polynomial extrapolation over the previous converged steps
-	// (sim.Session.Predictor), cutting per-step Newton iterations across
-	// the bisection probes. Off by default for the same reason as
-	// WarmStart: a tolerance-level result shift can flip a bisection
-	// branch, so predictor curves take distinct cache and store keys.
-	Predictor bool
+	// Policy selects the bisection probes' solver modes (see sim.Policy):
+	// the receiver's quiet operating point is identical across probes, so
+	// under warm start every probe after the first starts converged.
+	sim.Policy
 }
 
 // Normalized returns the options with every default filled in — the

@@ -9,15 +9,10 @@ import (
 	"stanoise/internal/sna"
 )
 
-// fuzzLimits is the budget configuration the fuzz target decodes against:
-// tight enough that budget-rejection paths are reachable.
-func fuzzLimits() requestLimits {
-	return requestLimits{
-		maxClusters:     4,
-		defaultDeadline: time.Second,
-		maxDeadline:     time.Minute,
-		defaultAlign:    true,
-	}
+// fuzzServer is the server the fuzz target decodes against: budgets tight
+// enough that budget-rejection paths are reachable.
+func fuzzServer() *Server {
+	return NewServer(Config{MaxClusters: 4, DefaultDeadline: time.Second, MaxDeadline: time.Minute})
 }
 
 // FuzzRequestDecode holds the request decoder to its contract on
@@ -69,8 +64,9 @@ func FuzzRequestDecode(f *testing.F) {
 	for _, s := range seeds {
 		f.Add(s)
 	}
+	s := fuzzServer()
 	f.Fuzz(func(t *testing.T, data []byte) {
-		p, rerr := decodeRequest(bytes.NewReader(data), fuzzLimits())
+		p, rerr := s.decodeRequest(bytes.NewReader(data))
 		if (p == nil) == (rerr == nil) {
 			t.Fatalf("decodeRequest returned result=%v error=%v; want exactly one", p != nil, rerr != nil)
 		}
@@ -87,8 +83,8 @@ func FuzzRequestDecode(f *testing.F) {
 		if p.design == nil {
 			t.Fatal("accepted request without a design")
 		}
-		if !finitePositive(p.dt) {
-			t.Fatalf("accepted dt %v is not finite positive", p.dt)
+		if !finitePositive(p.opts.Dt) {
+			t.Fatalf("accepted dt %v is not finite positive", p.opts.Dt)
 		}
 		if p.deadline < 0 || p.deadline > time.Minute {
 			t.Fatalf("accepted deadline %v escapes the clamp", p.deadline)

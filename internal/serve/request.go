@@ -67,12 +67,11 @@ type analyzeRequest struct {
 	// Deterministic omits run-varying fields (per-report timings) from the
 	// streamed records, mirroring snacheck -deterministic.
 	Deterministic bool `json:"deterministic,omitempty"`
-	// WarmStart toggles Newton-continuation characterisation sweeps for
-	// this request; default is the server's configured setting.
+	// WarmStart toggles the warm-start solver mode (sim.Policy) of this
+	// request's characterisation sweeps; default is the server's setting.
 	WarmStart *bool `json:"warm_start,omitempty"`
-	// Predictor toggles polynomial predictor warm-starting of transient
-	// Newton solves in this request's characterisation sweeps; default is
-	// the server's configured setting.
+	// Predictor toggles the predictor solver mode (sim.Policy) of this
+	// request's characterisation sweeps; default is the server's setting.
 	Predictor *bool `json:"predictor,omitempty"`
 	// Feasibility toggles the aggressor-correlation filter for this
 	// request: switching windows and logic constraints in the design prune
@@ -91,34 +90,13 @@ type analyzeRequest struct {
 	NonlinearCaps *bool `json:"nonlinear_caps,omitempty"`
 }
 
-// parsedRequest is a decoded, validated, defaulted analyzeRequest, ready
-// to run.
+// parsedRequest is a decoded, validated analyzeRequest, ready to run.
 type parsedRequest struct {
-	design        *sna.Design
-	method        core.Method
-	policy        sna.ErrorPolicy
-	align         bool
-	dt            float64 // seconds
+	design *sna.Design
+	// opts is the server's base options with this request's knobs applied.
+	opts          sna.Options
 	deadline      time.Duration
 	deterministic bool
-	warmStart     bool
-	predictor     bool
-	feasibility   bool
-	nonlinearCaps bool
-	corner        tech.Corner
-}
-
-// requestLimits are the server-side budgets decodeRequest enforces.
-type requestLimits struct {
-	maxClusters     int           // 0 = unlimited
-	defaultDeadline time.Duration // 0 = no deadline unless requested
-	maxDeadline     time.Duration // 0 = unclamped
-	defaultWarm     bool
-	defaultPred     bool
-	defaultAlign    bool
-	defaultFeas     bool
-	defaultNLCaps   bool
-	defaultCorner   tech.Corner
 }
 
 // finitePositive reports whether v is usable as a strictly positive
@@ -130,10 +108,11 @@ func finitePositive(v float64) bool {
 }
 
 // decodeRequest parses and validates one analyze request body against the
-// server budgets, returning a typed RequestError (never a bare error) on
-// any rejection. It never panics on malformed input — FuzzRequestDecode
-// holds it to that.
-func decodeRequest(r io.Reader, lim requestLimits) (*parsedRequest, *RequestError) {
+// server budgets and overlays its knobs onto a copy of the server's base
+// options, returning a typed RequestError (never a bare error) on any
+// rejection. It never panics on malformed input — FuzzRequestDecode holds
+// it to that.
+func (s *Server) decodeRequest(r io.Reader) (*parsedRequest, *RequestError) {
 	var req analyzeRequest
 	dec := json.NewDecoder(r)
 	dec.DisallowUnknownFields()
@@ -156,67 +135,52 @@ func decodeRequest(r io.Reader, lim requestLimits) (*parsedRequest, *RequestErro
 		return nil, badRequest("empty_design", "request carries no design")
 	}
 
-	p := &parsedRequest{
-		align:         lim.defaultAlign,
-		warmStart:     lim.defaultWarm,
-		predictor:     lim.defaultPred,
-		feasibility:   lim.defaultFeas,
-		nonlinearCaps: lim.defaultNLCaps,
-		deterministic: req.Deterministic,
-		deadline:      lim.defaultDeadline,
-	}
-
 	design, err := sna.ParseDesign(bytes.NewReader(req.Design))
 	if err != nil {
 		return nil, badRequest("bad_design", "%v", err)
 	}
-	p.design = design
-
-	p.method = core.Macromodel
+	p := &parsedRequest{design: design, opts: s.base, deadline: s.cfg.DefaultDeadline, deterministic: req.Deterministic}
+	o := &p.opts
 	if req.Method != "" {
 		m, err := core.ParseMethod(req.Method)
 		if err != nil {
 			return nil, badRequest("bad_method", "%v", err)
 		}
-		p.method = m
+		o.Method = m
 	}
 	if req.Policy != "" {
 		pol, err := sna.ParseErrorPolicy(req.Policy)
 		if err != nil {
 			return nil, badRequest("bad_policy", "%v", err)
 		}
-		p.policy = pol
+		o.OnError = pol
 	}
-	if req.Align != nil {
-		p.align = *req.Align
+	// The bool knobs: an absent knob inherits the server's base option, a
+	// present one overrides it for this request.
+	for _, k := range []struct{ req, opt *bool }{
+		{req.Align, &o.Align},
+		{req.WarmStart, &o.WarmStart},
+		{req.Predictor, &o.Predictor},
+		{req.Feasibility, &o.Feasibility},
+		{req.NonlinearCaps, &o.NonlinearCaps},
+	} {
+		if k.req != nil {
+			*k.opt = *k.req
+		}
 	}
-	if req.WarmStart != nil {
-		p.warmStart = *req.WarmStart
-	}
-	if req.Predictor != nil {
-		p.predictor = *req.Predictor
-	}
-	if req.Feasibility != nil {
-		p.feasibility = *req.Feasibility
-	}
-	if req.NonlinearCaps != nil {
-		p.nonlinearCaps = *req.NonlinearCaps
-	}
-	p.corner = lim.defaultCorner
 	if req.Corner != "" {
 		c, err := tech.CornerByName(req.Corner)
 		if err != nil {
 			return nil, badRequest("bad_corner", "%v", err)
 		}
-		p.corner = c
+		o.Corner = c
 	}
 
-	p.dt = 2e-12
 	if req.DtPs != 0 {
 		if !finitePositive(req.DtPs) {
 			return nil, badRequest("bad_budget", "dt_ps must be a finite positive number, got %v", req.DtPs)
 		}
-		p.dt = req.DtPs * 1e-12
+		o.Dt = req.DtPs * 1e-12
 	}
 	if req.DeadlineMs != 0 {
 		if !finitePositive(req.DeadlineMs) {
@@ -224,14 +188,14 @@ func decodeRequest(r io.Reader, lim requestLimits) (*parsedRequest, *RequestErro
 		}
 		p.deadline = time.Duration(req.DeadlineMs * float64(time.Millisecond))
 	}
-	if lim.maxDeadline > 0 && (p.deadline <= 0 || p.deadline > lim.maxDeadline) {
-		p.deadline = lim.maxDeadline
+	if lim := s.cfg.MaxDeadline; lim > 0 && (p.deadline <= 0 || p.deadline > lim) {
+		p.deadline = lim
 	}
 
 	if req.MaxClusters < 0 {
 		return nil, badRequest("bad_budget", "max_clusters must be >= 0, got %d", req.MaxClusters)
 	}
-	budget := lim.maxClusters
+	budget := s.cfg.MaxClusters
 	if req.MaxClusters > 0 && (budget == 0 || req.MaxClusters < budget) {
 		budget = req.MaxClusters
 	}

@@ -57,6 +57,7 @@ import (
 
 	"stanoise/internal/charlib"
 	"stanoise/internal/charstore"
+	"stanoise/internal/core"
 	"stanoise/internal/feas"
 	"stanoise/internal/sim"
 	"stanoise/internal/sna"
@@ -68,11 +69,12 @@ import (
 type Config struct {
 	// Analysis supplies the shared analysis machinery and quality knobs:
 	// Cache/Store/CacheDir (persistent tier), RigPools/RigPoolLimits,
-	// Gate, Workers, the model-quality grids and the WarmStart,
-	// Feasibility and Corner defaults. The per-request knobs — Method,
-	// Align, Dt, OnError — are NOT taken from here: they default to the
-	// snacheck CLI defaults (macromodel, align on, 2 ps, fail-fast) and
-	// are overridden per request.
+	// Gate, Workers, the model-quality grids, and the server-wide defaults
+	// of the per-request mode knobs: Policy (WarmStart and Predictor, see
+	// sim.Policy), Feasibility, NonlinearCaps and Corner. Method, Align, Dt
+	// and OnError are NOT taken from here: NewServer pins them to the
+	// snacheck CLI defaults (macromodel, align on, 2 ps, fail-fast), and
+	// requests override them.
 	Analysis sna.Options
 	// MaxInFlight bounds concurrently admitted requests; excess requests
 	// get 429 + Retry-After immediately. Default 8.
@@ -107,7 +109,7 @@ type Config struct {
 // http.Server (it implements http.Handler).
 type Server struct {
 	cfg   Config
-	base  sna.Options // resolved per-request template: shared cache/pools/gate attached
+	base  sna.Options // per-request template: shared machinery attached, knobs at their defaults
 	cache *charlib.Cache
 	store *charstore.Store // non-nil only when the server opened/was given a charstore tier
 	pools *sna.PoolSet
@@ -180,6 +182,7 @@ func NewServer(cfg Config) *Server {
 	s.base.Gate = s.gate
 	s.base.Store = nil
 	s.base.CacheDir = ""
+	s.base.Method, s.base.Align, s.base.Dt, s.base.OnError = core.Macromodel, true, 2e-12, sna.FailFast
 
 	mux := http.NewServeMux()
 	mux.HandleFunc("POST /v1/analyze", s.handleAnalyze)
@@ -201,21 +204,6 @@ func (s *Server) Store() *charstore.Store { return s.store }
 
 // ServeHTTP implements http.Handler.
 func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) { s.mux.ServeHTTP(w, r) }
-
-// limits derives the request-validation budgets from the configuration.
-func (s *Server) limits() requestLimits {
-	return requestLimits{
-		maxClusters:     s.cfg.MaxClusters,
-		defaultDeadline: s.cfg.DefaultDeadline,
-		maxDeadline:     s.cfg.MaxDeadline,
-		defaultWarm:     s.cfg.Analysis.WarmStart,
-		defaultPred:     s.cfg.Analysis.Predictor,
-		defaultAlign:    true,
-		defaultFeas:     s.cfg.Analysis.Feasibility,
-		defaultNLCaps:   s.cfg.Analysis.NonlinearCaps,
-		defaultCorner:   s.cfg.Analysis.Corner,
-	}
-}
 
 // writeRequestError emits the conventional pre-analysis JSON error body.
 func writeRequestError(w http.ResponseWriter, rerr *RequestError) {
@@ -249,7 +237,7 @@ func (s *Server) handleAnalyze(w http.ResponseWriter, r *http.Request) {
 	s.accepted.Add(1)
 
 	r.Body = http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes)
-	preq, rerr := decodeRequest(r.Body, s.limits())
+	preq, rerr := s.decodeRequest(r.Body)
 	if rerr != nil {
 		writeRequestError(w, rerr)
 		return
@@ -262,17 +250,7 @@ func (s *Server) handleAnalyze(w http.ResponseWriter, r *http.Request) {
 		defer cancel()
 	}
 
-	opts := s.base
-	opts.Method = preq.method
-	opts.OnError = preq.policy
-	opts.Align = preq.align
-	opts.Dt = preq.dt
-	opts.WarmStart = preq.warmStart
-	opts.Predictor = preq.predictor
-	opts.Feasibility = preq.feasibility
-	opts.NonlinearCaps = preq.nonlinearCaps
-	opts.Corner = preq.corner
-	an := sna.NewAnalyzer(preq.design, opts)
+	an := sna.NewAnalyzer(preq.design, preq.opts)
 
 	sw := newStreamWriter(w, r)
 	sw.begin()

@@ -4,6 +4,7 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"flag"
 	"fmt"
 	"iter"
 	"math"
@@ -17,6 +18,7 @@ import (
 	"stanoise/internal/charstore"
 	"stanoise/internal/core"
 	"stanoise/internal/nrc"
+	"stanoise/internal/sim"
 	"stanoise/internal/tech"
 )
 
@@ -69,32 +71,12 @@ type Options struct {
 	// private cache, taking precedence over CacheDir. Like CacheDir it is
 	// ignored when Cache is supplied.
 	Store charlib.PersistentStore
-	// WarmStart enables the Newton continuation mode of the run's
-	// load-curve, propagation-table and NRC characterisation sweeps —
-	// equivalent to setting the WarmStart field of LoadCurve, Prop and NRC
-	// individually: each solve is seeded from the previous grid point's
-	// converged solution (sim.Session.WarmStart), cutting total Newton
-	// iterations substantially on fine grids. Thevenin aggressor fits are
-	// not sweeps over one rig and always run cold. Per-solve results
-	// legitimately differ from the cold flow at solver-tolerance level —
-	// and an NRC bisection branch flipping near its threshold can move a
-	// curve height, and so a reported margin, by up to the bisection
-	// tolerance — so warm artefacts are cached and persisted under
-	// distinct keys and the mode stays opt-in; sweep order is
-	// deterministic, so warm results are still reproducible run-to-run.
-	WarmStart bool
-	// Predictor enables the polynomial transient predictor of the run's
-	// propagation-table and NRC characterisation sweeps — equivalent to
-	// setting the Predictor field of Prop and NRC individually: each
-	// transient timestep's Newton solve is seeded from a polynomial
-	// extrapolation over the previous converged steps
-	// (sim.Session.Predictor), cutting per-step Newton iterations on the
-	// glitch transients that dominate characterisation. The load-curve
-	// sweep is DC-only and unaffected. Per-step results legitimately
-	// differ from the cold flow at solver-tolerance level, so predictor
-	// artefacts are cached and persisted under distinct keys and the mode
-	// stays opt-in; results remain reproducible run-to-run.
-	Predictor bool
+	// Policy is the solver policy of every characterisation sweep the
+	// analysis runs (see sim.Policy), and its only source: the analyzer
+	// assigns it to LoadCurve (as its DC view), Prop and NRC, overwriting
+	// whatever policy those carry. Thevenin aggressor fits are not sweeps
+	// over one rig and always run cold.
+	sim.Policy
 	// Gate optionally bounds cluster-level concurrency *across* analyzers:
 	// every worker acquires the gate before analysing a cluster and
 	// releases it afterwards. A multi-tenant server shares one Gate (see
@@ -131,7 +113,7 @@ type Options struct {
 	// the analysis and its artefact bytes are exactly the constant-cap
 	// legacy flow.
 	NonlinearCaps bool
-	// Model quality knobs.
+	// Model quality knobs. Their solver policies are set from Policy.
 	LoadCurve charlib.LoadCurveOptions
 	Prop      charlib.PropOptions
 	NRC       nrc.Options
@@ -152,16 +134,30 @@ func (o Options) normalize() Options {
 		// can test against either constant and still agree.
 		o.OnError = FailFast
 	}
-	if o.WarmStart {
-		o.LoadCurve.WarmStart = true
-		o.Prop.WarmStart = true
-		o.NRC.WarmStart = true
-	}
-	if o.Predictor {
-		o.Prop.Predictor = true
-		o.NRC.Predictor = true
-	}
+	o.LoadCurve.Policy = o.Policy.DC()
+	o.Prop.Policy = o.Policy
+	o.NRC.Policy = o.Policy
 	return o
+}
+
+// RegisterFlags defines the analysis mode flags the command-line front
+// ends share on fs, bound to o: -warm-start and -predictor (o.Policy, see
+// sim.Policy), -nlcaps, -feasibility, and -corner, a standard corner name
+// resolved through tech.CornerByName (an unknown name is a flag error).
+func (o *Options) RegisterFlags(fs *flag.FlagSet) {
+	o.Policy.RegisterFlags(fs)
+	fs.BoolVar(&o.NonlinearCaps, "nlcaps", o.NonlinearCaps,
+		"model gate capacitances as voltage-dependent (NLMOS tanh gate-charge model; distinct cache/store keys, physically different noise)")
+	fs.BoolVar(&o.Feasibility, "feasibility", o.Feasibility,
+		"prune unrealizable aggressor combinations via switching windows and logic constraints; report realistic margins next to worst-case ones")
+	fs.Func("corner", "operating corner: tt, ff, ss, fs or sf (default nominal; reports gain a corner tag)", func(name string) error {
+		c, err := tech.CornerByName(name)
+		if err != nil {
+			return err
+		}
+		o.Corner = c
+		return nil
+	})
 }
 
 // StageTiming breaks one cluster's analysis into its pipeline stages. On a
@@ -617,7 +613,7 @@ func (a *Analyzer) analyzeCluster(ctx context.Context, cs ClusterSpec, pool *cor
 	}
 	var timing StageTiming
 	t0 := time.Now()
-	cl, err := a.design.BuildClusterCornerNL(cs, a.opts.Corner, a.opts.NonlinearCaps)
+	cl, err := a.buildCluster(cs)
 	if err != nil {
 		return fail(StageBuild, err)
 	}
@@ -627,14 +623,8 @@ func (a *Analyzer) analyzeCluster(ctx context.Context, cs ClusterSpec, pool *cor
 	timing.Build = time.Since(t0)
 
 	method := a.opts.Method
-	mopts := core.ModelOptions{
-		LoadCurve: a.opts.LoadCurve,
-		Prop:      a.opts.Prop,
-		SkipProp:  method != core.Superposition,
-		Cache:     a.cache,
-	}
 	t0 = time.Now()
-	models, err := cl.BuildModels(ctx, mopts)
+	models, err := cl.BuildModels(ctx, a.modelOptions())
 	if err != nil {
 		return fail(StageModels, err)
 	}
@@ -733,11 +723,31 @@ func (a *Analyzer) analyzeCluster(ctx context.Context, cs ClusterSpec, pool *cor
 // receiver against — the sign-off criterion itself, exposed for reporting
 // and inspection.
 func (a *Analyzer) ReceiverNRC(ctx context.Context, cs ClusterSpec) (*nrc.Curve, error) {
-	cl, err := a.design.BuildClusterCornerNL(cs, a.opts.Corner, a.opts.NonlinearCaps)
+	cl, err := a.buildCluster(cs)
 	if err != nil {
 		return nil, err
 	}
 	return a.receiverCurve(ctx, cl.Victim.Receiver, cl.Victim.ReceiverPin, cl)
+}
+
+// buildCluster builds a cluster on the analysis card: the design's
+// technology at Options.Corner, with the nonlinear gate-charge model under
+// Options.NonlinearCaps. Analyze, ReceiverNRC and PropagateChain all build
+// through it, so they judge the same circuit.
+func (a *Analyzer) buildCluster(cs ClusterSpec) (*core.Cluster, error) {
+	return a.design.buildCluster(cs, a.opts.Corner, a.opts.NonlinearCaps)
+}
+
+// modelOptions is the characterisation request of every cluster: the
+// analysis grids and policy through the shared cache, with propagation
+// tables only for the superposition method that consumes them.
+func (a *Analyzer) modelOptions() core.ModelOptions {
+	return core.ModelOptions{
+		LoadCurve: a.opts.LoadCurve,
+		Prop:      a.opts.Prop,
+		SkipProp:  a.opts.Method != core.Superposition,
+		Cache:     a.cache,
+	}
 }
 
 // cornerLabel renders the report tag of an analysis corner: its name for a

@@ -14,7 +14,8 @@ import (
 // carried through a pipeline of clusters, where the glitch measured at one
 // stage's victim receiver input becomes the input glitch of the next
 // stage's victim driver. Each stage is evaluated with the given method at
-// its worst-case alignment.
+// its worst-case alignment, on the same corner- and nonlinear-cap-derived
+// card Analyze uses.
 //
 // The returned metrics are the receiver-input noise after each stage. A
 // chain converges (noise dies out stage over stage) when every stage's
@@ -43,17 +44,12 @@ func (a *Analyzer) PropagateChain(ctx context.Context, specs []ClusterSpec) ([]w
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
-		cl, err := a.design.BuildCluster(cs)
+		cl, err := a.buildCluster(cs)
 		if err != nil {
 			return nil, fmt.Errorf("sna: chain stage %d: %w", i, err)
 		}
 		method := a.opts.Method
-		models, err := cl.BuildModels(ctx, core.ModelOptions{
-			LoadCurve: a.opts.LoadCurve,
-			Prop:      a.opts.Prop,
-			SkipProp:  method != core.Superposition,
-			Cache:     a.cache,
-		})
+		models, err := cl.BuildModels(ctx, a.modelOptions())
 		if err != nil {
 			return nil, fmt.Errorf("sna: chain stage %d models: %w", i, err)
 		}

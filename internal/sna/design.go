@@ -165,35 +165,23 @@ func toState(m map[string]bool) cell.State {
 	return st
 }
 
-// BuildCluster converts a ClusterSpec into an evaluable core.Cluster.
-// Aggressors marked "left" are placed above the victim in declaration
-// order, "right" (or unspecified) below, so coupling adjacency reflects the
-// described geometry.
+// BuildCluster converts a ClusterSpec into an evaluable core.Cluster on the
+// design's nominal technology card. Aggressors marked "left" are placed
+// above the victim in declaration order, "right" (or unspecified) below, so
+// coupling adjacency reflects the described geometry.
 func (d *Design) BuildCluster(cs ClusterSpec) (*core.Cluster, error) {
-	return d.BuildClusterCorner(cs, tech.Corner{})
+	return d.buildCluster(cs, tech.Corner{}, false)
 }
 
-// BuildClusterCorner is BuildCluster at an operating corner: the design's
-// technology card is derived via Corner.Apply before any cell or bus is
-// built, so every cell in the cluster — and therefore every
-// characterisation artefact and cache key downstream — carries the corner.
-// Wire parasitics come from the shared base card (corners model device and
-// supply variation, not layout). A nominal corner builds exactly what
-// BuildCluster builds.
-func (d *Design) BuildClusterCorner(cs ClusterSpec, corner tech.Corner) (*core.Cluster, error) {
-	return d.BuildClusterCornerNL(cs, corner, false)
-}
-
-// BuildClusterCornerNL is BuildClusterCorner with the NLMOS nonlinear
-// gate-charge model optionally enabled: when nlcaps is true the corner-
-// derived card is further derived via tech.Tech.WithNonlinearCaps, so every
-// cell's gate capacitors become voltage-dependent and every downstream
-// artefact keys distinctly (the card fingerprint carries an NLCAP segment,
-// see tech.Tech.Fingerprint). The derivation order — corner first, then
-// nonlinear caps — matches the commuting property the two card
-// derivations guarantee. With nlcaps false it builds exactly what
-// BuildClusterCorner builds.
-func (d *Design) BuildClusterCornerNL(cs ClusterSpec, corner tech.Corner, nlcaps bool) (*core.Cluster, error) {
+// buildCluster is BuildCluster on a derived card: the technology card at
+// corner (tech.Corner.Apply) and then, with nlcaps, with the NLMOS
+// nonlinear gate-charge model (tech.Tech.WithNonlinearCaps) — the order
+// the two commuting derivations guarantee. Every cell in the cluster, and
+// so every characterisation artefact and cache key downstream, carries the
+// derived card; wire parasitics come from the base card (corners model
+// device and supply variation, not layout). A nominal corner without
+// nlcaps builds exactly what BuildCluster builds.
+func (d *Design) buildCluster(cs ClusterSpec, corner tech.Corner, nlcaps bool) (*core.Cluster, error) {
 	t, err := tech.ByName(d.Tech)
 	if err != nil {
 		return nil, err
