@@ -35,6 +35,7 @@ golden:
 # bench regenerates the benchmark numbers recorded in EXPERIMENTS.md.
 bench:
 	$(GO) test -run xxx -bench 'DesignAnalyze|LoadCurveCharacterization|Speedup' -benchtime=1x -benchmem .
+	$(GO) test -run xxx -bench 'Table2Macromodel|MacromodelEngine' -benchmem .
 	$(GO) test -run xxx -bench 'INVLoadCurveSweep|NAND2LoadCurveSweepWarmFine' -benchmem ./internal/charlib
 
 # warmstart prints the cold-vs-warm iteration/speedup table.

@@ -116,6 +116,10 @@ func main() {
 		fmt.Fprintf(os.Stderr, "snacheck: %v\n", err)
 		os.Exit(2)
 	}
+	if math.IsNaN(*dt) || math.IsInf(*dt, 0) {
+		fmt.Fprintf(os.Stderr, "snacheck: -dt-ps must be finite, got %v\n", *dt)
+		os.Exit(2)
+	}
 	pol, err := stanoise.ParseErrorPolicy(*policy)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "snacheck: %v\n", err)

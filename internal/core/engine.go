@@ -171,7 +171,19 @@ type EngineOptions struct {
 	Tol       float64 // Newton update tolerance (V); default 1e-9
 }
 
+// normalize fills defaults and rejects non-finite values with a
+// *sim.OptionsError: a NaN or infinite Dt or TStop would size the result
+// from a NaN step count or never leave the step loop, and a NaN Tol would
+// pass every `<= 0` default check and disable the convergence test.
 func (o EngineOptions) normalize() (EngineOptions, error) {
+	for _, f := range []struct {
+		name string
+		v    float64
+	}{{"Dt", o.Dt}, {"TStop", o.TStop}, {"Tol", o.Tol}} {
+		if math.IsNaN(f.v) || math.IsInf(f.v, 0) {
+			return o, &sim.OptionsError{Field: f.name, Value: f.v}
+		}
+	}
 	if o.Dt <= 0 {
 		o.Dt = 1e-12
 	}
@@ -208,8 +220,13 @@ func (r *EngineResult) Waveform(k int) *wave.Waveform {
 //	Cr·ẋ + Gr·x = B·i(t, V0 + Bᵀx)
 //
 // This is the "dedicated engine embedded into the noise analysis tool" of
-// the paper's §2, and the source of its ~20X speed-up: the dense system
-// solved per step has ~Q≈15 unknowns instead of the full cluster netlist.
+// the paper's §2, and the source of its ~20X speed-up. Only the p port
+// currents are non-linear, so the trapezoidal system matrix A1 = 2Cr/h + Gr
+// is factored once per run and each step's Newton iteration runs on the p
+// port voltages alone, a Schur complement of the Q×Q step system with the
+// same iterates (DESIGN.md §15). A step costs one Q×Q matrix-vector product
+// plus a p×p solve per iteration, with p ≤ a handful and Q ≈ 15, and the
+// step loop allocates nothing.
 // The context is checked periodically between timesteps so a cancelled
 // analysis stops mid-transient; a nil context disables cancellation.
 func RunEngine(ctx context.Context, red *mor.Reduced, sources []PortSource, v0 []float64, opts EngineOptions) (*EngineResult, error) {
@@ -229,104 +246,103 @@ func RunEngine(ctx context.Context, red *mor.Reduced, sources []PortSource, v0 [
 	q := red.Q
 	h := opts.Dt
 
-	// Constant matrices for trapezoidal integration:
-	// A1 = 2Cr/h + Gr (system), A2 = 2Cr/h − Gr (history).
+	// Per-run constants, with A1 = 2Cr/h + Gr the step's system matrix and
+	// A2 = 2Cr/h − Gr its history matrix: prop = A1⁻¹A2 carries the state
+	// across a step, z = A1⁻¹B maps port currents into the state, and
+	// m = BᵀZ is the port-to-port impedance of one step.
 	a1 := red.Cr.Clone()
 	a1.Scale(2 / h)
 	a1.AddScaled(1, red.Gr)
 	a2 := red.Cr.Clone()
 	a2.Scale(2 / h)
 	a2.AddScaled(-1, red.Gr)
+	lu, err := linalg.Factor(a1)
+	if err != nil {
+		return nil, fmt.Errorf("core: singular macromodel system matrix: %w", err)
+	}
+	prop := lu.SolveMatrix(a2)
+	z := lu.SolveMatrix(red.B)
+	m := linalg.Mul(red.B.Transpose(), z)
 
-	x := make([]float64, q)
-	xPrev := make([]float64, q)
+	x := make([]float64, q) // reduced state
+	w := make([]float64, q) // free response: the state with no new port current
+	y := make([]float64, p) // port voltages Bᵀx
+	r := make([]float64, p) // free port response Bᵀw
 	iPrev := make([]float64, p)
 	icur := make([]float64, p)
 	didv := make([]float64, p)
-	f := make([]float64, q)
-	hist := make([]float64, q)
-	dx := make([]float64, q)
-	jac := linalg.NewMatrix(q, q)
-	lu := linalg.NewLUWorkspace(q)
+	c := make([]float64, p)  // linearised port currents of the iterate
+	g := make([]float64, p)  // port residual
+	dy := make([]float64, p) // Newton update of y
+	jac := linalg.NewMatrix(p, p)
+	plu := linalg.NewLUWorkspace(p)
+	dyn := make([]DynamicPort, p)
 
-	nsteps := int(math.Ceil(opts.TStop/h)) + 1
+	// Indexed time grid t = k·h for k = 0..n, ending at the last step with
+	// t ≤ TStop + h/2, as sim.Session.RunTransientInto's grid does.
+	n := int(math.Floor(opts.TStop/h + 0.5))
 	res := &EngineResult{
-		Times: make([]float64, 0, nsteps),
+		Times: make([]float64, n+1),
 		PortV: make([][]float64, p),
 		Ports: append([]string(nil), red.Ports...),
 	}
-	for k := range res.PortV {
-		res.PortV[k] = make([]float64, 0, nsteps)
-	}
-	record := func(t float64) {
-		res.Times = append(res.Times, t)
-		v := red.PortVoltages(x)
-		for k := 0; k < p; k++ {
-			res.PortV[k] = append(res.PortV[k], v0[k]+v[k])
-		}
-	}
-
 	// Initial port currents at the quiet point.
-	for k, s := range sources {
+	for j, s := range sources {
 		if d, ok := s.(DynamicPort); ok {
-			d.Init(h, 0, v0[k])
+			dyn[j] = d
+			d.Init(h, 0, v0[j])
 		}
-		iPrev[k], _ = s.Current(0, v0[k])
+		iPrev[j], _ = s.Current(0, v0[j])
+		res.PortV[j] = make([]float64, n+1)
+		res.PortV[j][0] = v0[j]
 	}
-	record(0)
 
-	step := 0
-	for t := h; t <= opts.TStop+h/2; t += h {
-		if step++; step&63 == 0 {
+	for k := 1; k <= n; k++ {
+		t := float64(k) * h
+		if k&63 == 0 {
 			if err := ctx.Err(); err != nil {
 				return nil, err
 			}
 		}
-		// hist = A2·x_prev + B·i_prev
-		copy(xPrev, x)
-		a2.MulVecInto(hist, xPrev)
-		for r := 0; r < q; r++ {
-			s := 0.0
-			for k := 0; k < p; k++ {
-				s += red.B.At(r, k) * iPrev[k]
-			}
-			hist[r] += s
+		// w = P·x_prev + Z·i_prev solves A1·w = A2·x_prev + B·i_prev.
+		prop.MulVecInto(w, x)
+		clear(r)
+		for a := range w {
+			w[a] += linalg.Dot(row(z, a), iPrev)
+			linalg.AxpyVec(w[a], row(red.B, a), r)
 		}
-		// Newton on F(x) = A1·x − hist − B·i(t, V0+Bᵀx).
+		// Newton on y = r + M·i(t, V0+y), from y = Bᵀx_prev. Its iterates are
+		// the Q×Q Newton's, x = w + Z·c with c = i + D·(y_new − y), so the
+		// stopping rule is the Q×Q one: max |Δx| < Tol.
 		converged := false
 		for it := 0; it < opts.MaxNewton; it++ {
-			u := red.PortVoltages(x)
-			for k, s := range sources {
-				icur[k], didv[k] = s.Current(t, v0[k]+u[k])
+			for j, s := range sources {
+				icur[j], didv[j] = s.Current(t, v0[j]+y[j])
 			}
-			a1.MulVecInto(f, x)
-			for r := 0; r < q; r++ {
-				s := 0.0
-				for k := 0; k < p; k++ {
-					s += red.B.At(r, k) * icur[k]
+			// Residual y − r − M·i and Jacobian I − M·diag(∂i/∂v).
+			for a := 0; a < p; a++ {
+				mr, jr := row(m, a), row(jac, a)
+				for b, mv := range mr {
+					jr[b] = -mv * didv[b]
 				}
-				f[r] -= hist[r] + s
+				jr[a]++
+				g[a] = y[a] - r[a] - linalg.Dot(mr, icur)
 			}
-			jac.CopyFrom(a1)
-			for r := 0; r < q; r++ {
-				for cc := 0; cc < q; cc++ {
-					s := 0.0
-					for k := 0; k < p; k++ {
-						s += red.B.At(r, k) * didv[k] * red.B.At(cc, k)
-					}
-					jac.Add(r, cc, -s)
-				}
-			}
-			if err := lu.Factor(jac); err != nil {
+			if err := plu.Factor(jac); err != nil {
 				return nil, fmt.Errorf("core: singular macromodel Jacobian at t=%.3gps: %w", t*1e12, err)
 			}
-			lu.SolveInto(dx, f)
+			plu.SolveInto(dy, g)
+			for j := range y {
+				y[j] -= dy[j]
+				c[j] = icur[j] - didv[j]*dy[j]
+			}
 			maxd := 0.0
-			for r := 0; r < q; r++ {
-				x[r] -= dx[r]
-				if a := math.Abs(dx[r]); a > maxd {
-					maxd = a
+			for a := range x {
+				xa := w[a] + linalg.Dot(row(z, a), c)
+				if d := math.Abs(xa - x[a]); d > maxd {
+					maxd = d
 				}
+				x[a] = xa
 			}
 			if maxd < opts.Tol {
 				converged = true
@@ -338,14 +354,20 @@ func RunEngine(ctx context.Context, red *mor.Reduced, sources []PortSource, v0 [
 		}
 		// Accept: store port currents for the trapezoidal history, then
 		// let stateful sources advance their companions.
-		u := red.PortVoltages(x)
-		for k, s := range sources {
-			iPrev[k], _ = s.Current(t, v0[k]+u[k])
-			if d, ok := s.(DynamicPort); ok {
-				d.Commit(t, v0[k]+u[k])
+		res.Times[k] = t
+		for j, s := range sources {
+			v := v0[j] + y[j]
+			iPrev[j], _ = s.Current(t, v)
+			if dyn[j] != nil {
+				dyn[j].Commit(t, v)
 			}
+			res.PortV[j][k] = v
 		}
-		record(t)
 	}
 	return res, nil
+}
+
+// row returns row a of m as a slice of its backing array.
+func row(m *linalg.Matrix, a int) []float64 {
+	return m.Data[a*m.Cols : (a+1)*m.Cols]
 }

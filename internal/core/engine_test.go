@@ -2,12 +2,17 @@ package core
 
 import (
 	"context"
+	"errors"
+	"fmt"
 	"math"
 	"testing"
 
+	"stanoise/internal/charlib"
 	"stanoise/internal/circuit"
+	"stanoise/internal/linalg"
 	"stanoise/internal/mor"
 	"stanoise/internal/sim"
+	"stanoise/internal/tech"
 	"stanoise/internal/wave"
 )
 
@@ -55,12 +60,13 @@ func TestEngineTheveninStep(t *testing.T) {
 	}
 }
 
-// The decisive correctness test: a fully linear cluster evaluated by the
-// reduced-order engine must match the full transistor-free circuit solved
-// by the general simulator.
-func TestEngineMatchesFullLinearSimulation(t *testing.T) {
-	// Two coupled 10-segment lines; victim held by a resistor, aggressor
-	// driven by a Thevenin ramp.
+// coupledLines builds two coupled 10-segment RC lines twice: as a reduced
+// macromodel with its port sources (victim held by a resistor, aggressor
+// driven by a Thevenin ramp, far end open) and as the full linear circuit
+// for the general simulator. probes names the full-circuit node of each
+// port.
+func coupledLines(t *testing.T) (red *mor.Reduced, srcs []PortSource, v0 []float64, ckt *circuit.Circuit, probes []string) {
+	t.Helper()
 	const (
 		nseg = 10
 		rSeg = 5.0
@@ -77,7 +83,7 @@ func TestEngineMatchesFullLinearSimulation(t *testing.T) {
 		}
 	}
 	net := mor.NewNetwork(nodes)
-	ckt := circuit.New()
+	ckt = circuit.New()
 	vth := wave.SaturatedRamp(1.2, 0, 150e-12, 70e-12)
 	for _, l := range []string{"v", "a"} {
 		for j := 0; j < nseg; j++ {
@@ -99,17 +105,24 @@ func TestEngineMatchesFullLinearSimulation(t *testing.T) {
 	ckt.AddV("vth", "th", "0", vth)
 	ckt.AddR("rth", "th", name("a", 0), rth)
 
-	ports := []string{name("v", 0), name("a", 0), name("v", nseg)}
-	red, err := mor.Reduce(net, ports, mor.Options{})
+	probes = []string{name("v", 0), name("a", 0), name("v", nseg)}
+	red, err := mor.Reduce(net, probes, mor.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	srcs := []PortSource{
+	srcs = []PortSource{
 		&HoldingPort{G: 1 / hold, V0: 1.2},
 		&TheveninPort{W: vth, RTh: rth},
 		OpenPort{},
 	}
-	v0 := []float64{1.2, 1.2, 1.2}
+	return red, srcs, []float64{1.2, 1.2, 1.2}, ckt, probes
+}
+
+// The decisive correctness test: a fully linear cluster evaluated by the
+// reduced-order engine must match the full transistor-free circuit solved
+// by the general simulator.
+func TestEngineMatchesFullLinearSimulation(t *testing.T) {
+	red, srcs, v0, ckt, probes := coupledLines(t)
 	opts := EngineOptions{Dt: 1e-12, TStop: 2e-9}
 	engRes, err := RunEngine(context.Background(), red, srcs, v0, opts)
 	if err != nil {
@@ -119,7 +132,7 @@ func TestEngineMatchesFullLinearSimulation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for pi, node := range []string{name("v", 0), name("a", 0), name("v", nseg)} {
+	for pi, node := range probes {
 		d := wave.MaxAbsDiff(engRes.Waveform(pi), simRes.Waveform(node))
 		if d > 0.015 {
 			t.Errorf("port %s: engine deviates %v V from full simulation", node, d)
@@ -203,5 +216,285 @@ func TestCapPortDifferentiates(t *testing.T) {
 	}
 	if avg := 0.5 * (prev + cur); math.Abs(avg) > 0.01*want {
 		t.Errorf("post-ramp average cap current = %v, want ~0", avg)
+	}
+}
+
+// referenceEngine is the dense formulation of RunEngine, kept as the oracle
+// of the differential tests: every Newton iteration re-stamps and factors
+// the full Q×Q Jacobian A1 − B·diag(∂i/∂v)·Bᵀ of
+// F(x) = A1·x − A2·x_prev − B·i_prev − B·i(t, V0+Bᵀx). It runs on the same
+// indexed time grid, calls the sources in the same order and stops on the
+// same max |Δx| < Tol rule, so the two engines differ only by round-off.
+func referenceEngine(red *mor.Reduced, sources []PortSource, v0 []float64, opts EngineOptions) (*EngineResult, error) {
+	opts, err := opts.normalize()
+	if err != nil {
+		return nil, err
+	}
+	p, q, h := len(red.Ports), red.Q, opts.Dt
+	a1 := red.Cr.Clone()
+	a1.Scale(2 / h)
+	a1.AddScaled(1, red.Gr)
+	a2 := red.Cr.Clone()
+	a2.Scale(2 / h)
+	a2.AddScaled(-1, red.Gr)
+
+	x := make([]float64, q)
+	iPrev := make([]float64, p)
+	icur := make([]float64, p)
+	didv := make([]float64, p)
+	f := make([]float64, q)
+	hist := make([]float64, q)
+	dx := make([]float64, q)
+	jac := linalg.NewMatrix(q, q)
+	lu := linalg.NewLUWorkspace(q)
+
+	n := int(math.Floor(opts.TStop/h + 0.5))
+	res := &EngineResult{PortV: make([][]float64, p), Ports: red.Ports}
+	record := func(t float64) {
+		res.Times = append(res.Times, t)
+		for k, v := range red.PortVoltages(x) {
+			res.PortV[k] = append(res.PortV[k], v0[k]+v)
+		}
+	}
+	for k, s := range sources {
+		if d, ok := s.(DynamicPort); ok {
+			d.Init(h, 0, v0[k])
+		}
+		iPrev[k], _ = s.Current(0, v0[k])
+	}
+	record(0)
+	for step := 1; step <= n; step++ {
+		t := float64(step) * h
+		a2.MulVecInto(hist, x)
+		for r := 0; r < q; r++ {
+			for k := 0; k < p; k++ {
+				hist[r] += red.B.At(r, k) * iPrev[k]
+			}
+		}
+		converged := false
+		for it := 0; it < opts.MaxNewton; it++ {
+			u := red.PortVoltages(x)
+			for k, s := range sources {
+				icur[k], didv[k] = s.Current(t, v0[k]+u[k])
+			}
+			a1.MulVecInto(f, x)
+			jac.CopyFrom(a1)
+			for r := 0; r < q; r++ {
+				for k := 0; k < p; k++ {
+					f[r] -= red.B.At(r, k) * icur[k]
+				}
+				f[r] -= hist[r]
+				for cc := 0; cc < q; cc++ {
+					for k := 0; k < p; k++ {
+						jac.Add(r, cc, -red.B.At(r, k)*didv[k]*red.B.At(cc, k))
+					}
+				}
+			}
+			if err := lu.Factor(jac); err != nil {
+				return nil, err
+			}
+			lu.SolveInto(dx, f)
+			maxd := 0.0
+			for r := range x {
+				x[r] -= dx[r]
+				maxd = math.Max(maxd, math.Abs(dx[r]))
+			}
+			if maxd < opts.Tol {
+				converged = true
+				break
+			}
+		}
+		if !converged {
+			return nil, fmt.Errorf("reference Newton did not converge at t=%.3gps", t*1e12)
+		}
+		u := red.PortVoltages(x)
+		for k, s := range sources {
+			iPrev[k], _ = s.Current(t, v0[k]+u[k])
+			if d, ok := s.(DynamicPort); ok {
+				d.Commit(t, v0[k]+u[k])
+			}
+		}
+		record(t)
+	}
+	return res, nil
+}
+
+// engineVsReference runs RunEngine and referenceEngine on the same inputs
+// and returns the largest port-voltage difference over every sample,
+// failing the test on an error or a different time grid.
+func engineVsReference(t *testing.T, red *mor.Reduced, srcs []PortSource, v0 []float64, opts EngineOptions) float64 {
+	t.Helper()
+	got, err := RunEngine(context.Background(), red, srcs, v0, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := referenceEngine(red, srcs, v0, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(got.Times) != len(want.Times) {
+		t.Fatalf("samples = %d, reference %d", len(got.Times), len(want.Times))
+	}
+	maxd := 0.0
+	for k := range want.Times {
+		if got.Times[k] != want.Times[k] {
+			t.Fatalf("Times[%d] = %v, reference %v", k, got.Times[k], want.Times[k])
+		}
+		for pi := range want.PortV {
+			maxd = math.Max(maxd, math.Abs(got.PortV[pi][k]-want.PortV[pi][k]))
+		}
+	}
+	return maxd
+}
+
+// engineDiffTol bounds |Δv| between the port-space engine and the dense
+// reference: both run the same Newton iterates, so they differ by round-off
+// only, far below the 1e-9 V Newton tolerance's effect on waveforms.
+const engineDiffTol = 1e-8
+
+func TestEngineMatchesReferenceOnRigs(t *testing.T) {
+	ladder := reducedLadder(t, 8, 50, 10e-15)
+	ladderSrcs := []PortSource{
+		&TheveninPort{W: wave.SaturatedRamp(1.2, 0, 100e-12, 80e-12), RTh: 300},
+		OpenPort{},
+	}
+	if d := engineVsReference(t, ladder, ladderSrcs, []float64{1.2, 1.2},
+		EngineOptions{Dt: 1e-12, TStop: 3e-9}); d > engineDiffTol {
+		t.Errorf("ladder: max |Δv| = %.3g V", d)
+	} else {
+		t.Logf("ladder: max |Δv| = %.3g V", d)
+	}
+	red, srcs, v0, _, _ := coupledLines(t)
+	if d := engineVsReference(t, red, srcs, v0, EngineOptions{Dt: 1e-12, TStop: 2e-9}); d > engineDiffTol {
+		t.Errorf("coupled lines: max |Δv| = %.3g V", d)
+	} else {
+		t.Logf("coupled lines: max |Δv| = %.3g V", d)
+	}
+}
+
+// TestEngineMatchesReferenceOnClusters drives both engines with the port
+// source sets every evaluation method builds (see methods.go) on real
+// noise clusters: the non-linear VCCS victim alone and with its Miller
+// companion (a ParallelPort holding a DynamicPort), the superposition
+// holding conductance, the Zolotov pulsed source, and a set with the first
+// aggressor held quiet.
+func TestEngineMatchesReferenceOnClusters(t *testing.T) {
+	ctx := context.Background()
+	worst := 0.0
+	for _, tt := range []*tech.Tech{tech.Tech130(), tech.Tech90()} {
+		for _, nAgg := range []int{1, 2} {
+			c := fastClusterOn(t, tt, nAgg)
+			models, err := c.BuildModels(ctx, ModelOptions{SkipProp: true, LoadCurve: charlib.LoadCurveOptions{NVin: 41, NVout: 41}})
+			if err != nil {
+				t.Fatal(err)
+			}
+			opts := fastEvalOptions().normalize(c)
+			drv, err := c.DriverAloneResponse(ctx, models, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			vin := c.victimInputWave()
+			rHold := 1 / models.HoldG
+			for _, set := range []struct {
+				name string
+				vic  PortSource
+			}{
+				{"macromodel", &VCCSPort{LC: models.LC, Vin: vin}},
+				{"miller", ParallelPort{&VCCSPort{LC: models.LC, Vin: vin}, &CapPort{C: models.MillerC, W: vin}}},
+				{"superposition", &HoldingPort{G: models.HoldG, V0: models.QuietVic}},
+				{"zolotov", &PulsePort{W: pulseFromResponse(drv, vin, models.LC, rHold), R: rHold}},
+				{"quiet", &VCCSPort{LC: models.LC, Vin: vin}},
+			} {
+				srcs := make([]PortSource, len(models.Red.Ports))
+				for i := range srcs {
+					srcs[i] = OpenPort{}
+				}
+				srcs[models.VicPort] = set.vic
+				c.Aggressors[0].Quiet = set.name == "quiet"
+				c.aggressorSources(models, srcs)
+				c.Aggressors[0].Quiet = false
+				d := engineVsReference(t, models.Red, srcs, models.V0, EngineOptions{Dt: opts.Dt, TStop: opts.TStop})
+				label := fmt.Sprintf("%s/%dagg/%s (Q=%d, p=%d)", tt.Name, nAgg, set.name, models.Red.Q, len(models.Red.Ports))
+				if d > engineDiffTol {
+					t.Errorf("%s: max |Δv| = %.3g V", label, d)
+				}
+				t.Logf("%s: max |Δv| = %.3g V", label, d)
+				worst = math.Max(worst, d)
+			}
+		}
+	}
+	t.Logf("worst max |Δv| over all cluster source sets = %.3g V", worst)
+}
+
+// The engine samples an indexed grid t = k·h, so every sample sits exactly
+// on the grid and the sample count is exact at any TStop/Dt ratio.
+func TestEngineTimeGridIndexed(t *testing.T) {
+	red := reducedLadder(t, 4, 50, 10e-15)
+	srcs := []PortSource{&TheveninPort{W: wave.SaturatedRamp(1.2, 0, 100e-12, 80e-12), RTh: 300}, OpenPort{}}
+	const h = 1e-12
+	for _, tc := range []struct {
+		ratio float64
+		n     int // steps after t = 0
+	}{{2000, 2000}, {1000.4, 1000}, {1000.6, 1001}} {
+		res, err := RunEngine(context.Background(), red, srcs, []float64{1.2, 1.2},
+			EngineOptions{Dt: h, TStop: tc.ratio * h})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(res.Times) != tc.n+1 || len(res.PortV[0]) != tc.n+1 {
+			t.Errorf("TStop/h = %v: %d samples, want %d", tc.ratio, len(res.Times), tc.n+1)
+		}
+		for k, tm := range res.Times {
+			if want := float64(k) * h; tm != want {
+				t.Errorf("TStop/h = %v: Times[%d] = %v, want %v", tc.ratio, k, tm, want)
+				break
+			}
+		}
+	}
+}
+
+func TestEngineRejectsNonFiniteOptions(t *testing.T) {
+	red := reducedLadder(t, 4, 10, 1e-15)
+	srcs := []PortSource{OpenPort{}, OpenPort{}}
+	base := EngineOptions{Dt: 1e-12, TStop: 1e-9, Tol: 1e-9}
+	for _, field := range []string{"Dt", "TStop", "Tol"} {
+		for _, v := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+			opts := base
+			switch field {
+			case "Dt":
+				opts.Dt = v
+			case "TStop":
+				opts.TStop = v
+			case "Tol":
+				opts.Tol = v
+			}
+			_, err := RunEngine(context.Background(), red, srcs, []float64{0, 0}, opts)
+			var oe *sim.OptionsError
+			if !errors.Is(err, sim.ErrInvalidOptions) || !errors.As(err, &oe) || oe.Field != field {
+				t.Errorf("%s = %v: err = %v, want *sim.OptionsError on %s", field, v, err, field)
+			}
+		}
+	}
+}
+
+// The step loop allocates nothing: a run four times longer allocates
+// exactly as often (the result arrays are sized once up front).
+func TestEngineAllocsIndependentOfSteps(t *testing.T) {
+	red := reducedLadder(t, 8, 50, 10e-15)
+	ramp := wave.SaturatedRamp(1.2, 0, 100e-12, 80e-12)
+	srcs := []PortSource{
+		ParallelPort{&TheveninPort{W: ramp, RTh: 300}, &CapPort{C: 2e-15, W: ramp}},
+		&HoldingPort{G: 1e-3, V0: 1.2},
+	}
+	allocs := func(tstop float64) float64 {
+		return testing.AllocsPerRun(5, func() {
+			if _, err := RunEngine(context.Background(), red, srcs, []float64{1.2, 1.2},
+				EngineOptions{Dt: 1e-12, TStop: tstop}); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	if a1, a4 := allocs(1e-9), allocs(4e-9); a1 != a4 {
+		t.Errorf("allocations grow with the step count: %v at 1 ns, %v at 4 ns", a1, a4)
 	}
 }

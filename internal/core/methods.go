@@ -170,13 +170,19 @@ func (c *Cluster) evaluateGolden(ctx context.Context, opts EvalOptions) (*Evalua
 		rig.sess.SetSource(rig.prog.MustSource(fmt.Sprintf("vagg%d_%s", i, a.SwitchPin)),
 			a.aggressorInputWave())
 	}
+	// The result is run-local, not kept on the rig for reuse: a pooled
+	// golden bench outlives its evaluation by many requests, and a record
+	// of every node at every step (a few hundred kB) held by each bench
+	// would dominate a server's memory, to save one allocation per
+	// transistor-level run.
+	var res sim.Result
 	start := time.Now()
-	if err := rig.sess.RunTransientInto(ctx, &rig.res, opts.TStop); err != nil {
+	if err := rig.sess.RunTransientInto(ctx, &res, opts.TStop); err != nil {
 		return nil, fmt.Errorf("core: golden simulation: %w", err)
 	}
 	elapsed := time.Since(start)
-	dp := rig.res.Waveform(c.Bus.InNode(c.Victim.Line))
-	recv := rig.res.Waveform(c.Bus.OutNode(c.Victim.Line))
+	dp := res.Waveform(c.Bus.InNode(c.Victim.Line))
+	recv := res.Waveform(c.Bus.OutNode(c.Victim.Line))
 	return c.finish(Golden, dp, recv, elapsed), nil
 }
 

@@ -86,6 +86,13 @@ func TestRigPoolGoldenMatchesUnpooled(t *testing.T) {
 			t.Fatalf("pooled golden waveform diverged at step %d", i)
 		}
 	}
+	// Pooled golden benches outlive their evaluations, so they must not
+	// keep the per-node transient record of their last run.
+	for _, e := range pool.rigs {
+		if e.rig.res.Times != nil {
+			t.Errorf("pooled golden bench retains its last result (%d samples)", len(e.rig.res.Times))
+		}
+	}
 }
 
 // TestRigPoolEvictsLeastRecentlyUsed asserts the pool bound: filling it

@@ -298,6 +298,9 @@ type Analyzer struct {
 	opts     Options
 	cache    *charlib.Cache
 	storeErr error
+	// optsErr rejects a non-finite Options.Dt: every run returns it before
+	// any cluster work (see NewAnalyzer).
+	optsErr error
 
 	// pools is the free list of compiled-bench pools (see PoolSet). Each
 	// analysis worker checks one out for the clusters it processes and
@@ -324,8 +327,15 @@ func (a *Analyzer) RigPoolStats() (hits, misses int) { return a.pools.Stats() }
 // cell libraries or tech cards change underneath retained benches.
 func (a *Analyzer) InvalidateRigPools() int { return a.pools.Invalidate() }
 
-// NewAnalyzer builds an analyzer for a validated design.
+// NewAnalyzer builds an analyzer for a validated design. A NaN or infinite
+// Options.Dt makes every run (Analyze, Stream, PropagateChain) return a
+// *sim.OptionsError before any cluster work: it would otherwise reach the
+// engines, which reject it once per cluster, or be defaulted (-Inf).
 func NewAnalyzer(d *Design, opts Options) *Analyzer {
+	var optsErr error
+	if math.IsNaN(opts.Dt) || math.IsInf(opts.Dt, 0) {
+		optsErr = &sim.OptionsError{Field: "Dt", Value: opts.Dt}
+	}
 	opts = opts.normalize()
 	cache := opts.Cache
 	if cache == nil {
@@ -335,7 +345,7 @@ func NewAnalyzer(d *Design, opts Options) *Analyzer {
 	if pools == nil {
 		pools = NewPoolSet(opts.RigPoolLimits)
 	}
-	a := &Analyzer{design: d, opts: opts, cache: cache, pools: pools}
+	a := &Analyzer{design: d, opts: opts, cache: cache, pools: pools, optsErr: optsErr}
 	switch {
 	case opts.Cache != nil:
 		// A shared cache is the caller's object: never mutate its disk
@@ -399,6 +409,9 @@ type outcome struct {
 // Cancellation of ctx wins over everything else: outcomes of clusters cut
 // short by the cancel are discarded and runClusters returns ctx.Err().
 func (a *Analyzer) runClusters(ctx context.Context, emit func(outcome) bool) error {
+	if a.optsErr != nil {
+		return a.optsErr
+	}
 	clusters := a.design.Clusters
 	if len(clusters) == 0 {
 		return ctx.Err()

@@ -32,6 +32,9 @@ func (a *Analyzer) PropagateChain(ctx context.Context, specs []ClusterSpec) ([]w
 	if len(specs) == 0 {
 		return nil, fmt.Errorf("sna: empty chain")
 	}
+	if a.optsErr != nil {
+		return nil, a.optsErr
+	}
 	var out []wave.NoiseMetrics
 	carry := 0.0  // glitch height into the next stage (V)
 	carryW := 0.0 // glitch width into the next stage (s)

@@ -2,6 +2,7 @@ package sna
 
 import (
 	"context"
+	"errors"
 	"math"
 	"strings"
 	"testing"
@@ -9,6 +10,7 @@ import (
 	"stanoise/internal/charlib"
 	"stanoise/internal/core"
 	"stanoise/internal/nrc"
+	"stanoise/internal/sim"
 )
 
 // sampleDesign builds a small two-cluster design used across the tests.
@@ -219,5 +221,32 @@ func TestSummarize(t *testing.T) {
 	}
 	if s.WorstCluster != "b" || s.WorstMarginV != -0.1 {
 		t.Errorf("worst: %s %v", s.WorstCluster, s.WorstMarginV)
+	}
+}
+
+// A NaN or infinite engine step is rejected by every run before any cluster
+// work, as a *sim.OptionsError: it used to reach the macromodel engine,
+// which panicked sizing its result (NaN) or never left its step loop (+Inf).
+func TestAnalyzeRejectsNonFiniteDt(t *testing.T) {
+	ctx := context.Background()
+	d := sampleDesign()
+	for _, dt := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		opts := fastOpts(core.Macromodel)
+		opts.Dt = dt
+		an := NewAnalyzer(d, opts)
+		if _, err := an.Analyze(ctx); !errors.Is(err, sim.ErrInvalidOptions) {
+			t.Errorf("Dt = %v: Analyze err = %v, want ErrInvalidOptions", dt, err)
+		}
+		for _, err := range an.Stream(ctx) {
+			if !errors.Is(err, sim.ErrInvalidOptions) {
+				t.Errorf("Dt = %v: Stream err = %v, want ErrInvalidOptions", dt, err)
+			}
+		}
+		if _, err := an.PropagateChain(ctx, d.Clusters[:1]); !errors.Is(err, sim.ErrInvalidOptions) {
+			t.Errorf("Dt = %v: PropagateChain err = %v, want ErrInvalidOptions", dt, err)
+		}
+		if cs := an.CacheStats(); cs.Misses != 0 {
+			t.Errorf("Dt = %v: characterised %d artefacts before rejecting", dt, cs.Misses)
+		}
 	}
 }
