@@ -5,7 +5,7 @@
 
 GO ?= go
 
-.PHONY: build test race vet fmt docs golden bench warmstart
+.PHONY: build test race vet fmt docs golden bench bench-check warmstart
 
 build:
 	$(GO) build ./...
@@ -37,6 +37,13 @@ bench:
 	$(GO) test -run xxx -bench 'DesignAnalyze|LoadCurveCharacterization|Speedup' -benchtime=1x -benchmem .
 	$(GO) test -run xxx -bench 'Table2Macromodel|MacromodelEngine' -benchmem .
 	$(GO) test -run xxx -bench 'INVLoadCurveSweep|NAND2LoadCurveSweepWarmFine' -benchmem ./internal/charlib
+
+# bench-check vets and tests the benchmark module (every workload at tiny
+# sizes, with its output checks). It is a module of its own, so `go test
+# ./...` does not reach it.
+bench-check:
+	$(GO) -C benchmark vet ./...
+	$(GO) -C benchmark test ./...
 
 # warmstart prints the cold-vs-warm iteration/speedup table.
 warmstart:

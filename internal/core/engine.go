@@ -220,13 +220,16 @@ func (r *EngineResult) Waveform(k int) *wave.Waveform {
 //	Cr·ẋ + Gr·x = B·i(t, V0 + Bᵀx)
 //
 // This is the "dedicated engine embedded into the noise analysis tool" of
-// the paper's §2, and the source of its ~20X speed-up. Only the p port
-// currents are non-linear, so the trapezoidal system matrix A1 = 2Cr/h + Gr
-// is factored once per run and each step's Newton iteration runs on the p
-// port voltages alone, a Schur complement of the Q×Q step system with the
-// same iterates (DESIGN.md §15). A step costs one Q×Q matrix-vector product
-// plus a p×p solve per iteration, with p ≤ a handful and Q ≈ 15, and the
-// step loop allocates nothing.
+// the paper's §2, and the source of its ~20X speed-up. Open, Thevenin,
+// pulsed and holding ports draw a current affine in the port voltage, so
+// their constant slopes fold into the trapezoidal system matrix
+// A1′ = 2Cr/h + Gr − B_L·diag(g_L)·B_Lᵀ, which is factored once per run.
+// Each step's Newton iteration then runs on the voltages of the remaining
+// p_N ports alone — the victim's VCCS, a scalar — and an all-linear run
+// takes no Newton iteration at all. The iterates are those of a Newton on
+// the full Q×Q step system (DESIGN.md §15). A step costs one Q×Q
+// matrix-vector product plus a p_N×p_N solve per iteration, with Q ≈ 15,
+// and the step loop allocates nothing.
 // The context is checked periodically between timesteps so a cancelled
 // analysis stops mid-transient; a nil context disables cancellation.
 func RunEngine(ctx context.Context, red *mor.Reduced, sources []PortSource, v0 []float64, opts EngineOptions) (*EngineResult, error) {
@@ -246,37 +249,22 @@ func RunEngine(ctx context.Context, red *mor.Reduced, sources []PortSource, v0 [
 	q := red.Q
 	h := opts.Dt
 
-	// Per-run constants, with A1 = 2Cr/h + Gr the step's system matrix and
-	// A2 = 2Cr/h − Gr its history matrix: prop = A1⁻¹A2 carries the state
-	// across a step, z = A1⁻¹B maps port currents into the state, and
-	// m = BᵀZ is the port-to-port impedance of one step.
-	a1 := red.Cr.Clone()
-	a1.Scale(2 / h)
-	a1.AddScaled(1, red.Gr)
-	a2 := red.Cr.Clone()
-	a2.Scale(2 / h)
-	a2.AddScaled(-1, red.Gr)
-	lu, err := linalg.Factor(a1)
-	if err != nil {
-		return nil, fmt.Errorf("core: singular macromodel system matrix: %w", err)
+	// Order the ports non-linear first: perm[:pn] stay in Newton and
+	// perm[pn:] are linear. Every port vector below is in this order. The
+	// non-linear ports keep their relative order, and no linear port is a
+	// DynamicPort, so the DynamicPorts see Init and Commit in port order.
+	perm := make([]int, 0, p)
+	for j, s := range sources {
+		if !linearPort(s) {
+			perm = append(perm, j)
+		}
 	}
-	prop := lu.SolveMatrix(a2)
-	z := lu.SolveMatrix(red.B)
-	m := linalg.Mul(red.B.Transpose(), z)
-
-	x := make([]float64, q) // reduced state
-	w := make([]float64, q) // free response: the state with no new port current
-	y := make([]float64, p) // port voltages Bᵀx
-	r := make([]float64, p) // free port response Bᵀw
-	iPrev := make([]float64, p)
-	icur := make([]float64, p)
-	didv := make([]float64, p)
-	c := make([]float64, p)  // linearised port currents of the iterate
-	g := make([]float64, p)  // port residual
-	dy := make([]float64, p) // Newton update of y
-	jac := linalg.NewMatrix(p, p)
-	plu := linalg.NewLUWorkspace(p)
-	dyn := make([]DynamicPort, p)
+	pn := len(perm)
+	for j, s := range sources {
+		if linearPort(s) {
+			perm = append(perm, j)
+		}
+	}
 
 	// Indexed time grid t = k·h for k = 0..n, ending at the last step with
 	// t ≤ TStop + h/2, as sim.Session.RunTransientInto's grid does.
@@ -286,16 +274,72 @@ func RunEngine(ctx context.Context, red *mor.Reduced, sources []PortSource, v0 [
 		PortV: make([][]float64, p),
 		Ports: append([]string(nil), red.Ports...),
 	}
-	// Initial port currents at the quiet point.
-	for j, s := range sources {
+	// Initial port currents at the quiet point. A linear port's ∂i/∂v is
+	// its slope g_j for the whole run.
+	iPrev := make([]float64, p)
+	slope := make([]float64, p)
+	dyn := make([]DynamicPort, p)
+	for jj, j := range perm {
+		s := sources[j]
 		if d, ok := s.(DynamicPort); ok {
-			dyn[j] = d
+			dyn[jj] = d
 			d.Init(h, 0, v0[j])
 		}
-		iPrev[j], _ = s.Current(0, v0[j])
+		iPrev[jj], slope[jj] = s.Current(0, v0[j])
 		res.PortV[j] = make([]float64, n+1)
 		res.PortV[j][0] = v0[j]
 	}
+
+	// Per-run constants, one port per row of the port matrices in perm
+	// order. The step matrix A1′ = 2Cr/h + Gr − B_L·diag(g_L)·B_Lᵀ carries
+	// the linear ports' slopes and A2 = 2Cr/h − Gr is the history matrix:
+	// prop = A1′⁻¹A2 carries the state across a step, zt = (A1′⁻¹B)ᵀ maps
+	// port currents into the state, and m = B_NᵀZ_N is the non-linear
+	// ports' impedance of one step.
+	bt := linalg.NewMatrix(p, q)
+	for jj, j := range perm {
+		for a := 0; a < q; a++ {
+			bt.Set(jj, a, red.B.At(a, j))
+		}
+	}
+	a1 := red.Cr.Clone()
+	a1.Scale(2 / h)
+	a1.AddScaled(1, red.Gr)
+	for jj := pn; jj < p; jj++ {
+		b := row(bt, jj)
+		for a, ba := range b {
+			linalg.AxpyVec(-slope[jj]*ba, b, row(a1, a))
+		}
+	}
+	a2 := red.Cr.Clone()
+	a2.Scale(2 / h)
+	a2.AddScaled(-1, red.Gr)
+	lu, err := linalg.Factor(a1)
+	if err != nil {
+		return nil, fmt.Errorf("core: singular macromodel system matrix: %w", err)
+	}
+	prop := lu.SolveMatrix(a2)
+	zt := lu.SolveMatrix(bt.Transpose()).Transpose()
+	m := linalg.NewMatrix(pn, pn)
+	for a := 0; a < pn; a++ {
+		for b := 0; b < pn; b++ {
+			m.Set(a, b, linalg.Dot(row(bt, a), row(zt, b)))
+		}
+	}
+
+	x := make([]float64, q)  // reduced state
+	xn := make([]float64, q) // the Newton's next iterate of x
+	w := make([]float64, q)  // free response: the state with no non-linear port current
+	y := make([]float64, p)  // port voltages Bᵀx
+	i0 := make([]float64, p) // linear port currents at the quiet voltage
+	r := make([]float64, pn) // free non-linear port response B_Nᵀw
+	icur := make([]float64, pn)
+	didv := make([]float64, pn)
+	c := make([]float64, pn)  // linearised port currents of the iterate
+	g := make([]float64, pn)  // port residual
+	dy := make([]float64, pn) // Newton update of y
+	jac := linalg.NewMatrix(pn, pn)
+	plu := linalg.NewLUWorkspace(pn)
 
 	for k := 1; k <= n; k++ {
 		t := float64(k) * h
@@ -304,67 +348,103 @@ func RunEngine(ctx context.Context, red *mor.Reduced, sources []PortSource, v0 [
 				return nil, err
 			}
 		}
-		// w = P·x_prev + Z·i_prev solves A1·w = A2·x_prev + B·i_prev.
+		// w = P·x_prev + Z·(i_prev + i0) solves A1′·w = A2·x_prev + B·i_prev + B_L·i0.
+		// A linear port draws i0_j(t) + g_j·y_j, and its intercept i0_j(t),
+		// the current at the quiet voltage, is known before the solve. Open
+		// ports draw nothing and add nothing.
 		prop.MulVecInto(w, x)
-		clear(r)
-		for a := range w {
-			w[a] += linalg.Dot(row(z, a), iPrev)
-			linalg.AxpyVec(w[a], row(red.B, a), r)
-		}
-		// Newton on y = r + M·i(t, V0+y), from y = Bᵀx_prev. Its iterates are
-		// the Q×Q Newton's, x = w + Z·c with c = i + D·(y_new − y), so the
-		// stopping rule is the Q×Q one: max |Δx| < Tol.
-		converged := false
-		for it := 0; it < opts.MaxNewton; it++ {
-			for j, s := range sources {
-				icur[j], didv[j] = s.Current(t, v0[j]+y[j])
+		for jj, j := range perm {
+			ij := iPrev[jj]
+			if jj >= pn {
+				i0[jj], _ = sources[j].Current(t, v0[j])
+				ij += i0[jj]
 			}
-			// Residual y − r − M·i and Jacobian I − M·diag(∂i/∂v).
-			for a := 0; a < p; a++ {
-				mr, jr := row(m, a), row(jac, a)
-				for b, mv := range mr {
-					jr[b] = -mv * didv[b]
+			if ij != 0 {
+				linalg.AxpyVec(ij, row(zt, jj), w)
+			}
+		}
+		if pn == 0 {
+			// Every port is linear: w is the step's solution.
+			x, w = w, x
+		} else {
+			for a := range r {
+				r[a] = linalg.Dot(row(bt, a), w)
+			}
+			// Newton on y_N = r + M·i_N(t, V0+y_N), from y_N = B_Nᵀx_prev. Its
+			// iterates are the Q×Q Newton's, x = w + Z_N·c with
+			// c = i + D·(y_new − y), so the stopping rule is the Q×Q one:
+			// max |Δx| < Tol.
+			converged := false
+			for it := 0; it < opts.MaxNewton; it++ {
+				for jj, j := range perm[:pn] {
+					icur[jj], didv[jj] = sources[j].Current(t, v0[j]+y[jj])
 				}
-				jr[a]++
-				g[a] = y[a] - r[a] - linalg.Dot(mr, icur)
-			}
-			if err := plu.Factor(jac); err != nil {
-				return nil, fmt.Errorf("core: singular macromodel Jacobian at t=%.3gps: %w", t*1e12, err)
-			}
-			plu.SolveInto(dy, g)
-			for j := range y {
-				y[j] -= dy[j]
-				c[j] = icur[j] - didv[j]*dy[j]
-			}
-			maxd := 0.0
-			for a := range x {
-				xa := w[a] + linalg.Dot(row(z, a), c)
-				if d := math.Abs(xa - x[a]); d > maxd {
-					maxd = d
+				// Residual y − r − M·i and Jacobian I − M·diag(∂i/∂v).
+				for a := 0; a < pn; a++ {
+					mr, jr := row(m, a), row(jac, a)
+					for b, mv := range mr {
+						jr[b] = -mv * didv[b]
+					}
+					jr[a]++
+					g[a] = y[a] - r[a] - linalg.Dot(mr, icur)
 				}
-				x[a] = xa
+				if err := plu.Factor(jac); err != nil {
+					return nil, fmt.Errorf("core: singular macromodel Jacobian at t=%.3gps: %w", t*1e12, err)
+				}
+				plu.SolveInto(dy, g)
+				copy(xn, w)
+				for jj := range dy {
+					y[jj] -= dy[jj]
+					c[jj] = icur[jj] - didv[jj]*dy[jj]
+					linalg.AxpyVec(c[jj], row(zt, jj), xn)
+				}
+				maxd := 0.0
+				for a, xa := range xn {
+					if d := math.Abs(xa - x[a]); d > maxd {
+						maxd = d
+					}
+				}
+				x, xn = xn, x
+				if maxd < opts.Tol {
+					converged = true
+					break
+				}
 			}
-			if maxd < opts.Tol {
-				converged = true
-				break
+			if !converged {
+				return nil, fmt.Errorf("core: macromodel Newton did not converge at t=%.3gps: %w", t*1e12, sim.ErrNoConvergence)
 			}
 		}
-		if !converged {
-			return nil, fmt.Errorf("core: macromodel Newton did not converge at t=%.3gps", t*1e12)
-		}
-		// Accept: store port currents for the trapezoidal history, then
-		// let stateful sources advance their companions.
+		// Accept: store port currents for the trapezoidal history, then let
+		// stateful sources advance their companions. The linear ports read
+		// their voltages from Bᵀx.
 		res.Times[k] = t
-		for j, s := range sources {
-			v := v0[j] + y[j]
-			iPrev[j], _ = s.Current(t, v)
-			if dyn[j] != nil {
-				dyn[j].Commit(t, v)
+		for jj, j := range perm {
+			if jj < pn {
+				v := v0[j] + y[jj]
+				iPrev[jj], _ = sources[j].Current(t, v)
+				if dyn[jj] != nil {
+					dyn[jj].Commit(t, v)
+				}
+			} else {
+				y[jj] = linalg.Dot(row(bt, jj), x)
+				iPrev[jj] = i0[jj] + slope[jj]*y[jj]
 			}
-			res.PortV[j][k] = v
+			res.PortV[j][k] = v0[j] + y[jj]
 		}
 	}
 	return res, nil
+}
+
+// linearPort reports whether s draws a current affine in the port voltage
+// with a constant slope, so that RunEngine folds it into the step matrix.
+// The list is closed: any other source, a caller-defined one included, may
+// be non-linear or stateful and stays in Newton.
+func linearPort(s PortSource) bool {
+	switch s.(type) {
+	case OpenPort, *TheveninPort, *PulsePort, *HoldingPort:
+		return true
+	}
+	return false
 }
 
 // row returns row a of m as a slice of its backing array.

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"strings"
 	"testing"
 
 	"stanoise/internal/charlib"
@@ -372,22 +373,68 @@ func TestEngineMatchesReferenceOnRigs(t *testing.T) {
 	}
 }
 
+// theveninLaw is the Thevenin port law of TheveninPort under a type
+// RunEngine does not know, so the engine must keep it in Newton.
+type theveninLaw struct {
+	w   *wave.Waveform
+	rTh float64
+}
+
+func (p theveninLaw) Current(t, v float64) (float64, float64) {
+	return (p.w.At(t) - v) / p.rTh, -1 / p.rTh
+}
+
+// clusterModels builds the macromodels of a fastClusterOn rig on the
+// load-curve grid the engine tests use.
+func clusterModels(t *testing.T, tt *tech.Tech, nAgg int) (*Cluster, *Models) {
+	t.Helper()
+	c := fastClusterOn(t, tt, nAgg)
+	models, err := c.BuildModels(context.Background(), ModelOptions{SkipProp: true, LoadCurve: charlib.LoadCurveOptions{NVin: 41, NVout: 41}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return c, models
+}
+
+// clusterSources is the port source set of an evaluation: vic at the victim
+// driving point, the aggressors' Thevenin (or held) sources, and open
+// receiver ports.
+func clusterSources(c *Cluster, models *Models, vic PortSource) []PortSource {
+	srcs := make([]PortSource, len(models.Red.Ports))
+	for i := range srcs {
+		srcs[i] = OpenPort{}
+	}
+	srcs[models.VicPort] = vic
+	c.aggressorSources(models, srcs)
+	return srcs
+}
+
+// newtonPorts counts the ports RunEngine keeps in Newton.
+func newtonPorts(srcs []PortSource) int {
+	n := 0
+	for _, s := range srcs {
+		if !linearPort(s) {
+			n++
+		}
+	}
+	return n
+}
+
 // TestEngineMatchesReferenceOnClusters drives both engines with the port
 // source sets every evaluation method builds (see methods.go) on real
 // noise clusters: the non-linear VCCS victim alone and with its Miller
 // companion (a ParallelPort holding a DynamicPort), the superposition
 // holding conductance, the Zolotov pulsed source, and a set with the first
-// aggressor held quiet.
+// aggressor held quiet. Two more sets keep the first aggressor's Thevenin
+// law in Newton, once wrapped in a one-element ParallelPort and once as a
+// type the engine does not know, so every Newton size from p_N = 0 to 2 is
+// covered.
 func TestEngineMatchesReferenceOnClusters(t *testing.T) {
 	ctx := context.Background()
 	worst := 0.0
 	for _, tt := range []*tech.Tech{tech.Tech130(), tech.Tech90()} {
 		for _, nAgg := range []int{1, 2} {
-			c := fastClusterOn(t, tt, nAgg)
-			models, err := c.BuildModels(ctx, ModelOptions{SkipProp: true, LoadCurve: charlib.LoadCurveOptions{NVin: 41, NVout: 41}})
-			if err != nil {
-				t.Fatal(err)
-			}
+			c, models := clusterModels(t, tt, nAgg)
 			opts := fastEvalOptions().normalize(c)
 			drv, err := c.DriverAloneResponse(ctx, models, opts)
 			if err != nil {
@@ -395,26 +442,37 @@ func TestEngineMatchesReferenceOnClusters(t *testing.T) {
 			}
 			vin := c.victimInputWave()
 			rHold := 1 / models.HoldG
+			wrapParallel := func(s PortSource) PortSource { return ParallelPort{s} }
+			asLaw := func(s PortSource) PortSource {
+				th := s.(*TheveninPort)
+				return theveninLaw{w: th.W, rTh: th.RTh}
+			}
 			for _, set := range []struct {
 				name string
 				vic  PortSource
+				agg  func(PortSource) PortSource // rewraps the first aggressor's source
+				pn   int                         // ports kept in Newton
 			}{
-				{"macromodel", &VCCSPort{LC: models.LC, Vin: vin}},
-				{"miller", ParallelPort{&VCCSPort{LC: models.LC, Vin: vin}, &CapPort{C: models.MillerC, W: vin}}},
-				{"superposition", &HoldingPort{G: models.HoldG, V0: models.QuietVic}},
-				{"zolotov", &PulsePort{W: pulseFromResponse(drv, vin, models.LC, rHold), R: rHold}},
-				{"quiet", &VCCSPort{LC: models.LC, Vin: vin}},
+				{"macromodel", &VCCSPort{LC: models.LC, Vin: vin}, nil, 1},
+				{"miller", ParallelPort{&VCCSPort{LC: models.LC, Vin: vin}, &CapPort{C: models.MillerC, W: vin}}, nil, 1},
+				{"superposition", &HoldingPort{G: models.HoldG, V0: models.QuietVic}, nil, 0},
+				{"zolotov", &PulsePort{W: pulseFromResponse(drv, vin, models.LC, rHold), R: rHold}, nil, 0},
+				{"quiet", &VCCSPort{LC: models.LC, Vin: vin}, nil, 1},
+				{"parallel-aggressor", &VCCSPort{LC: models.LC, Vin: vin}, wrapParallel, 2},
+				{"custom-aggressor", &VCCSPort{LC: models.LC, Vin: vin}, asLaw, 2},
 			} {
-				srcs := make([]PortSource, len(models.Red.Ports))
-				for i := range srcs {
-					srcs[i] = OpenPort{}
-				}
-				srcs[models.VicPort] = set.vic
 				c.Aggressors[0].Quiet = set.name == "quiet"
-				c.aggressorSources(models, srcs)
+				srcs := clusterSources(c, models, set.vic)
 				c.Aggressors[0].Quiet = false
+				if set.agg != nil {
+					ap := models.AggPorts[0]
+					srcs[ap] = set.agg(srcs[ap])
+				}
+				if got := newtonPorts(srcs); got != set.pn {
+					t.Fatalf("%s: %d ports in Newton, want %d", set.name, got, set.pn)
+				}
 				d := engineVsReference(t, models.Red, srcs, models.V0, EngineOptions{Dt: opts.Dt, TStop: opts.TStop})
-				label := fmt.Sprintf("%s/%dagg/%s (Q=%d, p=%d)", tt.Name, nAgg, set.name, models.Red.Q, len(models.Red.Ports))
+				label := fmt.Sprintf("%s/%dagg/%s (Q=%d, p=%d, p_N=%d)", tt.Name, nAgg, set.name, models.Red.Q, len(models.Red.Ports), set.pn)
 				if d > engineDiffTol {
 					t.Errorf("%s: max |Δv| = %.3g V", label, d)
 				}
@@ -424,6 +482,51 @@ func TestEngineMatchesReferenceOnClusters(t *testing.T) {
 		}
 	}
 	t.Logf("worst max |Δv| over all cluster source sets = %.3g V", worst)
+}
+
+// A macromodel run that Newton cannot finish reports the same typed error
+// a transistor-level run does.
+func TestEngineNonConvergenceIsTyped(t *testing.T) {
+	c, models := clusterModels(t, tech.Tech130(), 1)
+	opts := fastEvalOptions().normalize(c)
+	srcs := clusterSources(c, models, &VCCSPort{LC: models.LC, Vin: c.victimInputWave()})
+	_, err := RunEngine(context.Background(), models.Red, srcs, models.V0,
+		EngineOptions{Dt: opts.Dt, TStop: opts.TStop, MaxNewton: 1})
+	if !errors.Is(err, sim.ErrNoConvergence) {
+		t.Fatalf("err = %v, want sim.ErrNoConvergence", err)
+	}
+	if !strings.HasPrefix(err.Error(), "core: macromodel Newton did not converge at t=") {
+		t.Errorf("err = %q lost its prefix", err)
+	}
+}
+
+// An all-linear run folds every port into the step matrix and takes no
+// Newton iteration: at MaxNewton = 1 it completes with exactly the default
+// run's waveforms. The same run with one Thevenin law the engine does not
+// know iterates, and one iteration cannot meet the stopping rule.
+func TestEngineAllLinearRunTakesNoNewton(t *testing.T) {
+	red, srcs, v0, _, _ := coupledLines(t)
+	opts := EngineOptions{Dt: 1e-12, TStop: 2e-9, MaxNewton: 1}
+	one, err := RunEngine(context.Background(), red, srcs, v0, opts)
+	if err != nil {
+		t.Fatalf("all-linear run at MaxNewton = 1: %v", err)
+	}
+	def, err := RunEngine(context.Background(), red, srcs, v0, EngineOptions{Dt: opts.Dt, TStop: opts.TStop})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for pi := range def.PortV {
+		for k, v := range def.PortV[pi] {
+			if one.PortV[pi][k] != v {
+				t.Fatalf("port %d sample %d: %v at MaxNewton = 1, %v by default", pi, k, one.PortV[pi][k], v)
+			}
+		}
+	}
+	th := srcs[1].(*TheveninPort)
+	srcs[1] = theveninLaw{w: th.W, rTh: th.RTh}
+	if _, err := RunEngine(context.Background(), red, srcs, v0, opts); !errors.Is(err, sim.ErrNoConvergence) {
+		t.Errorf("run with a port in Newton at MaxNewton = 1: err = %v, want sim.ErrNoConvergence", err)
+	}
 }
 
 // The engine samples an indexed grid t = k·h, so every sample sits exactly

@@ -576,8 +576,8 @@ func (c *Cluster) AlignWorstCase(ctx context.Context, models *Models, opts EvalO
 	// greedy coordinate ascent on the macromodel peak, one aggressor at a
 	// time — each probe is a fast reduced-order run.
 	const (
-		window = 80e-12
 		step   = 20e-12
+		reach  = 4 // probes on each side of the current offset: ±80 ps
 		passes = 2
 	)
 	best, err := c.macromodelPeak(ctx, models, opts)
@@ -592,10 +592,13 @@ func (c *Cluster) AlignWorstCase(ctx context.Context, models *Models, opts EvalO
 			}
 			base := c.Aggressors[i].Offset
 			bestOff := base
-			for off := base - window; off <= base+window+step/2; off += step {
-				if off == base {
+			// An integer grid: an accumulated float offset misses base by
+			// round-off and would re-run the current best.
+			for k := -reach; k <= reach; k++ {
+				if k == 0 {
 					continue
 				}
+				off := base + float64(k)*step
 				c.Aggressors[i].Offset = off
 				p, err := c.macromodelPeak(ctx, models, opts)
 				if err != nil {

@@ -271,6 +271,26 @@ func TestAlignWorstCaseAlignsPeaks(t *testing.T) {
 	}
 }
 
+// The coordinate ascent probes 8 offsets per aggressor and pass, never the
+// current best again: after the nAgg peak-alignment runs and the one
+// baseline run, AlignWorstCase's engine runs come in whole passes of 8·nAgg.
+func TestAlignWorstCaseProbesEachOffsetOnce(t *testing.T) {
+	for _, tt := range []*tech.Tech{tech.Tech130(), tech.Tech90()} {
+		for _, nAgg := range []int{1, 2} {
+			c, models := clusterModels(t, tt, nAgg)
+			before := sim.Snapshot()
+			if err := c.AlignWorstCase(context.Background(), models, fastEvalOptions()); err != nil {
+				t.Fatal(err)
+			}
+			runs := sim.Snapshot().Sub(before).EngineRuns
+			t.Logf("%s/%dagg: %d engine runs", tt.Name, nAgg, runs)
+			if probes := runs - int64(nAgg+1); probes <= 0 || probes%int64(8*nAgg) != 0 {
+				t.Errorf("%s/%dagg: %d engine runs, want %d + a multiple of %d", tt.Name, nAgg, runs, nAgg+1, 8*nAgg)
+			}
+		}
+	}
+}
+
 func TestEvaluateRequiresModels(t *testing.T) {
 	c := fastCluster(t, 1)
 	for _, m := range []Method{Superposition, Zolotov, Macromodel} {
