@@ -5,7 +5,7 @@
 
 GO ?= go
 
-.PHONY: build test race vet fmt docs golden bench bench-check warmstart
+.PHONY: build test race vet fmt docs golden golden-check bench bench-check
 
 build:
 	$(GO) build ./...
@@ -32,11 +32,20 @@ docs: vet
 golden:
 	$(GO) test -run Golden -v .
 
+# golden-check regenerates every golden fixture and fails if a single byte
+# moved: the fixtures are the program's exact output on amd64. Go fuses
+# multiply-adds on arm64, so run it on amd64 only; the tolerance
+# comparisons of `make golden` are the cross-architecture check.
+golden-check:
+	$(GO) test -count=1 -run Golden . -update
+	git diff --exit-code testdata/golden
+	@out="$$(git ls-files --others --exclude-standard testdata/golden)"; if [ -n "$$out" ]; then echo "untracked fixtures:" $$out; exit 1; fi
+
 # bench regenerates the benchmark numbers recorded in EXPERIMENTS.md.
 bench:
 	$(GO) test -run xxx -bench 'DesignAnalyze|LoadCurveCharacterization|Speedup' -benchtime=1x -benchmem .
 	$(GO) test -run xxx -bench 'Table2Macromodel|MacromodelEngine' -benchmem .
-	$(GO) test -run xxx -bench 'INVLoadCurveSweep|NAND2LoadCurveSweepWarmFine' -benchmem ./internal/charlib
+	$(GO) test -run xxx -bench 'INVLoadCurveSweep|NAND2LoadCurveSweepFine' -benchmem ./internal/charlib
 
 # bench-check vets and tests the benchmark module (every workload at tiny
 # sizes, with its output checks). It is a module of its own, so `go test
@@ -44,7 +53,3 @@ bench:
 bench-check:
 	$(GO) -C benchmark vet ./...
 	$(GO) -C benchmark test ./...
-
-# warmstart prints the cold-vs-warm iteration/speedup table.
-warmstart:
-	$(GO) run ./examples/warmstart

@@ -20,9 +20,10 @@
 // bundle from a different model generation is refused (recharacterise
 // instead), and individual damaged entries are skipped, never fatal.
 //
-// -warm-start and -predictor select the characterisation solver policy
-// (sim.Policy documents both modes); the predictor only affects the
-// transient sweeps behind -prop, since load curves are DC-only.
+// Every sweep seeds its Newton solves from the previous sweep point (warm
+// start); the transient sweeps behind -prop also seed each timestep from a
+// polynomial extrapolation (the predictor). See
+// charlib.CharacterizeLoadCurve and charlib.CharacterizePropagation.
 //
 // With -nlcaps characterisation runs against the NLMOS nonlinear
 // gate-charge card (tech.Tech.WithNonlinearCaps): gate capacitances follow
@@ -38,20 +39,17 @@
 // Monte Carlo variation), fanned out across -workers, with one library
 // file per corner:
 //
-//	libchar -tech cmos130 -all -corners tt,ss,ff -warm-start -out lib.json
+//	libchar -tech cmos130 -all -corners tt,ss,ff -out lib.json
 //	  → lib.tt.json, lib.ss.json, lib.ff.json
 //	libchar -tech cmos130 -cell INV -mc-samples 100 -mc-seed 7 -out mc.json
 //	  → mc.mc0000.json ... mc.mc0099.json
 //
-// Corners are solved in continuation order and, with -warm-start, each
-// non-nominal corner's sweep is seeded from its neighbour's converged
-// state (adjacent-corner continuation), so the whole matrix costs far
-// fewer Newton iterations than characterising each corner cold. The
-// nominal (tt) corner's artefacts are byte-identical to a plain
-// single-corner run, so a shared -cache-dir serves both. -stats-out
-// writes the per-corner work and cache counters as JSON for scripted
-// assertions (CI holds the warm-rerun-zero-solves and
-// continuation-cuts-iterations properties on exactly this output).
+// Every corner's artefacts are byte-identical to a single-corner run at
+// that corner (and the nominal tt corner's to a plain corner-less run), so
+// a shared -cache-dir serves farm, libchar and snacheck runs alike.
+// -stats-out writes the per-corner work and cache counters as JSON for
+// scripted assertions (CI holds the warm-rerun-zero-solves and
+// every-corner-seeded properties on exactly this output).
 package main
 
 import (
@@ -73,8 +71,6 @@ import (
 )
 
 func main() {
-	var policy sim.Policy
-	policy.RegisterFlags(flag.CommandLine)
 	techName := flag.String("tech", "cmos130", "technology: cmos130 or cmos090")
 	cellKind := flag.String("cell", "", "cell kind (INV, NAND2, ...); empty with -all characterises everything")
 	drive := flag.Int("drive", 1, "drive strength")
@@ -185,8 +181,8 @@ func main() {
 		jobs = append(jobs, job{*cellKind, p})
 	}
 
-	lcOpts := charlib.LoadCurveOptions{NVin: *grid, NVout: *grid, Policy: policy}
-	propOpts := charlib.PropOptions{Policy: policy}
+	lcOpts := charlib.LoadCurveOptions{NVin: *grid, NVout: *grid}
+	var propOpts charlib.PropOptions
 	if *cornerList != "" || *mcSamples > 0 {
 		// Farm mode: characterise every sensitizable job at every corner.
 		corners, err := tech.ParseCorners(*cornerList)
@@ -272,9 +268,8 @@ type farmCorner struct {
 }
 
 // farmStats is the -stats-out document: per-corner solver work in
-// continuation order plus run totals and the cache counters. A rerun over
-// a warm store reports total_solves 0; a -warm-start matrix reports fewer
-// total_newton_iters than the same matrix cold.
+// charlib.OrderCorners order plus run totals and the cache counters. A
+// rerun over a warm store reports total_solves 0.
 type farmStats struct {
 	Corners          []farmCorner       `json:"corners"`
 	TotalSolves      int64              `json:"total_solves"`

@@ -4,8 +4,8 @@
 //
 //	snacheck -design design.json [-method macromodel|superposition|zolotov|golden]
 //	         [-align] [-workers N] [-policy fail-fast|continue] [-json]
-//	         [-cache-dir DIR] [-deterministic] [-warm-start] [-predictor]
-//	         [-feasibility] [-corner tt|ff|ss|fs|sf] [-nlcaps]
+//	         [-cache-dir DIR] [-deterministic] [-feasibility]
+//	         [-corner tt|ff|ss|fs|sf] [-nlcaps]
 //	snacheck -sample > design.json     # emit a starter design
 //
 // Clusters are analysed concurrently on a bounded worker pool (-workers,
@@ -21,10 +21,9 @@
 // damaged or unwritable store degrades to memory-only caching with a
 // warning on stderr — it never changes results or blocks sign-off.
 //
-// -warm-start and -predictor select the characterisation solver policy;
-// stanoise.Policy documents both modes, what they save and why their
-// artefacts take distinct cache and store keys. Leave them off when
-// reproducibility against earlier cold runs matters.
+// Characterisation sweeps warm-start each Newton solve from the previous
+// sweep point and seed each transient timestep by polynomial extrapolation
+// (DESIGN.md §14, "One characterisation path").
 //
 // With -feasibility the FRAME-style aggressor-correlation filter runs
 // before evaluation: switching windows, mutex groups and implications

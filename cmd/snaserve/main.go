@@ -5,7 +5,7 @@
 //	snaserve [-addr :8347] [-cache-dir DIR] [-lease-ttl 2m]
 //	         [-max-inflight N] [-max-clusters N] [-max-body-bytes N]
 //	         [-default-deadline D] [-max-deadline D] [-retry-after-cap D]
-//	         [-fleet N] [-workers N] [-warm-start] [-predictor] [-feasibility]
+//	         [-fleet N] [-workers N] [-feasibility]
 //	         [-corner tt|ff|ss|fs|sf] [-nlcaps]
 //	         [-rig-pool-rigs N] [-rig-pool-bytes N]
 //
@@ -19,9 +19,8 @@
 // Analysis defaults match the snacheck CLI — macromodel victim model,
 // alignment search on, 2 ps timestep, fail-fast error policy — and every
 // request can override them (method, policy, align, dt_ps, deadline_ms,
-// max_clusters, deterministic, warm_start, predictor, feasibility and
-// nonlinear_caps fields of the
-// request object, plus "corner" to analyse at a named operating corner —
+// max_clusters, deterministic, feasibility and nonlinear_caps fields of
+// the request object, plus "corner" to analyse at a named operating corner —
 // unknown names get a typed "bad_corner" 400, and per-corner cache and
 // solver counters appear under "corners" in /statsz). With -feasibility
 // (or the per-request knob) the
@@ -30,10 +29,10 @@
 // constraints are malformed or self-contradictory is rejected with a
 // typed "bad_design" 400.
 //
-// -warm-start, -predictor, -feasibility, -nlcaps and -corner set the
-// server-wide defaults of the matching request knobs (sim.Policy documents
-// the two solver modes). An unknown -corner name is a usage error (exit
-// 2), like every other bad flag.
+// -feasibility, -nlcaps and -corner set the server-wide defaults of the
+// matching request knobs. An unknown -corner name is a usage error (exit
+// 2), like every other bad flag, and a request carrying an unknown field
+// is a "bad_json" 400.
 //
 // With -cache-dir several snaserve processes may share one directory: the
 // persistent store is safe under concurrent writers, and cross-process

@@ -32,6 +32,9 @@
 // compile→session→sweep, the two-tier characterisation cache, the
 // warm-start data flow) and EXPERIMENTS.md (measured reproduction of each
 // table and figure). The benchmarks in bench_test.go regenerate every
-// experiment; the runnable entry points live under cmd/ and examples/
-// (examples/warmstart demonstrates the Newton-continuation sweep mode).
+// experiment; the runnable entry points live under cmd/ and examples/.
+// Every characterisation sweep seeds its Newton solves from the previous
+// sweep point (warm start) and, for transients, from a polynomial
+// extrapolation of the previous timesteps (the predictor); DESIGN.md
+// "One characterisation path" explains why there is no cold mode.
 package stanoise

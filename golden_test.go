@@ -1,17 +1,26 @@
 // Golden-reference regression tests: committed fixtures of the three
 // characterised artefact families — load curves (eq. 1), propagation
 // tables and Noise Rejection Curves — for INV and NAND2 on both technology
-// cards. Any numerical drift in the simulator, the device model or the
-// characterisation sweeps shows up as a fixture mismatch in `go test -run
-// Golden` instead of a silent change in example output.
+// cards, plus the feasibility filter's full report schema. Any numerical
+// drift in the simulator, the device model or the characterisation sweeps
+// shows up as a fixture mismatch in `go test -run Golden` instead of a
+// silent change in example output.
 //
-// Comparisons are tolerance-based, not bit-exact: DC/transient solves are
-// Newton iterations whose last few bits legitimately vary across
-// architectures (FMA contraction), and NRC heights come from a bisection
-// whose branch decisions can flip within its own tolerance. After an
-// *intentional* model change, regenerate with:
+// The fixtures are the program's exact bytes on amd64: regenerating them
+// on a clean checkout with
 //
 //	go test -run Golden . -update
+//
+// must leave testdata/golden unchanged, and `make golden-check` (a CI step
+// on the amd64 runner) fails on any diff. A change that moves a fixture
+// regenerates with the same command and explains every file that moved.
+//
+// The characterisation comparisons below are tolerance-based on purpose:
+// they are the cross-architecture check. DC/transient solves are Newton
+// iterations whose last few bits legitimately vary across architectures
+// (Go contracts a*b+c into FMA on arm64, not on amd64), and NRC heights
+// come from a bisection whose branch decisions can flip within its own
+// tolerance.
 package stanoise_test
 
 import (
@@ -44,31 +53,25 @@ var (
 )
 
 // Fixed characterisation grids, deliberately small: the fixtures guard
-// numerics, not production table quality. The warm parameter selects the
-// Newton continuation mode, which has its own fixture set (see
-// TestGoldenWarmStartCharacterization); pred selects the polynomial
-// transient predictor, which shares the cold fixtures (see
-// TestGoldenPredictorCharacterization).
-func goldenLCOpts(warm bool) charlib.LoadCurveOptions {
-	return charlib.LoadCurveOptions{NVin: 9, NVout: 9, Policy: sim.Policy{WarmStart: warm}}
+// numerics, not production table quality.
+func goldenLCOpts() charlib.LoadCurveOptions {
+	return charlib.LoadCurveOptions{NVin: 9, NVout: 9}
 }
 
-func goldenPropOpts(vdd float64, warm, pred bool) charlib.PropOptions {
+func goldenPropOpts(vdd float64) charlib.PropOptions {
 	return charlib.PropOptions{
 		Heights: []float64{0.4 * vdd, 0.9 * vdd},
 		Widths:  []float64{200e-12, 500e-12},
 		Loads:   []float64{25e-15},
 		Dt:      2e-12,
-		Policy:  sim.Policy{WarmStart: warm, Predictor: pred},
 	}
 }
 
-func goldenNRCOpts(warm, pred bool) nrc.Options {
+func goldenNRCOpts() nrc.Options {
 	return nrc.Options{
 		Widths: []float64{200e-12, 800e-12},
 		Tol:    0.02,
 		Dt:     2e-12,
-		Policy: sim.Policy{WarmStart: warm, Predictor: pred},
 	}
 }
 
@@ -129,10 +132,16 @@ func infToNull(hs []float64) []*float64 {
 	return out
 }
 
+// goldenWork is one golden characterisation's solver work per artefact
+// family, measured as process-wide counter deltas (sim.Snapshot). The
+// deltas are exact because the root package's tests run serially.
+type goldenWork struct {
+	loadCurve, prop, nrc sim.Counters
+}
+
 // characterizeGolden runs all three characterisations for one (tech, cell,
-// pin) configuration at the fixed golden grids, cold, warm-started and/or
-// predictor-seeded.
-func characterizeGolden(t *testing.T, tt *tech.Tech, kind, pin string, warm, pred bool) *goldenFixture {
+// pin) configuration at the fixed golden grids.
+func characterizeGolden(t *testing.T, tt *tech.Tech, kind, pin string) (*goldenFixture, goldenWork) {
 	t.Helper()
 	ctx := context.Background()
 	c := cell.MustNew(tt, kind, 1)
@@ -141,33 +150,42 @@ func characterizeGolden(t *testing.T, tt *tech.Tech, kind, pin string, warm, pre
 		t.Fatal(err)
 	}
 	fx := &goldenFixture{Tech: tt.Name, Cell: c.Name(), Pin: pin, State: st.String()}
+	var work goldenWork
+	mark := sim.Snapshot()
+	measure := func(into *sim.Counters) {
+		now := sim.Snapshot()
+		*into, mark = now.Sub(mark), now
+	}
 
-	lc, err := charlib.CharacterizeLoadCurve(ctx, c, st, pin, goldenLCOpts(warm))
+	lc, err := charlib.CharacterizeLoadCurve(ctx, c, st, pin, goldenLCOpts())
 	if err != nil {
 		t.Fatalf("load curve: %v", err)
 	}
+	measure(&work.loadCurve)
 	fx.LoadCurve.VinMin, fx.LoadCurve.VinMax = lc.VinMin, lc.VinMax
 	fx.LoadCurve.VoutMin, fx.LoadCurve.VoutMax = lc.VoutMin, lc.VoutMax
 	fx.LoadCurve.NVin, fx.LoadCurve.NVout = lc.NVin, lc.NVout
 	fx.LoadCurve.I = lc.I
 
-	pt, err := charlib.CharacterizePropagation(ctx, c, st, pin, goldenPropOpts(tt.VDD, warm, pred))
+	pt, err := charlib.CharacterizePropagation(ctx, c, st, pin, goldenPropOpts(tt.VDD))
 	if err != nil {
 		t.Fatalf("prop table: %v", err)
 	}
+	measure(&work.prop)
 	fx.PropTable.Heights, fx.PropTable.Widths, fx.PropTable.Loads = pt.Heights, pt.Widths, pt.Loads
 	fx.PropTable.Peak = flatten3(pt.Peak)
 	fx.PropTable.Area = flatten3(pt.Area)
 	fx.PropTable.OutSign, fx.PropTable.QuietOut = pt.OutSign, pt.QuietOut
 
-	curve, err := nrc.Characterize(ctx, c, st, pin, goldenNRCOpts(warm, pred))
+	curve, err := nrc.Characterize(ctx, c, st, pin, goldenNRCOpts())
 	if err != nil {
 		t.Fatalf("nrc: %v", err)
 	}
+	measure(&work.nrc)
 	fx.NRC.FailFrac = curve.FailFrac
 	fx.NRC.Widths = curve.Widths
 	fx.NRC.Heights = infToNull(curve.Heights)
-	return fx
+	return fx, work
 }
 
 // compareSlice asserts element-wise closeness with a relative tolerance
@@ -205,35 +223,33 @@ func goldenPath(techName, kind, pin, suffix string) string {
 	return filepath.Join("testdata", "golden", fmt.Sprintf("%s_%s_%s%s.json", techName, kind, pin, suffix))
 }
 
-// runGoldenConfig characterises one configuration (cold, warm,
-// predictor-seeded or on the nonlinear gate-charge card) and compares it
-// against — or, under -update, rewrites — its fixture file. Predictor mode
-// shares the cold fixture set (differences are solver-tolerance-sized, well
-// inside the golden comparison tolerances), so it never rewrites fixtures.
-// The nlcap axis gets its own fixture set (the *_nlcap.json files): the
-// nonlinear model is physically different, so sharing any fixture would
-// defeat both comparisons.
-func runGoldenConfig(t *testing.T, techName, kind, pin string, warm, pred, nlcap bool) {
+// goldenTarget resolves one configuration's card (constant-cap or the
+// nonlinear gate-charge card) and fixture file. The nlcap axis gets its
+// own fixture set (the *_nlcap.json files): the nonlinear model is
+// physically different, so sharing any fixture would defeat both
+// comparisons.
+func goldenTarget(t *testing.T, techName, kind, pin string, nlcap bool) (*tech.Tech, string) {
 	t.Helper()
 	tt, err := tech.ByName(techName)
 	if err != nil {
 		t.Fatal(err)
 	}
 	suffix := ""
-	if warm {
-		suffix = "_warm"
-	}
 	if nlcap {
 		tt = tt.WithNonlinearCaps()
-		suffix += "_nlcap"
+		suffix = "_nlcap"
 	}
-	got := characterizeGolden(t, tt, kind, pin, warm, pred)
-	path := goldenPath(techName, kind, pin, suffix)
+	return tt, goldenPath(techName, kind, pin, suffix)
+}
+
+// runGoldenConfig characterises one configuration and compares it against
+// — or, under -update, rewrites — its fixture file.
+func runGoldenConfig(t *testing.T, techName, kind, pin string, nlcap bool) {
+	t.Helper()
+	tt, path := goldenTarget(t, techName, kind, pin, nlcap)
+	got, _ := characterizeGolden(t, tt, kind, pin)
 
 	if *update {
-		if pred {
-			t.Skip("predictor mode is compared against the cold fixtures; nothing to update")
-		}
 		raw, err := json.MarshalIndent(got, "", " ")
 		if err != nil {
 			t.Fatal(err)
@@ -247,7 +263,13 @@ func runGoldenConfig(t *testing.T, techName, kind, pin string, warm, pred, nlcap
 		t.Logf("rewrote %s", path)
 		return
 	}
+	compareGolden(t, got, path)
+}
 
+// compareGolden holds a characterisation to the fixture at path within
+// the per-field tolerances.
+func compareGolden(t *testing.T, got *goldenFixture, path string) {
+	t.Helper()
 	raw, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatalf("missing fixture %s (generate with: go test -run Golden . -update): %v", path, err)
@@ -292,7 +314,7 @@ func runGoldenConfig(t *testing.T, techName, kind, pin string, warm, pred, nlcap
 	if len(got.NRC.Heights) != len(want.NRC.Heights) {
 		t.Fatalf("nrc.heights length %d, fixture %d", len(got.NRC.Heights), len(want.NRC.Heights))
 	}
-	nrcTol := 1.5 * goldenNRCOpts(warm, pred).Tol * *tolScale
+	nrcTol := 1.5 * goldenNRCOpts().Tol * *tolScale
 	for i := range got.NRC.Heights {
 		g, w := got.NRC.Heights[i], want.NRC.Heights[i]
 		switch {
@@ -308,7 +330,62 @@ func TestGoldenCharacterization(t *testing.T) {
 	for _, cfg := range goldenConfigs() {
 		cfg := cfg
 		t.Run(cfg.techName+"/"+cfg.cell, func(t *testing.T) {
-			runGoldenConfig(t, cfg.techName, cfg.cell, cfg.pin, false, false, false)
+			runGoldenConfig(t, cfg.techName, cfg.cell, cfg.pin, false)
+		})
+	}
+}
+
+// TestGoldenWarmStartCharacterization holds every golden configuration to
+// the one characterisation path's DC seeding: in each artefact family
+// every DC solve after the sweep session's first is warm-started from the
+// previous converged solution (sim.Session.WarmStart) — each load-curve
+// grid point after the first, and each propagation and NRC probe's
+// operating point after the first probe's — and the seeded artefacts match
+// the fixtures. The tolerance comparison alone cannot tell a cold sweep
+// from the seeded one, which writes different last bits.
+func TestGoldenWarmStartCharacterization(t *testing.T) {
+	for _, cfg := range goldenConfigs() {
+		cfg := cfg
+		t.Run(cfg.techName+"/"+cfg.cell, func(t *testing.T) {
+			tt, path := goldenTarget(t, cfg.techName, cfg.cell, cfg.pin, false)
+			got, work := characterizeGolden(t, tt, cfg.cell, cfg.pin)
+			compareGolden(t, got, path)
+			for _, f := range []struct {
+				name string
+				c    sim.Counters
+			}{{"load curve", work.loadCurve}, {"prop table", work.prop}, {"nrc", work.nrc}} {
+				if f.c.DC < 2 || f.c.WarmStarts != f.c.DC-1 {
+					t.Errorf("%s: %d of %d DC solves warm-started, want all but the first", f.name, f.c.WarmStarts, f.c.DC)
+				}
+			}
+		})
+	}
+}
+
+// TestGoldenPredictorCharacterization holds every golden configuration to
+// the one characterisation path's transient seeding: in the propagation
+// table and the NRC, every timestep after a probe's first is seeded by the
+// polynomial predictor (sim.Session.Predictor), the DC load curve runs no
+// transient, and the seeded artefacts match the fixtures.
+func TestGoldenPredictorCharacterization(t *testing.T) {
+	for _, cfg := range goldenConfigs() {
+		cfg := cfg
+		t.Run(cfg.techName+"/"+cfg.cell, func(t *testing.T) {
+			tt, path := goldenTarget(t, cfg.techName, cfg.cell, cfg.pin, false)
+			got, work := characterizeGolden(t, tt, cfg.cell, cfg.pin)
+			compareGolden(t, got, path)
+			if lc := work.loadCurve; lc.Transient != 0 || lc.PredictorSeeds != 0 {
+				t.Errorf("load curve ran %d transients with %d predictor seeds, want a DC-only sweep", lc.Transient, lc.PredictorSeeds)
+			}
+			for _, f := range []struct {
+				name string
+				c    sim.Counters
+			}{{"prop table", work.prop}, {"nrc", work.nrc}} {
+				if want := f.c.TransientSteps - f.c.Transient; f.c.Transient == 0 || f.c.PredictorSeeds != want {
+					t.Errorf("%s: %d of %d timesteps over %d transients predictor-seeded, want %d (all but each probe's first)",
+						f.name, f.c.PredictorSeeds, f.c.TransientSteps, f.c.Transient, want)
+				}
+			}
 		})
 	}
 }
@@ -318,10 +395,10 @@ func TestGoldenCharacterization(t *testing.T) {
 // windows, mutex pairs, implication pairs) is analysed serially in
 // feasibility mode and the timing-cleared reports — census, governing
 // scenario, realistic margins and all — must match the committed fixture
-// byte for byte. Cold analysis at a fixed grid is deterministic, so this
-// comparison is exact, unlike the tolerance-based characterisation
-// fixtures above; regenerate after an intentional change with the same
-// -update flag.
+// byte for byte. Analysis at a fixed grid is deterministic and its
+// reported figures are rounded far above solver noise, so this comparison
+// is exact, unlike the tolerance-based characterisation fixtures above;
+// regenerate after an intentional change with the same -update flag.
 func TestGoldenFeasibility(t *testing.T) {
 	for _, techName := range []string{"cmos130", "cmos090"} {
 		techName := techName
@@ -378,52 +455,18 @@ func TestGoldenFeasibility(t *testing.T) {
 	}
 }
 
-// TestGoldenWarmStartCharacterization is the warm-start twin of
-// TestGoldenCharacterization, guarding the Newton-continuation sweep mode
-// against numerical drift with its own fixture set (the *_warm.json files):
-// warm-started results legitimately differ from the cold flow in the last
-// bits, so they can never share the bit-exactly-regenerated cold fixtures.
-// Agreement *between* the warm and cold flows is asserted separately (and
-// more tightly) by the charlib/nrc property tests.
-func TestGoldenWarmStartCharacterization(t *testing.T) {
-	for _, cfg := range goldenConfigs() {
-		cfg := cfg
-		t.Run(cfg.techName+"/"+cfg.cell, func(t *testing.T) {
-			runGoldenConfig(t, cfg.techName, cfg.cell, cfg.pin, true, false, false)
-		})
-	}
-}
-
-// TestGoldenPredictorCharacterization holds the polynomial transient
-// predictor (sim.Session.Predictor) to the *cold* fixture set: every
-// predictor-seeded Newton solve converges to the same tolerance as the cold
-// flow, so the characterised tables must agree with the committed cold
-// fixtures within the ordinary golden comparison tolerances — no separate
-// predictor fixtures exist. A predictor bug that changes the physics (a
-// seed accepted without convergence, a fallback that corrupts state) fails
-// these comparisons loudly, while legitimate last-bit differences pass.
-func TestGoldenPredictorCharacterization(t *testing.T) {
-	for _, cfg := range goldenConfigs() {
-		cfg := cfg
-		t.Run(cfg.techName+"/"+cfg.cell, func(t *testing.T) {
-			runGoldenConfig(t, cfg.techName, cfg.cell, cfg.pin, false, true, false)
-		})
-	}
-}
-
 // TestGoldenNLCapCharacterization characterises every golden configuration
 // on the NLMOS nonlinear gate-charge card (tech.Tech.WithNonlinearCaps)
 // against its own fixture set, the *_nlcap.json files. These fixtures are
-// regenerated by the same -update flow as the cold set; the nl axis only
-// changes the card handed to the characteriser, so pre-existing fixtures
-// stay within the ordinary (architecture-noise-sized) golden tolerances —
-// the byte-identity of constant-cap *analysis output* is asserted by the
-// CI nlcap job on snacheck's deterministic JSON instead.
+// regenerated by the same -update flow as the constant-cap set; the nl
+// axis only changes the card handed to the characteriser — the
+// byte-identity of constant-cap *analysis output* is asserted by the CI
+// nlcap job on snacheck's deterministic JSON instead.
 func TestGoldenNLCapCharacterization(t *testing.T) {
 	for _, cfg := range goldenConfigs() {
 		cfg := cfg
 		t.Run(cfg.techName+"/"+cfg.cell, func(t *testing.T) {
-			runGoldenConfig(t, cfg.techName, cfg.cell, cfg.pin, false, false, true)
+			runGoldenConfig(t, cfg.techName, cfg.cell, cfg.pin, true)
 		})
 	}
 }
@@ -437,11 +480,11 @@ func TestGoldenNLCapFixturesDiffer(t *testing.T) {
 	for _, cfg := range goldenConfigs() {
 		cfg := cfg
 		t.Run(cfg.techName+"/"+cfg.cell, func(t *testing.T) {
-			var cold, nl goldenFixture
+			var base, nl goldenFixture
 			for _, f := range []struct {
 				suffix string
 				into   *goldenFixture
-			}{{"", &cold}, {"_nlcap", &nl}} {
+			}{{"", &base}, {"_nlcap", &nl}} {
 				path := goldenPath(cfg.techName, cfg.cell, cfg.pin, f.suffix)
 				raw, err := os.ReadFile(path)
 				if err != nil {
@@ -451,16 +494,16 @@ func TestGoldenNLCapFixturesDiffer(t *testing.T) {
 					t.Fatalf("fixture %s: %v", path, err)
 				}
 			}
-			if cold.Cell != nl.Cell || cold.Pin != nl.Pin || cold.State != nl.State {
+			if base.Cell != nl.Cell || base.Pin != nl.Pin || base.State != nl.State {
 				t.Fatalf("nlcap fixture characterises a different configuration: %s/%s/%s vs %s/%s/%s",
-					nl.Cell, nl.Pin, nl.State, cold.Cell, cold.Pin, cold.State)
+					nl.Cell, nl.Pin, nl.State, base.Cell, base.Pin, base.State)
 			}
-			if len(nl.PropTable.Peak) != len(cold.PropTable.Peak) {
-				t.Fatalf("prop peak grids differ: %d vs %d", len(nl.PropTable.Peak), len(cold.PropTable.Peak))
+			if len(nl.PropTable.Peak) != len(base.PropTable.Peak) {
+				t.Fatalf("prop peak grids differ: %d vs %d", len(nl.PropTable.Peak), len(base.PropTable.Peak))
 			}
 			maxDiff := 0.0
 			for i := range nl.PropTable.Peak {
-				maxDiff = math.Max(maxDiff, math.Abs(nl.PropTable.Peak[i]-cold.PropTable.Peak[i]))
+				maxDiff = math.Max(maxDiff, math.Abs(nl.PropTable.Peak[i]-base.PropTable.Peak[i]))
 			}
 			// 1 mV floor: far above solver noise (~µV), far below VDD.
 			if maxDiff < 1e-3 {

@@ -336,13 +336,22 @@ func (c *Cache) Artefact(ctx context.Context, kind string, cl *cell.Cell, st cel
 	return v, err
 }
 
+// The seeding suffixes every artefact fingerprint ends in. They name the
+// Newton seeding the characterisers always use — warm start for the DC
+// load-curve sweep, warm start plus the transient predictor for prop
+// tables and NRC curves — and are the suffixes stores written under the
+// earlier opt-in -warm-start -predictor flags carry, so those entries stay
+// reachable while cold-built entries (no suffix) are never served.
+const (
+	dcSeedFP        = ",warm"
+	transientSeedFP = ",warm,pred"
+)
+
 // loadCurveFP fingerprints normalized load-curve options — the exact fp
-// Cache.LoadCurve keys on. The corner-sweep driver reuses it (plus a
-// continuation suffix) so a single-corner farm run and a plain LoadCurve
-// call address the same artefact. Every fp ends in the sim.Policy
-// fingerprint, which is empty for the cold policy.
+// Cache.LoadCurve keys on. The corner-sweep driver reuses it so a farm run
+// and a plain LoadCurve call address the same artefact.
 func loadCurveFP(opts LoadCurveOptions) string {
-	return fmt.Sprintf("%d,%d,%g", opts.NVin, opts.NVout, opts.MarginFrac) + opts.Policy.Fingerprint()
+	return fmt.Sprintf("%d,%d,%g", opts.NVin, opts.NVout, opts.MarginFrac) + dcSeedFP
 }
 
 // LoadCurve returns the memoized VCCS load-curve table for the cell
@@ -365,7 +374,7 @@ func (c *Cache) LoadCurve(ctx context.Context, cl *cell.Cell, st cell.State, pin
 // Cache.PropTable keys on. The corner-sweep driver reuses it so a farm run
 // and a plain PropTable call address the same artefact.
 func propTableFP(opts PropOptions) string {
-	return fmt.Sprintf("%v,%v,%v,%g", opts.Heights, opts.Widths, opts.Loads, opts.Dt) + opts.Policy.Fingerprint()
+	return fmt.Sprintf("%v,%v,%v,%g", opts.Heights, opts.Widths, opts.Loads, opts.Dt) + transientSeedFP
 }
 
 // PropTable returns the memoized propagation table for the cell
@@ -391,7 +400,7 @@ func (c *Cache) NRCCurve(ctx context.Context, recv *cell.Cell, st cell.State, pi
 		return nrc.Characterize(ctx, recv, st, pin, opts)
 	}
 	opts = opts.Normalized()
-	fp := fmt.Sprintf("%v,%g,%g,%g,%g", opts.Widths, opts.LoadCap, opts.FailFrac, opts.Tol, opts.Dt) + opts.Policy.Fingerprint()
+	fp := fmt.Sprintf("%v,%g,%g,%g,%g", opts.Widths, opts.LoadCap, opts.FailFrac, opts.Tol, opts.Dt) + transientSeedFP
 	v, err := c.Artefact(ctx, "nrc", recv, st, pin, fp, func() (any, error) {
 		return nrc.Characterize(ctx, recv, st, pin, opts)
 	})

@@ -29,13 +29,10 @@ type CornerJob struct {
 // CornerSweepOptions tunes a corner-matrix/Monte Carlo characterisation
 // farm run (SweepCorners).
 type CornerSweepOptions struct {
-	// LoadCurve configures each corner's load-curve sweep. Its WarmStart
-	// field selects the continuation mode: intra-sweep warm starting plus
-	// adjacent-corner seeding. Off, every corner characterises cold — the
-	// baseline the continuation savings are measured against.
+	// LoadCurve configures each corner's load-curve sweep.
 	LoadCurve LoadCurveOptions
 	// Prop additionally characterises a propagation table per job and
-	// corner (transient-heavy; intra-sweep warm starting only).
+	// corner (transient-heavy).
 	Prop bool
 	// PropOptions configures the propagation tables when Prop is set.
 	PropOptions PropOptions
@@ -56,16 +53,15 @@ type CornerResult struct {
 	// Options.Prop) in job order, tagged with the corner name.
 	Library *Library
 	// Stats aggregates the solver work spent on this corner in this run:
-	// the load-curve sweeps, the adjacent-corner seed solves charged to
-	// them and, with Options.Prop, the propagation-table transients.
+	// the load-curve sweeps and, with Options.Prop, the propagation-table
+	// transients.
 	Stats sim.Counters
 }
 
-// OrderCorners returns the corners sorted along the continuation-friendly
-// axis (Corner.Axis, ties broken by name): monotonically increasing drive
-// strength, so each corner's operating points are as close as the set
-// allows to its predecessor's — the property that makes the predecessor's
-// converged state a good Newton seed. The input is not modified.
+// OrderCorners returns the corners sorted along the severity axis
+// (Corner.Axis, ties broken by name) — monotonically increasing drive
+// strength — which is the order SweepCorners returns its results in. The
+// input is not modified.
 func OrderCorners(corners []tech.Corner) []tech.Corner {
 	out := append([]tech.Corner(nil), corners...)
 	sort.SliceStable(out, func(i, j int) bool {
@@ -78,33 +74,18 @@ func OrderCorners(corners []tech.Corner) []tech.Corner {
 	return out
 }
 
-// contFP is the fingerprint suffix of an adjacent-corner continuation
-// seed: it names the predecessor corner whose first-point state seeded the
-// sweep, so a continuation-built artefact never aliases the same corner
-// characterised standalone (or seeded from a different neighbour). The
-// seed itself is a deterministic function of the predecessor corner (see
-// FirstPointSeed), so one fp always addresses one byte sequence.
-func contFP(pred tech.Corner) string {
-	return ",cont={" + pred.Fingerprint() + "}"
-}
-
 // SweepCorners characterises every job at every corner — the
-// corner-matrix / Monte Carlo farm. Corners are solved in continuation
-// order (OrderCorners); with LoadCurve.WarmStart on, each non-nominal
-// corner's load-curve sweep is seeded from its predecessor corner's
-// converged first-point state (FirstPointSeed + Session.SeedWarmStart), so
-// the only cold solve of an intra-warm sweep becomes a warm one too.
-// Nominal corners always characterise unseeded, which keeps their
-// artefacts (and cache/store keys) exactly those of a legacy
-// corner-less run.
+// corner-matrix / Monte Carlo farm. Each (job, corner) artefact is built
+// exactly as a single-corner run builds it, through the cache under the
+// same key (Cache.LoadCurve, Cache.PropTable on the corner's card), so a
+// later analysis at any of the corners is served the farm's artefacts, and
+// the nominal corner's artefacts are those of a corner-less run.
 //
-// Every (job, corner) pair is independent — the seed is recomputed from
-// the predecessor's card rather than threaded through a chain — so all
-// pairs fan out across the worker pool and the per-corner artefact bytes
-// never depend on scheduling or cache history. Results come back in
-// continuation order; Stats in each result counts only the solver work
-// this run actually performed, so a rerun over a warm cache reports
-// all-zero stats.
+// Every (job, corner) pair is independent, so all pairs fan out across the
+// worker pool and the per-corner artefact bytes never depend on scheduling
+// or cache history. Results come back in OrderCorners order; Stats in each
+// result counts only the solver work this run actually performed, so a
+// rerun over a warm cache reports all-zero stats.
 //
 // The cache may be nil (every artefact characterises fresh) and may carry
 // a persistent store; artefacts go through the usual two-tier Artefact
@@ -164,47 +145,23 @@ func SweepCorners(ctx context.Context, cache *Cache, base *tech.Tech, corners []
 		if err != nil {
 			return fmt.Errorf("charlib: %s pin %s: %w", job.Kind, job.Pin, err)
 		}
-		lcOpts := opts.LoadCurve
-		fp := loadCurveFP(lcOpts)
-		var pred *tech.Corner
-		if lcOpts.WarmStart && t.ci > 0 && !corner.IsNominal() {
-			p := ordered[t.ci-1]
-			pred = &p
-			fp += contFP(p)
-		}
-		var stats sim.Counters
-		v, err := cache.Artefact(ctx, "lc", cl, st, job.Pin, fp, func() (any, error) {
-			var seed []float64
-			if pred != nil {
-				predCell, perr := cell.New(pred.Apply(base), job.Kind, job.Drive)
-				if perr == nil {
-					var sstats sim.Counters
-					seed, sstats, perr = FirstPointSeed(predCell, st, job.Pin, lcOpts)
-					stats = stats.Add(sstats)
-				}
-				if perr != nil {
-					// Transparent cold fallback: the sweep still runs, just
-					// without the transplant (deterministically — seed
-					// failures are a property of the configuration, not of
-					// run state).
-					seed = nil
-				}
-			}
-			lc, sstats, err := characterizeLoadCurveSeeded(ctx, cl, st, job.Pin, lcOpts, seed)
-			stats = stats.Add(sstats)
+		// Same keys as Cache.LoadCurve and Cache.PropTable, but through the
+		// stats-returning characterizers so the per-corner counters include
+		// the solver work (DC sweeps, transient steps, predictor seeds).
+		var out outcome
+		v, err := cache.Artefact(ctx, "lc", cl, st, job.Pin, loadCurveFP(opts.LoadCurve), func() (any, error) {
+			lc, stats, err := characterizeLoadCurve(ctx, cl, st, job.Pin, opts.LoadCurve, true)
+			out.stats = stats
 			return lc, err
 		})
 		if err != nil {
 			return fmt.Errorf("charlib: corner %s %s/%s: %w", corner.Name, job.Kind, job.Pin, err)
 		}
-		out := outcome{lc: v.(*LoadCurve), stats: stats}
+		out.lc = v.(*LoadCurve)
 		if opts.Prop {
-			// Same key as Cache.PropTable, but through a stats-returning
-			// characterizer so the per-corner counters include the
-			// transient work (steps, predictor seeds), not just DC sweeps.
 			popts := opts.PropOptions.normalize(cl.Tech.VDD)
 			pv, err := cache.Artefact(ctx, "prop", cl, st, job.Pin, propTableFP(popts), func() (any, error) {
-				pt, sstats, err := characterizePropagationStats(ctx, cl, st, job.Pin, popts)
+				pt, sstats, err := characterizePropagation(ctx, cl, st, job.Pin, popts, true)
 				out.stats = out.stats.Add(sstats)
 				return pt, err
 			})

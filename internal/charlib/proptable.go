@@ -42,11 +42,6 @@ type PropOptions struct {
 	Widths  []float64 // default {60,120,240,480,900} ps
 	Loads   []float64 // default {10,40,120,300} fF
 	Dt      float64   // transient step; default 1 ps
-
-	// Policy selects the probes' solver modes (see sim.Policy): warm start
-	// seeds each probe's operating point from the previous probe's, the
-	// predictor seeds each transient timestep.
-	sim.Policy
 }
 
 func (o PropOptions) normalize(vdd float64) PropOptions {
@@ -74,16 +69,24 @@ func (o PropOptions) normalize(vdd float64) PropOptions {
 //
 // The receiver netlist is compiled once; every (height, width, load) probe
 // reuses the same sim.Session with only the glitch waveform and the lumped
-// load value mutated (sim.Session.SetSource / SetLoad).
+// load value mutated (sim.Session.SetSource / SetLoad). Each probe's
+// operating point is warm-started from the previous probe's
+// (sim.Session.WarmStart) and each timestep after a probe's first is
+// seeded by the polynomial predictor (sim.Session.Predictor); peaks and
+// areas agree with a cold characterisation within solver tolerance
+// (TestWarmStartPropTableMatchesCold).
 func CharacterizePropagation(ctx context.Context, cl *cell.Cell, st cell.State, noisyPin string, opts PropOptions) (*PropTable, error) {
-	pt, _, err := characterizePropagationStats(ctx, cl, st, noisyPin, opts)
+	pt, _, err := characterizePropagation(ctx, cl, st, noisyPin, opts, true)
 	return pt, err
 }
 
-// characterizePropagationStats is CharacterizePropagation plus the rig
+// characterizePropagation is CharacterizePropagation plus the rig
 // session's solver counters, so sweep drivers (SweepCorners) can attribute
 // the transient work per corner without reading the process-wide registry.
-func characterizePropagationStats(ctx context.Context, cl *cell.Cell, st cell.State, noisyPin string, opts PropOptions) (*PropTable, sim.Counters, error) {
+// seeded selects the probes' warm start and predictor: every caller outside
+// the tests passes true, and the tests pass false for the cold reference
+// the seeded table is held to.
+func characterizePropagation(ctx context.Context, cl *cell.Cell, st cell.State, noisyPin string, opts PropOptions, seeded bool) (*PropTable, sim.Counters, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
@@ -105,7 +108,7 @@ func characterizePropagationStats(ctx context.Context, cl *cell.Cell, st cell.St
 	if st[noisyPin] {
 		glitchSign = -1
 	}
-	rig, err := newPropRig(cl, st, noisyPin, quietIn, opts)
+	rig, err := newPropRig(cl, st, noisyPin, quietIn, opts, seeded)
 	if err != nil {
 		return nil, sim.Counters{}, err
 	}
@@ -162,7 +165,7 @@ type propRig struct {
 	res     sim.Result
 }
 
-func newPropRig(cl *cell.Cell, st cell.State, noisyPin string, quietIn float64, opts PropOptions) (*propRig, error) {
+func newPropRig(cl *cell.Cell, st cell.State, noisyPin string, quietIn float64, opts PropOptions, seeded bool) (*propRig, error) {
 	ckt := circuit.New()
 	ckt.AddVDC("vdd", "vdd", "0", cl.Tech.VDD)
 	pins := map[string]string{}
@@ -186,8 +189,8 @@ func newPropRig(cl *cell.Cell, st cell.State, noisyPin string, quietIn float64, 
 	if err != nil {
 		return nil, err
 	}
-	sess.WarmStart(opts.WarmStart)
-	sess.Predictor(opts.Predictor)
+	sess.WarmStart(seeded)
+	sess.Predictor(seeded)
 	return &propRig{
 		sess:    sess,
 		hGlitch: prog.MustSource("v_" + noisyPin),

@@ -12,8 +12,7 @@ import (
 )
 
 // BenchmarkINVLoadCurveSweep times the full INV load-curve sweep at the
-// production grid (61×61 DC points) with allocation tracking — the
-// cold-characterisation benchmark of the compile-once/run-many refactor.
+// production grid (61×61 warm-started DC points) with allocation tracking.
 // Before/after numbers live in EXPERIMENTS.md.
 func BenchmarkINVLoadCurveSweep(b *testing.B) {
 	t := tech.Tech130()
@@ -31,50 +30,22 @@ func BenchmarkINVLoadCurveSweep(b *testing.B) {
 	}
 }
 
-// BenchmarkINVLoadCurveSweepWarm is BenchmarkINVLoadCurveSweep with the
-// Newton continuation mode on: each grid point seeds from its neighbour
-// and terminates on the small-update criterion. The delta against the cold
-// bench is the warm-start payoff on the production grid (EXPERIMENTS.md).
-func BenchmarkINVLoadCurveSweepWarm(b *testing.B) {
-	t := tech.Tech130()
-	inv := cell.MustNew(t, "INV", 1)
-	st, err := inv.SensitizedState("A", true)
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		if _, err := CharacterizeLoadCurve(context.Background(), inv, st, "A",
-			LoadCurveOptions{NVin: 61, NVout: 61, Policy: sim.Policy{WarmStart: true}}); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkNAND2LoadCurveSweepWarmFine runs the continuation mode on the
-// fine 121×121 NAND2 grid — the workload class (stacked devices, internal
-// nodes) where warm starting pays beyond the INV iteration floor.
-func BenchmarkNAND2LoadCurveSweepWarmFine(b *testing.B) {
+// BenchmarkNAND2LoadCurveSweepFine runs the sweep on the fine 121×121
+// NAND2 grid — the workload class (stacked devices, internal nodes) where
+// warm starting pays beyond the INV iteration floor.
+func BenchmarkNAND2LoadCurveSweepFine(b *testing.B) {
 	t := tech.Tech130()
 	nand := cell.MustNew(t, "NAND2", 1)
 	st, err := nand.SensitizedState("B", true)
 	if err != nil {
 		b.Fatal(err)
 	}
-	for _, warm := range []bool{false, true} {
-		name := "cold"
-		if warm {
-			name = "warm"
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if _, err := CharacterizeLoadCurve(context.Background(), nand, st, "B",
+			LoadCurveOptions{NVin: 121, NVout: 121}); err != nil {
+			b.Fatal(err)
 		}
-		b.Run(name, func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				if _, err := CharacterizeLoadCurve(context.Background(), nand, st, "B",
-					LoadCurveOptions{NVin: 121, NVout: 121, Policy: sim.Policy{WarmStart: warm}}); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
 	}
 }
 
@@ -132,10 +103,11 @@ func legacyLoadCurvePoint(cl *cell.Cell, st cell.State, noisyPin string, vin, vo
 }
 
 // TestLoadCurveSweepMatchesLegacyBitForBit compares the compiled
-// session-backed sweep against fresh per-point circuits (the pre-refactor
-// flow) on a small grid, for INV and NAND2 on both technology cards. The
-// currents must agree bit-for-bit — the compiled path performs identical
-// arithmetic, it only skips redundant assembly.
+// session-backed sweep, run as the cold reference, against fresh per-point
+// circuits (the pre-refactor flow) on a small grid, for INV and NAND2 on
+// both technology cards. The currents must agree bit-for-bit — the
+// compiled path performs identical arithmetic, it only skips redundant
+// assembly.
 func TestLoadCurveSweepMatchesLegacyBitForBit(t *testing.T) {
 	for _, tc := range []*tech.Tech{tech.Tech130(), tech.Tech90()} {
 		for _, kind := range []string{"INV", "NAND2"} {
@@ -147,7 +119,7 @@ func TestLoadCurveSweepMatchesLegacyBitForBit(t *testing.T) {
 					t.Fatal(err)
 				}
 				opts := LoadCurveOptions{NVin: 7, NVout: 7}
-				lc, err := CharacterizeLoadCurve(context.Background(), cl, st, noisy, opts)
+				lc, _, err := characterizeLoadCurve(context.Background(), cl, st, noisy, opts, false)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -173,40 +145,22 @@ func TestLoadCurveSweepMatchesLegacyBitForBit(t *testing.T) {
 	}
 }
 
-// benchPropOptions is the reduced 2×2×2 grid the propagation-table
-// transient benchmarks sweep: 8 glitch transients per table, enough to
-// expose per-run costs without the full production grid's runtime.
-func benchPropOptions(pred bool) PropOptions {
-	return PropOptions{
-		Heights: []float64{0.4, 0.9},
-		Widths:  []float64{150e-12, 400e-12},
-		Loads:   []float64{30e-15, 120e-15},
-		Dt:      2e-12,
-		Policy:  sim.Policy{Predictor: pred},
-	}
-}
-
 // BenchmarkPropTableTransient times a propagation-table characterisation
-// with allocation tracking: every (height, width, load) probe reuses one
+// on a reduced 2×2×2 grid (8 glitch transients per table, enough to expose
+// per-run costs without the full production grid's runtime) with
+// allocation tracking: every (height, width, load) probe reuses one
 // compiled sim.Session *and* one transient result buffer
 // (sim.Session.RunTransientInto), so the sweep's per-probe allocations are
 // its glitch waveform and measurement only (numbers in EXPERIMENTS.md).
 func BenchmarkPropTableTransient(b *testing.B) {
-	benchPropTable(b, benchPropOptions(false))
-}
-
-// BenchmarkPropTableTransientPredictor is BenchmarkPropTableTransient with
-// polynomial predictor seeding on — the Newton-iteration cut of
-// sim.TestPredictorCutsNewtonIterations expressed as sweep wall time.
-func BenchmarkPropTableTransientPredictor(b *testing.B) {
-	benchPropTable(b, benchPropOptions(true))
-}
-
-func benchPropTable(b *testing.B, opts PropOptions) {
-	b.Helper()
-	t := tech.Tech130()
-	inv := cell.MustNew(t, "INV", 1)
+	inv := cell.MustNew(tech.Tech130(), "INV", 1)
 	st := cell.State{"A": false}
+	opts := PropOptions{
+		Heights: []float64{0.4, 0.9},
+		Widths:  []float64{150e-12, 400e-12},
+		Loads:   []float64{30e-15, 120e-15},
+		Dt:      2e-12,
+	}
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		if _, err := CharacterizePropagation(context.Background(), inv, st, "A", opts); err != nil {

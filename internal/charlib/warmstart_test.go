@@ -7,7 +7,6 @@ import (
 	"testing"
 
 	"stanoise/internal/cell"
-	"stanoise/internal/sim"
 	"stanoise/internal/tech"
 )
 
@@ -25,9 +24,10 @@ func charCells(t *testing.T) []*cell.Cell {
 }
 
 // TestWarmStartLoadCurveMatchesCold is the warm-start correctness property:
-// for every cell/tech configuration, the continuation-seeded sweep must
-// land on the same converged currents as the cold sweep — same roots,
-// different Newton seeds — within solver tolerance.
+// for every cell/tech configuration, the warm-started sweep
+// (CharacterizeLoadCurve) must land on the same converged currents as the
+// cold reference sweep — same roots, different Newton seeds — within
+// solver tolerance.
 func TestWarmStartLoadCurveMatchesCold(t *testing.T) {
 	for _, cl := range charCells(t) {
 		cl := cl
@@ -38,11 +38,12 @@ func TestWarmStartLoadCurveMatchesCold(t *testing.T) {
 				t.Fatal(err)
 			}
 			ctx := context.Background()
-			cold, err := CharacterizeLoadCurve(ctx, cl, st, noisy, LoadCurveOptions{NVin: 21, NVout: 21})
+			opts := LoadCurveOptions{NVin: 21, NVout: 21}
+			cold, _, err := characterizeLoadCurve(ctx, cl, st, noisy, opts, false)
 			if err != nil {
 				t.Fatal(err)
 			}
-			warm, err := CharacterizeLoadCurve(ctx, cl, st, noisy, LoadCurveOptions{NVin: 21, NVout: 21, Policy: sim.Policy{WarmStart: true}})
+			warm, err := CharacterizeLoadCurve(ctx, cl, st, noisy, opts)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -60,21 +61,21 @@ func TestWarmStartLoadCurveMatchesCold(t *testing.T) {
 	}
 }
 
-// sweepIterations characterises a load curve and returns the total Newton
-// iterations the sweep spent, via the process-wide engine counters.
-func sweepIterations(t *testing.T, cl *cell.Cell, st cell.State, pin string, opts LoadCurveOptions) int64 {
+// sweepIterations characterises a load curve, warm-started or cold, and
+// returns the total Newton iterations the sweep spent.
+func sweepIterations(t *testing.T, cl *cell.Cell, st cell.State, pin string, opts LoadCurveOptions, seeded bool) int64 {
 	t.Helper()
-	before := sim.Snapshot()
-	if _, err := CharacterizeLoadCurve(context.Background(), cl, st, pin, opts); err != nil {
+	_, stats, err := characterizeLoadCurve(context.Background(), cl, st, pin, opts, seeded)
+	if err != nil {
 		t.Fatal(err)
 	}
-	return sim.Snapshot().Sub(before).NewtonIters
+	return stats.NewtonIters
 }
 
-// TestWarmStartCutsNewtonIterations is the headline acceptance criterion of
-// the warm-start sweep engine: on the production 61×61 INV load-curve grid,
-// continuation must cut total Newton iterations by at least 30% versus the
-// cold sweep. (Measured numbers are recorded in EXPERIMENTS.md.)
+// TestWarmStartCutsNewtonIterations is the reason the load-curve sweep
+// always warm-starts: on the production 61×61 INV grid, continuation must
+// cut total Newton iterations by at least 30% versus the cold reference
+// sweep. (Measured numbers are recorded in EXPERIMENTS.md.)
 func TestWarmStartCutsNewtonIterations(t *testing.T) {
 	inv := cell.MustNew(tech.Tech130(), "INV", 1)
 	st, err := inv.SensitizedState("A", true)
@@ -82,9 +83,8 @@ func TestWarmStartCutsNewtonIterations(t *testing.T) {
 		t.Fatal(err)
 	}
 	opts := LoadCurveOptions{NVin: 61, NVout: 61}
-	cold := sweepIterations(t, inv, st, "A", opts)
-	opts.WarmStart = true
-	warm := sweepIterations(t, inv, st, "A", opts)
+	cold := sweepIterations(t, inv, st, "A", opts, false)
+	warm := sweepIterations(t, inv, st, "A", opts, true)
 	t.Logf("61x61 INV sweep: %d Newton iterations cold, %d warm (%.1f%% reduction)",
 		cold, warm, 100*(1-float64(warm)/float64(cold)))
 	if warm > cold*7/10 {
@@ -110,9 +110,8 @@ func TestWarmStartIterationsDecreaseOnFineGrid(t *testing.T) {
 			t.Fatal(err)
 		}
 		opts := LoadCurveOptions{NVin: 121, NVout: 121}
-		cold := sweepIterations(t, cl, st, noisy, opts)
-		opts.WarmStart = true
-		warm := sweepIterations(t, cl, st, noisy, opts)
+		cold := sweepIterations(t, cl, st, noisy, opts, false)
+		warm := sweepIterations(t, cl, st, noisy, opts, true)
 		t.Logf("121x121 %s sweep: %d Newton iterations cold, %d warm (%.1f%% reduction)",
 			kind, cold, warm, 100*(1-float64(warm)/float64(cold)))
 		if warm >= cold {
@@ -151,9 +150,9 @@ func TestLoadCurveSweepAllocsIndependentOfGrid(t *testing.T) {
 }
 
 // TestWarmStartPropTableMatchesCold asserts the transient characterisation
-// path under warm start: only the DC operating-point seed changes, so
-// propagated peaks and areas must agree with the cold flow within solver
-// tolerance.
+// path: warm start and the predictor change only Newton seeds, so the
+// propagated peaks and areas of CharacterizePropagation must agree with
+// the cold reference within solver tolerance.
 func TestWarmStartPropTableMatchesCold(t *testing.T) {
 	inv := cell.MustNew(tech.Tech130(), "INV", 1)
 	st, err := inv.SensitizedState("A", true)
@@ -167,11 +166,10 @@ func TestWarmStartPropTableMatchesCold(t *testing.T) {
 		Loads:   []float64{25e-15},
 		Dt:      2e-12,
 	}
-	cold, err := CharacterizePropagation(ctx, inv, st, "A", opts)
+	cold, _, err := characterizePropagation(ctx, inv, st, "A", opts, false)
 	if err != nil {
 		t.Fatal(err)
 	}
-	opts.WarmStart = true
 	warm, err := CharacterizePropagation(ctx, inv, st, "A", opts)
 	if err != nil {
 		t.Fatal(err)

@@ -46,16 +46,17 @@ func TestNominalCornerKeysBitStable(t *testing.T) {
 }
 
 // TestCornerKeysNeverAlias is the key-separation property test: across
-// every standard corner, a batch of Monte Carlo samples, and the warm/cold
-// (and continuation-suffixed) option variants of each, every derived store
-// key — and every corner fingerprint feeding it — is distinct.
+// every standard corner, a batch of Monte Carlo samples, and several
+// option variants of each (plain, seeded, and with a corner-naming
+// suffix), every derived store key — and every corner fingerprint feeding
+// it — is distinct.
 func TestCornerKeysNeverAlias(t *testing.T) {
 	base := tech.Tech130()
 	corners := append(tech.StandardCorners(), tech.SampleCorners(16, 12345, tech.SampleSpec{})...)
 	variants := []string{
 		"61,61,0.2",                      // cold
-		"61,61,0.2,warm",                 // warm continuation
-		"61,61,0.2,warm,cont={corner=x}", // adjacent-corner seeded
+		"61,61,0.2,warm",                 // warm-started
+		"61,61,0.2,warm,cont={corner=x}", // corner-naming suffix
 	}
 	seen := map[string]string{}
 	fps := map[string]string{}

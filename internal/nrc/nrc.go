@@ -41,11 +41,6 @@ type Options struct {
 	FailFrac float64   // default 0.5 (50 % of VDD at the receiver output)
 	Tol      float64   // bisection tolerance on height (V); default 10 mV
 	Dt       float64   // transient step; default 2 ps
-
-	// Policy selects the bisection probes' solver modes (see sim.Policy):
-	// the receiver's quiet operating point is identical across probes, so
-	// under warm start every probe after the first starts converged.
-	sim.Policy
 }
 
 // Normalized returns the options with every default filled in — the
@@ -77,7 +72,22 @@ func (o Options) normalize() Options {
 // opposite rail, which is the polarity a victim net in that state can
 // experience. The context is honoured between bisection probes, so a
 // cancelled analysis abandons the curve mid-characterisation.
+//
+// Every probe's operating point is warm-started from the previous probe's
+// (sim.Session.WarmStart) — the receiver's quiet point is the same across
+// probes, so every probe after the first starts converged — and each
+// timestep after a probe's first is seeded by the polynomial predictor
+// (sim.Session.Predictor).
+// Heights agree with a cold characterisation within one bisection bracket
+// (TestWarmStartCurveMatchesCold).
 func Characterize(ctx context.Context, cl *cell.Cell, st cell.State, pin string, opts Options) (*Curve, error) {
+	return characterize(ctx, cl, st, pin, opts, true)
+}
+
+// characterize is Characterize with the probes' Newton seeding as an
+// argument: every caller outside the tests passes true, and the tests pass
+// false for the cold reference the seeded curve is held to.
+func characterize(ctx context.Context, cl *cell.Cell, st cell.State, pin string, opts Options, seeded bool) (*Curve, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
@@ -96,7 +106,7 @@ func Characterize(ctx context.Context, cl *cell.Cell, st cell.State, pin string,
 	// Compile the receiver test bench once; every bisection probe across
 	// every width reuses the same sim.Session with only the glitch
 	// waveform swapped.
-	rig, err := newGlitchRig(cl, st, pin, opts)
+	rig, err := newGlitchRig(cl, st, pin, opts, seeded)
 	if err != nil {
 		return nil, err
 	}
@@ -139,7 +149,7 @@ type glitchRig struct {
 	res sim.Result
 }
 
-func newGlitchRig(cl *cell.Cell, st cell.State, pin string, opts Options) (*glitchRig, error) {
+func newGlitchRig(cl *cell.Cell, st cell.State, pin string, opts Options, seeded bool) (*glitchRig, error) {
 	ckt := circuit.New()
 	ckt.AddVDC("vdd", "vdd", "0", cl.Tech.VDD)
 	quietIn := cl.PinVoltage(st[pin])
@@ -167,8 +177,8 @@ func newGlitchRig(cl *cell.Cell, st cell.State, pin string, opts Options) (*glit
 	if err != nil {
 		return nil, err
 	}
-	sess.WarmStart(opts.WarmStart)
-	sess.Predictor(opts.Predictor)
+	sess.WarmStart(seeded)
+	sess.Predictor(seeded)
 	return &glitchRig{
 		sess:     sess,
 		hGlitch:  prog.MustSource("v_" + pin),

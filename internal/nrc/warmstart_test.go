@@ -9,11 +9,12 @@ import (
 	"stanoise/internal/tech"
 )
 
-// TestWarmStartCurveMatchesCold asserts the warm-start correctness property
+// TestWarmStartCurveMatchesCold asserts the seeding correctness property
 // for NRC characterisation on INV and NAND2 across both technology cards:
-// warm-started bisection probes differ from cold ones only at solver
-// tolerance, so each curve height may move by at most one bisection bracket
-// and failability (finite versus +Inf) can never flip.
+// Characterize's warm-started, predictor-seeded bisection probes differ
+// from the cold reference's only at solver tolerance, so each curve height
+// may move by at most one bisection bracket and failability (finite versus
+// +Inf) can never flip.
 func TestWarmStartCurveMatchesCold(t *testing.T) {
 	opts := Options{
 		Widths: []float64{200e-12, 800e-12},
@@ -28,13 +29,11 @@ func TestWarmStartCurveMatchesCold(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			cold, err := Characterize(context.Background(), cl, st, pin, opts)
+			cold, err := characterize(context.Background(), cl, st, pin, opts, false)
 			if err != nil {
 				t.Fatal(err)
 			}
-			wopts := opts
-			wopts.WarmStart = true
-			warm, err := Characterize(context.Background(), cl, st, pin, wopts)
+			warm, err := Characterize(context.Background(), cl, st, pin, opts)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -67,12 +67,6 @@ type analyzeRequest struct {
 	// Deterministic omits run-varying fields (per-report timings) from the
 	// streamed records, mirroring snacheck -deterministic.
 	Deterministic bool `json:"deterministic,omitempty"`
-	// WarmStart toggles the warm-start solver mode (sim.Policy) of this
-	// request's characterisation sweeps; default is the server's setting.
-	WarmStart *bool `json:"warm_start,omitempty"`
-	// Predictor toggles the predictor solver mode (sim.Policy) of this
-	// request's characterisation sweeps; default is the server's setting.
-	Predictor *bool `json:"predictor,omitempty"`
 	// Feasibility toggles the aggressor-correlation filter for this
 	// request: switching windows and logic constraints in the design prune
 	// unrealizable combinations and every report carries a
@@ -159,8 +153,6 @@ func (s *Server) decodeRequest(r io.Reader) (*parsedRequest, *RequestError) {
 	// present one overrides it for this request.
 	for _, k := range []struct{ req, opt *bool }{
 		{req.Align, &o.Align},
-		{req.WarmStart, &o.WarmStart},
-		{req.Predictor, &o.Predictor},
 		{req.Feasibility, &o.Feasibility},
 		{req.NonlinearCaps, &o.NonlinearCaps},
 	} {

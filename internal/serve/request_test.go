@@ -2,7 +2,7 @@ package serve
 
 import (
 	"bytes"
-	"net/http/httptest"
+	"fmt"
 	"strings"
 	"testing"
 
@@ -13,15 +13,15 @@ import (
 // through the decode table: an absent knob inherits the server's base
 // option in both polarities, an explicit value overrides it in both
 // directions, and a wrong JSON type is a typed bad_json rejection, never a
-// panic or a silent default.
+// panic or a silent default. The removed solver-mode knobs warm_start and
+// predictor are unknown fields: either value is a bad_json rejection that
+// names the field, so a client still sending them fails loudly.
 func TestDecodeBoolKnobs(t *testing.T) {
 	knobs := []struct {
 		name string
 		opt  func(*sna.Options) *bool
 	}{
 		{"align", func(o *sna.Options) *bool { return &o.Align }},
-		{"warm_start", func(o *sna.Options) *bool { return &o.WarmStart }},
-		{"predictor", func(o *sna.Options) *bool { return &o.Predictor }},
 		{"feasibility", func(o *sna.Options) *bool { return &o.Feasibility }},
 		{"nonlinear_caps", func(o *sna.Options) *bool { return &o.NonlinearCaps }},
 	}
@@ -65,39 +65,16 @@ func TestDecodeBoolKnobs(t *testing.T) {
 			}
 		})
 	}
-}
-
-// TestRequestWarmStartOffOverridesServerPolicy holds the request's policy
-// to being the only source of every sweep's policy: a server whose base
-// has warm start on, at the top level and in every sub-option, must
-// characterise a request sending "warm_start": false cold, so no
-// load-curve, prop-table or NRC key it builds carries the warm fingerprint.
-func TestRequestWarmStartOffOverridesServerPolicy(t *testing.T) {
-	cfg := Config{Analysis: fastAnalysis()}
-	cfg.Analysis.WarmStart = true
-	cfg.Analysis.LoadCurve.WarmStart = true
-	cfg.Analysis.Prop.WarmStart = true
-	cfg.Analysis.NRC.WarmStart = true
-	s := NewServer(cfg)
-	ts := httptest.NewServer(s)
-	defer ts.Close()
-
-	d := sna.SampleDesign()
-	d.Clusters = d.Clusters[1:] // ctrl_en: one aggressor, quick to characterise
-	postAnalyze(t, ts.Client(), ts.URL, requestBody(t, d, map[string]any{
-		"method": "superposition", "align": false, "warm_start": false,
-	}))
-	built := map[string]bool{}
-	for _, key := range s.cache.Keys() {
-		kind, _, _ := strings.Cut(key, "|")
-		built[kind] = true
-		if strings.Contains(key, ",warm") {
-			t.Errorf("%s artefact characterised warm despite \"warm_start\": false: %s", kind, key)
-		}
-	}
-	for _, kind := range []string{"lc", "prop", "nrc"} {
-		if !built[kind] {
-			t.Errorf("request built no %s artefact (built %v)", kind, built)
-		}
+	for _, name := range []string{"warm_start", "predictor"} {
+		t.Run(name, func(t *testing.T) {
+			for _, v := range []bool{true, false} {
+				t.Run(fmt.Sprintf("%v_is_bad_json", v), func(t *testing.T) {
+					_, rerr := NewServer(Config{}).decodeRequest(bytes.NewReader(requestBody(t, design, map[string]any{name: v})))
+					if rerr == nil || rerr.Code != "bad_json" || !strings.Contains(rerr.Message, `"`+name+`"`) {
+						t.Fatalf("removed knob %s=%v decoded to %+v, want a bad_json rejection naming the field", name, v, rerr)
+					}
+				})
+			}
+		})
 	}
 }

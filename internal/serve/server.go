@@ -70,8 +70,8 @@ type Config struct {
 	// Analysis supplies the shared analysis machinery and quality knobs:
 	// Cache/Store/CacheDir (persistent tier), RigPools/RigPoolLimits,
 	// Gate, Workers, the model-quality grids, and the server-wide defaults
-	// of the per-request mode knobs: Policy (WarmStart and Predictor, see
-	// sim.Policy), Feasibility, NonlinearCaps and Corner. Method, Align, Dt
+	// of the per-request mode knobs Feasibility, NonlinearCaps and Corner.
+	// Method, Align, Dt
 	// and OnError are NOT taken from here: NewServer pins them to the
 	// snacheck CLI defaults (macromodel, align on, 2 ps, fail-fast), and
 	// requests override them.
@@ -368,8 +368,7 @@ type RigPoolStats struct {
 // CornerStats is one corner's slice of the shared machinery counters: the
 // characterisation cache's per-corner attribution plus the per-corner
 // solver-work registry. A corner-matrix farm front-ending this server reads
-// the block to see which corner is burning Newton iterations — and how much
-// the adjacent-corner continuation is saving.
+// the block to see which corner is burning Newton iterations.
 type CornerStats struct {
 	// Cache attributes cache traffic to the corner of the requested card.
 	Cache charlib.CacheStats `json:"cache"`

@@ -121,10 +121,9 @@ func Snapshot() Counters {
 // RecordCornerStats folds one finished sweep's Session.Stats into the
 // process-wide per-corner registry under the given corner tag
 // (tech.Tech.CornerTag: the corner name, or "nominal"), so /statsz shows
-// which corner of a corner-matrix farm is burning Newton iterations — and
-// how much the adjacent-corner continuation is saving. Characterisation
-// call sites invoke it once per completed session, so the registry costs
-// nothing per solve.
+// which corner of a corner-matrix farm is burning Newton iterations.
+// Characterisation call sites invoke it once per completed session, so the
+// registry costs nothing per solve.
 func RecordCornerStats(tag string, st Counters) {
 	countersMu.Lock()
 	defer countersMu.Unlock()

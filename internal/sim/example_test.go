@@ -55,7 +55,7 @@ func ExampleSession_warmStart() {
 	if err != nil {
 		panic(err)
 	}
-	sess.WarmStart(true) // opt-in: results may differ in the last bits
+	sess.WarmStart(true) // off by default: results may differ in the last bits
 	hVin := prog.MustSource("vin")
 
 	var dc sim.DCResult

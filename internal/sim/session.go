@@ -231,25 +231,21 @@ func (s *Session) SetISourceDC(h ISourceHandle, v float64) {
 // together reduce a fine sweep to about one iteration per grid point. A
 // warm-started solve that fails to converge transparently falls back to
 // the cold start (and then gmin stepping), so warm starting never costs
-// robustness; it is still opt-in because the converged result can
-// legitimately differ from a cold solve in the last bits, breaking
-// bit-identical reproducibility with the legacy flow.
+// robustness. The converged result can differ from a cold solve in the
+// last bits, so a session starts cold: the characterisation sweeps
+// (charlib, nrc) switch it on, while golden transients, Thevenin fits and
+// one-shot solves keep the cold start.
 //
 // Initial-guess seeds (Options.InitialGuess, SetGuess) only apply to cold
 // starts; while a warm seed is available they are ignored by design.
-// Switching warm start off (or calling ResetWarmStart) discards the stored
-// solution, so the next solve is cold again.
+// Switching warm start off discards the stored solution, so the next solve
+// is cold again.
 func (s *Session) WarmStart(on bool) {
 	s.warmStart = on
 	if !on {
 		s.haveWarm = false
 	}
 }
-
-// ResetWarmStart discards the stored warm-start seed, forcing the next DC
-// solve to start cold even in warm-start mode. Sweeps can call it at grid
-// discontinuities where the previous point is a bad predictor.
-func (s *Session) ResetWarmStart() { s.haveWarm = false }
 
 // Predictor switches the polynomial-predictor seeding mode of subsequent
 // transient runs.
@@ -267,43 +263,13 @@ func (s *Session) ResetWarmStart() { s.haveWarm = false }
 // predictor never costs robustness; fallbacks are counted in
 // Counters.PredictorFallbacks.
 //
-// Like WarmStart it is opt-in because the converged result can differ from
-// the legacy flow in the last bits (Newton converges to the same solution
-// from a different seed, within tolerance rather than bitwise).
+// Like WarmStart it is off in a new session because the converged result
+// can differ from the legacy flow in the last bits (Newton converges to
+// the same solution from a different seed, within tolerance rather than
+// bitwise); the transient characterisation sweeps switch it on.
 // Linear-fast-path runs ignore the predictor: they perform no Newton
 // iterations to seed.
 func (s *Session) Predictor(on bool) { s.predictor = on }
-
-// WarmState returns a copy of the stored warm-start seed — the last
-// converged DC solution (node voltages followed by branch currents) — and
-// whether one exists. Corner-sweep drivers use it to carry a converged
-// state across session (and therefore corner) boundaries; see
-// SeedWarmStart for the receiving end.
-func (s *Session) WarmState() ([]float64, bool) {
-	if !s.haveWarm {
-		return nil, false
-	}
-	return append([]float64(nil), s.xWarm...), true
-}
-
-// SeedWarmStart installs an externally produced solution vector as the
-// session's warm-start seed, extending Newton continuation across session
-// boundaries: a corner sweep seeds each corner's first solve from the
-// adjacent corner's converged state. The vector must have the session's
-// full unknown count (node voltages plus branch currents) — sessions
-// compiled from the same Program share that layout, and adjacent-corner
-// rigs differ only in device parameters, not topology. The seed is only
-// consulted in warm-start mode, and a seed that fails to converge falls
-// back to the cold start transparently (see solveDC), so a bad transplant
-// never costs robustness. A mismatched length panics: it means the caller
-// transplanted between different topologies, a programming error.
-func (s *Session) SeedWarmStart(x []float64) {
-	if len(x) != s.size {
-		panic(fmt.Sprintf("sim: SeedWarmStart with %d unknowns, session has %d", len(x), s.size))
-	}
-	copy(s.xWarm, x)
-	s.haveWarm = true
-}
 
 // MemoryBytes estimates the session's resident footprint: the dense
 // matrices (base, Jacobian, the LU workspace buffer, and the transient

@@ -71,12 +71,6 @@ type Options struct {
 	// private cache, taking precedence over CacheDir. Like CacheDir it is
 	// ignored when Cache is supplied.
 	Store charlib.PersistentStore
-	// Policy is the solver policy of every characterisation sweep the
-	// analysis runs (see sim.Policy), and its only source: the analyzer
-	// assigns it to LoadCurve (as its DC view), Prop and NRC, overwriting
-	// whatever policy those carry. Thevenin aggressor fits are not sweeps
-	// over one rig and always run cold.
-	sim.Policy
 	// Gate optionally bounds cluster-level concurrency *across* analyzers:
 	// every worker acquires the gate before analysing a cluster and
 	// releases it afterwards. A multi-tenant server shares one Gate (see
@@ -113,7 +107,10 @@ type Options struct {
 	// the analysis and its artefact bytes are exactly the constant-cap
 	// legacy flow.
 	NonlinearCaps bool
-	// Model quality knobs. Their solver policies are set from Policy.
+	// Model quality knobs: the characterisation grids. The sweeps behind
+	// them always warm-start and, for transients, seed with the predictor
+	// (see charlib.CharacterizeLoadCurve and nrc.Characterize); Thevenin
+	// aggressor fits are not sweeps over one rig and run cold.
 	LoadCurve charlib.LoadCurveOptions
 	Prop      charlib.PropOptions
 	NRC       nrc.Options
@@ -134,18 +131,14 @@ func (o Options) normalize() Options {
 		// can test against either constant and still agree.
 		o.OnError = FailFast
 	}
-	o.LoadCurve.Policy = o.Policy.DC()
-	o.Prop.Policy = o.Policy
-	o.NRC.Policy = o.Policy
 	return o
 }
 
 // RegisterFlags defines the analysis mode flags the command-line front
-// ends share on fs, bound to o: -warm-start and -predictor (o.Policy, see
-// sim.Policy), -nlcaps, -feasibility, and -corner, a standard corner name
-// resolved through tech.CornerByName (an unknown name is a flag error).
+// ends share on fs, bound to o: -nlcaps, -feasibility, and -corner, a
+// standard corner name resolved through tech.CornerByName (an unknown name
+// is a flag error).
 func (o *Options) RegisterFlags(fs *flag.FlagSet) {
-	o.Policy.RegisterFlags(fs)
 	fs.BoolVar(&o.NonlinearCaps, "nlcaps", o.NonlinearCaps,
 		"model gate capacitances as voltage-dependent (NLMOS tanh gate-charge model; distinct cache/store keys, physically different noise)")
 	fs.BoolVar(&o.Feasibility, "feasibility", o.Feasibility,

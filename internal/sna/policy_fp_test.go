@@ -29,10 +29,12 @@ func (r fpRecorder) Get(kind string, _ *cell.Cell, _ cell.State, _, optsFP strin
 func (fpRecorder) Put(string, *cell.Cell, cell.State, string, string, any) error { return nil }
 
 // TestPinnedPolicyFingerprints pins the options fingerprints the
-// characterisation cache derives from an analysis's solver policy — the
-// optsFP every charlib memory key and charstore key is built from — at the
-// default grids, for all four policies. The load curve is a DC sweep, so it
-// never carries ",pred".
+// characterisation cache derives for an analysis at the default grids —
+// the optsFP every charlib memory key and charstore key is built from.
+// They end in the seeding suffixes the earlier opt-in -warm-start
+// -predictor runs keyed on, so stores written under those flags stay
+// reachable and no cold-built entry is ever served: ",warm" on the DC-only
+// load curve, ",warm,pred" on the transient prop table and NRC curve.
 func TestPinnedPolicyFingerprints(t *testing.T) {
 	ctx := context.Background()
 	c := cell.MustNew(tech.Tech130(), "INV", 1)
@@ -41,38 +43,27 @@ func TestPinnedPolicyFingerprints(t *testing.T) {
 		t.Fatal(err)
 	}
 	const (
-		prop = "[0.18 0.36 0.54 0.72 0.8999999999999999 1.08 1.2 1.32],[6e-11 1.2e-10 2.4e-10 4.8e-10 9e-10],[1e-14 4e-14 1.2e-13 3e-13],1e-12"
-		nrcs = "[5e-11 1e-10 2e-10 4e-10 8e-10 1.6e-09],3e-14,0.5,0.01,2e-12"
+		lc   = "61,61,0.2,warm"
+		prop = "[0.18 0.36 0.54 0.72 0.8999999999999999 1.08 1.2 1.32],[6e-11 1.2e-10 2.4e-10 4.8e-10 9e-10],[1e-14 4e-14 1.2e-13 3e-13],1e-12,warm,pred"
+		nrcs = "[5e-11 1e-10 2e-10 4e-10 8e-10 1.6e-09],3e-14,0.5,0.01,2e-12,warm,pred"
 	)
-	for _, tc := range []struct {
-		warm, pred    bool
-		lc, prop, nrc string
-	}{
-		{false, false, "61,61,0.2", prop, nrcs},
-		{true, false, "61,61,0.2,warm", prop + ",warm", nrcs + ",warm"},
-		{false, true, "61,61,0.2", prop + ",pred", nrcs + ",pred"},
-		{true, true, "61,61,0.2,warm", prop + ",warm,pred", nrcs + ",warm,pred"},
-	} {
-		var o Options
-		o.WarmStart, o.Predictor = tc.warm, tc.pred
-		o = o.normalize()
-		rec := fpRecorder{}
-		cache := charlib.NewCache()
-		cache.SetStore(rec)
-		if _, err := cache.LoadCurve(ctx, c, st, "A", o.LoadCurve); err != nil {
-			t.Fatal(err)
-		}
-		if _, err := cache.PropTable(ctx, c, st, "A", o.Prop); err != nil {
-			t.Fatal(err)
-		}
-		nopts := o.NRC
-		nopts.FailFrac = o.FailFrac
-		if _, err := cache.NRCCurve(ctx, c, st, "A", nopts); err != nil {
-			t.Fatal(err)
-		}
-		if rec["lc"] != tc.lc || rec["prop"] != tc.prop || rec["nrc"] != tc.nrc {
-			t.Errorf("warm=%v pred=%v: fingerprints (lc %q, prop %q, nrc %q), want (%q, %q, %q)",
-				tc.warm, tc.pred, rec["lc"], rec["prop"], rec["nrc"], tc.lc, tc.prop, tc.nrc)
-		}
+	o := Options{}.normalize()
+	rec := fpRecorder{}
+	cache := charlib.NewCache()
+	cache.SetStore(rec)
+	if _, err := cache.LoadCurve(ctx, c, st, "A", o.LoadCurve); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := cache.PropTable(ctx, c, st, "A", o.Prop); err != nil {
+		t.Fatal(err)
+	}
+	nopts := o.NRC
+	nopts.FailFrac = o.FailFrac
+	if _, err := cache.NRCCurve(ctx, c, st, "A", nopts); err != nil {
+		t.Fatal(err)
+	}
+	if rec["lc"] != lc || rec["prop"] != prop || rec["nrc"] != nrcs {
+		t.Errorf("fingerprints (lc %q, prop %q, nrc %q), want (%q, %q, %q)",
+			rec["lc"], rec["prop"], rec["nrc"], lc, prop, nrcs)
 	}
 }

@@ -52,39 +52,3 @@ func TestAnalyzerRigPoolReuse(t *testing.T) {
 		}
 	}
 }
-
-// TestAnalyzeWarmStartMatchesCold runs the same design cold and with
-// Options.WarmStart and requires the sign-off outcome to agree: warm-start
-// characterisation differs from cold only at solver-tolerance level, far
-// below anything that could move a pass/fail decision or a margin by a
-// reportable amount.
-func TestAnalyzeWarmStartMatchesCold(t *testing.T) {
-	ctx := context.Background()
-	cold, err := NewAnalyzer(sampleDesign(), fastOpts(core.Macromodel)).Analyze(ctx)
-	if err != nil {
-		t.Fatal(err)
-	}
-	wopts := fastOpts(core.Macromodel)
-	wopts.WarmStart = true
-	warm, err := NewAnalyzer(sampleDesign(), wopts).Analyze(ctx)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(cold) != len(warm) {
-		t.Fatalf("report counts differ: %d vs %d", len(cold), len(warm))
-	}
-	for i := range cold {
-		c, w := cold[i], warm[i]
-		if c.Cluster != w.Cluster || c.Fails != w.Fails {
-			t.Fatalf("cluster %s: outcome differs cold vs warm (%+v vs %+v)", c.Cluster, c, w)
-		}
-		if d := c.PeakV - w.PeakV; d > 1e-6 || d < -1e-6 {
-			t.Fatalf("cluster %s: peak differs by %.3g V", c.Cluster, d)
-		}
-		if d := c.MarginV - w.MarginV; d > 0.05 || d < -0.05 {
-			// Margins come from bisected NRC heights; warm bisection can
-			// move a height by at most one bracket (the bisection Tol).
-			t.Fatalf("cluster %s: margin differs by %.3g V", c.Cluster, d)
-		}
-	}
-}

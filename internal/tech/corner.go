@@ -132,12 +132,11 @@ func (c Corner) Fingerprint() string {
 		c.Name, c.vddScale(), c.tempC(), c.NVTShift, c.PVTShift, c.nkpScale(), c.pkpScale())
 }
 
-// Axis returns the corner's coordinate along the continuation-friendly
-// ordering axis: an aggregate drive-strength measure (supply and mobility
-// up, thresholds and temperature down = stronger). Corners adjacent on this
-// axis have adjacent operating points, which is what makes one corner's
-// converged DC solution a good Newton seed for the next —
-// charlib.OrderCorners sorts a sweep by it.
+// Axis returns the corner's coordinate along the severity axis: an
+// aggregate drive-strength measure (supply and mobility up, thresholds and
+// temperature down = stronger), so corners adjacent on this axis have
+// adjacent operating points. charlib.OrderCorners sorts a sweep's results
+// by it.
 func (c Corner) Axis() float64 {
 	return c.vddScale() + (c.nkpScale()+c.pkpScale())/2 -
 		(c.NVTShift - c.PVTShift) - (c.tempC()-nominalTempC)/300

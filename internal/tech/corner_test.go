@@ -142,7 +142,7 @@ func TestSampleCornersDeterministic(t *testing.T) {
 	}
 }
 
-// TestCornerAxisOrdersBySeverity pins the continuation axis: slow corners
+// TestCornerAxisOrdersBySeverity pins the severity axis: slow corners
 // sort below nominal, fast corners above, so adjacent list entries have
 // adjacent operating points.
 func TestCornerAxisOrdersBySeverity(t *testing.T) {

@@ -8,7 +8,6 @@ import (
 	"stanoise/internal/core"
 	"stanoise/internal/nrc"
 	"stanoise/internal/serve"
-	"stanoise/internal/sim"
 	"stanoise/internal/sna"
 	"stanoise/internal/tech"
 	"stanoise/internal/wave"
@@ -53,8 +52,8 @@ type (
 	// them in completion order.
 	Analyzer = sna.Analyzer
 	// Options configures an analysis run: victim model, worker count,
-	// error policy, characterisation cache/store wiring, model-quality
-	// grids, and the characterisation solver Policy.
+	// error policy, characterisation cache/store wiring and model-quality
+	// grids.
 	Options = sna.Options
 	// NetReport is the per-victim outcome of an analysis; its JSON form is
 	// the stable schema emitted by snacheck -json.
@@ -148,12 +147,6 @@ type (
 	LeaseStore = charlib.LeaseStore
 	// LeaseStats counts a Store's cross-process build-lease activity.
 	LeaseStats = charstore.LeaseStats
-	// Policy is the characterisation solver policy: the opt-in warm-start
-	// and predictor Newton seeding modes, documented on its type. Options
-	// and every characterisation option struct embed it; Options.Policy is
-	// the only source of an analysis's policy and overwrites the policies
-	// of Options.LoadCurve, Options.Prop and Options.NRC.
-	Policy = sim.Policy
 	// LoadCurveOptions tunes VCCS load-curve characterisation.
 	LoadCurveOptions = charlib.LoadCurveOptions
 	// PropOptions tunes propagation-table characterisation.
