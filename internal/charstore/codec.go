@@ -51,7 +51,7 @@ func kindTag(kind string) (byte, bool) {
 	return 0, false
 }
 
-// kindName is the inverse of kindTag, for listings.
+// kindName is the inverse of kindTag, for export bundles.
 func kindName(tag byte) string {
 	switch tag {
 	case kindLoadCurve:
@@ -315,7 +315,7 @@ func decodeArtefact(tag byte, payload []byte) (any, error) {
 }
 
 // artefactIdentity extracts the (cell, state, pin) identity embedded in a
-// decoded artefact, used to self-heal index metadata from entry files.
+// decoded artefact, which Export writes into each bundle entry's metadata.
 // Thevenin drivers carry no identity of their own.
 func artefactIdentity(v any) (cellName, state, pin string) {
 	switch a := v.(type) {

@@ -262,11 +262,7 @@ func TestGCReapsExpiredLeases(t *testing.T) {
 		t.Fatal(err) // deliberately never released
 	}
 	time.Sleep(5 * time.Millisecond)
-	removed, err := s.GC()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if removed != 1 {
+	if removed := s.GC(); removed != 1 {
 		t.Fatalf("GC reclaimed %d files, want 1 expired lease", removed)
 	}
 	if _, err := os.Stat(s.leasePath(leaseTestKey)); !os.IsNotExist(err) {

@@ -11,17 +11,17 @@ import (
 	"path/filepath"
 	"sort"
 	"strings"
-	"sync"
 
 	"stanoise/internal/cell"
 )
 
 // Store is the on-disk tier of the characterisation cache: a directory of
-// content-addressed entry files plus a metadata index. It is safe for
-// concurrent use by multiple goroutines and multiple *processes* writing
-// the same directory: every file lands via temp-file + rename, and because
-// entries are content-addressed, two processes racing on the same key are
-// by construction writing the same bytes — last rename wins harmlessly.
+// content-addressed entry files, which are the store's only record of what
+// it holds. It is safe for concurrent use by multiple goroutines and
+// multiple *processes* writing the same directory: every file lands via
+// temp-file + rename, and because entries are content-addressed, two
+// processes racing on the same key are by construction writing the same
+// bytes — last rename wins harmlessly.
 //
 // Every read validates the full entry container (magic, format version,
 // model version, kind, length, SHA-256 payload checksum) and the decoded
@@ -32,15 +32,12 @@ import (
 //
 // Layout:
 //
-//	<dir>/index.json            metadata for listings/inspection (self-healing)
 //	<dir>/objects/<k2>/<key>    entry containers, sharded by key prefix
+//	<dir>/leases/<key>.lock     cross-process build leases (see AcquireBuildLease)
+//
+// An index.json written by an older build is ignored and left in place.
 type Store struct {
 	dir string
-
-	mu         sync.Mutex
-	index      map[string]IndexEntry
-	indexDirty bool // in-memory index has changes not yet on disk
-	flushing   bool // one goroutine is writing index.json
 
 	leaseCounters // cross-process build-lease configuration and statistics
 }
@@ -52,40 +49,13 @@ var entryMagic = [4]byte{'S', 'N', 'C', 'S'}
 
 const formatVersion uint16 = 1
 
-// indexSchema guards the index.json layout. A mismatching or unparsable
-// index is rebuilt from the entry files, which are authoritative.
-const indexSchema = 1
-
-// IndexEntry is the metadata the index keeps per entry, for listings and
-// export. The entry files, not the index, are authoritative for reads.
-type IndexEntry struct {
-	Kind  string `json:"kind"`
-	Model string `json:"model"`
-	Cell  string `json:"cell,omitempty"`
-	State string `json:"state,omitempty"`
-	Pin   string `json:"pin,omitempty"`
-	Size  int64  `json:"size"`
-}
-
-type indexFile struct {
-	Schema  int                   `json:"schema"`
-	Entries map[string]IndexEntry `json:"entries"`
-}
-
-// Open opens (creating if needed) a store rooted at dir. A corrupted or
-// schema-mismatched index is rebuilt by scanning the entry files; Open
-// fails only when the directory itself is unusable.
+// Open opens (creating if needed) a store rooted at dir. It reads nothing
+// up front — damaged entries are found and removed by the reads that hit
+// them — so Open fails only when the directory itself is unusable.
 func Open(dir string) (*Store, error) {
-	s := &Store{dir: dir, index: map[string]IndexEntry{}}
+	s := &Store{dir: dir}
 	if err := os.MkdirAll(s.objectsDir(), 0o755); err != nil {
 		return nil, fmt.Errorf("charstore: opening %s: %w", dir, err)
-	}
-	if err := s.loadIndex(); err != nil {
-		// Index damage is recoverable: rebuild from the authoritative
-		// entry files (removing any that fail validation on the way).
-		if rerr := s.Rebuild(); rerr != nil {
-			return nil, fmt.Errorf("charstore: rebuilding index of %s: %w", dir, rerr)
-		}
 	}
 	return s, nil
 }
@@ -94,7 +64,6 @@ func Open(dir string) (*Store, error) {
 func (s *Store) Dir() string { return s.dir }
 
 func (s *Store) objectsDir() string { return filepath.Join(s.dir, "objects") }
-func (s *Store) indexPath() string  { return filepath.Join(s.dir, "index.json") }
 
 func (s *Store) objectPath(key string) string {
 	shard := "xx"
@@ -164,23 +133,13 @@ func (s *Store) Put(kind string, cl *cell.Cell, st cell.State, pin, optsFP strin
 	if err != nil {
 		return err
 	}
-	meta := IndexEntry{Kind: kind, Model: ModelVersion, Cell: cl.Name(), State: st.String(), Pin: pin}
-	return s.putRaw(key, tag, ModelVersion, payload, meta)
+	return s.writeEntry(key, tag, ModelVersion, payload)
 }
 
-// GetByKey reads and validates the entry stored under an exact key,
-// accepting any artefact kind.
-func (s *Store) GetByKey(key string) (any, bool) {
-	if s == nil {
-		return nil, false
-	}
-	return s.getByKey(key, 0)
-}
-
-// getByKey reads and validates one entry. wantTag != 0 additionally pins
-// the artefact kind: the tag byte sits outside the payload checksum, so a
-// flipped tag (or a mislabelled import) must read as a damaged miss —
-// never as a value of the wrong type that panics the caller's assertion.
+// getByKey reads and validates the entry under key, which must be of kind
+// wantTag: the tag byte sits outside the payload checksum, so a flipped tag
+// (or a mislabelled import) must read as a damaged miss — never as a value
+// of the wrong type that panics the caller's assertion.
 func (s *Store) getByKey(key string, wantTag byte) (any, bool) {
 	if !validKey(key) {
 		return nil, false
@@ -191,11 +150,11 @@ func (s *Store) getByKey(key string, wantTag byte) (any, bool) {
 		return nil, false
 	}
 	tag, model, payload, err := parseContainer(raw)
-	if err != nil || (wantTag != 0 && tag != wantTag) {
+	if err != nil || tag != wantTag {
 		// Truncated/corrupted entries (including a wrong kind tag under a
-		// kind-derived key) are removed so they stop costing a read per
-		// miss.
-		s.drop(key, path)
+		// kind-derived key) are removed, best-effort, so they stop costing
+		// a read per miss.
+		os.Remove(path)
 		return nil, false
 	}
 	if model != ModelVersion {
@@ -205,40 +164,14 @@ func (s *Store) getByKey(key string, wantTag byte) (any, bool) {
 	}
 	v, err := decodeArtefact(tag, payload)
 	if err != nil {
-		s.drop(key, path)
+		os.Remove(path)
 		return nil, false
 	}
 	return v, true
 }
 
-// drop removes a damaged entry file and its index row, best-effort.
-func (s *Store) drop(key, path string) {
-	os.Remove(path)
-	s.mu.Lock()
-	changed := false
-	if _, ok := s.index[key]; ok {
-		delete(s.index, key)
-		s.indexDirty = true
-		changed = true
-	}
-	s.mu.Unlock()
-	if changed {
-		s.flushIndex()
-	}
-}
-
-// putRaw writes one validated entry container atomically and records it in
-// the index, flushing the index to disk.
-func (s *Store) putRaw(key string, tag byte, model string, payload []byte, meta IndexEntry) error {
-	if err := s.writeEntry(key, tag, model, payload, meta); err != nil {
-		return err
-	}
-	return s.flushIndex()
-}
-
-// writeEntry lands the entry file and updates the in-memory index without
-// flushing it — bulk writers (Import) batch the flush.
-func (s *Store) writeEntry(key string, tag byte, model string, payload []byte, meta IndexEntry) error {
+// writeEntry lands one entry container atomically under key.
+func (s *Store) writeEntry(key string, tag byte, model string, payload []byte) error {
 	if !validKey(key) {
 		return fmt.Errorf("charstore: invalid entry key %q", key)
 	}
@@ -250,11 +183,6 @@ func (s *Store) writeEntry(key string, tag byte, model string, payload []byte, m
 	if err := atomicWrite(path, container); err != nil {
 		return fmt.Errorf("charstore: %w", err)
 	}
-	meta.Size = int64(len(container))
-	s.mu.Lock()
-	s.index[key] = meta
-	s.indexDirty = true
-	s.mu.Unlock()
 	return nil
 }
 
@@ -336,45 +264,7 @@ func parseContainer(raw []byte) (tag byte, model string, payload []byte, err err
 	return tag, model, payload, nil
 }
 
-// --- index ---------------------------------------------------------------
-
-// loadIndex reads index.json; any parse or schema problem is an error the
-// caller answers with a rebuild.
-func (s *Store) loadIndex() error {
-	raw, err := os.ReadFile(s.indexPath())
-	if os.IsNotExist(err) {
-		// Fresh store — but heal the case of entries without an index
-		// (e.g. an index lost to a crash or a concurrent writer race).
-		if s.hasObjects() {
-			return fmt.Errorf("charstore: entries without an index")
-		}
-		return nil
-	}
-	if err != nil {
-		return err
-	}
-	var f indexFile
-	if err := json.Unmarshal(raw, &f); err != nil {
-		return fmt.Errorf("charstore: corrupted index: %w", err)
-	}
-	if f.Schema != indexSchema {
-		return fmt.Errorf("charstore: index schema %d, want %d", f.Schema, indexSchema)
-	}
-	s.mu.Lock()
-	s.index = f.Entries
-	if s.index == nil {
-		s.index = map[string]IndexEntry{}
-	}
-	s.mu.Unlock()
-	return nil
-}
-
-// hasObjects reports whether any entry file exists.
-func (s *Store) hasObjects() bool {
-	found := false
-	s.walkObjects(func(string, string) bool { found = true; return false })
-	return found
-}
+// --- entry files ---------------------------------------------------------
 
 // walkObjects visits every entry file as (key, path) until fn returns
 // false.
@@ -406,110 +296,19 @@ func (s *Store) walkObjects(fn func(key, path string) bool) {
 	}
 }
 
-// flushIndex persists the in-memory index if it has unwritten changes.
-// The marshal and write happen outside s.mu on a snapshot, so concurrent
-// Puts (many workers persisting fresh builds) never serialize on index
-// I/O; bursts coalesce — whichever goroutine is flushing loops until the
-// index is clean, and everyone else returns immediately (their change is
-// covered by the in-flight or next pass).
-func (s *Store) flushIndex() error {
-	s.mu.Lock()
-	if s.flushing || !s.indexDirty {
-		s.mu.Unlock()
-		return nil
-	}
-	s.flushing = true
-	var err error
-	for s.indexDirty {
-		s.indexDirty = false
-		snapshot := make(map[string]IndexEntry, len(s.index))
-		for k, v := range s.index {
-			snapshot[k] = v
-		}
-		s.mu.Unlock()
-		f := indexFile{Schema: indexSchema, Entries: snapshot}
-		raw, merr := json.MarshalIndent(&f, "", " ")
-		if merr != nil {
-			err = merr
-		} else {
-			err = atomicWrite(s.indexPath(), raw)
-		}
-		s.mu.Lock()
-	}
-	s.flushing = false
-	s.mu.Unlock()
-	return err
-}
-
-// Rebuild reconstructs the index from the entry files, validating each and
-// removing the ones that fail. It is how a corrupted index, or one lost in
-// a concurrent-process race, heals without touching valid entries.
-func (s *Store) Rebuild() error {
-	fresh := map[string]IndexEntry{}
-	type bad struct{ key, path string }
-	var damaged []bad
-	s.walkObjects(func(key, path string) bool {
-		raw, err := os.ReadFile(path)
-		if err != nil {
-			return true
-		}
-		tag, model, payload, err := parseContainer(raw)
-		if err != nil {
-			damaged = append(damaged, bad{key, path})
-			return true
-		}
-		v, err := decodeArtefact(tag, payload)
-		if err != nil {
-			damaged = append(damaged, bad{key, path})
-			return true
-		}
-		cellName, state, pin := artefactIdentity(v)
-		fresh[key] = IndexEntry{
-			Kind: kindName(tag), Model: model,
-			Cell: cellName, State: state, Pin: pin,
-			Size: int64(len(raw)),
-		}
-		return true
-	})
-	for _, b := range damaged {
-		os.Remove(b.path)
-	}
-	s.mu.Lock()
-	s.index = fresh
-	s.indexDirty = true
-	s.mu.Unlock()
-	return s.flushIndex()
-}
-
-// Len returns the number of indexed entries.
+// Len returns the number of entry files in the store, whoever wrote them.
+// It walks the directory, so it is for reporting, not for hot paths.
 func (s *Store) Len() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return len(s.index)
-}
-
-// Entry is one indexed artefact, for listings.
-type Entry struct {
-	Key string
-	IndexEntry
-}
-
-// Entries returns the indexed artefacts sorted by key.
-func (s *Store) Entries() []Entry {
-	s.mu.Lock()
-	out := make([]Entry, 0, len(s.index))
-	for k, m := range s.index {
-		out = append(out, Entry{Key: k, IndexEntry: m})
-	}
-	s.mu.Unlock()
-	sort.Slice(out, func(i, j int) bool { return out[i].Key < out[j].Key })
-	return out
+	n := 0
+	s.walkObjects(func(string, string) bool { n++; return true })
+	return n
 }
 
 // GC removes entries that can no longer be read under the current model
 // and format versions — orphans from before a version bump and files that
-// fail validation — returning how many were reclaimed.
-func (s *Store) GC() (removed int, err error) {
+// fail validation — plus expired build leases, returning how many files
+// were reclaimed.
+func (s *Store) GC() (removed int) {
 	var stale []string
 	s.walkObjects(func(key, path string) bool {
 		raw, rerr := os.ReadFile(path)
@@ -531,18 +330,14 @@ func (s *Store) GC() (removed int, err error) {
 			removed++
 		}
 	}
-	removed += s.cleanStaleLeases()
-	if removed > 0 {
-		err = s.Rebuild()
-	}
-	return removed, err
+	return removed + s.cleanStaleLeases()
 }
 
 // --- export / import -----------------------------------------------------
 
-// bundleSchema versions the export/import interchange format on its own:
-// the index.json layout is a local, self-healing concern and must be able
-// to evolve without invalidating previously shipped bundles.
+// bundleSchema versions the export/import interchange format on its own,
+// apart from the entry container's formatVersion, so the local on-disk
+// layout can evolve without invalidating previously shipped bundles.
 const bundleSchema = 1
 
 // bundleFile is the portable serialisation of a whole store: what
@@ -570,8 +365,7 @@ type bundleEntry struct {
 }
 
 // Export writes every valid entry of the current model version as a
-// portable bundle. The entry files, not the index, are scanned, so an
-// export is complete even after index-losing races.
+// portable bundle, sorted by key.
 func (s *Store) Export(w io.Writer) error {
 	b := bundleFile{Schema: bundleSchema, Model: ModelVersion, Entries: []bundleEntry{}}
 	s.walkObjects(func(key, path string) bool {
@@ -638,14 +432,10 @@ func (s *Store) Import(r io.Reader) (int, error) {
 		if _, err := decodeArtefact(tag, e.Payload); err != nil {
 			continue
 		}
-		meta := IndexEntry{Kind: e.Kind, Model: b.Model, Cell: e.Cell, State: e.State, Pin: e.Pin}
-		// writeEntry, not putRaw: one index flush for the whole bundle
-		// instead of a full rewrite per entry.
-		if err := s.writeEntry(e.Key, tag, b.Model, e.Payload, meta); err != nil {
-			s.flushIndex()
+		if err := s.writeEntry(e.Key, tag, b.Model, e.Payload); err != nil {
 			return imported, err
 		}
 		imported++
 	}
-	return imported, s.flushIndex()
+	return imported, nil
 }

@@ -80,7 +80,28 @@ func TestStorePutGetRoundTrip(t *testing.T) {
 		t.Error("second store handle missed the entry")
 	}
 	if s2.Len() != 1 {
-		t.Errorf("second handle indexed %d entries, want 1", s2.Len())
+		t.Errorf("second handle counts %d entries, want 1", s2.Len())
+	}
+}
+
+// TestStoreLenCountsEveryWriter: two handles on one directory stand in for
+// two processes sharing a store. Each writes a distinct artefact, and every
+// handle — both writers and a freshly opened third — must count both,
+// because the entry files are the store's only record.
+func TestStoreLenCountsEveryWriter(t *testing.T) {
+	dir := t.TempDir()
+	s1, s2 := openStore(t, dir), openStore(t, dir)
+	st := cell.State{"A": false}
+	for i, s := range []*Store{s1, s2} {
+		cl := cell.MustNew(tech.Tech130(), "INV", 1+i)
+		if err := s.Put(KindLoadCurve, cl, st, "A", "fp", testCurve(cl)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for name, s := range map[string]*Store{"first writer": s1, "second writer": s2, "fresh handle": openStore(t, dir)} {
+		if n := s.Len(); n != 2 {
+			t.Errorf("%s counts %d entries, want 2", name, n)
+		}
 	}
 }
 
@@ -159,56 +180,55 @@ func TestStoreModelVersionMismatchFallsBack(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	meta := IndexEntry{Kind: KindLoadCurve, Model: "0-ancient"}
-	if err := s.putRaw(key, tag, "0-ancient", payload, meta); err != nil {
+	if err := s.writeEntry(key, tag, "0-ancient", payload); err != nil {
 		t.Fatal(err)
 	}
 	if _, ok := s.Get(KindLoadCurve, cl, st, "A", "fp"); ok {
 		t.Fatal("entry from another model generation was served")
 	}
 	// GC reclaims it.
-	removed, err := s.GC()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if removed != 1 {
+	if removed := s.GC(); removed != 1 {
 		t.Errorf("GC removed %d entries, want 1", removed)
 	}
 	if s.Len() != 0 {
-		t.Errorf("store still indexes %d entries after GC", s.Len())
+		t.Errorf("store still holds %d entries after GC", s.Len())
 	}
 }
 
-func TestStoreCorruptedIndexRebuilds(t *testing.T) {
-	dir := t.TempDir()
-	s := openStore(t, dir)
+// TestStoreIgnoresLegacyIndex: older builds kept an index.json beside the
+// entry files. Whatever such a file holds — garbage, another schema, or a
+// valid but stale listing — the store must open, serve and count its
+// entries from the entry files alone, and leave the file as it found it
+// so an older binary sharing the directory keeps working.
+func TestStoreIgnoresLegacyIndex(t *testing.T) {
 	cl := cell.MustNew(tech.Tech130(), "INV", 1)
 	st := cell.State{"A": false}
-	if err := s.Put(KindLoadCurve, cl, st, "A", "fp", testCurve(cl)); err != nil {
-		t.Fatal(err)
-	}
-	for _, junk := range []string{"{definitely not json", `{"schema": 999, "entries": {}}`} {
-		if err := os.WriteFile(filepath.Join(dir, "index.json"), []byte(junk), 0o644); err != nil {
+	for name, legacy := range map[string]string{
+		"unparsable":   "{definitely not json",
+		"wrong schema": `{"schema": 999, "entries": {}}`,
+		"stale":        `{"schema": 1, "entries": {}}`,
+	} {
+		dir := t.TempDir()
+		if err := openStore(t, dir).Put(KindLoadCurve, cl, st, "A", "fp", testCurve(cl)); err != nil {
 			t.Fatal(err)
 		}
-		s2 := openStore(t, dir) // must rebuild, not fail
-		if _, ok := s2.Get(KindLoadCurve, cl, st, "A", "fp"); !ok {
-			t.Fatalf("entry lost after index rebuild from %q", junk[:10])
+		index := filepath.Join(dir, "index.json")
+		if err := os.WriteFile(index, []byte(legacy), 0o644); err != nil {
+			t.Fatal(err)
 		}
-		if s2.Len() != 1 {
-			t.Errorf("rebuilt index has %d entries, want 1", s2.Len())
+		s := openStore(t, dir)
+		if _, ok := s.Get(KindLoadCurve, cl, st, "A", "fp"); !ok {
+			t.Errorf("%s index: entry missed", name)
 		}
-		es := s2.Entries()
-		if len(es) != 1 || es[0].Kind != KindLoadCurve || es[0].Cell != "INV_X1" {
-			t.Errorf("rebuilt metadata: %+v", es)
+		if n := s.Len(); n != 1 {
+			t.Errorf("%s index: store counts %d entries, want 1", name, n)
 		}
-	}
-	// A deleted index with surviving entries also heals.
-	if err := os.Remove(filepath.Join(dir, "index.json")); err != nil {
-		t.Fatal(err)
-	}
-	if s3 := openStore(t, dir); s3.Len() != 1 {
-		t.Error("missing index with existing entries was not rebuilt")
+		if err := s.Put(KindLoadCurve, cl, st, "B", "fp", testCurve(cl)); err != nil {
+			t.Fatal(err)
+		}
+		if raw, err := os.ReadFile(index); err != nil || string(raw) != legacy {
+			t.Errorf("%s index: legacy file changed to %q (%v)", name, raw, err)
+		}
 	}
 }
 
@@ -303,14 +323,14 @@ func TestImportRejectsTraversalKeys(t *testing.T) {
 		t.Fatal("traversal key escaped the store directory")
 	}
 	// Non-hex keys are equally refused at the read side.
-	if _, ok := s.GetByKey("../../escape"); ok {
+	if _, ok := s.getByKey("../../escape", kindLoadCurve); ok {
 		t.Error("traversal key readable")
 	}
 }
 
 // TestStoreIgnoresTempFiles: another process's in-flight temp files must
-// be invisible to Rebuild/GC/Export — never indexed, never removed (a
-// removal would break that process's rename).
+// be invisible to Len/GC/Export — never counted, never removed (a removal
+// would break that process's rename).
 func TestStoreIgnoresTempFiles(t *testing.T) {
 	dir := t.TempDir()
 	s := openStore(t, dir)
@@ -324,14 +344,11 @@ func TestStoreIgnoresTempFiles(t *testing.T) {
 	if err := os.WriteFile(tmp, []byte("partial write"), 0o600); err != nil {
 		t.Fatal(err)
 	}
-	if err := s.Rebuild(); err != nil {
-		t.Fatal(err)
-	}
 	if s.Len() != 1 {
-		t.Errorf("rebuild indexed %d entries, want 1 (temp file counted?)", s.Len())
+		t.Errorf("store counts %d entries, want 1 (temp file counted?)", s.Len())
 	}
-	if _, err := s.GC(); err != nil {
-		t.Fatal(err)
+	if removed := s.GC(); removed != 0 {
+		t.Errorf("GC reclaimed %d files, want 0", removed)
 	}
 	if _, err := os.Stat(tmp); err != nil {
 		t.Errorf("in-flight temp file was removed: %v", err)

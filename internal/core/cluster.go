@@ -366,8 +366,6 @@ type Models struct {
 type ModelOptions struct {
 	LoadCurve charlib.LoadCurveOptions
 	Prop      charlib.PropOptions
-	Thevenin  thevenin.FitOptions
-	MOR       mor.Options
 	// SkipProp skips propagation-table characterisation (it is only
 	// needed by the Superposition baseline and is the most expensive
 	// artefact).
@@ -429,9 +427,7 @@ func (c *Cluster) BuildModels(ctx context.Context, opts ModelOptions) (*Models, 
 		// Fit at the base ramp time; alignment offsets are applied at
 		// evaluation time via Driver.Shifted, so re-aligning a cluster
 		// never requires refitting.
-		fitOpts := opts.Thevenin.Normalized()
-		fitOpts.InputSlew = a.slew()
-		fitOpts.InputT0 = a.t0()
+		fitOpts := thevenin.FitOptions{InputSlew: a.slew(), InputT0: a.t0()}.Normalized()
 		fp := fmt.Sprintf("%.17g,%.17g,%.17g,%.17g,%.17g,%.17g",
 			load, fitOpts.InputSlew, fitOpts.InputT0, fitOpts.Dt, fitOpts.Crossings[0], fitOpts.Crossings[1])
 		fit, err := opts.Cache.Artefact(ctx, "thev", a.Cell, a.FromState, a.SwitchPin, fp, func() (any, error) {
@@ -474,7 +470,7 @@ func (c *Cluster) BuildModels(ctx context.Context, opts ModelOptions) (*Models, 
 	ports = append(ports, c.Bus.OutNode(v.Line))
 
 	net := c.Bus.Network(extra)
-	red, err := mor.Reduce(net, ports, opts.MOR)
+	red, err := mor.Reduce(net, ports, mor.Options{})
 	if err != nil {
 		return nil, fmt.Errorf("core: interconnect reduction: %w", err)
 	}

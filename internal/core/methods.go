@@ -110,8 +110,6 @@ type EvalOptions struct {
 	// driver to the macromodel — an extension beyond the paper's pure
 	// DC-table formulation (see the ablation benchmarks).
 	Miller bool
-	// GoldenSim overrides options of the transistor-level simulator.
-	GoldenSim sim.Options
 }
 
 func (o EvalOptions) normalize(c *Cluster) EvalOptions {
@@ -150,10 +148,7 @@ func (c *Cluster) Evaluate(ctx context.Context, m Method, models *Models, opts E
 }
 
 func (c *Cluster) evaluateGolden(ctx context.Context, opts EvalOptions) (*Evaluation, error) {
-	simOpts := opts.GoldenSim
-	simOpts.Dt = opts.Dt
-	simOpts.TStop = opts.TStop
-	seedQuietLevels(c, &simOpts)
+	simOpts := sim.Options{Dt: opts.Dt, TStop: opts.TStop, InitialGuess: quietLevelGuess(c)}
 
 	c.rigMu.Lock()
 	defer c.rigMu.Unlock()
@@ -227,27 +222,21 @@ func (c *Cluster) localRig(slot **simRig, simOpts sim.Options, build func() (*si
 	return rig, nil
 }
 
-// seedQuietLevels gives the golden DC solve the intended operating point:
+// quietLevelGuess gives the golden DC solve the intended operating point:
 // victim nodes at the quiet rail, aggressor nodes at their start level.
-// The caller-supplied guess map is copied, never mutated, so one
-// EvalOptions value can seed evaluations of many clusters without their
-// line seeds leaking into each other.
-func seedQuietLevels(c *Cluster, simOpts *sim.Options) {
-	merged := make(map[string]float64, len(simOpts.InitialGuess)+(len(c.Aggressors)+1)*(c.Bus.Segments+1))
-	for k, v := range simOpts.InitialGuess {
-		merged[k] = v
-	}
+func quietLevelGuess(c *Cluster) map[string]float64 {
+	guess := make(map[string]float64, (len(c.Aggressors)+1)*(c.Bus.Segments+1))
 	quiet := c.QuietVictimLevel()
 	for j := 0; j <= c.Bus.Segments; j++ {
-		merged[fmt.Sprintf("%s.%d", c.Bus.Lines[c.Victim.Line].Name, j)] = quiet
+		guess[fmt.Sprintf("%s.%d", c.Bus.Lines[c.Victim.Line].Name, j)] = quiet
 	}
 	for i := range c.Aggressors {
 		lvl := c.AggStartLevel(i)
 		for j := 0; j <= c.Bus.Segments; j++ {
-			merged[fmt.Sprintf("%s.%d", c.Bus.Lines[c.Aggressors[i].Line].Name, j)] = lvl
+			guess[fmt.Sprintf("%s.%d", c.Bus.Lines[c.Aggressors[i].Line].Name, j)] = lvl
 		}
 	}
-	simOpts.InitialGuess = merged
+	return guess
 }
 
 // aggressorSources builds the Thevenin port sources with current offsets.

@@ -219,6 +219,15 @@ func TestCrossProcessZeroDuplicateCharacterization(t *testing.T) {
 	if a.Cache.DiskHits+b.Cache.DiskHits == 0 {
 		t.Error("neither process was served from the shared store")
 	}
+	// Both shared-directory processes count the whole store — every
+	// writer's entries — which holds exactly what the cold baseline built.
+	if a.StoreEntries == nil || b.StoreEntries == nil || base.StoreEntries == nil {
+		t.Fatal("statsz carries no store_entries despite a persistent store")
+	}
+	if *base.StoreEntries == 0 || *a.StoreEntries != *base.StoreEntries || *b.StoreEntries != *base.StoreEntries {
+		t.Errorf("store_entries: shared %d and %d, fresh-directory baseline %d; want all equal and non-zero",
+			*a.StoreEntries, *b.StoreEntries, *base.StoreEntries)
+	}
 }
 
 // TestCrossProcessWarmStartup asserts the second-order payoff: a server

@@ -262,8 +262,8 @@ func NewCache() *Cache { return charlib.NewCache() }
 
 // OpenStore opens (creating if needed) a persistent characterisation store
 // rooted at dir. Attach it to a cache with Cache.SetStore or Options.Store,
-// or let Options.CacheDir do both. A corrupted index is rebuilt from the
-// entry files; OpenStore fails only when the directory itself is unusable.
+// or let Options.CacheDir do both. Damaged entries degrade to cache misses
+// when read; OpenStore fails only when the directory itself is unusable.
 func OpenStore(dir string) (*Store, error) { return charstore.Open(dir) }
 
 // ParseDesign reads a Design from JSON.
