@@ -44,7 +44,8 @@ golden-check:
 # bench regenerates the benchmark numbers recorded in EXPERIMENTS.md.
 bench:
 	$(GO) test -run xxx -bench 'DesignAnalyze|LoadCurveCharacterization|Speedup' -benchtime=1x -benchmem .
-	$(GO) test -run xxx -bench 'Table2Macromodel|MacromodelEngine' -benchmem .
+	$(GO) test -run xxx -bench 'Table2Macromodel|MacromodelEngine|AlignWorstCase' -benchmem .
+	$(GO) test -run xxx -bench 'MulVecInto' -benchmem ./internal/linalg
 	$(GO) test -run xxx -bench 'INVLoadCurveSweep|NAND2LoadCurveSweepFine' -benchmem ./internal/charlib
 
 # bench-check vets and tests the benchmark module (every workload at tiny

@@ -449,3 +449,34 @@ func BenchmarkMacromodelEngine(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkAlignWorstCase times the pessimistic flow's worst-case alignment
+// search on the Table 2 cluster: the peak-alignment runs, then the
+// coordinate-ascent probes, each an engine run whose one non-linear port
+// is the victim's VCCS (p_N = 1). Every op restarts from the same offsets,
+// so every op does the same engine runs.
+func BenchmarkAlignWorstCase(b *testing.B) {
+	p := prepareBench(b, "t2", paper.Table2Cluster, false)
+	aggs := p.cluster.Aggressors
+	offsets := make([]float64, len(aggs))
+	for i := range aggs {
+		offsets[i] = aggs[i].Offset
+	}
+	restore := func() {
+		for i := range aggs {
+			aggs[i].Offset = offsets[i]
+		}
+	}
+	defer restore()
+	b.ReportAllocs()
+	b.ResetTimer()
+	before := sim.Snapshot()
+	for i := 0; i < b.N; i++ {
+		restore()
+		if err := p.cluster.AlignWorstCase(context.Background(), p.models, p.opts); err != nil {
+			b.Fatal(err)
+		}
+	}
+	runs := sim.Snapshot().Sub(before).EngineRuns
+	b.ReportMetric(float64(runs)/float64(b.N), "engine-runs/op")
+}

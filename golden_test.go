@@ -1,10 +1,10 @@
 // Golden-reference regression tests: committed fixtures of the three
 // characterised artefact families — load curves (eq. 1), propagation
 // tables and Noise Rejection Curves — for INV and NAND2 on both technology
-// cards, plus the feasibility filter's full report schema. Any numerical
-// drift in the simulator, the device model or the characterisation sweeps
-// shows up as a fixture mismatch in `go test -run Golden` instead of a
-// silent change in example output.
+// cards, plus the full report schema of the pessimistic and feasibility
+// flows. Any numerical drift in the simulator, the device model or the
+// characterisation sweeps shows up as a fixture mismatch in
+// `go test -run Golden` instead of a silent change in example output.
 //
 // The fixtures are the program's exact bytes on amd64: regenerating them
 // on a clean checkout with
@@ -400,16 +400,33 @@ func TestGoldenPredictorCharacterization(t *testing.T) {
 // is exact, unlike the tolerance-based characterisation fixtures above;
 // regenerate after an intentional change with the same -update flag.
 func TestGoldenFeasibility(t *testing.T) {
+	runGoldenDesign(t, "golden-feas", "_feas.json", true)
+}
+
+// TestGoldenPessimistic pins the classic pessimistic flow, snacheck's
+// default: every net's aggressors are peak-aligned and then refined by the
+// worst-case coordinate search (core.AlignWorstCase), whose probes are the
+// bulk of the macromodel engine's runs. The feasibility fixtures stop at
+// the peak alignment, so only these reports cover the search; they are
+// exact bytes like the feasibility ones.
+func TestGoldenPessimistic(t *testing.T) {
+	runGoldenDesign(t, "golden-pessimistic", "_pessimistic.json", false)
+}
+
+// runGoldenDesign analyses a generated 6-cluster design serially on both
+// technology cards with the macromodel method, aligned, and compares the
+// timing-cleared reports with testdata/golden/<tech><suffix> byte for byte.
+func runGoldenDesign(t *testing.T, name, suffix string, feasibility bool) {
 	for _, techName := range []string{"cmos130", "cmos090"} {
 		techName := techName
 		t.Run(techName, func(t *testing.T) {
-			d := stanoise.GenerateDesign("golden-feas", 6)
+			d := stanoise.GenerateDesign(name, 6)
 			d.Tech = techName
 			opts := stanoise.Options{
 				Method:      stanoise.Macromodel,
 				Dt:          2e-12,
 				Align:       true,
-				Feasibility: true,
+				Feasibility: feasibility,
 				Workers:     1,
 				LoadCurve:   stanoise.LoadCurveOptions{NVin: 31, NVout: 31},
 				Prop: stanoise.PropOptions{
@@ -433,7 +450,7 @@ func TestGoldenFeasibility(t *testing.T) {
 			}
 			raw = append(raw, '\n')
 
-			path := filepath.Join("testdata", "golden", techName+"_feas.json")
+			path := filepath.Join("testdata", "golden", techName+suffix)
 			if *update {
 				if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
 					t.Fatal(err)
@@ -449,7 +466,7 @@ func TestGoldenFeasibility(t *testing.T) {
 				t.Fatalf("missing fixture %s (generate with: go test -run Golden . -update): %v", path, err)
 			}
 			if string(raw) != string(want) {
-				t.Errorf("feasibility reports drifted from %s:\ngot:\n%s\nfixture:\n%s", path, raw, want)
+				t.Errorf("reports drifted from %s:\ngot:\n%s\nfixture:\n%s", path, raw, want)
 			}
 		})
 	}

@@ -225,11 +225,12 @@ func (r *EngineResult) Waveform(k int) *wave.Waveform {
 // their constant slopes fold into the trapezoidal system matrix
 // A1′ = 2Cr/h + Gr − B_L·diag(g_L)·B_Lᵀ, which is factored once per run.
 // Each step's Newton iteration then runs on the voltages of the remaining
-// p_N ports alone — the victim's VCCS, a scalar — and an all-linear run
-// takes no Newton iteration at all. The iterates are those of a Newton on
-// the full Q×Q step system (DESIGN.md §15). A step costs one Q×Q
-// matrix-vector product plus a p_N×p_N solve per iteration, with Q ≈ 15,
-// and the step loop allocates nothing.
+// p_N ports alone, and an all-linear run takes no Newton iteration at all.
+// In every evaluation method p_N is 0 or 1, the victim's VCCS, and its
+// Newton is a scalar one. The iterates are those of a Newton on the full
+// Q×Q step system (DESIGN.md §15). A step costs one Q×Q matrix-vector
+// product plus a p_N×p_N solve per iteration, with Q ≈ 15, and the step
+// loop allocates nothing.
 // The context is checked periodically between timesteps so a cancelled
 // analysis stops mid-transient; a nil context disables cancellation.
 func RunEngine(ctx context.Context, red *mor.Reduced, sources []PortSource, v0 []float64, opts EngineOptions) (*EngineResult, error) {
@@ -245,9 +246,16 @@ func RunEngine(ctx context.Context, red *mor.Reduced, sources []PortSource, v0 [
 		return nil, fmt.Errorf("core: engine needs %d sources and v0 entries, got %d/%d",
 			p, len(sources), len(v0))
 	}
+	h := opts.Dt
+	// Indexed time grid t = k·h for k = 0..n, the one
+	// sim.Session.RunTransientInto runs; the result records the time axis
+	// and p port voltages.
+	n, err := sim.GridSteps(opts.TStop, h, p+1)
+	if err != nil {
+		return nil, err
+	}
 	sim.Record(sim.Counters{EngineRuns: 1})
 	q := red.Q
-	h := opts.Dt
 
 	// Order the ports non-linear first: perm[:pn] stay in Newton and
 	// perm[pn:] are linear. Every port vector below is in this order. The
@@ -266,9 +274,6 @@ func RunEngine(ctx context.Context, red *mor.Reduced, sources []PortSource, v0 [
 		}
 	}
 
-	// Indexed time grid t = k·h for k = 0..n, ending at the last step with
-	// t ≤ TStop + h/2, as sim.Session.RunTransientInto's grid does.
-	n := int(math.Floor(opts.TStop/h + 0.5))
 	res := &EngineResult{
 		Times: make([]float64, n+1),
 		PortV: make([][]float64, p),
@@ -363,18 +368,50 @@ func RunEngine(ctx context.Context, red *mor.Reduced, sources []PortSource, v0 [
 				linalg.AxpyVec(ij, row(zt, jj), w)
 			}
 		}
-		if pn == 0 {
+		// Newton on y_N = r + M·i_N(t, V0+y_N) with r = B_Nᵀw, from
+		// y_N = B_Nᵀx_prev. Its iterates are the Q×Q Newton's, x = w + Z_N·c
+		// with c = i + D·(y_new − y), so the stopping rule is the Q×Q one:
+		// max |Δx| < Tol. A NaN |Δx| is kept in maxd, so a non-finite update
+		// never counts as converged.
+		converged := pn == 0
+		switch pn {
+		case 0:
 			// Every port is linear: w is the step's solution.
 			x, w = w, x
-		} else {
+		case 1:
+			// The victim's VCCS alone: the general loop below with its 1×1
+			// LU written out op for op — one pivot test and one division —
+			// and the state update fused with the |Δx| test.
+			j, mv, z := perm[0], m.Data[0], row(zt, 0)
+			r0 := linalg.Dot(row(bt, 0), w)
+			for it := 0; it < opts.MaxNewton; it++ {
+				i, didv := sources[j].Current(t, v0[j]+y[0])
+				jc := -mv * didv
+				jc++
+				if math.Abs(jc) < 1e-300 {
+					return nil, singularJacobian(t, linalg.ErrSingular)
+				}
+				dy := (y[0] - r0 - (0 + mv*i)) / jc
+				y[0] -= dy
+				ci := i - didv*dy
+				maxd := 0.0
+				for a, wa := range w {
+					xa := wa + ci*z[a]
+					if d := math.Abs(xa - x[a]); d > maxd || math.IsNaN(d) {
+						maxd = d
+					}
+					xn[a] = xa
+				}
+				x, xn = xn, x
+				if maxd < opts.Tol {
+					converged = true
+					break
+				}
+			}
+		default:
 			for a := range r {
 				r[a] = linalg.Dot(row(bt, a), w)
 			}
-			// Newton on y_N = r + M·i_N(t, V0+y_N), from y_N = B_Nᵀx_prev. Its
-			// iterates are the Q×Q Newton's, x = w + Z_N·c with
-			// c = i + D·(y_new − y), so the stopping rule is the Q×Q one:
-			// max |Δx| < Tol.
-			converged := false
 			for it := 0; it < opts.MaxNewton; it++ {
 				for jj, j := range perm[:pn] {
 					icur[jj], didv[jj] = sources[j].Current(t, v0[j]+y[jj])
@@ -389,7 +426,7 @@ func RunEngine(ctx context.Context, red *mor.Reduced, sources []PortSource, v0 [
 					g[a] = y[a] - r[a] - linalg.Dot(mr, icur)
 				}
 				if err := plu.Factor(jac); err != nil {
-					return nil, fmt.Errorf("core: singular macromodel Jacobian at t=%.3gps: %w", t*1e12, err)
+					return nil, singularJacobian(t, err)
 				}
 				plu.SolveInto(dy, g)
 				copy(xn, w)
@@ -400,7 +437,7 @@ func RunEngine(ctx context.Context, red *mor.Reduced, sources []PortSource, v0 [
 				}
 				maxd := 0.0
 				for a, xa := range xn {
-					if d := math.Abs(xa - x[a]); d > maxd {
+					if d := math.Abs(xa - x[a]); d > maxd || math.IsNaN(d) {
 						maxd = d
 					}
 				}
@@ -410,9 +447,9 @@ func RunEngine(ctx context.Context, red *mor.Reduced, sources []PortSource, v0 [
 					break
 				}
 			}
-			if !converged {
-				return nil, fmt.Errorf("core: macromodel Newton did not converge at t=%.3gps: %w", t*1e12, sim.ErrNoConvergence)
-			}
+		}
+		if !converged {
+			return nil, fmt.Errorf("core: macromodel Newton did not converge at t=%.3gps: %w", t*1e12, sim.ErrNoConvergence)
 		}
 		// Accept: store port currents for the trapezoidal history, then let
 		// stateful sources advance their companions. The linear ports read
@@ -433,6 +470,12 @@ func RunEngine(ctx context.Context, red *mor.Reduced, sources []PortSource, v0 [
 		}
 	}
 	return res, nil
+}
+
+// singularJacobian is the error of a step whose Newton Jacobian has no
+// usable pivot.
+func singularJacobian(t float64, err error) error {
+	return fmt.Errorf("core: singular macromodel Jacobian at t=%.3gps: %w", t*1e12, err)
 }
 
 // linearPort reports whether s draws a current affine in the port voltage

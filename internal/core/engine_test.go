@@ -601,3 +601,83 @@ func TestEngineAllocsIndependentOfSteps(t *testing.T) {
 		t.Errorf("allocations grow with the step count: %v at 1 ns, %v at 4 ns", a1, a4)
 	}
 }
+
+// portLaw is a PortSource given by a function, one the engine keeps in
+// Newton.
+type portLaw func(t, v float64) (float64, float64)
+
+func (f portLaw) Current(t, v float64) (float64, float64) { return f(t, v) }
+
+// A non-finite Newton update never counts as converged: a victim law that
+// turns NaN after 100 ps must end the run in the engine's non-convergence
+// error, with the scalar Newton (p_N = 1) and with the p_N × p_N one, not
+// return a NaN waveform that wave.MeasureNoise reads as no noise.
+func TestEngineNaNUpdateIsNotConverged(t *testing.T) {
+	c, models := clusterModels(t, tech.Tech130(), 1)
+	opts := fastEvalOptions().normalize(c)
+	vccs := &VCCSPort{LC: models.LC, Vin: c.victimInputWave()}
+	poisoned := portLaw(func(t, v float64) (float64, float64) {
+		i, didv := vccs.Current(t, v)
+		if t > 100e-12 {
+			i = math.NaN()
+		}
+		return i, didv
+	})
+	for _, pn := range []int{1, 2} {
+		srcs := clusterSources(c, models, poisoned)
+		if pn == 2 {
+			th := srcs[models.AggPorts[0]].(*TheveninPort)
+			srcs[models.AggPorts[0]] = theveninLaw{w: th.W, rTh: th.RTh}
+		}
+		if got := newtonPorts(srcs); got != pn {
+			t.Fatalf("%d ports in Newton, want %d", got, pn)
+		}
+		res, err := RunEngine(context.Background(), models.Red, srcs, models.V0,
+			EngineOptions{Dt: opts.Dt, TStop: opts.TStop})
+		if !errors.Is(err, sim.ErrNoConvergence) || !strings.HasPrefix(err.Error(), "core: macromodel Newton did not converge at t=") {
+			peak := math.NaN()
+			if res != nil {
+				peak = wave.MeasureNoise(res.Waveform(models.VicPort), models.QuietVic).Peak
+			}
+			t.Errorf("p_N = %d: err = %v (victim peak %v), want the non-convergence error", pn, err, peak)
+		}
+	}
+}
+
+// A step whose Newton Jacobian I − M·diag(∂i/∂v) is exactly zero reports
+// the singular-Jacobian error wrapping linalg.ErrSingular, through the
+// scalar pivot test (p_N = 1) as through the LU (p_N = 2). The model is
+// p decoupled states with Cr = I, Gr = 4·I and B = I at h = 0.5 s, so
+// A1 = 8·I, M = I/8 exactly, and a port law with ∂i/∂v = 8 zeroes every
+// diagonal entry of the Jacobian.
+func TestEngineSingularJacobian(t *testing.T) {
+	law := portLaw(func(t, v float64) (float64, float64) { return 0, 8 })
+	for _, p := range []int{1, 2} {
+		red := &mor.Reduced{Gr: linalg.Identity(p), Cr: linalg.Identity(p), B: linalg.Identity(p), Q: p}
+		red.Gr.Scale(4)
+		srcs, v0 := make([]PortSource, p), make([]float64, p)
+		for j := range srcs {
+			red.Ports = append(red.Ports, fmt.Sprintf("p%d", j))
+			srcs[j] = law
+		}
+		_, err := RunEngine(context.Background(), red, srcs, v0, EngineOptions{Dt: 0.5, TStop: 1})
+		if !errors.Is(err, linalg.ErrSingular) || !strings.HasPrefix(err.Error(), "core: singular macromodel Jacobian at t=") {
+			t.Errorf("p_N = %d: err = %v, want the singular-Jacobian error", p, err)
+		}
+	}
+}
+
+// A finite Dt so small that the run would record more than the sample cap
+// is rejected before anything is allocated, with the typed *sim.GridError.
+func TestEngineRejectsOversizedGrid(t *testing.T) {
+	red := reducedLadder(t, 4, 10, 1e-15)
+	srcs := []PortSource{OpenPort{}, OpenPort{}}
+	_, err := RunEngine(context.Background(), red, srcs, []float64{0, 0}, EngineOptions{Dt: 1e-19, TStop: 2e-9})
+	var ge *sim.GridError
+	if !errors.Is(err, sim.ErrInvalidOptions) || !errors.As(err, &ge) || ge.Dt != 1e-19 || ge.Signals != 3 {
+		t.Fatalf("err = %v, want *sim.GridError on Dt = 1e-19 with 3 signals", err)
+	}
+	if !strings.Contains(err.Error(), "invalid option Dt") {
+		t.Errorf("err = %q does not name the option", err)
+	}
+}

@@ -255,10 +255,22 @@ func (c *Cluster) aggressorSources(models *Models, sources []PortSource) {
 }
 
 func (c *Cluster) evaluateMacromodel(ctx context.Context, models *Models, opts EvalOptions) (*Evaluation, error) {
+	start := time.Now()
+	res, err := c.runMacromodel(ctx, models, opts)
+	if err != nil {
+		return nil, err
+	}
+	elapsed := time.Since(start)
+	return c.finish(Macromodel, res.Waveform(models.VicPort), res.Waveform(models.RecvPort), elapsed), nil
+}
+
+// runMacromodel runs the engine on the paper's macromodel: the victim's
+// VCCS (plus its Miller capacitor when asked for) and the aggressors'
+// Thevenin drivers at their current offsets.
+func (c *Cluster) runMacromodel(ctx context.Context, models *Models, opts EvalOptions) (*EngineResult, error) {
 	if models == nil {
 		return nil, fmt.Errorf("core: macromodel evaluation needs models")
 	}
-	start := time.Now()
 	sources := make([]PortSource, len(models.Red.Ports))
 	for i := range sources {
 		sources[i] = OpenPort{}
@@ -270,12 +282,7 @@ func (c *Cluster) evaluateMacromodel(ctx context.Context, models *Models, opts E
 	}
 	sources[models.VicPort] = vic
 	c.aggressorSources(models, sources)
-	res, err := RunEngine(ctx, models.Red, sources, models.V0, EngineOptions{Dt: opts.Dt, TStop: opts.TStop})
-	if err != nil {
-		return nil, err
-	}
-	elapsed := time.Since(start)
-	return c.finish(Macromodel, res.Waveform(models.VicPort), res.Waveform(models.RecvPort), elapsed), nil
+	return RunEngine(ctx, models.Red, sources, models.V0, EngineOptions{Dt: opts.Dt, TStop: opts.TStop})
 }
 
 func (c *Cluster) evaluateSuperposition(ctx context.Context, models *Models, opts EvalOptions) (*Evaluation, error) {
@@ -645,11 +652,15 @@ func (c *Cluster) EvaluateScenario(ctx context.Context, m Method, models *Models
 }
 
 // macromodelPeak evaluates the cluster's macromodel noise peak at the
-// current offsets — the objective of the worst-case alignment search.
+// current offsets — the objective of the worst-case alignment search. It
+// is evaluateMacromodel's Metrics.Peak, measured on the engine's own
+// slices: no waveform copies, and no receiver metrics, which the search
+// never reads.
 func (c *Cluster) macromodelPeak(ctx context.Context, models *Models, opts EvalOptions) (float64, error) {
-	ev, err := c.evaluateMacromodel(ctx, models, opts)
+	res, err := c.runMacromodel(ctx, models, opts)
 	if err != nil {
 		return 0, err
 	}
-	return ev.Metrics.Peak, nil
+	dp := &wave.Waveform{T: res.Times, V: res.PortV[models.VicPort]}
+	return wave.MeasureNoise(dp, c.QuietVictimLevel()).Peak, nil
 }

@@ -340,3 +340,35 @@ func TestMethodString(t *testing.T) {
 		t.Error("unknown method string empty")
 	}
 }
+
+// The alignment search's objective reads the engine's slices in place; it
+// must equal the full evaluation's driving-point peak bit for bit, at every
+// offset the search might probe, with and without the Miller capacitor.
+func TestMacromodelPeakMatchesEvaluation(t *testing.T) {
+	ctx := context.Background()
+	for _, tt := range []*tech.Tech{tech.Tech130(), tech.Tech90()} {
+		for _, nAgg := range []int{1, 2} {
+			c, models := clusterModels(t, tt, nAgg)
+			opts := fastEvalOptions().normalize(c)
+			base := c.Aggressors[nAgg-1].Offset
+			for _, off := range []float64{-80e-12, -20e-12, 0, 40e-12, 160e-12} {
+				for _, miller := range []bool{false, true} {
+					c.Aggressors[nAgg-1].Offset = base + off
+					opts.Miller = miller
+					got, err := c.macromodelPeak(ctx, models, opts)
+					if err != nil {
+						t.Fatal(err)
+					}
+					ev, err := c.evaluateMacromodel(ctx, models, opts)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if math.Float64bits(got) != math.Float64bits(ev.Metrics.Peak) {
+						t.Errorf("%s/%dagg offset %+g ps miller=%v: probe peak %v, evaluation %v",
+							tt.Name, nAgg, off*1e12, miller, got, ev.Metrics.Peak)
+					}
+				}
+			}
+		}
+	}
+}

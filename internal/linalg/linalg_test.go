@@ -74,6 +74,61 @@ func TestMulVec(t *testing.T) {
 	}
 }
 
+// TestMulVecIntoMatchesRowOrder pins MulVecInto's four-row blocking to the
+// plain row-by-row product bit for bit, on every shape up to 20×20: each
+// element must be its row summed left to right from +0. Entries span 32
+// decades, so a different summation order rounds differently, and a sixth
+// of them are signed zeros, so a sum seeded from its first product instead
+// of +0 returns −0 where the row order gives +0.
+func TestMulVecIntoMatchesRowOrder(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	value := func() float64 {
+		switch rng.Intn(6) {
+		case 0:
+			return math.Copysign(0, rng.NormFloat64())
+		default:
+			return rng.NormFloat64() * math.Pow(10, float64(rng.Intn(32)-16))
+		}
+	}
+	for rows := 0; rows <= 20; rows++ {
+		for cols := 0; cols <= 20; cols++ {
+			m := NewMatrix(rows, cols)
+			for i := range m.Data {
+				m.Data[i] = value()
+			}
+			if rows > 0 {
+				// A row of −0 products, which must still sum to +0.
+				for c := 0; c < cols; c++ {
+					m.Set(rows-1, c, math.Copysign(0, -1))
+				}
+			}
+			x := make([]float64, cols)
+			for i := range x {
+				x[i] = math.Abs(value())
+			}
+			want := make([]float64, rows)
+			for r := range want {
+				s := 0.0
+				for c := 0; c < cols; c++ {
+					s += m.At(r, c) * x[c]
+				}
+				want[r] = s
+			}
+			dst := make([]float64, rows)
+			for i := range dst {
+				dst[i] = math.NaN()
+			}
+			m.MulVecInto(dst, x)
+			for r := range want {
+				if math.Float64bits(dst[r]) != math.Float64bits(want[r]) {
+					t.Fatalf("%dx%d: row %d = %v (%#x), row order gives %v (%#x)",
+						rows, cols, r, dst[r], math.Float64bits(dst[r]), want[r], math.Float64bits(want[r]))
+				}
+			}
+		}
+	}
+}
+
 func TestLUSolveKnown(t *testing.T) {
 	a := &Matrix{Rows: 3, Cols: 3, Data: []float64{
 		2, 1, 1,

@@ -1,6 +1,9 @@
 package linalg
 
-import "testing"
+import (
+	"fmt"
+	"testing"
+)
 
 // Factor-vs-substitute benchmarks at noise-cluster sizes: the transient
 // linear fast path replaces a per-step Factor (O(n³)) with a per-step
@@ -53,3 +56,23 @@ func BenchmarkLUWorkspaceFactor16(b *testing.B)    { benchLUFactor(b, 16) }
 func BenchmarkLUWorkspaceFactor64(b *testing.B)    { benchLUFactor(b, 64) }
 func BenchmarkLUWorkspaceSolveInto16(b *testing.B) { benchLUSolveInto(b, 16) }
 func BenchmarkLUWorkspaceSolveInto64(b *testing.B) { benchLUSolveInto(b, 64) }
+
+// BenchmarkMulVecInto times the macromodel engine's once-per-step product,
+// the propagator times the reduced state, at the reduced orders Q = 11 and
+// Q = 15 of the generated designs' clusters.
+func BenchmarkMulVecInto(b *testing.B) {
+	for _, n := range []int{11, 15} {
+		b.Run(fmt.Sprintf("%dx%d", n, n), func(b *testing.B) {
+			m, x := benchSystem(n)
+			for i := range m.Data {
+				m.Data[i] += float64(i%5) * 0.125
+			}
+			dst := make([]float64, n)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				m.MulVecInto(dst, x)
+			}
+		})
+	}
+}

@@ -120,18 +120,32 @@ func (m *Matrix) MulVec(x []float64) []float64 {
 	return out
 }
 
-// MulVecInto computes m*x into dst, which must have length m.Rows.
+// MulVecInto computes m*x into dst, which must have length m.Rows. Every
+// element is its row's products summed left to right from +0, exactly as
+// MulVec sums them, but four rows share each pass over x: their four sums
+// are independent, so their additions overlap instead of each waiting on
+// the last, and every x[c] is loaded once for the four. A final block of
+// 1–3 rows repeats its last row in the spare lanes, which only recompute
+// that row's sum.
 func (m *Matrix) MulVecInto(dst, x []float64) {
 	if m.Cols != len(x) || m.Rows != len(dst) {
 		panic("linalg: MulVecInto shape mismatch")
 	}
-	for r := 0; r < m.Rows; r++ {
-		row := m.Data[r*m.Cols : (r+1)*m.Cols]
-		s := 0.0
-		for c, v := range row {
-			s += v * x[c]
+	n, last := len(x), m.Rows-1
+	for r := 0; r <= last; r += 4 {
+		r1, r2, r3 := min(r+1, last), min(r+2, last), min(r+3, last)
+		a0 := m.Data[r*n:][:n]
+		a1 := m.Data[r1*n:][:n]
+		a2 := m.Data[r2*n:][:n]
+		a3 := m.Data[r3*n:][:n]
+		var s0, s1, s2, s3 float64
+		for c, xc := range x {
+			s0 += a0[c] * xc
+			s1 += a1[c] * xc
+			s2 += a2[c] * xc
+			s3 += a3[c] * xc
 		}
-		dst[r] = s
+		dst[r], dst[r1], dst[r2], dst[r3] = s0, s1, s2, s3
 	}
 }
 

@@ -304,6 +304,45 @@ func TestErrorPoliciesOverTheWire(t *testing.T) {
 	}
 }
 
+// A finite but absurd timestep (1e-7 ps, so TStop/Dt ≈ 10^10 steps) must
+// not take the server down by sizing a result for it: every cluster
+// streams a cluster_error naming the invalid option, and the next request
+// on the same server is served normally.
+func TestOversizedGridRequestKeepsServing(t *testing.T) {
+	d := sna.SampleDesign()
+	ts := httptest.NewServer(NewServer(Config{Analysis: fastAnalysis()}))
+	defer ts.Close()
+
+	recs := postAnalyze(t, ts.Client(), ts.URL,
+		requestBody(t, d, map[string]any{"dt_ps": 1e-7, "policy": "continue", "deterministic": true}))
+	var nErrors int
+	for _, rec := range recs {
+		switch rec.Type {
+		case "report":
+			t.Errorf("report streamed at dt_ps = 1e-7: %s", rec.Report)
+		case "cluster_error":
+			nErrors++
+			var e struct {
+				Error string `json:"error"`
+			}
+			if err := json.Unmarshal(rec.Error, &e); err != nil {
+				t.Fatal(err)
+			}
+			if !strings.Contains(e.Error, "invalid option Dt") {
+				t.Errorf("cluster_error %q does not name the invalid option", e.Error)
+			}
+		}
+	}
+	if nErrors != len(d.Clusters) {
+		t.Errorf("%d cluster_error records, want %d", nErrors, len(d.Clusters))
+	}
+
+	recs = postAnalyze(t, ts.Client(), ts.URL, requestBody(t, d, map[string]any{"deterministic": true}))
+	if got := len(reportsByCluster(t, recs)); got != len(d.Clusters) {
+		t.Errorf("next request: %d reports, want %d", got, len(d.Clusters))
+	}
+}
+
 // waitFor polls cond until it holds or the deadline passes.
 func waitFor(t *testing.T, d time.Duration, what string, cond func() bool) {
 	t.Helper()

@@ -82,6 +82,45 @@ func (e *OptionsError) Error() string {
 // Unwrap ties the typed error to the ErrInvalidOptions sentinel.
 func (e *OptionsError) Unwrap() error { return ErrInvalidOptions }
 
+// maxRecordedSamples caps the samples one transient may record, every
+// signal's waveform and the time axis together: 2^25 float64, 256 MiB. A
+// default 2 ps run of the macromodel engine records at most 5 signals over
+// ~1 000 steps, and a transistor-level golden run tens of signals over
+// ~1 000 steps, both orders of magnitude below. A finite but absurd Dt
+// would otherwise size its result before the first step: 1e-7 ps over a
+// 2 ns run asks for 5 × 2·10^10 float64, 800 GB.
+const maxRecordedSamples = 1 << 25
+
+// GridError reports a transient whose recorded waveforms would exceed the
+// sample cap of GridSteps. It unwraps to ErrInvalidOptions.
+type GridError struct {
+	Dt, TStop float64
+	Signals   int // recorded signals, the time axis included
+}
+
+// Error implements error.
+func (e *GridError) Error() string {
+	return fmt.Sprintf("sim: invalid option Dt = %g (TStop %g would record %d signals at %.4g time points, over the cap of %d samples)",
+		e.Dt, e.TStop, e.Signals, math.Floor(e.TStop/e.Dt+0.5)+1, maxRecordedSamples)
+}
+
+// Unwrap ties the typed error to the ErrInvalidOptions sentinel.
+func (e *GridError) Unwrap() error { return ErrInvalidOptions }
+
+// GridSteps returns the step count n of the indexed transient grid
+// t = k·dt, k = 0..n, which ends at the last step with t ≤ tstop + dt/2 —
+// the step count of the legacy loop that accumulated t += dt. tstop and dt
+// must be finite and positive. A run that records signals waveforms (the
+// time axis included) over the n+1 points, more than 2^25 samples in all,
+// is rejected with a *GridError before anything is allocated.
+func GridSteps(tstop, dt float64, signals int) (int, error) {
+	n := math.Floor(tstop/dt + 0.5)
+	if (n+1)*float64(signals) > maxRecordedSamples {
+		return 0, &GridError{Dt: dt, TStop: tstop, Signals: signals}
+	}
+	return int(n), nil
+}
+
 // Validate rejects non-finite option values with an *OptionsError. Zero
 // and negative values are legal — normalize replaces them with defaults —
 // but NaN and ±Inf are programming errors that would otherwise disable

@@ -116,3 +116,51 @@ func TestRunTransientRejectsNonFiniteTStop(t *testing.T) {
 		t.Error("RunTransient(0) should fail")
 	}
 }
+
+// A finite Dt so small that the run would record more than the sample cap
+// is rejected with the typed *GridError before the result is sized,
+// through Transient and through a session's RunTransient.
+func TestTransientRejectsOversizedGrid(t *testing.T) {
+	check := func(what string, err error) {
+		t.Helper()
+		var ge *GridError
+		if !errors.Is(err, ErrInvalidOptions) || !errors.As(err, &ge) || ge.Dt != 1e-19 || ge.TStop != 2e-9 {
+			t.Errorf("%s: err = %v, want *GridError on Dt = 1e-19", what, err)
+		}
+	}
+	_, err := Transient(context.Background(), optTestCircuit(), Options{Dt: 1e-19, TStop: 2e-9})
+	check("Transient", err)
+	sess, err := NewSession(Compile(optTestCircuit()), Options{Dt: 1e-19})
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, err = sess.RunTransient(context.Background(), 2e-9)
+	check("RunTransient", err)
+}
+
+// GridSteps keeps the legacy loop's step count, and its cap counts samples
+// of every recorded signal: 2^25 in all fit, one point more does not.
+func TestGridSteps(t *testing.T) {
+	for _, tc := range []struct {
+		tstop, dt float64
+		n         int
+	}{{1e-9, 1e-12, 1000}, {777.7e-12, 2e-12, 389}, {0.4e-12, 1e-12, 0}, {0.6e-12, 1e-12, 1}} {
+		if n, err := GridSteps(tc.tstop, tc.dt, 3); err != nil || n != tc.n {
+			t.Errorf("GridSteps(%g, %g) = %d, %v; want %d steps", tc.tstop, tc.dt, n, err, tc.n)
+		}
+	}
+	for _, tc := range []struct {
+		steps   float64
+		signals int
+		ok      bool
+	}{{1<<25 - 1, 1, true}, {1 << 25, 1, false}, {1<<24 - 1, 2, true}, {1 << 24, 2, false}} {
+		n, err := GridSteps(tc.steps, 1, tc.signals)
+		var ge *GridError
+		switch {
+		case tc.ok && (err != nil || n != int(tc.steps)):
+			t.Errorf("%g steps of %d signals: %d, %v; want accepted", tc.steps, tc.signals, n, err)
+		case !tc.ok && !errors.As(err, &ge):
+			t.Errorf("%g steps of %d signals: err = %v, want *GridError", tc.steps, tc.signals, err)
+		}
+	}
+}

@@ -843,9 +843,12 @@ func (s *Session) RunTransientInto(ctx context.Context, res *Result, tstop float
 	// Indexed time grid: t = k·h instead of the legacy accumulating
 	// t += h, which drifted by an ulp per step and could drop or duplicate
 	// the final step on long runs (TestTransientStepCountExact pins the
-	// count at large tstop/Dt ratios). nsteps reproduces the legacy loop's
-	// step count: it ran while t ≤ tstop + h/2.
-	nsteps := int(math.Floor(tstop/h + 0.5))
+	// count at large tstop/Dt ratios). The result records the time axis,
+	// s.n node voltages and s.m branch currents at every point.
+	nsteps, err := GridSteps(tstop, h, 1+s.n+s.m)
+	if err != nil {
+		return err
+	}
 	res.reset(s.prog.ckt, s.n, s.m, nsteps+1)
 
 	// Linear fast path, part 1: the operating point (see solveDC). Warm-start
