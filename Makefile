@@ -47,6 +47,8 @@ bench:
 	$(GO) test -run xxx -bench 'Table2Macromodel|MacromodelEngine|AlignWorstCase' -benchmem .
 	$(GO) test -run xxx -bench 'MulVecInto' -benchmem ./internal/linalg
 	$(GO) test -run xxx -bench 'INVLoadCurveSweep|NAND2LoadCurveSweepFine' -benchmem ./internal/charlib
+	$(GO) test -run xxx -bench 'TheveninFit' -benchmem ./internal/thevenin
+	$(GO) test -run xxx -bench 'NRCCharacterize' -benchmem ./internal/nrc
 
 # bench-check vets and tests the benchmark module (every workload at tiny
 # sizes, with its output checks). It is a module of its own, so `go test

@@ -427,9 +427,8 @@ func (c *Cluster) BuildModels(ctx context.Context, opts ModelOptions) (*Models, 
 		// Fit at the base ramp time; alignment offsets are applied at
 		// evaluation time via Driver.Shifted, so re-aligning a cluster
 		// never requires refitting.
-		fitOpts := thevenin.FitOptions{InputSlew: a.slew(), InputT0: a.t0()}.Normalized()
-		fp := fmt.Sprintf("%.17g,%.17g,%.17g,%.17g,%.17g,%.17g",
-			load, fitOpts.InputSlew, fitOpts.InputT0, fitOpts.Dt, fitOpts.Crossings[0], fitOpts.Crossings[1])
+		fitOpts := thevenin.FitOptions{InputSlew: a.slew(), InputT0: a.t0()}
+		fp := fitOpts.Fingerprint(load)
 		fit, err := opts.Cache.Artefact(ctx, "thev", a.Cell, a.FromState, a.SwitchPin, fp, func() (any, error) {
 			return thevenin.Fit(ctx, a.Cell, a.FromState, a.SwitchPin, load, fitOpts)
 		})

@@ -80,6 +80,11 @@ func (o Options) normalize() Options {
 // (sim.Session.Predictor).
 // Heights agree with a cold characterisation within one bisection bracket
 // (TestWarmStartCurveMatchesCold).
+//
+// A probe's transient stops at its first failing sample: one sample
+// decides a failure, and the next probe's warm seed is the DC point, not
+// the transient's last state, so every height is bit-identical to a curve
+// whose probes run their whole window (DESIGN.md §16).
 func Characterize(ctx context.Context, cl *cell.Cell, st cell.State, pin string, opts Options) (*Curve, error) {
 	return characterize(ctx, cl, st, pin, opts, true)
 }
@@ -144,6 +149,10 @@ type glitchRig struct {
 	quietIn  float64
 	quietOut float64
 	sign     float64
+	// stop ends a probe at its first failing sample, by the comparison
+	// glitchFails makes on the measured peak: |v − quietOut| ≥ FailFrac·VDD.
+	// A nil stop runs every probe to the end of its window.
+	stop func(x []float64) bool
 	// res is the reused transient result storage: after the first probe a
 	// bisection step allocates only its glitch waveform and measurement.
 	res sim.Result
@@ -179,13 +188,17 @@ func newGlitchRig(cl *cell.Cell, st cell.State, pin string, opts Options, seeded
 	}
 	sess.WarmStart(seeded)
 	sess.Predictor(seeded)
+	quietOut := cl.PinVoltage(cl.Logic(st))
+	out, _ := ckt.LookupNode("out")
+	thr := opts.FailFrac * cl.Tech.VDD
 	return &glitchRig{
 		sess:     sess,
 		hGlitch:  prog.MustSource("v_" + pin),
 		vdd:      cl.Tech.VDD,
 		quietIn:  quietIn,
-		quietOut: cl.PinVoltage(cl.Logic(st)),
+		quietOut: quietOut,
 		sign:     sign,
+		stop:     func(x []float64) bool { return math.Abs(x[out]-quietOut) >= thr },
 	}, nil
 }
 
@@ -226,9 +239,11 @@ func bisectFailingHeight(ctx context.Context, rig *glitchRig, width float64, opt
 
 // glitchFails simulates the receiver with a triangular glitch on the pin
 // and reports whether the output deviation exceeds the failure threshold.
+// The run stops at the first failing sample (r.stop); the recorded prefix
+// holds that sample, so its measured peak fails exactly as the full run's.
 func (r *glitchRig) glitchFails(ctx context.Context, height, width float64, opts Options) (bool, error) {
 	r.sess.SetSource(r.hGlitch, wave.Triangle(r.quietIn, r.sign*height, glitchT0, width))
-	if err := r.sess.RunTransientInto(ctx, &r.res, glitchT0+width+1e-9); err != nil {
+	if err := r.sess.RunTransientUntil(ctx, &r.res, glitchT0+width+1e-9, r.stop); err != nil {
 		return false, err
 	}
 	m := wave.MeasureNoise(r.res.Waveform("out"), r.quietOut)

@@ -490,10 +490,13 @@ func (s *Session) newton(lin *linalg.Matrix, x, b []float64, relaxed bool) error
 		}
 		s.lu.SolveInto(s.dx, s.f)
 		dx := s.dx
-		// Damping: bound the voltage update.
+		// Damping: bound the voltage update. A NaN component is kept in
+		// maxdv (and below in maxf), so a non-finite update or residual
+		// never passes the convergence test: the solve ends in
+		// ErrNoConvergence instead of accepting a NaN iterate.
 		maxdv := 0.0
 		for i := 0; i < s.n; i++ {
-			if a := math.Abs(dx[i]); a > maxdv {
+			if a := math.Abs(dx[i]); a > maxdv || math.IsNaN(a) {
 				maxdv = a
 			}
 		}
@@ -523,7 +526,7 @@ func (s *Session) newton(lin *linalg.Matrix, x, b []float64, relaxed bool) error
 		}
 		maxf := 0.0
 		for i := 0; i < s.n; i++ {
-			if a := math.Abs(s.f[i]); a > maxf {
+			if a := math.Abs(s.f[i]); a > maxf || math.IsNaN(a) {
 				maxf = a
 			}
 		}
@@ -559,7 +562,7 @@ func (s *Session) linearRefine(lin *linalg.Matrix, x, b []float64) error {
 		dx := s.dx
 		maxdv := 0.0
 		for i := 0; i < s.n; i++ {
-			if a := math.Abs(dx[i]); a > maxdv {
+			if a := math.Abs(dx[i]); a > maxdv || math.IsNaN(a) {
 				maxdv = a
 			}
 		}
@@ -572,7 +575,7 @@ func (s *Session) linearRefine(lin *linalg.Matrix, x, b []float64) error {
 		}
 		maxf := 0.0
 		for i := 0; i < s.n; i++ {
-			if a := math.Abs(s.f[i]); a > maxf {
+			if a := math.Abs(s.f[i]); a > maxf || math.IsNaN(a) {
 				maxf = a
 			}
 		}
@@ -823,8 +826,25 @@ func (s *Session) RunTransient(ctx context.Context, tstop float64) (*Result, err
 // wave.FromPoints copies its inputs; slices read directly from Result are
 // overwritten by the next run.
 func (s *Session) RunTransientInto(ctx context.Context, res *Result, tstop float64) error {
+	return s.RunTransientUntil(ctx, res, tstop, nil)
+}
+
+// RunTransientUntil is RunTransientInto that ends the run early: after
+// each sample it records, the operating point at t = 0 included, it calls
+// stop with the session's unknown vector for that sample — node voltages
+// indexed by circuit.NodeID, then voltage-source branch currents, the
+// layout of DCResult.X — and returns as soon as stop reports true. stop
+// must neither modify nor retain the slice. A nil stop runs to tstop.
+//
+// Stopping skips steps; it never changes one. A run stopped at step k
+// holds k+1 samples, each bit-identical to the same sample of the full
+// run, and the counters (Stats, Snapshot) count only the steps executed.
+// A consumer that reads only a prefix of the run therefore gets the same
+// answer whenever stop fires at or after the sample that decides it
+// (DESIGN.md §16).
+func (s *Session) RunTransientUntil(ctx context.Context, res *Result, tstop float64, stop func(x []float64) bool) error {
 	if res == nil {
-		panic("sim: RunTransientInto with nil result")
+		panic("sim: RunTransientUntil with nil result")
 	}
 	defer s.publish(s.stats)
 	s.stats.Transient++
@@ -860,6 +880,9 @@ func (s *Session) RunTransientInto(ctx context.Context, res *Result, tstop float
 	}
 	x := s.x // holds the operating point
 	res.record(0, x)
+	if stop != nil && stop(x) {
+		return nil
+	}
 
 	// Transient system matrix: base + capacitor companion conductances.
 	geqFactor := 1.0 / h // BE
@@ -996,6 +1019,9 @@ func (s *Session) RunTransientInto(ctx context.Context, res *Result, tstop float
 		}
 		s.stats.TransientSteps++
 		res.record(t, x)
+		if stop != nil && stop(x) {
+			return nil
+		}
 	}
 	return nil
 }

@@ -1,0 +1,174 @@
+package sim
+
+import (
+	"context"
+	"errors"
+	"math"
+	"testing"
+
+	"stanoise/internal/circuit"
+	"stanoise/internal/tech"
+	"stanoise/internal/wave"
+)
+
+// sameSamples reports the first sample of got that is not bit-identical
+// to the same sample of want (time axis, every node voltage and branch
+// current), or -1 when all len(got.Times) samples match.
+func sameSamples(got, want *Result) int {
+	for i := range got.Times {
+		if math.Float64bits(got.Times[i]) != math.Float64bits(want.Times[i]) {
+			return i
+		}
+		for n := range got.nodeV {
+			if math.Float64bits(got.nodeV[n][i]) != math.Float64bits(want.nodeV[n][i]) {
+				return i
+			}
+		}
+		for k := range got.branchI {
+			if math.Float64bits(got.branchI[k][i]) != math.Float64bits(want.branchI[k][i]) {
+				return i
+			}
+		}
+	}
+	return -1
+}
+
+// TestRunTransientUntilStopsAtSample pins the stop contract on INV and
+// NAND2 glitch benches of both cards, predictor on and off: a run stopped
+// at step k records exactly k+1 samples, each bit-identical to the full
+// run's; it advances TransientSteps by k (with PredictorSeeds still one
+// short of it); stop sees each sample just as it was recorded; and a stop
+// that never fires is the full run, bit for bit and counter for counter.
+func TestRunTransientUntilStopsAtSample(t *testing.T) {
+	const tstop = 600e-12
+	ctx := context.Background()
+	for _, tc := range []*tech.Tech{tech.Tech130(), tech.Tech90()} {
+		for _, kind := range []string{"INV", "NAND2"} {
+			for _, pred := range []bool{false, true} {
+				ckt := glitchRig(t, tc, kind)
+				out, _ := ckt.LookupNode("out")
+				sess, err := NewSession(Compile(ckt), Options{Dt: 1e-12})
+				if err != nil {
+					t.Fatal(err)
+				}
+				sess.Predictor(pred)
+				var full Result
+				before := sess.Stats()
+				if err := sess.RunTransientInto(ctx, &full, tstop); err != nil {
+					t.Fatal(err)
+				}
+				fullWork := sess.Stats().Sub(before)
+				nsteps := full.Steps() - 1
+
+				for _, k := range []int{0, 1, 2, 3, 250, nsteps - 1, nsteps} {
+					var res Result
+					seen := 0
+					stop := func(x []float64) bool {
+						if math.Float64bits(x[out]) != math.Float64bits(full.At("out", seen)) {
+							t.Errorf("%s/%s pred=%v: stop saw out=%v at sample %d, recorded %v",
+								tc.Name, kind, pred, x[out], seen, full.At("out", seen))
+						}
+						seen++
+						return seen == k+1
+					}
+					before := sess.Stats()
+					if err := sess.RunTransientUntil(ctx, &res, tstop, stop); err != nil {
+						t.Fatal(err)
+					}
+					d := sess.Stats().Sub(before)
+					if res.Steps() != k+1 {
+						t.Fatalf("%s/%s pred=%v stop at %d: %d samples, want %d", tc.Name, kind, pred, k, res.Steps(), k+1)
+					}
+					if i := sameSamples(&res, &full); i >= 0 {
+						t.Fatalf("%s/%s pred=%v stop at %d: sample %d differs from the full run", tc.Name, kind, pred, k, i)
+					}
+					if d.TransientSteps != int64(k) || d.Transient != 1 || d.DC != 1 {
+						t.Errorf("%s/%s pred=%v stop at %d: counted %d steps, %d transients, %d DC; want %d, 1, 1",
+							tc.Name, kind, pred, k, d.TransientSteps, d.Transient, d.DC, k)
+					}
+					wantSeeds := int64(0)
+					if pred && k > 0 {
+						wantSeeds = d.TransientSteps - 1
+					}
+					if d.PredictorSeeds != wantSeeds {
+						t.Errorf("%s/%s pred=%v stop at %d: %d predictor seeds, want %d", tc.Name, kind, pred, k, d.PredictorSeeds, wantSeeds)
+					}
+				}
+
+				var never Result
+				before = sess.Stats()
+				if err := sess.RunTransientUntil(ctx, &never, tstop, func([]float64) bool { return false }); err != nil {
+					t.Fatal(err)
+				}
+				if d := sess.Stats().Sub(before); d != fullWork {
+					t.Errorf("%s/%s pred=%v: never-firing stop counted %+v, full run %+v", tc.Name, kind, pred, d, fullWork)
+				}
+				if never.Steps() != full.Steps() || sameSamples(&never, &full) >= 0 {
+					t.Errorf("%s/%s pred=%v: never-firing stop is not the full run", tc.Name, kind, pred)
+				}
+			}
+		}
+	}
+}
+
+// nanVCCS is a 1 mS resistor to ground realised as a VCCS whose current
+// (or, with slope set, whose output conductance) turns NaN once the
+// controlling voltage exceeds above — a device model gone non-finite.
+type nanVCCS struct {
+	slope bool
+	above float64
+}
+
+func (f nanVCCS) Eval(vc, vo float64) (float64, float64, float64) {
+	i, gout := -1e-3*vo, -1e-3
+	if vc > f.above {
+		if f.slope {
+			gout = math.NaN()
+		} else {
+			i = math.NaN()
+		}
+	}
+	return i, 0, gout
+}
+
+// nanBench is a source → 1 kΩ → node bench loaded by nanVCCS, with 10 fF
+// on the node.
+func nanBench(src *wave.Waveform, f nanVCCS) *circuit.Circuit {
+	c := circuit.New()
+	c.AddV("vs", "in", "0", src)
+	c.AddR("r1", "in", "out", 1000)
+	c.AddVCCS("g1", "in", "out", f)
+	c.AddC("c1", "out", "0", 10e-15)
+	return c
+}
+
+// TestNewtonRejectsNaN: a device evaluation that returns NaN must end the
+// solve in ErrNoConvergence. A NaN |Δx| or residual fails an `a > max`
+// test, so maxima taken that way stay finite and Newton accepts NaN
+// iterates: DC and transient runs return no error and NaN samples.
+func TestNewtonRejectsNaN(t *testing.T) {
+	for _, slope := range []bool{false, true} {
+		// DC: the 1 V source puts the control above the NaN threshold at
+		// the operating point.
+		if _, err := DC(nanBench(wave.Constant(1), nanVCCS{slope: slope, above: 0.5}), Options{}); !errors.Is(err, ErrNoConvergence) {
+			t.Errorf("slope=%v: DC error %v, want ErrNoConvergence", slope, err)
+		}
+		// Transient: the operating point at 0 V is finite, and the ramp
+		// crosses the threshold mid-run.
+		ckt := nanBench(wave.SaturatedRamp(0, 1, 100e-12, 100e-12), nanVCCS{slope: slope, above: 0.5})
+		for _, pred := range []bool{false, true} {
+			sess, err := NewSession(Compile(ckt), Options{Dt: 1e-12})
+			if err != nil {
+				t.Fatal(err)
+			}
+			sess.Predictor(pred)
+			res, err := sess.RunTransient(context.Background(), 400e-12)
+			if !errors.Is(err, ErrNoConvergence) {
+				t.Errorf("slope=%v pred=%v: transient error %v, want ErrNoConvergence", slope, pred, err)
+			}
+			if res != nil {
+				t.Errorf("slope=%v pred=%v: transient returned a result of %d samples", slope, pred, res.Steps())
+			}
+		}
+	}
+}

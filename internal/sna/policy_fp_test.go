@@ -2,10 +2,14 @@ package sna
 
 import (
 	"context"
+	"slices"
+	"sort"
+	"strings"
 	"testing"
 
 	"stanoise/internal/cell"
 	"stanoise/internal/charlib"
+	"stanoise/internal/core"
 	"stanoise/internal/nrc"
 	"stanoise/internal/tech"
 )
@@ -65,5 +69,36 @@ func TestPinnedPolicyFingerprints(t *testing.T) {
 	if rec["lc"] != lc || rec["prop"] != prop || rec["nrc"] != nrcs {
 		t.Errorf("fingerprints (lc %q, prop %q, nrc %q), want (%q, %q, %q)",
 			rec["lc"], rec["prop"], rec["nrc"], lc, prop, nrcs)
+	}
+}
+
+// TestPinnedTheveninFingerprint pins the options fingerprint of the
+// Thevenin fits of one generated cluster's two aggressors: the lumped load,
+// the input ramp, the golden step and the two matched crossings, each
+// %.17g. It is the optsFP of every "thev" memory and store key, so these
+// literals keep stored fits reachable whatever shape the fit options take.
+func TestPinnedTheveninFingerprint(t *testing.T) {
+	d := GenerateDesign("reference", 48)
+	cl, err := d.BuildCluster(d.Clusters[1])
+	if err != nil {
+		t.Fatal(err)
+	}
+	cache := charlib.NewCache()
+	if _, err := cl.BuildModels(context.Background(), core.ModelOptions{Cache: cache, SkipProp: true}); err != nil {
+		t.Fatal(err)
+	}
+	var got []string
+	for _, k := range cache.Keys() {
+		if strings.HasPrefix(k, "thev|") {
+			got = append(got, k[strings.LastIndex(k, "|")+1:])
+		}
+	}
+	sort.Strings(got)
+	want := []string{
+		"3.53185e-14,7.9999999999999995e-11,2.0000000000000001e-10,9.9999999999999998e-13,0.5,0.80000000000000004",
+		"3.8798500000000001e-14,7.9999999999999995e-11,2.0000000000000001e-10,9.9999999999999998e-13,0.5,0.80000000000000004",
+	}
+	if !slices.Equal(got, want) {
+		t.Errorf("thevenin fingerprints %q, want %q", got, want)
 	}
 }

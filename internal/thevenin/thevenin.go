@@ -48,17 +48,30 @@ func (d *Driver) Shifted(dt float64) *Driver {
 type FitOptions struct {
 	InputSlew float64 // input ramp transition time; default 60 ps
 	InputT0   float64 // input ramp start; default 100 ps
-	Dt        float64 // golden simulation step; default 1 ps
-	// Crossings are the two normalised swing fractions matched between the
-	// golden response and the linear model; defaults {0.5, 0.8} — the 50 %
-	// point and the 80 %-complete point.
-	Crossings [2]float64
 }
 
-// Normalized returns the options with every default filled in — the
-// canonical form callers should fingerprint when memoizing fits, so that
-// zero values and explicit defaults key identically.
-func (o FitOptions) Normalized() FitOptions { return o.normalize() }
+// The golden switch simulation's step, and the two normalised swing
+// fractions matched between the golden response and the linear model: the
+// 50 % point and the 80 %-complete point. The golden run stops at the first
+// sample at or past crossHi, so crossHi must be the later crossing. They
+// are typed float64 so that constant expressions over them round as
+// float64 arithmetic does: untyped, (1−crossLo)/(1−crossHi) would fold to
+// exactly 2.5, where float64 gives 2.5000000000000004.
+const (
+	fitDt            float64 = 1e-12
+	crossLo, crossHi float64 = 0.5, 0.8
+)
+
+// Fingerprint returns the canonical options key of a fit into a lumped
+// load of loadCap farads: the load, the normalised input ramp, the golden
+// step and the two crossings, each %.17g. Zero values and explicit
+// defaults key identically. It keys every memoized and stored fit, so its
+// text is pinned (sna.TestPinnedTheveninFingerprint).
+func (o FitOptions) Fingerprint(loadCap float64) string {
+	o = o.normalize()
+	return fmt.Sprintf("%.17g,%.17g,%.17g,%.17g,%.17g,%.17g",
+		loadCap, o.InputSlew, o.InputT0, fitDt, crossLo, crossHi)
+}
 
 func (o FitOptions) normalize() FitOptions {
 	if o.InputSlew <= 0 {
@@ -67,19 +80,27 @@ func (o FitOptions) normalize() FitOptions {
 	if o.InputT0 <= 0 {
 		o.InputT0 = 100e-12
 	}
-	if o.Dt <= 0 {
-		o.Dt = 1e-12
-	}
-	if o.Crossings[0] == 0 && o.Crossings[1] == 0 {
-		o.Crossings = [2]float64{0.5, 0.8}
-	}
 	return o
 }
 
 // Fit characterises the aggressor driver cl switching pin switchPin from
 // fromState (the remaining pins stay at their fromState rails), driving a
 // lumped load of loadCap farads.
+//
+// The fit reads only the two crossing times of the golden transistor-level
+// response, so the golden run stops at its first sample at or past the 80 %
+// crossing. The driver's output starts at the pre-transition rail
+// (progress ≈ 0), so the 50 % crossing lies at or before that sample, and
+// the fitted Driver is bit-identical to one fitted from the full window
+// (DESIGN.md §16).
 func Fit(ctx context.Context, cl *cell.Cell, fromState cell.State, switchPin string, loadCap float64, opts FitOptions) (*Driver, error) {
+	return fit(ctx, cl, fromState, switchPin, loadCap, opts, true)
+}
+
+// fit is Fit with the golden run's early stop as an argument: Fit passes
+// true, and the tests pass false for the full-window reference the stopped
+// fit is held to bit for bit.
+func fit(ctx context.Context, cl *cell.Cell, fromState cell.State, switchPin string, loadCap float64, opts FitOptions, stopEarly bool) (*Driver, error) {
 	opts = opts.normalize()
 	toState := fromState.Clone()
 	toState[switchPin] = !toState[switchPin]
@@ -97,15 +118,19 @@ func Fit(ctx context.Context, cl *cell.Cell, fromState cell.State, switchPin str
 		return nil, err
 	}
 
-	// Golden transistor-level response.
-	goldenOut, err := simulateSwitch(ctx, cl, fromState, switchPin, loadCap, opts)
+	// Golden transistor-level response, and the crossing times of its
+	// normalised transition progress.
+	progress := func(v float64) float64 { return (v - v0) / (v1 - v0) }
+	var stop func(v float64) bool
+	if stopEarly {
+		stop = func(v float64) bool { return progress(v) >= crossHi }
+	}
+	goldenOut, err := simulateSwitch(ctx, cl, fromState, switchPin, loadCap, opts, stop)
 	if err != nil {
 		return nil, err
 	}
-	// Crossing times of the normalised transition progress.
-	progress := func(v float64) float64 { return (v - v0) / (v1 - v0) }
-	tA := crossingTime(goldenOut, progress, opts.Crossings[0])
-	tB := crossingTime(goldenOut, progress, opts.Crossings[1])
+	tA := crossingTime(goldenOut, progress, crossLo)
+	tB := crossingTime(goldenOut, progress, crossHi)
 	if math.IsInf(tA, 0) || math.IsInf(tB, 0) || tB <= tA {
 		return nil, fmt.Errorf("thevenin: golden response of %s never completes its transition", cl.Name())
 	}
@@ -114,21 +139,21 @@ func Fit(ctx context.Context, cl *cell.Cell, fromState cell.State, switchPin str
 	// spread tB−tA, then place t0 from the first crossing.
 	tau := rth * loadCap
 	spread := tB - tA
-	trFit := fitRampDuration(tau, opts.Crossings, spread)
+	trFit := fitRampDuration(tau, spread)
 	if trFit <= 2e-13 && loadCap > 0 {
 		// The golden transition is sharper than the pure RC tail of the
 		// mid-swing resistance: even an instantaneous ramp spreads too
 		// much. Re-fit the resistance from the observed spread instead
 		// (the Dartu–Pileggi iteration adapts R_TH the same way) and keep
 		// a short ramp.
-		tauFit := spread / math.Log((1-opts.Crossings[0])/(1-opts.Crossings[1]))
+		tauFit := spread / math.Log((1-crossLo)/(1-crossHi))
 		if tauFit > 0 && tauFit < tau {
 			rth = tauFit / loadCap
 			tau = tauFit
 		}
-		trFit = fitRampDuration(tau, opts.Crossings, spread)
+		trFit = fitRampDuration(tau, spread)
 	}
-	t0 := tA - rampCrossing(trFit, tau, opts.Crossings[0])
+	t0 := tA - rampCrossing(trFit, tau, crossLo)
 	return &Driver{V0: v0, V1: v1, T0: t0, Tr: trFit, RTh: rth}, nil
 }
 
@@ -161,7 +186,12 @@ func midSwingResistance(cl *cell.Cell, toState cell.State, v0, v1 float64) (floa
 	return math.Abs(mid-v1) / i, nil
 }
 
-func simulateSwitch(ctx context.Context, cl *cell.Cell, fromState cell.State, switchPin string, loadCap float64, opts FitOptions) (*wave.Waveform, error) {
+// simulateSwitch runs the golden transistor-level switch of the driver
+// into loadCap and returns its output waveform. With a non-nil stop the run
+// ends at the first sample whose output voltage stop accepts; a nil stop
+// simulates the whole window. The session is cold (no warm start, no
+// predictor): a fit solves this bench once.
+func simulateSwitch(ctx context.Context, cl *cell.Cell, fromState cell.State, switchPin string, loadCap float64, opts FitOptions, stop func(v float64) bool) (*wave.Waveform, error) {
 	ckt := circuit.New()
 	ckt.AddVDC("vdd", "vdd", "0", cl.Tech.VDD)
 	pins := map[string]string{}
@@ -182,9 +212,18 @@ func simulateSwitch(ctx context.Context, cl *cell.Cell, fromState cell.State, sw
 	if loadCap > 0 {
 		ckt.AddC("cl", "out", "0", loadCap)
 	}
-	tstop := opts.InputT0 + opts.InputSlew + 2e-9
-	res, err := sim.Transient(ctx, ckt, sim.Options{Dt: opts.Dt, TStop: tstop})
+	sess, err := sim.NewSession(sim.Compile(ckt), sim.Options{Dt: fitDt})
 	if err != nil {
+		return nil, fmt.Errorf("thevenin: golden switch simulation: %w", err)
+	}
+	var until func(x []float64) bool
+	if stop != nil {
+		out, _ := ckt.LookupNode("out")
+		until = func(x []float64) bool { return stop(x[out]) }
+	}
+	var res sim.Result
+	tstop := opts.InputT0 + opts.InputSlew + 2e-9
+	if err := sess.RunTransientUntil(ctx, &res, tstop, until); err != nil {
 		return nil, fmt.Errorf("thevenin: golden switch simulation: %w", err)
 	}
 	return res.Waveform("out"), nil
@@ -228,11 +267,16 @@ func rampCrossing(tr, tau, frac float64) float64 {
 		}
 	}
 	for k := 0; k < 80; k++ {
+		pLo, pHi := lo, hi
 		midT := 0.5 * (lo + hi)
 		if rampResponse(midT, tr, tau) < frac {
 			lo = midT
 		} else {
 			hi = midT
+		}
+		if lo == pLo && hi == pHi {
+			// A fixed point: every later pass leaves (lo, hi) unchanged too.
+			break
 		}
 	}
 	return 0.5 * (lo + hi)
@@ -241,9 +285,9 @@ func rampCrossing(tr, tau, frac float64) float64 {
 // fitRampDuration finds tr such that the spread between the two crossing
 // times of the linear model equals the golden spread. The spread grows
 // monotonically with tr, so bisection is safe.
-func fitRampDuration(tau float64, crossings [2]float64, spread float64) float64 {
+func fitRampDuration(tau, spread float64) float64 {
 	spreadOf := func(tr float64) float64 {
-		return rampCrossing(tr, tau, crossings[1]) - rampCrossing(tr, tau, crossings[0])
+		return rampCrossing(tr, tau, crossHi) - rampCrossing(tr, tau, crossLo)
 	}
 	lo := 1e-13
 	hi := 10 * spread
@@ -256,11 +300,15 @@ func fitRampDuration(tau float64, crossings [2]float64, spread float64) float64 
 		return lo
 	}
 	for k := 0; k < 70; k++ {
+		pLo, pHi := lo, hi
 		mid := 0.5 * (lo + hi)
 		if spreadOf(mid) < spread {
 			lo = mid
 		} else {
 			hi = mid
+		}
+		if lo == pLo && hi == pHi {
+			break // a fixed point, as in rampCrossing
 		}
 	}
 	return 0.5 * (lo + hi)

@@ -75,7 +75,7 @@ func TestFittedModelMatchesGolden(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	golden, err := simulateSwitch(context.Background(), inv, cell.State{"A": false}, "A", load, opts.normalize())
+	golden, err := simulateSwitch(context.Background(), inv, cell.State{"A": false}, "A", load, opts.normalize(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
