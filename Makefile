@@ -44,8 +44,9 @@ golden-check:
 # bench regenerates the benchmark numbers recorded in EXPERIMENTS.md.
 bench:
 	$(GO) test -run xxx -bench 'DesignAnalyze|LoadCurveCharacterization|Speedup' -benchtime=1x -benchmem .
-	$(GO) test -run xxx -bench 'Table2Macromodel|MacromodelEngine|AlignWorstCase' -benchmem .
+	$(GO) test -run xxx -bench 'Table2Macromodel|MacromodelEngine|AlignWorstCase|Table1Golden|Table2Golden' -benchmem .
 	$(GO) test -run xxx -bench 'MulVecInto' -benchmem ./internal/linalg
+	$(GO) test -run xxx -bench 'TransientLowRank' -benchmem ./internal/sim
 	$(GO) test -run xxx -bench 'INVLoadCurveSweep|NAND2LoadCurveSweepFine' -benchmem ./internal/charlib
 	$(GO) test -run xxx -bench 'TheveninFit' -benchmem ./internal/thevenin
 	$(GO) test -run xxx -bench 'NRCCharacterize' -benchmem ./internal/nrc

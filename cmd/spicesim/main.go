@@ -6,9 +6,10 @@
 //
 // With -stats a solver-counter line is printed to stderr after the run
 // (key=value pairs: dc_solves, transients, newton_iters,
-// linear_fast_path_runs, transient_steps, predictor_seeds). CI greps it to
-// assert that a pure-RC transient takes the linear fast path with zero
-// Newton iterations.
+// linear_fast_path_runs, low_rank_runs, low_rank_fallbacks,
+// transient_steps, predictor_seeds). CI greps it to assert that a pure-RC
+// transient takes the linear fast path with zero Newton iterations, and
+// that an inverter driving an RC line takes the factored step loop.
 package main
 
 import (
@@ -49,7 +50,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 	tstop := fs.String("tstop", "2n", "transient stop time (with engineering suffix)")
 	dt := fs.String("dt", "1p", "transient step (with engineering suffix)")
 	probe := fs.String("probe", "", "comma-separated node names to print (default: all)")
-	stats := fs.Bool("stats", false, "print solver counters (Newton iterations, fast-path runs) to stderr after the run")
+	stats := fs.Bool("stats", false, "print solver counters (Newton iterations, fast-path and low-rank runs) to stderr after the run")
 	if err := fs.Parse(args); err != nil {
 		if errors.Is(err, flag.ErrHelp) {
 			return nil
@@ -121,8 +122,8 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 // writeStats prints the run's solver-counter delta as a single grep-able
 // key=value line.
 func writeStats(w io.Writer, c sim.Counters) {
-	fmt.Fprintf(w, "stats: dc_solves=%d transients=%d newton_iters=%d linear_fast_path_runs=%d transient_steps=%d predictor_seeds=%d\n",
-		c.DC, c.Transient, c.NewtonIters, c.LinearFastPathRuns, c.TransientSteps, c.PredictorSeeds)
+	fmt.Fprintf(w, "stats: dc_solves=%d transients=%d newton_iters=%d linear_fast_path_runs=%d low_rank_runs=%d low_rank_fallbacks=%d transient_steps=%d predictor_seeds=%d\n",
+		c.DC, c.Transient, c.NewtonIters, c.LinearFastPathRuns, c.LowRankRuns, c.LowRankFallbacks, c.TransientSteps, c.PredictorSeeds)
 }
 
 func probeList(ckt *circuit.Circuit, probe string) ([]string, error) {

@@ -49,6 +49,47 @@ func TestRunTransientCSV(t *testing.T) {
 	}
 }
 
+// TestRunNonlinearFactored runs the inverter-into-RC-line netlist the CI
+// smoke runs: the output must fall and settle near 0 V at the far end, and
+// the -stats line must show one transient on the factored step loop, with
+// Newton iterations (the transistors are nonlinear) and no fallback.
+func TestRunNonlinearFactored(t *testing.T) {
+	var out, errb strings.Builder
+	err := run(context.Background(),
+		[]string{"-tstop", "2n", "-dt", "1p", "-probe", "n20", "-stats", "testdata/inv_line.sp"}, &out, &errb)
+	if err != nil {
+		t.Fatalf("run transient: %v (stderr: %s)", err, errb.String())
+	}
+	lines := strings.Split(strings.TrimSpace(out.String()), "\n")
+	if lines[0] != "t,n20" || len(lines) < 1000 {
+		t.Fatalf("header %q, %d CSV rows", lines[0], len(lines))
+	}
+	first, perr := strconv.ParseFloat(strings.Split(lines[1], ",")[1], 64)
+	if perr != nil {
+		t.Fatal(perr)
+	}
+	last, perr := strconv.ParseFloat(strings.Split(lines[len(lines)-1], ",")[1], 64)
+	if perr != nil {
+		t.Fatal(perr)
+	}
+	if first < 1.1 || math.Abs(last) > 0.01 {
+		t.Errorf("v(n20) went %v -> %v, want ~1.2 V falling to ~0", first, last)
+	}
+	stats := map[string]int64{}
+	for _, kv := range strings.Fields(strings.TrimPrefix(strings.TrimSpace(errb.String()), "stats: ")) {
+		k, v, _ := strings.Cut(kv, "=")
+		n, perr := strconv.ParseInt(v, 10, 64)
+		if perr != nil {
+			t.Fatalf("stats field %q: %v", kv, perr)
+		}
+		stats[k] = n
+	}
+	if stats["low_rank_runs"] != 1 || stats["low_rank_fallbacks"] != 0 || stats["newton_iters"] <= 0 ||
+		stats["linear_fast_path_runs"] != 0 {
+		t.Errorf("stats %v, want low_rank_runs=1, low_rank_fallbacks=0, newton_iters > 0, no linear fast path", stats)
+	}
+}
+
 func TestRunErrors(t *testing.T) {
 	var out, errb strings.Builder
 	if err := run(context.Background(), []string{}, &out, &errb); err != errUsage {

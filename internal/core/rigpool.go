@@ -40,18 +40,15 @@ import (
 type RigPool struct {
 	rigs   map[string]*pooledEntry
 	limits RigPoolLimits
-	bytes  int64
 	seq    int64
 	hits   int
 	misses int
 }
 
-// pooledEntry pairs a bench with its last-use stamp for LRU eviction and
-// the byte estimate it was admitted under.
+// pooledEntry pairs a bench with its last-use stamp for LRU eviction.
 type pooledEntry struct {
 	rig     *simRig
 	lastUse int64
-	bytes   int64
 }
 
 // RigPoolLimits bounds a pool's resident compiled benches. The zero value
@@ -102,28 +99,43 @@ func NewRigPoolWithLimits(l RigPoolLimits) *RigPool {
 // re-attempted (and fails identically) on the next request.
 func (p *RigPool) lookup(key string, build func() (*simRig, error)) (*simRig, error) {
 	p.seq++
-	if e, ok := p.rigs[key]; ok {
+	e, ok := p.rigs[key]
+	if ok {
 		p.hits++
 		e.lastUse = p.seq
-		return e.rig, nil
+	} else {
+		r, err := build()
+		if err != nil {
+			return nil, err
+		}
+		p.misses++
+		e = &pooledEntry{rig: r, lastUse: p.seq}
+		p.rigs[key] = e
 	}
-	r, err := build()
-	if err != nil {
-		return nil, err
-	}
-	p.misses++
-	p.rigs[key] = &pooledEntry{rig: r, lastUse: p.seq, bytes: r.memoryBytes()}
-	p.bytes += p.rigs[key].bytes
 	p.evict()
-	return r, nil
+	return e.rig, nil
+}
+
+// footprint sums the current byte estimate of every pooled bench. It is
+// read from the benches each time, never cached: a bench grows after it is
+// admitted — its session allocates the transient matrices and predictor
+// ring on the first run, and a driver bench keeps its last result — so an
+// estimate taken at admission would undercount.
+func (p *RigPool) footprint() int64 {
+	var b int64
+	for _, e := range p.rigs {
+		b += e.rig.memoryBytes()
+	}
+	return b
 }
 
 // evict removes least-recently-used benches until both limits hold,
 // always sparing the entry touched by the current lookup (lastUse ==
 // p.seq) so the bench about to be used cannot be evicted under it.
 func (p *RigPool) evict() {
+	bytes := p.footprint()
 	for len(p.rigs) > 1 &&
-		(len(p.rigs) > p.limits.MaxRigs || (p.limits.MaxBytes > 0 && p.bytes > p.limits.MaxBytes)) {
+		(len(p.rigs) > p.limits.MaxRigs || (p.limits.MaxBytes > 0 && bytes > p.limits.MaxBytes)) {
 		var oldestKey string
 		oldest := int64(1<<63 - 1)
 		for k, e := range p.rigs {
@@ -134,7 +146,7 @@ func (p *RigPool) evict() {
 		if oldestKey == "" {
 			return
 		}
-		p.bytes -= p.rigs[oldestKey].bytes
+		bytes -= p.rigs[oldestKey].rig.memoryBytes()
 		delete(p.rigs, oldestKey)
 	}
 }
@@ -148,29 +160,33 @@ func (p *RigPool) evict() {
 func (p *RigPool) Invalidate() int {
 	n := len(p.rigs)
 	p.rigs = map[string]*pooledEntry{}
-	p.bytes = 0
 	return n
 }
 
 // Len returns the number of compiled benches held by the pool.
 func (p *RigPool) Len() int { return len(p.rigs) }
 
-// Bytes returns the summed memory estimate of the pooled benches.
-func (p *RigPool) Bytes() int64 { return p.bytes }
+// Bytes returns the summed memory estimate of the pooled benches as they
+// stand now, grown by every run since they were admitted.
+func (p *RigPool) Bytes() int64 { return p.footprint() }
 
 // Stats reports pool effectiveness: hits counts bench compilations avoided
 // by reuse, misses counts benches actually compiled.
 func (p *RigPool) Stats() (hits, misses int) { return p.hits, p.misses }
 
+// programOverhead is the byte estimate of a compiled program's stamp
+// plans, a small constant beside its session's dense solver state.
+const programOverhead = 4096
+
 // memoryBytes estimates a bench's resident footprint: the session's dense
-// solver state dominates; the compiled program's stamp plans are a small
-// constant on top.
+// solver state and the result storage the bench keeps between runs (the
+// driver bench's every-node record) dominate; the compiled program is a
+// small constant on top.
 func (r *simRig) memoryBytes() int64 {
-	const programOverhead = 4096
 	if r == nil || r.sess == nil {
 		return programOverhead
 	}
-	return r.sess.MemoryBytes() + programOverhead
+	return r.sess.MemoryBytes() + r.res.MemoryBytes() + programOverhead
 }
 
 // UseRigPool attaches a pool to the cluster: subsequent evaluations cache

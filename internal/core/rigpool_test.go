@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"fmt"
+	"strings"
 	"testing"
 )
 
@@ -185,6 +186,46 @@ func TestRigPoolByteBound(t *testing.T) {
 	}
 	if tiny.Len() != 1 {
 		t.Fatalf("oversized bench not retained: pool holds %d", tiny.Len())
+	}
+}
+
+// TestRigPoolBytesTrackGrownBenches asserts that the byte bound counts
+// benches as they stand, not as they were admitted: after a golden and a
+// driver-alone evaluation through one pool, Bytes equals the sum of the
+// pooled benches' current footprints — the transient matrices their
+// sessions allocated on the first run and the driver bench's retained
+// every-node result included.
+func TestRigPoolBytesTrackGrownBenches(t *testing.T) {
+	ctx := context.Background()
+	opts := fastEvalOptions()
+	pool := NewRigPool()
+	c := fastCluster(t, 1)
+	c.UseRigPool(pool)
+	if _, err := c.Evaluate(ctx, Golden, nil, opts); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c.DriverAloneResponse(ctx, &Models{LumpedCL: 60e-15}, opts); err != nil {
+		t.Fatal(err)
+	}
+	if pool.Len() != 2 {
+		t.Fatalf("pool holds %d benches, want the golden and the driver bench", pool.Len())
+	}
+	var want int64
+	for key, e := range pool.rigs {
+		r := e.rig
+		want += r.sess.MemoryBytes() + r.res.MemoryBytes() + programOverhead
+		if strings.HasPrefix(key, "driver#") {
+			// The driver bench keeps its last result: the time axis plus
+			// every node and branch series.
+			ckt := r.prog.Circuit()
+			floor := int64(8 * r.res.Steps() * (1 + ckt.NumNodes() + len(ckt.VSources)))
+			if got := r.res.MemoryBytes(); got < floor {
+				t.Errorf("driver result counted as %d bytes, want ≥ %d", got, floor)
+			}
+		}
+	}
+	if got := pool.Bytes(); got != want {
+		t.Errorf("pool.Bytes() = %d, want %d: the pooled benches' current footprint", got, want)
 	}
 }
 

@@ -2,6 +2,7 @@ package sim
 
 import (
 	"context"
+	"fmt"
 	"testing"
 
 	"stanoise/internal/cell"
@@ -194,13 +195,55 @@ func benchLinearTransient(b *testing.B, forceNewton bool) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	sess.noFastPath = forceNewton
+	sess.forceDense = forceNewton
 	res := &Result{}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if err := sess.RunTransientInto(context.Background(), res, 1e-9); err != nil {
 			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkTransientLowRank runs a golden-shaped transient — a NAND2
+// victim and an INV aggressor on coupled RC lines with NLMOS gate charge —
+// at 27 unknowns (8 segments) and 91 (40 segments), on the factored step
+// loop and forced onto the dense Newton. Both take the same Newton
+// iterations (newton-iters/op); the ns/op ratio is the per-iteration
+// saving of substituting against one factor of the step matrix plus a
+// rank-7 correction instead of re-factoring the whole Jacobian.
+func BenchmarkTransientLowRank(b *testing.B) {
+	tc := tech.Tech130().WithNonlinearCaps()
+	for _, segments := range []int{8, 40} {
+		prog := Compile(goldenShapedCircuit(b, tc, "NAND2", segments))
+		for _, dense := range []bool{false, true} {
+			path := "factored"
+			if dense {
+				path = "dense"
+			}
+			b.Run(fmt.Sprintf("n%d/%s", prog.Size(), path), func(b *testing.B) {
+				sess, err := NewSession(prog, Options{Dt: 1e-12})
+				if err != nil {
+					b.Fatal(err)
+				}
+				sess.forceDense = dense
+				// One warm-up run sizes the result and the session's
+				// buffers, so allocs/op is the warm loop's: zero.
+				res := &Result{}
+				if err := sess.RunTransientInto(context.Background(), res, 600e-12); err != nil {
+					b.Fatal(err)
+				}
+				before := sess.Stats()
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					if err := sess.RunTransientInto(context.Background(), res, 600e-12); err != nil {
+						b.Fatal(err)
+					}
+				}
+				b.ReportMetric(float64(sess.Stats().Sub(before).NewtonIters)/float64(b.N), "newton-iters/op")
+			})
 		}
 	}
 }

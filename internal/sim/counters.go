@@ -34,6 +34,14 @@ type Counters struct {
 	// forward/back-substitution, zero Newton iterations. Paired with
 	// NewtonIters it proves a pure-RC run never entered the Newton loop.
 	LinearFastPathRuns int64 `json:"linear_fast_path_runs"`
+	// LowRankRuns counts transient runs of nonlinear programs that took
+	// the factored step loop (DESIGN.md §17): the step matrix factored once
+	// per run and each Newton iteration a substitution plus a rank-r
+	// correction on the device rows. LowRankFallbacks counts the steps of
+	// such runs whose correction failed (a singular K or no convergence)
+	// and were re-solved on the dense Newton.
+	LowRankRuns      int64 `json:"low_rank_runs"`
+	LowRankFallbacks int64 `json:"low_rank_fallbacks"`
 	// TransientSteps counts accepted transient timesteps — the denominator
 	// for per-step work metrics such as the predictor's Newton-iteration
 	// reduction.
@@ -63,6 +71,8 @@ func (c Counters) Add(d Counters) Counters {
 		WarmStarts:         c.WarmStarts + d.WarmStarts,
 		WarmFallbacks:      c.WarmFallbacks + d.WarmFallbacks,
 		LinearFastPathRuns: c.LinearFastPathRuns + d.LinearFastPathRuns,
+		LowRankRuns:        c.LowRankRuns + d.LowRankRuns,
+		LowRankFallbacks:   c.LowRankFallbacks + d.LowRankFallbacks,
 		TransientSteps:     c.TransientSteps + d.TransientSteps,
 		PredictorSeeds:     c.PredictorSeeds + d.PredictorSeeds,
 		PredictorFallbacks: c.PredictorFallbacks + d.PredictorFallbacks,
@@ -80,6 +90,8 @@ func (c Counters) Sub(prev Counters) Counters {
 		WarmStarts:         c.WarmStarts - prev.WarmStarts,
 		WarmFallbacks:      c.WarmFallbacks - prev.WarmFallbacks,
 		LinearFastPathRuns: c.LinearFastPathRuns - prev.LinearFastPathRuns,
+		LowRankRuns:        c.LowRankRuns - prev.LowRankRuns,
+		LowRankFallbacks:   c.LowRankFallbacks - prev.LowRankFallbacks,
 		TransientSteps:     c.TransientSteps - prev.TransientSteps,
 		PredictorSeeds:     c.PredictorSeeds - prev.PredictorSeeds,
 		PredictorFallbacks: c.PredictorFallbacks - prev.PredictorFallbacks,

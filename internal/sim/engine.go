@@ -91,6 +91,20 @@ type Result struct {
 	branchI [][]float64 // [vsrc][step]
 }
 
+// MemoryBytes estimates the storage a Result holds: the capacity of its
+// time axis and of every node and branch series. RunTransientInto reuses
+// that storage, so a Result kept for the next run keeps it resident.
+func (r *Result) MemoryBytes() int64 {
+	n := cap(r.Times)
+	for _, v := range r.nodeV {
+		n += cap(v)
+	}
+	for _, v := range r.branchI {
+		n += cap(v)
+	}
+	return int64(n) * 8
+}
+
 // reset rebinds a caller-owned Result to a circuit and truncates every
 // series to length zero, reusing backing storage when its capacity covers
 // capHint points. After the first RunTransientInto on a given Result, later

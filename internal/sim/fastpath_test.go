@@ -68,8 +68,8 @@ var fastPathCircuits = []struct {
 }
 
 // TestLinearFastPathBitIdentical runs each linear netlist twice on the
-// same compiled Program — once on the fast path, once with the Newton path
-// forced — and requires bitwise-identical results. The fast path hoists
+// same compiled Program — once on the fast path, once with the dense
+// Newton forced — and requires bitwise-identical results. The fast path hoists
 // the factorisation out of a loop whose matrix never changes, so any bit
 // of divergence means it stopped mirroring newton's arithmetic.
 func TestLinearFastPathBitIdentical(t *testing.T) {
@@ -94,7 +94,7 @@ func TestLinearFastPathBitIdentical(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			slowSess.noFastPath = true
+			slowSess.forceDense = true
 			slowRes, err := slowSess.RunTransient(context.Background(), tc.tstop)
 			if err != nil {
 				t.Fatal(err)
@@ -105,6 +105,8 @@ func TestLinearFastPathBitIdentical(t *testing.T) {
 			} else if fs.LinearFastPathRuns != 1 || ss.LinearFastPathRuns != 0 {
 				t.Errorf("LinearFastPathRuns fast=%d slow=%d, want 1/0",
 					fs.LinearFastPathRuns, ss.LinearFastPathRuns)
+			} else if fs.LowRankRuns != 0 {
+				t.Errorf("linear run counted %d low-rank runs; it is the r = 0 case", fs.LowRankRuns)
 			} else if ss.NewtonIters == 0 {
 				t.Error("forced Newton path spent no iterations; hook broken")
 			}

@@ -33,6 +33,11 @@ type Program struct {
 	// Session.RunTransient's linear fast path).
 	linear bool
 
+	// lr is the shape of the factored transient step loop: the device rows
+	// and columns and whether the path is taken (DESIGN.md §17). A linear
+	// program is its r = 0 case.
+	lr lowRankPlan
+
 	// Index-resolved stamp plans. Ground is -1, matching circuit.Ground.
 	res    []resPlan
 	caps   []capPlan
@@ -141,6 +146,7 @@ func Compile(c *circuit.Circuit) *Program {
 		p.isrcIdx[is.Name] = k
 	}
 	p.linear = len(p.mos) == 0 && len(p.vccs) == 0 && len(p.nlcaps) == 0
+	p.lr = p.planLowRank()
 	return p
 }
 

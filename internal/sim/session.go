@@ -103,10 +103,18 @@ type Session struct {
 	xHist     [3][]float64
 	xFallback []float64
 
-	// noFastPath forces the Newton path even for linear programs. Test
-	// hook: the fast-path property tests run both paths on one topology
-	// and assert bit-identical results.
-	noFastPath bool
+	// lr holds the factored step loop's buffers (DESIGN.md §17), allocated
+	// on the first transient run of a program whose shape takes the path;
+	// the loop factors the step matrix into lu.
+	lr *lowRankState
+
+	// forceDense keeps every solve on the dense Newton, whatever the
+	// program's shape. Test hook: the factored-path property tests run
+	// both paths on one topology and compare the results.
+	forceDense bool
+	// failCorrections makes the next n rank-r corrections report a
+	// singular K. Test hook for the dense re-solve of a failed step.
+	failCorrections int
 
 	// stats is the work this session has performed since it was opened —
 	// the only place transistor-level work is counted (see Counters).
@@ -274,9 +282,11 @@ func (s *Session) Predictor(on bool) { s.predictor = on }
 // MemoryBytes estimates the session's resident footprint: the dense
 // matrices (base, Jacobian, the LU workspace buffer, and the transient
 // system matrix once allocated) dominate at size² float64s each, plus the
-// per-unknown vectors. Long-lived holders of many sessions — core.RigPool
-// above all — use it to enforce byte-based retention bounds; it is an
-// accounting estimate, not an exact heap measurement.
+// per-unknown vectors and the factored step loop's buffers. The estimate
+// grows as the first runs allocate those buffers. Long-lived
+// holders of many sessions — core.RigPool above all — use it to enforce
+// byte-based retention bounds; it is an accounting estimate, not an exact
+// heap measurement.
 func (s *Session) MemoryBytes() int64 {
 	sz := int64(s.size)
 	matrices := int64(3) // base, jac, lu workspace buffer
@@ -291,6 +301,9 @@ func (s *Session) MemoryBytes() int64 {
 	if s.xFallback != nil {
 		// Predictor history ring (3 vectors) plus the fallback buffer.
 		b += 4 * sz * 8
+	}
+	if s.lr != nil {
+		b += s.lr.memoryBytes()
 	}
 	return b
 }
@@ -380,11 +393,22 @@ func vIdx(x []float64, i int) float64 {
 // and capacitor-history terms as "current injected" (so F = lin·x - b + nl).
 func (s *Session) assemble(lin *linalg.Matrix, x, b []float64) {
 	s.jac.CopyFrom(lin)
-	// F = lin·x - b
+	s.residual(lin, x, b)
+	s.stampDevices(x, &stampTarget{data: s.jac.Data, stride: s.size})
+}
+
+// residual sets s.f to the linear part of the Newton residual, lin·x − b.
+func (s *Session) residual(lin *linalg.Matrix, x, b []float64) {
 	lin.MulVecInto(s.f, x)
 	for i := range s.f {
 		s.f[i] -= b[i]
 	}
+}
+
+// stampDevices adds the nonlinear device stamps at iterate x: currents to
+// the residual s.f and conductances to jac — the dense Jacobian, or the
+// factored loop's device block E_R (see stampTarget).
+func (s *Session) stampDevices(x []float64, jac *stampTarget) {
 	// MOSFETs.
 	for i := range s.prog.mos {
 		m := &s.prog.mos[i]
@@ -394,22 +418,22 @@ func (s *Session) assemble(lin *linalg.Matrix, x, b []float64) {
 		// id is the current into the drain terminal, i.e. leaving node D.
 		if d >= 0 {
 			s.f[d] += id
-			s.jac.Add(d, d, gd)
+			jac.add(d, d, gd)
 			if g >= 0 {
-				s.jac.Add(d, g, gg)
+				jac.add(d, g, gg)
 			}
 			if src >= 0 {
-				s.jac.Add(d, src, gs)
+				jac.add(d, src, gs)
 			}
 		}
 		if src >= 0 {
 			s.f[src] -= id
-			s.jac.Add(src, src, -gs)
+			jac.add(src, src, -gs)
 			if d >= 0 {
-				s.jac.Add(src, d, -gd)
+				jac.add(src, d, -gd)
 			}
 			if g >= 0 {
-				s.jac.Add(src, g, -gg)
+				jac.add(src, g, -gg)
 			}
 		}
 	}
@@ -442,16 +466,16 @@ func (s *Session) assemble(lin *linalg.Matrix, x, b []float64) {
 			a, bn := nc.a, nc.b
 			if a >= 0 {
 				s.f[a] += cur
-				s.jac.Add(a, a, g)
+				jac.add(a, a, g)
 				if bn >= 0 {
-					s.jac.Add(a, bn, -g)
+					jac.add(a, bn, -g)
 				}
 			}
 			if bn >= 0 {
 				s.f[bn] -= cur
-				s.jac.Add(bn, bn, g)
+				jac.add(bn, bn, g)
 				if a >= 0 {
-					s.jac.Add(bn, a, -g)
+					jac.add(bn, a, -g)
 				}
 			}
 		}
@@ -465,9 +489,9 @@ func (s *Session) assemble(lin *linalg.Matrix, x, b []float64) {
 		o, cn := e.out, e.ctrl
 		if o >= 0 {
 			s.f[o] -= cur
-			s.jac.Add(o, o, -gout)
+			jac.add(o, o, -gout)
 			if cn >= 0 {
-				s.jac.Add(o, cn, -gc)
+				jac.add(o, cn, -gc)
 			}
 		}
 	}
@@ -481,109 +505,63 @@ func (s *Session) assemble(lin *linalg.Matrix, x, b []float64) {
 // update, no residual verification); DC solves pass it in warm-start mode,
 // transient timestep solves always use the strict dual criterion.
 func (s *Session) newton(lin *linalg.Matrix, x, b []float64, relaxed bool) error {
-	opts := s.opts
-	for it := 0; it < opts.MaxNewton; it++ {
+	for it := 0; it < s.opts.MaxNewton; it++ {
 		s.stats.NewtonIters++
 		s.assemble(lin, x, b)
 		if err := s.lu.Factor(s.jac); err != nil {
 			return fmt.Errorf("sim: singular Jacobian at Newton iteration %d: %w", it, err)
 		}
 		s.lu.SolveInto(s.dx, s.f)
-		dx := s.dx
-		// Damping: bound the voltage update. A NaN component is kept in
-		// maxdv (and below in maxf), so a non-finite update or residual
-		// never passes the convergence test: the solve ends in
-		// ErrNoConvergence instead of accepting a NaN iterate.
-		maxdv := 0.0
-		for i := 0; i < s.n; i++ {
-			if a := math.Abs(dx[i]); a > maxdv || math.IsNaN(a) {
-				maxdv = a
-			}
-		}
-		scale := 1.0
-		if maxdv > opts.MaxStep {
-			scale = opts.MaxStep / maxdv
-		}
-		for i := range x {
-			x[i] -= scale * dx[i]
-		}
-		if relaxed {
-			// Warm-start termination: accept on a small undamped update.
-			// A full Newton step (scale == 1) below VTol bounds the
-			// remaining error quadratically — the linearised residual is
-			// solved exactly, so what is left is O(curvature·dv²) — which
-			// makes the cold path's extra residual-verification iteration
-			// redundant. This is what turns a continuation sweep into one
-			// iteration per grid point; it is confined to warm-mode DC
-			// solves (transient timesteps always verify the residual), so
-			// the cold path stays bit-identical to the legacy flow and
-			// warm transients differ from cold only through their
-			// operating point.
-			if maxdv*scale < opts.VTol && scale == 1 {
-				return nil
-			}
-			continue
-		}
-		maxf := 0.0
-		for i := 0; i < s.n; i++ {
-			if a := math.Abs(s.f[i]); a > maxf || math.IsNaN(a) {
-				maxf = a
-			}
-		}
-		if maxdv*scale < opts.VTol && maxf < opts.ITol*math.Max(1, float64(s.n)) {
+		if s.update(x, relaxed) {
 			return nil
 		}
 	}
 	return ErrNoConvergence
 }
 
-// linearRefine is the inner loop of the linear transient fast path: the
-// exact arithmetic of newton specialised to a program with no nonlinear
-// device stamps, with the factorisation hoisted out of the loop. For such
-// a program assemble's Jacobian is bitwise the linear system matrix on
-// every iteration, so newton's per-iteration Factor recomputes identical
-// LU bits each time; the caller factors lin into s.lu once and each pass
-// here is a residual evaluation plus forward/back-substitution — O(n²)
-// instead of O(n³) — producing bit-identical iterates, damping decisions
-// and convergence checks (asserted by the fast-path property tests).
-//
-// Passes of this loop are plain linear solves, deliberately not counted in
-// NewtonIters: a fast-path transient run reports zero Newton iterations,
-// and that counter assertion is the proof the run never re-factored.
-func (s *Session) linearRefine(lin *linalg.Matrix, x, b []float64) error {
-	opts := s.opts
-	for it := 0; it < opts.MaxNewton; it++ {
-		// F = lin·x - b, as in assemble (no device loops: none exist).
-		lin.MulVecInto(s.f, x)
-		for i := range s.f {
-			s.f[i] -= b[i]
-		}
-		s.lu.SolveInto(s.dx, s.f)
-		dx := s.dx
-		maxdv := 0.0
-		for i := 0; i < s.n; i++ {
-			if a := math.Abs(dx[i]); a > maxdv || math.IsNaN(a) {
-				maxdv = a
-			}
-		}
-		scale := 1.0
-		if maxdv > opts.MaxStep {
-			scale = opts.MaxStep / maxdv
-		}
-		for i := range x {
-			x[i] -= scale * dx[i]
-		}
-		maxf := 0.0
-		for i := 0; i < s.n; i++ {
-			if a := math.Abs(s.f[i]); a > maxf || math.IsNaN(a) {
-				maxf = a
-			}
-		}
-		if maxdv*scale < opts.VTol && maxf < opts.ITol*math.Max(1, float64(s.n)) {
-			return nil
+// update is the tail every Newton iteration shares, dense or factored: it
+// applies the update s.dx to x, damped, and reports whether the iteration
+// converged against the residual s.f it was computed from.
+func (s *Session) update(x []float64, relaxed bool) bool {
+	opts := &s.opts
+	dx := s.dx
+	// Damping: bound the voltage update. A NaN component is kept in maxdv
+	// (and below in maxf), so a non-finite update or residual never passes
+	// the convergence test: the solve ends in ErrNoConvergence instead of
+	// accepting a NaN iterate.
+	maxdv := 0.0
+	for i := 0; i < s.n; i++ {
+		if a := math.Abs(dx[i]); a > maxdv || math.IsNaN(a) {
+			maxdv = a
 		}
 	}
-	return ErrNoConvergence
+	scale := 1.0
+	if maxdv > opts.MaxStep {
+		scale = opts.MaxStep / maxdv
+	}
+	for i := range x {
+		x[i] -= scale * dx[i]
+	}
+	if relaxed {
+		// Warm-start termination: accept on a small undamped update. A
+		// full Newton step (scale == 1) below VTol bounds the remaining
+		// error quadratically — the linearised residual is solved exactly,
+		// so what is left is O(curvature·dv²) — which makes the cold path's
+		// extra residual-verification iteration redundant. This is what
+		// turns a continuation sweep into one iteration per grid point; it
+		// is confined to warm-mode DC solves (transient timesteps always
+		// verify the residual), so the cold path stays bit-identical to the
+		// legacy flow and warm transients differ from cold only through
+		// their operating point.
+		return maxdv*scale < opts.VTol && scale == 1
+	}
+	maxf := 0.0
+	for i := 0; i < s.n; i++ {
+		if a := math.Abs(s.f[i]); a > maxf || math.IsNaN(a) {
+			maxf = a
+		}
+	}
+	return maxdv*scale < opts.VTol && maxf < opts.ITol*math.Max(1, float64(s.n))
 }
 
 // ensurePredictorBuffers lazily allocates the predictor history ring and
@@ -667,6 +645,32 @@ func (s *Session) initialGuess(x []float64) {
 	}
 }
 
+// solveStep solves one timestep from the seed in x: on the factored loop
+// when the run takes it, else on the dense Newton. A step whose rank-r
+// correction fails — a singular K or no convergence — is re-solved from
+// the same seed on the dense Newton, so the factored loop never costs
+// robustness. A linear program's step has no correction to fail.
+func (s *Session) solveStep(factored bool, x, b []float64) error {
+	if !factored {
+		return s.newton(s.lin, x, b, false)
+	}
+	if len(s.prog.lr.rows) == 0 {
+		return s.factoredNewton(s.lin, x, b)
+	}
+	copy(s.lr.seed, x)
+	if s.factoredNewton(s.lin, x, b) == nil {
+		return nil
+	}
+	s.stats.LowRankFallbacks++
+	copy(x, s.lr.seed)
+	err := s.newton(s.lin, x, b, false)
+	// The dense Newton factored its Jacobians over Lin's factor in s.lu;
+	// restore it for the next step. Lin factored at the start of the run,
+	// and factoring is deterministic, so it factors again.
+	_ = s.lu.Factor(s.lin)
+	return err
+}
+
 // RunDC computes the operating point at t = 0 with the session's current
 // parameters. When plain Newton fails it falls back to gmin stepping:
 // solving a sequence of progressively less regularised systems,
@@ -674,7 +678,7 @@ func (s *Session) initialGuess(x []float64) {
 // session buffers; sweeps that want an allocation-free loop use RunDCInto.
 func (s *Session) RunDC() (*DCResult, error) {
 	defer s.publish(s.stats)
-	if _, err := s.solveDC(false); err != nil {
+	if err := s.solveDC(false); err != nil {
 		return nil, err
 	}
 	return s.dcResult(), nil
@@ -692,7 +696,7 @@ func (s *Session) RunDCInto(res *DCResult) error {
 		panic("sim: RunDCInto with nil result")
 	}
 	defer s.publish(s.stats)
-	if _, err := s.solveDC(false); err != nil {
+	if err := s.solveDC(false); err != nil {
 		return err
 	}
 	res.c = s.prog.ckt
@@ -705,20 +709,21 @@ func (s *Session) RunDCInto(res *DCResult) error {
 	return nil
 }
 
-// solveDC runs the DC solve, leaving the operating point in s.x, and
-// reports whether it took the linear fast path.
+// solveDC runs the DC solve, leaving the operating point in s.x.
 //
-// linear requests that fast path, for the operating point of a program
-// with no nonlinear stamps: the DC system is s.base itself, so it is
-// factored once and refined — the same arithmetic newton performs, minus
-// the per-iteration re-factorisation (see linearRefine). Any failure falls
-// back to the full ladder below (cold Newton, then gmin stepping).
+// linear requests the linear fast path, for the operating point of a
+// program with no nonlinear stamps: the DC system is s.base itself, so it
+// is factored once and refined by factoredNewton — newton's
+// arithmetic minus the per-iteration re-factorisation. Any failure falls
+// back to the full ladder below (cold Newton, then gmin stepping). Every
+// other DC solve is dense: at DC the capacitors are open, so the nodes
+// they hold float behind gmin and base is no factor to correct from.
 //
 // In warm-start mode (see WarmStart) the solve is attempted first from the
 // previous converged solution; a cold start — the bit-identical legacy
 // path — runs when warm starting is off, no previous solution exists, or
 // the warm seed failed to converge.
-func (s *Session) solveDC(linear bool) (fast bool, err error) {
+func (s *Session) solveDC(linear bool) error {
 	s.stats.DC++
 	if s.stampedGmin != s.opts.Gmin {
 		s.stampBase(s.opts.Gmin)
@@ -726,8 +731,8 @@ func (s *Session) solveDC(linear bool) (fast bool, err error) {
 	s.sourceRHS(s.rhs, 0)
 	if linear && s.lu.Factor(s.base) == nil {
 		s.initialGuess(s.x)
-		if s.linearRefine(s.base, s.x, s.rhs) == nil {
-			return true, nil
+		if s.factoredNewton(s.base, s.x, s.rhs) == nil {
+			return nil
 		}
 	}
 	if s.warmStart && s.haveWarm {
@@ -748,7 +753,7 @@ func (s *Session) solveDC(linear bool) (fast bool, err error) {
 		}
 		if err := s.newton(s.base, s.x, s.rhs, true); err == nil {
 			copy(s.xWarm, s.x)
-			return false, nil
+			return nil
 		}
 		// The previous solution was a bad predictor (a sweep
 		// discontinuity, a basin change); fall through to the cold path.
@@ -757,7 +762,7 @@ func (s *Session) solveDC(linear bool) (fast bool, err error) {
 	s.initialGuess(s.x)
 	if err := s.newton(s.base, s.x, s.rhs, false); err == nil {
 		s.saveWarm()
-		return false, nil
+		return nil
 	}
 	// gmin stepping.
 	s.initialGuess(s.x)
@@ -765,16 +770,16 @@ func (s *Session) solveDC(linear bool) (fast bool, err error) {
 		s.stampBase(gmin)
 		if err := s.newton(s.base, s.x, s.rhs, false); err != nil {
 			s.haveWarm = false
-			return false, fmt.Errorf("sim: DC gmin stepping failed at gmin=%g: %w", gmin, err)
+			return fmt.Errorf("sim: DC gmin stepping failed at gmin=%g: %w", gmin, err)
 		}
 	}
 	s.stampBase(s.opts.Gmin)
 	if err := s.newton(s.base, s.x, s.rhs, false); err != nil {
 		s.haveWarm = false
-		return false, fmt.Errorf("sim: DC failed after gmin stepping: %w", err)
+		return fmt.Errorf("sim: DC failed after gmin stepping: %w", err)
 	}
 	s.saveWarm()
-	return false, nil
+	return nil
 }
 
 // saveWarm records the converged DC solution as the next warm-start seed.
@@ -797,14 +802,19 @@ func (s *Session) dcResult() *DCResult {
 // cancellation. The returned result does not alias session buffers; sweeps
 // that want an allocation-free loop use RunTransientInto.
 //
-// Programs with no nonlinear device stamps (Program.Linear) take the
-// linear fast path: the transient system matrix is factored exactly once
-// per run and every timestep is a forward/back-substitution, with zero
-// Newton iterations — counted in Counters.LinearFastPathRuns and
-// bit-identical to the Newton path by construction (see linearRefine).
-// Warm-start mode disables the fast path for the run, keeping WarmStart's
-// documented DC continuation semantics; nonlinear programs can opt into
-// predictor seeding instead (see Predictor).
+// Programs whose shape pays for it run the factored step loop (DESIGN.md
+// §17): the transient system matrix is factored exactly once per run, and
+// each Newton iteration is a substitution plus a rank-r correction on the
+// r rows the devices stamp. Programs with no nonlinear device stamps
+// (Program.Linear) are its r = 0 case, the linear fast path: every
+// timestep is a forward/back-substitution with zero Newton iterations,
+// counted in Counters.LinearFastPathRuns and bit-identical to the dense
+// Newton by construction. Warm-start mode disables the linear fast path
+// for the run, keeping WarmStart's documented DC continuation semantics.
+// Runs with r > 0 are counted in Counters.LowRankRuns; their iterates are
+// the dense Newton's up to round-off, and a step whose correction fails is
+// re-solved densely (Counters.LowRankFallbacks). Nonlinear programs can
+// opt into predictor seeding (see Predictor).
 func (s *Session) RunTransient(ctx context.Context, tstop float64) (*Result, error) {
 	res := &Result{}
 	if err := s.RunTransientInto(ctx, res, tstop); err != nil {
@@ -871,11 +881,18 @@ func (s *Session) RunTransientUntil(ctx context.Context, res *Result, tstop floa
 	}
 	res.reset(s.prog.ckt, s.n, s.m, nsteps+1)
 
-	// Linear fast path, part 1: the operating point (see solveDC). Warm-start
-	// mode takes the legacy ladder unconditionally so its continuation
-	// semantics and stats are untouched.
-	fast, err := s.solveDC(s.prog.linear && !s.noFastPath && !s.warmStart)
-	if err != nil {
+	// The factored step loop, part 1 (DESIGN.md §17): the program's shape
+	// decides. A linear program (r = 0) also solves its operating point on
+	// a factor (see solveDC) — unless in warm-start mode, which takes the
+	// legacy ladder and the dense steps unconditionally so its
+	// continuation semantics and stats are untouched.
+	plan := &s.prog.lr
+	r := len(plan.rows)
+	factored := plan.use && !s.forceDense && (r > 0 || !s.warmStart)
+	if factored && s.lr == nil {
+		s.lr = newLowRankState(s.size, plan)
+	}
+	if err := s.solveDC(factored && r == 0); err != nil {
 		return fmt.Errorf("sim: transient operating point: %w", err)
 	}
 	x := s.x // holds the operating point
@@ -896,14 +913,15 @@ func (s *Session) RunTransientUntil(ctx context.Context, res *Result, tstop floa
 	for i, cp := range s.prog.caps {
 		s.stampConductance(s.lin, cp.a, cp.b, s.capC[i]*geqFactor)
 	}
-	// Linear fast path, part 2: factor the timestep system once for the
-	// whole run. Every step below is then a substitution against this
-	// factorisation.
-	if fast {
-		fast = s.lu.Factor(s.lin) == nil
-	}
-	if fast {
+	// The factored step loop, part 2: factor the timestep system once for
+	// the whole run. Every Newton iteration below is then a substitution
+	// against this factorisation, plus the rank-r correction when r > 0.
+	factored = factored && s.factorStep()
+	switch {
+	case factored && r == 0:
 		s.stats.LinearFastPathRuns++
+	case factored:
+		s.stats.LowRankRuns++
 	}
 
 	// Capacitor history: branch voltage and (for trapezoidal) current.
@@ -938,9 +956,9 @@ func (s *Session) RunTransientUntil(ctx context.Context, res *Result, tstop floa
 	s.nlTrap = opts.Method == Trapezoidal
 	defer func() { s.nlGeq = 0 }()
 
-	// Predictor seeding only applies to Newton-path runs; a fast-path run
-	// has no Newton solve to seed.
-	pred := s.predictor && !fast
+	// Predictor seeding only applies to runs with Newton iterations; a
+	// linear fast-path run has no Newton solve to seed.
+	pred := s.predictor && !(factored && r == 0)
 	nh := 0
 	if pred {
 		s.ensurePredictorBuffers()
@@ -970,25 +988,21 @@ func (s *Session) RunTransientUntil(ctx context.Context, res *Result, tstop floa
 				b[cp.b] -= hist
 			}
 		}
-		if fast {
-			err = s.linearRefine(s.lin, x, b)
-		} else {
-			seeded := false
-			if pred && nh >= 2 {
-				copy(s.xFallback, x)
-				s.predictSeed(x, nh)
-				seeded = true
-				s.stats.PredictorSeeds++
-			}
-			err = s.newton(s.lin, x, b, false)
-			if err != nil && seeded {
-				// The extrapolated seed left the convergence basin;
-				// re-solve from the previous converged point — exactly the
-				// legacy seed — so the predictor never costs robustness.
-				s.stats.PredictorFallbacks++
-				copy(x, s.xFallback)
-				err = s.newton(s.lin, x, b, false)
-			}
+		seeded := false
+		if pred && nh >= 2 {
+			copy(s.xFallback, x)
+			s.predictSeed(x, nh)
+			seeded = true
+			s.stats.PredictorSeeds++
+		}
+		err = s.solveStep(factored, x, b)
+		if err != nil && seeded {
+			// The extrapolated seed left the convergence basin; re-solve
+			// from the previous converged point — exactly the legacy seed —
+			// so the predictor never costs robustness.
+			s.stats.PredictorFallbacks++
+			copy(x, s.xFallback)
+			err = s.solveStep(factored, x, b)
 		}
 		if err != nil {
 			return fmt.Errorf("sim: transient at t=%.3gps: %w", t*1e12, err)

@@ -154,20 +154,33 @@ func TestNewtonRejectsNaN(t *testing.T) {
 			t.Errorf("slope=%v: DC error %v, want ErrNoConvergence", slope, err)
 		}
 		// Transient: the operating point at 0 V is finite, and the ramp
-		// crosses the threshold mid-run.
-		ckt := nanBench(wave.SaturatedRamp(0, 1, 100e-12, 100e-12), nanVCCS{slope: slope, above: 0.5})
-		for _, pred := range []bool{false, true} {
-			sess, err := NewSession(Compile(ckt), Options{Dt: 1e-12})
-			if err != nil {
-				t.Fatal(err)
+		// crosses the threshold mid-run. With a 20-segment line on the
+		// node the run takes the factored step loop, whose failed steps
+		// are re-solved densely and must fail there too.
+		for _, segments := range []int{0, 20} {
+			ckt := nanBench(wave.SaturatedRamp(0, 1, 100e-12, 100e-12), nanVCCS{slope: slope, above: 0.5})
+			addLadder(ckt, "out", segments)
+			prog := Compile(ckt)
+			if factored := segments > 0; prog.lr.use != factored {
+				t.Fatalf("segments=%d: factored path %v, want %v", segments, prog.lr.use, factored)
 			}
-			sess.Predictor(pred)
-			res, err := sess.RunTransient(context.Background(), 400e-12)
-			if !errors.Is(err, ErrNoConvergence) {
-				t.Errorf("slope=%v pred=%v: transient error %v, want ErrNoConvergence", slope, pred, err)
-			}
-			if res != nil {
-				t.Errorf("slope=%v pred=%v: transient returned a result of %d samples", slope, pred, res.Steps())
+			for _, pred := range []bool{false, true} {
+				sess, err := NewSession(prog, Options{Dt: 1e-12})
+				if err != nil {
+					t.Fatal(err)
+				}
+				sess.Predictor(pred)
+				res, err := sess.RunTransient(context.Background(), 400e-12)
+				if !errors.Is(err, ErrNoConvergence) {
+					t.Errorf("slope=%v segments=%d pred=%v: transient error %v, want ErrNoConvergence", slope, segments, pred, err)
+				}
+				if res != nil {
+					t.Errorf("slope=%v segments=%d pred=%v: transient returned a result of %d samples", slope, segments, pred, res.Steps())
+				}
+				if st := sess.Stats(); segments > 0 && (st.LowRankRuns != 1 || st.LowRankFallbacks == 0) {
+					t.Errorf("slope=%v segments=%d pred=%v: LowRankRuns %d, LowRankFallbacks %d, want 1 and > 0",
+						slope, segments, pred, st.LowRankRuns, st.LowRankFallbacks)
+				}
 			}
 		}
 	}

@@ -106,8 +106,8 @@ func assertFlat(t *testing.T, sess *Session, node string) {
 	}
 }
 
-// TestTransientStepAllocFree asserts the RunTransientInto contract on both
-// solver paths: after the first run on a given Result, a repeated
+// TestTransientStepAllocFree asserts the RunTransientInto contract on every
+// solver path — linear fast path, dense Newton, factored step loop: after the first run on a given Result, a repeated
 // transient sweep — and in particular its per-step loop — allocates zero
 // bytes.
 func TestTransientStepAllocFree(t *testing.T) {
@@ -134,6 +134,18 @@ func TestTransientStepAllocFree(t *testing.T) {
 		}
 		sess.Predictor(true) // predictor buffers must be reused, not re-made
 		assertTransientAllocFree(t, sess, 600e-12)
+	})
+	t.Run("factored_path", func(t *testing.T) {
+		prog := Compile(goldenShapedCircuit(t, tech.Tech130().WithNonlinearCaps(), "NAND2", 8))
+		sess, err := NewSession(prog, Options{Dt: 1e-12})
+		if err != nil {
+			t.Fatal(err)
+		}
+		sess.Predictor(true)
+		assertTransientAllocFree(t, sess, 400e-12)
+		if st := sess.Stats(); st.LowRankRuns == 0 {
+			t.Fatal("golden-shaped bench did not take the factored path")
+		}
 	})
 }
 
