@@ -2,9 +2,10 @@
 // characterised artefact families — load curves (eq. 1), propagation
 // tables and Noise Rejection Curves — for INV and NAND2 on both technology
 // cards, plus the full report schema of the pessimistic and feasibility
-// flows. Any numerical drift in the simulator, the device model or the
-// characterisation sweeps shows up as a fixture mismatch in
-// `go test -run Golden` instead of a silent change in example output.
+// flows and PropagateChain's stage hand-off. Any numerical drift in the
+// simulator, the device model or the characterisation sweeps shows up as a
+// fixture mismatch in `go test -run Golden` instead of a silent change in
+// example output.
 //
 // The fixtures are the program's exact bytes on amd64: regenerating them
 // on a clean checkout with
@@ -413,6 +414,26 @@ func TestGoldenPessimistic(t *testing.T) {
 	runGoldenDesign(t, "golden-pessimistic", "_pessimistic.json", false)
 }
 
+// goldenDesignOpts is the analysis the design-level fixtures pin: the
+// macromodel method, aligned, serial, at fixed grids.
+func goldenDesignOpts(feasibility bool) stanoise.Options {
+	return stanoise.Options{
+		Method:      stanoise.Macromodel,
+		Dt:          2e-12,
+		Align:       true,
+		Feasibility: feasibility,
+		Workers:     1,
+		LoadCurve:   stanoise.LoadCurveOptions{NVin: 31, NVout: 31},
+		Prop: stanoise.PropOptions{
+			Heights: []float64{0.3, 0.6, 0.9, 1.2},
+			Widths:  []float64{150e-12, 400e-12, 800e-12},
+			Loads:   []float64{30e-15, 80e-15, 160e-15},
+			Dt:      2e-12,
+		},
+		NRC: stanoise.NRCOptions{Widths: []float64{100e-12, 300e-12, 900e-12}, Dt: 2e-12},
+	}
+}
+
 // runGoldenDesign analyses a generated 6-cluster design serially on both
 // technology cards with the macromodel method, aligned, and compares the
 // timing-cleared reports with testdata/golden/<tech><suffix> byte for byte.
@@ -422,53 +443,68 @@ func runGoldenDesign(t *testing.T, name, suffix string, feasibility bool) {
 		t.Run(techName, func(t *testing.T) {
 			d := stanoise.GenerateDesign(name, 6)
 			d.Tech = techName
-			opts := stanoise.Options{
-				Method:      stanoise.Macromodel,
-				Dt:          2e-12,
-				Align:       true,
-				Feasibility: feasibility,
-				Workers:     1,
-				LoadCurve:   stanoise.LoadCurveOptions{NVin: 31, NVout: 31},
-				Prop: stanoise.PropOptions{
-					Heights: []float64{0.3, 0.6, 0.9, 1.2},
-					Widths:  []float64{150e-12, 400e-12, 800e-12},
-					Loads:   []float64{30e-15, 80e-15, 160e-15},
-					Dt:      2e-12,
-				},
-				NRC: stanoise.NRCOptions{Widths: []float64{100e-12, 300e-12, 900e-12}, Dt: 2e-12},
-			}
-			reports, err := stanoise.NewAnalyzer(d, opts).Analyze(context.Background())
+			reports, err := stanoise.NewAnalyzer(d, goldenDesignOpts(feasibility)).Analyze(context.Background())
 			if err != nil {
 				t.Fatal(err)
 			}
 			for i := range reports {
 				reports[i].ClearTiming()
 			}
-			raw, err := json.MarshalIndent(reports, "", " ")
+			checkGoldenJSON(t, filepath.Join("testdata", "golden", techName+suffix), reports)
+		})
+	}
+}
+
+// TestGoldenChain pins PropagateChain's stage hand-off on the sample
+// design, whose two clusters run as a two-stage chain: bus_bit7's receiver
+// noise becomes ctrl_en's input glitch. The pessimistic chain carries the
+// worst-case alignment's noise forward; the feasibility chain carries the
+// governing realistic scenario's (the largest receiver peak). Every
+// stage's receiver metrics must match testdata/golden/sample_chain_<mode>.json
+// byte for byte.
+func TestGoldenChain(t *testing.T) {
+	for _, mode := range []struct {
+		name        string
+		feasibility bool
+	}{{"pessimistic", false}, {"feas", true}} {
+		mode := mode
+		t.Run(mode.name, func(t *testing.T) {
+			d := stanoise.SampleDesign()
+			an := stanoise.NewAnalyzer(d, goldenDesignOpts(mode.feasibility))
+			metrics, err := an.PropagateChain(context.Background(), d.Clusters)
 			if err != nil {
 				t.Fatal(err)
 			}
-			raw = append(raw, '\n')
-
-			path := filepath.Join("testdata", "golden", techName+suffix)
-			if *update {
-				if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
-					t.Fatal(err)
-				}
-				if err := os.WriteFile(path, raw, 0o644); err != nil {
-					t.Fatal(err)
-				}
-				t.Logf("rewrote %s", path)
-				return
-			}
-			want, err := os.ReadFile(path)
-			if err != nil {
-				t.Fatalf("missing fixture %s (generate with: go test -run Golden . -update): %v", path, err)
-			}
-			if string(raw) != string(want) {
-				t.Errorf("reports drifted from %s:\ngot:\n%s\nfixture:\n%s", path, raw, want)
-			}
+			checkGoldenJSON(t, filepath.Join("testdata", "golden", "sample_chain_"+mode.name+".json"), metrics)
 		})
+	}
+}
+
+// checkGoldenJSON compares v's indented JSON with the fixture at path byte
+// for byte, or rewrites the fixture under -update.
+func checkGoldenJSON(t *testing.T, path string, v any) {
+	t.Helper()
+	raw, err := json.MarshalIndent(v, "", " ")
+	if err != nil {
+		t.Fatal(err)
+	}
+	raw = append(raw, '\n')
+	if *update {
+		if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(path, raw, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		t.Logf("rewrote %s", path)
+		return
+	}
+	want, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatalf("missing fixture %s (generate with: go test -run Golden . -update): %v", path, err)
+	}
+	if string(raw) != string(want) {
+		t.Errorf("output drifted from %s:\ngot:\n%s\nfixture:\n%s", path, raw, want)
 	}
 }
 

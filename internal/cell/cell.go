@@ -319,6 +319,26 @@ func (c *Cell) Build(ckt *circuit.Circuit, name string, pins map[string]string, 
 	return nil
 }
 
+// Bench returns a circuit holding the cell alone, wired as every
+// single-cell characterisation rig wires it: a "vdd" rail source, each
+// input pin P on node "in_P" driven by the DC source "v_P" at its rail in
+// st, and the instance "dut" with its output on node "out". The caller adds
+// its output termination and re-drives an input through the compiled
+// program's handle of "v_P".
+func (c *Cell) Bench(st State) (*circuit.Circuit, error) {
+	ckt := circuit.New()
+	ckt.AddVDC("vdd", "vdd", "0", c.Tech.VDD)
+	pins := make(map[string]string, len(c.sp.inputs))
+	for _, in := range c.sp.inputs {
+		pins[in] = "in_" + in
+		ckt.AddVDC("v_"+in, pins[in], "0", c.PinVoltage(st[in]))
+	}
+	if err := c.Build(ckt, "dut", pins, "out", "vdd"); err != nil {
+		return nil, err
+	}
+	return ckt, nil
+}
+
 // InputCap returns the gate capacitance presented by one input pin — the
 // receiver load model used throughout the paper's macromodel.
 func (c *Cell) InputCap(pin string) float64 {

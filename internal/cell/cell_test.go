@@ -3,6 +3,7 @@ package cell
 import (
 	"context"
 	"math"
+	"strings"
 	"testing"
 
 	"stanoise/internal/circuit"
@@ -84,15 +85,8 @@ func TestNetlistMatchesLogicAllCells(t *testing.T) {
 
 func checkState(t *testing.T, cl *Cell, st State, wantHigh bool) {
 	t.Helper()
-	ckt := circuit.New()
-	ckt.AddVDC("vdd", "vdd", "0", cl.Tech.VDD)
-	pins := map[string]string{}
-	for _, in := range cl.Inputs() {
-		node := "in_" + in
-		pins[in] = node
-		ckt.AddVDC("v_"+in, node, "0", cl.PinVoltage(st[in]))
-	}
-	if err := cl.Build(ckt, "dut", pins, "out", "vdd"); err != nil {
+	ckt, err := cl.Bench(st)
+	if err != nil {
 		t.Fatalf("%s: %v", cl.Name(), err)
 	}
 	ckt.AddR("rl", "out", "0", 1e9)
@@ -107,6 +101,43 @@ func checkState(t *testing.T, cl *Cell, st State, wantHigh bool) {
 	}
 	if !wantHigh && out > 0.1*cl.Tech.VDD {
 		t.Errorf("%s state %v: out=%.3f, want low", cl.Name(), st, out)
+	}
+}
+
+// TestBenchWiring pins the lone-cell bench every characterisation rig
+// builds on: the vdd rail source first, then each input P on node in_P
+// driven by v_P at its rail in the state, in pin order, and the instance
+// dut driving node out.
+func TestBenchWiring(t *testing.T) {
+	cl := MustNew(t130(), "NAND2", 1)
+	ckt, err := cl.Bench(State{"A": true, "B": false})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := []struct {
+		name, node string
+		v          float64
+	}{{"vdd", "vdd", cl.Tech.VDD}, {"v_A", "in_A", cl.Tech.VDD}, {"v_B", "in_B", 0}}
+	if len(ckt.VSources) != len(want) {
+		t.Fatalf("%d voltage sources, want %d", len(ckt.VSources), len(want))
+	}
+	for i, w := range want {
+		vs := ckt.VSources[i]
+		if vs.Name != w.name || ckt.NodeName(vs.Pos) != w.node || vs.Neg != circuit.Ground || vs.W.At(0) != w.v {
+			t.Errorf("source %d: %s on %s at %g V, want %s on %s at %g V",
+				i, vs.Name, ckt.NodeName(vs.Pos), vs.W.At(0), w.name, w.node, w.v)
+		}
+	}
+	if len(ckt.Mosfets) == 0 {
+		t.Fatal("bench holds no transistors")
+	}
+	for _, m := range ckt.Mosfets {
+		if !strings.HasPrefix(m.Name, "dut.") {
+			t.Errorf("transistor %s is not in instance dut", m.Name)
+		}
+	}
+	if _, ok := ckt.LookupNode("out"); !ok {
+		t.Error("bench has no out node")
 	}
 }
 

@@ -62,9 +62,12 @@ func TestCornerSweepArtefactsDistinct(t *testing.T) {
 	}
 	byName := map[string]*LoadCurve{}
 	for _, r := range res {
-		lc := r.Library.LoadCurveFor("INV_X1", r.Library.LoadCurves[0].State, "A")
-		if lc == nil {
-			t.Fatalf("corner %s: no INV load curve in library", r.Corner.Name)
+		if len(r.Library.LoadCurves) == 0 {
+			t.Fatalf("corner %s: no load curve in library", r.Corner.Name)
+		}
+		lc := r.Library.LoadCurves[0]
+		if lc.CellName != "INV_X1" || lc.NoisyPin != "A" {
+			t.Fatalf("corner %s: library holds %s pin %s, want INV_X1 pin A", r.Corner.Name, lc.CellName, lc.NoisyPin)
 		}
 		byName[r.Corner.Name] = lc
 		wantCorner := r.Corner.Name

@@ -2,7 +2,6 @@ package charlib
 
 import (
 	"encoding/json"
-	"fmt"
 	"io"
 )
 
@@ -45,50 +44,9 @@ func (l *Library) AddPropTable(pt *PropTable) {
 	l.PropTables = append(l.PropTables, pt)
 }
 
-// LoadCurveFor retrieves a load curve, or nil.
-func (l *Library) LoadCurveFor(cellName, state, pin string) *LoadCurve {
-	for _, lc := range l.LoadCurves {
-		if key(lc.CellName, lc.State, lc.NoisyPin) == key(cellName, state, pin) {
-			return lc
-		}
-	}
-	return nil
-}
-
-// PropTableFor retrieves a propagation table, or nil.
-func (l *Library) PropTableFor(cellName, state, pin string) *PropTable {
-	for _, pt := range l.PropTables {
-		if key(pt.CellName, pt.State, pt.NoisyPin) == key(cellName, state, pin) {
-			return pt
-		}
-	}
-	return nil
-}
-
 // WriteJSON serialises the library.
 func (l *Library) WriteJSON(w io.Writer) error {
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", " ")
 	return enc.Encode(l)
-}
-
-// ReadLibrary deserialises a library and validates table shapes.
-func ReadLibrary(r io.Reader) (*Library, error) {
-	var l Library
-	if err := json.NewDecoder(r).Decode(&l); err != nil {
-		return nil, fmt.Errorf("charlib: reading library: %w", err)
-	}
-	for _, lc := range l.LoadCurves {
-		if lc.NVin < 2 || lc.NVout < 2 || len(lc.I) != lc.NVin*lc.NVout {
-			return nil, fmt.Errorf("charlib: load curve %s/%s/%s has inconsistent shape",
-				lc.CellName, lc.State, lc.NoisyPin)
-		}
-	}
-	for _, pt := range l.PropTables {
-		if len(pt.Peak) != len(pt.Heights) {
-			return nil, fmt.Errorf("charlib: prop table %s/%s/%s has inconsistent shape",
-				pt.CellName, pt.State, pt.NoisyPin)
-		}
-	}
-	return &l, nil
 }

@@ -14,7 +14,6 @@ import (
 	"math"
 
 	"stanoise/internal/cell"
-	"stanoise/internal/circuit"
 	"stanoise/internal/sim"
 )
 
@@ -175,15 +174,8 @@ func characterizeLoadCurve(ctx context.Context, cl *cell.Cell, st cell.State, no
 	}
 
 	// Compile-once: the sweep topology is fixed, only source values change.
-	ckt := circuit.New()
-	ckt.AddVDC("vdd", "vdd", "0", vdd)
-	pins := map[string]string{}
-	for _, in := range cl.Inputs() {
-		node := "in_" + in
-		pins[in] = node
-		ckt.AddVDC("v_"+in, node, "0", cl.PinVoltage(st[in]))
-	}
-	if err := cl.Build(ckt, "dut", pins, "out", "vdd"); err != nil {
+	ckt, err := cl.Bench(st)
+	if err != nil {
 		return nil, stats, err
 	}
 	ckt.AddVDC("vforce", "out", "0", 0)

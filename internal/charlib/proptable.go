@@ -6,7 +6,6 @@ import (
 	"math"
 
 	"stanoise/internal/cell"
-	"stanoise/internal/circuit"
 	"stanoise/internal/sim"
 	"stanoise/internal/wave"
 )
@@ -166,20 +165,9 @@ type propRig struct {
 }
 
 func newPropRig(cl *cell.Cell, st cell.State, noisyPin string, quietIn float64, opts PropOptions, seeded bool) (*propRig, error) {
-	ckt := circuit.New()
-	ckt.AddVDC("vdd", "vdd", "0", cl.Tech.VDD)
-	pins := map[string]string{}
-	for _, in := range cl.Inputs() {
-		node := "in_" + in
-		pins[in] = node
-		if in == noisyPin {
-			// Placeholder glitch; replaced per probe via SetSource.
-			ckt.AddV("v_"+in, node, "0", wave.Constant(quietIn))
-		} else {
-			ckt.AddVDC("v_"+in, node, "0", cl.PinVoltage(st[in]))
-		}
-	}
-	if err := cl.Build(ckt, "dut", pins, "out", "vdd"); err != nil {
+	// The noisy pin's glitch replaces its rail per probe via SetSource.
+	ckt, err := cl.Bench(st)
+	if err != nil {
 		return nil, err
 	}
 	// Placeholder load; replaced per probe via SetLoad.

@@ -8,7 +8,6 @@ import (
 	"time"
 
 	"stanoise/internal/charlib"
-	"stanoise/internal/circuit"
 	"stanoise/internal/sim"
 	"stanoise/internal/wave"
 )
@@ -381,20 +380,9 @@ func (c *Cluster) compileDriverRig(simOpts sim.Options) (*simRig, error) {
 	if !v.Cell.HasInput(v.NoisyPin) {
 		return nil, fmt.Errorf("core: victim cell %s has no pin %q", v.Cell.Name(), v.NoisyPin)
 	}
-	ckt := circuit.New()
-	ckt.AddVDC("vdd", "vdd", "0", c.Tech.VDD)
-	pins := map[string]string{}
-	for _, in := range v.Cell.Inputs() {
-		node := "in_" + in
-		pins[in] = node
-		if in == v.NoisyPin {
-			// Placeholder; replaced per run via SetSource.
-			ckt.AddV("v_"+in, node, "0", wave.Constant(v.Cell.PinVoltage(v.State[in])))
-		} else {
-			ckt.AddVDC("v_"+in, node, "0", v.Cell.PinVoltage(v.State[in]))
-		}
-	}
-	if err := v.Cell.Build(ckt, "vic", pins, "out", "vdd"); err != nil {
+	// The noisy pin's glitch replaces its rail per run via SetSource.
+	ckt, err := v.Cell.Bench(v.State)
+	if err != nil {
 		return nil, err
 	}
 	// Placeholder lumped load; replaced per run via SetLoad.

@@ -52,9 +52,6 @@ type Window struct {
 // Unbounded returns the window admitting any switching time.
 func Unbounded() Window { return Window{Early: math.Inf(-1), Late: math.Inf(1)} }
 
-// IsUnbounded reports whether the window admits any switching time.
-func (w Window) IsUnbounded() bool { return math.IsInf(w.Early, -1) && math.IsInf(w.Late, 1) }
-
 // Clamp returns t limited to the window.
 func (w Window) Clamp(t float64) float64 {
 	if t < w.Early {

@@ -200,13 +200,3 @@ func (f *LU) SolveMatrix(b *Matrix) *Matrix {
 	}
 	return out
 }
-
-// SolveLinear is a convenience one-shot wrapper: it factors a and solves
-// a x = b.
-func SolveLinear(a *Matrix, b []float64) ([]float64, error) {
-	f, err := Factor(a)
-	if err != nil {
-		return nil, err
-	}
-	return f.Solve(b), nil
-}

@@ -30,20 +30,3 @@ func Orthonormalize(basis [][]float64, v []float64) ([]float64, bool) {
 	ScaleVec(1/norm, w)
 	return w, true
 }
-
-// GramSchmidt orthonormalises the columns of a, returning the orthonormal
-// basis as a matrix with at most a.Cols columns. Numerically dependent
-// columns are dropped.
-func GramSchmidt(a *Matrix) *Matrix {
-	var basis [][]float64
-	for c := 0; c < a.Cols; c++ {
-		if w, ok := Orthonormalize(basis, a.Col(c)); ok {
-			basis = append(basis, w)
-		}
-	}
-	out := NewMatrix(a.Rows, len(basis))
-	for c, b := range basis {
-		out.SetCol(c, b)
-	}
-	return out
-}

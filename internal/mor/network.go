@@ -47,12 +47,6 @@ func NewNetwork(nodes []string) *Network {
 	return net
 }
 
-// NodeIndex returns the matrix index of a node name.
-func (n *Network) NodeIndex(name string) (int, bool) {
-	i, ok := n.index[name]
-	return i, ok
-}
-
 // Size returns the number of (non-ground) nodes.
 func (n *Network) Size() int { return len(n.Nodes) }
 

@@ -128,16 +128,6 @@ func Reduce(net *Network, ports []string, opts Options) (*Reduced, error) {
 	return red, nil
 }
 
-// PortIndex returns the column of a named port in B, or -1.
-func (r *Reduced) PortIndex(name string) int {
-	for i, p := range r.Ports {
-		if p == name {
-			return i
-		}
-	}
-	return -1
-}
-
 // PortImpedance evaluates Z(s) = Bᵀ(Gr + s·Cr)⁻¹B at a real s, for
 // comparison against the full network.
 func (r *Reduced) PortImpedance(s float64) (*linalg.Matrix, error) {

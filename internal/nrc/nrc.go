@@ -16,7 +16,6 @@ import (
 	"math"
 
 	"stanoise/internal/cell"
-	"stanoise/internal/circuit"
 	"stanoise/internal/sim"
 	"stanoise/internal/wave"
 )
@@ -159,28 +158,17 @@ type glitchRig struct {
 }
 
 func newGlitchRig(cl *cell.Cell, st cell.State, pin string, opts Options, seeded bool) (*glitchRig, error) {
-	ckt := circuit.New()
-	ckt.AddVDC("vdd", "vdd", "0", cl.Tech.VDD)
+	// The probed pin's glitch replaces its rail per probe via SetSource.
+	ckt, err := cl.Bench(st)
+	if err != nil {
+		return nil, err
+	}
+	ckt.AddC("cl", "out", "0", opts.LoadCap)
 	quietIn := cl.PinVoltage(st[pin])
 	sign := 1.0
 	if st[pin] {
 		sign = -1
 	}
-	pins := map[string]string{}
-	for _, in := range cl.Inputs() {
-		node := "in_" + in
-		pins[in] = node
-		if in == pin {
-			// Placeholder glitch; replaced per probe via SetSource.
-			ckt.AddV("v_"+in, node, "0", wave.Constant(quietIn))
-		} else {
-			ckt.AddVDC("v_"+in, node, "0", cl.PinVoltage(st[in]))
-		}
-	}
-	if err := cl.Build(ckt, "rcv", pins, "out", "vdd"); err != nil {
-		return nil, err
-	}
-	ckt.AddC("cl", "out", "0", opts.LoadCap)
 	prog := sim.Compile(ckt)
 	sess, err := sim.NewSession(prog, sim.Options{Dt: opts.Dt})
 	if err != nil {

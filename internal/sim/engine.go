@@ -162,15 +162,6 @@ func (r *Result) Waveform(node string) *wave.Waveform {
 	return wave.FromPoints(r.Times, r.nodeV[id])
 }
 
-// BranchCurrent returns the branch-current waveform of a voltage source.
-func (r *Result) BranchCurrent(vsrc string) *wave.Waveform {
-	k := r.c.VSourceIndex(vsrc)
-	if k < 0 {
-		panic(fmt.Sprintf("sim: unknown voltage source %q", vsrc))
-	}
-	return wave.FromPoints(r.Times, r.branchI[k])
-}
-
 // At returns the voltage of node at the given step index.
 func (r *Result) At(node string, step int) float64 {
 	id, _ := r.c.LookupNode(node)

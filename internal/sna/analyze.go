@@ -610,14 +610,28 @@ func (a *Analyzer) gatedAnalyzeCluster(ctx context.Context, cs ClusterSpec, pool
 	return a.analyzeCluster(ctx, cs, pool)
 }
 
-// analyzeCluster runs the full pipeline on one cluster. The error, when
-// non-nil, is always a *ClusterError naming the failed stage. pool is the
-// calling worker's compiled-bench pool (nil disables pooling).
-func (a *Analyzer) analyzeCluster(ctx context.Context, cs ClusterSpec, pool *core.RigPool) (*NetReport, *ClusterError) {
-	fail := func(stage Stage, err error) (*NetReport, *ClusterError) {
+// clusterRun is one cluster carried through the analysis pipeline: the
+// built cluster, its classic evaluation, the feasibility context and
+// scenario outcomes when the filter ran, and the per-stage timing so far.
+type clusterRun struct {
+	cl        *core.Cluster
+	ev        *core.Evaluation
+	fctx      *feasContext // nil unless the feasibility filter ran
+	scenarios []scenarioOutcome
+	timing    StageTiming
+}
+
+// runCluster carries one cluster through the pipeline both Analyze and
+// PropagateChain run: build → models → feasibility context → alignment →
+// evaluation → scenarios. Analyze then judges the run against the NRC;
+// PropagateChain hands its noise to the next stage. The error, when
+// non-nil, names the failed stage. pool is the caller's compiled-bench pool
+// (nil disables pooling).
+func (a *Analyzer) runCluster(ctx context.Context, cs ClusterSpec, pool *core.RigPool) (*clusterRun, *ClusterError) {
+	fail := func(stage Stage, err error) (*clusterRun, *ClusterError) {
 		return nil, &ClusterError{Cluster: cs.Name, Stage: stage, Err: err}
 	}
-	var timing StageTiming
+	r := &clusterRun{}
 	t0 := time.Now()
 	cl, err := a.buildCluster(cs)
 	if err != nil {
@@ -626,36 +640,32 @@ func (a *Analyzer) analyzeCluster(ctx context.Context, cs ClusterSpec, pool *cor
 	if pool != nil {
 		cl.UseRigPool(pool)
 	}
-	timing.Build = time.Since(t0)
+	r.cl = cl
+	r.timing.Build = time.Since(t0)
 
-	method := a.opts.Method
 	t0 = time.Now()
 	models, err := cl.BuildModels(ctx, a.modelOptions())
 	if err != nil {
 		return fail(StageModels, err)
 	}
-	timing.Models = time.Since(t0)
+	r.timing.Models = time.Since(t0)
 
 	eopts := core.EvalOptions{Dt: a.opts.Dt}
 	feasible := a.opts.Feasibility && len(cl.Aggressors) > 0
-
-	var (
-		fctx      *feasContext
-		target    float64
-		starts    []float64
-		scenarios []scenarioOutcome
-	)
 	if feasible {
 		// Constraint solving is cheap (≤ 2^N masks); evaluation is not, so
 		// infeasible specs must fail here, before any engine run.
 		t0 = time.Now()
-		fctx, err = newFeasContext(&cs)
-		if err != nil {
+		if r.fctx, err = newFeasContext(&cs); err != nil {
 			return fail(StageFeas, err)
 		}
-		timing.Feas += time.Since(t0)
+		r.timing.Feas += time.Since(t0)
 	}
 
+	var (
+		target float64
+		starts []float64
+	)
 	if a.opts.Align && len(cl.Aggressors) > 0 {
 		t0 = time.Now()
 		if feasible {
@@ -669,7 +679,7 @@ func (a *Analyzer) analyzeCluster(ctx context.Context, cs ClusterSpec, pool *cor
 		if err != nil {
 			return fail(StageAlign, err)
 		}
-		timing.Align = time.Since(t0)
+		r.timing.Align = time.Since(t0)
 	}
 	if feasible && starts == nil {
 		// Alignment disabled: the classical evaluation uses the nominal
@@ -679,24 +689,35 @@ func (a *Analyzer) analyzeCluster(ctx context.Context, cs ClusterSpec, pool *cor
 	}
 
 	t0 = time.Now()
-	ev, err := cl.Evaluate(ctx, method, models, eopts)
-	if err != nil {
+	if r.ev, err = cl.Evaluate(ctx, a.opts.Method, models, eopts); err != nil {
 		return fail(StageEval, err)
 	}
-	timing.Eval = time.Since(t0)
+	r.timing.Eval = time.Since(t0)
 
 	if feasible {
 		t0 = time.Now()
-		scenarios, err = evalScenarios(ctx, cl, method, models, eopts, fctx, target, starts, a.opts.Align, ev)
+		r.scenarios, err = evalScenarios(ctx, cl, a.opts.Method, models, eopts, r.fctx, target, starts, a.opts.Align, r.ev)
 		if err != nil {
 			return fail(StageFeas, err)
 		}
-		timing.Feas += time.Since(t0)
+		r.timing.Feas += time.Since(t0)
 	}
+	return r, nil
+}
 
+// analyzeCluster runs the pipeline on one cluster and judges its noise
+// against the receiver's NRC. The error, when non-nil, is always a
+// *ClusterError naming the failed stage. pool is the calling worker's
+// compiled-bench pool (nil disables pooling).
+func (a *Analyzer) analyzeCluster(ctx context.Context, cs ClusterSpec, pool *core.RigPool) (*NetReport, *ClusterError) {
+	r, cerr := a.runCluster(ctx, cs, pool)
+	if cerr != nil {
+		return nil, cerr
+	}
+	ev := r.ev
 	rep := &NetReport{
 		Cluster: cs.Name,
-		Method:  method,
+		Method:  a.opts.Method,
 		Corner:  cornerLabel(a.opts.Corner),
 		PeakV:   ev.RecvMetrics.Peak,
 		AreaVps: ev.RecvMetrics.AreaVps(),
@@ -705,22 +726,22 @@ func (a *Analyzer) analyzeCluster(ctx context.Context, cs ClusterSpec, pool *cor
 		Elapsed: ev.Elapsed,
 	}
 
-	t0 = time.Now()
-	curve, err := a.receiverCurve(ctx, cl.Victim.Receiver, cl.Victim.ReceiverPin, cl)
+	t0 := time.Now()
+	curve, err := a.receiverCurve(ctx, r.cl.Victim.Receiver, r.cl.Victim.ReceiverPin, r.cl)
 	if err != nil {
-		return fail(StageNRC, err)
+		return nil, &ClusterError{Cluster: cs.Name, Stage: StageNRC, Err: err}
 	}
-	timing.NRC = time.Since(t0)
+	r.timing.NRC = time.Since(t0)
 	rep.Fails = curve.Fails(rep.PeakV, ev.RecvMetrics.Width)
 	rep.MarginV = curve.MarginV(rep.PeakV, ev.RecvMetrics.Width)
-	if feasible {
-		rep.Feasibility = fctx.report(curve, scenarios, rep.MarginV, rep.Fails)
+	if r.fctx != nil {
+		rep.Feasibility = r.fctx.report(curve, r.scenarios, rep.MarginV, rep.Fails)
 	} else if a.opts.Feasibility {
 		// Aggressor-free cluster: nothing to prune, but the mode still
 		// reports a (trivial) census so consumers see a uniform schema.
 		rep.Feasibility = emptyFeasReport(rep)
 	}
-	rep.Timing = timing
+	rep.Timing = r.timing
 	return rep, nil
 }
 

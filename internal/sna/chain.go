@@ -3,9 +3,7 @@ package sna
 import (
 	"context"
 	"fmt"
-	"math"
 
-	"stanoise/internal/core"
 	"stanoise/internal/wave"
 )
 
@@ -13,9 +11,11 @@ import (
 // methodology for static noise analysis based on our macromodel": noise is
 // carried through a pipeline of clusters, where the glitch measured at one
 // stage's victim receiver input becomes the input glitch of the next
-// stage's victim driver. Each stage is evaluated with the given method at
-// its worst-case alignment, on the same corner- and nonlinear-cap-derived
-// card Analyze uses.
+// stage's victim driver. Each stage runs the per-cluster pipeline of
+// Analyze (build, models, alignment, evaluation and, under
+// Options.Feasibility, the scenarios) on the same analysis card, and the
+// whole chain holds one compiled-bench pool from the analyzer's set, as a
+// serial Analyze does.
 //
 // The returned metrics are the receiver-input noise after each stage. A
 // chain converges (noise dies out stage over stage) when every stage's
@@ -23,11 +23,12 @@ import (
 // signature of a propagating functional failure.
 //
 // When Options.Feasibility is on, each stage carries its *realistic* noise
-// forward instead of the classical worst case: the stage's correlation
-// constraints are solved, every maximal feasible scenario is evaluated at
-// its constrained alignment, and the governing scenario (largest receiver
-// peak — there is no NRC in a chain hand-off) feeds the next stage.
-// Alignment stops at peak alignment in this mode, mirroring Analyze.
+// forward instead of the classical worst case: the governing scenario
+// (largest receiver peak — there is no NRC in a chain hand-off) feeds the
+// next stage. Alignment stops at peak alignment in this mode, mirroring
+// Analyze.
+//
+// A failing stage returns its *ClusterError wrapped with the stage index.
 func (a *Analyzer) PropagateChain(ctx context.Context, specs []ClusterSpec) ([]wave.NoiseMetrics, error) {
 	if len(specs) == 0 {
 		return nil, fmt.Errorf("sna: empty chain")
@@ -35,81 +36,43 @@ func (a *Analyzer) PropagateChain(ctx context.Context, specs []ClusterSpec) ([]w
 	if a.optsErr != nil {
 		return nil, a.optsErr
 	}
-	var out []wave.NoiseMetrics
-	carry := 0.0  // glitch height into the next stage (V)
-	carryW := 0.0 // glitch width into the next stage (s)
+	pool := a.pools.acquire()
+	defer a.pools.release(pool)
+	out := make([]wave.NoiseMetrics, 0, len(specs))
 	for i, cs := range specs {
 		if i > 0 {
-			// Feed the previous stage's receiver noise forward.
-			cs.Victim.GlitchHeightV = carry
-			cs.Victim.GlitchWidthPs = carryW * 1e12
+			// Feed the previous stage's receiver noise forward: its peak,
+			// and the base width of an equivalent triangle (2·area/peak) so
+			// both amplitude and energy survive the hand-off.
+			prev := out[i-1]
+			cs.Victim.GlitchHeightV = prev.Peak
+			cs.Victim.GlitchWidthPs = 0
+			if prev.Peak > 0 {
+				cs.Victim.GlitchWidthPs = 2 * prev.Area / prev.Peak * 1e12
+			}
 		}
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
-		cl, err := a.buildCluster(cs)
-		if err != nil {
-			return nil, fmt.Errorf("sna: chain stage %d: %w", i, err)
+		r, cerr := a.runCluster(ctx, cs, pool)
+		if cerr != nil {
+			return nil, fmt.Errorf("sna: chain stage %d: %w", i, cerr)
 		}
-		method := a.opts.Method
-		models, err := cl.BuildModels(ctx, a.modelOptions())
-		if err != nil {
-			return nil, fmt.Errorf("sna: chain stage %d models: %w", i, err)
-		}
-		eopts := core.EvalOptions{Dt: a.opts.Dt}
-		feasible := a.opts.Feasibility && len(cl.Aggressors) > 0
-		var fctx *feasContext
-		if feasible {
-			if fctx, err = newFeasContext(&cs); err != nil {
-				return nil, fmt.Errorf("sna: chain stage %d: %w", i, err)
-			}
-		}
-		target, starts := 0.0, []float64(nil)
-		if a.opts.Align && len(cl.Aggressors) > 0 {
-			if feasible {
-				target, starts, err = cl.AlignPeaks(ctx, models, eopts)
-			} else {
-				err = cl.AlignWorstCase(ctx, models, eopts)
-			}
-			if err != nil {
-				return nil, fmt.Errorf("sna: chain stage %d alignment: %w", i, err)
-			}
-		}
-		if feasible && starts == nil {
-			target = math.NaN()
-			starts = nominalStarts(cl)
-		}
-		ev, err := cl.Evaluate(ctx, method, models, eopts)
-		if err != nil {
-			return nil, fmt.Errorf("sna: chain stage %d evaluation: %w", i, err)
-		}
-		m := ev.RecvMetrics
-		if feasible {
-			scenarios, err := evalScenarios(ctx, cl, method, models, eopts, fctx, target, starts, a.opts.Align, ev)
-			if err != nil {
-				return nil, fmt.Errorf("sna: chain stage %d scenarios: %w", i, err)
-			}
-			// The governing hand-off is the feasible scenario with the
-			// largest receiver peak; it can only be ≤ the classical carry.
-			gov := -1
-			for j, sc := range scenarios {
-				if gov < 0 || sc.ev.RecvMetrics.Peak > scenarios[gov].ev.RecvMetrics.Peak {
-					gov = j
-				}
-			}
-			if gov >= 0 {
-				m = scenarios[gov].ev.RecvMetrics
-			}
-		}
-		out = append(out, m)
-		carry = m.Peak
-		// Carry the base width of an equivalent triangle (2·area/peak) so
-		// both amplitude and energy survive the hand-off.
-		if m.Peak > 0 {
-			carryW = 2 * m.Area / m.Peak
-		} else {
-			carryW = 0
-		}
+		out = append(out, r.handoff())
 	}
 	return out, nil
+}
+
+// handoff is the noise a chain stage carries forward: the classic receiver
+// metrics, or, when the feasibility filter ran, the feasible scenario's
+// with the largest receiver peak (ties to the earliest scenario), which can
+// only be ≤ the classic one.
+func (r *clusterRun) handoff() wave.NoiseMetrics {
+	m := r.ev.RecvMetrics
+	for i, sc := range r.scenarios {
+		if i == 0 || sc.ev.RecvMetrics.Peak > m.Peak {
+			m = sc.ev.RecvMetrics
+		}
+	}
+	return m
 }

@@ -17,8 +17,6 @@ import (
 	"math"
 
 	"stanoise/internal/cell"
-	"stanoise/internal/charlib"
-	"stanoise/internal/circuit"
 	"stanoise/internal/sim"
 	"stanoise/internal/wave"
 )
@@ -160,15 +158,8 @@ func fit(ctx context.Context, cl *cell.Cell, fromState cell.State, switchPin str
 // midSwingResistance computes R_TH from the driver's DC current at
 // mid-swing in its post-transition input state: R = (VDD/2)/|I(mid)|.
 func midSwingResistance(cl *cell.Cell, toState cell.State, v0, v1 float64) (float64, error) {
-	ckt := circuit.New()
-	ckt.AddVDC("vdd", "vdd", "0", cl.Tech.VDD)
-	pins := map[string]string{}
-	for _, in := range cl.Inputs() {
-		node := "in_" + in
-		pins[in] = node
-		ckt.AddVDC("v_"+in, node, "0", cl.PinVoltage(toState[in]))
-	}
-	if err := cl.Build(ckt, "drv", pins, "out", "vdd"); err != nil {
+	ckt, err := cl.Bench(toState)
+	if err != nil {
 		return 0, err
 	}
 	mid := 0.5 * (v0 + v1)
@@ -192,30 +183,20 @@ func midSwingResistance(cl *cell.Cell, toState cell.State, v0, v1 float64) (floa
 // simulates the whole window. The session is cold (no warm start, no
 // predictor): a fit solves this bench once.
 func simulateSwitch(ctx context.Context, cl *cell.Cell, fromState cell.State, switchPin string, loadCap float64, opts FitOptions, stop func(v float64) bool) (*wave.Waveform, error) {
-	ckt := circuit.New()
-	ckt.AddVDC("vdd", "vdd", "0", cl.Tech.VDD)
-	pins := map[string]string{}
-	for _, in := range cl.Inputs() {
-		node := "in_" + in
-		pins[in] = node
-		if in == switchPin {
-			from := cl.PinVoltage(fromState[in])
-			to := cl.PinVoltage(!fromState[in])
-			ckt.AddV("v_"+in, node, "0", wave.SaturatedRamp(from, to, opts.InputT0, opts.InputSlew))
-		} else {
-			ckt.AddVDC("v_"+in, node, "0", cl.PinVoltage(fromState[in]))
-		}
-	}
-	if err := cl.Build(ckt, "drv", pins, "out", "vdd"); err != nil {
+	ckt, err := cl.Bench(fromState)
+	if err != nil {
 		return nil, err
 	}
 	if loadCap > 0 {
 		ckt.AddC("cl", "out", "0", loadCap)
 	}
-	sess, err := sim.NewSession(sim.Compile(ckt), sim.Options{Dt: fitDt})
+	prog := sim.Compile(ckt)
+	sess, err := sim.NewSession(prog, sim.Options{Dt: fitDt})
 	if err != nil {
 		return nil, fmt.Errorf("thevenin: golden switch simulation: %w", err)
 	}
+	from, to := cl.PinVoltage(fromState[switchPin]), cl.PinVoltage(!fromState[switchPin])
+	sess.SetSource(prog.MustSource("v_"+switchPin), wave.SaturatedRamp(from, to, opts.InputT0, opts.InputSlew))
 	var until func(x []float64) bool
 	if stop != nil {
 		out, _ := ckt.LookupNode("out")
@@ -312,15 +293,4 @@ func fitRampDuration(tau, spread float64) float64 {
 		}
 	}
 	return 0.5 * (lo + hi)
-}
-
-// RTFromLoadCurve derives R_TH directly from a characterised load curve at
-// mid-swing, avoiding a DC solve when a table is already available.
-func RTFromLoadCurve(lc *charlib.LoadCurve, vinFinal, v0, v1 float64) float64 {
-	mid := 0.5 * (v0 + v1)
-	i, _, _ := lc.Eval(vinFinal, mid)
-	if i == 0 {
-		return math.Inf(1)
-	}
-	return math.Abs(mid-v1) / math.Abs(i)
 }

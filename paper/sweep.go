@@ -129,7 +129,7 @@ func RunSweep(ctx context.Context, q Quality, maxCases int) (*Experiment, error)
 			"paper: \"accuracy evaluated against circuit simulations, and the error was always within few percents\"",
 		},
 	}
-	worstMac, worstSup := 0.0, 0.0
+	worstMac := 0.0
 	for _, sc := range cases {
 		c, err := BuildSweepCluster(sc, q)
 		if err != nil {
@@ -152,7 +152,6 @@ func RunSweep(ctx context.Context, q Quality, maxCases int) (*Experiment, error)
 		if a := math.Abs(row.PeakErrPct); a > worstMac {
 			worstMac = a
 		}
-		_ = worstSup
 	}
 	exp.Notes = append(exp.Notes,
 		fmt.Sprintf("worst-case macromodel peak error across %d clusters: %.1f%%", len(cases), worstMac))
