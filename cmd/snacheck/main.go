@@ -115,8 +115,8 @@ func main() {
 		fmt.Fprintf(os.Stderr, "snacheck: %v\n", err)
 		os.Exit(2)
 	}
-	if math.IsNaN(*dt) || math.IsInf(*dt, 0) {
-		fmt.Fprintf(os.Stderr, "snacheck: -dt-ps must be finite, got %v\n", *dt)
+	if math.IsNaN(*dt) || math.IsInf(*dt, 0) || *dt <= 0 {
+		fmt.Fprintf(os.Stderr, "snacheck: -dt-ps must be a finite positive number, got %v\n", *dt)
 		os.Exit(2)
 	}
 	pol, err := stanoise.ParseErrorPolicy(*policy)

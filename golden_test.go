@@ -401,7 +401,7 @@ func TestGoldenPredictorCharacterization(t *testing.T) {
 // is exact, unlike the tolerance-based characterisation fixtures above;
 // regenerate after an intentional change with the same -update flag.
 func TestGoldenFeasibility(t *testing.T) {
-	runGoldenDesign(t, "golden-feas", "_feas.json", true)
+	runGoldenDesign(t, "golden-feas", "_feas.json", goldenDesignOpts(true))
 }
 
 // TestGoldenPessimistic pins the classic pessimistic flow, snacheck's
@@ -411,7 +411,28 @@ func TestGoldenFeasibility(t *testing.T) {
 // the peak alignment, so only these reports cover the search; they are
 // exact bytes like the feasibility ones.
 func TestGoldenPessimistic(t *testing.T) {
-	runGoldenDesign(t, "golden-pessimistic", "_pessimistic.json", false)
+	runGoldenDesign(t, "golden-pessimistic", "_pessimistic.json", goldenDesignOpts(false))
+}
+
+// TestGoldenMethod pins the transistor-level reference itself: the same
+// aligned 6-cluster analysis run with Method: Golden, on the constant-cap
+// card and on the NLMOS nonlinear gate-charge card. Only these reports
+// cover the cluster-sized transient step loop of the reference simulator
+// (each cluster's golden run takes the factored loop, DESIGN.md §17), so a
+// change to that loop that moves a bit of a golden peak, width or area
+// fails here. Exact bytes on amd64, like the other design-level fixtures.
+func TestGoldenMethod(t *testing.T) {
+	for _, card := range []struct {
+		name, suffix string
+		nl           bool
+	}{{"const", "_goldenmethod.json", false}, {"nlcap", "_goldenmethod_nlcap.json", true}} {
+		t.Run(card.name, func(t *testing.T) {
+			opts := goldenDesignOpts(false)
+			opts.Method = stanoise.Golden
+			opts.NonlinearCaps = card.nl
+			runGoldenDesign(t, "golden-method", card.suffix, opts)
+		})
+	}
 }
 
 // goldenDesignOpts is the analysis the design-level fixtures pin: the
@@ -435,15 +456,15 @@ func goldenDesignOpts(feasibility bool) stanoise.Options {
 }
 
 // runGoldenDesign analyses a generated 6-cluster design serially on both
-// technology cards with the macromodel method, aligned, and compares the
-// timing-cleared reports with testdata/golden/<tech><suffix> byte for byte.
-func runGoldenDesign(t *testing.T, name, suffix string, feasibility bool) {
+// technology cards under opts and compares the timing-cleared reports with
+// testdata/golden/<tech><suffix> byte for byte.
+func runGoldenDesign(t *testing.T, name, suffix string, opts stanoise.Options) {
 	for _, techName := range []string{"cmos130", "cmos090"} {
 		techName := techName
 		t.Run(techName, func(t *testing.T) {
 			d := stanoise.GenerateDesign(name, 6)
 			d.Tech = techName
-			reports, err := stanoise.NewAnalyzer(d, goldenDesignOpts(feasibility)).Analyze(context.Background())
+			reports, err := stanoise.NewAnalyzer(d, opts).Analyze(context.Background())
 			if err != nil {
 				t.Fatal(err)
 			}

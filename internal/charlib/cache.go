@@ -351,7 +351,7 @@ const (
 // Cache.LoadCurve keys on. The corner-sweep driver reuses it so a farm run
 // and a plain LoadCurve call address the same artefact.
 func loadCurveFP(opts LoadCurveOptions) string {
-	return fmt.Sprintf("%d,%d,%g", opts.NVin, opts.NVout, opts.MarginFrac) + dcSeedFP
+	return fmt.Sprintf("%d,%d,%g", opts.NVin, opts.NVout, marginFrac) + dcSeedFP
 }
 
 // LoadCurve returns the memoized VCCS load-curve table for the cell
@@ -400,7 +400,7 @@ func (c *Cache) NRCCurve(ctx context.Context, recv *cell.Cell, st cell.State, pi
 		return nrc.Characterize(ctx, recv, st, pin, opts)
 	}
 	opts = opts.Normalized()
-	fp := fmt.Sprintf("%v,%g,%g,%g,%g", opts.Widths, opts.LoadCap, opts.FailFrac, opts.Tol, opts.Dt) + transientSeedFP
+	fp := fmt.Sprintf("%v,%g,%g,%g,%g", opts.Widths, nrc.LoadCap, opts.FailFrac, opts.Tol, opts.Dt) + transientSeedFP
 	v, err := c.Artefact(ctx, "nrc", recv, st, pin, fp, func() (any, error) {
 		return nrc.Characterize(ctx, recv, st, pin, opts)
 	})

@@ -109,10 +109,13 @@ func (lc *LoadCurve) HoldingResistance(vinQuiet, voutQuiet float64) float64 {
 	return 1 / g
 }
 
+// marginFrac is the load-curve sweep's margin beyond the rails, as a
+// fraction of VDD. The load-curve fingerprint carries it.
+const marginFrac = 0.2
+
 // LoadCurveOptions tunes the DC sweep.
 type LoadCurveOptions struct {
-	NVin, NVout int     // grid points per axis; default 61
-	MarginFrac  float64 // sweep margin beyond the rails as a fraction of VDD; default 0.2
+	NVin, NVout int // grid points per axis; default 61
 }
 
 func (o LoadCurveOptions) normalize() LoadCurveOptions {
@@ -121,9 +124,6 @@ func (o LoadCurveOptions) normalize() LoadCurveOptions {
 	}
 	if o.NVout <= 1 {
 		o.NVout = 61
-	}
-	if o.MarginFrac <= 0 {
-		o.MarginFrac = 0.2
 	}
 	return o
 }
@@ -159,7 +159,7 @@ func characterizeLoadCurve(ctx context.Context, cl *cell.Cell, st cell.State, no
 	}
 	opts = opts.normalize()
 	vdd := cl.Tech.VDD
-	margin := opts.MarginFrac * vdd
+	margin := marginFrac * vdd
 	lc := &LoadCurve{
 		CellName: cl.Name(),
 		State:    st.String(),

@@ -98,10 +98,10 @@ type Cluster struct {
 
 // simRig is a compiled simulator test bench cached on the cluster: the
 // program/session pair plus the fingerprint of the sim options it was
-// opened with (a session fixes Dt, tolerances and initial guesses; the
-// stop time is per-run). res is the reused transient result storage —
-// rigMu serialises runs, and the waveforms handed out of an evaluation
-// copy their samples, so reuse across evaluations is safe.
+// opened with (a session fixes Dt and initial guesses; the stop time is
+// per-run). res is the reused transient result storage — rigMu serialises
+// runs, and the waveforms handed out of an evaluation copy their samples,
+// so reuse across evaluations is safe.
 type simRig struct {
 	key  string
 	prog *sim.Program
@@ -110,11 +110,11 @@ type simRig struct {
 }
 
 // optionsFingerprint renders every session-level field of o, so a rig is
-// recompiled whenever an evaluation asks for different solver settings.
+// recompiled whenever an evaluation asks for a different step or initial
+// guess. It keys only the in-memory rig pools.
 func optionsFingerprint(o sim.Options) string {
 	var b strings.Builder
-	fmt.Fprintf(&b, "%.17g|%d|%d|%.17g|%.17g|%.17g|%.17g",
-		o.Dt, o.Method, o.MaxNewton, o.VTol, o.ITol, o.Gmin, o.MaxStep)
+	fmt.Fprintf(&b, "%.17g", o.Dt)
 	if len(o.InitialGuess) > 0 {
 		names := make([]string, 0, len(o.InitialGuess))
 		for n := range o.InitialGuess {

@@ -163,23 +163,32 @@ func (pp ParallelPort) Commit(t, v float64) {
 	}
 }
 
+// The macromodel engine's Newton settings: each step's Newton stops once
+// max |Δx| < engineTol, and fails after engineMaxNewton iterations.
+const (
+	engineMaxNewton = 60
+	engineTol       = 1e-9 // Newton update tolerance (V)
+)
+
 // EngineOptions tunes the dedicated macromodel engine.
 type EngineOptions struct {
-	Dt        float64 // timestep (s); default 1 ps
-	TStop     float64 // end time (s); required
-	MaxNewton int     // default 60
-	Tol       float64 // Newton update tolerance (V); default 1e-9
+	Dt    float64 // timestep (s); default 1 ps
+	TStop float64 // end time (s); required
+
+	// maxNewton caps each step's Newton iterations; 0 means
+	// engineMaxNewton. Test hook for runs that must finish without a
+	// second iteration.
+	maxNewton int
 }
 
 // normalize fills defaults and rejects non-finite values with a
 // *sim.OptionsError: a NaN or infinite Dt or TStop would size the result
-// from a NaN step count or never leave the step loop, and a NaN Tol would
-// pass every `<= 0` default check and disable the convergence test.
+// from a NaN step count or never leave the step loop.
 func (o EngineOptions) normalize() (EngineOptions, error) {
 	for _, f := range []struct {
 		name string
 		v    float64
-	}{{"Dt", o.Dt}, {"TStop", o.TStop}, {"Tol", o.Tol}} {
+	}{{"Dt", o.Dt}, {"TStop", o.TStop}} {
 		if math.IsNaN(f.v) || math.IsInf(f.v, 0) {
 			return o, &sim.OptionsError{Field: f.name, Value: f.v}
 		}
@@ -190,11 +199,8 @@ func (o EngineOptions) normalize() (EngineOptions, error) {
 	if o.TStop <= 0 {
 		return o, errors.New("core: engine requires TStop")
 	}
-	if o.MaxNewton <= 0 {
-		o.MaxNewton = 60
-	}
-	if o.Tol <= 0 {
-		o.Tol = 1e-9
+	if o.maxNewton <= 0 {
+		o.maxNewton = engineMaxNewton
 	}
 	return o, nil
 }
@@ -371,8 +377,8 @@ func RunEngine(ctx context.Context, red *mor.Reduced, sources []PortSource, v0 [
 		// Newton on y_N = r + M·i_N(t, V0+y_N) with r = B_Nᵀw, from
 		// y_N = B_Nᵀx_prev. Its iterates are the Q×Q Newton's, x = w + Z_N·c
 		// with c = i + D·(y_new − y), so the stopping rule is the Q×Q one:
-		// max |Δx| < Tol. A NaN |Δx| is kept in maxd, so a non-finite update
-		// never counts as converged.
+		// max |Δx| < engineTol. A NaN |Δx| is kept in maxd, so a non-finite
+		// update never counts as converged.
 		converged := pn == 0
 		switch pn {
 		case 0:
@@ -384,7 +390,7 @@ func RunEngine(ctx context.Context, red *mor.Reduced, sources []PortSource, v0 [
 			// and the state update fused with the |Δx| test.
 			j, mv, z := perm[0], m.Data[0], row(zt, 0)
 			r0 := linalg.Dot(row(bt, 0), w)
-			for it := 0; it < opts.MaxNewton; it++ {
+			for it := 0; it < opts.maxNewton; it++ {
 				i, didv := sources[j].Current(t, v0[j]+y[0])
 				jc := -mv * didv
 				jc++
@@ -403,7 +409,7 @@ func RunEngine(ctx context.Context, red *mor.Reduced, sources []PortSource, v0 [
 					xn[a] = xa
 				}
 				x, xn = xn, x
-				if maxd < opts.Tol {
+				if maxd < engineTol {
 					converged = true
 					break
 				}
@@ -412,7 +418,7 @@ func RunEngine(ctx context.Context, red *mor.Reduced, sources []PortSource, v0 [
 			for a := range r {
 				r[a] = linalg.Dot(row(bt, a), w)
 			}
-			for it := 0; it < opts.MaxNewton; it++ {
+			for it := 0; it < opts.maxNewton; it++ {
 				for jj, j := range perm[:pn] {
 					icur[jj], didv[jj] = sources[j].Current(t, v0[j]+y[jj])
 				}
@@ -442,7 +448,7 @@ func RunEngine(ctx context.Context, red *mor.Reduced, sources []PortSource, v0 [
 					}
 				}
 				x, xn = xn, x
-				if maxd < opts.Tol {
+				if maxd < engineTol {
 					converged = true
 					break
 				}

@@ -225,7 +225,8 @@ func TestCapPortDifferentiates(t *testing.T) {
 // the full Q×Q Jacobian A1 − B·diag(∂i/∂v)·Bᵀ of
 // F(x) = A1·x − A2·x_prev − B·i_prev − B·i(t, V0+Bᵀx). It runs on the same
 // indexed time grid, calls the sources in the same order and stops on the
-// same max |Δx| < Tol rule, so the two engines differ only by round-off.
+// same max |Δx| < engineTol rule, so the two engines differ only by
+// round-off.
 func referenceEngine(red *mor.Reduced, sources []PortSource, v0 []float64, opts EngineOptions) (*EngineResult, error) {
 	opts, err := opts.normalize()
 	if err != nil {
@@ -273,7 +274,7 @@ func referenceEngine(red *mor.Reduced, sources []PortSource, v0 []float64, opts 
 			}
 		}
 		converged := false
-		for it := 0; it < opts.MaxNewton; it++ {
+		for it := 0; it < opts.maxNewton; it++ {
 			u := red.PortVoltages(x)
 			for k, s := range sources {
 				icur[k], didv[k] = s.Current(t, v0[k]+u[k])
@@ -300,7 +301,7 @@ func referenceEngine(red *mor.Reduced, sources []PortSource, v0 []float64, opts 
 				x[r] -= dx[r]
 				maxd = math.Max(maxd, math.Abs(dx[r]))
 			}
-			if maxd < opts.Tol {
+			if maxd < engineTol {
 				converged = true
 				break
 			}
@@ -491,7 +492,7 @@ func TestEngineNonConvergenceIsTyped(t *testing.T) {
 	opts := fastEvalOptions().normalize(c)
 	srcs := clusterSources(c, models, &VCCSPort{LC: models.LC, Vin: c.victimInputWave()})
 	_, err := RunEngine(context.Background(), models.Red, srcs, models.V0,
-		EngineOptions{Dt: opts.Dt, TStop: opts.TStop, MaxNewton: 1})
+		EngineOptions{Dt: opts.Dt, TStop: opts.TStop, maxNewton: 1})
 	if !errors.Is(err, sim.ErrNoConvergence) {
 		t.Fatalf("err = %v, want sim.ErrNoConvergence", err)
 	}
@@ -501,15 +502,15 @@ func TestEngineNonConvergenceIsTyped(t *testing.T) {
 }
 
 // An all-linear run folds every port into the step matrix and takes no
-// Newton iteration: at MaxNewton = 1 it completes with exactly the default
+// Newton iteration: at maxNewton = 1 it completes with exactly the default
 // run's waveforms. The same run with one Thevenin law the engine does not
 // know iterates, and one iteration cannot meet the stopping rule.
 func TestEngineAllLinearRunTakesNoNewton(t *testing.T) {
 	red, srcs, v0, _, _ := coupledLines(t)
-	opts := EngineOptions{Dt: 1e-12, TStop: 2e-9, MaxNewton: 1}
+	opts := EngineOptions{Dt: 1e-12, TStop: 2e-9, maxNewton: 1}
 	one, err := RunEngine(context.Background(), red, srcs, v0, opts)
 	if err != nil {
-		t.Fatalf("all-linear run at MaxNewton = 1: %v", err)
+		t.Fatalf("all-linear run at maxNewton = 1: %v", err)
 	}
 	def, err := RunEngine(context.Background(), red, srcs, v0, EngineOptions{Dt: opts.Dt, TStop: opts.TStop})
 	if err != nil {
@@ -518,14 +519,14 @@ func TestEngineAllLinearRunTakesNoNewton(t *testing.T) {
 	for pi := range def.PortV {
 		for k, v := range def.PortV[pi] {
 			if one.PortV[pi][k] != v {
-				t.Fatalf("port %d sample %d: %v at MaxNewton = 1, %v by default", pi, k, one.PortV[pi][k], v)
+				t.Fatalf("port %d sample %d: %v at maxNewton = 1, %v by default", pi, k, one.PortV[pi][k], v)
 			}
 		}
 	}
 	th := srcs[1].(*TheveninPort)
 	srcs[1] = theveninLaw{w: th.W, rTh: th.RTh}
 	if _, err := RunEngine(context.Background(), red, srcs, v0, opts); !errors.Is(err, sim.ErrNoConvergence) {
-		t.Errorf("run with a port in Newton at MaxNewton = 1: err = %v, want sim.ErrNoConvergence", err)
+		t.Errorf("run with a port in Newton at maxNewton = 1: err = %v, want sim.ErrNoConvergence", err)
 	}
 }
 
@@ -559,8 +560,8 @@ func TestEngineTimeGridIndexed(t *testing.T) {
 func TestEngineRejectsNonFiniteOptions(t *testing.T) {
 	red := reducedLadder(t, 4, 10, 1e-15)
 	srcs := []PortSource{OpenPort{}, OpenPort{}}
-	base := EngineOptions{Dt: 1e-12, TStop: 1e-9, Tol: 1e-9}
-	for _, field := range []string{"Dt", "TStop", "Tol"} {
+	base := EngineOptions{Dt: 1e-12, TStop: 1e-9}
+	for _, field := range []string{"Dt", "TStop"} {
 		for _, v := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
 			opts := base
 			switch field {
@@ -568,8 +569,6 @@ func TestEngineRejectsNonFiniteOptions(t *testing.T) {
 				opts.Dt = v
 			case "TStop":
 				opts.TStop = v
-			case "Tol":
-				opts.Tol = v
 			}
 			_, err := RunEngine(context.Background(), red, srcs, []float64{0, 0}, opts)
 			var oe *sim.OptionsError

@@ -20,27 +20,20 @@ type Reduced struct {
 	Q      int // reduced order
 }
 
+// s0 is the real expansion point of every reduction in rad/s (≈3 GHz),
+// matching the spectral content of nanosecond-scale noise events.
+const s0 = 2e10
+
 // Options tunes the reduction.
 type Options struct {
 	// Moments is the number of block moments matched per port (Krylov
 	// blocks). Default 3.
 	Moments int
-	// S0 is the real expansion point in rad/s. Default 2e10 (≈3 GHz),
-	// matching the spectral content of nanosecond-scale noise events.
-	S0 float64
-	// NoDCAugment disables augmenting the projection basis with the
-	// resistive-island indicator vectors. The augmentation guarantees the
-	// reduced model settles to exact DC port levels after an event; it is
-	// on by default and costs one basis vector per wire.
-	NoDCAugment bool
 }
 
 func (o Options) normalize() Options {
 	if o.Moments <= 0 {
 		o.Moments = 3
-	}
-	if o.S0 <= 0 {
-		o.S0 = 2e10
 	}
 	return o
 }
@@ -61,26 +54,24 @@ func Reduce(net *Network, ports []string, opts Options) (*Reduced, error) {
 
 	// Shifted system matrix G + s0·C.
 	a := net.G.Clone()
-	a.AddScaled(opts.S0, net.C)
+	a.AddScaled(s0, net.C)
 	lu, err := linalg.Factor(a)
 	if err != nil {
-		return nil, fmt.Errorf("mor: expansion matrix singular (s0=%g): %w", opts.S0, err)
+		return nil, fmt.Errorf("mor: expansion matrix singular (s0=%g): %w", s0, err)
 	}
 
 	var basis [][]float64
 	// DC augmentation: per-island constant vectors span the null space of
 	// G, so including them makes the reduced Gr exactly singular along the
 	// physical "whole wire shifts together" directions and the late-time
-	// settling exact.
-	if !opts.NoDCAugment {
-		for _, comp := range net.islands() {
-			v := make([]float64, n)
-			for _, i := range comp {
-				v[i] = 1
-			}
-			if w, ok := linalg.Orthonormalize(basis, v); ok {
-				basis = append(basis, w)
-			}
+	// settling exact, at the cost of one basis vector per wire.
+	for _, comp := range net.islands() {
+		v := make([]float64, n)
+		for _, i := range comp {
+			v[i] = 1
+		}
+		if w, ok := linalg.Orthonormalize(basis, v); ok {
+			basis = append(basis, w)
 		}
 	}
 

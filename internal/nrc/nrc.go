@@ -33,10 +33,14 @@ type Curve struct {
 	Heights []float64 // failing height per width (V); +Inf when unfailable
 }
 
+// LoadCap is the receiver output load every NRC is characterised into (F).
+// The cache fingerprint of a curve carries it, so stored curves stay keyed
+// on the load they were built with.
+const LoadCap = 30e-15
+
 // Options tunes NRC characterisation.
 type Options struct {
 	Widths   []float64 // default {50, 100, 200, 400, 800, 1600} ps
-	LoadCap  float64   // receiver output load; default 30 fF
 	FailFrac float64   // default 0.5 (50 % of VDD at the receiver output)
 	Tol      float64   // bisection tolerance on height (V); default 10 mV
 	Dt       float64   // transient step; default 2 ps
@@ -50,9 +54,6 @@ func (o Options) Normalized() Options { return o.normalize() }
 func (o Options) normalize() Options {
 	if len(o.Widths) == 0 {
 		o.Widths = []float64{50e-12, 100e-12, 200e-12, 400e-12, 800e-12, 1600e-12}
-	}
-	if o.LoadCap <= 0 {
-		o.LoadCap = 30e-15
 	}
 	if o.FailFrac <= 0 {
 		o.FailFrac = 0.5
@@ -163,7 +164,7 @@ func newGlitchRig(cl *cell.Cell, st cell.State, pin string, opts Options, seeded
 	if err != nil {
 		return nil, err
 	}
-	ckt.AddC("cl", "out", "0", opts.LoadCap)
+	ckt.AddC("cl", "out", "0", LoadCap)
 	quietIn := cl.PinVoltage(st[pin])
 	sign := 1.0
 	if st[pin] {

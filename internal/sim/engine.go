@@ -4,10 +4,10 @@
 //
 // It is a classical MNA (modified nodal analysis) engine: node voltages plus
 // voltage-source branch currents are the unknowns, non-linear devices are
-// handled with damped Newton–Raphson, capacitors with trapezoidal (default)
-// or backward-Euler companion models, and DC operating points with gmin
-// stepping as a fallback. Matrices are dense; noise clusters are small
-// (tens of nodes), where dense LU beats sparse bookkeeping.
+// handled with damped Newton–Raphson, capacitors with trapezoidal companion
+// models, and DC operating points with gmin stepping as a fallback.
+// Matrices are dense; noise clusters are small (tens of nodes), where dense
+// LU beats sparse bookkeeping.
 //
 // The engine is split into two phases (DESIGN.md §7). Compile resolves a
 // circuit into an immutable Program — index-resolved node table and

@@ -68,24 +68,6 @@ func TestRCStepResponse(t *testing.T) {
 	}
 }
 
-func TestRCBackwardEulerMatchesTrapezoidal(t *testing.T) {
-	c := circuit.New()
-	c.AddV("vs", "in", "0", wave.SaturatedRamp(0, 1, 0, 50e-12))
-	c.AddR("r", "in", "out", 500)
-	c.AddC("c", "out", "0", 200e-15)
-	tr, err := Transient(context.Background(), c, Options{Dt: 1e-12, TStop: 1e-9, Method: Trapezoidal})
-	if err != nil {
-		t.Fatal(err)
-	}
-	be, err := Transient(context.Background(), c, Options{Dt: 1e-12, TStop: 1e-9, Method: BackwardEuler})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if d := wave.MaxAbsDiff(tr.Waveform("out"), be.Waveform("out")); d > 0.01 {
-		t.Errorf("TR vs BE differ by %v", d)
-	}
-}
-
 func inv013(c *circuit.Circuit, name, in, out, vdd string) {
 	c.AddM(name+"_p", out, in, vdd, device.Params{
 		Kind: device.PMOS, W: 2.6e-6, L: 0.13e-6, KP: 90e-6, VT0: -0.38, Lambda: 0.2,

@@ -211,7 +211,7 @@ func (s *Session) factoredNewton(lin *linalg.Matrix, x, b []float64) error {
 	plan := &s.prog.lr
 	r := len(plan.rows)
 	e := stampTarget{data: s.lr.e.Data, stride: len(plan.cols), rowOf: plan.rowOf, colOf: plan.colOf}
-	for it := 0; it < s.opts.MaxNewton; it++ {
+	for it := 0; it < maxNewton; it++ {
 		s.residual(lin, x, b)
 		if r > 0 {
 			s.stats.NewtonIters++

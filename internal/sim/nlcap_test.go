@@ -44,7 +44,7 @@ func nlJacobianRig(t *testing.T) *Session {
 	ckt.AddR("rl", "vdd", "out", 5e3)
 	ckt.AddM("m1", "out", "g", "0", nlNMOS())
 	ckt.AddC("cl", "out", "0", 10e-15)
-	sess, err := NewSession(Compile(ckt), Options{Dt: 1e-12, Method: Trapezoidal})
+	sess, err := NewSession(Compile(ckt), Options{Dt: 1e-12})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -64,7 +64,7 @@ func nlJacobianRig(t *testing.T) *Session {
 func TestNLCapJacobianFD(t *testing.T) {
 	s := nlJacobianRig(t)
 	geq := 2.0 / s.opts.Dt
-	s.stampBase(s.opts.Gmin)
+	s.stampBase(gmin)
 	lin := linalg.NewMatrix(s.size, s.size)
 	lin.CopyFrom(s.base)
 	for i, cp := range s.prog.caps {
@@ -73,7 +73,6 @@ func TestNLCapJacobianFD(t *testing.T) {
 	// Arm the nonlinear-cap stamps with a nontrivial trapezoidal history so
 	// both the C'(u)·rate and C(u)·geq Jacobian terms are live.
 	s.nlGeq = geq
-	s.nlTrap = true
 	defer func() { s.nlGeq = 0 }()
 	for i := range s.prog.nlcaps {
 		nc := &s.prog.nlcaps[i]
@@ -160,7 +159,7 @@ func TestNLCapChargeConservation(t *testing.T) {
 	ckt.AddV("vin", "in", "0", vinW)
 	ckt.AddR("r", "in", "g", 10e3)
 	ckt.AddM("m1", "0", "g", "0", capOnlyNMOS(cgs))
-	sess, err := NewSession(Compile(ckt), Options{Dt: 1e-12, Method: Trapezoidal})
+	sess, err := NewSession(Compile(ckt), Options{Dt: 1e-12})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -236,7 +235,7 @@ func TestNLCapZeroModulationBitIdentical(t *testing.T) {
 		if _, ok := prog.Cap("m1.cgd"); !ok {
 			t.Fatal("reduced cap m1.cgd not registered as a constant capacitor")
 		}
-		sess, err := NewSession(prog, Options{Dt: 1e-12, Method: Trapezoidal})
+		sess, err := NewSession(prog, Options{Dt: 1e-12})
 		if err != nil {
 			t.Fatal(err)
 		}

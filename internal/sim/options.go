@@ -7,32 +7,25 @@ import (
 	"sort"
 )
 
-// Method selects the integration rule for capacitors.
-type Method int
-
+// The solver settings every session runs with. Capacitors integrate with
+// the trapezoidal rule, and each Newton solve stops when a full update is
+// below vTol and every node's residual below iTol.
 const (
-	// Trapezoidal is second-order accurate and the default.
-	Trapezoidal Method = iota
-	// BackwardEuler is first-order and strongly damped; useful to start
-	// transients or to suppress trapezoidal ringing.
-	BackwardEuler
+	maxNewton = 100   // Newton iteration cap per solve
+	vTol      = 1e-9  // voltage convergence tolerance (V)
+	iTol      = 1e-12 // residual current tolerance (A)
+	gmin      = 1e-12 // minimum conductance to ground (S)
+	maxStep   = 0.5   // Newton per-iteration voltage damping limit (V)
 )
 
 // Options configures a simulation run. The zero value is completed with
 // sensible defaults by normalize. Non-finite values (NaN or ±Inf) in any
 // numeric field are rejected with an *OptionsError before a solve starts —
-// a NaN tolerance or timestep would otherwise pass every `<= 0` default
-// check and silently never converge.
+// a NaN timestep would otherwise pass every `<= 0` default check and run
+// a transient forever.
 type Options struct {
-	Dt     float64 // transient timestep (s); default 1 ps
-	TStop  float64 // transient end time (s)
-	Method Method  // integration rule; default Trapezoidal
-
-	MaxNewton int     // Newton iteration cap per solve; default 100
-	VTol      float64 // voltage convergence tolerance (V); default 1e-9
-	ITol      float64 // residual current tolerance (A); default 1e-12
-	Gmin      float64 // minimum conductance to ground (S); default 1e-12
-	MaxStep   float64 // Newton per-iteration voltage damping limit (V); default 0.5
+	Dt    float64 // transient timestep (s); default 1 ps
+	TStop float64 // transient end time (s)
 
 	// InitialGuess seeds DC node voltages by node name. Seeding nodes near
 	// their quiet logic values both speeds convergence and selects the
@@ -43,21 +36,6 @@ type Options struct {
 func (o Options) normalize() Options {
 	if o.Dt <= 0 {
 		o.Dt = 1e-12
-	}
-	if o.MaxNewton <= 0 {
-		o.MaxNewton = 100
-	}
-	if o.VTol <= 0 {
-		o.VTol = 1e-9
-	}
-	if o.ITol <= 0 {
-		o.ITol = 1e-12
-	}
-	if o.Gmin <= 0 {
-		o.Gmin = 1e-12
-	}
-	if o.MaxStep <= 0 {
-		o.MaxStep = 0.5
 	}
 	return o
 }
@@ -123,8 +101,8 @@ func GridSteps(tstop, dt float64, signals int) (int, error) {
 
 // Validate rejects non-finite option values with an *OptionsError. Zero
 // and negative values are legal — normalize replaces them with defaults —
-// but NaN and ±Inf are programming errors that would otherwise disable
-// convergence checks or run a transient forever.
+// but NaN and ±Inf are programming errors that would otherwise seed Newton
+// with a NaN or run a transient forever.
 func (o Options) Validate() error {
 	fields := []struct {
 		name string
@@ -132,10 +110,6 @@ func (o Options) Validate() error {
 	}{
 		{"Dt", o.Dt},
 		{"TStop", o.TStop},
-		{"VTol", o.VTol},
-		{"ITol", o.ITol},
-		{"Gmin", o.Gmin},
-		{"MaxStep", o.MaxStep},
 	}
 	for _, f := range fields {
 		if math.IsNaN(f.v) || math.IsInf(f.v, 0) {

@@ -31,10 +31,6 @@ func TestOptionsValidateRejectsNonFinite(t *testing.T) {
 		{"NaN TStop", Options{TStop: nan}, "TStop"},
 		{"Inf TStop", Options{TStop: inf}, "TStop"},
 		{"-Inf TStop", Options{TStop: math.Inf(-1)}, "TStop"},
-		{"NaN VTol", Options{VTol: nan}, "VTol"},
-		{"NaN ITol", Options{ITol: nan}, "ITol"},
-		{"Inf Gmin", Options{Gmin: inf}, "Gmin"},
-		{"NaN MaxStep", Options{MaxStep: nan}, "MaxStep"},
 		{"NaN guess", Options{InitialGuess: map[string]float64{"out": nan}}, `InitialGuess["out"]`},
 		{"Inf guess", Options{InitialGuess: map[string]float64{"out": inf}}, `InitialGuess["out"]`},
 	}
@@ -62,7 +58,7 @@ func TestOptionsValidateAcceptsDefaultsAndNegatives(t *testing.T) {
 	// Zero and negative values are replaced by defaults, not rejected.
 	for _, o := range []Options{
 		{},
-		{Dt: -1, TStop: -2, VTol: -1, ITol: -1, Gmin: -1, MaxStep: -1},
+		{Dt: -1, TStop: -2},
 		{InitialGuess: map[string]float64{"a": 1.2, "b": -0.3}},
 	} {
 		if err := o.Validate(); err != nil {
@@ -73,9 +69,9 @@ func TestOptionsValidateAcceptsDefaultsAndNegatives(t *testing.T) {
 
 func TestDCRejectsNonFiniteOptions(t *testing.T) {
 	before := Snapshot()
-	_, err := DC(optTestCircuit(), Options{VTol: math.NaN()})
+	_, err := DC(optTestCircuit(), Options{Dt: math.NaN()})
 	if !errors.Is(err, ErrInvalidOptions) {
-		t.Fatalf("DC with NaN VTol: err = %v, want ErrInvalidOptions", err)
+		t.Fatalf("DC with NaN Dt: err = %v, want ErrInvalidOptions", err)
 	}
 	// Rejected runs never start a solve.
 	if d := Snapshot().Sub(before); d.Total() != 0 {
@@ -97,8 +93,8 @@ func TestTransientRejectsNonFiniteOptions(t *testing.T) {
 
 func TestNewSessionRejectsNonFiniteOptions(t *testing.T) {
 	prog := Compile(optTestCircuit())
-	if _, err := NewSession(prog, Options{Gmin: math.NaN()}); !errors.Is(err, ErrInvalidOptions) {
-		t.Fatalf("NewSession with NaN Gmin: err = %v, want ErrInvalidOptions", err)
+	if _, err := NewSession(prog, Options{Dt: math.NaN()}); !errors.Is(err, ErrInvalidOptions) {
+		t.Fatalf("NewSession with NaN Dt: err = %v, want ErrInvalidOptions", err)
 	}
 }
 

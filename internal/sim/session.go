@@ -77,14 +77,12 @@ type Session struct {
 	vPrevNL []float64
 	iPrevNL []float64
 	cPrevNL []float64
-	// nlGeq is the active companion factor (1/h for BE, 2/h for
-	// trapezoidal) while a transient step loop is running, and 0 outside
-	// it. assemble stamps the nonlinear caps only when nlGeq > 0: at DC a
-	// capacitor is an open circuit and contributes nothing, which keeps
-	// every DC solve — including the transient operating point — exactly
-	// on the legacy arithmetic.
-	nlGeq  float64
-	nlTrap bool
+	// nlGeq is the active companion factor 2/h while a transient step
+	// loop is running, and 0 outside it. assemble stamps the nonlinear caps
+	// only when nlGeq > 0: at DC a capacitor is an open circuit and
+	// contributes nothing, which keeps every DC solve — including the
+	// transient operating point — exactly on the legacy arithmetic.
+	nlGeq float64
 
 	// Initial-guess seeds resolved to node indices.
 	guesses []guessEntry
@@ -173,7 +171,7 @@ func NewSession(p *Program, opts Options) (*Session, error) {
 	for name, v := range s.opts.InitialGuess {
 		s.setGuess(name, v)
 	}
-	s.stampBase(s.opts.Gmin)
+	s.stampBase(gmin)
 	return s, nil
 }
 
@@ -343,11 +341,12 @@ func (s *Session) setGuess(name string, v float64) {
 	s.guesses = append(s.guesses, guessEntry{node: int(id), v: v})
 }
 
-// stampBase fills the linear, time-invariant part of the Jacobian.
-func (s *Session) stampBase(gmin float64) {
+// stampBase fills the linear, time-invariant part of the Jacobian, with
+// conductance g from every node to ground.
+func (s *Session) stampBase(g float64) {
 	s.base.Zero()
 	for i := 0; i < s.n; i++ {
-		s.base.Add(i, i, gmin)
+		s.base.Add(i, i, g)
 	}
 	for _, r := range s.prog.res {
 		s.stampConductance(s.base, r.a, r.b, r.g)
@@ -363,7 +362,7 @@ func (s *Session) stampBase(gmin float64) {
 			s.base.Add(row, v.neg, -1)
 		}
 	}
-	s.stampedGmin = gmin
+	s.stampedGmin = g
 }
 
 func (s *Session) stampConductance(m *linalg.Matrix, a, b int, g float64) {
@@ -439,11 +438,10 @@ func (s *Session) stampDevices(x []float64, jac *stampTarget) {
 	}
 	// Nonlinear gate-charge capacitors: the charge-conserving companion
 	// form of the NLMOS discretization, re-evaluated from the current
-	// iterate on every assembly. With u = v(a) − v(b) and geq = 2/h
-	// (trapezoidal) or 1/h (backward Euler):
+	// iterate on every assembly. With u = v(a) − v(b) and the trapezoidal
+	// geq = 2/h:
 	//
-	//	i     = C(u)·(geq·(u − u_last) − i_last/C_last)   (trap)
-	//	i     = C(u)·geq·(u − u_last)                     (BE)
+	//	i     = C(u)·(geq·(u − u_last) − i_last/C_last)
 	//	di/du = C'(u)·(…) + C(u)·geq
 	//
 	// The history current is divided by the capacitance it was computed
@@ -457,10 +455,7 @@ func (s *Session) stampDevices(x []float64, jac *stampTarget) {
 			nc := &s.prog.nlcaps[i]
 			u := vIdx(x, nc.a) - vIdx(x, nc.b)
 			c, dc := nc.cp.Eval(u)
-			rate := geq * (u - s.vPrevNL[i])
-			if s.nlTrap {
-				rate -= s.iPrevNL[i] / s.cPrevNL[i]
-			}
+			rate := geq*(u-s.vPrevNL[i]) - s.iPrevNL[i]/s.cPrevNL[i]
 			cur := c * rate
 			g := dc*rate + c*geq
 			a, bn := nc.a, nc.b
@@ -505,7 +500,7 @@ func (s *Session) stampDevices(x []float64, jac *stampTarget) {
 // update, no residual verification); DC solves pass it in warm-start mode,
 // transient timestep solves always use the strict dual criterion.
 func (s *Session) newton(lin *linalg.Matrix, x, b []float64, relaxed bool) error {
-	for it := 0; it < s.opts.MaxNewton; it++ {
+	for it := 0; it < maxNewton; it++ {
 		s.stats.NewtonIters++
 		s.assemble(lin, x, b)
 		if err := s.lu.Factor(s.jac); err != nil {
@@ -523,7 +518,6 @@ func (s *Session) newton(lin *linalg.Matrix, x, b []float64, relaxed bool) error
 // applies the update s.dx to x, damped, and reports whether the iteration
 // converged against the residual s.f it was computed from.
 func (s *Session) update(x []float64, relaxed bool) bool {
-	opts := &s.opts
 	dx := s.dx
 	// Damping: bound the voltage update. A NaN component is kept in maxdv
 	// (and below in maxf), so a non-finite update or residual never passes
@@ -536,8 +530,8 @@ func (s *Session) update(x []float64, relaxed bool) bool {
 		}
 	}
 	scale := 1.0
-	if maxdv > opts.MaxStep {
-		scale = opts.MaxStep / maxdv
+	if maxdv > maxStep {
+		scale = maxStep / maxdv
 	}
 	for i := range x {
 		x[i] -= scale * dx[i]
@@ -553,7 +547,7 @@ func (s *Session) update(x []float64, relaxed bool) bool {
 		// verify the residual), so the cold path stays bit-identical to the
 		// legacy flow and warm transients differ from cold only through
 		// their operating point.
-		return maxdv*scale < opts.VTol && scale == 1
+		return maxdv*scale < vTol && scale == 1
 	}
 	maxf := 0.0
 	for i := 0; i < s.n; i++ {
@@ -561,7 +555,7 @@ func (s *Session) update(x []float64, relaxed bool) bool {
 			maxf = a
 		}
 	}
-	return maxdv*scale < opts.VTol && maxf < opts.ITol*math.Max(1, float64(s.n))
+	return maxdv*scale < vTol && maxf < iTol*math.Max(1, float64(s.n))
 }
 
 // ensurePredictorBuffers lazily allocates the predictor history ring and
@@ -725,8 +719,8 @@ func (s *Session) RunDCInto(res *DCResult) error {
 // the warm seed failed to converge.
 func (s *Session) solveDC(linear bool) error {
 	s.stats.DC++
-	if s.stampedGmin != s.opts.Gmin {
-		s.stampBase(s.opts.Gmin)
+	if s.stampedGmin != gmin {
+		s.stampBase(gmin)
 	}
 	s.sourceRHS(s.rhs, 0)
 	if linear && s.lu.Factor(s.base) == nil {
@@ -766,14 +760,14 @@ func (s *Session) solveDC(linear bool) error {
 	}
 	// gmin stepping.
 	s.initialGuess(s.x)
-	for gmin := 1e-3; gmin >= s.opts.Gmin; gmin /= 10 {
-		s.stampBase(gmin)
+	for g := 1e-3; g >= gmin; g /= 10 {
+		s.stampBase(g)
 		if err := s.newton(s.base, s.x, s.rhs, false); err != nil {
 			s.haveWarm = false
-			return fmt.Errorf("sim: DC gmin stepping failed at gmin=%g: %w", gmin, err)
+			return fmt.Errorf("sim: DC gmin stepping failed at gmin=%g: %w", g, err)
 		}
 	}
-	s.stampBase(s.opts.Gmin)
+	s.stampBase(gmin)
 	if err := s.newton(s.base, s.x, s.rhs, false); err != nil {
 		s.haveWarm = false
 		return fmt.Errorf("sim: DC failed after gmin stepping: %w", err)
@@ -868,8 +862,7 @@ func (s *Session) RunTransientUntil(ctx context.Context, res *Result, tstop floa
 		return errors.New("sim: Transient requires positive TStop")
 	}
 
-	opts := s.opts
-	h := opts.Dt
+	h := s.opts.Dt
 	// Indexed time grid: t = k·h instead of the legacy accumulating
 	// t += h, which drifted by an ulp per step and could drop or duplicate
 	// the final step on long runs (TestTransientStepCountExact pins the
@@ -901,11 +894,9 @@ func (s *Session) RunTransientUntil(ctx context.Context, res *Result, tstop floa
 		return nil
 	}
 
-	// Transient system matrix: base + capacitor companion conductances.
-	geqFactor := 1.0 / h // BE
-	if opts.Method == Trapezoidal {
-		geqFactor = 2.0 / h
-	}
+	// Transient system matrix: base + trapezoidal capacitor companion
+	// conductances.
+	geqFactor := 2.0 / h
 	if s.lin == nil {
 		s.lin = linalg.NewMatrix(s.size, s.size)
 	}
@@ -924,7 +915,7 @@ func (s *Session) RunTransientUntil(ctx context.Context, res *Result, tstop floa
 		s.stats.LowRankRuns++
 	}
 
-	// Capacitor history: branch voltage and (for trapezoidal) current.
+	// Capacitor history: branch voltage and current.
 	//
 	// iPrev is deliberately zeroed, and this is exact, not an
 	// approximation: the run starts from a *converged DC operating point*,
@@ -953,7 +944,6 @@ func (s *Session) RunTransientUntil(ctx context.Context, res *Result, tstop floa
 	// Arm the per-iteration nonlinear-cap stamps for the step loop (and
 	// only for it: DC solves must keep seeing open circuits).
 	s.nlGeq = geqFactor
-	s.nlTrap = opts.Method == Trapezoidal
 	defer func() { s.nlGeq = 0 }()
 
 	// Predictor seeding only applies to runs with Newton iterations; a
@@ -975,12 +965,7 @@ func (s *Session) RunTransientUntil(ctx context.Context, res *Result, tstop floa
 		}
 		s.sourceRHS(b, t)
 		for i, cp := range s.prog.caps {
-			var hist float64
-			if opts.Method == Trapezoidal {
-				hist = s.capC[i]*geqFactor*s.vPrev[i] + s.iPrev[i]
-			} else {
-				hist = s.capC[i] * geqFactor * s.vPrev[i]
-			}
+			hist := s.capC[i]*geqFactor*s.vPrev[i] + s.iPrev[i]
 			if cp.a >= 0 {
 				b[cp.a] += hist
 			}
@@ -1009,21 +994,14 @@ func (s *Session) RunTransientUntil(ctx context.Context, res *Result, tstop floa
 		}
 		for i, cp := range s.prog.caps {
 			v := vIdx(x, cp.a) - vIdx(x, cp.b)
-			if opts.Method == Trapezoidal {
-				s.iPrev[i] = s.capC[i]*geqFactor*(v-s.vPrev[i]) - s.iPrev[i]
-			} else {
-				s.iPrev[i] = s.capC[i] * geqFactor * (v - s.vPrev[i])
-			}
+			s.iPrev[i] = s.capC[i]*geqFactor*(v-s.vPrev[i]) - s.iPrev[i]
 			s.vPrev[i] = v
 		}
 		for i := range s.prog.nlcaps {
 			nc := &s.prog.nlcaps[i]
 			u := vIdx(x, nc.a) - vIdx(x, nc.b)
 			c, _ := nc.cp.Eval(u)
-			rate := geqFactor * (u - s.vPrevNL[i])
-			if opts.Method == Trapezoidal {
-				rate -= s.iPrevNL[i] / s.cPrevNL[i]
-			}
+			rate := geqFactor*(u-s.vPrevNL[i]) - s.iPrevNL[i]/s.cPrevNL[i]
 			s.iPrevNL[i] = c * rate
 			s.vPrevNL[i] = u
 			s.cPrevNL[i] = c

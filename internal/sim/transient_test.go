@@ -72,7 +72,7 @@ func TestTransientOPCapCurrentIsZero(t *testing.T) {
 			t.Fatal(err)
 		}
 		ckt.AddC("cl", "out", "0", 30e-15)
-		sess, err := NewSession(Compile(ckt), Options{Dt: 1e-12, Method: Trapezoidal})
+		sess, err := NewSession(Compile(ckt), Options{Dt: 1e-12})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -42,9 +42,6 @@ type Options struct {
 	// so realistic runs perform strictly fewer engine solves. Off by
 	// default; when off the output is byte-identical to the classic flow.
 	Feasibility bool
-	// FailFrac is the NRC failure threshold (fraction of VDD at the
-	// receiver output); default 0.5.
-	FailFrac float64
 	// Workers bounds how many clusters are analysed concurrently.
 	// Default (and any value <= 0) is runtime.GOMAXPROCS(0); 1 forces a
 	// fully serial run. Analyze reports come back in design order either
@@ -113,15 +110,14 @@ type Options struct {
 	// aggressor fits are not sweeps over one rig and run cold.
 	LoadCurve charlib.LoadCurveOptions
 	Prop      charlib.PropOptions
-	NRC       nrc.Options
+	// NRC also holds the receivers' failure threshold, NRC.FailFrac: the
+	// fraction of VDD at the receiver output; default 0.5.
+	NRC nrc.Options
 }
 
 func (o Options) normalize() Options {
 	if o.Dt <= 0 {
 		o.Dt = 2e-12
-	}
-	if o.FailFrac <= 0 {
-		o.FailFrac = 0.5
 	}
 	if o.Workers <= 0 {
 		o.Workers = runtime.GOMAXPROCS(0)
@@ -818,9 +814,7 @@ func (a *Analyzer) receiverCurve(ctx context.Context, recv *cell.Cell, pin strin
 			st = alt
 		}
 	}
-	nopts := a.opts.NRC
-	nopts.FailFrac = a.opts.FailFrac
-	return a.cache.NRCCurve(ctx, recv, st, pin, nopts)
+	return a.cache.NRCCurve(ctx, recv, st, pin, a.opts.NRC)
 }
 
 // Summary aggregates reports for quick inspection. WorstMarginV is +Inf

@@ -61,9 +61,7 @@ func TestPinnedPolicyFingerprints(t *testing.T) {
 	if _, err := cache.PropTable(ctx, c, st, "A", o.Prop); err != nil {
 		t.Fatal(err)
 	}
-	nopts := o.NRC
-	nopts.FailFrac = o.FailFrac
-	if _, err := cache.NRCCurve(ctx, c, st, "A", nopts); err != nil {
+	if _, err := cache.NRCCurve(ctx, c, st, "A", o.NRC); err != nil {
 		t.Fatal(err)
 	}
 	if rec["lc"] != lc || rec["prop"] != prop || rec["nrc"] != nrcs {

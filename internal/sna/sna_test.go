@@ -250,3 +250,35 @@ func TestAnalyzeRejectsNonFiniteDt(t *testing.T) {
 		}
 	}
 }
+
+// The NRC failure threshold has one home, Options.NRC.FailFrac: the curve
+// the analyzer judges a receiver against is characterised at the threshold
+// the caller asked for, and a lower threshold fails at lower glitch heights.
+func TestReceiverNRCHonoursFailFrac(t *testing.T) {
+	ctx := context.Background()
+	d := sampleDesign()
+	curve := func(failFrac float64) *nrc.Curve {
+		t.Helper()
+		opts := fastOpts(core.Macromodel)
+		opts.NRC.FailFrac = failFrac
+		c, err := NewAnalyzer(d, opts).ReceiverNRC(ctx, d.Clusters[1])
+		if err != nil {
+			t.Fatal(err)
+		}
+		return c
+	}
+	def, low := curve(0), curve(0.3)
+	if def.FailFrac != 0.5 || low.FailFrac != 0.3 {
+		t.Fatalf("curve FailFrac = %g by default and %g at 0.3, want 0.5 and 0.3", def.FailFrac, low.FailFrac)
+	}
+	lower := false
+	for i, h := range low.Heights {
+		if h > def.Heights[i] {
+			t.Errorf("width %g: fails at %g V at 0.3·VDD, above %g V at 0.5·VDD", low.Widths[i], h, def.Heights[i])
+		}
+		lower = lower || h < def.Heights[i]
+	}
+	if !lower {
+		t.Errorf("heights %v at 0.3·VDD equal the default curve's: the threshold never reached the probes", low.Heights)
+	}
+}

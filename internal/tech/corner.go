@@ -194,36 +194,21 @@ func ParseCorners(list string) ([]Corner, error) {
 	return out, nil
 }
 
-// SampleSpec tunes the Monte Carlo corner sampler. The zero value uses the
-// default local-variation sigmas (15 mV threshold, 5 %% mobility) around the
-// nominal corner.
+// The local-variation sigmas of the Monte Carlo corner sampler: the
+// standard deviation of the per-device threshold shift (V) and of the
+// per-device mobility multiplier around 1.
+const (
+	sigmaVT     = 0.015
+	sigmaKPFrac = 0.05
+)
+
+// SampleSpec tunes the Monte Carlo corner sampler. The zero value samples
+// around the nominal corner.
 type SampleSpec struct {
-	// SigmaVT is the standard deviation of the per-device threshold shift
-	// in volts; 0 means 15 mV.
-	SigmaVT float64
-	// SigmaKPFrac is the standard deviation of the per-device mobility
-	// multiplier around 1; 0 means 0.05.
-	SigmaKPFrac float64
 	// Base is the corner the samples perturb around (supply, temperature
 	// and systematic shifts come from it); the zero value samples around
 	// nominal.
 	Base Corner
-}
-
-// sigmaVT resolves the zero-means-default threshold sigma.
-func (s SampleSpec) sigmaVT() float64 {
-	if s.SigmaVT == 0 {
-		return 0.015
-	}
-	return s.SigmaVT
-}
-
-// sigmaKPFrac resolves the zero-means-default mobility sigma.
-func (s SampleSpec) sigmaKPFrac() float64 {
-	if s.SigmaKPFrac == 0 {
-		return 0.05
-	}
-	return s.SigmaKPFrac
 }
 
 // SampleCorners draws n Monte Carlo device-variation corners from a seeded
@@ -244,10 +229,10 @@ func SampleCorners(n int, seed int64, spec SampleSpec) []Corner {
 	for i := 0; i < n; i++ {
 		c := spec.Base
 		c.Name = fmt.Sprintf("%s%04d", prefix, i)
-		c.NVTShift += rng.NormFloat64() * spec.sigmaVT()
-		c.PVTShift += rng.NormFloat64() * spec.sigmaVT()
-		c.NKPScale = clampScale(c.nkpScale() * (1 + rng.NormFloat64()*spec.sigmaKPFrac()))
-		c.PKPScale = clampScale(c.pkpScale() * (1 + rng.NormFloat64()*spec.sigmaKPFrac()))
+		c.NVTShift += rng.NormFloat64() * sigmaVT
+		c.PVTShift += rng.NormFloat64() * sigmaVT
+		c.NKPScale = clampScale(c.nkpScale() * (1 + rng.NormFloat64()*sigmaKPFrac))
+		c.PKPScale = clampScale(c.pkpScale() * (1 + rng.NormFloat64()*sigmaKPFrac))
 		out = append(out, c)
 	}
 	return out

@@ -167,8 +167,9 @@ type (
 	// design at a corner; resolve named standard corners with CornerByName.
 	Corner = tech.Corner
 	// CornerSampleSpec tunes the Monte Carlo corner sampler (see
-	// SampleCorners); the zero value uses the default local-variation
-	// sigmas around the nominal corner.
+	// SampleCorners): the base corner it perturbs. The zero value samples
+	// around the nominal corner; the local-variation sigmas are fixed at
+	// 15 mV of threshold and 5 % of mobility.
 	CornerSampleSpec = tech.SampleSpec
 )
 
