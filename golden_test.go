@@ -2,10 +2,10 @@
 // characterised artefact families — load curves (eq. 1), propagation
 // tables and Noise Rejection Curves — for INV and NAND2 on both technology
 // cards, plus the full report schema of the pessimistic and feasibility
-// flows and PropagateChain's stage hand-off. Any numerical drift in the
-// simulator, the device model or the characterisation sweeps shows up as a
-// fixture mismatch in `go test -run Golden` instead of a silent change in
-// example output.
+// flows, PropagateChain's stage hand-off and the paper runners' quick
+// tables. Any numerical drift in the simulator, the device model or the
+// characterisation sweeps shows up as a fixture mismatch in
+// `go test -run Golden` instead of a silent change in example output.
 //
 // The fixtures are the program's exact bytes on amd64: regenerating them
 // on a clean checkout with
@@ -40,6 +40,7 @@ import (
 	"stanoise/internal/nrc"
 	"stanoise/internal/sim"
 	"stanoise/internal/tech"
+	"stanoise/paper"
 )
 
 var (
@@ -499,6 +500,37 @@ func TestGoldenChain(t *testing.T) {
 			checkGoldenJSON(t, filepath.Join("testdata", "golden", "sample_chain_"+mode.name+".json"), metrics)
 		})
 	}
+}
+
+// TestGoldenPaperQuick pins the paper runners at quick quality: Table 1,
+// Table 2, the Zolotov context and the whole cluster sweep. These evaluate
+// single clusters through core.Cluster with no rig pool attached, the path
+// every design-level fixture above skips (the Analyzer shares pools), so
+// only this fixture covers the benches such clusters compile for
+// themselves. Every row's wall-clock Elapsed is zeroed; the speed-up
+// experiment is left out because its labels carry a wall-clock ratio.
+// Exact bytes on amd64, like the other design-level fixtures.
+func TestGoldenPaperQuick(t *testing.T) {
+	ctx := context.Background()
+	var exps []*paper.Experiment
+	for _, run := range []func(context.Context, paper.Quality) (*paper.Experiment, error){
+		paper.RunTable1,
+		paper.RunTable2,
+		paper.RunZolotovContext,
+		func(ctx context.Context, q paper.Quality) (*paper.Experiment, error) {
+			return paper.RunSweep(ctx, q, 0)
+		},
+	} {
+		exp, err := run(ctx, paper.Quick)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := range exp.Rows {
+			exp.Rows[i].Elapsed = 0
+		}
+		exps = append(exps, exp)
+	}
+	checkGoldenJSON(t, filepath.Join("testdata", "golden", "paper_quick.json"), exps)
 }
 
 // checkGoldenJSON compares v's indented JSON with the fixture at path byte

@@ -67,43 +67,39 @@ type AggressorSpec struct {
 // analysis ("noise cluster" in the paper's terminology).
 //
 // A Cluster must not be copied by value after its first evaluation: it
-// lazily caches compiled simulator benches behind a mutex, and two copies
-// would share the single-goroutine sessions while locking independent
-// mutexes. Pass *Cluster around, as every constructor in this repository
-// does.
+// holds its compiled simulator benches in a rig pool behind a mutex, and
+// two copies would share the single-goroutine sessions while locking
+// independent mutexes. Pass *Cluster around, as every constructor in this
+// repository does.
 type Cluster struct {
 	Tech       *tech.Tech
 	Bus        *interconnect.Bus
 	Victim     VictimSpec
 	Aggressors []AggressorSpec
 
-	// rigMu guards the lazily compiled transistor-level test benches
-	// below. The golden netlist and the driver-alone bench have a fixed
-	// topology per cluster — only source waveforms and the lumped load
-	// change between evaluations — so they compile once (sim.Compile) and
-	// re-run through a reusable sim.Session. Holding the mutex across the
-	// run serialises golden evaluations of the same Cluster value;
-	// distinct clusters (the unit of parallelism in internal/sna) are
-	// unaffected.
+	// rigMu guards the compiled transistor-level test benches. The golden
+	// netlist and the driver-alone bench have a fixed topology per
+	// cluster — only source waveforms and the lumped load change between
+	// evaluations — so they compile once (sim.Compile) and re-run through
+	// a reusable sim.Session. Holding the mutex across the run serialises
+	// golden evaluations of the same Cluster value; distinct clusters (the
+	// unit of parallelism in internal/sna) are unaffected.
 	//
-	// When a RigPool is attached (UseRigPool), benches are cached in the
-	// pool under topology-class keys instead, so clusters sharing a
-	// topology — in particular, victims sharing a driver cell
-	// configuration — reuse each other's compiled benches.
-	rigMu     sync.Mutex
-	rigPool   *RigPool
-	goldenRig *simRig
-	driverRig *simRig
+	// Every bench lives in rigPool under its topology-class key. A pool
+	// attached with UseRigPool is shared with other clusters, so clusters
+	// sharing a topology — in particular, victims sharing a driver cell
+	// configuration — reuse each other's compiled benches; a cluster with
+	// none attached opens a private pool on its first bench.
+	rigMu   sync.Mutex
+	rigPool *RigPool
 }
 
-// simRig is a compiled simulator test bench cached on the cluster: the
-// program/session pair plus the fingerprint of the sim options it was
-// opened with (a session fixes Dt and initial guesses; the stop time is
-// per-run). res is the reused transient result storage — rigMu serialises
-// runs, and the waveforms handed out of an evaluation copy their samples,
-// so reuse across evaluations is safe.
+// simRig is a compiled simulator test bench held by a RigPool: the
+// program/session pair (a session fixes Dt and initial guesses; the stop
+// time is per-run). res is the reused transient result storage — rigMu
+// serialises runs, and the waveforms handed out of an evaluation copy
+// their samples, so reuse across evaluations is safe.
 type simRig struct {
-	key  string
 	prog *sim.Program
 	sess *sim.Session
 	res  sim.Result
@@ -126,52 +122,6 @@ func optionsFingerprint(o sim.Options) string {
 		}
 	}
 	return b.String()
-}
-
-// renderSpecKey renders the victim and aggressor spec fields every
-// compiled bench bakes in — states, pins, lines, receivers — under the
-// given technology/bus identity prefixes and cell-identity function. It
-// is the single source of truth shared by structuralKey (pointer-keyed,
-// per-cluster cache) and topologyKey (name-keyed, RigPool sharing), so a
-// netlist-affecting spec field added later is added in exactly one place
-// and can never silently drift between the two cache layers.
-func (c *Cluster) renderSpecKey(techID, busID string, cellID func(*cell.Cell) string) string {
-	var b strings.Builder
-	v := &c.Victim
-	fmt.Fprintf(&b, "tech=%s|bus=%s", techID, busID)
-	fmt.Fprintf(&b, "|vic=%s,%s,%s,%d,%s,%s",
-		cellID(v.Cell), v.State.String(), v.NoisyPin, v.Line, cellID(v.Receiver), v.ReceiverPin)
-	for i := range c.Aggressors {
-		a := &c.Aggressors[i]
-		fmt.Fprintf(&b, "|agg=%s,%s,%s,%d,%s,%s",
-			cellID(a.Cell), a.FromState.String(), a.SwitchPin, a.Line, cellID(a.Receiver), a.ReceiverPin)
-	}
-	return b.String()
-}
-
-// structuralKey renders everything the compiled benches bake in besides
-// source waveforms — the cell instances, states, pins, lines, receivers
-// and the bus — so appending an aggressor or re-pointing a spec between
-// evaluations recompiles instead of reusing a stale netlist. Cells and
-// receivers are keyed by pointer *and* library name (kind + drive), so a
-// re-pointed spec is caught even if the allocator reuses an address; the
-// bus is keyed by pointer, which covers its geometry (SpacingFactor
-// included) as long as it is not deep-mutated. Deep mutation of a shared
-// *Bus or *Cell value is not detected (documented as unsupported; see
-// ROADMAP open items).
-func (c *Cluster) structuralKey() string {
-	cellID := func(cl *cell.Cell) string {
-		if cl == nil {
-			return "nil"
-		}
-		return fmt.Sprintf("%p:%s", cl, cl.Name())
-	}
-	var bus strings.Builder
-	fmt.Fprintf(&bus, "%p:%s,%d", c.Bus, c.Bus.Layer, c.Bus.Segments)
-	for i := range c.Bus.Lines {
-		fmt.Fprintf(&bus, ",%s:%.17g", c.Bus.Lines[i].Name, c.Bus.Lines[i].LengthUm)
-	}
-	return c.renderSpecKey(fmt.Sprintf("%p:%.17g", c.Tech, c.Tech.VDD), bus.String(), cellID)
 }
 
 // Validate checks structural consistency.

@@ -29,8 +29,12 @@ type OpenPort struct{}
 // Current implements PortSource with zero current.
 func (OpenPort) Current(t, v float64) (float64, float64) { return 0, 0 }
 
-// TheveninPort drives a port through a fitted aggressor model:
-// i = (V_TH(t) − v)/R_TH.
+// TheveninPort drives a port through a voltage waveform behind a series
+// resistance: i = (V_TH(t) − v)/R_TH. It is the fitted aggressor model
+// (NewTheveninPort), an aggressor held at its quiet rail, and the
+// Zolotov-style victim model of paper ref [4] — a pulsed source behind the
+// holding resistance, whose pulse is the driver's response to the input
+// glitch alone and which iteration refines.
 type TheveninPort struct {
 	W   *wave.Waveform
 	RTh float64
@@ -72,19 +76,6 @@ type HoldingPort struct {
 // Current implements PortSource.
 func (p *HoldingPort) Current(t, v float64) (float64, float64) {
 	return -p.G * (v - p.V0), -p.G
-}
-
-// PulsePort is the Zolotov-style victim model (paper ref [4]): a pulsed
-// voltage source behind the holding resistance. The pulse waveform is the
-// driver's response to the input glitch alone; iteration refines it.
-type PulsePort struct {
-	W *wave.Waveform
-	R float64
-}
-
-// Current implements PortSource.
-func (p *PulsePort) Current(t, v float64) (float64, float64) {
-	return (p.W.At(t) - v) / p.R, -1 / p.R
 }
 
 // DynamicPort is an optional extension of PortSource for elements with
@@ -490,7 +481,7 @@ func singularJacobian(t float64, err error) error {
 // be non-linear or stateful and stays in Newton.
 func linearPort(s PortSource) bool {
 	switch s.(type) {
-	case OpenPort, *TheveninPort, *PulsePort, *HoldingPort:
+	case OpenPort, *TheveninPort, *HoldingPort:
 		return true
 	}
 	return false

@@ -457,7 +457,7 @@ func TestEngineMatchesReferenceOnClusters(t *testing.T) {
 				{"macromodel", &VCCSPort{LC: models.LC, Vin: vin}, nil, 1},
 				{"miller", ParallelPort{&VCCSPort{LC: models.LC, Vin: vin}, &CapPort{C: models.MillerC, W: vin}}, nil, 1},
 				{"superposition", &HoldingPort{G: models.HoldG, V0: models.QuietVic}, nil, 0},
-				{"zolotov", &PulsePort{W: pulseFromResponse(drv, vin, models.LC, rHold), R: rHold}, nil, 0},
+				{"zolotov", &TheveninPort{W: pulseFromResponse(drv, vin, models.LC, rHold), RTh: rHold}, nil, 0},
 				{"quiet", &VCCSPort{LC: models.LC, Vin: vin}, nil, 1},
 				{"parallel-aggressor", &VCCSPort{LC: models.LC, Vin: vin}, wrapParallel, 2},
 				{"custom-aggressor", &VCCSPort{LC: models.LC, Vin: vin}, asLaw, 2},

@@ -8,7 +8,9 @@ import (
 	"time"
 
 	"stanoise/internal/charlib"
+	"stanoise/internal/circuit"
 	"stanoise/internal/sim"
+	"stanoise/internal/thevenin"
 	"stanoise/internal/wave"
 )
 
@@ -151,7 +153,13 @@ func (c *Cluster) evaluateGolden(ctx context.Context, opts EvalOptions) (*Evalua
 
 	c.rigMu.Lock()
 	defer c.rigMu.Unlock()
-	rig, err := c.goldenRigLocked(simOpts)
+	rig, err := c.pooledRig("golden", c.topologyKey(), simOpts, func() (*simRig, error) {
+		ckt, err := c.BuildGolden()
+		if err != nil {
+			return nil, err
+		}
+		return compileRig(ckt, simOpts)
+	})
 	if err != nil {
 		return nil, err
 	}
@@ -180,45 +188,14 @@ func (c *Cluster) evaluateGolden(ctx context.Context, opts EvalOptions) (*Evalua
 	return c.finish(Golden, dp, recv, elapsed), nil
 }
 
-// goldenRigLocked returns the compiled golden test bench for the given sim
-// options, compiling it on first use or when the options changed. With a
-// RigPool attached the bench is cached there under its topology class; the
-// cluster-local cache (pointer-keyed) is used otherwise. The caller must
-// hold c.rigMu.
-func (c *Cluster) goldenRigLocked(simOpts sim.Options) (*simRig, error) {
-	build := func() (*simRig, error) {
-		ckt, err := c.BuildGolden()
-		if err != nil {
-			return nil, err
-		}
-		prog := sim.Compile(ckt)
-		sess, err := sim.NewSession(prog, simOpts)
-		if err != nil {
-			return nil, err
-		}
-		return &simRig{prog: prog, sess: sess}, nil
-	}
-	if c.rigPool != nil {
-		return c.pooledRig("golden", c.topologyKey(), simOpts, build)
-	}
-	return c.localRig(&c.goldenRig, simOpts, build)
-}
-
-// localRig is the cluster-local (pool-less) rig memoization shared by the
-// golden and driver benches: one cached rig per slot, invalidated when
-// the sim options or the pointer-keyed cluster structure change.
-func (c *Cluster) localRig(slot **simRig, simOpts sim.Options, build func() (*simRig, error)) (*simRig, error) {
-	key := optionsFingerprint(simOpts) + "#" + c.structuralKey()
-	if *slot != nil && (*slot).key == key {
-		return *slot, nil
-	}
-	rig, err := build()
+// compileRig compiles a bench netlist and opens its reusable session.
+func compileRig(ckt *circuit.Circuit, simOpts sim.Options) (*simRig, error) {
+	prog := sim.Compile(ckt)
+	sess, err := sim.NewSession(prog, simOpts)
 	if err != nil {
 		return nil, err
 	}
-	rig.key = key
-	*slot = rig
-	return rig, nil
+	return &simRig{prog: prog, sess: sess}, nil
 }
 
 // quietLevelGuess gives the golden DC solve the intended operating point:
@@ -239,18 +216,23 @@ func quietLevelGuess(c *Cluster) map[string]float64 {
 }
 
 // aggressorSources builds the Thevenin port sources with current offsets.
-// Quiet aggressors hold their pre-transition rail through their Thevenin
-// resistance instead of switching — the same held-aggressor construction
-// the alignment timing runs use.
+// Quiet aggressors hold their pre-transition rail instead of switching
+// (heldPort), as the alignment timing runs hold every aggressor but one.
 func (c *Cluster) aggressorSources(models *Models, sources []PortSource) {
 	for i, pi := range models.AggPorts {
 		if c.Aggressors[i].Quiet {
-			sources[pi] = &PulsePort{W: wave.Constant(models.Agg[i].V0), R: models.Agg[i].RTh}
+			sources[pi] = heldPort(models.Agg[i])
 			continue
 		}
 		drv := models.Agg[i].Shifted(c.Aggressors[i].Offset)
 		sources[pi] = NewTheveninPort(drv)
 	}
+}
+
+// heldPort is an aggressor that does not switch: its quiet rail V0 behind
+// its Thevenin resistance.
+func heldPort(d *thevenin.Driver) *TheveninPort {
+	return &TheveninPort{W: wave.Constant(d.V0), RTh: d.RTh}
 }
 
 func (c *Cluster) evaluateMacromodel(ctx context.Context, models *Models, opts EvalOptions) (*Evaluation, error) {
@@ -339,9 +321,14 @@ func (c *Cluster) DriverAloneResponse(ctx context.Context, models *Models, opts 
 	opts = opts.normalize(c)
 	v := &c.Victim
 
+	// The bench depends only on the victim cell configuration, so a shared
+	// pool serves it to every cluster whose victim matches.
+	simOpts := sim.Options{Dt: opts.Dt}
 	c.rigMu.Lock()
 	defer c.rigMu.Unlock()
-	rig, err := c.driverRigLocked(sim.Options{Dt: opts.Dt})
+	rig, err := c.pooledRig("driver", c.driverClassKey(), simOpts, func() (*simRig, error) {
+		return c.compileDriverRig(simOpts)
+	})
 	if err != nil {
 		return nil, err
 	}
@@ -359,19 +346,6 @@ func (c *Cluster) DriverAloneResponse(ctx context.Context, models *Models, opts 
 	return rig.res.Waveform("out"), nil
 }
 
-// driverRigLocked returns the compiled driver-alone bench, compiling it on
-// first use or when the sim options changed. The bench depends only on the
-// victim cell configuration, so with a RigPool attached it is shared by
-// every cluster whose victim matches (see Cluster.driverClassKey). The
-// caller must hold c.rigMu.
-func (c *Cluster) driverRigLocked(simOpts sim.Options) (*simRig, error) {
-	build := func() (*simRig, error) { return c.compileDriverRig(simOpts) }
-	if c.rigPool != nil {
-		return c.pooledRig("driver", c.driverClassKey(), simOpts, build)
-	}
-	return c.localRig(&c.driverRig, simOpts, build)
-}
-
 // compileDriverRig assembles and compiles the driver-alone bench: the
 // victim cell with a mutable source on its noisy pin driving a mutable
 // lumped load.
@@ -387,12 +361,7 @@ func (c *Cluster) compileDriverRig(simOpts sim.Options) (*simRig, error) {
 	}
 	// Placeholder lumped load; replaced per run via SetLoad.
 	ckt.AddC("cl", "out", "0", 1e-15)
-	prog := sim.Compile(ckt)
-	sess, err := sim.NewSession(prog, simOpts)
-	if err != nil {
-		return nil, err
-	}
-	return &simRig{prog: prog, sess: sess}, nil
+	return compileRig(ckt, simOpts)
 }
 
 func (c *Cluster) evaluateZolotov(ctx context.Context, models *Models, opts EvalOptions) (*Evaluation, error) {
@@ -420,7 +389,7 @@ func (c *Cluster) evaluateZolotov(ctx context.Context, models *Models, opts Eval
 		for i := range sources {
 			sources[i] = OpenPort{}
 		}
-		sources[models.VicPort] = &PulsePort{W: pulse, R: rHold}
+		sources[models.VicPort] = &TheveninPort{W: pulse, RTh: rHold}
 		c.aggressorSources(models, sources)
 		res, err = RunEngine(ctx, models.Red, sources, models.V0, EngineOptions{Dt: opts.Dt, TStop: opts.TStop})
 		if err != nil {
@@ -497,7 +466,7 @@ func (c *Cluster) AlignPeaks(ctx context.Context, models *Models, opts EvalOptio
 			if j == i {
 				sources[pj] = NewTheveninPort(models.Agg[j].Shifted(c.Aggressors[j].Offset))
 			} else {
-				sources[pj] = &PulsePort{W: wave.Constant(models.Agg[j].V0), R: models.Agg[j].RTh}
+				sources[pj] = heldPort(models.Agg[j])
 			}
 		}
 		res, err := RunEngine(ctx, models.Red, sources, models.V0, EngineOptions{Dt: opts.Dt, TStop: opts.TStop})

@@ -9,7 +9,8 @@ import (
 )
 
 // RigPool caches compiled simulator test benches — program/session pairs —
-// across the clusters a single analysis worker processes, keyed like
+// across the clusters a single analysis worker processes (or, as a
+// cluster's private pool, across one cluster's evaluations), keyed like
 // charlib.Cache by the *topology class* of the bench (technology, cells by
 // library name, states, pins, geometry and solver options) rather than by
 // cluster identity. Two clusters whose victim drivers share a cell
@@ -24,7 +25,7 @@ import (
 // one to every worker goroutine). Pool keys assume cells come from the
 // cell library constructors, where equal names imply equal netlists; deep
 // mutation of a shared *cell.Cell or *interconnect.Bus value is not
-// detected (the same documented limitation as Cluster's own rig cache).
+// detected.
 //
 // The pool is bounded — by entry count and, optionally, by estimated
 // resident bytes (see RigPoolLimits) — evicting the least recently used
@@ -190,10 +191,10 @@ func (r *simRig) memoryBytes() int64 {
 }
 
 // UseRigPool attaches a pool to the cluster: subsequent evaluations cache
-// their compiled benches in the pool under topology-class keys instead of
-// on the cluster itself, sharing them with every other cluster using the
-// same pool. Attach before the first evaluation; the pool must be owned by
-// the same goroutine that evaluates the cluster.
+// their compiled benches in it, sharing them with every other cluster
+// using the same pool. Without one, a cluster opens a private pool on its
+// first bench. Attach before the first evaluation; the pool must be owned
+// by the same goroutine that evaluates the cluster.
 func (c *Cluster) UseRigPool(p *RigPool) {
 	c.rigMu.Lock()
 	c.rigPool = p
@@ -209,21 +210,30 @@ func cellClass(cl *cell.Cell) string {
 	return cl.Name()
 }
 
-// topologyKey is the name-based analog of structuralKey: it renders the
-// full cluster topology using library cell names instead of pointers (via
-// the shared renderSpecKey, so the spec field list cannot drift between
-// the two), with the bus keyed by its full geometry — SpacingFactor
-// included, since coupling capacitance depends on it and there is no
-// pointer identity to fall back on. Clusters built independently from
-// identical specs key identically; used for pooled golden benches.
+// topologyKey renders everything the golden bench bakes in besides source
+// waveforms: the technology, the bus by its full geometry (SpacingFactor
+// included, since coupling capacitance depends on it), and the victim and
+// aggressor specs — cells by library name, states, pins, lines and
+// receivers. Appending an aggressor or re-pointing a spec between
+// evaluations therefore compiles a new bench instead of reusing a stale
+// netlist, while clusters built independently from identical specs key
+// identically and share one.
 func (c *Cluster) topologyKey() string {
-	var bus strings.Builder
-	fmt.Fprintf(&bus, "%s,%d", c.Bus.Layer, c.Bus.Segments)
+	var b strings.Builder
+	fmt.Fprintf(&b, "tech=%s|bus=%s,%d", c.Tech.Fingerprint(), c.Bus.Layer, c.Bus.Segments)
 	for i := range c.Bus.Lines {
 		ln := &c.Bus.Lines[i]
-		fmt.Fprintf(&bus, ",%s:%.17g:%.17g", ln.Name, ln.LengthUm, ln.SpacingFactor)
+		fmt.Fprintf(&b, ",%s:%.17g:%.17g", ln.Name, ln.LengthUm, ln.SpacingFactor)
 	}
-	return c.renderSpecKey(c.Tech.Fingerprint(), bus.String(), cellClass)
+	v := &c.Victim
+	fmt.Fprintf(&b, "|vic=%s,%s,%s,%d,%s,%s",
+		cellClass(v.Cell), v.State.String(), v.NoisyPin, v.Line, cellClass(v.Receiver), v.ReceiverPin)
+	for i := range c.Aggressors {
+		a := &c.Aggressors[i]
+		fmt.Fprintf(&b, "|agg=%s,%s,%s,%d,%s,%s",
+			cellClass(a.Cell), a.FromState.String(), a.SwitchPin, a.Line, cellClass(a.Receiver), a.ReceiverPin)
+	}
+	return b.String()
 }
 
 // driverClassKey identifies the topology class of the driver-alone bench,
@@ -242,9 +252,13 @@ func (c *Cluster) driverClassKey() string {
 		c.Tech.Fingerprint(), cellClass(v.Cell), v.State.String(), v.NoisyPin)
 }
 
-// pooledRig routes a rig lookup through the attached pool under a
-// kind-prefixed topology key. The caller must hold c.rigMu.
+// pooledRig routes a rig lookup through the cluster's pool under a
+// kind-prefixed topology key, opening a private pool when none is
+// attached. The caller must hold c.rigMu.
 func (c *Cluster) pooledRig(kind, classKey string, simOpts sim.Options, build func() (*simRig, error)) (*simRig, error) {
+	if c.rigPool == nil {
+		c.rigPool = NewRigPool()
+	}
 	key := kind + "#" + optionsFingerprint(simOpts) + "#" + classKey
 	return c.rigPool.lookup(key, build)
 }

@@ -10,8 +10,8 @@ import (
 // TestRigPoolSharesDriverBenches asserts the cross-cluster payoff of the
 // worker rig pool: two distinct clusters whose victims share a cell
 // configuration (the common case in a real design) compile the
-// driver-alone bench once, and the pooled response is bit-identical to an
-// unpooled cluster's.
+// driver-alone bench once, and the shared-pool response is bit-identical
+// to that of a cluster on its own private pool.
 func TestRigPoolSharesDriverBenches(t *testing.T) {
 	ctx := context.Background()
 	models := &Models{LumpedCL: 60e-15}
@@ -49,10 +49,11 @@ func TestRigPoolSharesDriverBenches(t *testing.T) {
 	}
 }
 
-// TestRigPoolGoldenMatchesUnpooled asserts that routing the golden bench
-// through a pool changes nothing about the result: the compiled netlist is
-// keyed by the full topology class, only waveforms are re-pointed per
-// evaluation, and a re-evaluation through the pool reuses the bench.
+// TestRigPoolGoldenMatchesUnpooled asserts that sharing a pool changes
+// nothing about the golden result against a cluster with none attached
+// (which opens a private one): the compiled netlist is keyed by the full
+// topology class, only waveforms are re-pointed per evaluation, and a
+// re-evaluation through the pool reuses the bench.
 func TestRigPoolGoldenMatchesUnpooled(t *testing.T) {
 	ctx := context.Background()
 	opts := fastEvalOptions()
@@ -216,9 +217,8 @@ func TestRigPoolBytesTrackGrownBenches(t *testing.T) {
 		want += r.sess.MemoryBytes() + r.res.MemoryBytes() + programOverhead
 		if strings.HasPrefix(key, "driver#") {
 			// The driver bench keeps its last result: the time axis plus
-			// every node and branch series.
-			ckt := r.prog.Circuit()
-			floor := int64(8 * r.res.Steps() * (1 + ckt.NumNodes() + len(ckt.VSources)))
+			// every node series.
+			floor := int64(8 * r.res.Steps() * (1 + r.prog.Circuit().NumNodes()))
 			if got := r.res.MemoryBytes(); got < floor {
 				t.Errorf("driver result counted as %d bytes, want ≥ %d", got, floor)
 			}
@@ -282,5 +282,46 @@ func TestRigPoolDistinguishesTopologies(t *testing.T) {
 	}
 	if hits, misses := pool.Stats(); misses != 2 || hits != 0 {
 		t.Fatalf("pool stats hits=%d misses=%d, want 2 misses (distinct topologies)", hits, misses)
+	}
+}
+
+// TestPrivatePoolFollowsSpecChanges pins the bench cache of a cluster with
+// no pool attached: its private pool keys golden benches by topology, so
+// appending an aggressor between evaluations compiles a new bench that
+// matches a freshly built two-aggressor cluster bit for bit, and dropping
+// it again reuses the first bench with the first evaluation's bits.
+func TestPrivatePoolFollowsSpecChanges(t *testing.T) {
+	ctx := context.Background()
+	opts := fastEvalOptions()
+	golden := func(c *Cluster) []float64 {
+		t.Helper()
+		ev, err := c.Evaluate(ctx, Golden, nil, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return ev.DP.V
+	}
+	same := func(what string, got, want []float64) {
+		t.Helper()
+		if len(got) != len(want) {
+			t.Fatalf("%s: %d samples, want %d", what, len(got), len(want))
+		}
+		for i := range got {
+			if got[i] != want[i] {
+				t.Fatalf("%s: sample %d is %v, want %v", what, i, got[i], want[i])
+			}
+		}
+	}
+
+	c := fastCluster(t, 2)
+	both := c.Aggressors
+	c.Aggressors = both[:1]
+	one := golden(c)
+	c.Aggressors = both
+	same("appended aggressor", golden(c), golden(fastCluster(t, 2)))
+	c.Aggressors = both[:1]
+	same("dropped aggressor", golden(c), one)
+	if hits, misses := c.rigPool.Stats(); hits != 1 || misses != 2 {
+		t.Errorf("private pool hits=%d misses=%d, want 1 hit and 2 misses", hits, misses)
 	}
 }

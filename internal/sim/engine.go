@@ -82,24 +82,20 @@ func DC(c *circuit.Circuit, opts Options) (*DCResult, error) {
 	return s.RunDC()
 }
 
-// Result holds a transient simulation: node voltages and voltage-source
-// branch currents sampled on the time grid.
+// Result holds a transient simulation: node voltages sampled on the time
+// grid.
 type Result struct {
-	c       *circuit.Circuit
-	Times   []float64
-	nodeV   [][]float64 // [node][step]
-	branchI [][]float64 // [vsrc][step]
+	c     *circuit.Circuit
+	Times []float64
+	nodeV [][]float64 // [node][step]
 }
 
 // MemoryBytes estimates the storage a Result holds: the capacity of its
-// time axis and of every node and branch series. RunTransientInto reuses
-// that storage, so a Result kept for the next run keeps it resident.
+// time axis and of every node series. RunTransientInto reuses that
+// storage, so a Result kept for the next run keeps it resident.
 func (r *Result) MemoryBytes() int64 {
 	n := cap(r.Times)
 	for _, v := range r.nodeV {
-		n += cap(v)
-	}
-	for _, v := range r.branchI {
 		n += cap(v)
 	}
 	return int64(n) * 8
@@ -109,7 +105,7 @@ func (r *Result) MemoryBytes() int64 {
 // series to length zero, reusing backing storage when its capacity covers
 // capHint points. After the first RunTransientInto on a given Result, later
 // runs of the same (or smaller) size allocate nothing here.
-func (r *Result) reset(c *circuit.Circuit, n, m, capHint int) {
+func (r *Result) reset(c *circuit.Circuit, n, capHint int) {
 	r.c = c
 	if cap(r.Times) < capHint {
 		r.Times = make([]float64, 0, capHint)
@@ -125,28 +121,14 @@ func (r *Result) reset(c *circuit.Circuit, n, m, capHint int) {
 		}
 		r.nodeV[i] = r.nodeV[i][:0]
 	}
-	if cap(r.branchI) < m {
-		r.branchI = make([][]float64, m)
-	}
-	r.branchI = r.branchI[:m]
-	for k := range r.branchI {
-		if cap(r.branchI[k]) < capHint {
-			r.branchI[k] = make([]float64, 0, capHint)
-		}
-		r.branchI[k] = r.branchI[k][:0]
-	}
 }
 
 // record appends one time point. All appends stay within the capacity
 // reserved by reset, so a transient step records allocation-free.
 func (r *Result) record(t float64, x []float64) {
 	r.Times = append(r.Times, t)
-	n := len(r.nodeV)
 	for i := range r.nodeV {
 		r.nodeV[i] = append(r.nodeV[i], x[i])
-	}
-	for k := range r.branchI {
-		r.branchI[k] = append(r.branchI[k], x[n+k])
 	}
 }
 

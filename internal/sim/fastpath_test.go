@@ -85,7 +85,7 @@ func TestLinearFastPathBitIdentical(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			fastRes, err := fastSess.RunTransient(context.Background(), tc.tstop)
+			fastRes, fastBranches, err := transientBranches(context.Background(), fastSess, tc.tstop)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -95,7 +95,7 @@ func TestLinearFastPathBitIdentical(t *testing.T) {
 				t.Fatal(err)
 			}
 			slowSess.forceDense = true
-			slowRes, err := slowSess.RunTransient(context.Background(), tc.tstop)
+			slowRes, slowBranches, err := transientBranches(context.Background(), slowSess, tc.tstop)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -127,13 +127,8 @@ func TestLinearFastPathBitIdentical(t *testing.T) {
 					}
 				}
 			}
-			for k := range fastRes.branchI {
-				for i := range fastRes.branchI[k] {
-					if fastRes.branchI[k][i] != slowRes.branchI[k][i] {
-						t.Fatalf("branch %d differs at step %d: %x vs %x",
-							k, i, fastRes.branchI[k][i], slowRes.branchI[k][i])
-					}
-				}
+			if i := sameBranches(fastBranches, slowBranches); i >= 0 {
+				t.Fatalf("branch currents differ at step %d: %x vs %x", i, fastBranches[i], slowBranches[i])
 			}
 		})
 	}

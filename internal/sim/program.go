@@ -47,14 +47,15 @@ type Program struct {
 	vsrc   []twoTerm // branch row for source k is n+k
 	isrc   []twoTerm
 
-	// Compile-time parameter values, copied into each new Session.
+	// Compile-time parameter values. Sessions copy the mutable ones
+	// (source waveforms, capacitances); current sources are fixed and read
+	// straight from here.
 	srcW0  []*wave.Waveform // voltage-source waveforms
 	isrcW0 []*wave.Waveform // current-source waveforms
 	capC0  []float64        // capacitances (F)
 
-	srcIdx  map[string]int // voltage-source name -> handle
-	capIdx  map[string]int // capacitor name -> handle
-	isrcIdx map[string]int // current-source name -> handle
+	srcIdx map[string]int // voltage-source name -> handle
+	capIdx map[string]int // capacitor name -> handle
 }
 
 type resPlan struct {
@@ -94,20 +95,15 @@ type SourceHandle int
 // between Session runs.
 type CapHandle int
 
-// ISourceHandle identifies a current source of a compiled Program for
-// stimulus mutation between Session runs (see Session.SetISource).
-type ISourceHandle int
-
 // Compile resolves a circuit into an immutable Program. The circuit must
 // not be modified afterwards.
 func Compile(c *circuit.Circuit) *Program {
 	p := &Program{
-		ckt:     c,
-		n:       c.NumNodes(),
-		m:       len(c.VSources),
-		srcIdx:  make(map[string]int, len(c.VSources)),
-		capIdx:  make(map[string]int, len(c.Capacitors)),
-		isrcIdx: make(map[string]int, len(c.ISources)),
+		ckt:    c,
+		n:      c.NumNodes(),
+		m:      len(c.VSources),
+		srcIdx: make(map[string]int, len(c.VSources)),
+		capIdx: make(map[string]int, len(c.Capacitors)),
 	}
 	p.size = p.n + p.m
 	for _, r := range c.Resistors {
@@ -140,10 +136,9 @@ func Compile(c *circuit.Circuit) *Program {
 		p.srcW0 = append(p.srcW0, v.W)
 		p.srcIdx[v.Name] = k
 	}
-	for k, is := range c.ISources {
+	for _, is := range c.ISources {
 		p.isrc = append(p.isrc, twoTerm{pos: idx(is.Pos), neg: idx(is.Neg)})
 		p.isrcW0 = append(p.isrcW0, is.W)
-		p.isrcIdx[is.Name] = k
 	}
 	p.linear = len(p.mos) == 0 && len(p.vccs) == 0 && len(p.nlcaps) == 0
 	p.lr = p.planLowRank()
@@ -207,21 +202,6 @@ func (p *Program) MustCap(name string) CapHandle {
 	h, ok := p.Cap(name)
 	if !ok {
 		panic(fmt.Sprintf("sim: unknown capacitor %q", name))
-	}
-	return h
-}
-
-// ISource returns the handle of the named current source.
-func (p *Program) ISource(name string) (ISourceHandle, bool) {
-	k, ok := p.isrcIdx[name]
-	return ISourceHandle(k), ok
-}
-
-// MustISource is ISource for names known to exist; it panics otherwise.
-func (p *Program) MustISource(name string) ISourceHandle {
-	h, ok := p.ISource(name)
-	if !ok {
-		panic(fmt.Sprintf("sim: unknown current source %q", name))
 	}
 	return h
 }

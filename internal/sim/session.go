@@ -53,16 +53,13 @@ type Session struct {
 	dx  []float64
 
 	// Mutable per-run parameters, seeded from the Program at creation.
-	srcW  []*wave.Waveform
-	isrcW []*wave.Waveform
-	capC  []float64
+	srcW []*wave.Waveform
+	capC []float64
 
-	// ownConst and ownConstI hold session-owned constant waveforms, one
-	// per voltage/current source, lazily created by SetSourceDC and
-	// SetISourceDC and mutated in place on later calls so a DC sweep point
-	// allocates nothing for its source values.
-	ownConst  []*wave.Waveform
-	ownConstI []*wave.Waveform
+	// ownConst holds session-owned constant waveforms, one per voltage
+	// source, lazily created by SetSourceDC and mutated in place on later
+	// calls so a DC sweep point allocates nothing for its source values.
+	ownConst []*wave.Waveform
 
 	// Capacitor companion history (branch voltage and current).
 	vPrev []float64
@@ -158,7 +155,6 @@ func NewSession(p *Program, opts Options) (*Session, error) {
 	s.x = make([]float64, s.size)
 	s.dx = make([]float64, s.size)
 	s.srcW = append([]*wave.Waveform(nil), p.srcW0...)
-	s.isrcW = append([]*wave.Waveform(nil), p.isrcW0...)
 	s.capC = append([]float64(nil), p.capC0...)
 	s.vPrev = make([]float64, len(p.caps))
 	s.iPrev = make([]float64, len(p.caps))
@@ -197,31 +193,6 @@ func (s *Session) SetSourceDC(h SourceHandle, v float64) {
 		s.ownConst[h].V[0] = v
 	}
 	s.srcW[h] = s.ownConst[h]
-}
-
-// SetISource replaces the waveform of a current source for subsequent
-// runs — the symmetric operation to SetSource for injected-noise
-// characterisation sweeps that drive a net with a current stimulus.
-func (s *Session) SetISource(h ISourceHandle, w *wave.Waveform) {
-	if w == nil {
-		panic("sim: SetISource with nil waveform")
-	}
-	s.isrcW[h] = w
-}
-
-// SetISourceDC sets a current source to a constant value for subsequent
-// runs. Like SetSourceDC, the constant waveform is session-owned and
-// mutated in place, so a DC sweep point allocates nothing here.
-func (s *Session) SetISourceDC(h ISourceHandle, v float64) {
-	if s.ownConstI == nil {
-		s.ownConstI = make([]*wave.Waveform, len(s.isrcW))
-	}
-	if s.ownConstI[h] == nil {
-		s.ownConstI[h] = wave.Constant(v)
-	} else {
-		s.ownConstI[h].V[0] = v
-	}
-	s.isrcW[h] = s.ownConstI[h]
 }
 
 // WarmStart switches the Newton continuation mode of subsequent DC solves
@@ -614,10 +585,10 @@ func (s *Session) sourceRHS(b []float64, t float64) {
 	}
 	for k, is := range s.prog.isrc {
 		if is.pos >= 0 {
-			b[is.pos] += s.isrcW[k].At(t)
+			b[is.pos] += s.prog.isrcW0[k].At(t)
 		}
 		if is.neg >= 0 {
-			b[is.neg] -= s.isrcW[k].At(t)
+			b[is.neg] -= s.prog.isrcW0[k].At(t)
 		}
 	}
 }
@@ -866,13 +837,13 @@ func (s *Session) RunTransientUntil(ctx context.Context, res *Result, tstop floa
 	// Indexed time grid: t = k·h instead of the legacy accumulating
 	// t += h, which drifted by an ulp per step and could drop or duplicate
 	// the final step on long runs (TestTransientStepCountExact pins the
-	// count at large tstop/Dt ratios). The result records the time axis,
-	// s.n node voltages and s.m branch currents at every point.
-	nsteps, err := GridSteps(tstop, h, 1+s.n+s.m)
+	// count at large tstop/Dt ratios). The result records the time axis
+	// and the s.n node voltages at every point.
+	nsteps, err := GridSteps(tstop, h, 1+s.n)
 	if err != nil {
 		return err
 	}
-	res.reset(s.prog.ckt, s.n, s.m, nsteps+1)
+	res.reset(s.prog.ckt, s.n, nsteps+1)
 
 	// The factored step loop, part 1 (DESIGN.md §17): the program's shape
 	// decides. A linear program (r = 0) also solves its operating point on

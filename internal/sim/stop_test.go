@@ -12,8 +12,8 @@ import (
 )
 
 // sameSamples reports the first sample of got that is not bit-identical
-// to the same sample of want (time axis, every node voltage and branch
-// current), or -1 when all len(got.Times) samples match.
+// to the same sample of want (time axis and every node voltage), or -1
+// when all len(got.Times) samples match.
 func sameSamples(got, want *Result) int {
 	for i := range got.Times {
 		if math.Float64bits(got.Times[i]) != math.Float64bits(want.Times[i]) {
@@ -24,8 +24,33 @@ func sameSamples(got, want *Result) int {
 				return i
 			}
 		}
-		for k := range got.branchI {
-			if math.Float64bits(got.branchI[k][i]) != math.Float64bits(want.branchI[k][i]) {
+	}
+	return -1
+}
+
+// transientBranches runs a transient to tstop and returns, beside its
+// result, every sample's voltage-source branch currents: the unknowns
+// x[n:] after the node voltages, which a Result does not record, captured
+// by a stop predicate that never fires.
+func transientBranches(ctx context.Context, s *Session, tstop float64) (*Result, [][]float64, error) {
+	var res Result
+	var branches [][]float64
+	err := s.RunTransientUntil(ctx, &res, tstop, func(x []float64) bool {
+		branches = append(branches, append([]float64(nil), x[s.n:]...))
+		return false
+	})
+	if err != nil {
+		return nil, nil, err
+	}
+	return &res, branches, nil
+}
+
+// sameBranches reports the first sample whose branch currents are not
+// bit-identical between got and want, or -1 when all len(got) match.
+func sameBranches(got, want [][]float64) int {
+	for i := range got {
+		for k := range got[i] {
+			if math.Float64bits(got[i][k]) != math.Float64bits(want[i][k]) {
 				return i
 			}
 		}
@@ -37,8 +62,9 @@ func sameSamples(got, want *Result) int {
 // NAND2 glitch benches of both cards, predictor on and off: a run stopped
 // at step k records exactly k+1 samples, each bit-identical to the full
 // run's; it advances TransientSteps by k (with PredictorSeeds still one
-// short of it); stop sees each sample just as it was recorded; and a stop
-// that never fires is the full run, bit for bit and counter for counter.
+// short of it); stop sees each sample just as it was recorded, branch
+// currents included; and a stop that never fires is the full run, bit for
+// bit and counter for counter.
 func TestRunTransientUntilStopsAtSample(t *testing.T) {
 	const tstop = 600e-12
 	ctx := context.Background()
@@ -60,6 +86,18 @@ func TestRunTransientUntilStopsAtSample(t *testing.T) {
 				fullWork := sess.Stats().Sub(before)
 				nsteps := full.Steps() - 1
 
+				before = sess.Stats()
+				never, branches, err := transientBranches(ctx, sess, tstop)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if d := sess.Stats().Sub(before); d != fullWork {
+					t.Errorf("%s/%s pred=%v: never-firing stop counted %+v, full run %+v", tc.Name, kind, pred, d, fullWork)
+				}
+				if never.Steps() != full.Steps() || sameSamples(never, &full) >= 0 {
+					t.Errorf("%s/%s pred=%v: never-firing stop is not the full run", tc.Name, kind, pred)
+				}
+
 				for _, k := range []int{0, 1, 2, 3, 250, nsteps - 1, nsteps} {
 					var res Result
 					seen := 0
@@ -67,6 +105,12 @@ func TestRunTransientUntilStopsAtSample(t *testing.T) {
 						if math.Float64bits(x[out]) != math.Float64bits(full.At("out", seen)) {
 							t.Errorf("%s/%s pred=%v: stop saw out=%v at sample %d, recorded %v",
 								tc.Name, kind, pred, x[out], seen, full.At("out", seen))
+						}
+						for b, ib := range x[sess.n:] {
+							if math.Float64bits(ib) != math.Float64bits(branches[seen][b]) {
+								t.Errorf("%s/%s pred=%v: stop saw branch %d current %v at sample %d, full run %v",
+									tc.Name, kind, pred, b, ib, seen, branches[seen][b])
+							}
 						}
 						seen++
 						return seen == k+1
@@ -93,18 +137,6 @@ func TestRunTransientUntilStopsAtSample(t *testing.T) {
 					if d.PredictorSeeds != wantSeeds {
 						t.Errorf("%s/%s pred=%v stop at %d: %d predictor seeds, want %d", tc.Name, kind, pred, k, d.PredictorSeeds, wantSeeds)
 					}
-				}
-
-				var never Result
-				before = sess.Stats()
-				if err := sess.RunTransientUntil(ctx, &never, tstop, func([]float64) bool { return false }); err != nil {
-					t.Fatal(err)
-				}
-				if d := sess.Stats().Sub(before); d != fullWork {
-					t.Errorf("%s/%s pred=%v: never-firing stop counted %+v, full run %+v", tc.Name, kind, pred, d, fullWork)
-				}
-				if never.Steps() != full.Steps() || sameSamples(&never, &full) >= 0 {
-					t.Errorf("%s/%s pred=%v: never-firing stop is not the full run", tc.Name, kind, pred)
 				}
 			}
 		}

@@ -1,7 +1,6 @@
 package sim
 
 import (
-	"context"
 	"math"
 	"testing"
 
@@ -197,66 +196,5 @@ func TestWarmStartStatsAndReset(t *testing.T) {
 	run() // warm again
 	if s := sess.Stats(); s.WarmStarts != 2 || s.WarmFallbacks != 0 {
 		t.Fatalf("final stats: %+v", s)
-	}
-}
-
-// TestSetISourceSweepMatchesOneShot sweeps a current source through a
-// compiled session (SetISourceDC) and through fresh one-shot circuits; the
-// solutions must agree bit-for-bit, like every other session parameter.
-// This is the injected-noise characterisation path: a noise current driven
-// into a resistive net.
-func TestSetISourceSweepMatchesOneShot(t *testing.T) {
-	build := func(i0 float64) *circuit.Circuit {
-		c := circuit.New()
-		c.AddI("inoise", "net", "0", wave.Constant(i0))
-		c.AddR("rhold", "net", "0", 750)
-		c.AddR("rw", "net", "far", 120)
-		c.AddR("rg", "far", "0", 2200)
-		return c
-	}
-	prog := Compile(build(0))
-	sess, err := NewSession(prog, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	h := prog.MustISource("inoise")
-	var dc DCResult
-	for _, i0 := range []float64{-2e-3, 0, 0.5e-3, 1e-3, 3e-3} {
-		sess.SetISourceDC(h, i0)
-		if err := sess.RunDCInto(&dc); err != nil {
-			t.Fatal(err)
-		}
-		want, err := DC(build(i0), Options{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, n := range []string{"net", "far"} {
-			if got, w := dc.NodeV(n), want.NodeV(n); got != w {
-				t.Fatalf("i0=%g node %s: %v (session) vs %v (one-shot)", i0, n, got, w)
-			}
-		}
-	}
-	// And the waveform variant: a transient ramp replaced via SetISource.
-	ramp := wave.SaturatedRamp(0, 1e-3, 100e-12, 200e-12)
-	sess2, err := NewSession(prog, Options{Dt: 10e-12})
-	if err != nil {
-		t.Fatal(err)
-	}
-	sess2.SetISource(h, ramp)
-	got, err := sess2.RunTransient(context.Background(), 1e-9)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ckt := build(0)
-	ckt.ISources[0].W = ramp
-	want, err := Transient(context.Background(), ckt, Options{Dt: 10e-12, TStop: 1e-9})
-	if err != nil {
-		t.Fatal(err)
-	}
-	gw, ww := got.Waveform("net"), want.Waveform("net")
-	for i := range gw.V {
-		if gw.V[i] != ww.V[i] {
-			t.Fatalf("step %d: %v vs %v", i, gw.V[i], ww.V[i])
-		}
 	}
 }
