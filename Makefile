@@ -5,7 +5,7 @@
 
 GO ?= go
 
-.PHONY: build test race vet fmt docs golden golden-check bench bench-check
+.PHONY: build test race vet fmt docs golden golden-check bench bench-check bench-record
 
 build:
 	$(GO) build ./...
@@ -47,7 +47,7 @@ bench:
 	$(GO) test -run xxx -bench 'Table2Macromodel|MacromodelEngine|AlignWorstCase|Table1Golden|Table2Golden' -benchmem .
 	$(GO) test -run xxx -bench 'MulVecInto' -benchmem ./internal/linalg
 	$(GO) test -run xxx -bench 'TransientLowRank' -benchmem ./internal/sim
-	$(GO) test -run xxx -bench 'INVLoadCurveSweep|NAND2LoadCurveSweepFine' -benchmem ./internal/charlib
+	$(GO) test -run xxx -bench 'INVLoadCurveSweep|NAND2LoadCurveSweepFine|PropTableTransient' -benchmem ./internal/charlib
 	$(GO) test -run xxx -bench 'TheveninFit' -benchmem ./internal/thevenin
 	$(GO) test -run xxx -bench 'NRCCharacterize' -benchmem ./internal/nrc
 
@@ -57,3 +57,26 @@ bench:
 bench-check:
 	$(GO) -C benchmark vet ./...
 	$(GO) -C benchmark test ./...
+
+# bench-record writes BENCH_$(PR).json, the perf record of one change: the
+# record of every benchmark workload at seeds 1..3 (`run.sh --runs 3`),
+# plus one traced seed-1 pass per workload whose work counters per op land
+# in the record's "counters_seed1" block (the counters the CI gate reads).
+# Run it on a quiet machine: `make bench-record PR=24`.
+BENCH_WORKLOADS = design-pessimistic design-realistic-warmstore charfarm-corners serve-mixed
+BENCH_COUNTERS = sim.dc_solves sim.transients sim.transient_steps sim.newton_iters core.engine_runs
+
+bench-record:
+	@test -n "$(PR)" || { echo "usage: make bench-record PR=<n>" >&2; exit 2; }
+	mkdir -p .bench_build
+	bash benchmark/run.sh --seed 1 --runs 3 --out .bench_build/record.json
+	for w in $(BENCH_WORKLOADS); do \
+		bash benchmark/run.sh --workload $$w --seed 1 --seconds 2 --trace 1 | tail -n 1 > .bench_build/counters_$$w.json || exit 1; \
+	done
+	python3 -c 'import json, sys; \
+	rec = json.load(open(".bench_build/record.json")); \
+	ws, names = sys.argv[1].split(), sys.argv[2].split(); \
+	runs = {w: json.load(open(".bench_build/counters_%s.json" % w)) for w in ws}; \
+	rec["counters_seed1"] = {w: dict(correct=r["correct"], **{n: r["metrics"][n]["value"] for n in names if n in r["metrics"]}) for w, r in runs.items()}; \
+	json.dump(rec, sys.stdout, indent=2); print()' "$(BENCH_WORKLOADS)" "$(BENCH_COUNTERS)" > BENCH_$(PR).json
+	@echo "wrote BENCH_$(PR).json"

@@ -367,7 +367,10 @@ func TestGoldenWarmStartCharacterization(t *testing.T) {
 // TestGoldenPredictorCharacterization holds every golden configuration to
 // the one characterisation path's transient seeding: in the propagation
 // table and the NRC, every timestep after a probe's first is seeded by the
-// polynomial predictor (sim.Session.Predictor), the DC load curve runs no
+// polynomial predictor (sim.Session.Predictor) — except, in the
+// propagation table, the first step after each of the three knots of a
+// probe's triangular glitch, where the adaptive time axis restarts the
+// predictor (sim.Session.RunTransientAdaptive) — the DC load curve runs no
 // transient, and the seeded artefacts match the fixtures.
 func TestGoldenPredictorCharacterization(t *testing.T) {
 	for _, cfg := range goldenConfigs() {
@@ -380,12 +383,13 @@ func TestGoldenPredictorCharacterization(t *testing.T) {
 				t.Errorf("load curve ran %d transients with %d predictor seeds, want a DC-only sweep", lc.Transient, lc.PredictorSeeds)
 			}
 			for _, f := range []struct {
-				name string
-				c    sim.Counters
-			}{{"prop table", work.prop}, {"nrc", work.nrc}} {
-				if want := f.c.TransientSteps - f.c.Transient; f.c.Transient == 0 || f.c.PredictorSeeds != want {
-					t.Errorf("%s: %d of %d timesteps over %d transients predictor-seeded, want %d (all but each probe's first)",
-						f.name, f.c.PredictorSeeds, f.c.TransientSteps, f.c.Transient, want)
+				name     string
+				c        sim.Counters
+				restarts int64 // breakpoint restarts per probe
+			}{{"prop table", work.prop, 3}, {"nrc", work.nrc, 0}} {
+				if want := f.c.TransientSteps - f.c.Transient - f.restarts*f.c.Transient; f.c.Transient == 0 || f.c.PredictorSeeds != want {
+					t.Errorf("%s: %d of %d timesteps over %d transients predictor-seeded, want %d (all but each probe's first and the %d after its breakpoints)",
+						f.name, f.c.PredictorSeeds, f.c.TransientSteps, f.c.Transient, want, f.restarts)
 				}
 			}
 		})

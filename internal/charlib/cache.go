@@ -370,11 +370,17 @@ func (c *Cache) LoadCurve(ctx context.Context, cl *cell.Cell, st cell.State, pin
 	return v.(*LoadCurve), nil
 }
 
+// propStepFP names the prop probes' time axis: the LTE-controlled
+// adaptive steps of sim.Session.RunTransientAdaptive (DESIGN.md §21).
+// Tables built on the fixed Dt grid carry no such segment, so a store
+// written before the axis changed serves none of them.
+const propStepFP = ",lte"
+
 // propTableFP fingerprints normalized prop-table options — the exact fp
 // Cache.PropTable keys on. The corner-sweep driver reuses it so a farm run
 // and a plain PropTable call address the same artefact.
 func propTableFP(opts PropOptions) string {
-	return fmt.Sprintf("%v,%v,%v,%g", opts.Heights, opts.Widths, opts.Loads, opts.Dt) + transientSeedFP
+	return fmt.Sprintf("%v,%v,%v,%g", opts.Heights, opts.Widths, opts.Loads, opts.Dt) + transientSeedFP + propStepFP
 }
 
 // PropTable returns the memoized propagation table for the cell

@@ -161,7 +161,7 @@ func SweepCorners(ctx context.Context, cache *Cache, base *tech.Tech, corners []
 		if opts.Prop {
 			popts := opts.PropOptions.normalize(cl.Tech.VDD)
 			pv, err := cache.Artefact(ctx, "prop", cl, st, job.Pin, propTableFP(popts), func() (any, error) {
-				pt, sstats, err := characterizePropagation(ctx, cl, st, job.Pin, popts, true)
+				pt, sstats, err := characterizePropagation(ctx, cl, st, job.Pin, popts, propSeeded)
 				out.stats = out.stats.Add(sstats)
 				return pt, err
 			})

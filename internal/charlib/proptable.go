@@ -40,7 +40,7 @@ type PropOptions struct {
 	Heights []float64 // default 8 points, 0.15·VDD … 1.1·VDD
 	Widths  []float64 // default {60,120,240,480,900} ps
 	Loads   []float64 // default {10,40,120,300} fF
-	Dt      float64   // transient step; default 1 ps
+	Dt      float64   // probe step at the start and after each glitch knot; default 1 ps
 }
 
 func (o PropOptions) normalize(vdd float64) PropOptions {
@@ -61,6 +61,29 @@ func (o PropOptions) normalize(vdd float64) PropOptions {
 	return o
 }
 
+// validate rejects a normalized grid the probes cannot simulate, with an
+// *sim.OptionsError naming the entry: every height must be finite, every
+// width positive and finite, every load non-negative and finite.
+func (o PropOptions) validate() error {
+	for _, ax := range []struct {
+		name string
+		vs   []float64
+		min  float64 // the least legal value; -Inf for none
+		want string
+	}{
+		{"Heights", o.Heights, math.Inf(-1), ""},
+		{"Widths", o.Widths, math.SmallestNonzeroFloat64, "positive and finite"},
+		{"Loads", o.Loads, 0, "non-negative and finite"},
+	} {
+		for i, v := range ax.vs {
+			if !(v >= ax.min) || math.IsInf(v, 0) {
+				return &sim.OptionsError{Field: fmt.Sprintf("PropOptions.%s[%d]", ax.name, i), Value: v, Want: ax.want}
+			}
+		}
+	}
+	return nil
+}
+
 // CharacterizePropagation simulates the cell transistor-level for every
 // (height, width, load) combination: a triangular glitch is applied to the
 // noisy pin from its quiet rail towards the opposite rail, and the output
@@ -68,28 +91,54 @@ func (o PropOptions) normalize(vdd float64) PropOptions {
 //
 // The receiver netlist is compiled once; every (height, width, load) probe
 // reuses the same sim.Session with only the glitch waveform and the lumped
-// load value mutated (sim.Session.SetSource / SetLoad). Each probe's
-// operating point is warm-started from the previous probe's
-// (sim.Session.WarmStart) and each timestep after a probe's first is
-// seeded by the polynomial predictor (sim.Session.Predictor); peaks and
-// areas agree with a cold characterisation within solver tolerance
-// (TestWarmStartPropTableMatchesCold).
+// load value mutated (sim.Session.SetSource / SetLoad). Each probe runs on
+// the adaptive time axis (sim.Session.RunTransientAdaptive, DESIGN.md
+// §21): Dt at the start and after every knot of the glitch, then steps
+// from Dt/4 to 64·Dt as the error estimate allows, so fast edges are
+// integrated more finely than on a fixed Dt grid and the settled tail
+// costs a few dozen steps instead of a thousand. Each probe's operating point is
+// warm-started from the previous probe's (sim.Session.WarmStart) and each
+// timestep after a probe's first, and after each glitch knot, is seeded by
+// the polynomial predictor (sim.Session.Predictor); peaks and areas agree
+// with a cold characterisation within solver tolerance
+// (TestWarmStartPropTableMatchesCold), and with a fixed-grid table at
+// Dt/4 at least as closely as the fixed grid at Dt does
+// (TestAdaptivePropTableAccuracy).
+//
+// A grid that cannot be simulated — a width that is not positive and
+// finite, a load that is negative or not finite, a height that is not
+// finite — is an *sim.OptionsError naming the entry.
 func CharacterizePropagation(ctx context.Context, cl *cell.Cell, st cell.State, noisyPin string, opts PropOptions) (*PropTable, error) {
-	pt, _, err := characterizePropagation(ctx, cl, st, noisyPin, opts, true)
+	pt, _, err := characterizePropagation(ctx, cl, st, noisyPin, opts, propSeeded)
 	return pt, err
 }
+
+// propMode selects how the probes of a table run. Every caller outside the
+// tests passes propSeeded; the tests pass the two references it is held
+// to.
+type propMode int
+
+const (
+	// propSeeded is the one production path: warm start, predictor and the
+	// adaptive time axis.
+	propSeeded propMode = iota
+	// propCold runs the adaptive axis from cold Newton seeds.
+	propCold
+	// propFixed runs the seeded probes on the fixed Dt grid.
+	propFixed
+)
 
 // characterizePropagation is CharacterizePropagation plus the rig
 // session's solver counters, so sweep drivers (SweepCorners) can attribute
 // the transient work per corner without reading the process-wide registry.
-// seeded selects the probes' warm start and predictor: every caller outside
-// the tests passes true, and the tests pass false for the cold reference
-// the seeded table is held to.
-func characterizePropagation(ctx context.Context, cl *cell.Cell, st cell.State, noisyPin string, opts PropOptions, seeded bool) (*PropTable, sim.Counters, error) {
+func characterizePropagation(ctx context.Context, cl *cell.Cell, st cell.State, noisyPin string, opts PropOptions, mode propMode) (*PropTable, sim.Counters, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
 	opts = opts.normalize(cl.Tech.VDD)
+	if err := opts.validate(); err != nil {
+		return nil, sim.Counters{}, err
+	}
 	pt := &PropTable{
 		CellName: cl.Name(),
 		State:    st.String(),
@@ -107,7 +156,7 @@ func characterizePropagation(ctx context.Context, cl *cell.Cell, st cell.State, 
 	if st[noisyPin] {
 		glitchSign = -1
 	}
-	rig, err := newPropRig(cl, st, noisyPin, quietIn, opts, seeded)
+	rig, err := newPropRig(cl, st, noisyPin, quietIn, opts, mode)
 	if err != nil {
 		return nil, sim.Counters{}, err
 	}
@@ -161,10 +210,11 @@ type propRig struct {
 	hGlitch sim.SourceHandle
 	hLoad   sim.CapHandle
 	quietIn float64
+	fixed   bool // the fixed-grid test reference (propFixed)
 	res     sim.Result
 }
 
-func newPropRig(cl *cell.Cell, st cell.State, noisyPin string, quietIn float64, opts PropOptions, seeded bool) (*propRig, error) {
+func newPropRig(cl *cell.Cell, st cell.State, noisyPin string, quietIn float64, opts PropOptions, mode propMode) (*propRig, error) {
 	// The noisy pin's glitch replaces its rail per probe via SetSource.
 	ckt, err := cl.Bench(st)
 	if err != nil {
@@ -177,39 +227,46 @@ func newPropRig(cl *cell.Cell, st cell.State, noisyPin string, quietIn float64, 
 	if err != nil {
 		return nil, err
 	}
-	sess.WarmStart(seeded)
-	sess.Predictor(seeded)
+	sess.WarmStart(mode != propCold)
+	sess.Predictor(mode != propCold)
 	return &propRig{
 		sess:    sess,
 		hGlitch: prog.MustSource("v_" + noisyPin),
 		hLoad:   prog.MustCap("cload"),
 		quietIn: quietIn,
+		fixed:   mode == propFixed,
 	}, nil
 }
 
 func (r *propRig) propagate(ctx context.Context, height, width, load, quietOut float64) (wave.NoiseMetrics, error) {
 	r.sess.SetSource(r.hGlitch, wave.Triangle(r.quietIn, height, propT0, width))
 	r.sess.SetLoad(r.hLoad, load)
-	// Reuse the rig's result storage across probes (RunTransientInto);
-	// Waveform copies the samples it extracts, so the measured output
-	// survives the next probe overwriting res.
-	if err := r.sess.RunTransientInto(ctx, &r.res, propT0+width+1.2e-9); err != nil {
+	// Reuse the rig's result storage across probes; Waveform copies the
+	// samples it extracts, so the measured output survives the next probe
+	// overwriting res.
+	run := r.sess.RunTransientAdaptive
+	if r.fixed {
+		run = r.sess.RunTransientInto
+	}
+	if err := run(ctx, &r.res, propT0+width+1.2e-9); err != nil {
 		return wave.NoiseMetrics{}, err
 	}
 	return wave.MeasureNoise(r.res.Waveform("out"), quietOut), nil
 }
 
 // Lookup interpolates peak and area trilinearly at (height, width, load),
-// clamping to the table boundary.
+// clamping to the table boundary. An axis with a single point is constant
+// along it: only axes with two or more points are interpolated.
 func (pt *PropTable) Lookup(height, width, load float64) (peak, area float64) {
 	hi, th := bracket(pt.Heights, height)
 	wi, tw := bracket(pt.Widths, width)
 	li, tl := bracket(pt.Loads, load)
+	nh, nw, nl := min(len(pt.Heights), 2), min(len(pt.Widths), 2), min(len(pt.Loads), 2)
 	lerp3 := func(tab [][][]float64) float64 {
 		acc := 0.0
-		for dh := 0; dh <= 1; dh++ {
-			for dw := 0; dw <= 1; dw++ {
-				for dl := 0; dl <= 1; dl++ {
+		for dh := 0; dh < nh; dh++ {
+			for dw := 0; dw < nw; dw++ {
+				for dl := 0; dl < nl; dl++ {
 					w := wgt(th, dh) * wgt(tw, dw) * wgt(tl, dl)
 					acc += w * tab[hi+dh][wi+dw][li+dl]
 				}

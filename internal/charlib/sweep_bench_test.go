@@ -150,8 +150,10 @@ func TestLoadCurveSweepMatchesLegacyBitForBit(t *testing.T) {
 // per-run costs without the full production grid's runtime) with
 // allocation tracking: every (height, width, load) probe reuses one
 // compiled sim.Session *and* one transient result buffer
-// (sim.Session.RunTransientInto), so the sweep's per-probe allocations are
-// its glitch waveform and measurement only (numbers in EXPERIMENTS.md).
+// (sim.Session.RunTransientAdaptive), so the sweep's per-probe allocations
+// are its glitch waveform and measurement only (numbers in
+// EXPERIMENTS.md). transient-steps/op and newton-iters/op are the work of
+// one table, the adaptive time axis's step cut (DESIGN.md §21).
 func BenchmarkPropTableTransient(b *testing.B) {
 	inv := cell.MustNew(tech.Tech130(), "INV", 1)
 	st := cell.State{"A": false}
@@ -162,9 +164,13 @@ func BenchmarkPropTableTransient(b *testing.B) {
 		Dt:      2e-12,
 	}
 	b.ReportAllocs()
+	before := sim.Snapshot()
 	for i := 0; i < b.N; i++ {
 		if _, err := CharacterizePropagation(context.Background(), inv, st, "A", opts); err != nil {
 			b.Fatal(err)
 		}
 	}
+	work := sim.Snapshot().Sub(before)
+	b.ReportMetric(float64(work.TransientSteps)/float64(b.N), "transient-steps/op")
+	b.ReportMetric(float64(work.NewtonIters)/float64(b.N), "newton-iters/op")
 }

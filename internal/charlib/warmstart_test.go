@@ -166,7 +166,7 @@ func TestWarmStartPropTableMatchesCold(t *testing.T) {
 		Loads:   []float64{25e-15},
 		Dt:      2e-12,
 	}
-	cold, _, err := characterizePropagation(ctx, inv, st, "A", opts, false)
+	cold, _, err := characterizePropagation(ctx, inv, st, "A", opts, propCold)
 	if err != nil {
 		t.Fatal(err)
 	}

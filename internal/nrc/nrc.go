@@ -67,6 +67,28 @@ func (o Options) normalize() Options {
 	return o
 }
 
+// validate rejects normalized options the bisection cannot use, with an
+// *sim.OptionsError naming the field: a width that is not positive and
+// finite, or a FailFrac or Tol that is not finite. A NaN FailFrac would
+// put the failure threshold out of reach of every probe and report the
+// receiver unfailable; a NaN Tol would end each bisection at once.
+func (o Options) validate() error {
+	for i, w := range o.Widths {
+		if !(w > 0) || math.IsInf(w, 0) {
+			return &sim.OptionsError{Field: fmt.Sprintf("NRCOptions.Widths[%d]", i), Value: w, Want: "positive and finite"}
+		}
+	}
+	for _, f := range []struct {
+		name string
+		v    float64
+	}{{"NRCOptions.FailFrac", o.FailFrac}, {"NRCOptions.Tol", o.Tol}} {
+		if math.IsNaN(f.v) || math.IsInf(f.v, 0) {
+			return &sim.OptionsError{Field: f.name, Value: f.v}
+		}
+	}
+	return nil
+}
+
 // Characterize builds the NRC of a receiver input pin in the given quiet
 // state. The glitch is applied from the pin's quiet rail towards the
 // opposite rail, which is the polarity a victim net in that state can
@@ -80,6 +102,10 @@ func (o Options) normalize() Options {
 // (sim.Session.Predictor).
 // Heights agree with a cold characterisation within one bisection bracket
 // (TestWarmStartCurveMatchesCold).
+//
+// Options the bisection cannot use — a width that is not positive and
+// finite, a FailFrac or Tol that is not finite — are an *sim.OptionsError
+// naming the field.
 //
 // A probe's transient stops at its first failing sample: one sample
 // decides a failure, and the next probe's warm seed is the DC point, not
@@ -97,6 +123,9 @@ func characterize(ctx context.Context, cl *cell.Cell, st cell.State, pin string,
 		ctx = context.Background()
 	}
 	opts = opts.normalize()
+	if err := opts.validate(); err != nil {
+		return nil, err
+	}
 	if !cl.HasInput(pin) {
 		return nil, fmt.Errorf("nrc: %s has no pin %q", cl.Name(), pin)
 	}

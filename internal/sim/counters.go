@@ -46,9 +46,10 @@ type Counters struct {
 	// for per-step work metrics such as the predictor's Newton-iteration
 	// reduction.
 	TransientSteps int64 `json:"transient_steps"`
-	// PredictorSeeds counts timesteps whose Newton solve was seeded by the
-	// polynomial predictor (Session.Predictor); PredictorFallbacks counts
-	// the subset re-solved from the previous converged point.
+	// PredictorSeeds counts accepted timesteps whose Newton solve was
+	// seeded by the polynomial predictor (Session.Predictor);
+	// PredictorFallbacks counts the seeded solves re-solved from the
+	// previous converged point.
 	PredictorSeeds     int64 `json:"predictor_seeds"`
 	PredictorFallbacks int64 `json:"predictor_fallbacks"`
 	// NLStampEvals counts nonlinear-capacitor stamp evaluations (one per

@@ -123,8 +123,10 @@ func (r *Result) reset(c *circuit.Circuit, n, capHint int) {
 	}
 }
 
-// record appends one time point. All appends stay within the capacity
-// reserved by reset, so a transient step records allocation-free.
+// record appends one time point. A fixed-grid run's appends stay within
+// the capacity reserved by reset, so its steps record allocation-free; an
+// adaptive run that outgrows it grows the series once, and a later run of
+// the same length on the same Result records allocation-free again.
 func (r *Result) record(t float64, x []float64) {
 	r.Times = append(r.Times, t)
 	for i := range r.nodeV {

@@ -45,16 +45,24 @@ func (o Options) normalize() Options {
 var ErrInvalidOptions = errors.New("sim: invalid options")
 
 // OptionsError reports a simulation option that cannot be used: a NaN or
-// infinite numeric field, or a NaN/Inf initial-guess voltage. It unwraps to
-// ErrInvalidOptions.
+// infinite numeric field, or a NaN/Inf initial-guess voltage. The
+// characterisation layers above report their grid entries with it too
+// (e.g. a zero glitch width). It unwraps to ErrInvalidOptions.
 type OptionsError struct {
 	Field string  // e.g. "Dt" or `InitialGuess["out"]`
 	Value float64 // the offending value
+	// Want is the condition the value breaks, e.g. "positive and finite";
+	// empty means "finite".
+	Want string
 }
 
 // Error implements error.
 func (e *OptionsError) Error() string {
-	return fmt.Sprintf("sim: invalid option %s = %g (must be finite)", e.Field, e.Value)
+	want := e.Want
+	if want == "" {
+		want = "finite"
+	}
+	return fmt.Sprintf("sim: invalid option %s = %g (must be %s)", e.Field, e.Value, want)
 }
 
 // Unwrap ties the typed error to the ErrInvalidOptions sentinel.

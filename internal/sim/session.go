@@ -91,12 +91,21 @@ type Session struct {
 	xWarm     []float64
 
 	// Predictor state (see Predictor): a ring of the last three converged
-	// timestep solutions (xHist[0] newest) plus the pre-seed fallback
-	// buffer, allocated lazily on the first predictor-mode transient run so
-	// predictor-off sessions pay nothing.
+	// timestep solutions (xHist[0] newest) and the steps between them
+	// (hHist[0] from xHist[1] to xHist[0]), allocated lazily on the first
+	// transient run that seeds or estimates from them, so other sessions
+	// pay nothing. A seed that fails to converge is re-solved from
+	// xHist[0], the previous converged point.
 	predictor bool
 	xHist     [3][]float64
-	xFallback []float64
+	hHist     [2]float64
+
+	// Adaptive-run state (RunTransientAdaptive), reused across runs: the
+	// run's breakpoints, and for every capacitor (the linear ones first)
+	// its operating-point branch voltage and its largest swing from it so
+	// far.
+	bps       []float64
+	u0, swing []float64
 
 	// lr holds the factored step loop's buffers (DESIGN.md §17), allocated
 	// on the first transient run of a program whose shape takes the path;
@@ -267,10 +276,11 @@ func (s *Session) MemoryBytes() int64 {
 	b += 6*sz*8 + sz*8
 	b += int64(len(s.vPrev)+len(s.iPrev)) * 16
 	b += int64(len(s.vPrevNL)) * 24 // vPrevNL + iPrevNL + cPrevNL
-	if s.xFallback != nil {
-		// Predictor history ring (3 vectors) plus the fallback buffer.
-		b += 4 * sz * 8
+	if s.xHist[0] != nil {
+		// Predictor history ring (3 vectors).
+		b += 3 * sz * 8
 	}
+	b += int64(cap(s.bps)+cap(s.u0)+cap(s.swing)) * 8
 	if s.lr != nil {
 		b += s.lr.memoryBytes()
 	}
@@ -529,28 +539,29 @@ func (s *Session) update(x []float64, relaxed bool) bool {
 	return maxdv*scale < vTol && maxf < iTol*math.Max(1, float64(s.n))
 }
 
-// ensurePredictorBuffers lazily allocates the predictor history ring and
-// fallback buffer on the first predictor-mode transient run.
+// ensurePredictorBuffers lazily allocates the predictor history ring on
+// the first transient run that reads it.
 func (s *Session) ensurePredictorBuffers() {
-	if s.xFallback != nil {
+	if s.xHist[0] != nil {
 		return
 	}
-	s.xFallback = make([]float64, s.size)
 	for i := range s.xHist {
 		s.xHist[i] = make([]float64, s.size)
 	}
 }
 
-// pushHistory records a converged timestep solution in the predictor ring
-// by pointer rotation (the oldest buffer is overwritten and becomes the
-// newest), allocating nothing. nh is the current history depth; the new
-// depth (capped at 3) is returned.
-func (s *Session) pushHistory(x []float64, nh int) int {
+// pushHistory records a converged timestep solution, reached by a step of
+// length h, in the predictor ring by pointer rotation (the oldest buffer
+// is overwritten and becomes the newest), allocating nothing. nh is the
+// current history depth; the new depth (capped at 3) is returned.
+func (s *Session) pushHistory(x []float64, h float64, nh int) int {
 	buf := s.xHist[2]
 	s.xHist[2] = s.xHist[1]
 	s.xHist[1] = s.xHist[0]
 	copy(buf, x)
 	s.xHist[0] = buf
+	s.hHist[1] = s.hHist[0]
+	s.hHist[0] = h
 	if nh < 3 {
 		nh++
 	}
@@ -558,20 +569,39 @@ func (s *Session) pushHistory(x []float64, nh int) int {
 }
 
 // predictSeed overwrites x with the polynomial extrapolation of the
-// history ring: linear over two points, second-order over three. The
-// uniform-step Lagrange forms (2·x₁ − x₀ and 3·x₂ − 3·x₁ + x₀) are exact
-// for the session's fixed Dt grid.
-func (s *Session) predictSeed(x []float64, nh int) {
-	h0, h1 := s.xHist[0], s.xHist[1]
+// history ring (x0 = xHist[0] newest) to a step of length h: linear over
+// two points, second-order over three, the Lagrange forms on the ring's
+// own steps. When those steps all equal h — every step of a fixed-grid
+// run — the forms are the uniform ones, 2·x0 − x1 and 3·x0 − 3·x1 + x2,
+// evaluated as such.
+func (s *Session) predictSeed(x []float64, h float64, nh int) {
+	x0, x1 := s.xHist[0], s.xHist[1]
+	a, b := s.hHist[0], s.hHist[1]
 	if nh >= 3 {
-		h2 := s.xHist[2]
+		x2 := s.xHist[2]
+		if h == a && a == b {
+			for i := range x {
+				x[i] = 3*x0[i] - 3*x1[i] + x2[i]
+			}
+			return
+		}
+		c0 := (h + a) * (h + a + b) / (a * (a + b))
+		c1 := -h * (h + a + b) / (a * b)
+		c2 := h * (h + a) / ((a + b) * b)
 		for i := range x {
-			x[i] = 3*h0[i] - 3*h1[i] + h2[i]
+			x[i] = c0*x0[i] + c1*x1[i] + c2*x2[i]
 		}
 		return
 	}
+	if h == a {
+		for i := range x {
+			x[i] = 2*x0[i] - x1[i]
+		}
+		return
+	}
+	r := h / a
 	for i := range x {
-		x[i] = 2*h0[i] - h1[i]
+		x[i] = x0[i] + r*(x0[i]-x1[i])
 	}
 }
 
@@ -818,6 +848,37 @@ func (s *Session) RunTransientInto(ctx context.Context, res *Result, tstop float
 // answer whenever stop fires at or after the sample that decides it
 // (DESIGN.md §16).
 func (s *Session) RunTransientUntil(ctx context.Context, res *Result, tstop float64, stop func(x []float64) bool) error {
+	return s.runTransient(ctx, res, tstop, stop, false)
+}
+
+// RunTransientAdaptive is RunTransientInto on an adaptive time axis
+// (DESIGN.md §21). It ends where the fixed grid does, at the grid's last
+// point, and it runs the fixed grid's step loop, but each step is drawn
+// from Dt·2^j, j = −2..6, by a local-truncation-error estimate on
+// capacitor charge: a step whose estimate exceeds its bound is retried
+// shorter, and the next step grows at most twofold. Every knot where a
+// source waveform's slope changes is landed as a sample; the first step
+// after it, like the first step of the run, is Dt, and the predictor
+// restarts there from the landed solution alone, as at the start of a
+// run.
+//
+// Where the waveforms move fast the run steps below Dt, and where they
+// are settled or smooth it takes up to 64·Dt, so it needs several times
+// fewer steps than the fixed grid and is at least as accurate in the
+// propagation tables that use it. Counters.TransientSteps counts accepted
+// steps, NewtonIters counts the iterations of rejected ones too, and
+// PredictorSeeds counts the accepted steps whose solve was seeded. An
+// adaptive run always takes the dense Newton. The result records the
+// accepted samples, so Result.Times is not uniform; the sample cap of
+// GridSteps applies at the shortest step, Dt/4.
+func (s *Session) RunTransientAdaptive(ctx context.Context, res *Result, tstop float64) error {
+	return s.runTransient(ctx, res, tstop, nil, true)
+}
+
+// runTransient is the one transient step loop. A fixed-grid run steps
+// t = k·Dt; an adaptive one takes its steps from the stepper's LTE
+// control, restamping the step matrix whenever the step length changes.
+func (s *Session) runTransient(ctx context.Context, res *Result, tstop float64, stop func(x []float64) bool, adaptive bool) error {
 	if res == nil {
 		panic("sim: RunTransientUntil with nil result")
 	}
@@ -843,16 +904,28 @@ func (s *Session) RunTransientUntil(ctx context.Context, res *Result, tstop floa
 	if err != nil {
 		return err
 	}
-	res.reset(s.prog.ckt, s.n, nsteps+1)
+	st := stepper{adaptive: adaptive, dt: h, nsteps: nsteps}
+	samples := nsteps + 1
+	if adaptive {
+		if _, err := GridSteps(tstop, math.Ldexp(h, minLevel), 1+s.n); err != nil {
+			return err
+		}
+		// Reserve the grid's count and a sample per breakpoint: a run that
+		// steps below Dt for longer than it steps above grows the result.
+		st.bps = s.breakpoints(float64(nsteps) * h)
+		samples += len(st.bps)
+	}
+	res.reset(s.prog.ckt, s.n, samples)
 
 	// The factored step loop, part 1 (DESIGN.md §17): the program's shape
 	// decides. A linear program (r = 0) also solves its operating point on
 	// a factor (see solveDC) — unless in warm-start mode, which takes the
 	// legacy ladder and the dense steps unconditionally so its
-	// continuation semantics and stats are untouched.
+	// continuation semantics and stats are untouched. An adaptive run
+	// changes its step matrix with its step, so it takes the dense Newton.
 	plan := &s.prog.lr
 	r := len(plan.rows)
-	factored := plan.use && !s.forceDense && (r > 0 || !s.warmStart)
+	factored := plan.use && !s.forceDense && !adaptive && (r > 0 || !s.warmStart)
 	if factored && s.lr == nil {
 		s.lr = newLowRankState(s.size, plan)
 	}
@@ -867,14 +940,11 @@ func (s *Session) RunTransientUntil(ctx context.Context, res *Result, tstop floa
 
 	// Transient system matrix: base + trapezoidal capacitor companion
 	// conductances.
-	geqFactor := 2.0 / h
 	if s.lin == nil {
 		s.lin = linalg.NewMatrix(s.size, s.size)
 	}
-	s.lin.CopyFrom(s.base)
-	for i, cp := range s.prog.caps {
-		s.stampConductance(s.lin, cp.a, cp.b, s.capC[i]*geqFactor)
-	}
+	geqFactor := s.stampStep(h)
+	hStamped := h
 	// The factored step loop, part 2: factor the timestep system once for
 	// the whole run. Every Newton iteration below is then a substitution
 	// against this factorisation, plus the rank-r correction when r > 0.
@@ -918,23 +988,36 @@ func (s *Session) RunTransientUntil(ctx context.Context, res *Result, tstop floa
 	defer func() { s.nlGeq = 0 }()
 
 	// Predictor seeding only applies to runs with Newton iterations; a
-	// linear fast-path run has no Newton solve to seed.
+	// linear fast-path run has no Newton solve to seed. The history ring
+	// also feeds an adaptive run's error estimate.
 	pred := s.predictor && !(factored && r == 0)
 	nh := 0
-	if pred {
+	if pred || adaptive {
 		s.ensurePredictorBuffers()
-		nh = s.pushHistory(x, nh)
+		nh = s.pushHistory(x, 0, nh)
+	}
+	if adaptive {
+		s.startSwing(x)
 	}
 
 	b := s.b
-	for k := 1; k <= nsteps; k++ {
-		t := float64(k) * h
-		if k&15 == 0 {
+	t := 0.0
+	for attempt := 1; ; attempt++ {
+		tNext, hStep, ok := st.propose(t)
+		if !ok {
+			return nil
+		}
+		if attempt&15 == 0 {
 			if err := ctx.Err(); err != nil {
 				return err
 			}
 		}
-		s.sourceRHS(b, t)
+		if hStep != hStamped {
+			geqFactor = s.stampStep(hStep)
+			s.nlGeq = geqFactor
+			hStamped = hStep
+		}
+		s.sourceRHS(b, tNext)
 		for i, cp := range s.prog.caps {
 			hist := s.capC[i]*geqFactor*s.vPrev[i] + s.iPrev[i]
 			if cp.a >= 0 {
@@ -946,10 +1029,8 @@ func (s *Session) RunTransientUntil(ctx context.Context, res *Result, tstop floa
 		}
 		seeded := false
 		if pred && nh >= 2 {
-			copy(s.xFallback, x)
-			s.predictSeed(x, nh)
+			s.predictSeed(x, hStep, nh)
 			seeded = true
-			s.stats.PredictorSeeds++
 		}
 		err = s.solveStep(factored, x, b)
 		if err != nil && seeded {
@@ -957,11 +1038,17 @@ func (s *Session) RunTransientUntil(ctx context.Context, res *Result, tstop floa
 			// from the previous converged point — exactly the legacy seed —
 			// so the predictor never costs robustness.
 			s.stats.PredictorFallbacks++
-			copy(x, s.xFallback)
+			copy(x, s.xHist[0])
 			err = s.solveStep(factored, x, b)
 		}
 		if err != nil {
-			return fmt.Errorf("sim: transient at t=%.3gps: %w", t*1e12, err)
+			return fmt.Errorf("sim: transient at t=%.3gps: %w", tNext*1e12, err)
+		}
+		if adaptive && nh >= 3 && !st.control(s.lteRatio(x, hStep), hStep) {
+			// Rejected: the retry starts from the last accepted solution,
+			// which the capacitor histories still describe.
+			copy(x, s.xHist[0])
+			continue
 		}
 		for i, cp := range s.prog.caps {
 			v := vIdx(x, cp.a) - vIdx(x, cp.b)
@@ -977,14 +1064,37 @@ func (s *Session) RunTransientUntil(ctx context.Context, res *Result, tstop floa
 			s.vPrevNL[i] = u
 			s.cPrevNL[i] = c
 		}
-		if pred {
-			nh = s.pushHistory(x, nh)
+		if seeded {
+			s.stats.PredictorSeeds++
 		}
 		s.stats.TransientSteps++
+		t = tNext
+		if st.accept() {
+			// A breakpoint: the waveforms' derivatives jump here, so the
+			// history restarts from this solution alone.
+			nh = 0
+		}
+		if pred || adaptive {
+			nh = s.pushHistory(x, hStep, nh)
+		}
+		if adaptive {
+			s.lteSwing(x)
+		}
 		res.record(t, x)
 		if stop != nil && stop(x) {
 			return nil
 		}
 	}
-	return nil
+}
+
+// stampStep stamps the transient system matrix for a step of length h:
+// base plus every linear capacitor's trapezoidal companion conductance
+// C·2/h. It returns the companion factor 2/h.
+func (s *Session) stampStep(h float64) float64 {
+	geq := 2.0 / h
+	s.lin.CopyFrom(s.base)
+	for i, cp := range s.prog.caps {
+		s.stampConductance(s.lin, cp.a, cp.b, s.capC[i]*geq)
+	}
+	return geq
 }

@@ -38,7 +38,9 @@ func (fpRecorder) Put(string, *cell.Cell, cell.State, string, string, any) error
 // They end in the seeding suffixes the earlier opt-in -warm-start
 // -predictor runs keyed on, so stores written under those flags stay
 // reachable and no cold-built entry is ever served: ",warm" on the DC-only
-// load curve, ",warm,pred" on the transient prop table and NRC curve.
+// load curve, ",warm,pred" on the transient prop table and NRC curve. The
+// prop table adds ",lte", its adaptive time axis, so no table built on the
+// fixed grid is served.
 func TestPinnedPolicyFingerprints(t *testing.T) {
 	ctx := context.Background()
 	c := cell.MustNew(tech.Tech130(), "INV", 1)
@@ -48,7 +50,7 @@ func TestPinnedPolicyFingerprints(t *testing.T) {
 	}
 	const (
 		lc   = "61,61,0.2,warm"
-		prop = "[0.18 0.36 0.54 0.72 0.8999999999999999 1.08 1.2 1.32],[6e-11 1.2e-10 2.4e-10 4.8e-10 9e-10],[1e-14 4e-14 1.2e-13 3e-13],1e-12,warm,pred"
+		prop = "[0.18 0.36 0.54 0.72 0.8999999999999999 1.08 1.2 1.32],[6e-11 1.2e-10 2.4e-10 4.8e-10 9e-10],[1e-14 4e-14 1.2e-13 3e-13],1e-12,warm,pred,lte"
 		nrcs = "[5e-11 1e-10 2e-10 4e-10 8e-10 1.6e-09],3e-14,0.5,0.01,2e-12,warm,pred"
 	)
 	o := Options{}.normalize()
