@@ -34,10 +34,11 @@
 //
 // # Corner-matrix and Monte Carlo farm
 //
-// -corners and/or -mc-samples switch libchar into farm mode: every cell is
-// characterised at every requested operating corner (and sampled
-// Monte Carlo variation), fanned out across -workers, with one library
-// file per corner:
+// Every run is a characterisation farm (charlib.SweepCorners): its jobs fan
+// out across -workers. Without -corners and -mc-samples the farm runs at
+// the nominal corner alone and writes one library to -out. -corners and/or
+// -mc-samples characterise every cell at every requested operating corner
+// (and sampled Monte Carlo variation), with one library file per corner:
 //
 //	libchar -tech cmos130 -all -corners tt,ss,ff -out lib.json
 //	  → lib.tt.json, lib.ss.json, lib.ff.json
@@ -48,7 +49,8 @@
 // that corner (and the nominal tt corner's to a plain corner-less run), so
 // a shared -cache-dir serves farm, libchar and snacheck runs alike.
 // -stats-out writes the per-corner work and cache counters as JSON for
-// scripted assertions (CI holds the warm-rerun-zero-solves and
+// scripted assertions in every mode, the nominal run's entry under the
+// corner name "nominal" (CI holds the warm-rerun-zero-solves and
 // every-corner-seeded properties on exactly this output).
 package main
 
@@ -79,15 +81,15 @@ func main() {
 	withProp := flag.Bool("prop", false, "also build propagation tables (slow)")
 	grid := flag.Int("grid", 61, "load-curve grid points per axis")
 	nlcaps := flag.Bool("nlcaps", false, "characterise with the NLMOS voltage-dependent gate-charge model (distinct cache/store keys, physically different artefacts)")
-	out := flag.String("out", "", "output JSON path (default stdout); farm mode inserts the corner name before the extension")
+	out := flag.String("out", "", "output JSON path (default stdout); with -corners/-mc-samples the corner name goes before the extension")
 	cacheDir := flag.String("cache-dir", "", "persist characterised artefacts to a content-addressed store at this directory")
 	exportStore := flag.String("export-store", "", "write the whole -cache-dir store as a portable bundle to this path and exit")
 	importStore := flag.String("import-store", "", "import a bundle into -cache-dir and exit")
-	cornerList := flag.String("corners", "", "comma-separated standard corners to farm over (tt,ff,ss,fs,sf); enables farm mode")
-	mcSamples := flag.Int("mc-samples", 0, "number of Monte Carlo corner samples to farm over; enables farm mode")
+	cornerList := flag.String("corners", "", "comma-separated standard corners to farm over (tt,ff,ss,fs,sf); one library per corner")
+	mcSamples := flag.Int("mc-samples", 0, "number of Monte Carlo corner samples to farm over; one library per corner")
 	mcSeed := flag.Int64("mc-seed", 1, "Monte Carlo sampler seed (same seed, same corners)")
-	workers := flag.Int("workers", 0, "farm worker goroutines (0 = GOMAXPROCS)")
-	statsOut := flag.String("stats-out", "", "write farm per-corner work/cache counters as JSON to this path ('-' for stdout)")
+	workers := flag.Int("workers", 0, "characterisation worker goroutines (0 = GOMAXPROCS)")
+	statsOut := flag.String("stats-out", "", "write per-corner work/cache counters as JSON to this path ('-' for stdout)")
 	flag.Parse()
 
 	ctx, cancel := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
@@ -155,15 +157,19 @@ func main() {
 		t = t.WithNonlinearCaps()
 	}
 
-	type job struct {
-		kind, pin string
+	var jobs []charlib.CornerJob
+	addJob := func(c *cell.Cell, kind, pin string) {
+		if _, err := c.SensitizedState(pin, true); err != nil {
+			fmt.Fprintf(os.Stderr, "libchar: skipping %s pin %s: %v\n", kind, pin, err)
+			return
+		}
+		jobs = append(jobs, charlib.CornerJob{Kind: kind, Drive: *drive, Pin: pin})
 	}
-	var jobs []job
 	if *all {
 		for _, k := range cell.Kinds() {
 			c := cell.MustNew(t, k, *drive)
 			for _, p := range c.Inputs() {
-				jobs = append(jobs, job{k, p})
+				addJob(c, k, p)
 			}
 		}
 	} else {
@@ -178,85 +184,25 @@ func main() {
 		if p == "" {
 			p = c.Inputs()[0]
 		}
-		jobs = append(jobs, job{*cellKind, p})
+		addJob(c, *cellKind, p)
 	}
 
-	lcOpts := charlib.LoadCurveOptions{NVin: *grid, NVout: *grid}
-	var propOpts charlib.PropOptions
+	// The zero corner is the nominal card itself: a run without -corners
+	// and -mc-samples is the farm at that one corner.
+	corners := []tech.Corner{{}}
 	if *cornerList != "" || *mcSamples > 0 {
-		// Farm mode: characterise every sensitizable job at every corner.
-		corners, err := tech.ParseCorners(*cornerList)
-		if err != nil {
+		if corners, err = tech.ParseCorners(*cornerList); err != nil {
 			fail(err)
 		}
 		if *mcSamples > 0 {
 			corners = append(corners, tech.SampleCorners(*mcSamples, *mcSeed, tech.SampleSpec{})...)
 		}
-		var cjobs []charlib.CornerJob
-		for _, j := range jobs {
-			c := cell.MustNew(t, j.kind, *drive)
-			if _, err := c.SensitizedState(j.pin, true); err != nil {
-				fmt.Fprintf(os.Stderr, "libchar: skipping %s pin %s: %v\n", j.kind, j.pin, err)
-				continue
-			}
-			cjobs = append(cjobs, charlib.CornerJob{Kind: j.kind, Drive: *drive, Pin: j.pin})
-		}
-		runFarm(ctx, cache, store, t, corners, cjobs, charlib.CornerSweepOptions{
-			LoadCurve:   lcOpts,
-			Prop:        *withProp,
-			PropOptions: propOpts,
-			Workers:     *workers,
-		}, *out, *statsOut)
-		return
 	}
-
-	lib := &charlib.Library{Tech: t.Name}
-	for _, j := range jobs {
-		c, err := cell.New(t, j.kind, *drive)
-		if err != nil {
-			fail(err)
-		}
-		st, err := c.SensitizedState(j.pin, true)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "libchar: skipping %s pin %s: %v\n", j.kind, j.pin, err)
-			continue
-		}
-		lc, err := cache.LoadCurve(ctx, c, st, j.pin, lcOpts)
-		if err != nil {
-			fail(fmt.Errorf("%s/%s: %w", j.kind, j.pin, err))
-		}
-		lib.AddLoadCurve(lc)
-		fmt.Fprintf(os.Stderr, "libchar: %s pin %s state %s: load curve %dx%d, R_hold %.0f ohm\n",
-			c.Name(), j.pin, st, lc.NVin, lc.NVout,
-			lc.HoldingResistance(c.PinVoltage(st[j.pin]), c.PinVoltage(c.Logic(st))))
-		if *withProp {
-			pt, err := cache.PropTable(ctx, c, st, j.pin, propOpts)
-			if err != nil {
-				fail(fmt.Errorf("%s/%s propagation: %w", j.kind, j.pin, err))
-			}
-			lib.AddPropTable(pt)
-			fmt.Fprintf(os.Stderr, "libchar: %s pin %s: propagation table, max peak %.3f V\n",
-				c.Name(), j.pin, pt.MaxPeak())
-		}
-	}
-	if store != nil {
-		stats := cache.Stats()
-		fmt.Fprintf(os.Stderr, "libchar: store %s holds %d artefacts (%d loaded from disk this run)\n",
-			store.Dir(), store.Len(), stats.DiskHits)
-	}
-
-	w := os.Stdout
-	if *out != "" {
-		f, err := os.Create(*out)
-		if err != nil {
-			fail(err)
-		}
-		defer f.Close()
-		w = f
-	}
-	if err := lib.WriteJSON(w); err != nil {
-		fail(err)
-	}
+	runFarm(ctx, cache, store, t, corners, jobs, charlib.CornerSweepOptions{
+		LoadCurve: charlib.LoadCurveOptions{NVin: *grid, NVout: *grid},
+		Prop:      *withProp,
+		Workers:   *workers,
+	}, *out, *statsOut)
 }
 
 // farmCorner is the per-corner entry of the -stats-out document: the
@@ -277,8 +223,10 @@ type farmStats struct {
 	Cache            charlib.CacheStats `json:"cache"`
 }
 
-// runFarm executes the corner-matrix / Monte Carlo farm and writes one
-// library per corner plus the optional stats document.
+// runFarm executes the farm and writes one library per corner plus the
+// optional stats document. The zero corner's library goes to out itself
+// and its stats entry and summary line are labelled "nominal", the tag
+// /statsz uses.
 func runFarm(ctx context.Context, cache *charlib.Cache, store *charstore.Store, base *tech.Tech, corners []tech.Corner, jobs []charlib.CornerJob, opts charlib.CornerSweepOptions, out, statsOut string) {
 	if len(jobs) == 0 {
 		fail(fmt.Errorf("no characterisable jobs"))
@@ -290,16 +238,20 @@ func runFarm(ctx context.Context, cache *charlib.Cache, store *charstore.Store, 
 
 	stats := farmStats{Cache: cache.Stats()}
 	for _, r := range results {
+		name, path := r.Corner.Name, cornerOutPath(out, r.Corner.Name)
+		if name == "" {
+			name, path = "nominal", out
+		}
 		fmt.Fprintf(os.Stderr, "libchar: corner %-8s %d load curves, %d Newton iters (%d DC solves, %d warm starts, %d fallbacks)\n",
-			r.Corner.Name, len(r.Library.LoadCurves), r.Stats.NewtonIters,
+			name, len(r.Library.LoadCurves), r.Stats.NewtonIters,
 			r.Stats.DC, r.Stats.WarmStarts, r.Stats.WarmFallbacks)
-		stats.Corners = append(stats.Corners, farmCorner{r.Corner.Name, r.Stats})
+		stats.Corners = append(stats.Corners, farmCorner{name, r.Stats})
 		stats.TotalSolves += r.Stats.Total()
 		stats.TotalNewtonIters += r.Stats.NewtonIters
 
 		w := os.Stdout
 		if out != "" {
-			f, err := os.Create(cornerOutPath(out, r.Corner.Name))
+			f, err := os.Create(path)
 			if err != nil {
 				fail(err)
 			}

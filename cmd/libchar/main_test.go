@@ -51,6 +51,37 @@ func TestStatsOutCounterKeys(t *testing.T) {
 	}
 }
 
+// TestNominalRunWritesPlainOut: a run at the zero corner alone (libchar
+// without -corners and -mc-samples) writes -out as given and labels its
+// -stats-out entry "nominal", the tag /statsz uses.
+func TestNominalRunWritesPlainOut(t *testing.T) {
+	dir := t.TempDir()
+	out, statsOut := filepath.Join(dir, "lib.json"), filepath.Join(dir, "stats.json")
+	runFarm(context.Background(), charlib.NewCache(), nil, tech.Tech130(),
+		[]tech.Corner{{}}, []charlib.CornerJob{{Kind: "INV", Drive: 1, Pin: "A"}},
+		charlib.CornerSweepOptions{LoadCurve: charlib.LoadCurveOptions{NVin: 11, NVout: 11}},
+		out, statsOut)
+
+	var lib charlib.Library
+	b, err := os.ReadFile(out)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := json.Unmarshal(b, &lib); err != nil || len(lib.LoadCurves) != 1 || lib.Corner != "" {
+		t.Fatalf("library at -out: %+v (err %v)", lib, err)
+	}
+	var doc farmStats
+	if b, err = os.ReadFile(statsOut); err != nil {
+		t.Fatal(err)
+	}
+	if err := json.Unmarshal(b, &doc); err != nil {
+		t.Fatal(err)
+	}
+	if len(doc.Corners) != 1 || doc.Corners[0].Corner != "nominal" || doc.TotalSolves == 0 {
+		t.Fatalf("stats %+v, want one nominal entry with solves", doc)
+	}
+}
+
 // keysOf returns the sorted top-level keys v marshals to.
 func keysOf(t *testing.T, v any) []string {
 	t.Helper()

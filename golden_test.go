@@ -179,7 +179,7 @@ func characterizeGolden(t *testing.T, tt *tech.Tech, kind, pin string) (*goldenF
 	fx.PropTable.Area = flatten3(pt.Area)
 	fx.PropTable.OutSign, fx.PropTable.QuietOut = pt.OutSign, pt.QuietOut
 
-	curve, err := nrc.Characterize(ctx, c, st, pin, goldenNRCOpts())
+	curve, _, err := nrc.Characterize(ctx, c, st, pin, goldenNRCOpts())
 	if err != nil {
 		t.Fatalf("nrc: %v", err)
 	}

@@ -9,6 +9,8 @@ import (
 
 	"stanoise/internal/cell"
 	"stanoise/internal/nrc"
+	"stanoise/internal/sim"
+	"stanoise/internal/thevenin"
 )
 
 // Cache is a thread-safe memoization layer over cell characterisation. A
@@ -16,6 +18,12 @@ import (
 // of nets, so the design-level analysis flow shares one Cache across all
 // clusters (and all worker goroutines): the first cluster to need an
 // artefact characterises it, every later cluster gets the stored result.
+//
+// The cache is the one front door for characterised artefacts. Its four
+// accessors (LoadCurve, PropTable, NRCCurve, TheveninFit) are the only code
+// that fingerprints an artefact's options, and the build path they share
+// keys, builds, persists and charges every artefact to its corner (see
+// CornerStats).
 //
 // Entries are keyed by artefact kind, technology, cell (the name embeds the
 // drive strength), characterisation state, pin, and an options fingerprint,
@@ -37,10 +45,9 @@ type Cache struct {
 	hits     int
 	misses   int
 	diskHits int
-	// corner holds per-corner-tag cache counters (see CornerStats), fed by
-	// Artefact so a corner-matrix farm can see cache effectiveness per
-	// corner on /statsz. Lazily allocated; empty until the first Artefact.
-	corner map[string]*CacheStats
+	// corner holds the per-corner-tag counters (see CornerStats), fed by
+	// every accessor request. Lazily allocated; empty until the first.
+	corner map[string]*CornerStats
 }
 
 // PersistentStore is the on-disk tier of the cache, implemented by
@@ -59,7 +66,7 @@ type PersistentStore interface {
 
 // LeaseStore is the optional cross-process extension of PersistentStore,
 // implemented by charstore.Store. When the attached store also provides
-// build leases, Artefact single-flights characterisation *between
+// build leases, the cache single-flights characterisation *between
 // processes* sharing the store directory, not just between goroutines: on
 // a disk miss it acquires the configuration's build lease, re-checks the
 // store (the usual reason the lease became free is that its previous
@@ -125,45 +132,57 @@ func (c *Cache) Stats() CacheStats {
 	return CacheStats{Entries: len(c.entries), Hits: c.hits, Misses: c.misses, DiskHits: c.diskHits}
 }
 
-// CornerStats snapshots the per-corner cache counters, keyed by the corner
-// tag of the card each artefact was requested for (tech.Tech.CornerTag:
-// "nominal" or the corner name). Only Artefact-routed requests are
-// attributed (typed accessors all route through Artefact); Entries counts
-// the builds this cache started for the corner. Safe on a nil cache.
-func (c *Cache) CornerStats() map[string]CacheStats {
+// CornerStats is one corner's slice of a cache's counters, the shape of a
+// /statsz corners.<tag> block.
+type CornerStats struct {
+	// Cache attributes cache traffic to the corner of the requested card;
+	// Entries counts the builds this cache started for the corner.
+	Cache CacheStats `json:"cache"`
+	// Sim adds up the solver work of the builds this cache ran for the
+	// corner, failed and cancelled ones included. Memory hits and store
+	// hits add nothing.
+	Sim sim.Counters `json:"sim"`
+}
+
+// CornerStats snapshots the per-corner counters, keyed by the corner tag of
+// the card each artefact was requested for (tech.Tech.CornerTag: "nominal"
+// or the corner name). Safe on a nil cache.
+func (c *Cache) CornerStats() map[string]CornerStats {
 	if c == nil {
 		return nil
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	out := make(map[string]CacheStats, len(c.corner))
+	out := make(map[string]CornerStats, len(c.corner))
 	for tag, st := range c.corner {
 		out[tag] = *st
 	}
 	return out
 }
 
-// noteCorner folds one Artefact outcome into the per-corner counters.
-func (c *Cache) noteCorner(tag string, built, diskHit bool) {
+// noteCorner folds one request's outcome, and the work of the build it
+// ran, into the per-corner counters.
+func (c *Cache) noteCorner(tag string, built, diskHit bool, work sim.Counters) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if c.corner == nil {
-		c.corner = map[string]*CacheStats{}
+		c.corner = map[string]*CornerStats{}
 	}
 	st := c.corner[tag]
 	if st == nil {
-		st = &CacheStats{}
+		st = &CornerStats{}
 		c.corner[tag] = st
 	}
 	switch {
 	case built:
-		st.Entries++
-		st.Misses++
+		st.Cache.Entries++
+		st.Cache.Misses++
 		if diskHit {
-			st.DiskHits++
+			st.Cache.DiskHits++
 		}
+		st.Sim = st.Sim.Add(work)
 	default:
-		st.Hits++
+		st.Cache.Hits++
 	}
 }
 
@@ -182,20 +201,16 @@ func (c *Cache) Keys() []string {
 	return keys
 }
 
-// Do returns the memoized value for key, building it at most once. If the
-// key is being built by another goroutine, Do waits for that build rather
+// do returns the memoized value for key, building it at most once. If the
+// key is being built by another goroutine, do waits for that build rather
 // than starting a second one. Build errors are memoized too, so a failing
-// configuration fails identically for every requester. A nil cache just
-// calls build.
+// configuration fails identically for every requester.
 //
 // Cancellation is never memoized: a build abandoned because its ctx was
 // cancelled is forgotten, so the next requester (whose context may well be
 // alive) re-characterises instead of inheriting a stale context.Canceled.
 // Waiters blocked on another goroutine's build also honour their own ctx.
-func (c *Cache) Do(ctx context.Context, key string, build func() (any, error)) (any, error) {
-	if c == nil {
-		return build()
-	}
+func (c *Cache) do(ctx context.Context, key string, build func() (any, error)) (any, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
@@ -261,36 +276,38 @@ func (c *Cache) forget(key string, f *flight) {
 	c.mu.Unlock()
 }
 
-// CellKey builds a cache key for an artefact of the given kind ("lc",
-// "prop", "nrc", ...) characterised on a cell configuration. The cell name
-// embeds the drive strength, optsFP fingerprints the characterisation
+// cellKey builds the in-memory key of an artefact of the given kind ("lc",
+// "prop", "nrc", "thev") characterised on a cell configuration. The cell
+// name embeds the drive strength, optsFP fingerprints the characterisation
 // options so different qualities never alias, and the card keys by
 // tech.Tech.Fingerprint — the same identity the persistent tier hashes —
 // so corner-derived and nonlinear-cap cards never alias in memory either.
-// This is the *in-memory* key; the persistent tier derives its own
-// content-addressed key from the same configuration (plus the cell netlist
-// and model version).
-func CellKey(kind string, cl *cell.Cell, st cell.State, pin, optsFP string) string {
+// The persistent tier derives its own content-addressed key from the same
+// configuration (plus the cell netlist and model version).
+func cellKey(kind string, cl *cell.Cell, st cell.State, pin, optsFP string) string {
 	return kind + "|" + cl.Tech.Fingerprint() + "|" + cl.Name() + "|" + st.String() + "|" + pin + "|" + optsFP
 }
 
-// Artefact runs the full two-tier lookup for one artefact of the given
-// kind: memory (single-flighted), then the persistent store, then build.
-// A successful fresh build is written behind to the store; build errors
-// and cancellations are never persisted. optsFP must fingerprint every
-// option that shapes the result. A nil cache just builds.
+// artefact is the build path every accessor shares: memory
+// (single-flighted), then the persistent store, then build. A successful
+// fresh build is written behind to the store; build errors and
+// cancellations are never persisted. optsFP must fingerprint every option
+// that shapes the result.
 //
-// This is the extension point for artefact kinds the cache has no typed
-// accessor for (core uses it for Thevenin driver fits).
-func (c *Cache) Artefact(ctx context.Context, kind string, cl *cell.Cell, st cell.State, pin, optsFP string, build func() (any, error)) (any, error) {
+// It returns the solver work of the build this call ran and charges it to
+// the card's corner: zero, and nothing charged, when the request was served
+// from memory, from the store or by another goroutine's build. A nil cache
+// just builds and charges nothing.
+func (c *Cache) artefact(ctx context.Context, kind string, cl *cell.Cell, st cell.State, pin, optsFP string, build func() (any, sim.Counters, error)) (any, sim.Counters, error) {
 	if c == nil {
 		return build()
 	}
-	// built/diskHit are only written by this call's own closure: Do
+	// built/diskHit/work are only written by this call's own closure: do
 	// single-flights, so when another goroutine owns the build our closure
 	// never runs and the request is attributed as a per-corner hit.
 	built, diskHit := false, false
-	v, err := c.Do(ctx, CellKey(kind, cl, st, pin, optsFP), func() (any, error) {
+	var work sim.Counters
+	v, err := c.do(ctx, cellKey(kind, cl, st, pin, optsFP), func() (any, error) {
 		built = true
 		s := c.getStore()
 		if s != nil {
@@ -322,7 +339,8 @@ func (c *Cache) Artefact(ctx context.Context, kind string, cl *cell.Cell, st cel
 				}
 			}
 		}
-		v, err := build()
+		v, stats, err := build()
+		work = stats
 		if err == nil && s != nil {
 			// Best-effort write-behind: a full disk or unwritable store
 			// directory costs persistence, never the analysis.
@@ -331,9 +349,9 @@ func (c *Cache) Artefact(ctx context.Context, kind string, cl *cell.Cell, st cel
 		return v, err
 	})
 	if err == nil || built {
-		c.noteCorner(cl.Tech.CornerTag(), built, diskHit)
+		c.noteCorner(cl.Tech.CornerTag(), built, diskHit, work)
 	}
-	return v, err
+	return v, work, err
 }
 
 // The seeding suffixes every artefact fingerprint ends in. They name the
@@ -347,27 +365,24 @@ const (
 	transientSeedFP = ",warm,pred"
 )
 
-// loadCurveFP fingerprints normalized load-curve options — the exact fp
-// Cache.LoadCurve keys on. The corner-sweep driver reuses it so a farm run
-// and a plain LoadCurve call address the same artefact.
-func loadCurveFP(opts LoadCurveOptions) string {
-	return fmt.Sprintf("%d,%d,%g", opts.NVin, opts.NVout, marginFrac) + dcSeedFP
-}
-
 // LoadCurve returns the memoized VCCS load-curve table for the cell
 // configuration, characterising it on first use.
 func (c *Cache) LoadCurve(ctx context.Context, cl *cell.Cell, st cell.State, pin string, opts LoadCurveOptions) (*LoadCurve, error) {
-	if c == nil {
-		return CharacterizeLoadCurve(ctx, cl, st, pin, opts)
-	}
+	lc, _, err := c.loadCurve(ctx, cl, st, pin, opts)
+	return lc, err
+}
+
+// loadCurve is LoadCurve plus the solver work of the build this call ran.
+func (c *Cache) loadCurve(ctx context.Context, cl *cell.Cell, st cell.State, pin string, opts LoadCurveOptions) (*LoadCurve, sim.Counters, error) {
 	opts = opts.normalize()
-	v, err := c.Artefact(ctx, "lc", cl, st, pin, loadCurveFP(opts), func() (any, error) {
-		return CharacterizeLoadCurve(ctx, cl, st, pin, opts)
+	fp := fmt.Sprintf("%d,%d,%g", opts.NVin, opts.NVout, marginFrac) + dcSeedFP
+	v, work, err := c.artefact(ctx, "lc", cl, st, pin, fp, func() (any, sim.Counters, error) {
+		return characterizeLoadCurve(ctx, cl, st, pin, opts, true)
 	})
 	if err != nil {
-		return nil, err
+		return nil, work, err
 	}
-	return v.(*LoadCurve), nil
+	return v.(*LoadCurve), work, nil
 }
 
 // propStepFP names the prop probes' time axis: the LTE-controlled
@@ -376,42 +391,52 @@ func (c *Cache) LoadCurve(ctx context.Context, cl *cell.Cell, st cell.State, pin
 // written before the axis changed serves none of them.
 const propStepFP = ",lte"
 
-// propTableFP fingerprints normalized prop-table options — the exact fp
-// Cache.PropTable keys on. The corner-sweep driver reuses it so a farm run
-// and a plain PropTable call address the same artefact.
-func propTableFP(opts PropOptions) string {
-	return fmt.Sprintf("%v,%v,%v,%g", opts.Heights, opts.Widths, opts.Loads, opts.Dt) + transientSeedFP + propStepFP
-}
-
 // PropTable returns the memoized propagation table for the cell
 // configuration, characterising it on first use.
 func (c *Cache) PropTable(ctx context.Context, cl *cell.Cell, st cell.State, pin string, opts PropOptions) (*PropTable, error) {
-	if c == nil {
-		return CharacterizePropagation(ctx, cl, st, pin, opts)
-	}
+	pt, _, err := c.propTable(ctx, cl, st, pin, opts)
+	return pt, err
+}
+
+// propTable is PropTable plus the solver work of the build this call ran.
+func (c *Cache) propTable(ctx context.Context, cl *cell.Cell, st cell.State, pin string, opts PropOptions) (*PropTable, sim.Counters, error) {
 	opts = opts.normalize(cl.Tech.VDD)
-	v, err := c.Artefact(ctx, "prop", cl, st, pin, propTableFP(opts), func() (any, error) {
-		return CharacterizePropagation(ctx, cl, st, pin, opts)
+	fp := fmt.Sprintf("%v,%v,%v,%g", opts.Heights, opts.Widths, opts.Loads, opts.Dt) + transientSeedFP + propStepFP
+	v, work, err := c.artefact(ctx, "prop", cl, st, pin, fp, func() (any, sim.Counters, error) {
+		return characterizePropagation(ctx, cl, st, pin, opts, propSeeded)
 	})
 	if err != nil {
-		return nil, err
+		return nil, work, err
 	}
-	return v.(*PropTable), nil
+	return v.(*PropTable), work, nil
 }
 
 // NRCCurve returns the memoized Noise Rejection Curve of a receiver pin in
 // the given quiet state, characterising it on first use.
 func (c *Cache) NRCCurve(ctx context.Context, recv *cell.Cell, st cell.State, pin string, opts nrc.Options) (*nrc.Curve, error) {
-	if c == nil {
-		return nrc.Characterize(ctx, recv, st, pin, opts)
-	}
 	opts = opts.Normalized()
 	fp := fmt.Sprintf("%v,%g,%g,%g,%g", opts.Widths, nrc.LoadCap, opts.FailFrac, opts.Tol, opts.Dt) + transientSeedFP
-	v, err := c.Artefact(ctx, "nrc", recv, st, pin, fp, func() (any, error) {
+	v, _, err := c.artefact(ctx, "nrc", recv, st, pin, fp, func() (any, sim.Counters, error) {
 		return nrc.Characterize(ctx, recv, st, pin, opts)
 	})
 	if err != nil {
 		return nil, err
 	}
 	return v.(*nrc.Curve), nil
+}
+
+// TheveninFit returns the memoized Thevenin model of the aggressor driver
+// cl switching switchPin from fromState into a lumped load of loadCap
+// farads (thevenin.Fit), fitting it on first use. The fingerprint covers
+// the load and every fit option, so aggressors with distinct geometry never
+// alias, while the repeated driver/load configurations of a design fit
+// once.
+func (c *Cache) TheveninFit(ctx context.Context, cl *cell.Cell, fromState cell.State, switchPin string, loadCap float64, opts thevenin.FitOptions) (*thevenin.Driver, error) {
+	v, _, err := c.artefact(ctx, "thev", cl, fromState, switchPin, opts.Fingerprint(loadCap), func() (any, sim.Counters, error) {
+		return thevenin.Fit(ctx, cl, fromState, switchPin, loadCap, opts)
+	})
+	if err != nil {
+		return nil, err
+	}
+	return v.(*thevenin.Driver), nil
 }

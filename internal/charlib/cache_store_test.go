@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"stanoise/internal/cell"
+	"stanoise/internal/sim"
 	"stanoise/internal/tech"
 )
 
@@ -24,7 +25,7 @@ type fakeStore struct {
 func newFakeStore() *fakeStore { return &fakeStore{m: map[string]any{}} }
 
 func (f *fakeStore) key(kind string, cl *cell.Cell, st cell.State, pin, optsFP string) string {
-	return CellKey(kind, cl, st, pin, optsFP)
+	return cellKey(kind, cl, st, pin, optsFP)
 }
 
 func (f *fakeStore) Get(kind string, cl *cell.Cell, st cell.State, pin, optsFP string) (any, bool) {
@@ -65,9 +66,9 @@ func TestCacheReadsThroughStore(t *testing.T) {
 	c := NewCache()
 	c.SetStore(f)
 	builds := 0
-	v, err := c.Artefact(context.Background(), "lc", cl, st, "A", "7,7,0.2", func() (any, error) {
+	v, _, err := c.artefact(context.Background(), "lc", cl, st, "A", "7,7,0.2", func() (any, sim.Counters, error) {
 		builds++
-		return nil, errors.New("should not build: store has it")
+		return nil, sim.Counters{}, errors.New("should not build: store has it")
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -83,9 +84,9 @@ func TestCacheReadsThroughStore(t *testing.T) {
 	}
 	// The artefact is now memoized in memory: no further store traffic.
 	getsBefore, _ := f.snapshot()
-	if _, err := c.Artefact(context.Background(), "lc", cl, st, "A", "7,7,0.2", func() (any, error) {
+	if _, _, err := c.artefact(context.Background(), "lc", cl, st, "A", "7,7,0.2", func() (any, sim.Counters, error) {
 		t.Error("memory hit rebuilt")
-		return nil, nil
+		return nil, sim.Counters{}, nil
 	}); err != nil {
 		t.Fatal(err)
 	}
@@ -106,8 +107,8 @@ func TestCacheWritesBehindOnFreshBuild(t *testing.T) {
 	f := newFakeStore()
 	c := NewCache()
 	c.SetStore(f)
-	v, err := c.Artefact(context.Background(), "lc", cl, st, "A", "fp", func() (any, error) {
-		return built, nil
+	v, _, err := c.artefact(context.Background(), "lc", cl, st, "A", "fp", func() (any, sim.Counters, error) {
+		return built, sim.Counters{}, nil
 	})
 	if err != nil || v != any(built) {
 		t.Fatalf("build through store: %v %v", v, err)
@@ -123,8 +124,8 @@ func TestCacheWritesBehindOnFreshBuild(t *testing.T) {
 	f2.putErr = errors.New("disk full")
 	c2 := NewCache()
 	c2.SetStore(f2)
-	if _, err := c2.Artefact(context.Background(), "lc", cl, st, "A", "fp", func() (any, error) {
-		return built, nil
+	if _, _, err := c2.artefact(context.Background(), "lc", cl, st, "A", "fp", func() (any, sim.Counters, error) {
+		return built, sim.Counters{}, nil
 	}); err != nil {
 		t.Errorf("store write failure surfaced to the caller: %v", err)
 	}
@@ -138,15 +139,15 @@ func TestCacheNeverPersistsFailedOrCancelledBuilds(t *testing.T) {
 	f := newFakeStore()
 	c := NewCache()
 	c.SetStore(f)
-	if _, err := c.Artefact(context.Background(), "lc", cl, st, "A", "bad", func() (any, error) {
-		return nil, errors.New("characterisation failed")
+	if _, _, err := c.artefact(context.Background(), "lc", cl, st, "A", "bad", func() (any, sim.Counters, error) {
+		return nil, sim.Counters{}, errors.New("characterisation failed")
 	}); err == nil {
 		t.Fatal("failed build returned no error")
 	}
 	ctx, cancel := context.WithCancel(context.Background())
-	if _, err := c.Artefact(ctx, "lc", cl, st, "A", "cancelled", func() (any, error) {
+	if _, _, err := c.artefact(ctx, "lc", cl, st, "A", "cancelled", func() (any, sim.Counters, error) {
 		cancel()
-		return nil, ctx.Err()
+		return nil, sim.Counters{}, ctx.Err()
 	}); err == nil {
 		t.Fatal("cancelled build returned no error")
 	}
@@ -160,11 +161,11 @@ func TestNilCacheArtefactPassthrough(t *testing.T) {
 	tt := tech.Tech130()
 	cl := cell.MustNew(tt, "INV", 1)
 	built := 0
-	v, err := c.Artefact(context.Background(), "lc", cl, cell.State{"A": false}, "A", "fp", func() (any, error) {
+	v, _, err := c.artefact(context.Background(), "lc", cl, cell.State{"A": false}, "A", "fp", func() (any, sim.Counters, error) {
 		built++
-		return "built", nil
+		return "built", sim.Counters{}, nil
 	})
 	if err != nil || v != "built" || built != 1 {
-		t.Fatalf("nil cache Artefact: v=%v err=%v built=%d", v, err, built)
+		t.Fatalf("nil cache artefact: v=%v err=%v built=%d", v, err, built)
 	}
 }

@@ -94,7 +94,7 @@ func TestCacheSingleflight(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			v, err := c.Do(context.Background(), "shared", func() (any, error) {
+			v, err := c.do(context.Background(), "shared", func() (any, error) {
 				builds.Add(1)
 				<-release // hold the build so every goroutine piles up
 				return "artefact", nil
@@ -123,7 +123,7 @@ func TestCacheMemoizesErrors(t *testing.T) {
 	sentinel := errors.New("characterisation failed")
 	var builds int
 	for i := 0; i < 3; i++ {
-		_, err := c.Do(context.Background(), "bad", func() (any, error) {
+		_, err := c.do(context.Background(), "bad", func() (any, error) {
 			builds++
 			return nil, sentinel
 		})
@@ -144,13 +144,13 @@ func TestCacheBuildPanicDoesNotDeadlock(t *testing.T) {
 				t.Error("build panic was swallowed")
 			}
 		}()
-		c.Do(context.Background(), "boom", func() (any, error) { panic("kaboom") })
+		c.do(context.Background(), "boom", func() (any, error) { panic("kaboom") })
 	}()
 	// A later requester of the same key must get a memoized error
 	// immediately, not block on a flight that never finished.
 	done := make(chan error, 1)
 	go func() {
-		_, err := c.Do(context.Background(), "boom", func() (any, error) { return "ok", nil })
+		_, err := c.do(context.Background(), "boom", func() (any, error) { return "ok", nil })
 		done <- err
 	}()
 	select {

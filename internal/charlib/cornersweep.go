@@ -15,8 +15,7 @@ import (
 // CornerJob names one characterisation configuration of a corner sweep: a
 // cell kind at a drive strength with one noisy input pin. The
 // characterisation state is derived per corner by sensitizing the pin
-// (cell.SensitizedState), exactly as cmd/libchar does for single-corner
-// runs.
+// (cell.SensitizedState).
 type CornerJob struct {
 	// Kind is the cell kind ("INV", "NAND2", ...).
 	Kind string
@@ -75,9 +74,9 @@ func OrderCorners(corners []tech.Corner) []tech.Corner {
 }
 
 // SweepCorners characterises every job at every corner — the
-// corner-matrix / Monte Carlo farm. Each (job, corner) artefact is built
-// exactly as a single-corner run builds it, through the cache under the
-// same key (Cache.LoadCurve, Cache.PropTable on the corner's card), so a
+// corner-matrix / Monte Carlo farm, and, at the zero corner alone, a plain
+// single-corner library run. Each (job, corner) artefact goes through the
+// cache's LoadCurve and PropTable accessors on the corner's card, so a
 // later analysis at any of the corners is served the farm's artefacts, and
 // the nominal corner's artefacts are those of a corner-less run.
 //
@@ -88,7 +87,7 @@ func OrderCorners(corners []tech.Corner) []tech.Corner {
 // rerun over a warm cache reports all-zero stats.
 //
 // The cache may be nil (every artefact characterises fresh) and may carry
-// a persistent store; artefacts go through the usual two-tier Artefact
+// a persistent store; artefacts go through the cache's usual two-tier
 // path, so several farm processes can share a store directory.
 func SweepCorners(ctx context.Context, cache *Cache, base *tech.Tech, corners []tech.Corner, jobs []CornerJob, opts CornerSweepOptions) ([]CornerResult, error) {
 	if ctx == nil {
@@ -97,7 +96,6 @@ func SweepCorners(ctx context.Context, cache *Cache, base *tech.Tech, corners []
 	if len(corners) == 0 || len(jobs) == 0 {
 		return nil, fmt.Errorf("charlib: corner sweep needs at least one corner and one job")
 	}
-	opts.LoadCurve = opts.LoadCurve.normalize()
 	workers := opts.Workers
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
@@ -145,30 +143,18 @@ func SweepCorners(ctx context.Context, cache *Cache, base *tech.Tech, corners []
 		if err != nil {
 			return fmt.Errorf("charlib: %s pin %s: %w", job.Kind, job.Pin, err)
 		}
-		// Same keys as Cache.LoadCurve and Cache.PropTable, but through the
-		// stats-returning characterizers so the per-corner counters include
-		// the solver work (DC sweeps, transient steps, predictor seeds).
 		var out outcome
-		v, err := cache.Artefact(ctx, "lc", cl, st, job.Pin, loadCurveFP(opts.LoadCurve), func() (any, error) {
-			lc, stats, err := characterizeLoadCurve(ctx, cl, st, job.Pin, opts.LoadCurve, true)
-			out.stats = stats
-			return lc, err
-		})
+		out.lc, out.stats, err = cache.loadCurve(ctx, cl, st, job.Pin, opts.LoadCurve)
 		if err != nil {
 			return fmt.Errorf("charlib: corner %s %s/%s: %w", corner.Name, job.Kind, job.Pin, err)
 		}
-		out.lc = v.(*LoadCurve)
 		if opts.Prop {
-			popts := opts.PropOptions.normalize(cl.Tech.VDD)
-			pv, err := cache.Artefact(ctx, "prop", cl, st, job.Pin, propTableFP(popts), func() (any, error) {
-				pt, sstats, err := characterizePropagation(ctx, cl, st, job.Pin, popts, propSeeded)
-				out.stats = out.stats.Add(sstats)
-				return pt, err
-			})
+			var work sim.Counters
+			out.pt, work, err = cache.propTable(ctx, cl, st, job.Pin, opts.PropOptions)
+			out.stats = out.stats.Add(work)
 			if err != nil {
 				return fmt.Errorf("charlib: corner %s %s/%s propagation: %w", corner.Name, job.Kind, job.Pin, err)
 			}
-			out.pt = pv.(*PropTable)
 		}
 		outcomes[ti] = out
 		return nil

@@ -171,7 +171,7 @@ func TestCornerSweepMCSamplesNeverAlias(t *testing.T) {
 	tags := cache.CornerStats()
 	for _, r := range res {
 		st, ok := tags[r.Corner.Name]
-		if !ok || st.Misses != 1 {
+		if !ok || st.Cache.Misses != 1 {
 			t.Fatalf("per-corner cache stats missing sample %s: %+v", r.Corner.Name, tags)
 		}
 	}

@@ -149,10 +149,10 @@ func CharacterizeLoadCurve(ctx context.Context, cl *cell.Cell, st cell.State, no
 }
 
 // characterizeLoadCurve is CharacterizeLoadCurve plus the sweep session's
-// work counters (also folded into the process-wide per-corner registry),
-// so SweepCorners can attribute the work per corner. seeded selects the
-// sweep's warm start: every caller outside the tests passes true, and the
-// tests pass false for the cold reference the seeded sweep is held to.
+// work counters, which the cache charges to the card's corner. seeded
+// selects the sweep's warm start: every caller outside the tests passes
+// true, and the tests pass false for the cold reference the seeded sweep
+// is held to.
 func characterizeLoadCurve(ctx context.Context, cl *cell.Cell, st cell.State, noisyPin string, opts LoadCurveOptions, seeded bool) (_ *LoadCurve, stats sim.Counters, err error) {
 	if ctx == nil {
 		ctx = context.Background()
@@ -187,12 +187,9 @@ func characterizeLoadCurve(ctx context.Context, cl *cell.Cell, st cell.State, no
 	hNoisy := prog.MustSource("v_" + noisyPin)
 	hForce := prog.MustSource("vforce")
 	sess.WarmStart(seeded)
-	// Attribute the sweep's solver work to the card's corner, even on
-	// cancellation — partial sweeps burned real iterations.
-	defer func() {
-		stats = sess.Stats()
-		sim.RecordCornerStats(cl.Tech.CornerTag(), stats)
-	}()
+	// Report the sweep's solver work on every return, cancellation
+	// included: partial sweeps burned real iterations.
+	defer func() { stats = sess.Stats() }()
 
 	// The sweep loop itself is allocation-free (asserted by
 	// TestLoadCurvePointAllocFree): source values mutate session-owned

@@ -16,8 +16,8 @@ func TestCellKeyNLCapAxis(t *testing.T) {
 	nl := base.WithNonlinearCaps()
 	st := cell.State{"A": false}
 
-	legacy := CellKey("lc", cell.MustNew(base, "INV", 1), st, "A", "q=std")
-	if nlKey := CellKey("lc", cell.MustNew(nl, "INV", 1), st, "A", "q=std"); nlKey == legacy {
+	legacy := cellKey("lc", cell.MustNew(base, "INV", 1), st, "A", "q=std")
+	if nlKey := cellKey("lc", cell.MustNew(nl, "INV", 1), st, "A", "q=std"); nlKey == legacy {
 		t.Fatalf("nl and constant-cap configurations alias to %q", legacy)
 	}
 
@@ -33,7 +33,7 @@ func TestCellKeyNLCapAxis(t *testing.T) {
 		"corner":    ss.Apply(base),
 		"corner+nl": ss.Apply(nl),
 	} {
-		k := CellKey("lc", cell.MustNew(card, "INV", 1), st, "A", "q=std")
+		k := cellKey("lc", cell.MustNew(card, "INV", 1), st, "A", "q=std")
 		if prev, ok := keys[k]; ok {
 			t.Fatalf("configurations %q and %q alias to %q", prev, name, k)
 		}

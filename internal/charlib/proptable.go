@@ -129,15 +129,15 @@ const (
 )
 
 // characterizePropagation is CharacterizePropagation plus the rig
-// session's solver counters, so sweep drivers (SweepCorners) can attribute
-// the transient work per corner without reading the process-wide registry.
-func characterizePropagation(ctx context.Context, cl *cell.Cell, st cell.State, noisyPin string, opts PropOptions, mode propMode) (*PropTable, sim.Counters, error) {
+// session's solver counters, which the cache charges to the card's corner.
+// They are returned on failure and cancellation too.
+func characterizePropagation(ctx context.Context, cl *cell.Cell, st cell.State, noisyPin string, opts PropOptions, mode propMode) (_ *PropTable, work sim.Counters, err error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
 	opts = opts.normalize(cl.Tech.VDD)
 	if err := opts.validate(); err != nil {
-		return nil, sim.Counters{}, err
+		return nil, work, err
 	}
 	pt := &PropTable{
 		CellName: cl.Name(),
@@ -149,7 +149,7 @@ func characterizePropagation(ctx context.Context, cl *cell.Cell, st cell.State, 
 		QuietOut: cl.PinVoltage(cl.Logic(st)),
 	}
 	if !cl.HasInput(noisyPin) {
-		return nil, sim.Counters{}, fmt.Errorf("charlib: %s has no pin %q", cl.Name(), noisyPin)
+		return nil, work, fmt.Errorf("charlib: %s has no pin %q", cl.Name(), noisyPin)
 	}
 	quietIn := cl.PinVoltage(st[noisyPin])
 	glitchSign := 1.0
@@ -158,11 +158,9 @@ func characterizePropagation(ctx context.Context, cl *cell.Cell, st cell.State, 
 	}
 	rig, err := newPropRig(cl, st, noisyPin, quietIn, opts, mode)
 	if err != nil {
-		return nil, sim.Counters{}, err
+		return nil, work, err
 	}
-	// Attribute the probe sweep's solver work to the card's corner for the
-	// process-wide per-corner registry (/statsz).
-	defer func() { sim.RecordCornerStats(cl.Tech.CornerTag(), rig.sess.Stats()) }()
+	defer func() { work = rig.sess.Stats() }()
 	pt.Peak = make([][][]float64, len(pt.Heights))
 	pt.Area = make([][][]float64, len(pt.Heights))
 	// The polarity is taken from the strongest response, where true
@@ -177,11 +175,11 @@ func characterizePropagation(ctx context.Context, cl *cell.Cell, st cell.State, 
 			pt.Area[hi][wi] = make([]float64, len(pt.Loads))
 			for li, load := range pt.Loads {
 				if err := ctx.Err(); err != nil {
-					return nil, sim.Counters{}, err
+					return nil, work, err
 				}
 				m, err := rig.propagate(ctx, glitchSign*h, w, load, pt.QuietOut)
 				if err != nil {
-					return nil, sim.Counters{}, fmt.Errorf("charlib: propagation h=%.2f w=%.0fps: %w", h, w*1e12, err)
+					return nil, work, fmt.Errorf("charlib: propagation h=%.2f w=%.0fps: %w", h, w*1e12, err)
 				}
 				pt.Peak[hi][wi][li] = m.Peak
 				pt.Area[hi][wi][li] = m.Area
@@ -195,7 +193,7 @@ func characterizePropagation(ctx context.Context, cl *cell.Cell, st cell.State, 
 	if pt.OutSign == 0 {
 		pt.OutSign = -1
 	}
-	return pt, rig.sess.Stats(), nil
+	return pt, work, nil
 }
 
 // propT0 is the glitch start time of every propagation probe.

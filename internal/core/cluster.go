@@ -362,12 +362,9 @@ func (c *Cluster) BuildModels(ctx context.Context, opts ModelOptions) (*Models, 
 		m.Prop = prop
 	}
 
-	// 4. Thevenin models of the aggressor drivers. Fits are memoized (and
-	// persisted, when the cache has a disk tier) like every other
-	// characterised artefact: the fingerprint covers the lumped load and
-	// every fit option, so aggressors with distinct geometry never alias,
-	// while the repeated driver/load configurations of a real design fit
-	// once.
+	// 4. Thevenin models of the aggressor drivers, memoized (and persisted,
+	// when the cache has a disk tier) like every other characterised
+	// artefact.
 	for i := range c.Aggressors {
 		if err := ctx.Err(); err != nil {
 			return nil, err
@@ -377,15 +374,12 @@ func (c *Cluster) BuildModels(ctx context.Context, opts ModelOptions) (*Models, 
 		// Fit at the base ramp time; alignment offsets are applied at
 		// evaluation time via Driver.Shifted, so re-aligning a cluster
 		// never requires refitting.
-		fitOpts := thevenin.FitOptions{InputSlew: a.slew(), InputT0: a.t0()}
-		fp := fitOpts.Fingerprint(load)
-		fit, err := opts.Cache.Artefact(ctx, "thev", a.Cell, a.FromState, a.SwitchPin, fp, func() (any, error) {
-			return thevenin.Fit(ctx, a.Cell, a.FromState, a.SwitchPin, load, fitOpts)
-		})
+		fit, err := opts.Cache.TheveninFit(ctx, a.Cell, a.FromState, a.SwitchPin, load,
+			thevenin.FitOptions{InputSlew: a.slew(), InputT0: a.t0()})
 		if err != nil {
 			return nil, fmt.Errorf("core: aggressor %d thevenin fit: %w", i, err)
 		}
-		m.Agg = append(m.Agg, fit.(*thevenin.Driver))
+		m.Agg = append(m.Agg, fit)
 	}
 
 	// 5. Reduced coupled interconnect with lumped parasitics at the ports.

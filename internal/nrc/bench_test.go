@@ -22,7 +22,7 @@ func BenchmarkNRCCharacterize(b *testing.B) {
 	b.ReportAllocs()
 	before := sim.Snapshot()
 	for i := 0; i < b.N; i++ {
-		if _, err := Characterize(context.Background(), inv, st, "A",
+		if _, _, err := Characterize(context.Background(), inv, st, "A",
 			Options{Widths: []float64{100e-12, 300e-12}, Dt: 2e-12}); err != nil {
 			b.Fatal(err)
 		}

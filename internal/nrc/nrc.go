@@ -111,23 +111,26 @@ func (o Options) validate() error {
 // decides a failure, and the next probe's warm seed is the DC point, not
 // the transient's last state, so every height is bit-identical to a curve
 // whose probes run their whole window (DESIGN.md §16).
-func Characterize(ctx context.Context, cl *cell.Cell, st cell.State, pin string, opts Options) (*Curve, error) {
+//
+// The counters are the probe session's solver work. They are returned on
+// failure and cancellation too: abandoned probes burned real iterations.
+func Characterize(ctx context.Context, cl *cell.Cell, st cell.State, pin string, opts Options) (*Curve, sim.Counters, error) {
 	return characterize(ctx, cl, st, pin, opts, true)
 }
 
 // characterize is Characterize with the probes' Newton seeding as an
 // argument: every caller outside the tests passes true, and the tests pass
 // false for the cold reference the seeded curve is held to.
-func characterize(ctx context.Context, cl *cell.Cell, st cell.State, pin string, opts Options, seeded bool) (*Curve, error) {
+func characterize(ctx context.Context, cl *cell.Cell, st cell.State, pin string, opts Options, seeded bool) (_ *Curve, work sim.Counters, err error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
 	opts = opts.normalize()
 	if err := opts.validate(); err != nil {
-		return nil, err
+		return nil, work, err
 	}
 	if !cl.HasInput(pin) {
-		return nil, fmt.Errorf("nrc: %s has no pin %q", cl.Name(), pin)
+		return nil, work, fmt.Errorf("nrc: %s has no pin %q", cl.Name(), pin)
 	}
 	c := &Curve{
 		CellName: cl.Name(),
@@ -142,15 +145,13 @@ func characterize(ctx context.Context, cl *cell.Cell, st cell.State, pin string,
 	// waveform swapped.
 	rig, err := newGlitchRig(cl, st, pin, opts, seeded)
 	if err != nil {
-		return nil, err
+		return nil, work, err
 	}
-	// Attribute the bisection probes' solver work to the card's corner for
-	// the process-wide per-corner registry (/statsz).
-	defer func() { sim.RecordCornerStats(cl.Tech.CornerTag(), rig.sess.Stats()) }()
+	defer func() { work = rig.sess.Stats() }()
 	for i, w := range opts.Widths {
 		h, err := bisectFailingHeight(ctx, rig, w, opts)
 		if err != nil {
-			return nil, fmt.Errorf("nrc: width %.0f ps: %w", w*1e12, err)
+			return nil, work, fmt.Errorf("nrc: width %.0f ps: %w", w*1e12, err)
 		}
 		c.Heights[i] = h
 	}
@@ -158,11 +159,11 @@ func characterize(ctx context.Context, cl *cell.Cell, st cell.State, pin string,
 	// glitches fail at lower heights).
 	for i := 1; i < len(c.Heights); i++ {
 		if c.Heights[i] > c.Heights[i-1]+opts.Tol && !math.IsInf(c.Heights[i-1], 1) {
-			return nil, fmt.Errorf("nrc: non-monotonic curve at width %.0f ps (%.3f after %.3f)",
+			return nil, work, fmt.Errorf("nrc: non-monotonic curve at width %.0f ps (%.3f after %.3f)",
 				opts.Widths[i]*1e12, c.Heights[i], c.Heights[i-1])
 		}
 	}
-	return c, nil
+	return c, work, nil
 }
 
 // glitchT0 is the glitch start time of every NRC probe.

@@ -14,7 +14,7 @@ func invCurve(t *testing.T) *Curve {
 	tt := tech.Tech130()
 	inv := cell.MustNew(tt, "INV", 1)
 	// Receiver input quiet high (victim net held at VDD), downward glitches.
-	c, err := Characterize(context.Background(), inv, cell.State{"A": true}, "A", Options{
+	c, _, err := Characterize(context.Background(), inv, cell.State{"A": true}, "A", Options{
 		Widths: []float64{100e-12, 300e-12, 900e-12},
 		Dt:     2e-12,
 	})
@@ -104,7 +104,7 @@ func TestInfinityHandling(t *testing.T) {
 func TestCharacterizeUnknownPin(t *testing.T) {
 	tt := tech.Tech130()
 	inv := cell.MustNew(tt, "INV", 1)
-	if _, err := Characterize(context.Background(), inv, cell.State{"A": true}, "Q", Options{Widths: []float64{1e-10}}); err == nil {
+	if _, _, err := Characterize(context.Background(), inv, cell.State{"A": true}, "Q", Options{Widths: []float64{1e-10}}); err == nil {
 		t.Error("unknown pin accepted")
 	}
 }
@@ -116,7 +116,7 @@ func TestNAND2ReceiverCurve(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c, err := Characterize(context.Background(), nand, st, "A", Options{
+	c, _, err := Characterize(context.Background(), nand, st, "A", Options{
 		Widths: []float64{200e-12, 600e-12},
 		Dt:     2e-12,
 	})

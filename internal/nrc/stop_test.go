@@ -27,7 +27,7 @@ func TestStoppedProbesMatchFullRuns(t *testing.T) {
 				t.Fatal(err)
 			}
 			before := sim.Snapshot()
-			got, err := Characterize(ctx, cl, st, pin, opts)
+			got, _, err := Characterize(ctx, cl, st, pin, opts)
 			if err != nil {
 				t.Fatal(err)
 			}

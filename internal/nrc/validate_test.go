@@ -29,7 +29,7 @@ func TestCharacterizeRejectsBadOptions(t *testing.T) {
 		{"NaN Tol", "NRCOptions.Tol", Options{Widths: []float64{100e-12}, Tol: math.NaN()}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			c, err := Characterize(context.Background(), inv, cell.State{"A": true}, "A", tc.opts)
+			c, _, err := Characterize(context.Background(), inv, cell.State{"A": true}, "A", tc.opts)
 			var oe *sim.OptionsError
 			if !errors.Is(err, sim.ErrInvalidOptions) || !errors.As(err, &oe) || oe.Field != tc.field {
 				t.Fatalf("Characterize = (%v, %v), want an *sim.OptionsError on %s", c, err, tc.field)

@@ -29,11 +29,11 @@ func TestWarmStartCurveMatchesCold(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			cold, err := characterize(context.Background(), cl, st, pin, opts, false)
+			cold, _, err := characterize(context.Background(), cl, st, pin, opts, false)
 			if err != nil {
 				t.Fatal(err)
 			}
-			warm, err := Characterize(context.Background(), cl, st, pin, opts)
+			warm, _, err := Characterize(context.Background(), cl, st, pin, opts)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -162,6 +162,32 @@ func TestRequestCornerSelection(t *testing.T) {
 	checkStatszCounterBlocks(t, ts.Client(), ts.URL)
 }
 
+// TestCornerStatsArePerServer: the corners block counts one server's own
+// cache, so of two servers in one process the idle one reports no corner
+// work after the other served an ss request.
+func TestCornerStatsArePerServer(t *testing.T) {
+	busy := NewServer(Config{Analysis: fastAnalysis()})
+	idle := NewServer(Config{Analysis: fastAnalysis()})
+	ts := httptest.NewServer(busy)
+	defer ts.Close()
+	postAnalyze(t, ts.Client(), ts.URL, requestBody(t, sna.SampleDesign(), map[string]any{"corner": "ss"}))
+
+	if ss := busy.Stats().Corners["ss"]; ss.Sim.DC == 0 || ss.Cache.Misses == 0 {
+		t.Fatalf("busy server charged its ss request nothing: %+v", ss)
+	}
+	st := idle.Stats()
+	if len(st.Corners) != 0 {
+		t.Fatalf("idle server reports corners %+v", st.Corners)
+	}
+	b, err := json.Marshal(st)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if bytes.Contains(b, []byte(`"corners"`)) {
+		t.Fatalf("idle server's /statsz has a corners block: %s", b)
+	}
+}
+
 // checkStatszCounterBlocks is the /statsz half of the counter JSON
 // contract: the top-level sim block and every corners.*.sim block carry
 // exactly the wire keys of sim.Counters.

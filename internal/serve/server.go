@@ -365,18 +365,6 @@ type RigPoolStats struct {
 	Bytes int64 `json:"bytes"`
 }
 
-// CornerStats is one corner's slice of the shared machinery counters: the
-// characterisation cache's per-corner attribution plus the per-corner
-// solver-work registry. A corner-matrix farm front-ending this server reads
-// the block to see which corner is burning Newton iterations.
-type CornerStats struct {
-	// Cache attributes cache traffic to the corner of the requested card.
-	Cache charlib.CacheStats `json:"cache"`
-	// Sim aggregates the solver work characterisation sweeps spent under
-	// the corner.
-	Sim sim.Counters `json:"sim"`
-}
-
 // Stats is the /statsz document: everything an operator (or a test)
 // needs to see the shared machinery working — cache effectiveness, engine
 // solve counts, pooled benches, lease traffic and admission outcomes.
@@ -393,11 +381,12 @@ type Stats struct {
 	Feas feas.Stats `json:"feas"`
 	// RigPools summarises the compiled-bench pool set.
 	RigPools RigPoolStats `json:"rig_pools"`
-	// Corners breaks cache traffic and solver work down by operating
-	// corner ("nominal" for base-card runs). Absent until the first
-	// characterisation sweep completes, which keeps the pre-corner /statsz
-	// schema unchanged for processes that never touch the corner axis.
-	Corners map[string]CornerStats `json:"corners,omitempty"`
+	// Corners breaks this server's cache traffic and characterisation work
+	// (Thevenin fits included) down by operating corner ("nominal" for
+	// base-card runs), as charlib.Cache.CornerStats counts them. Absent
+	// until the cache serves its first request, which keeps the pre-corner
+	// /statsz schema unchanged for servers that never characterise.
+	Corners map[string]charlib.CornerStats `json:"corners,omitempty"`
 	// Leases reports cross-process build-lease activity; absent without a
 	// persistent store.
 	Leases *charstore.LeaseStats `json:"leases,omitempty"`
@@ -427,21 +416,7 @@ func (s *Server) Stats() Stats {
 			Hits: hits, Misses: misses,
 			Benches: s.pools.Len(), Bytes: s.pools.Bytes(),
 		},
-	}
-	cacheCorners := s.cache.CornerStats()
-	simCorners := sim.SnapshotCorners()
-	if len(cacheCorners) > 0 || len(simCorners) > 0 {
-		st.Corners = make(map[string]CornerStats, len(cacheCorners)+len(simCorners))
-		for tag, cs := range cacheCorners {
-			e := st.Corners[tag]
-			e.Cache = cs
-			st.Corners[tag] = e
-		}
-		for tag, sc := range simCorners {
-			e := st.Corners[tag]
-			e.Sim = sc
-			st.Corners[tag] = e
-		}
+		Corners: s.cache.CornerStats(),
 	}
 	if s.store != nil {
 		ls := s.store.LeaseStats()

@@ -3,12 +3,13 @@ package sim
 import "sync"
 
 // Counters counts solver work: the one counter type behind Session.Stats,
-// the process-wide totals (Snapshot), the per-corner registry
-// (SnapshotCorners), the /statsz sim blocks and libchar -stats-out. They
-// exist so higher layers can *prove* characterisation reuse: a warm
-// persistent-store run must perform zero DC sweeps and zero transient
-// characterisation runs, and the cheapest airtight way to assert that is
-// to count every solve the engine actually starts.
+// the process-wide totals (Snapshot), the per-corner work a
+// characterisation cache charges (charlib.CornerStats), the /statsz sim
+// blocks and libchar -stats-out. They exist so higher layers can *prove*
+// characterisation reuse: a warm persistent-store run must perform zero DC
+// sweeps and zero transient characterisation runs, and the cheapest
+// airtight way to assert that is to count every solve the engine actually
+// starts.
 //
 // A Session is the only place that counts transistor-level work; each of
 // its public Run* calls folds its delta into the process totals once
@@ -107,11 +108,10 @@ func (c Counters) Sub(prev Counters) Counters {
 // exactly this definition.
 func (c Counters) Total() int64 { return c.DC + c.Transient }
 
-// The process-wide totals since start and the per-corner registry.
+// The process-wide totals since start.
 var (
 	countersMu sync.Mutex
 	totals     Counters
-	byCorner   map[string]Counters
 )
 
 // Record adds a work delta to the process-wide totals. Sessions call it
@@ -129,31 +129,4 @@ func Snapshot() Counters {
 	countersMu.Lock()
 	defer countersMu.Unlock()
 	return totals
-}
-
-// RecordCornerStats folds one finished sweep's Session.Stats into the
-// process-wide per-corner registry under the given corner tag
-// (tech.Tech.CornerTag: the corner name, or "nominal"), so /statsz shows
-// which corner of a corner-matrix farm is burning Newton iterations.
-// Characterisation call sites invoke it once per completed session, so the
-// registry costs nothing per solve.
-func RecordCornerStats(tag string, st Counters) {
-	countersMu.Lock()
-	defer countersMu.Unlock()
-	if byCorner == nil {
-		byCorner = map[string]Counters{}
-	}
-	byCorner[tag] = byCorner[tag].Add(st)
-}
-
-// SnapshotCorners returns a copy of the per-corner work registry. The map
-// is empty (non-nil) until the first characterisation sweep completes.
-func SnapshotCorners() map[string]Counters {
-	countersMu.Lock()
-	defer countersMu.Unlock()
-	out := make(map[string]Counters, len(byCorner))
-	for k, v := range byCorner {
-		out[k] = v
-	}
-	return out
 }

@@ -33,11 +33,11 @@ func TestStoppedFitMatchesFullWindow(t *testing.T) {
 			inv := cell.MustNew(tc, "INV", a.drive)
 			opts := FitOptions{InputSlew: a.slew, InputT0: 200e-12}
 			for _, load := range []float64{10e-15, 40e-15, 120e-15} {
-				got, err := Fit(ctx, inv, cell.State{"A": false}, "A", load, opts)
+				got, _, err := Fit(ctx, inv, cell.State{"A": false}, "A", load, opts)
 				if err != nil {
 					t.Fatal(err)
 				}
-				want, err := fit(ctx, inv, cell.State{"A": false}, "A", load, opts, false)
+				want, _, err := fit(ctx, inv, cell.State{"A": false}, "A", load, opts, false)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -74,7 +74,7 @@ func TestFitStopsAtEightyPercent(t *testing.T) {
 		cl := cell.MustNew(tc, b.kind, 1)
 		opts := FitOptions{InputT0: 200e-12}.normalize()
 		const load = 40e-15
-		full, err := simulateSwitch(ctx, cl, b.from, b.pin, load, opts, nil)
+		full, _, err := simulateSwitch(ctx, cl, b.from, b.pin, load, opts, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -92,7 +92,7 @@ func TestFitStopsAtEightyPercent(t *testing.T) {
 			t.Fatalf("%s: full window never reaches 80%%", cl.Name())
 		}
 		before := sim.Snapshot()
-		if _, err := Fit(ctx, cl, b.from, b.pin, load, opts); err != nil {
+		if _, _, err := Fit(ctx, cl, b.from, b.pin, load, opts); err != nil {
 			t.Fatal(err)
 		}
 		d := sim.Snapshot().Sub(before)
@@ -187,7 +187,7 @@ func BenchmarkTheveninFit(b *testing.B) {
 			b.ReportAllocs()
 			before := sim.Snapshot()
 			for i := 0; i < b.N; i++ {
-				if _, err := Fit(context.Background(), cl, bc.from, bc.pin, 40e-15, opts); err != nil {
+				if _, _, err := Fit(context.Background(), cl, bc.from, bc.pin, 40e-15, opts); err != nil {
 					b.Fatal(err)
 				}
 			}

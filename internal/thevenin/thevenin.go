@@ -91,29 +91,33 @@ func (o FitOptions) normalize() FitOptions {
 // (progress ≈ 0), so the 50 % crossing lies at or before that sample, and
 // the fitted Driver is bit-identical to one fitted from the full window
 // (DESIGN.md §16).
-func Fit(ctx context.Context, cl *cell.Cell, fromState cell.State, switchPin string, loadCap float64, opts FitOptions) (*Driver, error) {
+//
+// The counters are the solver work of the fit's two sessions, the
+// mid-swing DC and the golden switch. They are returned on failure and
+// cancellation too.
+func Fit(ctx context.Context, cl *cell.Cell, fromState cell.State, switchPin string, loadCap float64, opts FitOptions) (*Driver, sim.Counters, error) {
 	return fit(ctx, cl, fromState, switchPin, loadCap, opts, true)
 }
 
 // fit is Fit with the golden run's early stop as an argument: Fit passes
 // true, and the tests pass false for the full-window reference the stopped
 // fit is held to bit for bit.
-func fit(ctx context.Context, cl *cell.Cell, fromState cell.State, switchPin string, loadCap float64, opts FitOptions, stopEarly bool) (*Driver, error) {
+func fit(ctx context.Context, cl *cell.Cell, fromState cell.State, switchPin string, loadCap float64, opts FitOptions, stopEarly bool) (*Driver, sim.Counters, error) {
 	opts = opts.normalize()
 	toState := fromState.Clone()
 	toState[switchPin] = !toState[switchPin]
 	out0 := cl.Logic(fromState)
 	out1 := cl.Logic(toState)
 	if out0 == out1 {
-		return nil, fmt.Errorf("thevenin: switching %s does not toggle %s output (state %v)",
+		return nil, sim.Counters{}, fmt.Errorf("thevenin: switching %s does not toggle %s output (state %v)",
 			switchPin, cl.Name(), fromState)
 	}
 	v0 := cl.PinVoltage(out0)
 	v1 := cl.PinVoltage(out1)
 
-	rth, err := midSwingResistance(cl, toState, v0, v1)
+	rth, work, err := midSwingResistance(cl, toState, v0, v1)
 	if err != nil {
-		return nil, err
+		return nil, work, err
 	}
 
 	// Golden transistor-level response, and the crossing times of its
@@ -123,14 +127,15 @@ func fit(ctx context.Context, cl *cell.Cell, fromState cell.State, switchPin str
 	if stopEarly {
 		stop = func(v float64) bool { return progress(v) >= crossHi }
 	}
-	goldenOut, err := simulateSwitch(ctx, cl, fromState, switchPin, loadCap, opts, stop)
+	goldenOut, switchWork, err := simulateSwitch(ctx, cl, fromState, switchPin, loadCap, opts, stop)
+	work = work.Add(switchWork)
 	if err != nil {
-		return nil, err
+		return nil, work, err
 	}
 	tA := crossingTime(goldenOut, progress, crossLo)
 	tB := crossingTime(goldenOut, progress, crossHi)
 	if math.IsInf(tA, 0) || math.IsInf(tB, 0) || tB <= tA {
-		return nil, fmt.Errorf("thevenin: golden response of %s never completes its transition", cl.Name())
+		return nil, work, fmt.Errorf("thevenin: golden response of %s never completes its transition", cl.Name())
 	}
 
 	// Fit the ramp duration so the linear model reproduces the crossing
@@ -152,40 +157,45 @@ func fit(ctx context.Context, cl *cell.Cell, fromState cell.State, switchPin str
 		trFit = fitRampDuration(tau, spread)
 	}
 	t0 := tA - rampCrossing(trFit, tau, crossLo)
-	return &Driver{V0: v0, V1: v1, T0: t0, Tr: trFit, RTh: rth}, nil
+	return &Driver{V0: v0, V1: v1, T0: t0, Tr: trFit, RTh: rth}, work, nil
 }
 
 // midSwingResistance computes R_TH from the driver's DC current at
-// mid-swing in its post-transition input state: R = (VDD/2)/|I(mid)|.
-func midSwingResistance(cl *cell.Cell, toState cell.State, v0, v1 float64) (float64, error) {
+// mid-swing in its post-transition input state: R = (VDD/2)/|I(mid)|. It
+// also returns the solve's counters.
+func midSwingResistance(cl *cell.Cell, toState cell.State, v0, v1 float64) (float64, sim.Counters, error) {
 	ckt, err := cl.Bench(toState)
 	if err != nil {
-		return 0, err
+		return 0, sim.Counters{}, err
 	}
 	mid := 0.5 * (v0 + v1)
 	ckt.AddVDC("vforce", "out", "0", mid)
-	// A fit solves this bench exactly once, so the one-shot wrapper (which
-	// compiles and opens a session internally) is the right interface.
-	dc, err := sim.DC(ckt, sim.Options{})
+	// A fit solves this bench exactly once: one session, one DC solve (what
+	// sim.DC does, kept open here for its counters).
+	sess, err := sim.NewSession(sim.Compile(ckt), sim.Options{})
 	if err != nil {
-		return 0, fmt.Errorf("thevenin: mid-swing DC: %w", err)
+		return 0, sim.Counters{}, fmt.Errorf("thevenin: mid-swing DC: %w", err)
+	}
+	dc, err := sess.RunDC()
+	if err != nil {
+		return 0, sess.Stats(), fmt.Errorf("thevenin: mid-swing DC: %w", err)
 	}
 	i := math.Abs(dc.BranchI("vforce"))
 	if i <= 0 {
-		return 0, fmt.Errorf("thevenin: %s sources no current at mid-swing", cl.Name())
+		return 0, sess.Stats(), fmt.Errorf("thevenin: %s sources no current at mid-swing", cl.Name())
 	}
-	return math.Abs(mid-v1) / i, nil
+	return math.Abs(mid-v1) / i, sess.Stats(), nil
 }
 
 // simulateSwitch runs the golden transistor-level switch of the driver
-// into loadCap and returns its output waveform. With a non-nil stop the run
-// ends at the first sample whose output voltage stop accepts; a nil stop
-// simulates the whole window. The session is cold (no warm start, no
-// predictor): a fit solves this bench once.
-func simulateSwitch(ctx context.Context, cl *cell.Cell, fromState cell.State, switchPin string, loadCap float64, opts FitOptions, stop func(v float64) bool) (*wave.Waveform, error) {
+// into loadCap and returns its output waveform and the session's counters.
+// With a non-nil stop the run ends at the first sample whose output voltage
+// stop accepts; a nil stop simulates the whole window. The session is cold
+// (no warm start, no predictor): a fit solves this bench once.
+func simulateSwitch(ctx context.Context, cl *cell.Cell, fromState cell.State, switchPin string, loadCap float64, opts FitOptions, stop func(v float64) bool) (*wave.Waveform, sim.Counters, error) {
 	ckt, err := cl.Bench(fromState)
 	if err != nil {
-		return nil, err
+		return nil, sim.Counters{}, err
 	}
 	if loadCap > 0 {
 		ckt.AddC("cl", "out", "0", loadCap)
@@ -193,7 +203,7 @@ func simulateSwitch(ctx context.Context, cl *cell.Cell, fromState cell.State, sw
 	prog := sim.Compile(ckt)
 	sess, err := sim.NewSession(prog, sim.Options{Dt: fitDt})
 	if err != nil {
-		return nil, fmt.Errorf("thevenin: golden switch simulation: %w", err)
+		return nil, sim.Counters{}, fmt.Errorf("thevenin: golden switch simulation: %w", err)
 	}
 	from, to := cl.PinVoltage(fromState[switchPin]), cl.PinVoltage(!fromState[switchPin])
 	sess.SetSource(prog.MustSource("v_"+switchPin), wave.SaturatedRamp(from, to, opts.InputT0, opts.InputSlew))
@@ -205,9 +215,9 @@ func simulateSwitch(ctx context.Context, cl *cell.Cell, fromState cell.State, sw
 	var res sim.Result
 	tstop := opts.InputT0 + opts.InputSlew + 2e-9
 	if err := sess.RunTransientUntil(ctx, &res, tstop, until); err != nil {
-		return nil, fmt.Errorf("thevenin: golden switch simulation: %w", err)
+		return nil, sess.Stats(), fmt.Errorf("thevenin: golden switch simulation: %w", err)
 	}
-	return res.Waveform("out"), nil
+	return res.Waveform("out"), sess.Stats(), nil
 }
 
 // crossingTime returns the first time the normalised progress crosses frac.

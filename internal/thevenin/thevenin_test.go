@@ -45,7 +45,7 @@ func TestFitInverterFalling(t *testing.T) {
 	tt := tech.Tech130()
 	inv := cell.MustNew(tt, "INV", 2)
 	// Input rises ⇒ output falls: the paper's aggressor direction.
-	drv, err := Fit(context.Background(), inv, cell.State{"A": false}, "A", 80e-15, FitOptions{})
+	drv, _, err := Fit(context.Background(), inv, cell.State{"A": false}, "A", 80e-15, FitOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -71,11 +71,11 @@ func TestFittedModelMatchesGolden(t *testing.T) {
 	inv := cell.MustNew(tt, "INV", 2)
 	load := 80e-15
 	opts := FitOptions{}
-	drv, err := Fit(context.Background(), inv, cell.State{"A": false}, "A", load, opts)
+	drv, _, err := Fit(context.Background(), inv, cell.State{"A": false}, "A", load, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	golden, err := simulateSwitch(context.Background(), inv, cell.State{"A": false}, "A", load, opts.normalize(), nil)
+	golden, _, err := simulateSwitch(context.Background(), inv, cell.State{"A": false}, "A", load, opts.normalize(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -119,7 +119,7 @@ func TestFitRejectsNonToggling(t *testing.T) {
 	tt := tech.Tech130()
 	nand := cell.MustNew(tt, "NAND2", 1)
 	// With A=0, toggling B does not change the NAND output.
-	if _, err := Fit(context.Background(), nand, cell.State{"A": false, "B": false}, "B", 50e-15, FitOptions{}); err == nil {
+	if _, _, err := Fit(context.Background(), nand, cell.State{"A": false, "B": false}, "B", 50e-15, FitOptions{}); err == nil {
 		t.Error("non-toggling switch accepted")
 	}
 }
@@ -128,7 +128,7 @@ func TestFitNAND2Rising(t *testing.T) {
 	tt := tech.Tech130()
 	nand := cell.MustNew(tt, "NAND2", 2)
 	// A=1,B=1 → out low; B falls ⇒ out rises.
-	drv, err := Fit(context.Background(), nand, cell.State{"A": true, "B": true}, "B", 60e-15, FitOptions{})
+	drv, _, err := Fit(context.Background(), nand, cell.State{"A": true, "B": true}, "B", 60e-15, FitOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -148,7 +148,7 @@ func TestShifted(t *testing.T) {
 func TestFit90nm(t *testing.T) {
 	tt := tech.Tech90()
 	inv := cell.MustNew(tt, "INV", 1)
-	drv, err := Fit(context.Background(), inv, cell.State{"A": false}, "A", 40e-15, FitOptions{})
+	drv, _, err := Fit(context.Background(), inv, cell.State{"A": false}, "A", 40e-15, FitOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
