@@ -419,9 +419,10 @@ func BenchmarkLoadCurveCharacterization(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
+	var cache *charlib.Cache // nil: characterise on every call
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		if _, err := charlib.CharacterizeLoadCurve(context.Background(), nand, st, "B",
+		if _, err := cache.LoadCurve(context.Background(), nand, st, "B",
 			charlib.LoadCurveOptions{NVin: 61, NVout: 61}); err != nil {
 			b.Fatal(err)
 		}

@@ -22,8 +22,8 @@
 //
 // Every sweep seeds its Newton solves from the previous sweep point (warm
 // start); the transient sweeps behind -prop also seed each timestep from a
-// polynomial extrapolation (the predictor). See
-// charlib.CharacterizeLoadCurve and charlib.CharacterizePropagation.
+// polynomial extrapolation (the predictor). See charlib.Cache.LoadCurve and
+// charlib.Cache.PropTable.
 //
 // With -nlcaps characterisation runs against the NLMOS nonlinear
 // gate-charge card (tech.Tech.WithNonlinearCaps): gate capacitances follow

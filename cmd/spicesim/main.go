@@ -4,6 +4,10 @@
 //	spicesim -dc circuit.sp                   # operating point
 //	spicesim -tstop 2n -dt 1p -probe out circuit.sp   # transient, CSV to stdout
 //
+// Both analyses compile the netlist and run it on one simulator session.
+// A transient's -tstop and -dt must be positive: a zero or negative value
+// is a usage error (exit 2) reported before any solve.
+//
 // With -stats a solver-counter line is printed to stderr after the run
 // (key=value pairs: dc_solves, transients, newton_iters,
 // linear_fast_path_runs, low_rank_runs, low_rank_fallbacks,
@@ -72,8 +76,26 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 		return err
 	}
 
-	// Validate probes before spending any solve time.
+	// Validate probes, and a transient's stop time and step, before
+	// spending any solve time.
 	nodes, err := probeList(ckt, *probe)
+	if err != nil {
+		return err
+	}
+	var stop, step float64
+	if !*dc {
+		if stop, err = parseEng(*tstop); err != nil {
+			return fmt.Errorf("bad -tstop: %w", err)
+		}
+		if step, err = parseEng(*dt); err != nil {
+			return fmt.Errorf("bad -dt: %w", err)
+		}
+		if stop <= 0 || step <= 0 {
+			fmt.Fprintf(stderr, "spicesim: -tstop and -dt must be positive, got %g and %g\n", stop, step)
+			return errUsage
+		}
+	}
+	sess, err := sim.NewSession(sim.Compile(ckt), step)
 	if err != nil {
 		return err
 	}
@@ -86,8 +108,8 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 	}()
 
 	if *dc {
-		res, err := sim.DC(ckt, sim.Options{})
-		if err != nil {
+		var res sim.DCResult
+		if err := sess.RunDC(&res); err != nil {
 			return err
 		}
 		for _, n := range nodes {
@@ -96,16 +118,8 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 		return nil
 	}
 
-	stop, err := parseEng(*tstop)
-	if err != nil {
-		return fmt.Errorf("bad -tstop: %w", err)
-	}
-	step, err := parseEng(*dt)
-	if err != nil {
-		return fmt.Errorf("bad -dt: %w", err)
-	}
-	res, err := sim.Transient(ctx, ckt, sim.Options{Dt: step, TStop: stop})
-	if err != nil {
+	var res sim.Result
+	if err := sess.RunTransient(ctx, &res, stop, nil); err != nil {
 		return err
 	}
 	fmt.Fprintf(stdout, "t,%s\n", strings.Join(nodes, ","))

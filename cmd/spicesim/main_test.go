@@ -106,6 +106,26 @@ func TestRunErrors(t *testing.T) {
 	}
 }
 
+// TestRunRejectsNonPositiveStep: a transient's zero or negative step or
+// stop time is a usage error (exit 2) before any solve.
+func TestRunRejectsNonPositiveStep(t *testing.T) {
+	for _, args := range [][]string{
+		{"-dt", "0"},
+		{"-dt", "-5p"},
+		{"-tstop", "0"},
+		{"-tstop", "-1n"},
+	} {
+		var out, errb strings.Builder
+		err := run(context.Background(), append(args, "testdata/rc.sp"), &out, &errb)
+		if err != errUsage {
+			t.Errorf("%v: err = %v, want errUsage", args, err)
+		}
+		if out.Len() != 0 || !strings.Contains(errb.String(), "must be positive") {
+			t.Errorf("%v: stdout %q, stderr %q; want no output and the reason", args, out.String(), errb.String())
+		}
+	}
+}
+
 func TestRunHelpExitsClean(t *testing.T) {
 	var out, errb strings.Builder
 	if err := run(context.Background(), []string{"-h"}, &out, &errb); err != nil {

@@ -159,7 +159,8 @@ func characterizeGolden(t *testing.T, tt *tech.Tech, kind, pin string) (*goldenF
 		*into, mark = now.Sub(mark), now
 	}
 
-	lc, err := charlib.CharacterizeLoadCurve(ctx, c, st, pin, goldenLCOpts())
+	var cache *charlib.Cache // nil: characterise afresh, memoizing nothing
+	lc, err := cache.LoadCurve(ctx, c, st, pin, goldenLCOpts())
 	if err != nil {
 		t.Fatalf("load curve: %v", err)
 	}
@@ -169,7 +170,7 @@ func characterizeGolden(t *testing.T, tt *tech.Tech, kind, pin string) (*goldenF
 	fx.LoadCurve.NVin, fx.LoadCurve.NVout = lc.NVin, lc.NVout
 	fx.LoadCurve.I = lc.I
 
-	pt, err := charlib.CharacterizePropagation(ctx, c, st, pin, goldenPropOpts(tt.VDD))
+	pt, err := cache.PropTable(ctx, c, st, pin, goldenPropOpts(tt.VDD))
 	if err != nil {
 		t.Fatalf("prop table: %v", err)
 	}

@@ -90,9 +90,13 @@ func checkState(t *testing.T, cl *Cell, st State, wantHigh bool) {
 		t.Fatalf("%s: %v", cl.Name(), err)
 	}
 	ckt.AddR("rl", "out", "0", 1e9)
-	guess := map[string]float64{"out": cl.PinVoltage(wantHigh)}
-	dc, err := sim.DC(ckt, sim.Options{InitialGuess: guess})
+	sess, err := sim.NewSession(sim.Compile(ckt), 0)
 	if err != nil {
+		t.Fatal(err)
+	}
+	sess.SetGuess("out", cl.PinVoltage(wantHigh))
+	var dc sim.DCResult
+	if err := sess.RunDC(&dc); err != nil {
 		t.Fatalf("%s state %v: DC failed: %v", cl.Name(), st, err)
 	}
 	out := dc.NodeV("out")
@@ -218,8 +222,12 @@ func TestBUFTransient(t *testing.T) {
 		t.Fatal(err)
 	}
 	ckt.AddC("cl", "out", "0", 30e-15)
-	res, err := sim.Transient(context.Background(), ckt, sim.Options{Dt: 1e-12, TStop: 1.5e-9})
+	sess, err := sim.NewSession(sim.Compile(ckt), 1e-12)
 	if err != nil {
+		t.Fatal(err)
+	}
+	var res sim.Result
+	if err := sess.RunTransient(context.Background(), &res, 1.5e-9, nil); err != nil {
 		t.Fatal(err)
 	}
 	w := res.Waveform("out")

@@ -39,14 +39,12 @@ import (
 //
 // A nil *Cache is valid and simply characterises on every call.
 type Cache struct {
-	mu       sync.Mutex
-	entries  map[string]*flight
-	store    PersistentStore
-	hits     int
-	misses   int
-	diskHits int
+	mu      sync.Mutex
+	entries map[string]*flight
+	store   PersistentStore
 	// corner holds the per-corner-tag counters (see CornerStats), fed by
-	// every accessor request. Lazily allocated; empty until the first.
+	// every accessor request and the only place requests are counted.
+	// Lazily allocated; empty until the first.
 	corner map[string]*CornerStats
 }
 
@@ -114,22 +112,31 @@ func (c *Cache) getStore() PersistentStore {
 // of the stable snacheck -json schema.
 type CacheStats struct {
 	Entries int `json:"entries"` // distinct artefacts built (or building)
-	Hits    int `json:"hits"`    // requests served from an existing entry
-	Misses  int `json:"misses"`  // requests that triggered a build
+	// Hits counts requests served an artefact from an existing entry; a
+	// memoized failure served again is not a hit.
+	Hits   int `json:"hits"`
+	Misses int `json:"misses"` // requests that triggered a build
 	// DiskHits counts the misses that were then answered by the persistent
 	// store instead of a fresh characterisation. Misses includes them: a
 	// warm-disk run shows Misses == DiskHits, a cold run DiskHits == 0.
 	DiskHits int `json:"disk_hits"`
 }
 
-// Stats snapshots the counters. Safe on a nil cache.
+// Stats snapshots the counters: the entries held, and the requests of
+// every corner summed (see CornerStats). Safe on a nil cache.
 func (c *Cache) Stats() CacheStats {
 	if c == nil {
 		return CacheStats{}
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return CacheStats{Entries: len(c.entries), Hits: c.hits, Misses: c.misses, DiskHits: c.diskHits}
+	s := CacheStats{Entries: len(c.entries)}
+	for _, st := range c.corner {
+		s.Hits += st.Cache.Hits
+		s.Misses += st.Cache.Misses
+		s.DiskHits += st.Cache.DiskHits
+	}
+	return s
 }
 
 // CornerStats is one corner's slice of a cache's counters, the shape of a
@@ -229,17 +236,10 @@ func (c *Cache) do(ctx context.Context, key string, build func() (any, error)) (
 				// the builder ourselves.
 				continue
 			}
-			// Count the hit only once a memoized result is actually
-			// served, so abandoned waits and forget-and-rebuild retries
-			// don't inflate the stats.
-			c.mu.Lock()
-			c.hits++
-			c.mu.Unlock()
 			return f.val, f.err
 		}
 		f := &flight{done: make(chan struct{})}
 		c.entries[key] = f
-		c.misses++
 		c.mu.Unlock()
 		// done must close even if build panics, or every waiter on this key
 		// (and all future requesters) would block forever; the waiters see a
@@ -312,9 +312,6 @@ func (c *Cache) artefact(ctx context.Context, kind string, cl *cell.Cell, st cel
 		s := c.getStore()
 		if s != nil {
 			if v, ok := s.Get(kind, cl, st, pin, optsFP); ok {
-				c.mu.Lock()
-				c.diskHits++
-				c.mu.Unlock()
 				diskHit = true
 				return v, nil
 			}
@@ -328,9 +325,6 @@ func (c *Cache) artefact(ctx context.Context, kind string, cl *cell.Cell, st cel
 					// Re-check: the usual reason the lease became free is
 					// that its previous holder finished this very build.
 					if v, ok := s.Get(kind, cl, st, pin, optsFP); ok {
-						c.mu.Lock()
-						c.diskHits++
-						c.mu.Unlock()
 						diskHit = true
 						return v, nil
 					}

@@ -23,7 +23,7 @@ func nand2Table(t *testing.T, n int) *LoadCurve {
 	if err != nil {
 		t.Fatal(err)
 	}
-	lc, err := CharacterizeLoadCurve(context.Background(), cl, st, "B", LoadCurveOptions{NVin: n, NVout: n})
+	lc, _, err := characterizeLoadCurve(context.Background(), cl, st, "B", LoadCurveOptions{NVin: n, NVout: n}, true)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -145,7 +145,7 @@ func TestEvalDerivativesMatchFD(t *testing.T) {
 func TestCharacterizeUnknownPin(t *testing.T) {
 	tt := tech.Tech130()
 	cl := cell.MustNew(tt, "INV", 1)
-	if _, err := CharacterizeLoadCurve(context.Background(), cl, cell.State{"A": false}, "Z", LoadCurveOptions{NVin: 3, NVout: 3}); err == nil {
+	if _, _, err := characterizeLoadCurve(context.Background(), cl, cell.State{"A": false}, "Z", LoadCurveOptions{NVin: 3, NVout: 3}, true); err == nil {
 		t.Error("unknown noisy pin accepted")
 	}
 }
@@ -155,12 +155,12 @@ func smallPropTable(t *testing.T) *PropTable {
 	tt := tech.Tech130()
 	cl := cell.MustNew(tt, "NAND2", 1)
 	st, _ := cl.SensitizedState("B", true)
-	pt, err := CharacterizePropagation(context.Background(), cl, st, "B", PropOptions{
+	pt, _, err := characterizePropagation(context.Background(), cl, st, "B", PropOptions{
 		Heights: []float64{0.4, 0.8, 1.2},
 		Widths:  []float64{150e-12, 400e-12},
 		Loads:   []float64{30e-15, 120e-15},
 		Dt:      2e-12,
-	})
+	}, propSeeded)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -260,9 +260,9 @@ func TestBracket(t *testing.T) {
 
 func TestCharacterizePropagationUnknownPin(t *testing.T) {
 	cl := cell.MustNew(tech.Tech130(), "INV", 1)
-	_, err := CharacterizePropagation(context.Background(), cl, cell.State{"A": false}, "Z", PropOptions{
+	_, _, err := characterizePropagation(context.Background(), cl, cell.State{"A": false}, "Z", PropOptions{
 		Heights: []float64{0.4}, Widths: []float64{100e-12}, Loads: []float64{10e-15}, Dt: 2e-12,
-	})
+	}, propSeeded)
 	if err == nil || !strings.Contains(err.Error(), `no pin "Z"`) {
 		t.Fatalf("unknown pin: err = %v, want 'no pin' error", err)
 	}

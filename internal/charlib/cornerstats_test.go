@@ -158,3 +158,54 @@ func TestCornerStatsChargeFailedBuildOnce(t *testing.T) {
 		t.Fatalf("ss charged %+v, want sim %+v once", got, work)
 	}
 }
+
+// TestCacheStatsSumCorners: the cache counts each request once, per
+// corner, and its top-level counters are the corners' summed. A failed
+// build served twice, a store hit, a lease re-check hit and a memory hit
+// on two corners leave Stats equal to the corner sums.
+func TestCacheStatsSumCorners(t *testing.T) {
+	ctx := context.Background()
+	ss, err := tech.CornerByName("ss")
+	if err != nil {
+		t.Fatal(err)
+	}
+	nominal := cell.MustNew(tech.Tech130(), "INV", 1)
+	slow := cell.MustNew(ss.Apply(tech.Tech130()), "INV", 1)
+	low := cell.State{"A": false}
+	c := NewCache()
+	for i := 0; i < 2; i++ {
+		if _, _, err := c.artefact(ctx, "lc", slow, low, "A", "fails", func() (any, sim.Counters, error) {
+			return nil, sim.Counters{DC: 1}, errors.New("no convergence")
+		}); err == nil {
+			t.Fatal("failed build served no error")
+		}
+	}
+	store := &recheckLeaseStore{fakeStore: newFakeStore(), v: "leased"}
+	store.m[store.key("lc", nominal, low, "A", "stored")] = "stored"
+	c.SetStore(store)
+	noBuild := func() (any, sim.Counters, error) {
+		t.Error("built an artefact the store holds")
+		return nil, sim.Counters{}, nil
+	}
+	for _, req := range []struct {
+		cl *cell.Cell
+		fp string
+	}{{nominal, "stored"}, {slow, "leased"}, {slow, "leased"}} {
+		if _, _, err := c.artefact(ctx, "lc", req.cl, low, "A", req.fp, noBuild); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var sum CacheStats
+	for _, cs := range c.CornerStats() {
+		sum.Hits += cs.Cache.Hits
+		sum.Misses += cs.Cache.Misses
+		sum.DiskHits += cs.Cache.DiskHits
+	}
+	got := c.Stats()
+	if got.Hits != sum.Hits || got.Misses != sum.Misses || got.DiskHits != sum.DiskHits {
+		t.Fatalf("Stats %+v, corners sum to %+v", got, sum)
+	}
+	if want := (CacheStats{Entries: 3, Hits: 1, Misses: 3, DiskHits: 2}); got != want {
+		t.Errorf("Stats %+v, want %+v", got, want)
+	}
+}

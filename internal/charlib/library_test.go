@@ -14,8 +14,8 @@ import (
 func TestLibraryRoundTrip(t *testing.T) {
 	tt := tech.Tech130()
 	cl := cell.MustNew(tt, "INV", 1)
-	lc, err := CharacterizeLoadCurve(context.Background(), cl, cell.State{"A": false}, "A",
-		LoadCurveOptions{NVin: 11, NVout: 11})
+	lc, _, err := characterizeLoadCurve(context.Background(), cl, cell.State{"A": false}, "A",
+		LoadCurveOptions{NVin: 11, NVout: 11}, true)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -128,7 +128,7 @@ func (o LoadCurveOptions) normalize() LoadCurveOptions {
 	return o
 }
 
-// CharacterizeLoadCurve builds the VCCS table for a cell by DC analysis:
+// characterizeLoadCurve builds the VCCS table for a cell by DC analysis:
 // the noisy pin and the output are swept over the characterisation range
 // while the remaining inputs stay at the rails of st, and the current drawn
 // through the output-forcing source is recorded — exactly the
@@ -143,16 +143,11 @@ func (o LoadCurveOptions) normalize() LoadCurveOptions {
 // Newton solve is warm-started from the previous point's solution
 // (sim.Session.WarmStart); the table agrees with a cold sweep within
 // solver tolerance (TestWarmStartLoadCurveMatchesCold).
-func CharacterizeLoadCurve(ctx context.Context, cl *cell.Cell, st cell.State, noisyPin string, opts LoadCurveOptions) (*LoadCurve, error) {
-	lc, _, err := characterizeLoadCurve(ctx, cl, st, noisyPin, opts, true)
-	return lc, err
-}
-
-// characterizeLoadCurve is CharacterizeLoadCurve plus the sweep session's
-// work counters, which the cache charges to the card's corner. seeded
-// selects the sweep's warm start: every caller outside the tests passes
-// true, and the tests pass false for the cold reference the seeded sweep
-// is held to.
+//
+// It also returns the sweep session's work counters, which the cache
+// charges to the card's corner. seeded selects the sweep's warm start:
+// Cache.LoadCurve, the one caller outside the tests, passes true, and the
+// tests pass false for the cold reference the seeded sweep is held to.
 func characterizeLoadCurve(ctx context.Context, cl *cell.Cell, st cell.State, noisyPin string, opts LoadCurveOptions, seeded bool) (_ *LoadCurve, stats sim.Counters, err error) {
 	if ctx == nil {
 		ctx = context.Background()
@@ -180,7 +175,7 @@ func characterizeLoadCurve(ctx context.Context, cl *cell.Cell, st cell.State, no
 	}
 	ckt.AddVDC("vforce", "out", "0", 0)
 	prog := sim.Compile(ckt)
-	sess, err := sim.NewSession(prog, sim.Options{})
+	sess, err := sim.NewSession(prog, 0)
 	if err != nil {
 		return nil, stats, err
 	}
@@ -215,7 +210,7 @@ func characterizeLoadCurve(ctx context.Context, cl *cell.Cell, st cell.State, no
 			g := internalGuess(vout, quietOut)
 			sess.SetGuess("dut.n1", g)
 			sess.SetGuess("dut.n2", g)
-			if err := sess.RunDCInto(&dc); err != nil {
+			if err := sess.RunDC(&dc); err != nil {
 				return nil, stats, fmt.Errorf("charlib: DC at vin=%.3f vout=%.3f: %w", vin, vout, err)
 			}
 			// Branch current into the forcing source equals the current the

@@ -84,7 +84,22 @@ func (o PropOptions) validate() error {
 	return nil
 }
 
-// CharacterizePropagation simulates the cell transistor-level for every
+// propMode selects how the probes of a table run. Every caller outside the
+// tests passes propSeeded; the tests pass the two references it is held
+// to.
+type propMode int
+
+const (
+	// propSeeded is the one production path: warm start, predictor and the
+	// adaptive time axis.
+	propSeeded propMode = iota
+	// propCold runs the adaptive axis from cold Newton seeds.
+	propCold
+	// propFixed runs the seeded probes on the fixed Dt grid.
+	propFixed
+)
+
+// characterizePropagation simulates the cell transistor-level for every
 // (height, width, load) combination: a triangular glitch is applied to the
 // noisy pin from its quiet rail towards the opposite rail, and the output
 // deviation is measured.
@@ -108,29 +123,11 @@ func (o PropOptions) validate() error {
 // A grid that cannot be simulated — a width that is not positive and
 // finite, a load that is negative or not finite, a height that is not
 // finite — is an *sim.OptionsError naming the entry.
-func CharacterizePropagation(ctx context.Context, cl *cell.Cell, st cell.State, noisyPin string, opts PropOptions) (*PropTable, error) {
-	pt, _, err := characterizePropagation(ctx, cl, st, noisyPin, opts, propSeeded)
-	return pt, err
-}
-
-// propMode selects how the probes of a table run. Every caller outside the
-// tests passes propSeeded; the tests pass the two references it is held
-// to.
-type propMode int
-
-const (
-	// propSeeded is the one production path: warm start, predictor and the
-	// adaptive time axis.
-	propSeeded propMode = iota
-	// propCold runs the adaptive axis from cold Newton seeds.
-	propCold
-	// propFixed runs the seeded probes on the fixed Dt grid.
-	propFixed
-)
-
-// characterizePropagation is CharacterizePropagation plus the rig
-// session's solver counters, which the cache charges to the card's corner.
-// They are returned on failure and cancellation too.
+//
+// It also returns the rig session's solver counters, which the cache
+// charges to the card's corner, on failure and cancellation too. mode
+// selects how the probes run: Cache.PropTable, the one caller outside the
+// tests, passes propSeeded.
 func characterizePropagation(ctx context.Context, cl *cell.Cell, st cell.State, noisyPin string, opts PropOptions, mode propMode) (_ *PropTable, work sim.Counters, err error) {
 	if ctx == nil {
 		ctx = context.Background()
@@ -221,7 +218,7 @@ func newPropRig(cl *cell.Cell, st cell.State, noisyPin string, quietIn float64, 
 	// Placeholder load; replaced per probe via SetLoad.
 	ckt.AddC("cload", "out", "0", 1e-15)
 	prog := sim.Compile(ckt)
-	sess, err := sim.NewSession(prog, sim.Options{Dt: opts.Dt})
+	sess, err := sim.NewSession(prog, opts.Dt)
 	if err != nil {
 		return nil, err
 	}
@@ -242,11 +239,14 @@ func (r *propRig) propagate(ctx context.Context, height, width, load, quietOut f
 	// Reuse the rig's result storage across probes; Waveform copies the
 	// samples it extracts, so the measured output survives the next probe
 	// overwriting res.
-	run := r.sess.RunTransientAdaptive
+	tstop := propT0 + width + 1.2e-9
+	var err error
 	if r.fixed {
-		run = r.sess.RunTransientInto
+		err = r.sess.RunTransient(ctx, &r.res, tstop, nil)
+	} else {
+		err = r.sess.RunTransientAdaptive(ctx, &r.res, tstop)
 	}
-	if err := run(ctx, &r.res, propT0+width+1.2e-9); err != nil {
+	if err != nil {
 		return wave.NoiseMetrics{}, err
 	}
 	return wave.MeasureNoise(r.res.Waveform("out"), quietOut), nil

@@ -23,8 +23,8 @@ func BenchmarkINVLoadCurveSweep(b *testing.B) {
 	}
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		if _, err := CharacterizeLoadCurve(context.Background(), inv, st, "A",
-			LoadCurveOptions{NVin: 61, NVout: 61}); err != nil {
+		if _, _, err := characterizeLoadCurve(context.Background(), inv, st, "A",
+			LoadCurveOptions{NVin: 61, NVout: 61}, true); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -42,8 +42,8 @@ func BenchmarkNAND2LoadCurveSweepFine(b *testing.B) {
 	}
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		if _, err := CharacterizeLoadCurve(context.Background(), nand, st, "B",
-			LoadCurveOptions{NVin: 121, NVout: 121}); err != nil {
+		if _, _, err := characterizeLoadCurve(context.Background(), nand, st, "B",
+			LoadCurveOptions{NVin: 121, NVout: 121}, true); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -64,8 +64,8 @@ func BenchmarkLoadCurveSweepParallel(b *testing.B) {
 	b.ReportAllocs()
 	b.RunParallel(func(pb *testing.PB) {
 		for pb.Next() {
-			if _, err := CharacterizeLoadCurve(context.Background(), inv, st, "A",
-				LoadCurveOptions{NVin: 9, NVout: 9}); err != nil {
+			if _, _, err := characterizeLoadCurve(context.Background(), inv, st, "A",
+				LoadCurveOptions{NVin: 9, NVout: 9}, true); err != nil {
 				b.Error(err)
 				return
 			}
@@ -74,7 +74,8 @@ func BenchmarkLoadCurveSweepParallel(b *testing.B) {
 }
 
 // legacyLoadCurvePoint replicates the pre-refactor per-point flow: build a
-// fresh circuit and run a one-shot DC for a single (vin, vout) grid point.
+// fresh circuit and solve its DC on a fresh session for a single (vin,
+// vout) grid point.
 func legacyLoadCurvePoint(cl *cell.Cell, st cell.State, noisyPin string, vin, vout, quietOut float64) (float64, error) {
 	ckt := circuit.New()
 	ckt.AddVDC("vdd", "vdd", "0", cl.Tech.VDD)
@@ -92,11 +93,15 @@ func legacyLoadCurvePoint(cl *cell.Cell, st cell.State, noisyPin string, vin, vo
 		return 0, err
 	}
 	ckt.AddVDC("vforce", "out", "0", vout)
-	g := internalGuess(vout, quietOut)
-	dc, err := sim.DC(ckt, sim.Options{InitialGuess: map[string]float64{
-		"dut.n1": g, "dut.n2": g,
-	}})
+	sess, err := sim.NewSession(sim.Compile(ckt), 0)
 	if err != nil {
+		return 0, err
+	}
+	g := internalGuess(vout, quietOut)
+	sess.SetGuess("dut.n1", g)
+	sess.SetGuess("dut.n2", g)
+	var dc sim.DCResult
+	if err := sess.RunDC(&dc); err != nil {
 		return 0, err
 	}
 	return dc.BranchI("vforce"), nil
@@ -166,7 +171,7 @@ func BenchmarkPropTableTransient(b *testing.B) {
 	b.ReportAllocs()
 	before := sim.Snapshot()
 	for i := 0; i < b.N; i++ {
-		if _, err := CharacterizePropagation(context.Background(), inv, st, "A", opts); err != nil {
+		if _, _, err := characterizePropagation(context.Background(), inv, st, "A", opts, propSeeded); err != nil {
 			b.Fatal(err)
 		}
 	}

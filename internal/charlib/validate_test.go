@@ -30,10 +30,10 @@ func TestCharacterizePropagationRejectsBadGrid(t *testing.T) {
 		{"infinite load", "PropOptions.Loads[0]", grid(200e-12, math.Inf(1))},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			pt, err := CharacterizePropagation(context.Background(), inv, cell.State{"A": false}, "A", tc.opts)
+			pt, _, err := characterizePropagation(context.Background(), inv, cell.State{"A": false}, "A", tc.opts, propSeeded)
 			var oe *sim.OptionsError
 			if !errors.Is(err, sim.ErrInvalidOptions) || !errors.As(err, &oe) || oe.Field != tc.field {
-				t.Fatalf("CharacterizePropagation = (%v, %v), want an *sim.OptionsError on %s", pt, err, tc.field)
+				t.Fatalf("characterizePropagation = (%v, %v), want an *sim.OptionsError on %s", pt, err, tc.field)
 			}
 		})
 	}

@@ -33,14 +33,31 @@ func TestVCCSTableReplacesTransistors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	lc, err := CharacterizeLoadCurve(context.Background(), nand, st, "B", LoadCurveOptions{NVin: 41, NVout: 41})
+	lc, _, err := characterizeLoadCurve(context.Background(), nand, st, "B", LoadCurveOptions{NVin: 41, NVout: 41}, true)
 	if err != nil {
 		t.Fatal(err)
 	}
 
 	glitch := wave.Triangle(0, 0.8, 150e-12, 400e-12)
 	const load = 60e-15
-	opts := sim.Options{Dt: 1e-12, TStop: 1.6e-9}
+	const tstop = 1.6e-9
+	// run simulates ckt to tstop on a fresh 1 ps session, seeding the
+	// named nodes' Newton guesses.
+	run := func(ckt *circuit.Circuit, guess map[string]float64) *sim.Result {
+		t.Helper()
+		sess, err := sim.NewSession(sim.Compile(ckt), 1e-12)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for name, v := range guess {
+			sess.SetGuess(name, v)
+		}
+		var res sim.Result
+		if err := sess.RunTransient(context.Background(), &res, tstop, nil); err != nil {
+			t.Fatal(err)
+		}
+		return &res
+	}
 
 	// Golden: transistor cell driving the load, inputs at the state rails,
 	// glitch on B.
@@ -52,10 +69,7 @@ func TestVCCSTableReplacesTransistors(t *testing.T) {
 		t.Fatal(err)
 	}
 	golden.AddC("cl", "out", "0", load)
-	gRes, err := sim.Transient(context.Background(), golden, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
+	gRes := run(golden, nil)
 
 	// Table: VCCS element controlled by the same glitch node, with the
 	// driving-point parasitics the macromodel lumps there.
@@ -65,13 +79,7 @@ func TestVCCSTableReplacesTransistors(t *testing.T) {
 	dpCap := load + nand.OutputCap() + nand.OutputFixedGateCap("B") + nand.ConnectedInternalNodeCap(st)
 	table.AddC("cl", "out", "0", dpCap)
 	// Seed the quiet level; the VCCS holds it thereafter.
-	tRes, err := sim.Transient(context.Background(), table, sim.Options{
-		Dt: opts.Dt, TStop: opts.TStop,
-		InitialGuess: map[string]float64{"out": tt.VDD},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
+	tRes := run(table, map[string]float64{"out": tt.VDD})
 
 	gm := wave.MeasureNoise(gRes.Waveform("out"), tt.VDD)
 	tm := wave.MeasureNoise(tRes.Waveform("out"), tt.VDD)
@@ -85,7 +93,7 @@ func TestVCCSTableReplacesTransistors(t *testing.T) {
 		t.Errorf("table area %v vs golden %v (rel %.1f%%)", tm.Area, gm.Area, 100*rel)
 	}
 	// Both must recover to the quiet rail.
-	if v := tRes.Waveform("out").At(opts.TStop); math.Abs(v-tt.VDD) > 0.02 {
+	if v := tRes.Waveform("out").At(tstop); math.Abs(v-tt.VDD) > 0.02 {
 		t.Errorf("table model did not recover: %v", v)
 	}
 }

@@ -25,7 +25,7 @@ func charCells(t *testing.T) []*cell.Cell {
 
 // TestWarmStartLoadCurveMatchesCold is the warm-start correctness property:
 // for every cell/tech configuration, the warm-started sweep
-// (CharacterizeLoadCurve) must land on the same converged currents as the
+// (characterizeLoadCurve) must land on the same converged currents as the
 // cold reference sweep — same roots, different Newton seeds — within
 // solver tolerance.
 func TestWarmStartLoadCurveMatchesCold(t *testing.T) {
@@ -43,7 +43,7 @@ func TestWarmStartLoadCurveMatchesCold(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			warm, err := CharacterizeLoadCurve(ctx, cl, st, noisy, opts)
+			warm, _, err := characterizeLoadCurve(ctx, cl, st, noisy, opts, true)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -124,7 +124,7 @@ func TestWarmStartIterationsDecreaseOnFineGrid(t *testing.T) {
 // sweep loop end to end: growing the grid from 21×21 (441 points) to 61×61
 // (3721 points) must not grow the sweep's allocation count beyond a small
 // constant — every per-point allocation was eliminated by the
-// RunDCInto/SetSourceDC path (the per-point loop itself is asserted to be
+// RunDC/SetSourceDC path (the per-point loop itself is asserted to be
 // exactly zero-alloc by sim's TestRunDCIntoAllocFree).
 func TestLoadCurveSweepAllocsIndependentOfGrid(t *testing.T) {
 	inv := cell.MustNew(tech.Tech130(), "INV", 1)
@@ -134,8 +134,8 @@ func TestLoadCurveSweepAllocsIndependentOfGrid(t *testing.T) {
 	}
 	measure := func(n int) float64 {
 		return testing.AllocsPerRun(3, func() {
-			if _, err := CharacterizeLoadCurve(context.Background(), inv, st, "A",
-				LoadCurveOptions{NVin: n, NVout: n}); err != nil {
+			if _, _, err := characterizeLoadCurve(context.Background(), inv, st, "A",
+				LoadCurveOptions{NVin: n, NVout: n}, true); err != nil {
 				t.Fatal(err)
 			}
 		})
@@ -151,7 +151,7 @@ func TestLoadCurveSweepAllocsIndependentOfGrid(t *testing.T) {
 
 // TestWarmStartPropTableMatchesCold asserts the transient characterisation
 // path: warm start and the predictor change only Newton seeds, so the
-// propagated peaks and areas of CharacterizePropagation must agree with
+// propagated peaks and areas of characterizePropagation must agree with
 // the cold reference within solver tolerance.
 func TestWarmStartPropTableMatchesCold(t *testing.T) {
 	inv := cell.MustNew(tech.Tech130(), "INV", 1)
@@ -170,7 +170,7 @@ func TestWarmStartPropTableMatchesCold(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	warm, err := CharacterizePropagation(ctx, inv, st, "A", opts)
+	warm, _, err := characterizePropagation(ctx, inv, st, "A", opts, propSeeded)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -3,8 +3,6 @@ package core
 import (
 	"context"
 	"fmt"
-	"sort"
-	"strings"
 	"sync"
 
 	"stanoise/internal/cell"
@@ -95,33 +93,15 @@ type Cluster struct {
 }
 
 // simRig is a compiled simulator test bench held by a RigPool: the
-// program/session pair (a session fixes Dt and initial guesses; the stop
-// time is per-run). res is the reused transient result storage — rigMu
-// serialises runs, and the waveforms handed out of an evaluation copy
-// their samples, so reuse across evaluations is safe.
+// program/session pair (a session fixes the step, and a golden bench its
+// quiet-level guesses; the stop time is per-run). res is the reused
+// transient result storage — rigMu serialises runs, and the waveforms
+// handed out of an evaluation copy their samples, so reuse across
+// evaluations is safe.
 type simRig struct {
 	prog *sim.Program
 	sess *sim.Session
 	res  sim.Result
-}
-
-// optionsFingerprint renders every session-level field of o, so a rig is
-// recompiled whenever an evaluation asks for a different step or initial
-// guess. It keys only the in-memory rig pools.
-func optionsFingerprint(o sim.Options) string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "%.17g", o.Dt)
-	if len(o.InitialGuess) > 0 {
-		names := make([]string, 0, len(o.InitialGuess))
-		for n := range o.InitialGuess {
-			names = append(names, n)
-		}
-		sort.Strings(names)
-		for _, n := range names {
-			fmt.Fprintf(&b, "|%s=%.17g", n, o.InitialGuess[n])
-		}
-	}
-	return b.String()
 }
 
 // Validate checks structural consistency.

@@ -245,7 +245,7 @@ func RunEngine(ctx context.Context, red *mor.Reduced, sources []PortSource, v0 [
 	}
 	h := opts.Dt
 	// Indexed time grid t = k·h for k = 0..n, the one
-	// sim.Session.RunTransientInto runs; the result records the time axis
+	// sim.Session.RunTransient runs; the result records the time axis
 	// and p port voltages.
 	n, err := sim.GridSteps(opts.TStop, h, p+1)
 	if err != nil {

@@ -129,8 +129,12 @@ func TestEngineMatchesFullLinearSimulation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	simRes, err := sim.Transient(context.Background(), ckt, sim.Options{Dt: 1e-12, TStop: 2e-9})
+	sess, err := sim.NewSession(sim.Compile(ckt), 1e-12)
 	if err != nil {
+		t.Fatal(err)
+	}
+	var simRes sim.Result
+	if err := sess.RunTransient(context.Background(), &simRes, 2e-9, nil); err != nil {
 		t.Fatal(err)
 	}
 	for pi, node := range probes {
@@ -472,7 +476,7 @@ func TestEngineMatchesReferenceOnClusters(t *testing.T) {
 				if got := newtonPorts(srcs); got != set.pn {
 					t.Fatalf("%s: %d ports in Newton, want %d", set.name, got, set.pn)
 				}
-				d := engineVsReference(t, models.Red, srcs, models.V0, EngineOptions{Dt: opts.Dt, TStop: opts.TStop})
+				d := engineVsReference(t, models.Red, srcs, models.V0, EngineOptions{Dt: opts.Dt, TStop: opts.tstop})
 				label := fmt.Sprintf("%s/%dagg/%s (Q=%d, p=%d, p_N=%d)", tt.Name, nAgg, set.name, models.Red.Q, len(models.Red.Ports), set.pn)
 				if d > engineDiffTol {
 					t.Errorf("%s: max |Δv| = %.3g V", label, d)
@@ -492,7 +496,7 @@ func TestEngineNonConvergenceIsTyped(t *testing.T) {
 	opts := fastEvalOptions().normalize(c)
 	srcs := clusterSources(c, models, &VCCSPort{LC: models.LC, Vin: c.victimInputWave()})
 	_, err := RunEngine(context.Background(), models.Red, srcs, models.V0,
-		EngineOptions{Dt: opts.Dt, TStop: opts.TStop, maxNewton: 1})
+		EngineOptions{Dt: opts.Dt, TStop: opts.tstop, maxNewton: 1})
 	if !errors.Is(err, sim.ErrNoConvergence) {
 		t.Fatalf("err = %v, want sim.ErrNoConvergence", err)
 	}
@@ -632,7 +636,7 @@ func TestEngineNaNUpdateIsNotConverged(t *testing.T) {
 			t.Fatalf("%d ports in Newton, want %d", got, pn)
 		}
 		res, err := RunEngine(context.Background(), models.Red, srcs, models.V0,
-			EngineOptions{Dt: opts.Dt, TStop: opts.TStop})
+			EngineOptions{Dt: opts.Dt, TStop: opts.tstop})
 		if !errors.Is(err, sim.ErrNoConvergence) || !strings.HasPrefix(err.Error(), "core: macromodel Newton did not converge at t=") {
 			peak := math.NaN()
 			if res != nil {

@@ -97,8 +97,11 @@ type Evaluation struct {
 
 // EvalOptions tunes cluster evaluation.
 type EvalOptions struct {
-	Dt    float64 // timestep for every engine; default 1 ps
-	TStop float64 // default Cluster.EventHorizon()
+	Dt float64 // timestep for every engine; default 1 ps
+	// tstop is the end time of every run, Cluster.EventHorizon() at
+	// normalize. AlignWorstCase normalizes once, so its probes keep the
+	// horizon of the pre-alignment offsets.
+	tstop float64
 	// ZolotovPasses is the number of engine passes of the iterative
 	// pulsed-Thevenin victim model (ref [4]): pass 1 uses the driver-alone
 	// pulse, each further pass rebuilds the source at the coupled
@@ -117,8 +120,8 @@ func (o EvalOptions) normalize(c *Cluster) EvalOptions {
 	if o.Dt <= 0 {
 		o.Dt = 1e-12
 	}
-	if o.TStop <= 0 {
-		o.TStop = c.EventHorizon()
+	if o.tstop <= 0 {
+		o.tstop = c.EventHorizon()
 	}
 	if o.ZolotovPasses <= 0 {
 		o.ZolotovPasses = 2
@@ -149,16 +152,19 @@ func (c *Cluster) Evaluate(ctx context.Context, m Method, models *Models, opts E
 }
 
 func (c *Cluster) evaluateGolden(ctx context.Context, opts EvalOptions) (*Evaluation, error) {
-	simOpts := sim.Options{Dt: opts.Dt, TStop: opts.TStop, InitialGuess: quietLevelGuess(c)}
-
 	c.rigMu.Lock()
 	defer c.rigMu.Unlock()
-	rig, err := c.pooledRig("golden", c.topologyKey(), simOpts, func() (*simRig, error) {
+	rig, err := c.pooledRig("golden", c.topologyKey(), opts.Dt, func() (*simRig, error) {
 		ckt, err := c.BuildGolden()
 		if err != nil {
 			return nil, err
 		}
-		return compileRig(ckt, simOpts)
+		rig, err := compileRig(ckt, opts.Dt)
+		if err != nil {
+			return nil, err
+		}
+		c.seedQuietLevels(rig.sess)
+		return rig, nil
 	})
 	if err != nil {
 		return nil, err
@@ -179,7 +185,7 @@ func (c *Cluster) evaluateGolden(ctx context.Context, opts EvalOptions) (*Evalua
 	// transistor-level run.
 	var res sim.Result
 	start := time.Now()
-	if err := rig.sess.RunTransientInto(ctx, &res, opts.TStop); err != nil {
+	if err := rig.sess.RunTransient(ctx, &res, opts.tstop, nil); err != nil {
 		return nil, fmt.Errorf("core: golden simulation: %w", err)
 	}
 	elapsed := time.Since(start)
@@ -188,31 +194,32 @@ func (c *Cluster) evaluateGolden(ctx context.Context, opts EvalOptions) (*Evalua
 	return c.finish(Golden, dp, recv, elapsed), nil
 }
 
-// compileRig compiles a bench netlist and opens its reusable session.
-func compileRig(ckt *circuit.Circuit, simOpts sim.Options) (*simRig, error) {
+// compileRig compiles a bench netlist and opens its reusable session on
+// the step dt.
+func compileRig(ckt *circuit.Circuit, dt float64) (*simRig, error) {
 	prog := sim.Compile(ckt)
-	sess, err := sim.NewSession(prog, simOpts)
+	sess, err := sim.NewSession(prog, dt)
 	if err != nil {
 		return nil, err
 	}
 	return &simRig{prog: prog, sess: sess}, nil
 }
 
-// quietLevelGuess gives the golden DC solve the intended operating point:
-// victim nodes at the quiet rail, aggressor nodes at their start level.
-func quietLevelGuess(c *Cluster) map[string]float64 {
-	guess := make(map[string]float64, (len(c.Aggressors)+1)*(c.Bus.Segments+1))
+// seedQuietLevels gives the golden DC solve the intended operating point:
+// it seeds the victim nodes of sess at the quiet rail and the aggressor
+// nodes at their start level. The levels are a function of the topology
+// the bench's pool key holds, so a bench is seeded once, when it compiles.
+func (c *Cluster) seedQuietLevels(sess *sim.Session) {
 	quiet := c.QuietVictimLevel()
 	for j := 0; j <= c.Bus.Segments; j++ {
-		guess[fmt.Sprintf("%s.%d", c.Bus.Lines[c.Victim.Line].Name, j)] = quiet
+		sess.SetGuess(fmt.Sprintf("%s.%d", c.Bus.Lines[c.Victim.Line].Name, j), quiet)
 	}
 	for i := range c.Aggressors {
 		lvl := c.AggStartLevel(i)
 		for j := 0; j <= c.Bus.Segments; j++ {
-			guess[fmt.Sprintf("%s.%d", c.Bus.Lines[c.Aggressors[i].Line].Name, j)] = lvl
+			sess.SetGuess(fmt.Sprintf("%s.%d", c.Bus.Lines[c.Aggressors[i].Line].Name, j), lvl)
 		}
 	}
-	return guess
 }
 
 // aggressorSources builds the Thevenin port sources with current offsets.
@@ -263,7 +270,7 @@ func (c *Cluster) runMacromodel(ctx context.Context, models *Models, opts EvalOp
 	}
 	sources[models.VicPort] = vic
 	c.aggressorSources(models, sources)
-	return RunEngine(ctx, models.Red, sources, models.V0, EngineOptions{Dt: opts.Dt, TStop: opts.TStop})
+	return RunEngine(ctx, models.Red, sources, models.V0, EngineOptions{Dt: opts.Dt, TStop: opts.tstop})
 }
 
 func (c *Cluster) evaluateSuperposition(ctx context.Context, models *Models, opts EvalOptions) (*Evaluation, error) {
@@ -284,7 +291,7 @@ func (c *Cluster) evaluateSuperposition(ctx context.Context, models *Models, opt
 	}
 	sources[models.VicPort] = &HoldingPort{G: models.HoldG, V0: quiet}
 	c.aggressorSources(models, sources)
-	res, err := RunEngine(ctx, models.Red, sources, models.V0, EngineOptions{Dt: opts.Dt, TStop: opts.TStop})
+	res, err := RunEngine(ctx, models.Red, sources, models.V0, EngineOptions{Dt: opts.Dt, TStop: opts.tstop})
 	if err != nil {
 		return nil, err
 	}
@@ -323,11 +330,10 @@ func (c *Cluster) DriverAloneResponse(ctx context.Context, models *Models, opts 
 
 	// The bench depends only on the victim cell configuration, so a shared
 	// pool serves it to every cluster whose victim matches.
-	simOpts := sim.Options{Dt: opts.Dt}
 	c.rigMu.Lock()
 	defer c.rigMu.Unlock()
-	rig, err := c.pooledRig("driver", c.driverClassKey(), simOpts, func() (*simRig, error) {
-		return c.compileDriverRig(simOpts)
+	rig, err := c.pooledRig("driver", c.driverClassKey(), opts.Dt, func() (*simRig, error) {
+		return c.compileDriverRig(opts.Dt)
 	})
 	if err != nil {
 		return nil, err
@@ -340,7 +346,7 @@ func (c *Cluster) DriverAloneResponse(ctx context.Context, models *Models, opts 
 		clump = 0
 	}
 	rig.sess.SetLoad(rig.prog.MustCap("cl"), clump)
-	if err := rig.sess.RunTransientInto(ctx, &rig.res, opts.TStop); err != nil {
+	if err := rig.sess.RunTransient(ctx, &rig.res, opts.tstop, nil); err != nil {
 		return nil, fmt.Errorf("core: driver-alone simulation: %w", err)
 	}
 	return rig.res.Waveform("out"), nil
@@ -349,7 +355,7 @@ func (c *Cluster) DriverAloneResponse(ctx context.Context, models *Models, opts 
 // compileDriverRig assembles and compiles the driver-alone bench: the
 // victim cell with a mutable source on its noisy pin driving a mutable
 // lumped load.
-func (c *Cluster) compileDriverRig(simOpts sim.Options) (*simRig, error) {
+func (c *Cluster) compileDriverRig(dt float64) (*simRig, error) {
 	v := &c.Victim
 	if !v.Cell.HasInput(v.NoisyPin) {
 		return nil, fmt.Errorf("core: victim cell %s has no pin %q", v.Cell.Name(), v.NoisyPin)
@@ -361,7 +367,7 @@ func (c *Cluster) compileDriverRig(simOpts sim.Options) (*simRig, error) {
 	}
 	// Placeholder lumped load; replaced per run via SetLoad.
 	ckt.AddC("cl", "out", "0", 1e-15)
-	return compileRig(ckt, simOpts)
+	return compileRig(ckt, dt)
 }
 
 func (c *Cluster) evaluateZolotov(ctx context.Context, models *Models, opts EvalOptions) (*Evaluation, error) {
@@ -391,7 +397,7 @@ func (c *Cluster) evaluateZolotov(ctx context.Context, models *Models, opts Eval
 		}
 		sources[models.VicPort] = &TheveninPort{W: pulse, RTh: rHold}
 		c.aggressorSources(models, sources)
-		res, err = RunEngine(ctx, models.Red, sources, models.V0, EngineOptions{Dt: opts.Dt, TStop: opts.TStop})
+		res, err = RunEngine(ctx, models.Red, sources, models.V0, EngineOptions{Dt: opts.Dt, TStop: opts.tstop})
 		if err != nil {
 			return nil, err
 		}
@@ -469,7 +475,7 @@ func (c *Cluster) AlignPeaks(ctx context.Context, models *Models, opts EvalOptio
 				sources[pj] = heldPort(models.Agg[j])
 			}
 		}
-		res, err := RunEngine(ctx, models.Red, sources, models.V0, EngineOptions{Dt: opts.Dt, TStop: opts.TStop})
+		res, err := RunEngine(ctx, models.Red, sources, models.V0, EngineOptions{Dt: opts.Dt, TStop: opts.tstop})
 		if err != nil {
 			return 0, nil, fmt.Errorf("core: alignment run for aggressor %d: %w", i, err)
 		}

@@ -5,15 +5,14 @@ import (
 	"strings"
 
 	"stanoise/internal/cell"
-	"stanoise/internal/sim"
 )
 
 // RigPool caches compiled simulator test benches — program/session pairs —
 // across the clusters a single analysis worker processes (or, as a
 // cluster's private pool, across one cluster's evaluations), keyed like
 // charlib.Cache by the *topology class* of the bench (technology, cells by
-// library name, states, pins, geometry and solver options) rather than by
-// cluster identity. Two clusters whose victim drivers share a cell
+// library name, states, pins and geometry) and the session's step rather
+// than by cluster identity. Two clusters whose victim drivers share a cell
 // configuration reuse one compiled driver-alone bench; re-analysing a
 // design through the same analyzer reuses the golden benches of every
 // cluster whose topology is unchanged. Only source waveforms and lumped
@@ -252,13 +251,16 @@ func (c *Cluster) driverClassKey() string {
 		c.Tech.Fingerprint(), cellClass(v.Cell), v.State.String(), v.NoisyPin)
 }
 
-// pooledRig routes a rig lookup through the cluster's pool under a
-// kind-prefixed topology key, opening a private pool when none is
-// attached. The caller must hold c.rigMu.
-func (c *Cluster) pooledRig(kind, classKey string, simOpts sim.Options, build func() (*simRig, error)) (*simRig, error) {
+// pooledRig routes a rig lookup through the cluster's pool under a key of
+// the bench kind, its session's step dt and its topology, opening a
+// private pool when none is attached. Everything else a session fixes —
+// the golden bench's quiet-level guesses — is a function of the topology,
+// so a different step is the only reason to compile a new bench for one
+// topology. The caller must hold c.rigMu.
+func (c *Cluster) pooledRig(kind, classKey string, dt float64, build func() (*simRig, error)) (*simRig, error) {
 	if c.rigPool == nil {
 		c.rigPool = NewRigPool()
 	}
-	key := kind + "#" + optionsFingerprint(simOpts) + "#" + classKey
+	key := fmt.Sprintf("%s#%.17g#%s", kind, dt, classKey)
 	return c.rigPool.lookup(key, build)
 }

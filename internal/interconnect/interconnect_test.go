@@ -11,6 +11,19 @@ import (
 	"stanoise/internal/wave"
 )
 
+// simulate runs ckt for 2 ns on a fresh 1 ps simulator session.
+func simulate(ckt *circuit.Circuit) (*sim.Result, error) {
+	sess, err := sim.NewSession(sim.Compile(ckt), 1e-12)
+	if err != nil {
+		return nil, err
+	}
+	var res sim.Result
+	if err := sess.RunTransient(context.Background(), &res, 2e-9, nil); err != nil {
+		return nil, err
+	}
+	return &res, nil
+}
+
 func twoLine500(t *testing.T) *Bus {
 	t.Helper()
 	b, err := NewBus(tech.Tech130(), "M4", 15,
@@ -123,7 +136,7 @@ func TestWaveePropagation(t *testing.T) {
 	ckt.AddV("vs", b.InNode(0), "0", wave.SaturatedRamp(0, 1.2, 50e-12, 50e-12))
 	// Keep the aggressor grounded at the near end.
 	ckt.AddVDC("va", b.InNode(1), "0", 0)
-	res, err := sim.Transient(context.Background(), ckt, sim.Options{Dt: 1e-12, TStop: 2e-9})
+	res, err := simulate(ckt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -167,7 +180,7 @@ func TestCrosstalkInjection(t *testing.T) {
 	ckt.AddR("rhold", "vdd", b.InNode(0), 2000)
 	// Aggressor driven by a fast falling ramp.
 	ckt.AddV("va", b.InNode(1), "0", wave.SaturatedRamp(1.2, 0, 200e-12, 80e-12))
-	res, err := sim.Transient(context.Background(), ckt, sim.Options{Dt: 1e-12, TStop: 2e-9})
+	res, err := simulate(ckt)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -11,7 +11,7 @@ import (
 
 // BenchmarkNRCCharacterize times a two-width NRC with allocation tracking:
 // every bisection probe reuses one compiled sim.Session and its result
-// storage (RunTransientInto), so the whole curve performs a couple of
+// storage (RunTransient), so the whole curve performs a couple of
 // hundred allocations instead of rebuilding a circuit per transient
 // (numbers in EXPERIMENTS.md). transient-steps/op counts the probes' steps,
 // which end at each failing probe's first failing sample.

@@ -201,7 +201,7 @@ func newGlitchRig(cl *cell.Cell, st cell.State, pin string, opts Options, seeded
 		sign = -1
 	}
 	prog := sim.Compile(ckt)
-	sess, err := sim.NewSession(prog, sim.Options{Dt: opts.Dt})
+	sess, err := sim.NewSession(prog, opts.Dt)
 	if err != nil {
 		return nil, err
 	}
@@ -262,7 +262,7 @@ func bisectFailingHeight(ctx context.Context, rig *glitchRig, width float64, opt
 // holds that sample, so its measured peak fails exactly as the full run's.
 func (r *glitchRig) glitchFails(ctx context.Context, height, width float64, opts Options) (bool, error) {
 	r.sess.SetSource(r.hGlitch, wave.Triangle(r.quietIn, r.sign*height, glitchT0, width))
-	if err := r.sess.RunTransientUntil(ctx, &r.res, glitchT0+width+1e-9, r.stop); err != nil {
+	if err := r.sess.RunTransient(ctx, &r.res, glitchT0+width+1e-9, r.stop); err != nil {
 		return false, err
 	}
 	m := wave.MeasureNoise(r.res.Waveform("out"), r.quietOut)

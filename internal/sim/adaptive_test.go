@@ -33,7 +33,7 @@ func adaptiveRig(t *testing.T, tc *tech.Tech) (*Session, []float64, []float64) {
 	ckt.AddI("i_p", "0", "out", wave.FromPoints(
 		[]float64{0, 150.5e-12, 180e-12, 600e-12},
 		[]float64{0, 0, 2e-6, 2e-6}))
-	sess, err := NewSession(Compile(ckt), Options{Dt: 2e-12})
+	sess, err := NewSession(Compile(ckt), 2e-12)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -97,14 +97,14 @@ func TestAdaptiveMatchesFineGrid(t *testing.T) {
 	if err := sess.RunTransientAdaptive(ctx, &ad, tstop); err != nil {
 		t.Fatal(err)
 	}
-	if err := sess.RunTransientInto(ctx, &fixed, tstop); err != nil {
+	if err := sess.RunTransient(ctx, &fixed, tstop, nil); err != nil {
 		t.Fatal(err)
 	}
-	fine, err := NewSession(sess.prog, Options{Dt: 0.25e-12})
+	fine, err := NewSession(sess.prog, 0.25e-12)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ref, err := fine.RunTransient(ctx, tstop)
+	ref, err := transientOf(ctx, fine, tstop)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -137,7 +137,7 @@ func TestAdaptiveNLCapChargeConservation(t *testing.T) {
 	))
 	ckt.AddR("r", "in", "g", 10e3)
 	ckt.AddM("m1", "0", "g", "0", capOnlyNMOS(cgs))
-	sess, err := NewSession(Compile(ckt), Options{Dt: 1e-12})
+	sess, err := NewSession(Compile(ckt), 1e-12)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -172,7 +172,7 @@ func TestAdaptiveNLCapChargeConservation(t *testing.T) {
 	t.Logf("%d steps, cycle residue %.3g C of Qmax %.3g", st.TransientSteps, integral, qMax)
 }
 
-// TestAdaptiveStepAllocFree asserts the RunTransientInto contract on the
+// TestAdaptiveStepAllocFree asserts the RunTransient contract on the
 // adaptive loop, with constant and with NLMOS gate caps: once a Result
 // has been filled, a repeated adaptive run — breakpoints, restamps,
 // rejections and the error estimate included — allocates nothing.

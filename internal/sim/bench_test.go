@@ -12,9 +12,10 @@ import (
 )
 
 // Allocation-tracking benchmarks for the two-phase engine: the one-shot
-// wrappers pay Compile + NewSession on every call, the session variants
-// pay them once and only mutate parameters — the shape of every
-// characterisation sweep. Before/after numbers live in EXPERIMENTS.md.
+// variants open a fresh session, paying Compile + NewSession on every
+// call; the session variants pay them once and only mutate parameters —
+// the shape of every characterisation sweep. Before/after numbers live in
+// EXPERIMENTS.md.
 
 func benchDCCircuit(b *testing.B) (*circuit.Circuit, float64) {
 	b.Helper()
@@ -34,7 +35,7 @@ func BenchmarkDCOneShot(b *testing.B) {
 	ckt, _ := benchDCCircuit(b)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		if _, err := DC(ckt, Options{}); err != nil {
+		if _, err := freshDC(ckt, nil); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -43,7 +44,7 @@ func BenchmarkDCOneShot(b *testing.B) {
 func BenchmarkDCSession(b *testing.B) {
 	ckt, vdd := benchDCCircuit(b)
 	prog := Compile(ckt)
-	sess, err := NewSession(prog, Options{})
+	sess, err := NewSession(prog, 0)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -53,7 +54,7 @@ func BenchmarkDCSession(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		// Mutate the forced voltage like a sweep point would.
 		sess.SetSourceDC(hForce, vdd*float64(i%7)/6)
-		if _, err := sess.RunDC(); err != nil {
+		if _, err := dcOf(sess); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -68,7 +69,7 @@ func BenchmarkSessionParallel(b *testing.B) {
 	prog := Compile(ckt)
 	b.ReportAllocs()
 	b.RunParallel(func(pb *testing.PB) {
-		sess, err := NewSession(prog, Options{})
+		sess, err := NewSession(prog, 0)
 		if err != nil {
 			b.Error(err)
 			return
@@ -77,7 +78,7 @@ func BenchmarkSessionParallel(b *testing.B) {
 		i := 0
 		for pb.Next() {
 			sess.SetSourceDC(hForce, vdd*float64(i%7)/6)
-			if _, err := sess.RunDC(); err != nil {
+			if _, err := dcOf(sess); err != nil {
 				b.Error(err)
 				return
 			}
@@ -104,7 +105,7 @@ func BenchmarkTransientOneShot(b *testing.B) {
 	ckt := benchTransientCircuit(b)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		if _, err := Transient(context.Background(), ckt, Options{Dt: 1e-12, TStop: 1e-9}); err != nil {
+		if _, err := freshTransient(context.Background(), ckt, 1e-12, 1e-9); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -113,7 +114,7 @@ func BenchmarkTransientOneShot(b *testing.B) {
 func BenchmarkTransientSession(b *testing.B) {
 	ckt := benchTransientCircuit(b)
 	prog := Compile(ckt)
-	sess, err := NewSession(prog, Options{Dt: 1e-12})
+	sess, err := NewSession(prog, 1e-12)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -123,7 +124,7 @@ func BenchmarkTransientSession(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		// Mutate the glitch like a characterisation probe would.
 		sess.SetSource(hGlitch, wave.Triangle(0, 0.7+0.01*float64(i%10), 100e-12, 300e-12))
-		if _, err := sess.RunTransient(context.Background(), 1e-9); err != nil {
+		if _, err := transientOf(context.Background(), sess, 1e-9); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -136,7 +137,7 @@ func BenchmarkTransientSession(b *testing.B) {
 func BenchmarkTransientSessionInto(b *testing.B) {
 	ckt := benchTransientCircuit(b)
 	prog := Compile(ckt)
-	sess, err := NewSession(prog, Options{Dt: 1e-12})
+	sess, err := NewSession(prog, 1e-12)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -146,7 +147,7 @@ func BenchmarkTransientSessionInto(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		sess.SetSource(hGlitch, wave.Triangle(0, 0.7+0.01*float64(i%10), 100e-12, 300e-12))
-		if err := sess.RunTransientInto(context.Background(), res, 1e-9); err != nil {
+		if err := sess.RunTransient(context.Background(), res, 1e-9, nil); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -159,7 +160,7 @@ func BenchmarkTransientSessionInto(b *testing.B) {
 func BenchmarkTransientPredictor(b *testing.B) {
 	ckt := benchTransientCircuit(b)
 	prog := Compile(ckt)
-	sess, err := NewSession(prog, Options{Dt: 1e-12})
+	sess, err := NewSession(prog, 1e-12)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -170,7 +171,7 @@ func BenchmarkTransientPredictor(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		sess.SetSource(hGlitch, wave.Triangle(0, 0.7+0.01*float64(i%10), 100e-12, 300e-12))
-		if err := sess.RunTransientInto(context.Background(), res, 1e-9); err != nil {
+		if err := sess.RunTransient(context.Background(), res, 1e-9, nil); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -191,7 +192,7 @@ func BenchmarkTransientLinearNewton(b *testing.B) {
 
 func benchLinearTransient(b *testing.B, forceNewton bool) {
 	b.Helper()
-	sess, err := NewSession(Compile(busCircuit(b)), Options{Dt: 1e-12})
+	sess, err := NewSession(Compile(busCircuit(b)), 1e-12)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -200,7 +201,7 @@ func benchLinearTransient(b *testing.B, forceNewton bool) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if err := sess.RunTransientInto(context.Background(), res, 1e-9); err != nil {
+		if err := sess.RunTransient(context.Background(), res, 1e-9, nil); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -223,7 +224,7 @@ func BenchmarkTransientLowRank(b *testing.B) {
 				path = "dense"
 			}
 			b.Run(fmt.Sprintf("n%d/%s", prog.Size(), path), func(b *testing.B) {
-				sess, err := NewSession(prog, Options{Dt: 1e-12})
+				sess, err := NewSession(prog, 1e-12)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -231,14 +232,14 @@ func BenchmarkTransientLowRank(b *testing.B) {
 				// One warm-up run sizes the result and the session's
 				// buffers, so allocs/op is the warm loop's: zero.
 				res := &Result{}
-				if err := sess.RunTransientInto(context.Background(), res, 600e-12); err != nil {
+				if err := sess.RunTransient(context.Background(), res, 600e-12, nil); err != nil {
 					b.Fatal(err)
 				}
 				before := sess.Stats()
 				b.ReportAllocs()
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
-					if err := sess.RunTransientInto(context.Background(), res, 600e-12); err != nil {
+					if err := sess.RunTransient(context.Background(), res, 600e-12, nil); err != nil {
 						b.Fatal(err)
 					}
 				}

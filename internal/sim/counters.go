@@ -16,9 +16,9 @@ import "sync"
 // (Record), including failed and cancelled runs. The JSON tags are the
 // wire names of every counter block.
 type Counters struct {
-	// DC counts DC solves started: RunDC, RunDCInto and the operating
-	// point every transient solves first, so a single transient advances
-	// both DC and Transient by one.
+	// DC counts DC solves started: RunDC and the operating point every
+	// transient solves first, so a single transient advances both DC and
+	// Transient by one.
 	DC int64 `json:"dc"`
 	// Transient counts transient runs started.
 	Transient int64 `json:"transient"`

@@ -64,18 +64,18 @@ func TestCountersAddSubCoverEveryField(t *testing.T) {
 // the process totals advance by exactly the session's own delta, including
 // for a run that fails validation.
 func TestRunPublishesOncePerCall(t *testing.T) {
-	sess, err := NewSession(Compile(optTestCircuit()), Options{Dt: 1e-12})
+	sess, err := NewSession(Compile(optTestCircuit()), 1e-12)
 	if err != nil {
 		t.Fatal(err)
 	}
 	before, own := Snapshot(), sess.Stats()
-	if _, err := sess.RunDC(); err != nil {
+	if _, err := dcOf(sess); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := sess.RunTransient(nil, 50e-12); err != nil {
+	if _, err := transientOf(nil, sess, 50e-12); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := sess.RunTransient(nil, -1); err == nil {
+	if _, err := transientOf(nil, sess, -1); err == nil {
 		t.Fatal("negative stop time accepted")
 	}
 	d := Snapshot().Sub(before)
@@ -100,13 +100,13 @@ func TestConcurrentSessionsFoldExactly(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			sess, err := NewSession(prog, Options{Dt: 1e-12})
+			sess, err := NewSession(prog, 1e-12)
 			if err != nil {
 				t.Error(err)
 				return
 			}
 			for i := 0; i < 5; i++ {
-				if _, err := sess.RunTransient(nil, 20e-12); err != nil {
+				if _, err := transientOf(nil, sess, 20e-12); err != nil {
 					t.Error(err)
 					return
 				}

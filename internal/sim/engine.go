@@ -13,14 +13,15 @@
 // circuit into an immutable Program — index-resolved node table and
 // per-device stamp plans — and a Session against that Program owns the
 // preallocated matrices, vectors and LU workspace, re-running with mutated
-// parameters (SetSource/SetLoad/SetGuess) at zero rebuild cost. The
-// one-shot DC and Transient entry points below are thin wrappers that
-// compile, open a session, and run once; characterisation sweeps use the
-// two-phase API directly.
+// parameters (SetSource/SetLoad/SetGuess) at zero rebuild cost. A session
+// runs in one of three ways (DESIGN.md §23): RunDC solves the operating
+// point, RunTransient steps the fixed grid from it (optionally stopping
+// early), and RunTransientAdaptive steps an LTE-controlled time axis. Each
+// fills a caller-owned result, so every caller — a one-off solve as much
+// as a characterisation sweep — compiles, opens a session and runs.
 package sim
 
 import (
-	"context"
 	"errors"
 	"fmt"
 
@@ -65,21 +66,10 @@ func (r *DCResult) BranchI(vsrc string) float64 {
 
 // SourceCurrent is BranchI by compiled handle instead of name: a direct
 // index into the unknown vector, with no per-call name lookup. It is the
-// probe a RunDCInto sweep loop uses to stay allocation-free and O(1) per
+// probe a RunDC sweep loop uses to stay allocation-free and O(1) per
 // grid point.
 func (r *DCResult) SourceCurrent(h SourceHandle) float64 {
 	return r.X[r.n+int(h)]
-}
-
-// DC computes the operating point at t = 0. It is a one-shot wrapper over
-// the two-phase API: Compile + NewSession + RunDC. Sweeps that solve the
-// same topology repeatedly should compile once and reuse a Session.
-func DC(c *circuit.Circuit, opts Options) (*DCResult, error) {
-	s, err := NewSession(Compile(c), opts)
-	if err != nil {
-		return nil, err
-	}
-	return s.RunDC()
 }
 
 // Result holds a transient simulation: node voltages sampled on the time
@@ -91,7 +81,7 @@ type Result struct {
 }
 
 // MemoryBytes estimates the storage a Result holds: the capacity of its
-// time axis and of every node series. RunTransientInto reuses that
+// time axis and of every node series. RunTransient reuses that
 // storage, so a Result kept for the next run keeps it resident.
 func (r *Result) MemoryBytes() int64 {
 	n := cap(r.Times)
@@ -103,7 +93,7 @@ func (r *Result) MemoryBytes() int64 {
 
 // reset rebinds a caller-owned Result to a circuit and truncates every
 // series to length zero, reusing backing storage when its capacity covers
-// capHint points. After the first RunTransientInto on a given Result, later
+// capHint points. After the first RunTransient on a given Result, later
 // runs of the same (or smaller) size allocate nothing here.
 func (r *Result) reset(c *circuit.Circuit, n, capHint int) {
 	r.c = c
@@ -157,17 +147,3 @@ func (r *Result) At(node string, step int) float64 {
 
 // Steps returns the number of recorded time points.
 func (r *Result) Steps() int { return len(r.Times) }
-
-// Transient runs a transient analysis from a DC operating point at t = 0 to
-// opts.TStop with a fixed step opts.Dt. The context is checked periodically
-// between timesteps, so a cancelled characterisation or analysis run stops
-// mid-transient instead of completing the solve; a nil context disables
-// cancellation. It is a one-shot wrapper over Compile + NewSession +
-// RunTransient.
-func Transient(ctx context.Context, c *circuit.Circuit, opts Options) (*Result, error) {
-	s, err := NewSession(Compile(c), opts)
-	if err != nil {
-		return nil, err
-	}
-	return s.RunTransient(ctx, opts.TStop)
-}

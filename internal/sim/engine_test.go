@@ -17,7 +17,7 @@ func TestDCResistorDivider(t *testing.T) {
 	c.AddVDC("vin", "in", "0", 2.0)
 	c.AddR("r1", "in", "mid", 1000)
 	c.AddR("r2", "mid", "0", 3000)
-	dc, err := DC(c, Options{})
+	dc, err := freshDC(c, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -35,7 +35,7 @@ func TestDCCurrentSource(t *testing.T) {
 	c := circuit.New()
 	c.AddI("i1", "a", "0", wave.Constant(1e-3))
 	c.AddR("r1", "a", "0", 2000)
-	dc, err := DC(c, Options{})
+	dc, err := freshDC(c, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -51,7 +51,7 @@ func TestRCStepResponse(t *testing.T) {
 	c.AddV("vs", "in", "0", wave.SaturatedRamp(0, 1, 0, 1e-12))
 	c.AddR("r", "in", "out", 1000)
 	c.AddC("c", "out", "0", 1e-12)
-	res, err := Transient(context.Background(), c, Options{Dt: 5e-12, TStop: 5e-9})
+	res, err := freshTransient(context.Background(), c, 5e-12, 5e-9)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -90,7 +90,7 @@ func TestInverterDCTransfer(t *testing.T) {
 		c.AddVDC("vin", "in", "0", tc.vin)
 		inv013(c, "u1", "in", "out", "vdd")
 		c.AddR("rload", "out", "0", 1e9) // probe load
-		dc, err := DC(c, Options{})
+		dc, err := freshDC(c, nil)
 		if err != nil {
 			t.Fatalf("vin=%v: %v", tc.vin, err)
 		}
@@ -111,7 +111,7 @@ func TestInverterTransient(t *testing.T) {
 	c.AddV("vin", "in", "0", wave.SaturatedRamp(0, vdd, 200e-12, 50e-12))
 	inv013(c, "u1", "in", "out", "vdd")
 	c.AddC("cl", "out", "0", 20e-15)
-	res, err := Transient(context.Background(), c, Options{Dt: 1e-12, TStop: 2e-9})
+	res, err := freshTransient(context.Background(), c, 1e-12, 2e-9)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -151,7 +151,7 @@ func TestVCCSEquivalentToResistor(t *testing.T) {
 	c.AddVDC("vs", "in", "0", 1.0)
 	c.AddVCCS("x1", "in", "out", linearVCCS{g: 1e-3})
 	c.AddR("r2", "out", "0", 1000)
-	dc, err := DC(c, Options{})
+	dc, err := freshDC(c, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -164,8 +164,8 @@ func TestTransientRequiresTStop(t *testing.T) {
 	c := circuit.New()
 	c.AddVDC("v", "a", "0", 1)
 	c.AddR("r", "a", "0", 100)
-	if _, err := Transient(context.Background(), c, Options{}); err == nil {
-		t.Error("Transient without TStop should fail")
+	if _, err := freshTransient(context.Background(), c, 0, 0); err == nil {
+		t.Error("a transient without a stop time should fail")
 	}
 }
 
@@ -187,16 +187,15 @@ func TestLinearSuperpositionProperty(t *testing.T) {
 		}
 		amp1 := 0.3 + rng.Float64()
 		amp2 := 0.3 + rng.Float64()
-		o := Options{Dt: 2e-12, TStop: 1e-9}
-		rBoth, err := Transient(context.Background(), build(amp1, amp2), o)
+		rBoth, err := freshTransient(context.Background(), build(amp1, amp2), 2e-12, 1e-9)
 		if err != nil {
 			return false
 		}
-		r1, err := Transient(context.Background(), build(amp1, 0), o)
+		r1, err := freshTransient(context.Background(), build(amp1, 0), 2e-12, 1e-9)
 		if err != nil {
 			return false
 		}
-		r2, err := Transient(context.Background(), build(0, amp2), o)
+		r2, err := freshTransient(context.Background(), build(0, amp2), 2e-12, 1e-9)
 		if err != nil {
 			return false
 		}
@@ -231,7 +230,7 @@ func TestNAND2DCStates(t *testing.T) {
 		{0, 0, true}, {vdd, 0, true}, {0, vdd, true}, {vdd, vdd, false},
 	}
 	for _, tc := range cases {
-		dc, err := DC(build(tc.va, tc.vb), Options{})
+		dc, err := freshDC(build(tc.va, tc.vb), nil)
 		if err != nil {
 			t.Fatalf("a=%v b=%v: %v", tc.va, tc.vb, err)
 		}
@@ -253,7 +252,7 @@ func BenchmarkTransientInverter(b *testing.B) {
 	c.AddC("cl", "out", "0", 20e-15)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := Transient(context.Background(), c, Options{Dt: 1e-12, TStop: 1e-9}); err != nil {
+		if _, err := freshTransient(context.Background(), c, 1e-12, 1e-9); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -19,7 +19,7 @@ func ExampleSession() {
 	ckt.AddR("r2", "out", "0", 1000)
 
 	prog := sim.Compile(ckt)
-	sess, err := sim.NewSession(prog, sim.Options{})
+	sess, err := sim.NewSession(prog, 0)
 	if err != nil {
 		panic(err)
 	}
@@ -28,7 +28,7 @@ func ExampleSession() {
 	var dc sim.DCResult // reused: the sweep loop allocates nothing
 	for _, vin := range []float64{0.4, 0.8, 1.2} {
 		sess.SetSourceDC(hVin, vin)
-		if err := sess.RunDCInto(&dc); err != nil {
+		if err := sess.RunDC(&dc); err != nil {
 			panic(err)
 		}
 		fmt.Printf("vin=%.1f  v(out)=%.3f\n", vin, dc.NodeV("out"))
@@ -51,7 +51,7 @@ func ExampleSession_warmStart() {
 	ckt.AddR("r2", "out", "0", 1000)
 
 	prog := sim.Compile(ckt)
-	sess, err := sim.NewSession(prog, sim.Options{})
+	sess, err := sim.NewSession(prog, 0)
 	if err != nil {
 		panic(err)
 	}
@@ -61,7 +61,7 @@ func ExampleSession_warmStart() {
 	var dc sim.DCResult
 	for i := 0; i < 10; i++ {
 		sess.SetSourceDC(hVin, float64(i)*0.1)
-		if err := sess.RunDCInto(&dc); err != nil {
+		if err := sess.RunDC(&dc); err != nil {
 			panic(err)
 		}
 	}

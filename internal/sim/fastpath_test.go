@@ -79,9 +79,7 @@ func TestLinearFastPathBitIdentical(t *testing.T) {
 			if !prog.Linear() {
 				t.Fatalf("circuit %s compiled non-linear", tc.name)
 			}
-			opts := Options{Dt: 1e-12}
-
-			fastSess, err := NewSession(prog, opts)
+			fastSess, err := NewSession(prog, 1e-12)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -90,7 +88,7 @@ func TestLinearFastPathBitIdentical(t *testing.T) {
 				t.Fatal(err)
 			}
 
-			slowSess, err := NewSession(prog, opts)
+			slowSess, err := NewSession(prog, 1e-12)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -138,12 +136,12 @@ func TestLinearFastPathBitIdentical(t *testing.T) {
 // smoke greps for: a pure-RC transient advances LinearFastPathRuns and
 // TransientSteps but leaves NewtonIters untouched.
 func TestLinearFastPathCounters(t *testing.T) {
-	sess, err := NewSession(Compile(rcLadderCircuit(t)), Options{Dt: 1e-12})
+	sess, err := NewSession(Compile(rcLadderCircuit(t)), 1e-12)
 	if err != nil {
 		t.Fatal(err)
 	}
 	before := Snapshot()
-	res, err := sess.RunTransient(context.Background(), 1e-9)
+	res, err := transientOf(context.Background(), sess, 1e-9)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -166,12 +164,12 @@ func TestLinearFastPathCounters(t *testing.T) {
 // warm-start mode keeps its DC-continuation semantics by taking the legacy
 // path, so a warm linear transient must not count a fast-path run.
 func TestLinearFastPathWarmStartDisables(t *testing.T) {
-	sess, err := NewSession(Compile(rcLadderCircuit(t)), Options{Dt: 1e-12})
+	sess, err := NewSession(Compile(rcLadderCircuit(t)), 1e-12)
 	if err != nil {
 		t.Fatal(err)
 	}
 	sess.WarmStart(true)
-	if _, err := sess.RunTransient(context.Background(), 200e-12); err != nil {
+	if _, err := transientOf(context.Background(), sess, 200e-12); err != nil {
 		t.Fatal(err)
 	}
 	st := sess.Stats()

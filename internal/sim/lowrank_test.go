@@ -104,13 +104,13 @@ func maxNodeDiff(t *testing.T, got, want *Result) float64 {
 func runBoth(t *testing.T, prog *Program, pred bool, tstop float64) (got, dense *Result, gs, ds Counters) {
 	t.Helper()
 	run := func(forceDense bool) (*Result, Counters) {
-		sess, err := NewSession(prog, Options{Dt: 1e-12})
+		sess, err := NewSession(prog, 1e-12)
 		if err != nil {
 			t.Fatal(err)
 		}
 		sess.forceDense = forceDense
 		sess.Predictor(pred)
-		res, err := sess.RunTransient(context.Background(), tstop)
+		res, err := transientOf(context.Background(), sess, tstop)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -266,7 +266,7 @@ func TestLowRankZeroCapRunsDense(t *testing.T) {
 	if !prog.lr.use {
 		t.Fatal("inverter into a 20-segment line not on the factored path")
 	}
-	sess, err := NewSession(prog, Options{Dt: 1e-12})
+	sess, err := NewSession(prog, 1e-12)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -277,7 +277,7 @@ func TestLowRankZeroCapRunsDense(t *testing.T) {
 	}{{0, 0}, {5e-15, 1}} {
 		sess.SetLoad(h, tc.c)
 		before := sess.Stats()
-		if _, err := sess.RunTransient(context.Background(), 200e-12); err != nil {
+		if _, err := transientOf(context.Background(), sess, 200e-12); err != nil {
 			t.Fatal(err)
 		}
 		if got := sess.Stats().Sub(before).LowRankRuns; got != tc.runs {
@@ -292,12 +292,12 @@ func TestLowRankZeroCapRunsDense(t *testing.T) {
 // dense one — with exactly one extra Newton iteration, the failed one.
 func TestLowRankFallbackResolvesDense(t *testing.T) {
 	prog := Compile(goldenShapedCircuit(t, tech.Tech130(), "NAND2", 8))
-	sess, err := NewSession(prog, Options{Dt: 1e-12})
+	sess, err := NewSession(prog, 1e-12)
 	if err != nil {
 		t.Fatal(err)
 	}
 	sess.failCorrections = 1
-	got, err := sess.RunTransient(context.Background(), 400e-12)
+	got, err := transientOf(context.Background(), sess, 400e-12)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -320,12 +320,12 @@ func TestLowRankFallbackResolvesDense(t *testing.T) {
 // once a run has allocated them.
 func TestLowRankMemoryBytesCountsBuffers(t *testing.T) {
 	prog := Compile(goldenShapedCircuit(t, tech.Tech130(), "INV", 8))
-	sess, err := NewSession(prog, Options{Dt: 1e-12})
+	sess, err := NewSession(prog, 1e-12)
 	if err != nil {
 		t.Fatal(err)
 	}
 	before := sess.MemoryBytes()
-	if _, err := sess.RunTransient(context.Background(), 50e-12); err != nil {
+	if _, err := transientOf(context.Background(), sess, 50e-12); err != nil {
 		t.Fatal(err)
 	}
 	// The step matrix lin (size × size) and W (size × r).

@@ -44,7 +44,7 @@ func nlJacobianRig(t *testing.T) *Session {
 	ckt.AddR("rl", "vdd", "out", 5e3)
 	ckt.AddM("m1", "out", "g", "0", nlNMOS())
 	ckt.AddC("cl", "out", "0", 10e-15)
-	sess, err := NewSession(Compile(ckt), Options{Dt: 1e-12})
+	sess, err := NewSession(Compile(ckt), 1e-12)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -63,7 +63,7 @@ func nlJacobianRig(t *testing.T) *Session {
 // tanh transition of C_GS and the saturated tail of C_GD.
 func TestNLCapJacobianFD(t *testing.T) {
 	s := nlJacobianRig(t)
-	geq := 2.0 / s.opts.Dt
+	geq := 2.0 / s.dt
 	s.stampBase(gmin)
 	lin := linalg.NewMatrix(s.size, s.size)
 	lin.CopyFrom(s.base)
@@ -159,11 +159,11 @@ func TestNLCapChargeConservation(t *testing.T) {
 	ckt.AddV("vin", "in", "0", vinW)
 	ckt.AddR("r", "in", "g", 10e3)
 	ckt.AddM("m1", "0", "g", "0", capOnlyNMOS(cgs))
-	sess, err := NewSession(Compile(ckt), Options{Dt: 1e-12})
+	sess, err := NewSession(Compile(ckt), 1e-12)
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := sess.RunTransient(context.Background(), 2.2e-9)
+	res, err := transientOf(context.Background(), sess, 2.2e-9)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -235,7 +235,7 @@ func TestNLCapZeroModulationBitIdentical(t *testing.T) {
 		if _, ok := prog.Cap("m1.cgd"); !ok {
 			t.Fatal("reduced cap m1.cgd not registered as a constant capacitor")
 		}
-		sess, err := NewSession(prog, Options{Dt: 1e-12})
+		sess, err := NewSession(prog, 1e-12)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -243,11 +243,11 @@ func TestNLCapZeroModulationBitIdentical(t *testing.T) {
 	}
 	sa, sb := build(true), build(false)
 
-	dca, err := sa.RunDC()
+	dca, err := dcOf(sa)
 	if err != nil {
 		t.Fatal(err)
 	}
-	dcb, err := sb.RunDC()
+	dcb, err := dcOf(sb)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -300,11 +300,11 @@ func TestNLCapProgramClassification(t *testing.T) {
 	if prog.Linear() {
 		t.Fatal("program with a nonlinear cap classified as linear")
 	}
-	sess, err := NewSession(prog, Options{Dt: 1e-12})
+	sess, err := NewSession(prog, 1e-12)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := sess.RunTransient(context.Background(), 400e-12); err != nil {
+	if _, err := transientOf(context.Background(), sess, 400e-12); err != nil {
 		t.Fatal(err)
 	}
 	st := sess.Stats()
@@ -341,12 +341,12 @@ func TestNLCapPredictorCutsIterations(t *testing.T) {
 	}
 	const tstop = 600e-12
 	run := func(pred bool) (Counters, *Result) {
-		sess, err := NewSession(prog, Options{Dt: 1e-12})
+		sess, err := NewSession(prog, 1e-12)
 		if err != nil {
 			t.Fatal(err)
 		}
 		sess.Predictor(pred)
-		res, err := sess.RunTransient(context.Background(), tstop)
+		res, err := transientOf(context.Background(), sess, tstop)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -376,18 +376,18 @@ func TestNLCapPredictorCutsIterations(t *testing.T) {
 func TestNLCapWarmStartAgrees(t *testing.T) {
 	prog := Compile(nlGlitchRig(t))
 	run := func(warm, second bool) *Result {
-		sess, err := NewSession(prog, Options{Dt: 1e-12})
+		sess, err := NewSession(prog, 1e-12)
 		if err != nil {
 			t.Fatal(err)
 		}
 		sess.WarmStart(warm)
-		res, err := sess.RunTransient(context.Background(), 500e-12)
+		res, err := transientOf(context.Background(), sess, 500e-12)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if second {
 			// The second run actually consumes the warm state.
-			if res, err = sess.RunTransient(context.Background(), 500e-12); err != nil {
+			if res, err = transientOf(context.Background(), sess, 500e-12); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -409,11 +409,11 @@ func TestNLCapWarmStartAgrees(t *testing.T) {
 // the same physical ballpark (same supply rails).
 func TestNLCapChangesGlitchTransfer(t *testing.T) {
 	run := func(tc *tech.Tech) *Result {
-		sess, err := NewSession(Compile(glitchRig(t, tc, "INV")), Options{Dt: 1e-12})
+		sess, err := NewSession(Compile(glitchRig(t, tc, "INV")), 1e-12)
 		if err != nil {
 			t.Fatal(err)
 		}
-		res, err := sess.RunTransient(context.Background(), 600e-12)
+		res, err := transientOf(context.Background(), sess, 600e-12)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -439,7 +439,7 @@ func TestNLCapChangesGlitchTransfer(t *testing.T) {
 // tracks next to the constant-cap benchmarks.
 func BenchmarkNLMOSTransient(b *testing.B) {
 	prog := Compile(nlGlitchRig(b))
-	sess, err := NewSession(prog, Options{Dt: 1e-12})
+	sess, err := NewSession(prog, 1e-12)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -447,7 +447,7 @@ func BenchmarkNLMOSTransient(b *testing.B) {
 	ctx := context.Background()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if err := sess.RunTransientInto(ctx, res, 600e-12); err != nil {
+		if err := sess.RunTransient(ctx, res, 600e-12, nil); err != nil {
 			b.Fatal(err)
 		}
 	}

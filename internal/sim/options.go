@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"sort"
 )
 
 // The solver settings every session runs with. Capacitors integrate with
@@ -16,40 +15,19 @@ const (
 	iTol      = 1e-12 // residual current tolerance (A)
 	gmin      = 1e-12 // minimum conductance to ground (S)
 	maxStep   = 0.5   // Newton per-iteration voltage damping limit (V)
+	defaultDt = 1e-12 // transient step of a session opened with none (s)
 )
-
-// Options configures a simulation run. The zero value is completed with
-// sensible defaults by normalize. Non-finite values (NaN or ±Inf) in any
-// numeric field are rejected with an *OptionsError before a solve starts —
-// a NaN timestep would otherwise pass every `<= 0` default check and run
-// a transient forever.
-type Options struct {
-	Dt    float64 // transient timestep (s); default 1 ps
-	TStop float64 // transient end time (s)
-
-	// InitialGuess seeds DC node voltages by node name. Seeding nodes near
-	// their quiet logic values both speeds convergence and selects the
-	// intended operating point.
-	InitialGuess map[string]float64
-}
-
-func (o Options) normalize() Options {
-	if o.Dt <= 0 {
-		o.Dt = 1e-12
-	}
-	return o
-}
 
 // ErrInvalidOptions is the sentinel wrapped by every *OptionsError, so
 // callers can test the class with errors.Is without matching fields.
 var ErrInvalidOptions = errors.New("sim: invalid options")
 
-// OptionsError reports a simulation option that cannot be used: a NaN or
-// infinite numeric field, or a NaN/Inf initial-guess voltage. The
+// OptionsError reports a simulation setting that cannot be used: a NaN or
+// infinite step (NewSession) or stop time (RunTransient). The
 // characterisation layers above report their grid entries with it too
 // (e.g. a zero glitch width). It unwraps to ErrInvalidOptions.
 type OptionsError struct {
-	Field string  // e.g. "Dt" or `InitialGuess["out"]`
+	Field string  // e.g. "Dt" or "TStop"
 	Value float64 // the offending value
 	// Want is the condition the value breaks, e.g. "positive and finite";
 	// empty means "finite".
@@ -105,37 +83,4 @@ func GridSteps(tstop, dt float64, signals int) (int, error) {
 		return 0, &GridError{Dt: dt, TStop: tstop, Signals: signals}
 	}
 	return int(n), nil
-}
-
-// Validate rejects non-finite option values with an *OptionsError. Zero
-// and negative values are legal — normalize replaces them with defaults —
-// but NaN and ±Inf are programming errors that would otherwise seed Newton
-// with a NaN or run a transient forever.
-func (o Options) Validate() error {
-	fields := []struct {
-		name string
-		v    float64
-	}{
-		{"Dt", o.Dt},
-		{"TStop", o.TStop},
-	}
-	for _, f := range fields {
-		if math.IsNaN(f.v) || math.IsInf(f.v, 0) {
-			return &OptionsError{Field: f.name, Value: f.v}
-		}
-	}
-	if len(o.InitialGuess) > 0 {
-		// Deterministic reporting order for map-backed guesses.
-		names := make([]string, 0, len(o.InitialGuess))
-		for name := range o.InitialGuess {
-			names = append(names, name)
-		}
-		sort.Strings(names)
-		for _, name := range names {
-			if v := o.InitialGuess[name]; math.IsNaN(v) || math.IsInf(v, 0) {
-				return &OptionsError{Field: fmt.Sprintf("InitialGuess[%q]", name), Value: v}
-			}
-		}
-	}
-	return nil
 }

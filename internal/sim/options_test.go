@@ -18,27 +18,59 @@ func optTestCircuit() *circuit.Circuit {
 	return c
 }
 
+// TestOptionsValidateRejectsNonFinite: a non-finite step (NewSession) or
+// stop time (RunTransient) is an *OptionsError naming it, and a non-finite
+// guess panics in SetGuess.
 func TestOptionsValidateRejectsNonFinite(t *testing.T) {
 	nan := math.NaN()
 	inf := math.Inf(1)
+	prog := Compile(optTestCircuit())
+	stopAt := func(tstop float64) func() error {
+		return func() error {
+			sess, err := NewSession(prog, 1e-12)
+			if err != nil {
+				return err
+			}
+			return sess.RunTransient(context.Background(), &Result{}, tstop, nil)
+		}
+	}
+	guess := func(v float64) func() error {
+		return func() error {
+			sess, err := NewSession(prog, 1e-12)
+			if err != nil {
+				return err
+			}
+			sess.SetGuess("out", v)
+			return nil
+		}
+	}
 	cases := []struct {
 		name  string
-		opts  Options
-		field string
+		try   func() error
+		field string // empty: the call must panic
 	}{
-		{"NaN Dt", Options{Dt: nan}, "Dt"},
-		{"Inf Dt", Options{Dt: inf}, "Dt"},
-		{"NaN TStop", Options{TStop: nan}, "TStop"},
-		{"Inf TStop", Options{TStop: inf}, "TStop"},
-		{"-Inf TStop", Options{TStop: math.Inf(-1)}, "TStop"},
-		{"NaN guess", Options{InitialGuess: map[string]float64{"out": nan}}, `InitialGuess["out"]`},
-		{"Inf guess", Options{InitialGuess: map[string]float64{"out": inf}}, `InitialGuess["out"]`},
+		{"NaN Dt", func() error { _, err := NewSession(prog, nan); return err }, "Dt"},
+		{"Inf Dt", func() error { _, err := NewSession(prog, inf); return err }, "Dt"},
+		{"NaN TStop", stopAt(nan), "TStop"},
+		{"Inf TStop", stopAt(inf), "TStop"},
+		{"-Inf TStop", stopAt(math.Inf(-1)), "TStop"},
+		{"NaN guess", guess(nan), ""},
+		{"Inf guess", guess(inf), ""},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			err := tc.opts.Validate()
+			if tc.field == "" {
+				defer func() {
+					if recover() == nil {
+						t.Error("SetGuess accepted a non-finite guess")
+					}
+				}()
+				tc.try()
+				return
+			}
+			err := tc.try()
 			if err == nil {
-				t.Fatal("Validate accepted non-finite option")
+				t.Fatal("non-finite option accepted")
 			}
 			var oe *OptionsError
 			if !errors.As(err, &oe) {
@@ -54,24 +86,35 @@ func TestOptionsValidateRejectsNonFinite(t *testing.T) {
 	}
 }
 
+// TestOptionsValidateAcceptsDefaultsAndNegatives: a zero or negative step
+// selects the 1 ps default instead of being rejected, and finite guesses,
+// of known nodes or not, are accepted.
 func TestOptionsValidateAcceptsDefaultsAndNegatives(t *testing.T) {
-	// Zero and negative values are replaced by defaults, not rejected.
-	for _, o := range []Options{
-		{},
-		{Dt: -1, TStop: -2},
-		{InitialGuess: map[string]float64{"a": 1.2, "b": -0.3}},
-	} {
-		if err := o.Validate(); err != nil {
-			t.Errorf("Validate(%+v) = %v, want nil", o, err)
+	prog := Compile(optTestCircuit())
+	for _, dt := range []float64{0, -1} {
+		sess, err := NewSession(prog, dt)
+		if err != nil {
+			t.Fatalf("NewSession(dt=%g) = %v, want nil", dt, err)
+		}
+		sess.SetGuess("out", 1.2)
+		sess.SetGuess("nosuch", -0.3)
+		var res Result
+		if err := sess.RunTransient(context.Background(), &res, 10e-12, nil); err != nil {
+			t.Fatal(err)
+		}
+		if res.Steps() != 11 || res.Times[1] != 1e-12 {
+			t.Errorf("dt=%g: %d samples, first step %g; want the 1 ps default", dt, res.Steps(), res.Times[1])
 		}
 	}
 }
 
+// TestDCRejectsNonFiniteOptions: a NaN step is rejected when the session
+// opens, before any solve starts.
 func TestDCRejectsNonFiniteOptions(t *testing.T) {
 	before := Snapshot()
-	_, err := DC(optTestCircuit(), Options{Dt: math.NaN()})
+	_, err := NewSession(Compile(optTestCircuit()), math.NaN())
 	if !errors.Is(err, ErrInvalidOptions) {
-		t.Fatalf("DC with NaN Dt: err = %v, want ErrInvalidOptions", err)
+		t.Fatalf("NewSession with NaN Dt: err = %v, want ErrInvalidOptions", err)
 	}
 	// Rejected runs never start a solve.
 	if d := Snapshot().Sub(before); d.Total() != 0 {
@@ -79,43 +122,52 @@ func TestDCRejectsNonFiniteOptions(t *testing.T) {
 	}
 }
 
+// TestTransientRejectsNonFiniteOptions: every run method rejects a
+// non-finite stop time before it solves.
 func TestTransientRejectsNonFiniteOptions(t *testing.T) {
-	for _, o := range []Options{
-		{Dt: math.NaN(), TStop: 1e-9},
-		{Dt: 1e-12, TStop: math.Inf(1)},
-		{Dt: 1e-12, TStop: 1e-9, InitialGuess: map[string]float64{"out": math.NaN()}},
-	} {
-		if _, err := Transient(context.Background(), optTestCircuit(), o); !errors.Is(err, ErrInvalidOptions) {
-			t.Errorf("Transient(%+v): err = %v, want ErrInvalidOptions", o, err)
-		}
+	sess, err := NewSession(Compile(optTestCircuit()), 1e-12)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var res Result
+	before := sess.Stats()
+	if err := sess.RunTransient(context.Background(), &res, math.Inf(1), nil); !errors.Is(err, ErrInvalidOptions) {
+		t.Errorf("RunTransient(tstop=+Inf): err = %v, want ErrInvalidOptions", err)
+	}
+	if err := sess.RunTransientAdaptive(context.Background(), &res, math.NaN()); !errors.Is(err, ErrInvalidOptions) {
+		t.Errorf("RunTransientAdaptive(tstop=NaN): err = %v, want ErrInvalidOptions", err)
+	}
+	if d := sess.Stats().Sub(before); d.DC != 0 || d.TransientSteps != 0 {
+		t.Errorf("rejected runs solved: %+v", d)
 	}
 }
 
 func TestNewSessionRejectsNonFiniteOptions(t *testing.T) {
 	prog := Compile(optTestCircuit())
-	if _, err := NewSession(prog, Options{Dt: math.NaN()}); !errors.Is(err, ErrInvalidOptions) {
+	if _, err := NewSession(prog, math.NaN()); !errors.Is(err, ErrInvalidOptions) {
 		t.Fatalf("NewSession with NaN Dt: err = %v, want ErrInvalidOptions", err)
 	}
 }
 
 func TestRunTransientRejectsNonFiniteTStop(t *testing.T) {
-	sess, err := NewSession(Compile(optTestCircuit()), Options{Dt: 1e-12})
+	sess, err := NewSession(Compile(optTestCircuit()), 1e-12)
 	if err != nil {
 		t.Fatal(err)
 	}
+	var res Result
 	for _, tstop := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
-		if _, err := sess.RunTransient(context.Background(), tstop); !errors.Is(err, ErrInvalidOptions) {
+		if err := sess.RunTransient(context.Background(), &res, tstop, nil); !errors.Is(err, ErrInvalidOptions) {
 			t.Errorf("RunTransient(tstop=%v): err = %v, want ErrInvalidOptions", tstop, err)
 		}
 	}
-	if _, err := sess.RunTransient(context.Background(), 0); err == nil {
+	if err := sess.RunTransient(context.Background(), &res, 0, nil); err == nil {
 		t.Error("RunTransient(0) should fail")
 	}
 }
 
 // A finite Dt so small that the run would record more than the sample cap
-// is rejected with the typed *GridError before the result is sized,
-// through Transient and through a session's RunTransient.
+// is rejected with the typed *GridError before the result is sized, by
+// both transient run methods.
 func TestTransientRejectsOversizedGrid(t *testing.T) {
 	check := func(what string, err error) {
 		t.Helper()
@@ -124,14 +176,13 @@ func TestTransientRejectsOversizedGrid(t *testing.T) {
 			t.Errorf("%s: err = %v, want *GridError on Dt = 1e-19", what, err)
 		}
 	}
-	_, err := Transient(context.Background(), optTestCircuit(), Options{Dt: 1e-19, TStop: 2e-9})
-	check("Transient", err)
-	sess, err := NewSession(Compile(optTestCircuit()), Options{Dt: 1e-19})
+	sess, err := NewSession(Compile(optTestCircuit()), 1e-19)
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, err = sess.RunTransient(context.Background(), 2e-9)
-	check("RunTransient", err)
+	var res Result
+	check("RunTransient", sess.RunTransient(context.Background(), &res, 2e-9, nil))
+	check("RunTransientAdaptive", sess.RunTransientAdaptive(context.Background(), &res, 2e-9))
 }
 
 // GridSteps keeps the legacy loop's step count, and its cap counts samples

@@ -43,12 +43,12 @@ func TestPredictorCutsNewtonIterations(t *testing.T) {
 			const tstop = 600e-12
 
 			run := func(pred bool) (Counters, *Result) {
-				sess, err := NewSession(prog, Options{Dt: 1e-12})
+				sess, err := NewSession(prog, 1e-12)
 				if err != nil {
 					t.Fatal(err)
 				}
 				sess.Predictor(pred)
-				res, err := sess.RunTransient(context.Background(), tstop)
+				res, err := transientOf(context.Background(), sess, tstop)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -115,12 +115,12 @@ func TestPredictorFallbackRecovers(t *testing.T) {
 	prog := Compile(ckt)
 
 	run := func(pred bool) *Result {
-		sess, err := NewSession(prog, Options{Dt: 1e-12})
+		sess, err := NewSession(prog, 1e-12)
 		if err != nil {
 			t.Fatal(err)
 		}
 		sess.Predictor(pred)
-		res, err := sess.RunTransient(context.Background(), 300e-12)
+		res, err := transientOf(context.Background(), sess, 300e-12)
 		if err != nil {
 			t.Fatal(err)
 		}

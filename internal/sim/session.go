@@ -21,15 +21,15 @@ import (
 //
 // The Newton inner loop is allocation-free: the Jacobian is copied into
 // reused buffers, factored in place, and solved into a preallocated
-// update vector (asserted by TestNewtonLoopAllocFree). Results returned by
-// RunDC/RunTransient are fresh allocations and remain valid after further
-// runs.
+// update vector (asserted by TestNewtonLoopAllocFree). Every run fills a
+// caller-owned result that does not alias session buffers, so it stays
+// valid across further runs.
 //
 // A Session is not safe for concurrent use; open one Session per
 // goroutine (Programs are immutable and may be shared).
 type Session struct {
 	prog *Program
-	opts Options
+	dt   float64 // the fixed transient step (s)
 
 	n, m, size int
 
@@ -141,16 +141,20 @@ type guessEntry struct {
 	v    float64
 }
 
-// NewSession opens a Session against a compiled Program. Options are
-// validated (see Options.Validate) and normalized once here; TStop is
-// ignored — RunTransient takes the stop time per run.
-func NewSession(p *Program, opts Options) (*Session, error) {
-	if err := opts.Validate(); err != nil {
-		return nil, err
+// NewSession opens a Session against a compiled Program with the fixed
+// transient step dt (s); a dt ≤ 0 selects 1 ps. A NaN or infinite dt is
+// an *OptionsError on "Dt": it would pass every `<= 0` check and run a
+// transient forever. The stop time is an argument of each run.
+func NewSession(p *Program, dt float64) (*Session, error) {
+	if math.IsNaN(dt) || math.IsInf(dt, 0) {
+		return nil, &OptionsError{Field: "Dt", Value: dt}
+	}
+	if dt <= 0 {
+		dt = defaultDt
 	}
 	s := &Session{
 		prog: p,
-		opts: opts.normalize(),
+		dt:   dt,
 		n:    p.n,
 		m:    p.m,
 		size: p.size,
@@ -173,9 +177,6 @@ func NewSession(p *Program, opts Options) (*Session, error) {
 		s.cPrevNL = make([]float64, len(p.nlcaps))
 	}
 	s.xWarm = make([]float64, s.size)
-	for name, v := range s.opts.InitialGuess {
-		s.setGuess(name, v)
-	}
 	s.stampBase(gmin)
 	return s, nil
 }
@@ -220,12 +221,11 @@ func (s *Session) SetSourceDC(h SourceHandle, v float64) {
 // robustness. The converged result can differ from a cold solve in the
 // last bits, so a session starts cold: the characterisation sweeps
 // (charlib, nrc) switch it on, while golden transients, Thevenin fits and
-// one-shot solves keep the cold start.
+// one-off solves keep the cold start.
 //
-// Initial-guess seeds (Options.InitialGuess, SetGuess) only apply to cold
-// starts; while a warm seed is available they are ignored by design.
-// Switching warm start off discards the stored solution, so the next solve
-// is cold again.
+// Initial-guess seeds (SetGuess) only apply to cold starts; while a warm
+// seed is available they are ignored by design. Switching warm start off
+// discards the stored solution, so the next solve is cold again.
 func (s *Session) WarmStart(on bool) {
 	s.warmStart = on
 	if !on {
@@ -297,18 +297,15 @@ func (s *Session) SetLoad(h CapHandle, c float64) {
 	s.capC[h] = c
 }
 
-// SetGuess overrides the initial-guess voltage of a named node for
-// subsequent runs, replacing any value the Options carried for it.
-// Unknown node names and ground are silently ignored, matching how
-// Options.InitialGuess treats them; the value must be finite.
+// SetGuess sets the initial-guess voltage of a named node for subsequent
+// cold DC solves, replacing any earlier guess for it. Seeding nodes near
+// their quiet logic values both speeds convergence and selects the
+// intended operating point. Unknown node names and ground are silently
+// ignored; the value must be finite.
 func (s *Session) SetGuess(name string, v float64) {
 	if math.IsNaN(v) || math.IsInf(v, 0) {
 		panic(fmt.Sprintf("sim: SetGuess(%q) with non-finite value %g", name, v))
 	}
-	s.setGuess(name, v)
-}
-
-func (s *Session) setGuess(name string, v float64) {
 	id, ok := s.prog.ckt.LookupNode(name)
 	if !ok || id == circuit.Ground {
 		return
@@ -667,28 +664,18 @@ func (s *Session) solveStep(factored bool, x, b []float64) error {
 }
 
 // RunDC computes the operating point at t = 0 with the session's current
-// parameters. When plain Newton fails it falls back to gmin stepping:
-// solving a sequence of progressively less regularised systems,
-// warm-starting each from the last. The returned result does not alias
-// session buffers; sweeps that want an allocation-free loop use RunDCInto.
-func (s *Session) RunDC() (*DCResult, error) {
-	defer s.publish(s.stats)
-	if err := s.solveDC(false); err != nil {
-		return nil, err
-	}
-	return s.dcResult(), nil
-}
-
-// RunDCInto is RunDC writing the operating point into a caller-owned
-// result, reusing its backing storage: after the first call on a given
-// DCResult, a sweep loop of SetSourceDC + RunDCInto + SourceCurrent
-// performs zero allocations per grid point (asserted by
-// TestRunDCIntoAllocFree). On error the result is left untouched. The
-// filled result does not alias session buffers and stays valid across
-// further runs.
-func (s *Session) RunDCInto(res *DCResult) error {
+// parameters into a caller-owned result. When plain Newton fails it falls
+// back to gmin stepping: solving a sequence of progressively less
+// regularised systems, warm-starting each from the last.
+//
+// The result's backing storage is reused: after the first call on a given
+// DCResult, a sweep loop of SetSourceDC + RunDC + SourceCurrent performs
+// zero allocations per grid point (asserted by TestRunDCIntoAllocFree). On
+// error the result is left untouched. The filled result does not alias
+// session buffers and stays valid across further runs.
+func (s *Session) RunDC(res *DCResult) error {
 	if res == nil {
-		panic("sim: RunDCInto with nil result")
+		panic("sim: RunDC with nil result")
 	}
 	defer s.publish(s.stats)
 	if err := s.solveDC(false); err != nil {
@@ -787,15 +774,33 @@ func (s *Session) saveWarm() {
 	s.haveWarm = true
 }
 
-func (s *Session) dcResult() *DCResult {
-	return &DCResult{c: s.prog.ckt, X: append([]float64(nil), s.x...), n: s.n}
-}
-
 // RunTransient runs a transient analysis from a DC operating point at
-// t = 0 to tstop with the session's fixed step (Options.Dt). The context
-// is checked periodically between timesteps; a nil context disables
-// cancellation. The returned result does not alias session buffers; sweeps
-// that want an allocation-free loop use RunTransientInto.
+// t = 0 to tstop on the session's fixed step (see NewSession), writing the
+// waveforms into a caller-owned result. The context is checked
+// periodically between timesteps; a nil context disables cancellation.
+//
+// After each sample it records, the operating point at t = 0 included,
+// the run calls stop with the session's unknown vector for that sample —
+// node voltages indexed by circuit.NodeID, then voltage-source branch
+// currents, the layout of DCResult.X — and returns as soon as stop reports
+// true. stop must neither modify nor retain the slice. A nil stop runs to
+// tstop. Stopping skips steps; it never changes one. A run stopped at
+// step k holds k+1 samples, each bit-identical to the same sample of the
+// full run, and the counters (Stats, Snapshot) count only the steps
+// executed. A consumer that reads only a prefix of the run therefore gets
+// the same answer whenever stop fires at or after the sample that decides
+// it (DESIGN.md §16).
+//
+// The result's backing storage is reused: after the first call on a given
+// Result, a glitch-sweep loop of SetSource/SetLoad + RunTransient performs
+// zero allocations per run, and the warm per-step loop allocates zero
+// bytes (asserted by TestTransientStepAllocFree). On error the result's
+// contents are unspecified and must not be read; it may be reused for the
+// next run. The filled result does not alias session buffers and stays
+// valid across further runs — but waveforms obtained from it before the
+// next run on the same Result are only safe because wave.FromPoints copies
+// its inputs; slices read directly from Result are overwritten by the next
+// run.
 //
 // Programs whose shape pays for it run the factored step loop (DESIGN.md
 // §17): the transient system matrix is factored exactly once per run, and
@@ -810,51 +815,14 @@ func (s *Session) dcResult() *DCResult {
 // the dense Newton's up to round-off, and a step whose correction fails is
 // re-solved densely (Counters.LowRankFallbacks). Nonlinear programs can
 // opt into predictor seeding (see Predictor).
-func (s *Session) RunTransient(ctx context.Context, tstop float64) (*Result, error) {
-	res := &Result{}
-	if err := s.RunTransientInto(ctx, res, tstop); err != nil {
-		return nil, err
-	}
-	return res, nil
-}
-
-// RunTransientInto is RunTransient writing the waveforms into a
-// caller-owned result, reusing its backing storage: after the first call
-// on a given Result, a glitch-sweep loop of SetSource/SetLoad +
-// RunTransientInto performs zero allocations per run, and the warm
-// per-step loop allocates zero bytes (asserted by
-// TestTransientStepAllocFree). On error the result's contents are
-// unspecified and must not be read; it may be reused for the next run. The
-// filled result does not alias session buffers and stays valid across
-// further runs — but waveforms obtained from it before the next
-// RunTransientInto call on the same Result are only safe because
-// wave.FromPoints copies its inputs; slices read directly from Result are
-// overwritten by the next run.
-func (s *Session) RunTransientInto(ctx context.Context, res *Result, tstop float64) error {
-	return s.RunTransientUntil(ctx, res, tstop, nil)
-}
-
-// RunTransientUntil is RunTransientInto that ends the run early: after
-// each sample it records, the operating point at t = 0 included, it calls
-// stop with the session's unknown vector for that sample — node voltages
-// indexed by circuit.NodeID, then voltage-source branch currents, the
-// layout of DCResult.X — and returns as soon as stop reports true. stop
-// must neither modify nor retain the slice. A nil stop runs to tstop.
-//
-// Stopping skips steps; it never changes one. A run stopped at step k
-// holds k+1 samples, each bit-identical to the same sample of the full
-// run, and the counters (Stats, Snapshot) count only the steps executed.
-// A consumer that reads only a prefix of the run therefore gets the same
-// answer whenever stop fires at or after the sample that decides it
-// (DESIGN.md §16).
-func (s *Session) RunTransientUntil(ctx context.Context, res *Result, tstop float64, stop func(x []float64) bool) error {
+func (s *Session) RunTransient(ctx context.Context, res *Result, tstop float64, stop func(x []float64) bool) error {
 	return s.runTransient(ctx, res, tstop, stop, false)
 }
 
-// RunTransientAdaptive is RunTransientInto on an adaptive time axis
-// (DESIGN.md §21). It ends where the fixed grid does, at the grid's last
-// point, and it runs the fixed grid's step loop, but each step is drawn
-// from Dt·2^j, j = −2..6, by a local-truncation-error estimate on
+// RunTransientAdaptive is RunTransient, run to tstop, on an adaptive time
+// axis (DESIGN.md §21). It ends where the fixed grid does, at the grid's
+// last point, and it runs the fixed grid's step loop, but each step is
+// drawn from Dt·2^j, j = −2..6, by a local-truncation-error estimate on
 // capacitor charge: a step whose estimate exceeds its bound is retried
 // shorter, and the next step grows at most twofold. Every knot where a
 // source waveform's slope changes is landed as a sample; the first step
@@ -880,7 +848,7 @@ func (s *Session) RunTransientAdaptive(ctx context.Context, res *Result, tstop f
 // control, restamping the step matrix whenever the step length changes.
 func (s *Session) runTransient(ctx context.Context, res *Result, tstop float64, stop func(x []float64) bool, adaptive bool) error {
 	if res == nil {
-		panic("sim: RunTransientUntil with nil result")
+		panic("sim: transient run with nil result")
 	}
 	defer s.publish(s.stats)
 	s.stats.Transient++
@@ -891,10 +859,10 @@ func (s *Session) runTransient(ctx context.Context, res *Result, tstop float64, 
 		return &OptionsError{Field: "TStop", Value: tstop}
 	}
 	if tstop <= 0 {
-		return errors.New("sim: Transient requires positive TStop")
+		return errors.New("sim: a transient requires a positive tstop")
 	}
 
-	h := s.opts.Dt
+	h := s.dt
 	// Indexed time grid: t = k·h instead of the legacy accumulating
 	// t += h, which drifted by an ulp per step and could drop or duplicate
 	// the final step on long runs (TestTransientStepCountExact pins the
@@ -962,7 +930,7 @@ func (s *Session) runTransient(ctx context.Context, res *Result, tstop float64, 
 	// approximation: the run starts from a *converged DC operating point*,
 	// where every capacitor is an open circuit carrying zero current. It
 	// would only be approximate if the solution at t = 0 were not a steady
-	// state — but SetGuess/InitialGuess perturb the Newton seed, never the
+	// state — but SetGuess perturbs the Newton seed, never the
 	// converged operating point itself, so a non-steady start cannot be
 	// constructed through this API (TestTransientOPCapCurrentIsZero pins
 	// the flat-output consequence), and mid-transient restarts are not

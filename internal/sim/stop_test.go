@@ -35,7 +35,7 @@ func sameSamples(got, want *Result) int {
 func transientBranches(ctx context.Context, s *Session, tstop float64) (*Result, [][]float64, error) {
 	var res Result
 	var branches [][]float64
-	err := s.RunTransientUntil(ctx, &res, tstop, func(x []float64) bool {
+	err := s.RunTransient(ctx, &res, tstop, func(x []float64) bool {
 		branches = append(branches, append([]float64(nil), x[s.n:]...))
 		return false
 	})
@@ -73,14 +73,14 @@ func TestRunTransientUntilStopsAtSample(t *testing.T) {
 			for _, pred := range []bool{false, true} {
 				ckt := glitchRig(t, tc, kind)
 				out, _ := ckt.LookupNode("out")
-				sess, err := NewSession(Compile(ckt), Options{Dt: 1e-12})
+				sess, err := NewSession(Compile(ckt), 1e-12)
 				if err != nil {
 					t.Fatal(err)
 				}
 				sess.Predictor(pred)
 				var full Result
 				before := sess.Stats()
-				if err := sess.RunTransientInto(ctx, &full, tstop); err != nil {
+				if err := sess.RunTransient(ctx, &full, tstop, nil); err != nil {
 					t.Fatal(err)
 				}
 				fullWork := sess.Stats().Sub(before)
@@ -116,7 +116,7 @@ func TestRunTransientUntilStopsAtSample(t *testing.T) {
 						return seen == k+1
 					}
 					before := sess.Stats()
-					if err := sess.RunTransientUntil(ctx, &res, tstop, stop); err != nil {
+					if err := sess.RunTransient(ctx, &res, tstop, stop); err != nil {
 						t.Fatal(err)
 					}
 					d := sess.Stats().Sub(before)
@@ -182,7 +182,7 @@ func TestNewtonRejectsNaN(t *testing.T) {
 	for _, slope := range []bool{false, true} {
 		// DC: the 1 V source puts the control above the NaN threshold at
 		// the operating point.
-		if _, err := DC(nanBench(wave.Constant(1), nanVCCS{slope: slope, above: 0.5}), Options{}); !errors.Is(err, ErrNoConvergence) {
+		if _, err := freshDC(nanBench(wave.Constant(1), nanVCCS{slope: slope, above: 0.5}), nil); !errors.Is(err, ErrNoConvergence) {
 			t.Errorf("slope=%v: DC error %v, want ErrNoConvergence", slope, err)
 		}
 		// Transient: the operating point at 0 V is finite, and the ramp
@@ -197,12 +197,12 @@ func TestNewtonRejectsNaN(t *testing.T) {
 				t.Fatalf("segments=%d: factored path %v, want %v", segments, prog.lr.use, factored)
 			}
 			for _, pred := range []bool{false, true} {
-				sess, err := NewSession(prog, Options{Dt: 1e-12})
+				sess, err := NewSession(prog, 1e-12)
 				if err != nil {
 					t.Fatal(err)
 				}
 				sess.Predictor(pred)
-				res, err := sess.RunTransient(context.Background(), 400e-12)
+				res, err := transientOf(context.Background(), sess, 400e-12)
 				if !errors.Is(err, ErrNoConvergence) {
 					t.Errorf("slope=%v segments=%d pred=%v: transient error %v, want ErrNoConvergence", slope, segments, pred, err)
 				}

@@ -34,11 +34,11 @@ func TestTransientStepCountExact(t *testing.T) {
 			ckt.AddV("vin", "a", "0", wave.SaturatedRamp(0, 1.0, 10e-12, 40e-12))
 			ckt.AddR("r", "a", "b", 1000)
 			ckt.AddC("c", "b", "0", 10e-15)
-			sess, err := NewSession(Compile(ckt), Options{Dt: tc.dt})
+			sess, err := NewSession(Compile(ckt), tc.dt)
 			if err != nil {
 				t.Fatal(err)
 			}
-			res, err := sess.RunTransient(context.Background(), tc.tstop)
+			res, err := transientOf(context.Background(), sess, tc.tstop)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -72,7 +72,7 @@ func TestTransientOPCapCurrentIsZero(t *testing.T) {
 			t.Fatal(err)
 		}
 		ckt.AddC("cl", "out", "0", 30e-15)
-		sess, err := NewSession(Compile(ckt), Options{Dt: 1e-12})
+		sess, err := NewSession(Compile(ckt), 1e-12)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -94,7 +94,7 @@ func TestTransientOPCapCurrentIsZero(t *testing.T) {
 
 func assertFlat(t *testing.T, sess *Session, node string) {
 	t.Helper()
-	res, err := sess.RunTransient(context.Background(), 200e-12)
+	res, err := transientOf(context.Background(), sess, 200e-12)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -106,13 +106,13 @@ func assertFlat(t *testing.T, sess *Session, node string) {
 	}
 }
 
-// TestTransientStepAllocFree asserts the RunTransientInto contract on every
+// TestTransientStepAllocFree asserts the RunTransient contract on every
 // solver path — linear fast path, dense Newton, factored step loop: after the first run on a given Result, a repeated
 // transient sweep — and in particular its per-step loop — allocates zero
 // bytes.
 func TestTransientStepAllocFree(t *testing.T) {
 	t.Run("linear_fast_path", func(t *testing.T) {
-		sess, err := NewSession(Compile(rcLadderCircuit(t)), Options{Dt: 1e-12})
+		sess, err := NewSession(Compile(rcLadderCircuit(t)), 1e-12)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -128,7 +128,7 @@ func TestTransientStepAllocFree(t *testing.T) {
 			t.Fatal(err)
 		}
 		ckt.AddC("cl", "out", "0", 30e-15)
-		sess, err := NewSession(Compile(ckt), Options{Dt: 1e-12})
+		sess, err := NewSession(Compile(ckt), 1e-12)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -137,7 +137,7 @@ func TestTransientStepAllocFree(t *testing.T) {
 	})
 	t.Run("factored_path", func(t *testing.T) {
 		prog := Compile(goldenShapedCircuit(t, tech.Tech130().WithNonlinearCaps(), "NAND2", 8))
-		sess, err := NewSession(prog, Options{Dt: 1e-12})
+		sess, err := NewSession(prog, 1e-12)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -153,15 +153,15 @@ func assertTransientAllocFree(t *testing.T, sess *Session, tstop float64) {
 	t.Helper()
 	ctx := context.Background()
 	res := &Result{}
-	if err := sess.RunTransientInto(ctx, res, tstop); err != nil {
+	if err := sess.RunTransient(ctx, res, tstop, nil); err != nil {
 		t.Fatal(err)
 	}
 	allocs := testing.AllocsPerRun(5, func() {
-		if err := sess.RunTransientInto(ctx, res, tstop); err != nil {
+		if err := sess.RunTransient(ctx, res, tstop, nil); err != nil {
 			t.Fatal(err)
 		}
 	})
 	if allocs != 0 {
-		t.Errorf("warm RunTransientInto allocated %.1f times per run, want 0", allocs)
+		t.Errorf("warm RunTransient allocated %.1f times per run, want 0", allocs)
 	}
 }

@@ -10,8 +10,9 @@ import (
 	"stanoise/internal/wave"
 )
 
-// TestRunDCIntoMatchesRunDC asserts the allocation-free result path fills
-// exactly the vector RunDC would have returned, point by sweep point.
+// TestRunDCIntoMatchesRunDC asserts that RunDC into one reused result, the
+// allocation-free sweep path, fills exactly the vector a fresh result
+// gets, point by sweep point.
 func TestRunDCIntoMatchesRunDC(t *testing.T) {
 	cl := cell.MustNew(tech.Tech130(), "NAND2", 1)
 	st, err := cl.SensitizedState("B", true)
@@ -21,7 +22,7 @@ func TestRunDCIntoMatchesRunDC(t *testing.T) {
 	mk := func() (*Session, SourceHandle, SourceHandle) {
 		ckt := buildForceBench(t, cl, st, "B", 0, 0)
 		prog := Compile(ckt)
-		sess, err := NewSession(prog, Options{})
+		sess, err := NewSession(prog, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -34,13 +35,13 @@ func TestRunDCIntoMatchesRunDC(t *testing.T) {
 		for _, vout := range []float64{0, 0.6, 1.2} {
 			sRef.SetSourceDC(hNoisyRef, vin)
 			sRef.SetSourceDC(hForceRef, vout)
-			want, err := sRef.RunDC()
+			want, err := dcOf(sRef)
 			if err != nil {
 				t.Fatal(err)
 			}
 			sInto.SetSourceDC(hNoisyInto, vin)
 			sInto.SetSourceDC(hForceInto, vout)
-			if err := sInto.RunDCInto(&dc); err != nil {
+			if err := sInto.RunDC(&dc); err != nil {
 				t.Fatal(err)
 			}
 			if len(dc.X) != len(want.X) {
@@ -48,7 +49,7 @@ func TestRunDCIntoMatchesRunDC(t *testing.T) {
 			}
 			for i := range dc.X {
 				if dc.X[i] != want.X[i] {
-					t.Fatalf("vin=%g vout=%g: X[%d] = %v (into) vs %v (RunDC)", vin, vout, i, dc.X[i], want.X[i])
+					t.Fatalf("vin=%g vout=%g: X[%d] = %v (reused) vs %v (fresh)", vin, vout, i, dc.X[i], want.X[i])
 				}
 			}
 			if got, want := dc.SourceCurrent(hForceInto), want.BranchI("vforce"); got != want {
@@ -71,7 +72,7 @@ func TestRunDCIntoAllocFree(t *testing.T) {
 	ckt := buildForceBench(t, cl, st, "B", 0.5, 0.8)
 	prog := Compile(ckt)
 	for _, warm := range []bool{false, true} {
-		sess, err := NewSession(prog, Options{})
+		sess, err := NewSession(prog, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -80,12 +81,12 @@ func TestRunDCIntoAllocFree(t *testing.T) {
 		hForce := prog.MustSource("vforce")
 		var dc DCResult
 		var sink float64
-		// Warm up: first RunDCInto sizes the result, first SetSourceDC and
+		// Warm up: first RunDC sizes the result, first SetSourceDC and
 		// SetGuess create their session-owned entries.
 		sess.SetSourceDC(hNoisy, 0.5)
 		sess.SetSourceDC(hForce, 0.8)
 		sess.SetGuess("dut.n1", 0.8)
-		if err := sess.RunDCInto(&dc); err != nil {
+		if err := sess.RunDC(&dc); err != nil {
 			t.Fatal(err)
 		}
 		vout := 0.7
@@ -94,7 +95,7 @@ func TestRunDCIntoAllocFree(t *testing.T) {
 			sess.SetSourceDC(hNoisy, 0.5)
 			sess.SetSourceDC(hForce, vout)
 			sess.SetGuess("dut.n1", vout)
-			if err := sess.RunDCInto(&dc); err != nil {
+			if err := sess.RunDC(&dc); err != nil {
 				t.Fatal(err)
 			}
 			sink += dc.SourceCurrent(hForce)
@@ -120,7 +121,7 @@ func TestWarmStartDCMatchesColdWithinTolerance(t *testing.T) {
 		mk := func(warm bool) (*Session, SourceHandle, SourceHandle) {
 			ckt := buildForceBench(t, cl, st, noisy, 0, 0)
 			prog := Compile(ckt)
-			sess, err := NewSession(prog, Options{})
+			sess, err := NewSession(prog, 0)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -134,12 +135,12 @@ func TestWarmStartDCMatchesColdWithinTolerance(t *testing.T) {
 			for vout := -0.2 * vdd; vout <= 1.2*vdd+1e-12; vout += 0.1 * vdd {
 				cold.SetSourceDC(hNC, vin)
 				cold.SetSourceDC(hFC, vout)
-				if err := cold.RunDCInto(&dcC); err != nil {
+				if err := cold.RunDC(&dcC); err != nil {
 					t.Fatal(err)
 				}
 				warm.SetSourceDC(hNW, vin)
 				warm.SetSourceDC(hFW, vout)
-				if err := warm.RunDCInto(&dcW); err != nil {
+				if err := warm.RunDC(&dcW); err != nil {
 					t.Fatal(err)
 				}
 				for i := range dcC.X {
@@ -169,13 +170,13 @@ func TestWarmStartStatsAndReset(t *testing.T) {
 	c.AddR("r", "in", "out", 1000)
 	c.AddR("r2", "out", "0", 1000)
 	prog := Compile(c)
-	sess, err := NewSession(prog, Options{})
+	sess, err := NewSession(prog, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	sess.WarmStart(true)
 	run := func() {
-		if _, err := sess.RunDC(); err != nil {
+		if _, err := dcOf(sess); err != nil {
 			t.Fatal(err)
 		}
 	}

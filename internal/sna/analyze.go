@@ -106,7 +106,7 @@ type Options struct {
 	NonlinearCaps bool
 	// Model quality knobs: the characterisation grids. The sweeps behind
 	// them always warm-start and, for transients, seed with the predictor
-	// (see charlib.CharacterizeLoadCurve and nrc.Characterize); Thevenin
+	// (see charlib.Cache.LoadCurve and nrc.Characterize); Thevenin
 	// aggressor fits are not sweeps over one rig and run cold.
 	LoadCurve charlib.LoadCurveOptions
 	Prop      charlib.PropOptions
@@ -309,12 +309,6 @@ type Analyzer struct {
 // (pools checked out by in-flight workers are not counted); with a shared
 // Options.RigPools the counts cover every analyzer on the set.
 func (a *Analyzer) RigPoolStats() (hits, misses int) { return a.pools.Stats() }
-
-// InvalidateRigPools drops every compiled bench of the analyzer's idle
-// pools (see PoolSet.Invalidate), returning how many benches were dropped.
-// This is the explicit invalidation point for long-lived holders whose
-// cell libraries or tech cards change underneath retained benches.
-func (a *Analyzer) InvalidateRigPools() int { return a.pools.Invalidate() }
 
 // NewAnalyzer builds an analyzer for a validated design. A NaN or infinite
 // Options.Dt makes every run (Analyze, Stream, PropagateChain) return a

@@ -170,14 +170,13 @@ func midSwingResistance(cl *cell.Cell, toState cell.State, v0, v1 float64) (floa
 	}
 	mid := 0.5 * (v0 + v1)
 	ckt.AddVDC("vforce", "out", "0", mid)
-	// A fit solves this bench exactly once: one session, one DC solve (what
-	// sim.DC does, kept open here for its counters).
-	sess, err := sim.NewSession(sim.Compile(ckt), sim.Options{})
+	// A fit solves this bench exactly once: one session, one DC solve.
+	sess, err := sim.NewSession(sim.Compile(ckt), 0)
 	if err != nil {
 		return 0, sim.Counters{}, fmt.Errorf("thevenin: mid-swing DC: %w", err)
 	}
-	dc, err := sess.RunDC()
-	if err != nil {
+	var dc sim.DCResult
+	if err := sess.RunDC(&dc); err != nil {
 		return 0, sess.Stats(), fmt.Errorf("thevenin: mid-swing DC: %w", err)
 	}
 	i := math.Abs(dc.BranchI("vforce"))
@@ -201,7 +200,7 @@ func simulateSwitch(ctx context.Context, cl *cell.Cell, fromState cell.State, sw
 		ckt.AddC("cl", "out", "0", loadCap)
 	}
 	prog := sim.Compile(ckt)
-	sess, err := sim.NewSession(prog, sim.Options{Dt: fitDt})
+	sess, err := sim.NewSession(prog, fitDt)
 	if err != nil {
 		return nil, sim.Counters{}, fmt.Errorf("thevenin: golden switch simulation: %w", err)
 	}
@@ -214,7 +213,7 @@ func simulateSwitch(ctx context.Context, cl *cell.Cell, fromState cell.State, sw
 	}
 	var res sim.Result
 	tstop := opts.InputT0 + opts.InputSlew + 2e-9
-	if err := sess.RunTransientUntil(ctx, &res, tstop, until); err != nil {
+	if err := sess.RunTransient(ctx, &res, tstop, until); err != nil {
 		return nil, sess.Stats(), fmt.Errorf("thevenin: golden switch simulation: %w", err)
 	}
 	return res.Waveform("out"), sess.Stats(), nil

@@ -84,8 +84,12 @@ func TestFittedModelMatchesGolden(t *testing.T) {
 	lin.AddV("vth", "th", "0", drv.Waveform())
 	lin.AddR("rth", "th", "out", drv.RTh)
 	lin.AddC("cl", "out", "0", load)
-	res, err := sim.Transient(context.Background(), lin, sim.Options{Dt: 1e-12, TStop: golden.End()})
+	sess, err := sim.NewSession(sim.Compile(lin), 1e-12)
 	if err != nil {
+		t.Fatal(err)
+	}
+	var res sim.Result
+	if err := sess.RunTransient(context.Background(), &res, golden.End(), nil); err != nil {
 		t.Fatal(err)
 	}
 	model := res.Waveform("out")
