@@ -49,6 +49,9 @@
 // expires receives the verdicts computed so far plus a terminal
 // {"type":"terminal","error":{"code":"deadline"}} record.
 //
+// All requests borrow their compiled simulator benches from one pool;
+// -rig-pool-rigs and -rig-pool-bytes bound the idle benches it retains.
+//
 // SIGINT/SIGTERM shut the server down gracefully: in-flight streams
 // finish (bounded by -shutdown-grace), new connections are refused.
 package main
@@ -92,13 +95,13 @@ func run() error {
 	fleet := flag.Int("fleet", 0, "fleet-wide concurrent cluster evaluations across all requests (0 = GOMAXPROCS, -1 = unbounded)")
 	workers := flag.Int("workers", 0, "per-request concurrent cluster workers (0 = GOMAXPROCS)")
 	retryAfterCap := flag.Duration("retry-after-cap", 0, "clamp on the saturation-derived Retry-After hint (0 = default 8s)")
-	rigPoolRigs := flag.Int("rig-pool-rigs", 0, "compiled benches retained per worker pool (0 = default)")
-	rigPoolBytes := flag.Int64("rig-pool-bytes", 0, "estimated bytes of compiled benches retained per worker pool (0 = unbounded)")
+	rigPoolRigs := flag.Int("rig-pool-rigs", 0, "idle compiled benches the server retains (0 = default 64)")
+	rigPoolBytes := flag.Int64("rig-pool-bytes", 0, "estimated bytes of idle compiled benches the server retains (0 = unbounded)")
 	shutdownGrace := flag.Duration("shutdown-grace", 30*time.Second, "how long in-flight streams may finish after SIGINT/SIGTERM")
 	flag.Parse()
 
 	analysis.Workers, analysis.CacheDir = *workers, *cacheDir
-	analysis.RigPoolLimits = core.RigPoolLimits{MaxRigs: *rigPoolRigs, MaxBytes: *rigPoolBytes}
+	analysis.RigPools = core.NewRigPool(core.RigPoolLimits{MaxRigs: *rigPoolRigs, MaxBytes: *rigPoolBytes})
 	srv := serve.NewServer(serve.Config{
 		Analysis:        analysis,
 		MaxInFlight:     *maxInFlight,

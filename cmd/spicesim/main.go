@@ -5,8 +5,9 @@
 //	spicesim -tstop 2n -dt 1p -probe out circuit.sp   # transient, CSV to stdout
 //
 // Both analyses compile the netlist and run it on one simulator session.
-// A transient's -tstop and -dt must be positive: a zero or negative value
-// is a usage error (exit 2) reported before any solve.
+// A transient's -tstop and -dt must be positive numbers: a zero, negative
+// or unparseable value is a usage error (exit 2) reported before any
+// solve.
 //
 // With -stats a solver-counter line is printed to stderr after the run
 // (key=value pairs: dc_solves, transients, newton_iters,
@@ -85,10 +86,12 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 	var stop, step float64
 	if !*dc {
 		if stop, err = parseEng(*tstop); err != nil {
-			return fmt.Errorf("bad -tstop: %w", err)
+			fmt.Fprintf(stderr, "spicesim: bad -tstop: %v\n", err)
+			return errUsage
 		}
 		if step, err = parseEng(*dt); err != nil {
-			return fmt.Errorf("bad -dt: %w", err)
+			fmt.Fprintf(stderr, "spicesim: bad -dt: %v\n", err)
+			return errUsage
 		}
 		if stop <= 0 || step <= 0 {
 			fmt.Fprintf(stderr, "spicesim: -tstop and -dt must be positive, got %g and %g\n", stop, step)

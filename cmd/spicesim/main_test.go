@@ -106,22 +106,29 @@ func TestRunErrors(t *testing.T) {
 	}
 }
 
-// TestRunRejectsNonPositiveStep: a transient's zero or negative step or
-// stop time is a usage error (exit 2) before any solve.
+// TestRunRejectsNonPositiveStep: a transient's zero, negative or
+// unparseable step or stop time is a usage error (exit 2) before any
+// solve.
 func TestRunRejectsNonPositiveStep(t *testing.T) {
-	for _, args := range [][]string{
-		{"-dt", "0"},
-		{"-dt", "-5p"},
-		{"-tstop", "0"},
-		{"-tstop", "-1n"},
+	for _, tc := range []struct {
+		args   []string
+		reason string
+	}{
+		{[]string{"-dt", "0"}, "must be positive"},
+		{[]string{"-dt", "-5p"}, "must be positive"},
+		{[]string{"-tstop", "0"}, "must be positive"},
+		{[]string{"-tstop", "-1n"}, "must be positive"},
+		{[]string{"-tstop", "zzz"}, "bad -tstop: invalid value"},
+		{[]string{"-tstop", "Inf"}, "bad -tstop: invalid value"},
+		{[]string{"-dt", "abc"}, "bad -dt: invalid value"},
 	} {
 		var out, errb strings.Builder
-		err := run(context.Background(), append(args, "testdata/rc.sp"), &out, &errb)
+		err := run(context.Background(), append(tc.args, "testdata/rc.sp"), &out, &errb)
 		if err != errUsage {
-			t.Errorf("%v: err = %v, want errUsage", args, err)
+			t.Errorf("%v: err = %v, want errUsage", tc.args, err)
 		}
-		if out.Len() != 0 || !strings.Contains(errb.String(), "must be positive") {
-			t.Errorf("%v: stdout %q, stderr %q; want no output and the reason", args, out.String(), errb.String())
+		if out.Len() != 0 || !strings.Contains(errb.String(), tc.reason) {
+			t.Errorf("%v: stdout %q, stderr %q; want no output and %q", tc.args, out.String(), errb.String(), tc.reason)
 		}
 	}
 }

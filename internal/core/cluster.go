@@ -63,31 +63,22 @@ type AggressorSpec struct {
 
 // Cluster is a victim net and its coupled aggressors — the unit of noise
 // analysis ("noise cluster" in the paper's terminology).
-//
-// A Cluster must not be copied by value after its first evaluation: it
-// holds its compiled simulator benches in a rig pool behind a mutex, and
-// two copies would share the single-goroutine sessions while locking
-// independent mutexes. Pass *Cluster around, as every constructor in this
-// repository does.
 type Cluster struct {
 	Tech       *tech.Tech
 	Bus        *interconnect.Bus
 	Victim     VictimSpec
 	Aggressors []AggressorSpec
 
-	// rigMu guards the compiled transistor-level test benches. The golden
+	// rigPool holds the compiled transistor-level test benches. The golden
 	// netlist and the driver-alone bench have a fixed topology per
 	// cluster — only source waveforms and the lumped load change between
 	// evaluations — so they compile once (sim.Compile) and re-run through
-	// a reusable sim.Session. Holding the mutex across the run serialises
-	// golden evaluations of the same Cluster value; distinct clusters (the
-	// unit of parallelism in internal/sna) are unaffected.
-	//
-	// Every bench lives in rigPool under its topology-class key. A pool
-	// attached with UseRigPool is shared with other clusters, so clusters
-	// sharing a topology — in particular, victims sharing a driver cell
-	// configuration — reuse each other's compiled benches; a cluster with
-	// none attached opens a private pool on its first bench.
+	// a reusable sim.Session, borrowed from the pool for each run under
+	// its topology-class key. A pool attached with UseRigPool is shared
+	// with other clusters, so clusters sharing a topology — in particular,
+	// victims sharing a driver cell configuration — reuse each other's
+	// compiled benches; a cluster with none attached opens a private pool
+	// on its first bench. rigMu guards only the attachment.
 	rigMu   sync.Mutex
 	rigPool *RigPool
 }
@@ -95,13 +86,16 @@ type Cluster struct {
 // simRig is a compiled simulator test bench held by a RigPool: the
 // program/session pair (a session fixes the step, and a golden bench its
 // quiet-level guesses; the stop time is per-run). res is the reused
-// transient result storage — rigMu serialises runs, and the waveforms
-// handed out of an evaluation copy their samples, so reuse across
-// evaluations is safe.
+// transient result storage — the pool lends a bench to one run at a time,
+// and the waveforms handed out of an evaluation copy their samples, so
+// reuse across evaluations is safe. key and gen are the pool's: the
+// bench's pool key and the pool generation it was lent under.
 type simRig struct {
 	prog *sim.Program
 	sess *sim.Session
 	res  sim.Result
+	key  string
+	gen  int
 }
 
 // Validate checks structural consistency.

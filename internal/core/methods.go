@@ -152,9 +152,7 @@ func (c *Cluster) Evaluate(ctx context.Context, m Method, models *Models, opts E
 }
 
 func (c *Cluster) evaluateGolden(ctx context.Context, opts EvalOptions) (*Evaluation, error) {
-	c.rigMu.Lock()
-	defer c.rigMu.Unlock()
-	rig, err := c.pooledRig("golden", c.topologyKey(), opts.Dt, func() (*simRig, error) {
+	pool, rig, err := c.lendRig("golden", c.topologyKey(), opts.Dt, func() (*simRig, error) {
 		ckt, err := c.BuildGolden()
 		if err != nil {
 			return nil, err
@@ -169,6 +167,7 @@ func (c *Cluster) evaluateGolden(ctx context.Context, opts EvalOptions) (*Evalua
 	if err != nil {
 		return nil, err
 	}
+	defer pool.giveBack(rig)
 	// Only the source waveforms change between evaluations (the victim
 	// glitch spec and the aggressor alignment offsets); re-point them and
 	// re-run the compiled session.
@@ -330,14 +329,13 @@ func (c *Cluster) DriverAloneResponse(ctx context.Context, models *Models, opts 
 
 	// The bench depends only on the victim cell configuration, so a shared
 	// pool serves it to every cluster whose victim matches.
-	c.rigMu.Lock()
-	defer c.rigMu.Unlock()
-	rig, err := c.pooledRig("driver", c.driverClassKey(), opts.Dt, func() (*simRig, error) {
+	pool, rig, err := c.lendRig("driver", c.driverClassKey(), opts.Dt, func() (*simRig, error) {
 		return c.compileDriverRig(opts.Dt)
 	})
 	if err != nil {
 		return nil, err
 	}
+	defer pool.giveBack(rig)
 	rig.sess.SetSource(rig.prog.MustSource("v_"+v.NoisyPin), c.victimInputWave())
 	// The lumped load minus the driver's own diffusion (already inside the
 	// transistor netlist as junction caps).

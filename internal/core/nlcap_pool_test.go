@@ -49,7 +49,7 @@ func TestRigPoolNLCapNoCrossServing(t *testing.T) {
 			models := &Models{LumpedCL: 60e-15}
 			opts := fastEvalOptions()
 
-			pool := NewRigPool()
+			pool := NewRigPool(RigPoolLimits{})
 			cc := fastCluster(t, 1)
 			ac := fastClusterOn(t, card, 1)
 			cc.UseRigPool(pool)

@@ -2,177 +2,189 @@ package core
 
 import (
 	"fmt"
+	"slices"
 	"strings"
+	"sync"
 
 	"stanoise/internal/cell"
 )
 
 // RigPool caches compiled simulator test benches — program/session pairs —
-// across the clusters a single analysis worker processes (or, as a
-// cluster's private pool, across one cluster's evaluations), keyed like
-// charlib.Cache by the *topology class* of the bench (technology, cells by
-// library name, states, pins and geometry) and the session's step rather
-// than by cluster identity. Two clusters whose victim drivers share a cell
-// configuration reuse one compiled driver-alone bench; re-analysing a
-// design through the same analyzer reuses the golden benches of every
-// cluster whose topology is unchanged. Only source waveforms and lumped
-// loads are mutated between runs, so pooled reuse performs arithmetic
-// identical to a freshly compiled bench.
+// keyed like charlib.Cache by the *topology class* of the bench
+// (technology, cells by library name, states, pins and geometry) and the
+// session's step rather than by cluster identity. Two clusters whose
+// victim drivers share a cell configuration reuse one compiled
+// driver-alone bench; re-analysing a design reuses the golden benches of
+// every cluster whose topology is unchanged. Only source waveforms and
+// lumped loads are mutated between runs, so pooled reuse performs
+// arithmetic identical to a freshly compiled bench.
 //
-// A RigPool is NOT safe for concurrent use: sessions are single-goroutine
-// objects, so each analysis worker owns its own pool (internal/sna hands
-// one to every worker goroutine). Pool keys assume cells come from the
-// cell library constructors, where equal names imply equal netlists; deep
-// mutation of a shared *cell.Cell or *interconnect.Bus value is not
-// detected.
+// A RigPool is safe for concurrent use. Sessions are single-goroutine
+// objects, so the pool lends each bench to one run at a time and takes it
+// back when the run ends: a lend takes an idle bench of its key, or
+// compiles a new one when every bench of the key is out on a run. All
+// workers of an analyzer, and all analyzers of a server, therefore share
+// one pool. Pool keys assume cells come from the cell library
+// constructors, where equal names imply equal netlists; deep mutation of a
+// shared *cell.Cell or *interconnect.Bus value is not detected.
 //
-// The pool is bounded — by entry count and, optionally, by estimated
+// The idle benches are bounded — by count and, optionally, by estimated
 // resident bytes (see RigPoolLimits) — evicting the least recently used
 // bench first. Golden benches key on the full cluster topology and are
 // therefore near-unique across a heterogeneous design — without a bound, a
-// 10k-net run would retain 10k dense-matrix sessions for the analyzer's
+// 10k-net run would retain 10k dense-matrix sessions for the pool's
 // lifetime. The bound keeps the pool at working-set size: driver-class
 // benches (small key space, high reuse) stay resident, and golden benches
 // survive exactly long enough for re-evaluation and re-analysis of recent
-// clusters. Long-lived holders (an analysis server above all) size pools
-// in bytes and drop every bench explicitly with Invalidate when the
+// clusters. Long-lived holders (an analysis server above all) size the
+// pool in bytes and drop every bench explicitly with Invalidate when the
 // underlying libraries change.
 type RigPool struct {
-	rigs   map[string]*pooledEntry
 	limits RigPoolLimits
-	seq    int64
-	hits   int
-	misses int
+
+	mu sync.Mutex
+	// idle holds the benches no run has out, least recently given back
+	// first.
+	idle []*simRig
+	// gen counts Invalidate calls; a bench lent under an older generation
+	// is dropped when it is given back.
+	gen          int
+	hits, misses int
 }
 
-// pooledEntry pairs a bench with its last-use stamp for LRU eviction.
-type pooledEntry struct {
-	rig     *simRig
-	lastUse int64
-}
-
-// RigPoolLimits bounds a pool's resident compiled benches. The zero value
+// RigPoolLimits bounds a pool's idle compiled benches. The zero value
 // selects the defaults; both bounds are enforced together, LRU-first, and
-// the most recently inserted bench is never evicted (a bench larger than
-// MaxBytes on its own is kept until the next insertion displaces it —
+// the bench just given back is never evicted (a bench larger than
+// MaxBytes on its own is kept until the next give-back displaces it —
 // refusing it outright would force recompilation on every evaluation).
 type RigPoolLimits struct {
-	// MaxRigs bounds the number of resident benches; <= 0 selects the
-	// default of 64. A bench is a Program plus a Session (dense size×size
+	// MaxRigs bounds the number of idle benches; <= 0 selects the default
+	// of 64. A bench is a Program plus a Session (dense size×size
 	// matrices, an LU workspace and result buffers) — roughly hundreds of
-	// kilobytes at cluster scale — so the default keeps a worker's pool in
-	// the tens of megabytes worst-case while comfortably covering the
-	// distinct driver classes plus the recently evaluated golden topologies
-	// of a real design.
+	// kilobytes at cluster scale — so the default keeps a pool in the tens
+	// of megabytes worst-case while comfortably covering the distinct
+	// driver classes plus the recently evaluated golden topologies of a
+	// real design.
 	MaxRigs int
 	// MaxBytes additionally bounds the pool by the summed
-	// sim.Session.MemoryBytes estimate of its benches; <= 0 disables the
-	// byte bound. This is the long-lived-server knob: cluster sizes vary
-	// wildly between requests, so a count bound alone cannot cap worst-case
-	// memory.
+	// sim.Session.MemoryBytes estimate of its idle benches; <= 0 disables
+	// the byte bound. This is the long-lived-server knob: cluster sizes
+	// vary wildly between requests, so a count bound alone cannot cap
+	// worst-case memory.
 	MaxBytes int64
 }
 
-// defaultMaxPoolRigs is the entry-count bound selected by zero
-// RigPoolLimits; see RigPoolLimits.MaxRigs for the sizing rationale.
+// defaultMaxPoolRigs is the count bound selected by zero RigPoolLimits;
+// see RigPoolLimits.MaxRigs for the sizing rationale.
 const defaultMaxPoolRigs = 64
 
-func (l RigPoolLimits) normalize() RigPoolLimits {
+// NewRigPool returns an empty pool bounded by the given limits (the zero
+// value selects the defaults).
+func NewRigPool(l RigPoolLimits) *RigPool {
 	if l.MaxRigs <= 0 {
 		l.MaxRigs = defaultMaxPoolRigs
 	}
-	return l
+	return &RigPool{limits: l}
 }
 
-// NewRigPool returns an empty pool with default limits, ready for
-// single-goroutine use.
-func NewRigPool() *RigPool { return NewRigPoolWithLimits(RigPoolLimits{}) }
-
-// NewRigPoolWithLimits returns an empty pool bounded by the given limits.
-func NewRigPoolWithLimits(l RigPoolLimits) *RigPool {
-	return &RigPool{rigs: map[string]*pooledEntry{}, limits: l.normalize()}
-}
-
-// lookup returns the pooled rig for key, building and memoizing it on the
-// first request and evicting least-recently-used benches while either
-// limit is exceeded. Build errors are not memoized: a failing topology is
-// re-attempted (and fails identically) on the next request.
-func (p *RigPool) lookup(key string, build func() (*simRig, error)) (*simRig, error) {
-	p.seq++
-	e, ok := p.rigs[key]
-	if ok {
-		p.hits++
-		e.lastUse = p.seq
-	} else {
-		r, err := build()
-		if err != nil {
-			return nil, err
+// lend takes an idle bench of key out of the pool for one run — the most
+// recently given back, a hit — or, when none is idle, counts a miss and
+// compiles one with build outside the lock. Build errors are not
+// memoized: a failing topology is re-attempted (and fails identically) on
+// the next lend. The caller gives the bench back when its run ends.
+func (p *RigPool) lend(key string, build func() (*simRig, error)) (*simRig, error) {
+	p.mu.Lock()
+	for i := len(p.idle) - 1; i >= 0; i-- {
+		if r := p.idle[i]; r.key == key {
+			p.idle = slices.Delete(p.idle, i, i+1)
+			p.hits++
+			p.mu.Unlock()
+			return r, nil
 		}
-		p.misses++
-		e = &pooledEntry{rig: r, lastUse: p.seq}
-		p.rigs[key] = e
 	}
-	p.evict()
-	return e.rig, nil
+	p.misses++
+	gen := p.gen
+	p.mu.Unlock()
+	r, err := build()
+	if err != nil {
+		return nil, err
+	}
+	r.key, r.gen = key, gen
+	return r, nil
 }
 
-// footprint sums the current byte estimate of every pooled bench. It is
-// read from the benches each time, never cached: a bench grows after it is
-// admitted — its session allocates the transient matrices and predictor
-// ring on the first run, and a driver bench keeps its last result — so an
-// estimate taken at admission would undercount.
+// giveBack re-admits a bench after its run and evicts least recently used
+// idle benches while either limit is exceeded, sparing the bench just
+// returned. A bench lent before the last Invalidate is dropped instead.
+func (p *RigPool) giveBack(r *simRig) {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	if r.gen != p.gen {
+		return
+	}
+	p.idle = append(p.idle, r)
+	bytes := p.footprint()
+	for len(p.idle) > 1 &&
+		(len(p.idle) > p.limits.MaxRigs || (p.limits.MaxBytes > 0 && bytes > p.limits.MaxBytes)) {
+		bytes -= p.idle[0].memoryBytes()
+		p.idle = slices.Delete(p.idle, 0, 1)
+	}
+}
+
+// footprint sums the current byte estimate of every idle bench; the
+// caller holds p.mu. It is read from the benches each time, never cached:
+// a bench grows after it is admitted — its session allocates the
+// transient matrices and predictor ring on the first run, and a driver
+// bench keeps its last result — so an estimate taken at admission would
+// undercount.
 func (p *RigPool) footprint() int64 {
 	var b int64
-	for _, e := range p.rigs {
-		b += e.rig.memoryBytes()
+	for _, r := range p.idle {
+		b += r.memoryBytes()
 	}
 	return b
 }
 
-// evict removes least-recently-used benches until both limits hold,
-// always sparing the entry touched by the current lookup (lastUse ==
-// p.seq) so the bench about to be used cannot be evicted under it.
-func (p *RigPool) evict() {
-	bytes := p.footprint()
-	for len(p.rigs) > 1 &&
-		(len(p.rigs) > p.limits.MaxRigs || (p.limits.MaxBytes > 0 && bytes > p.limits.MaxBytes)) {
-		var oldestKey string
-		oldest := int64(1<<63 - 1)
-		for k, e := range p.rigs {
-			if e.lastUse < oldest && e.lastUse != p.seq {
-				oldest, oldestKey = e.lastUse, k
-			}
-		}
-		if oldestKey == "" {
-			return
-		}
-		bytes -= p.rigs[oldestKey].rig.memoryBytes()
-		delete(p.rigs, oldestKey)
-	}
-}
-
-// Invalidate drops every pooled bench, returning how many were held. This
-// is the explicit invalidation point for long-lived processes: compiled
-// benches key on topology *classes* (cell names, geometry, options), so a
-// process that mutates what a name means — reloading a cell library,
-// editing a tech card in place — must invalidate its pools or pooled
-// benches would keep simulating the old physics. Statistics survive.
+// Invalidate drops every idle bench, returning how many it dropped, and
+// marks every bench out on a run to be dropped when it is given back.
+// This is the explicit invalidation point for long-lived processes:
+// compiled benches key on topology *classes* (cell names, geometry,
+// options), so a process that mutates what a name means — reloading a
+// cell library, editing a tech card in place — must invalidate its pool
+// or pooled benches would keep simulating the old physics. Statistics
+// survive.
 func (p *RigPool) Invalidate() int {
-	n := len(p.rigs)
-	p.rigs = map[string]*pooledEntry{}
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	n := len(p.idle)
+	p.idle = nil
+	p.gen++
 	return n
 }
 
-// Len returns the number of compiled benches held by the pool.
-func (p *RigPool) Len() int { return len(p.rigs) }
+// Len returns the number of idle compiled benches held by the pool.
+func (p *RigPool) Len() int {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	return len(p.idle)
+}
 
-// Bytes returns the summed memory estimate of the pooled benches as they
-// stand now, grown by every run since they were admitted.
-func (p *RigPool) Bytes() int64 { return p.footprint() }
+// Bytes returns the summed memory estimate of the idle benches as they
+// stand now, grown by every run since they were compiled.
+func (p *RigPool) Bytes() int64 {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	return p.footprint()
+}
 
-// Stats reports pool effectiveness: hits counts bench compilations avoided
-// by reuse, misses counts benches actually compiled.
-func (p *RigPool) Stats() (hits, misses int) { return p.hits, p.misses }
+// Stats reports pool effectiveness, counted when benches are lent: hits
+// counts bench compilations avoided by reuse, misses counts lends that
+// found no idle bench of their key and compiled one.
+func (p *RigPool) Stats() (hits, misses int) {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	return p.hits, p.misses
+}
 
 // programOverhead is the byte estimate of a compiled program's stamp
 // plans, a small constant beside its session's dense solver state.
@@ -189,11 +201,10 @@ func (r *simRig) memoryBytes() int64 {
 	return r.sess.MemoryBytes() + r.res.MemoryBytes() + programOverhead
 }
 
-// UseRigPool attaches a pool to the cluster: subsequent evaluations cache
-// their compiled benches in it, sharing them with every other cluster
-// using the same pool. Without one, a cluster opens a private pool on its
-// first bench. Attach before the first evaluation; the pool must be owned
-// by the same goroutine that evaluates the cluster.
+// UseRigPool attaches a pool to the cluster: subsequent evaluations
+// borrow their compiled benches from it, sharing them with every other
+// cluster using the same pool. Without one, a cluster opens a private pool
+// on its first bench. Attach before the first evaluation.
 func (c *Cluster) UseRigPool(p *RigPool) {
 	c.rigMu.Lock()
 	c.rigPool = p
@@ -251,16 +262,20 @@ func (c *Cluster) driverClassKey() string {
 		c.Tech.Fingerprint(), cellClass(v.Cell), v.State.String(), v.NoisyPin)
 }
 
-// pooledRig routes a rig lookup through the cluster's pool under a key of
-// the bench kind, its session's step dt and its topology, opening a
-// private pool when none is attached. Everything else a session fixes —
-// the golden bench's quiet-level guesses — is a function of the topology,
-// so a different step is the only reason to compile a new bench for one
-// topology. The caller must hold c.rigMu.
-func (c *Cluster) pooledRig(kind, classKey string, dt float64, build func() (*simRig, error)) (*simRig, error) {
+// lendRig lends a bench from the cluster's pool under a key of the bench
+// kind, its session's step dt and its topology, opening a private pool
+// when none is attached. Everything else a session fixes — the golden
+// bench's quiet-level guesses — is a function of the topology, so a
+// different step is the only reason to compile a new bench for one
+// topology. The caller gives the bench back to the returned pool when its
+// run ends.
+func (c *Cluster) lendRig(kind, classKey string, dt float64, build func() (*simRig, error)) (*RigPool, *simRig, error) {
+	c.rigMu.Lock()
 	if c.rigPool == nil {
-		c.rigPool = NewRigPool()
+		c.rigPool = NewRigPool(RigPoolLimits{})
 	}
-	key := fmt.Sprintf("%s#%.17g#%s", kind, dt, classKey)
-	return c.rigPool.lookup(key, build)
+	p := c.rigPool
+	c.rigMu.Unlock()
+	r, err := p.lend(fmt.Sprintf("%s#%.17g#%s", kind, dt, classKey), build)
+	return p, r, err
 }

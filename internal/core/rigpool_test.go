@@ -3,9 +3,32 @@ package core
 import (
 	"context"
 	"fmt"
+	"runtime"
 	"strings"
+	"sync"
 	"testing"
 )
+
+// lookup lends the bench of key and gives it straight back — one run's
+// whole borrow — for tests that drive the pool without a simulator.
+func (p *RigPool) lookup(key string, build func() (*simRig, error)) (*simRig, error) {
+	r, err := p.lend(key, build)
+	if err == nil {
+		p.giveBack(r)
+	}
+	return r, err
+}
+
+// rigs maps the pool key of every idle bench to the bench.
+func (p *RigPool) rigs() map[string]*simRig {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	m := map[string]*simRig{}
+	for _, r := range p.idle {
+		m[r.key] = r
+	}
+	return m
+}
 
 // TestRigPoolSharesDriverBenches asserts the cross-cluster payoff of the
 // worker rig pool: two distinct clusters whose victims share a cell
@@ -22,7 +45,7 @@ func TestRigPoolSharesDriverBenches(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	pool := NewRigPool()
+	pool := NewRigPool(RigPoolLimits{})
 	a, b := fastCluster(t, 1), fastCluster(t, 2) // same victim config, different clusters
 	a.UseRigPool(pool)
 	b.UseRigPool(pool)
@@ -63,7 +86,7 @@ func TestRigPoolGoldenMatchesUnpooled(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	pool := NewRigPool()
+	pool := NewRigPool(RigPoolLimits{})
 	a, b := fastCluster(t, 1), fastCluster(t, 1) // identical topology
 	a.UseRigPool(pool)
 	b.UseRigPool(pool)
@@ -90,9 +113,9 @@ func TestRigPoolGoldenMatchesUnpooled(t *testing.T) {
 	}
 	// Pooled golden benches outlive their evaluations, so they must not
 	// keep the per-node transient record of their last run.
-	for _, e := range pool.rigs {
-		if e.rig.res.Times != nil {
-			t.Errorf("pooled golden bench retains its last result (%d samples)", len(e.rig.res.Times))
+	for _, r := range pool.rigs() {
+		if r.res.Times != nil {
+			t.Errorf("pooled golden bench retains its last result (%d samples)", len(r.res.Times))
 		}
 	}
 }
@@ -102,7 +125,7 @@ func TestRigPoolGoldenMatchesUnpooled(t *testing.T) {
 // runs cannot accumulate unbounded dense-matrix sessions), while a
 // recently touched bench survives.
 func TestRigPoolEvictsLeastRecentlyUsed(t *testing.T) {
-	p := NewRigPool()
+	p := NewRigPool(RigPoolLimits{})
 	build := func() (*simRig, error) { return &simRig{}, nil }
 	for i := 0; i < defaultMaxPoolRigs; i++ {
 		if _, err := p.lookup(fmt.Sprintf("k%d", i), build); err != nil {
@@ -147,7 +170,7 @@ func TestRigPoolByteBound(t *testing.T) {
 
 	// Measure one real compiled golden bench so the limit is set in terms
 	// of actual session footprints rather than magic numbers.
-	probe := NewRigPool()
+	probe := NewRigPool(RigPoolLimits{})
 	c := fastCluster(t, 1)
 	c.UseRigPool(probe)
 	if _, err := c.Evaluate(ctx, Golden, nil, opts); err != nil {
@@ -159,7 +182,7 @@ func TestRigPoolByteBound(t *testing.T) {
 	}
 
 	// A pool that can hold two benches of that size but not three.
-	p := NewRigPoolWithLimits(RigPoolLimits{MaxBytes: 2*per + per/2})
+	p := NewRigPool(RigPoolLimits{MaxBytes: 2*per + per/2})
 	for i := 1; i <= 3; i++ {
 		cl := fastCluster(t, i) // distinct aggressor counts -> distinct golden topologies
 		cl.UseRigPool(p)
@@ -179,7 +202,7 @@ func TestRigPoolByteBound(t *testing.T) {
 
 	// A single oversized bench must still be admitted (and used), not
 	// rejected into a compile-every-time loop.
-	tiny := NewRigPoolWithLimits(RigPoolLimits{MaxBytes: 1})
+	tiny := NewRigPool(RigPoolLimits{MaxBytes: 1})
 	cl := fastCluster(t, 1)
 	cl.UseRigPool(tiny)
 	if _, err := cl.Evaluate(ctx, Golden, nil, opts); err != nil {
@@ -199,7 +222,7 @@ func TestRigPoolByteBound(t *testing.T) {
 func TestRigPoolBytesTrackGrownBenches(t *testing.T) {
 	ctx := context.Background()
 	opts := fastEvalOptions()
-	pool := NewRigPool()
+	pool := NewRigPool(RigPoolLimits{})
 	c := fastCluster(t, 1)
 	c.UseRigPool(pool)
 	if _, err := c.Evaluate(ctx, Golden, nil, opts); err != nil {
@@ -212,8 +235,7 @@ func TestRigPoolBytesTrackGrownBenches(t *testing.T) {
 		t.Fatalf("pool holds %d benches, want the golden and the driver bench", pool.Len())
 	}
 	var want int64
-	for key, e := range pool.rigs {
-		r := e.rig
+	for key, r := range pool.rigs() {
 		want += r.sess.MemoryBytes() + r.res.MemoryBytes() + programOverhead
 		if strings.HasPrefix(key, "driver#") {
 			// The driver bench keeps its last result: the time axis plus
@@ -234,7 +256,7 @@ func TestRigPoolBytesTrackGrownBenches(t *testing.T) {
 // recompiles — the contract a long-lived server relies on after a library
 // reload.
 func TestRigPoolInvalidate(t *testing.T) {
-	p := NewRigPool()
+	p := NewRigPool(RigPoolLimits{})
 	build := func() (*simRig, error) { return &simRig{}, nil }
 	for i := 0; i < 5; i++ {
 		if _, err := p.lookup(fmt.Sprintf("k%d", i), build); err != nil {
@@ -255,6 +277,91 @@ func TestRigPoolInvalidate(t *testing.T) {
 	}
 }
 
+// TestRigPoolInvalidateDropsLentBenches asserts that Invalidate reaches a
+// bench out on a run: given back after the drop, it is not re-admitted,
+// and the next lend of its key compiles afresh — so a server invalidated
+// mid-request keeps none of that request's benches.
+func TestRigPoolInvalidateDropsLentBenches(t *testing.T) {
+	p := NewRigPool(RigPoolLimits{})
+	build := func() (*simRig, error) { return &simRig{}, nil }
+	r, err := p.lend("k", build)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p.Invalidate()
+	p.giveBack(r)
+	if p.Len() != 0 {
+		t.Fatalf("pool holds %d benches after invalidating a lent one, want 0", p.Len())
+	}
+	if _, err := p.lookup("k", build); err != nil {
+		t.Fatal(err)
+	}
+	if hits, misses := p.Stats(); hits != 0 || misses != 2 {
+		t.Fatalf("hits=%d misses=%d, want the lend after Invalidate to miss", hits, misses)
+	}
+}
+
+// TestRigPoolConcurrentLends drives one small pool from several goroutines
+// lending and giving back a few keys (run it under -race): no bench is
+// ever out on two runs at once, every lend is counted once as a hit or a
+// miss, and the idle benches end within the count bound.
+func TestRigPoolConcurrentLends(t *testing.T) {
+	const workers, lends = 4, 200
+	keys := []string{"a", "b", "c"}
+	p := NewRigPool(RigPoolLimits{MaxRigs: 2})
+	build := func() (*simRig, error) { return &simRig{}, nil }
+	var (
+		mu    sync.Mutex
+		out   = map[*simRig]bool{}
+		errs  = make(chan error, workers)
+		start = make(chan struct{})
+		wg    sync.WaitGroup
+	)
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			<-start
+			for i := 0; i < lends; i++ {
+				key := keys[(w+i)%len(keys)]
+				r, err := p.lend(key, build)
+				if err != nil {
+					errs <- err
+					return
+				}
+				mu.Lock()
+				twice := out[r]
+				out[r] = true
+				mu.Unlock()
+				if twice || r.key != key {
+					errs <- fmt.Errorf("bench %p (key %q) lent for %q: out on another run or of another key", r, r.key, key)
+					return
+				}
+				// The run: an unsynchronised write the race detector
+				// flags if another goroutine holds the same bench.
+				r.res.Times = append(r.res.Times[:0], float64(i))
+				runtime.Gosched() // let other goroutines lend while this bench is out
+				mu.Lock()
+				delete(out, r)
+				mu.Unlock()
+				p.giveBack(r)
+			}
+		}()
+	}
+	close(start)
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Fatal(err)
+	}
+	if hits, misses := p.Stats(); hits+misses != workers*lends {
+		t.Fatalf("hits %d + misses %d, want %d lends", hits, misses, workers*lends)
+	}
+	if n := p.Len(); n > 2 {
+		t.Fatalf("pool holds %d idle benches, want ≤ MaxRigs 2", n)
+	}
+}
+
 // TestRigPoolDistinguishesTopologies asserts pooled benches never alias
 // across genuinely different topology classes: a cluster with a different
 // victim state (and so different quiet source levels baked into the
@@ -264,7 +371,7 @@ func TestRigPoolDistinguishesTopologies(t *testing.T) {
 	models := &Models{LumpedCL: 60e-15}
 	opts := fastEvalOptions()
 
-	pool := NewRigPool()
+	pool := NewRigPool(RigPoolLimits{})
 	a := fastCluster(t, 1)
 	a.UseRigPool(pool)
 	if _, err := a.DriverAloneResponse(ctx, models, opts); err != nil {

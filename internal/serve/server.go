@@ -4,7 +4,7 @@
 //
 // One process hosts many concurrent requests over shared machinery — one
 // characterisation cache (optionally backed by a persistent store with
-// cross-process build leases), one compiled-bench pool set, and one
+// cross-process build leases), one compiled-bench pool, and one
 // fleet-wide concurrency gate — so a multi-tenant server costs barely more
 // than a single analysis, and N servers sharing a store directory
 // characterise each artefact once between them.
@@ -14,7 +14,8 @@
 //	POST /v1/analyze    stream verdicts for an embedded design
 //	GET  /healthz       liveness probe
 //	GET  /statsz        cache / store / engine / admission counters
-//	POST /invalidate    drop all pooled compiled benches
+//	POST /invalidate    drop all pooled compiled benches, in-flight ones
+//	                    when their runs end
 //
 // POST /v1/analyze responds with newline-delimited JSON (NDJSON) records,
 // flushed as each cluster completes, or Server-Sent Events when the client
@@ -68,7 +69,7 @@ import (
 // limits.
 type Config struct {
 	// Analysis supplies the shared analysis machinery and quality knobs:
-	// Cache/Store/CacheDir (persistent tier), RigPools/RigPoolLimits,
+	// Cache/Store/CacheDir (persistent tier), RigPools,
 	// Gate, Workers, the model-quality grids, and the server-wide defaults
 	// of the per-request mode knobs Feasibility, NonlinearCaps and Corner.
 	// Method, Align, Dt
@@ -112,7 +113,7 @@ type Server struct {
 	base  sna.Options // per-request template: shared machinery attached, knobs at their defaults
 	cache *charlib.Cache
 	store *charstore.Store // non-nil only when the server opened/was given a charstore tier
-	pools *sna.PoolSet
+	pools *core.RigPool
 	gate  sna.Gate
 
 	storeErr error
@@ -165,7 +166,7 @@ func NewServer(cfg Config) *Server {
 	}
 	s.pools = cfg.Analysis.RigPools
 	if s.pools == nil {
-		s.pools = sna.NewPoolSet(cfg.Analysis.RigPoolLimits)
+		s.pools = core.NewRigPool(core.RigPoolLimits{})
 	}
 	s.gate = cfg.Analysis.Gate
 	if s.gate == nil && cfg.FleetWorkers >= 0 {
@@ -327,8 +328,9 @@ func (s *Server) handleStatsz(w http.ResponseWriter, r *http.Request) {
 }
 
 // handleInvalidate drops every pooled compiled bench (see
-// sna.PoolSet.Invalidate) — the explicit invalidation point after a cell
-// library or tech card changes under a long-lived server.
+// core.RigPool.Invalidate) — the explicit invalidation point after a cell
+// library or tech card changes under a long-lived server. Benches out on
+// an in-flight request's runs are dropped when those runs end.
 func (s *Server) handleInvalidate(w http.ResponseWriter, r *http.Request) {
 	n := s.pools.Invalidate()
 	w.Header().Set("Content-Type", "application/json")
@@ -353,7 +355,7 @@ type RequestStats struct {
 	InFlight int `json:"in_flight"`
 }
 
-// RigPoolStats summarises the shared compiled-bench pool set.
+// RigPoolStats summarises the shared compiled-bench pool.
 type RigPoolStats struct {
 	// Hits counts bench compilations avoided by topology-class reuse.
 	Hits int `json:"hits"`
@@ -379,7 +381,7 @@ type Stats struct {
 	// Feas is the process-wide feasibility-filter census: clusters
 	// filtered, combinations pruned, scenarios evaluated.
 	Feas feas.Stats `json:"feas"`
-	// RigPools summarises the compiled-bench pool set.
+	// RigPools summarises the compiled-bench pool.
 	RigPools RigPoolStats `json:"rig_pools"`
 	// Corners breaks this server's cache traffic and characterisation work
 	// (Thevenin fits included) down by operating corner ("nominal" for

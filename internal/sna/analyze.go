@@ -75,17 +75,12 @@ type Options struct {
 	// cluster granularity instead of multiplying into Workers × requests
 	// simultaneous solves. nil means no fleet-wide bound.
 	Gate Gate
-	// RigPools optionally shares a set of compiled-bench pools across
-	// analyzers (see PoolSet), the same way Cache shares characterised
+	// RigPools optionally shares a compiled-bench pool across analyzers
+	// (see core.RigPool), the same way Cache shares characterised
 	// artefacts: a long-lived server reuses compiled benches across
 	// requests whose cluster topologies match. When nil the analyzer
-	// creates a private set bounded by RigPoolLimits.
-	RigPools *PoolSet
-	// RigPoolLimits bounds each worker's compiled-bench pool (entry count
-	// and estimated bytes; see core.RigPoolLimits) when the analyzer
-	// creates its own pools. Ignored when RigPools is supplied — limits
-	// then belong to the shared set.
-	RigPoolLimits core.RigPoolLimits
+	// creates a private pool with default limits.
+	RigPools *core.RigPool
 	// Corner selects the operating corner the whole analysis runs at: the
 	// design's technology card is derived via tech.Corner.Apply before any
 	// cluster is built, so every characterised artefact — and every cache
@@ -291,23 +286,21 @@ type Analyzer struct {
 	// any cluster work (see NewAnalyzer).
 	optsErr error
 
-	// pools is the free list of compiled-bench pools (see PoolSet). Each
-	// analysis worker checks one out for the clusters it processes and
-	// returns it afterwards, so pools are never shared between concurrent
-	// goroutines but persist across Analyze/Stream calls on the same
+	// pools is the compiled-bench pool every worker borrows from (see
+	// core.RigPool). It persists across Analyze/Stream calls on the same
 	// analyzer — a re-analysis reuses every compiled bench whose cluster
 	// topology is unchanged, and clusters sharing a victim configuration
 	// reuse one driver-alone bench even within a single run. When
-	// Options.RigPools is set this is the caller's shared set, and benches
-	// additionally persist across analyzers.
-	pools *PoolSet
+	// Options.RigPools is set this is the caller's shared pool, and
+	// benches additionally persist across analyzers.
+	pools *core.RigPool
 }
 
-// RigPoolStats sums compiled-bench pool effectiveness over the analyzer's
-// pool set: hits counts bench compilations avoided by topology-class
-// reuse, misses counts benches actually compiled. Call it between runs
-// (pools checked out by in-flight workers are not counted); with a shared
-// Options.RigPools the counts cover every analyzer on the set.
+// RigPoolStats reports compiled-bench pool effectiveness: hits counts
+// bench compilations avoided by topology-class reuse, misses counts
+// benches compiled. Both are counted as benches are lent, runs in flight
+// included; with a shared Options.RigPools the counts cover every analyzer
+// on the pool.
 func (a *Analyzer) RigPoolStats() (hits, misses int) { return a.pools.Stats() }
 
 // NewAnalyzer builds an analyzer for a validated design. A NaN or infinite
@@ -326,7 +319,7 @@ func NewAnalyzer(d *Design, opts Options) *Analyzer {
 	}
 	pools := opts.RigPools
 	if pools == nil {
-		pools = NewPoolSet(opts.RigPoolLimits)
+		pools = core.NewRigPool(core.RigPoolLimits{})
 	}
 	a := &Analyzer{design: d, opts: opts, cache: cache, pools: pools, optsErr: optsErr}
 	switch {
@@ -405,13 +398,11 @@ func (a *Analyzer) runClusters(ctx context.Context, emit func(outcome) bool) err
 		// against — TestParallelMatchesSerial compares the pool's output
 		// to this path, which it couldn't do if both went through the same
 		// pool machinery.
-		pool := a.pools.acquire()
-		defer a.pools.release(pool)
 		for i, cs := range clusters {
 			if err := ctx.Err(); err != nil {
 				return err
 			}
-			rep, cerr := a.gatedAnalyzeCluster(ctx, cs, pool)
+			rep, cerr := a.gatedAnalyzeCluster(ctx, cs)
 			if cerr != nil {
 				if err := ctx.Err(); err != nil {
 					return err
@@ -443,14 +434,12 @@ func (a *Analyzer) runClusters(ctx context.Context, emit func(outcome) bool) err
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			pool := a.pools.acquire()
-			defer a.pools.release(pool)
 			for {
 				i := int(next.Add(1)) - 1
 				if i >= len(clusters) || stop.Load() || ctx.Err() != nil {
 					return
 				}
-				rep, cerr := a.gatedAnalyzeCluster(ctx, clusters[i], pool)
+				rep, cerr := a.gatedAnalyzeCluster(ctx, clusters[i])
 				if cerr != nil {
 					if ctx.Err() != nil {
 						// Cut short by cancellation, not a real cluster
@@ -590,14 +579,14 @@ func (a *Analyzer) Stream(ctx context.Context) iter.Seq2[NetReport, error] {
 // cluster's analysis. A gate acquisition cut short by cancellation surfaces
 // as a *ClusterError carrying the context error, which runClusters already
 // maps to a cancelled run rather than a cluster failure.
-func (a *Analyzer) gatedAnalyzeCluster(ctx context.Context, cs ClusterSpec, pool *core.RigPool) (*NetReport, *ClusterError) {
+func (a *Analyzer) gatedAnalyzeCluster(ctx context.Context, cs ClusterSpec) (*NetReport, *ClusterError) {
 	if g := a.opts.Gate; g != nil {
 		if err := g.Acquire(ctx); err != nil {
 			return nil, &ClusterError{Cluster: cs.Name, Stage: StageBuild, Err: err}
 		}
 		defer g.Release()
 	}
-	return a.analyzeCluster(ctx, cs, pool)
+	return a.analyzeCluster(ctx, cs)
 }
 
 // clusterRun is one cluster carried through the analysis pipeline: the
@@ -615,9 +604,9 @@ type clusterRun struct {
 // PropagateChain run: build → models → feasibility context → alignment →
 // evaluation → scenarios. Analyze then judges the run against the NRC;
 // PropagateChain hands its noise to the next stage. The error, when
-// non-nil, names the failed stage. pool is the caller's compiled-bench pool
-// (nil disables pooling).
-func (a *Analyzer) runCluster(ctx context.Context, cs ClusterSpec, pool *core.RigPool) (*clusterRun, *ClusterError) {
+// non-nil, names the failed stage. The cluster borrows its compiled
+// benches from the analyzer's pool.
+func (a *Analyzer) runCluster(ctx context.Context, cs ClusterSpec) (*clusterRun, *ClusterError) {
 	fail := func(stage Stage, err error) (*clusterRun, *ClusterError) {
 		return nil, &ClusterError{Cluster: cs.Name, Stage: stage, Err: err}
 	}
@@ -627,9 +616,7 @@ func (a *Analyzer) runCluster(ctx context.Context, cs ClusterSpec, pool *core.Ri
 	if err != nil {
 		return fail(StageBuild, err)
 	}
-	if pool != nil {
-		cl.UseRigPool(pool)
-	}
+	cl.UseRigPool(a.pools)
 	r.cl = cl
 	r.timing.Build = time.Since(t0)
 
@@ -697,10 +684,9 @@ func (a *Analyzer) runCluster(ctx context.Context, cs ClusterSpec, pool *core.Ri
 
 // analyzeCluster runs the pipeline on one cluster and judges its noise
 // against the receiver's NRC. The error, when non-nil, is always a
-// *ClusterError naming the failed stage. pool is the calling worker's
-// compiled-bench pool (nil disables pooling).
-func (a *Analyzer) analyzeCluster(ctx context.Context, cs ClusterSpec, pool *core.RigPool) (*NetReport, *ClusterError) {
-	r, cerr := a.runCluster(ctx, cs, pool)
+// *ClusterError naming the failed stage.
+func (a *Analyzer) analyzeCluster(ctx context.Context, cs ClusterSpec) (*NetReport, *ClusterError) {
+	r, cerr := a.runCluster(ctx, cs)
 	if cerr != nil {
 		return nil, cerr
 	}

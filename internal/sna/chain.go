@@ -13,9 +13,8 @@ import (
 // stage's victim receiver input becomes the input glitch of the next
 // stage's victim driver. Each stage runs the per-cluster pipeline of
 // Analyze (build, models, alignment, evaluation and, under
-// Options.Feasibility, the scenarios) on the same analysis card, and the
-// whole chain holds one compiled-bench pool from the analyzer's set, as a
-// serial Analyze does.
+// Options.Feasibility, the scenarios) on the same analysis card, and
+// borrows its compiled benches from the analyzer's pool, as Analyze does.
 //
 // The returned metrics are the receiver-input noise after each stage. A
 // chain converges (noise dies out stage over stage) when every stage's
@@ -36,8 +35,6 @@ func (a *Analyzer) PropagateChain(ctx context.Context, specs []ClusterSpec) ([]w
 	if a.optsErr != nil {
 		return nil, a.optsErr
 	}
-	pool := a.pools.acquire()
-	defer a.pools.release(pool)
 	out := make([]wave.NoiseMetrics, 0, len(specs))
 	for i, cs := range specs {
 		if i > 0 {
@@ -54,7 +51,7 @@ func (a *Analyzer) PropagateChain(ctx context.Context, specs []ClusterSpec) ([]w
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
-		r, cerr := a.runCluster(ctx, cs, pool)
+		r, cerr := a.runCluster(ctx, cs)
 		if cerr != nil {
 			return nil, fmt.Errorf("sna: chain stage %d: %w", i, cerr)
 		}

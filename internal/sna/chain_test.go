@@ -62,9 +62,9 @@ func TestPropagateChainAttenuates(t *testing.T) {
 }
 
 // TestPropagateChainSharesRigPool holds a chain to the compiled-bench
-// reuse of a serial Analyze: the chain runs on one pool from the
-// analyzer's set, so stages sharing a victim configuration share its
-// driver-alone bench instead of compiling one each.
+// reuse of Analyze: the chain borrows from the analyzer's pool, so stages
+// sharing a victim configuration share its driver-alone bench instead of
+// compiling one each.
 func TestPropagateChainSharesRigPool(t *testing.T) {
 	an := NewAnalyzer(chainDesign(), fastOpts(core.Macromodel))
 	chain := []ClusterSpec{chainStage("s1", 0.55), chainStage("s2", 0), chainStage("s3", 0)}

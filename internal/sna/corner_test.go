@@ -92,8 +92,8 @@ func TestCornerChangesAnalysis(t *testing.T) {
 }
 
 // TestSharedPoolsNeverServeNominalBenchesToCorners analyses at tt and then
-// at fs on one shared PoolSet — the long-lived server setup — and requires
-// the fs reports to equal an fs run on fresh pools. fs keeps the nominal
+// at fs on one shared rig pool — the long-lived server setup — and
+// requires the fs reports to equal an fs run on a fresh pool. fs keeps the nominal
 // card's name and VDD, so a pool key that ignored the corner would serve
 // the tt-compiled driver and golden benches to the fs run.
 func TestSharedPoolsNeverServeNominalBenchesToCorners(t *testing.T) {
@@ -104,7 +104,7 @@ func TestSharedPoolsNeverServeNominalBenchesToCorners(t *testing.T) {
 	for _, method := range []core.Method{core.Macromodel, core.Golden} {
 		t.Run(method.String(), func(t *testing.T) {
 			ctx := context.Background()
-			analyze := func(pools *PoolSet, corner tech.Corner) []NetReport {
+			analyze := func(pools *core.RigPool, corner tech.Corner) []NetReport {
 				t.Helper()
 				opts := fastOpts(method)
 				opts.Workers = 1
@@ -119,10 +119,10 @@ func TestSharedPoolsNeverServeNominalBenchesToCorners(t *testing.T) {
 				}
 				return reports
 			}
-			shared := NewPoolSet(core.RigPoolLimits{})
+			shared := core.NewRigPool(core.RigPoolLimits{})
 			analyze(shared, tech.Corner{Name: "tt"})
 			got := analyze(shared, fs)
-			want := analyze(NewPoolSet(core.RigPoolLimits{}), fs)
+			want := analyze(core.NewRigPool(core.RigPoolLimits{}), fs)
 			if len(got) != len(want) {
 				t.Fatalf("report counts differ: %d vs %d", len(got), len(want))
 			}

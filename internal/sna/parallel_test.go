@@ -3,6 +3,7 @@ package sna
 import (
 	"context"
 	"encoding/json"
+	"fmt"
 	"strings"
 	"testing"
 
@@ -56,6 +57,50 @@ func TestParallelMatchesSerial(t *testing.T) {
 	sb, pb := marshalReports(t, serial), marshalReports(t, par)
 	if string(sb) != string(pb) {
 		t.Errorf("parallel reports differ from serial:\nserial:   %s\nparallel: %s", sb, pb)
+	}
+}
+
+// TestParallelGoldenMatchesSerial extends the concurrency contract to the
+// transistor-level reference: four workers lending golden and driver-alone
+// benches from one shared pool at once must report exactly what a serial
+// run does. Each topology appears three times in a row, so workers lend
+// the same bench key concurrently, and the design is analysed twice on
+// the pool, so the second pass runs on benches other workers gave back.
+func TestParallelGoldenMatchesSerial(t *testing.T) {
+	ctx := context.Background()
+	d := GenerateDesign("pgold", 3)
+	var clusters []ClusterSpec
+	for _, cs := range d.Clusters {
+		for k := 0; k < 3; k++ {
+			c := cs
+			c.Name = fmt.Sprintf("%s_%d", cs.Name, k)
+			clusters = append(clusters, c)
+		}
+	}
+	d.Clusters = clusters
+
+	serialOpts := fastOpts(core.Golden)
+	serialOpts.Workers = 1
+	serial, err := NewAnalyzer(d, serialOpts).Analyze(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sb := marshalReports(t, serial)
+
+	parOpts := fastOpts(core.Golden)
+	parOpts.Workers = 4
+	parOpts.RigPools = core.NewRigPool(core.RigPoolLimits{})
+	for pass := 1; pass <= 2; pass++ {
+		par, err := NewAnalyzer(d, parOpts).Analyze(ctx)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if pb := marshalReports(t, par); string(pb) != string(sb) {
+			t.Fatalf("pass %d: parallel golden reports on a shared pool differ from serial:\nserial:   %s\nparallel: %s", pass, sb, pb)
+		}
+	}
+	if hits, _ := parOpts.RigPools.Stats(); hits == 0 {
+		t.Error("the shared pool never lent a bench twice")
 	}
 }
 

@@ -7,8 +7,8 @@ import (
 	"stanoise/internal/core"
 )
 
-// TestAnalyzerRigPoolReuse asserts the per-worker compiled-bench pools
-// engage and persist: a serial run of the sample design (whose victim
+// TestAnalyzerRigPoolReuse asserts the analyzer's compiled-bench pool
+// engages and persists: a serial run of the sample design (whose victim
 // configurations involve driver-alone benches via the alignment search)
 // populates a pool, and a second Analyze on the same analyzer reuses the
 // pooled benches instead of recompiling — while reporting exactly the same

@@ -192,21 +192,21 @@ func SampleCorners(n int, seed int64, spec CornerSampleSpec) []Corner {
 	return tech.SampleCorners(n, seed, spec)
 }
 
-// Fleet-scale analysis: shared compiled-bench pools, the fleet-wide
+// Fleet-scale analysis: the shared compiled-bench pool, the fleet-wide
 // concurrency gate, and the HTTP analysis server.
 type (
 	// Gate bounds concurrent cluster evaluations across analyzers; share
 	// one (see NewGate) between all analyzers of a multi-tenant process
 	// via Options.Gate.
 	Gate = sna.Gate
-	// PoolSet is a shared, thread-safe set of compiled-bench pools (see
-	// NewPoolSet and Options.RigPools): benches compiled for one analysis
-	// are reused by every later one whose cluster topologies match, and
-	// PoolSet.Invalidate is the explicit drop point after a library or
-	// tech-card change.
-	PoolSet = sna.PoolSet
-	// RigPoolLimits bounds a compiled-bench pool by entry count and
-	// estimated resident bytes; see Options.RigPoolLimits.
+	// RigPool is a shared, thread-safe pool of compiled simulator benches
+	// (see NewRigPool and Options.RigPools): it lends each bench to one
+	// run at a time, benches compiled for one analysis are reused by every
+	// later one whose cluster topologies match, and RigPool.Invalidate is
+	// the explicit drop point after a library or tech-card change.
+	RigPool = core.RigPool
+	// RigPoolLimits bounds a RigPool's idle benches by count and estimated
+	// resident bytes.
 	RigPoolLimits = core.RigPoolLimits
 	// Server is the stanoise analysis HTTP server (what the snaserve
 	// command hosts): POST designs in the snacheck JSON schema, stream
@@ -228,9 +228,9 @@ type (
 // evaluations, or nil (no limit) when n <= 0.
 func NewGate(n int) Gate { return sna.NewGate(n) }
 
-// NewPoolSet returns an empty compiled-bench pool set whose pools are
-// bounded by limits (the zero value selects the defaults).
-func NewPoolSet(limits RigPoolLimits) *PoolSet { return sna.NewPoolSet(limits) }
+// NewRigPool returns an empty compiled-bench pool bounded by limits (the
+// zero value selects the defaults).
+func NewRigPool(limits RigPoolLimits) *RigPool { return core.NewRigPool(limits) }
 
 // NewServer builds an analysis server from the configuration; mount it on
 // any http.Server (it implements http.Handler). A cache directory that
