@@ -206,7 +206,7 @@ func writeText(design *stanoise.Design, an *stanoise.Analyzer, m stanoise.Method
 				status = "FAIL"
 			}
 			margin := fmt.Sprintf("%.3f", r.MarginV)
-			if math.IsInf(r.MarginV, 1) {
+			if math.IsInf(float64(r.MarginV), 1) {
 				margin = "inf"
 			}
 			if feasibility && r.Feasibility != nil {
@@ -219,7 +219,7 @@ func writeText(design *stanoise.Design, an *stanoise.Analyzer, m stanoise.Method
 					status = "pass*"
 				}
 				rmargin := fmt.Sprintf("%.3f", fr.RealisticMarginV)
-				if math.IsInf(fr.RealisticMarginV, 1) {
+				if math.IsInf(float64(fr.RealisticMarginV), 1) {
 					rmargin = "inf"
 				}
 				fmt.Fprintf(tw, "%s\t%.3f\t%.1f\t%.0f\t%.3f\t%s\t%s\t%.3f\t%s\t%d/%d\t%s\n",

@@ -85,12 +85,12 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 	}
 	var stop, step float64
 	if !*dc {
-		if stop, err = parseEng(*tstop); err != nil {
-			fmt.Fprintf(stderr, "spicesim: bad -tstop: %v\n", err)
+		if stop, err = circuit.ParseValue(*tstop); err != nil {
+			fmt.Fprintf(stderr, "spicesim: bad -tstop: invalid value %q: %v\n", *tstop, err)
 			return errUsage
 		}
-		if step, err = parseEng(*dt); err != nil {
-			fmt.Fprintf(stderr, "spicesim: bad -dt: %v\n", err)
+		if step, err = circuit.ParseValue(*dt); err != nil {
+			fmt.Fprintf(stderr, "spicesim: bad -dt: invalid value %q: %v\n", *dt, err)
 			return errUsage
 		}
 		if stop <= 0 || step <= 0 {
@@ -156,14 +156,4 @@ func probeList(ckt *circuit.Circuit, probe string) ([]string, error) {
 		out = append(out, n)
 	}
 	return out, nil
-}
-
-// parseEng parses a time value with engineering suffix via a one-line
-// netlist trick: reuse the circuit parser's number grammar.
-func parseEng(s string) (float64, error) {
-	ckt, err := circuit.Parse(strings.NewReader("V1 a 0 DC " + s + "\nR1 a 0 1\n.end\n"))
-	if err != nil {
-		return 0, fmt.Errorf("invalid value %q", s)
-	}
-	return ckt.VSources[0].W.At(0), nil
 }

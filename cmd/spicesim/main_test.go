@@ -121,6 +121,9 @@ func TestRunRejectsNonPositiveStep(t *testing.T) {
 		{[]string{"-tstop", "zzz"}, "bad -tstop: invalid value"},
 		{[]string{"-tstop", "Inf"}, "bad -tstop: invalid value"},
 		{[]string{"-dt", "abc"}, "bad -dt: invalid value"},
+		// A value is one number, never netlist text.
+		{[]string{"-tstop", "1n\n.end"}, "invalid value"},
+		{[]string{"-dt", "1p\nR9 x 0 1"}, "invalid value"},
 	} {
 		var out, errb strings.Builder
 		err := run(context.Background(), append(tc.args, "testdata/rc.sp"), &out, &errb)

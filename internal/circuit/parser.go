@@ -90,7 +90,7 @@ func Parse(r io.Reader) (*Circuit, error) {
 			if len(fields) != 4 {
 				return nil, fail("resistor needs 2 nodes and a value")
 			}
-			v, err := parseValue(fields[3])
+			v, err := ParseValue(fields[3])
 			if err != nil {
 				return nil, fail("bad resistance %q: %v", fields[3], err)
 			}
@@ -102,7 +102,7 @@ func Parse(r io.Reader) (*Circuit, error) {
 			if len(fields) != 4 {
 				return nil, fail("capacitor needs 2 nodes and a value")
 			}
-			v, err := parseValue(fields[3])
+			v, err := ParseValue(fields[3])
 			if err != nil {
 				return nil, fail("bad capacitance %q: %v", fields[3], err)
 			}
@@ -134,7 +134,7 @@ func Parse(r io.Reader) (*Circuit, error) {
 				if !ok {
 					return nil, fail("bad mosfet parameter %q", f)
 				}
-				val, err := parseValue(v)
+				val, err := ParseValue(v)
 				if err != nil {
 					return nil, fail("bad mosfet parameter %q: %v", f, err)
 				}
@@ -242,7 +242,7 @@ func parseModel(fields []string) (device.Params, error) {
 		if !ok {
 			return p, fmt.Errorf("bad model parameter %q", kv)
 		}
-		val, err := parseValue(v)
+		val, err := ParseValue(v)
 		if err != nil {
 			return p, fmt.Errorf("bad model parameter %q: %v", kv, err)
 		}
@@ -270,7 +270,7 @@ func parseSource(fields []string) (*wave.Waveform, error) {
 	switch {
 	case strings.HasPrefix(upper, "DC"):
 		rest := strings.TrimSpace(spec[2:])
-		v, err := parseValue(rest)
+		v, err := ParseValue(rest)
 		if err != nil {
 			return nil, fmt.Errorf("bad DC value %q: %v", rest, err)
 		}
@@ -309,7 +309,7 @@ func parseSource(fields []string) (*wave.Waveform, error) {
 		return wave.SaturatedRamp(vals[0], vals[1], vals[2], vals[3]), nil
 	default:
 		// Bare value: treat as DC.
-		v, err := parseValue(spec)
+		v, err := ParseValue(spec)
 		if err != nil {
 			return nil, fmt.Errorf("unknown source spec %q", spec)
 		}
@@ -323,7 +323,7 @@ func parseParenValues(s string) ([]float64, error) {
 	s = strings.TrimSuffix(s, ")")
 	var out []float64
 	for _, f := range strings.Fields(strings.ReplaceAll(s, ",", " ")) {
-		v, err := parseValue(f)
+		v, err := ParseValue(f)
 		if err != nil {
 			return nil, fmt.Errorf("bad value %q: %v", f, err)
 		}
@@ -332,8 +332,10 @@ func parseParenValues(s string) ([]float64, error) {
 	return out, nil
 }
 
-// parseValue parses a number with an optional SPICE engineering suffix.
-func parseValue(s string) (float64, error) {
+// ParseValue parses a number with an optional SPICE engineering suffix
+// ("1.5p", "2meg"): the netlist's one number grammar. The value must be a
+// single number and finite after scaling.
+func ParseValue(s string) (float64, error) {
 	s = strings.TrimSpace(strings.ToLower(s))
 	if s == "" {
 		return 0, fmt.Errorf("empty value")

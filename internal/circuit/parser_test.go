@@ -18,16 +18,16 @@ func TestParseValueSuffixes(t *testing.T) {
 		{"7n", 7e-9}, {"2t", 2e12}, {"-0.38", -0.38},
 	}
 	for _, c := range cases {
-		got, err := parseValue(c.in)
+		got, err := ParseValue(c.in)
 		if err != nil {
-			t.Errorf("parseValue(%q): %v", c.in, err)
+			t.Errorf("ParseValue(%q): %v", c.in, err)
 			continue
 		}
 		if math.Abs(got-c.want) > 1e-9*math.Abs(c.want) {
-			t.Errorf("parseValue(%q) = %v, want %v", c.in, got, c.want)
+			t.Errorf("ParseValue(%q) = %v, want %v", c.in, got, c.want)
 		}
 	}
-	if _, err := parseValue("xyz"); err == nil {
+	if _, err := ParseValue("xyz"); err == nil {
 		t.Error("garbage value accepted")
 	}
 }

@@ -174,10 +174,36 @@ func (s *StageTiming) Add(o StageTiming) {
 	s.Feas += o.Feas
 }
 
+// Margin is a height margin to a receiver's Noise Rejection Curve, in
+// volts: negative when the noise fails the NRC, +Inf when the receiver
+// cannot fail at the glitch's width. JSON has no infinity, so Margin owns
+// the report schema's one non-trivial mapping: an infinite margin travels
+// as null and null decodes as +Inf. A report missing the key decodes to 0,
+// like any absent number.
+type Margin float64
+
+// MarshalJSON writes null for an infinite margin and the float64's JSON
+// number otherwise.
+func (m Margin) MarshalJSON() ([]byte, error) {
+	if math.IsInf(float64(m), 0) {
+		return []byte("null"), nil
+	}
+	return json.Marshal(float64(m))
+}
+
+// UnmarshalJSON is the inverse of MarshalJSON: null becomes +Inf.
+func (m *Margin) UnmarshalJSON(b []byte) error {
+	if string(b) == "null" {
+		*m = Margin(math.Inf(1))
+		return nil
+	}
+	return json.Unmarshal(b, (*float64)(m))
+}
+
 // NetReport is the per-victim outcome of an analysis. Its JSON form is the
 // stable machine-readable schema shared between the public API and
-// snacheck -json; the one non-trivial mapping is MarginV, which is +Inf for
-// unfailable nets and therefore serialised as null (JSON has no infinity).
+// snacheck -json; MarginV is +Inf for unfailable nets and therefore
+// serialised as null (see Margin).
 type NetReport struct {
 	Cluster string      `json:"cluster"`
 	Method  core.Method `json:"method"`
@@ -196,8 +222,8 @@ type NetReport struct {
 	// measurement node), for cross-referencing against table results.
 	DPPeakV float64 `json:"dp_peak_v"`
 
-	Fails   bool    `json:"fails"`
-	MarginV float64 `json:"margin_v"` // height margin to the NRC (+Inf when unfailable)
+	Fails   bool   `json:"fails"`
+	MarginV Margin `json:"margin_v"` // height margin to the NRC (+Inf when unfailable)
 
 	Elapsed time.Duration `json:"elapsed_ns"` // evaluation time (excluding characterisation)
 	Timing  StageTiming   `json:"timing"`     // full per-stage breakdown for this cluster
@@ -206,60 +232,6 @@ type NetReport struct {
 	// bounded-realistic outcome. Nil — and absent from JSON — unless
 	// Options.Feasibility is enabled, so the classic schema is unchanged.
 	Feasibility *FeasReport `json:"feasibility,omitempty"`
-}
-
-// netReportJSON is the wire form of NetReport: identical except that the
-// margin is a pointer, absent (null) for unfailable nets.
-type netReportJSON struct {
-	Cluster string      `json:"cluster"`
-	Method  core.Method `json:"method"`
-	Corner  string      `json:"corner,omitempty"`
-	PeakV   float64     `json:"peak_v"`
-	AreaVps float64     `json:"area_vps"`
-	WidthPs float64     `json:"width_ps"`
-	DPPeakV float64     `json:"dp_peak_v"`
-	Fails   bool        `json:"fails"`
-	MarginV *float64    `json:"margin_v"`
-
-	Elapsed time.Duration `json:"elapsed_ns"`
-	Timing  StageTiming   `json:"timing"`
-
-	Feasibility *FeasReport `json:"feasibility,omitempty"`
-}
-
-// MarshalJSON implements the stable report schema (see NetReport).
-func (r NetReport) MarshalJSON() ([]byte, error) {
-	j := netReportJSON{
-		Cluster: r.Cluster, Method: r.Method, Corner: r.Corner,
-		PeakV: r.PeakV, AreaVps: r.AreaVps, WidthPs: r.WidthPs,
-		DPPeakV: r.DPPeakV, Fails: r.Fails,
-		Elapsed: r.Elapsed, Timing: r.Timing,
-		Feasibility: r.Feasibility,
-	}
-	if !math.IsInf(r.MarginV, 0) {
-		m := r.MarginV
-		j.MarginV = &m
-	}
-	return json.Marshal(j)
-}
-
-// UnmarshalJSON is the inverse of MarshalJSON: a null margin becomes +Inf.
-func (r *NetReport) UnmarshalJSON(b []byte) error {
-	var j netReportJSON
-	if err := json.Unmarshal(b, &j); err != nil {
-		return err
-	}
-	*r = NetReport{
-		Cluster: j.Cluster, Method: j.Method, Corner: j.Corner,
-		PeakV: j.PeakV, AreaVps: j.AreaVps, WidthPs: j.WidthPs,
-		DPPeakV: j.DPPeakV, Fails: j.Fails, MarginV: math.Inf(1),
-		Elapsed: j.Elapsed, Timing: j.Timing,
-		Feasibility: j.Feasibility,
-	}
-	if j.MarginV != nil {
-		r.MarginV = *j.MarginV
-	}
-	return nil
 }
 
 // ClearTiming zeroes the wall-clock fields, leaving only the analysis
@@ -709,7 +681,7 @@ func (a *Analyzer) analyzeCluster(ctx context.Context, cs ClusterSpec) (*NetRepo
 	}
 	r.timing.NRC = time.Since(t0)
 	rep.Fails = curve.Fails(rep.PeakV, ev.RecvMetrics.Width)
-	rep.MarginV = curve.MarginV(rep.PeakV, ev.RecvMetrics.Width)
+	rep.MarginV = Margin(curve.MarginV(rep.PeakV, ev.RecvMetrics.Width))
 	if r.fctx != nil {
 		rep.Feasibility = r.fctx.report(curve, r.scenarios, rep.MarginV, rep.Fails)
 	} else if a.opts.Feasibility {
@@ -801,41 +773,10 @@ func (a *Analyzer) receiverCurve(ctx context.Context, recv *cell.Cell, pin strin
 // (serialised as null in JSON) when no analysed net can fail its NRC — in
 // particular for an empty design.
 type Summary struct {
-	Total, Failing int
-	WorstMarginV   float64
-	WorstCluster   string
-}
-
-// summaryJSON is the wire form of Summary, with the +Inf margin mapped to
-// null like NetReport's.
-type summaryJSON struct {
-	Total        int      `json:"total"`
-	Failing      int      `json:"failing"`
-	WorstMarginV *float64 `json:"worst_margin_v"`
-	WorstCluster string   `json:"worst_cluster,omitempty"`
-}
-
-// MarshalJSON implements the stable summary schema.
-func (s Summary) MarshalJSON() ([]byte, error) {
-	j := summaryJSON{Total: s.Total, Failing: s.Failing, WorstCluster: s.WorstCluster}
-	if !math.IsInf(s.WorstMarginV, 0) {
-		m := s.WorstMarginV
-		j.WorstMarginV = &m
-	}
-	return json.Marshal(j)
-}
-
-// UnmarshalJSON is the inverse of MarshalJSON.
-func (s *Summary) UnmarshalJSON(b []byte) error {
-	var j summaryJSON
-	if err := json.Unmarshal(b, &j); err != nil {
-		return err
-	}
-	*s = Summary{Total: j.Total, Failing: j.Failing, WorstMarginV: math.Inf(1), WorstCluster: j.WorstCluster}
-	if j.WorstMarginV != nil {
-		s.WorstMarginV = *j.WorstMarginV
-	}
-	return nil
+	Total        int    `json:"total"`
+	Failing      int    `json:"failing"`
+	WorstMarginV Margin `json:"worst_margin_v"`
+	WorstCluster string `json:"worst_cluster,omitempty"`
 }
 
 // String renders the one-line human summary, guarding the empty-design and
@@ -844,7 +785,7 @@ func (s Summary) String() string {
 	if s.Total == 0 {
 		return "no nets analysed"
 	}
-	if math.IsInf(s.WorstMarginV, 1) {
+	if math.IsInf(float64(s.WorstMarginV), 1) {
 		return fmt.Sprintf("%d nets analysed, %d failing; no net can fail its NRC", s.Total, s.Failing)
 	}
 	return fmt.Sprintf("%d nets analysed, %d failing; worst margin %.3f V (%s)",
@@ -855,7 +796,7 @@ func (s Summary) String() string {
 // with the smallest margin; ties go to the earliest report, and a run where
 // every margin is +Inf still names the first net rather than none.
 func Summarize(reports []NetReport) Summary {
-	s := Summary{WorstMarginV: math.Inf(1)}
+	s := Summary{WorstMarginV: Margin(math.Inf(1))}
 	for i, r := range reports {
 		s.Total++
 		if r.Fails {

@@ -2,7 +2,6 @@ package sna
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"math"
@@ -46,58 +45,8 @@ type FeasReport struct {
 	// against the same NRC as the classic result. The margin is floored at
 	// the classic MarginV: the realistic outcome is never reported as worse
 	// than the full worst case it is a restriction of.
-	RealisticFails   bool    `json:"realistic_fails"`
-	RealisticMarginV float64 `json:"realistic_margin_v"`
-}
-
-// feasReportJSON is the wire form of FeasReport, with the +Inf realistic
-// margin mapped to null like NetReport's MarginV.
-type feasReportJSON struct {
-	Combos    int64    `json:"combos"`
-	Feasible  int64    `json:"feasible"`
-	Pruned    int64    `json:"pruned"`
-	Scenarios int      `json:"scenarios"`
-	Scenario  []string `json:"scenario,omitempty"`
-
-	RealisticPeakV   float64  `json:"realistic_peak_v"`
-	RealisticWidthPs float64  `json:"realistic_width_ps"`
-	RealisticDPPeakV float64  `json:"realistic_dp_peak_v"`
-	RealisticFails   bool     `json:"realistic_fails"`
-	RealisticMarginV *float64 `json:"realistic_margin_v"`
-}
-
-// MarshalJSON implements the stable feasibility schema (see FeasReport).
-func (r FeasReport) MarshalJSON() ([]byte, error) {
-	j := feasReportJSON{
-		Combos: r.Combos, Feasible: r.Feasible, Pruned: r.Pruned,
-		Scenarios: r.Scenarios, Scenario: r.Scenario,
-		RealisticPeakV: r.RealisticPeakV, RealisticWidthPs: r.RealisticWidthPs,
-		RealisticDPPeakV: r.RealisticDPPeakV, RealisticFails: r.RealisticFails,
-	}
-	if !math.IsInf(r.RealisticMarginV, 0) {
-		m := r.RealisticMarginV
-		j.RealisticMarginV = &m
-	}
-	return json.Marshal(j)
-}
-
-// UnmarshalJSON is the inverse of MarshalJSON: a null margin becomes +Inf.
-func (r *FeasReport) UnmarshalJSON(b []byte) error {
-	var j feasReportJSON
-	if err := json.Unmarshal(b, &j); err != nil {
-		return err
-	}
-	*r = FeasReport{
-		Combos: j.Combos, Feasible: j.Feasible, Pruned: j.Pruned,
-		Scenarios: j.Scenarios, Scenario: j.Scenario,
-		RealisticPeakV: j.RealisticPeakV, RealisticWidthPs: j.RealisticWidthPs,
-		RealisticDPPeakV: j.RealisticDPPeakV, RealisticFails: j.RealisticFails,
-		RealisticMarginV: math.Inf(1),
-	}
-	if j.RealisticMarginV != nil {
-		r.RealisticMarginV = *j.RealisticMarginV
-	}
-	return nil
+	RealisticFails   bool   `json:"realistic_fails"`
+	RealisticMarginV Margin `json:"realistic_margin_v"`
 }
 
 // aggressorName returns the constraint-reference name of aggressor i: the
@@ -321,7 +270,7 @@ func evalScenarios(ctx context.Context, cl *core.Cluster, method core.Method, mo
 // scenario is the one with the smallest NRC margin (ties to the earliest in
 // the deterministic scenario order), and the realistic margin is floored at
 // the classic one.
-func (f *feasContext) report(curve *nrc.Curve, scenarios []scenarioOutcome, classicMarginV float64, classicFails bool) *FeasReport {
+func (f *feasContext) report(curve *nrc.Curve, scenarios []scenarioOutcome, classicMarginV Margin, classicFails bool) *FeasReport {
 	rep := &FeasReport{
 		Combos:    f.sol.Total,
 		Feasible:  f.sol.Feasible,
@@ -329,9 +278,9 @@ func (f *feasContext) report(curve *nrc.Curve, scenarios []scenarioOutcome, clas
 		Scenarios: len(scenarios),
 	}
 	gov := -1
-	govMargin := math.Inf(1)
+	govMargin := Margin(math.Inf(1))
 	for i, sc := range scenarios {
-		m := curve.MarginV(sc.ev.RecvMetrics.Peak, sc.ev.RecvMetrics.Width)
+		m := Margin(curve.MarginV(sc.ev.RecvMetrics.Peak, sc.ev.RecvMetrics.Width))
 		if gov < 0 || m < govMargin {
 			gov, govMargin = i, m
 		}

@@ -209,7 +209,7 @@ func TestFeasibilityParallelMatchesSerial(t *testing.T) {
 func TestFeasReportJSONRoundTrip(t *testing.T) {
 	in := NetReport{Cluster: "x", Feasibility: &FeasReport{
 		Combos: 7, Feasible: 4, Pruned: 3, Scenarios: 2,
-		Scenario: []string{"a", "c"}, RealisticMarginV: math.Inf(1),
+		Scenario: []string{"a", "c"}, RealisticMarginV: Margin(math.Inf(1)),
 	}}
 	b, err := json.Marshal(in)
 	if err != nil {
@@ -218,11 +218,20 @@ func TestFeasReportJSONRoundTrip(t *testing.T) {
 	if !strings.Contains(string(b), `"realistic_margin_v":null`) {
 		t.Errorf("+Inf realistic margin not serialised as null: %s", b)
 	}
+	const wantJSON = `{"cluster":"x","method":"golden","peak_v":0,"area_vps":0,"width_ps":0,"dp_peak_v":0,` +
+		`"fails":false,"margin_v":0,"elapsed_ns":0,` +
+		`"timing":{"build_ns":0,"models_ns":0,"align_ns":0,"eval_ns":0,"nrc_ns":0},` +
+		`"feasibility":{"combos":7,"feasible":4,"pruned":3,"scenarios":2,"scenario":["a","c"],` +
+		`"realistic_peak_v":0,"realistic_width_ps":0,"realistic_dp_peak_v":0,` +
+		`"realistic_fails":false,"realistic_margin_v":null}}`
+	if string(b) != wantJSON {
+		t.Errorf("JSON bytes moved:\ngot:  %s\nwant: %s", b, wantJSON)
+	}
 	var out NetReport
 	if err := json.Unmarshal(b, &out); err != nil {
 		t.Fatal(err)
 	}
-	if out.Feasibility == nil || !math.IsInf(out.Feasibility.RealisticMarginV, 1) {
+	if out.Feasibility == nil || !math.IsInf(float64(out.Feasibility.RealisticMarginV), 1) {
 		t.Errorf("round trip lost the +Inf margin: %+v", out.Feasibility)
 	}
 	if out.Feasibility.Pruned != 3 || len(out.Feasibility.Scenario) != 2 {

@@ -154,7 +154,7 @@ func TestAnalyzeFlagsHotCluster(t *testing.T) {
 	if mild.Fails {
 		t.Error("mild cluster flagged as failing")
 	}
-	if !math.IsInf(mild.MarginV, 1) && mild.MarginV < 0.1 {
+	if !math.IsInf(float64(mild.MarginV), 1) && mild.MarginV < 0.1 {
 		t.Errorf("mild margin %v V suspiciously small", mild.MarginV)
 	}
 	// The hot cluster was constructed to be dangerous: two strong in-phase
@@ -213,7 +213,7 @@ func TestSummarize(t *testing.T) {
 	reports := []NetReport{
 		{Cluster: "a", Fails: false, MarginV: 0.4},
 		{Cluster: "b", Fails: true, MarginV: -0.1},
-		{Cluster: "c", Fails: false, MarginV: math.Inf(1)},
+		{Cluster: "c", Fails: false, MarginV: Margin(math.Inf(1))},
 	}
 	s := Summarize(reports)
 	if s.Total != 3 || s.Failing != 1 {

@@ -279,7 +279,7 @@ func TestEmptyDesignAnalyze(t *testing.T) {
 	if got := s.String(); got != "no nets analysed" {
 		t.Errorf("empty summary = %q", got)
 	}
-	if !math.IsInf(s.WorstMarginV, 1) || s.WorstCluster != "" {
+	if !math.IsInf(float64(s.WorstMarginV), 1) || s.WorstCluster != "" {
 		t.Errorf("empty summary fields: %+v", s)
 	}
 	// The JSON schema must survive the +Inf margin (null on the wire).
@@ -290,6 +290,9 @@ func TestEmptyDesignAnalyze(t *testing.T) {
 	if !strings.Contains(string(b), `"worst_margin_v":null`) {
 		t.Errorf("empty summary JSON = %s, want null margin", b)
 	}
+	if want := `{"total":0,"failing":0,"worst_margin_v":null}`; string(b) != want {
+		t.Errorf("empty summary JSON = %s, want exactly %s", b, want)
+	}
 }
 
 // TestNetReportJSONRoundTrip: the stable schema round-trips, including the
@@ -298,7 +301,7 @@ func TestNetReportJSONRoundTrip(t *testing.T) {
 	in := NetReport{
 		Cluster: "x", Method: core.Macromodel,
 		PeakV: 0.25, AreaVps: 40, WidthPs: 300, DPPeakV: 0.31,
-		Fails: false, MarginV: math.Inf(1),
+		Fails: false, MarginV: Margin(math.Inf(1)),
 		Elapsed: 12 * time.Millisecond,
 		Timing:  StageTiming{Build: time.Millisecond, Eval: 2 * time.Millisecond},
 	}
@@ -310,6 +313,12 @@ func TestNetReportJSONRoundTrip(t *testing.T) {
 		if !strings.Contains(string(b), want) {
 			t.Errorf("JSON %s missing %s", b, want)
 		}
+	}
+	const wantJSON = `{"cluster":"x","method":"macromodel","peak_v":0.25,"area_vps":40,"width_ps":300,"dp_peak_v":0.31,` +
+		`"fails":false,"margin_v":null,"elapsed_ns":12000000,` +
+		`"timing":{"build_ns":1000000,"models_ns":0,"align_ns":0,"eval_ns":2000000,"nrc_ns":0}}`
+	if string(b) != wantJSON {
+		t.Errorf("JSON bytes moved:\ngot:  %s\nwant: %s", b, wantJSON)
 	}
 	var out NetReport
 	if err := json.Unmarshal(b, &out); err != nil {
@@ -330,6 +339,10 @@ func TestNetReportJSONRoundTrip(t *testing.T) {
 	}
 	if out.MarginV != -0.07 || !out.Fails {
 		t.Errorf("finite margin lost in round trip: %+v", out)
+	}
+
+	if err := json.Unmarshal([]byte(`{"cluster":"x","margin_v":"x"}`), &out); err == nil {
+		t.Errorf("a string margin decoded without error: %+v", out)
 	}
 }
 

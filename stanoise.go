@@ -58,6 +58,10 @@ type (
 	// NetReport is the per-victim outcome of an analysis; its JSON form is
 	// the stable schema emitted by snacheck -json.
 	NetReport = sna.NetReport
+	// Margin is a height margin to a receiver's NRC in volts (NetReport,
+	// FeasReport and Summary): +Inf for a net that cannot fail, written as
+	// null in JSON.
+	Margin = sna.Margin
 	// Summary aggregates reports (see Summarize).
 	Summary = sna.Summary
 	// StageTiming breaks one cluster's analysis into pipeline stages.
