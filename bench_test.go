@@ -454,8 +454,9 @@ func BenchmarkMacromodelEngine(b *testing.B) {
 // BenchmarkAlignWorstCase times the pessimistic flow's worst-case alignment
 // search on the Table 2 cluster: the peak-alignment runs, then the
 // coordinate-ascent probes, each an engine run whose one non-linear port
-// is the victim's VCCS (p_N = 1). Every op restarts from the same offsets,
-// so every op does the same engine runs.
+// is the victim's VCCS (p_N = 1) and which stops once its peak is decided
+// (DESIGN.md §26). Every op restarts from the same offsets, so every op
+// does the same engine runs and steps.
 func BenchmarkAlignWorstCase(b *testing.B) {
 	p := prepareBench(b, "t2", paper.Table2Cluster, false)
 	aggs := p.cluster.Aggressors
@@ -478,6 +479,7 @@ func BenchmarkAlignWorstCase(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
-	runs := sim.Snapshot().Sub(before).EngineRuns
-	b.ReportMetric(float64(runs)/float64(b.N), "engine-runs/op")
+	d := sim.Snapshot().Sub(before)
+	b.ReportMetric(float64(d.EngineRuns)/float64(b.N), "engine-runs/op")
+	b.ReportMetric(float64(d.EngineSteps)/float64(b.N), "engine-steps/op")
 }

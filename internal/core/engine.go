@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 
 	"stanoise/internal/charlib"
 	"stanoise/internal/linalg"
@@ -231,6 +232,30 @@ func (r *EngineResult) Waveform(k int) *wave.Waveform {
 // The context is checked periodically between timesteps so a cancelled
 // analysis stops mid-transient; a nil context disables cancellation.
 func RunEngine(ctx context.Context, red *mor.Reduced, sources []PortSource, v0 []float64, opts EngineOptions) (*EngineResult, error) {
+	return runEngine(ctx, red, sources, v0, opts, nil)
+}
+
+// enginePeak is RunEngine for a caller that reads only the peak deviation
+// of one port from quiet, and its time, as wave.MeasureNoise reads them off
+// the port's waveform. It records no waveform, and it stops at the first
+// settled step where the certificate of DESIGN.md §26 proves that no later
+// sample can exceed the running peak, so it returns the full run's peak
+// and peak time bit for bit. A run outside the certificate's
+// preconditions goes to TStop. geo, which may be nil, is the certificate's
+// geometry of red on the run's step when the caller holds it.
+func enginePeak(ctx context.Context, red *mor.Reduced, sources []PortSource, v0 []float64, opts EngineOptions, port int, quiet float64, geo *tailGeometry) (peak, tPeak float64, err error) {
+	pw := &peakWatch{port: port, quiet: quiet, geo: geo}
+	if _, err := runEngine(ctx, red, sources, v0, opts, pw); err != nil {
+		return 0, 0, err
+	}
+	peak, tPeak = pw.result()
+	return peak, tPeak, nil
+}
+
+// runEngine is the one step loop behind RunEngine and enginePeak: with a
+// nil pw it records every port's waveform; with pw it records none,
+// follows pw's port and may stop early (pw.result holds the answer).
+func runEngine(ctx context.Context, red *mor.Reduced, sources []PortSource, v0 []float64, opts EngineOptions, pw *peakWatch) (*EngineResult, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
@@ -251,7 +276,8 @@ func RunEngine(ctx context.Context, red *mor.Reduced, sources []PortSource, v0 [
 	if err != nil {
 		return nil, err
 	}
-	sim.Record(sim.Counters{EngineRuns: 1})
+	steps := 0 // accepted steps, counted once the run ends
+	defer func() { sim.Record(sim.Counters{EngineRuns: 1, EngineSteps: int64(steps)}) }()
 	q := red.Q
 
 	// Order the ports non-linear first: perm[:pn] stay in Newton and
@@ -271,10 +297,13 @@ func RunEngine(ctx context.Context, red *mor.Reduced, sources []PortSource, v0 [
 		}
 	}
 
-	res := &EngineResult{
-		Times: make([]float64, n+1),
-		PortV: make([][]float64, p),
-		Ports: append([]string(nil), red.Ports...),
+	var res *EngineResult
+	if pw == nil {
+		res = &EngineResult{
+			Times: make([]float64, n+1),
+			PortV: make([][]float64, p),
+			Ports: append([]string(nil), red.Ports...),
+		}
 	}
 	// Initial port currents at the quiet point. A linear port's ∂i/∂v is
 	// its slope g_j for the whole run.
@@ -288,8 +317,10 @@ func RunEngine(ctx context.Context, red *mor.Reduced, sources []PortSource, v0 [
 			d.Init(h, 0, v0[j])
 		}
 		iPrev[jj], slope[jj] = s.Current(0, v0[j])
-		res.PortV[j] = make([]float64, n+1)
-		res.PortV[j][0] = v0[j]
+		if res != nil {
+			res.PortV[j] = make([]float64, n+1)
+			res.PortV[j][0] = v0[j]
+		}
 	}
 
 	// Per-run constants, one port per row of the port matrices in perm
@@ -327,6 +358,21 @@ func RunEngine(ctx context.Context, red *mor.Reduced, sources []PortSource, v0 [
 		for b := 0; b < pn; b++ {
 			m.Set(a, b, linalg.Dot(row(bt, a), row(zt, b)))
 		}
+	}
+	// A peak-only run follows its port at perm index wj and, when the
+	// certificate applies, checks it every tailCheckEvery settled steps.
+	var (
+		wj   int
+		tail *tailBound
+	)
+	if pw != nil {
+		wj = slices.Index(perm, pw.port)
+		pw.observe(0, v0[pw.port])
+		geo := pw.geo
+		if geo == nil || geo.red != red || geo.h != h {
+			geo = newTailGeometry(red, h)
+		}
+		tail = newTailBound(geo, sources, v0, perm, pn, bt, a1, a2, prop, zt, m, wj, pw.quiet, n)
 	}
 
 	x := make([]float64, q)  // reduced state
@@ -451,7 +497,6 @@ func RunEngine(ctx context.Context, red *mor.Reduced, sources []PortSource, v0 [
 		// Accept: store port currents for the trapezoidal history, then let
 		// stateful sources advance their companions. The linear ports read
 		// their voltages from Bᵀx.
-		res.Times[k] = t
 		for jj, j := range perm {
 			if jj < pn {
 				v := v0[j] + y[jj]
@@ -463,7 +508,24 @@ func RunEngine(ctx context.Context, red *mor.Reduced, sources []PortSource, v0 [
 				y[jj] = linalg.Dot(row(bt, jj), x)
 				iPrev[jj] = i0[jj] + slope[jj]*y[jj]
 			}
-			res.PortV[j][k] = v0[j] + y[jj]
+			if res != nil {
+				res.PortV[j][k] = v0[j] + y[jj]
+			}
+		}
+		steps = k
+		if res != nil {
+			res.Times[k] = t
+			continue
+		}
+		// A sample that raised the peak is inside the bound, so it is
+		// never the step to stop at.
+		rose := pw.observe(t, v0[pw.port]+y[wj])
+		switch {
+		case tail == nil || t < tail.te:
+		case pw.inspect != nil:
+			pw.inspect(k, tail.bound(x, iPrev, n-k, pw.peak))
+		case k%tailCheckEvery == 0 && !rose && pw.live() && tail.bound(x, iPrev, n-k, pw.peak) < pw.peak:
+			return nil, nil
 		}
 	}
 	return res, nil

@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"encoding/binary"
 	"encoding/json"
 	"fmt"
 	"math"
@@ -114,6 +115,17 @@ type EvalOptions struct {
 	// driver to the macromodel — an extension beyond the paper's pure
 	// DC-table formulation (see the ablation benchmarks).
 	Miller bool
+
+	// forceFullHorizon runs the alignment search's peak-only engine runs
+	// to tstop and measures the recorded waveform, as before they stopped
+	// once their peak was decided; observe, when non-nil, sees the peak
+	// and peak time of each of those runs in order. Test hooks.
+	forceFullHorizon bool
+	observe          func(peak, tPeak float64)
+	// geometry is the stop certificate's geometry of the models' reduced
+	// interconnect on Dt, computed once per alignment search for all its
+	// peak-only runs.
+	geometry *tailGeometry
 }
 
 func (o EvalOptions) normalize(c *Cluster) EvalOptions {
@@ -258,6 +270,13 @@ func (c *Cluster) runMacromodel(ctx context.Context, models *Models, opts EvalOp
 	if models == nil {
 		return nil, fmt.Errorf("core: macromodel evaluation needs models")
 	}
+	return RunEngine(ctx, models.Red, c.macromodelSources(models, opts), models.V0, EngineOptions{Dt: opts.Dt, TStop: opts.tstop})
+}
+
+// macromodelSources is the port source set of the macromodel: open ports,
+// the victim's VCCS (with its Miller capacitor when asked for) and the
+// aggressors' Thevenin drivers.
+func (c *Cluster) macromodelSources(models *Models, opts EvalOptions) []PortSource {
 	sources := make([]PortSource, len(models.Red.Ports))
 	for i := range sources {
 		sources[i] = OpenPort{}
@@ -269,7 +288,31 @@ func (c *Cluster) runMacromodel(ctx context.Context, models *Models, opts EvalOp
 	}
 	sources[models.VicPort] = vic
 	c.aggressorSources(models, sources)
-	return RunEngine(ctx, models.Red, sources, models.V0, EngineOptions{Dt: opts.Dt, TStop: opts.tstop})
+	return sources
+}
+
+// victimPeak runs the engine on sources for the victim driving point's
+// peak deviation from quiet and its time, the only numbers the alignment
+// search reads: a peak-only run that stops once they are decided
+// (enginePeak, DESIGN.md §26), or under forceFullHorizon a run to tstop
+// measured by wave.MeasureNoise.
+func victimPeak(ctx context.Context, models *Models, sources []PortSource, opts EvalOptions, quiet float64) (peak, tPeak float64, err error) {
+	eo := EngineOptions{Dt: opts.Dt, TStop: opts.tstop}
+	if opts.forceFullHorizon {
+		res, err := RunEngine(ctx, models.Red, sources, models.V0, eo)
+		if err != nil {
+			return 0, 0, err
+		}
+		dp := &wave.Waveform{T: res.Times, V: res.PortV[models.VicPort]}
+		m := wave.MeasureNoise(dp, quiet)
+		peak, tPeak = m.Peak, m.TPeak
+	} else if peak, tPeak, err = enginePeak(ctx, models.Red, sources, models.V0, eo, models.VicPort, quiet, opts.geometry); err != nil {
+		return 0, 0, err
+	}
+	if opts.observe != nil {
+		opts.observe(peak, tPeak)
+	}
+	return peak, tPeak, nil
 }
 
 func (c *Cluster) evaluateSuperposition(ctx context.Context, models *Models, opts EvalOptions) (*Evaluation, error) {
@@ -452,6 +495,9 @@ func (c *Cluster) AlignPeaks(ctx context.Context, models *Models, opts EvalOptio
 		return 0, nil, fmt.Errorf("core: alignment needs models")
 	}
 	opts = opts.normalize(c)
+	if opts.geometry == nil {
+		opts.geometry = newTailGeometry(models.Red, opts.Dt)
+	}
 	quiet := models.QuietVic
 
 	peaks := make([]float64, len(c.Aggressors))
@@ -473,15 +519,14 @@ func (c *Cluster) AlignPeaks(ctx context.Context, models *Models, opts EvalOptio
 				sources[pj] = heldPort(models.Agg[j])
 			}
 		}
-		res, err := RunEngine(ctx, models.Red, sources, models.V0, EngineOptions{Dt: opts.Dt, TStop: opts.tstop})
+		peak, tPeak, err := victimPeak(ctx, models, sources, opts, quiet)
 		if err != nil {
 			return 0, nil, fmt.Errorf("core: alignment run for aggressor %d: %w", i, err)
 		}
-		m := wave.MeasureNoise(res.Waveform(models.VicPort), quiet)
-		if m.Peak == 0 {
+		if peak == 0 {
 			return 0, nil, fmt.Errorf("core: aggressor %d injects no measurable noise", i)
 		}
-		peaks[i] = m.TPeak
+		peaks[i] = tPeak
 	}
 
 	if c.Victim.Glitch.Height > 0 {
@@ -524,6 +569,7 @@ func (c *Cluster) AlignWorstCase(ctx context.Context, models *Models, opts EvalO
 		return fmt.Errorf("core: alignment needs models")
 	}
 	opts = opts.normalize(c)
+	opts.geometry = newTailGeometry(models.Red, opts.Dt)
 	if _, _, err := c.AlignPeaks(ctx, models, opts); err != nil {
 		return err
 	}
@@ -537,7 +583,27 @@ func (c *Cluster) AlignWorstCase(ctx context.Context, models *Models, opts EvalO
 		reach  = 4 // probes on each side of the current offset: ±80 ps
 		passes = 2
 	)
-	best, err := c.macromodelPeak(ctx, models, opts)
+	// Pass 2 comes back to offset vectors pass 1 ran: each is run once, and
+	// a repeat reads the peak off the list of the search's probes, keyed
+	// by the bits of every aggressor's offset.
+	probed := map[string]float64{}
+	key := make([]byte, 0, 8*len(c.Aggressors))
+	probe := func() (float64, error) {
+		key = key[:0]
+		for i := range c.Aggressors {
+			key = binary.LittleEndian.AppendUint64(key, math.Float64bits(c.Aggressors[i].Offset))
+		}
+		if p, ok := probed[string(key)]; ok {
+			return p, nil
+		}
+		p, err := c.macromodelPeak(ctx, models, opts)
+		if err != nil {
+			return 0, err
+		}
+		probed[string(key)] = p
+		return p, nil
+	}
+	best, err := probe()
 	if err != nil {
 		return err
 	}
@@ -557,7 +623,7 @@ func (c *Cluster) AlignWorstCase(ctx context.Context, models *Models, opts EvalO
 				}
 				off := base + float64(k)*step
 				c.Aggressors[i].Offset = off
-				p, err := c.macromodelPeak(ctx, models, opts)
+				p, err := probe()
 				if err != nil {
 					return err
 				}
@@ -614,14 +680,13 @@ func (c *Cluster) EvaluateScenario(ctx context.Context, m Method, models *Models
 
 // macromodelPeak evaluates the cluster's macromodel noise peak at the
 // current offsets — the objective of the worst-case alignment search. It
-// is evaluateMacromodel's Metrics.Peak, measured on the engine's own
-// slices: no waveform copies, and no receiver metrics, which the search
-// never reads.
+// is evaluateMacromodel's Metrics.Peak bit for bit, from a peak-only run
+// (victimPeak): no waveform, no receiver metrics, and no steps after the
+// peak is decided.
 func (c *Cluster) macromodelPeak(ctx context.Context, models *Models, opts EvalOptions) (float64, error) {
-	res, err := c.runMacromodel(ctx, models, opts)
-	if err != nil {
-		return 0, err
+	if models == nil {
+		return 0, fmt.Errorf("core: macromodel evaluation needs models")
 	}
-	dp := &wave.Waveform{T: res.Times, V: res.PortV[models.VicPort]}
-	return wave.MeasureNoise(dp, c.QuietVictimLevel()).Peak, nil
+	peak, _, err := victimPeak(ctx, models, c.macromodelSources(models, opts), opts, c.QuietVictimLevel())
+	return peak, err
 }

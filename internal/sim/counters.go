@@ -62,6 +62,11 @@ type Counters struct {
 	// excluded from Total(). The feasibility filter's strictly-fewer-solves
 	// guarantee is asserted on this counter.
 	EngineRuns int64 `json:"engine_runs"`
+	// EngineSteps counts the timesteps those engine runs took: a run the
+	// alignment search stops once its peak is decided (DESIGN.md §26)
+	// counts the steps it ran, not the steps to its stop time. Like
+	// EngineRuns it is evaluation work, excluded from Total().
+	EngineSteps int64 `json:"engine_steps"`
 }
 
 // Add returns the per-counter sum c + d.
@@ -80,6 +85,7 @@ func (c Counters) Add(d Counters) Counters {
 		PredictorFallbacks: c.PredictorFallbacks + d.PredictorFallbacks,
 		NLStampEvals:       c.NLStampEvals + d.NLStampEvals,
 		EngineRuns:         c.EngineRuns + d.EngineRuns,
+		EngineSteps:        c.EngineSteps + d.EngineSteps,
 	}
 }
 
@@ -99,6 +105,7 @@ func (c Counters) Sub(prev Counters) Counters {
 		PredictorFallbacks: c.PredictorFallbacks - prev.PredictorFallbacks,
 		NLStampEvals:       c.NLStampEvals - prev.NLStampEvals,
 		EngineRuns:         c.EngineRuns - prev.EngineRuns,
+		EngineSteps:        c.EngineSteps - prev.EngineSteps,
 	}
 }
 
@@ -115,7 +122,8 @@ var (
 )
 
 // Record adds a work delta to the process-wide totals. Sessions call it
-// once per Run*; core.RunEngine records its EngineRuns through it.
+// once per Run*; core.RunEngine records its EngineRuns and EngineSteps
+// through it, once per run.
 func Record(d Counters) {
 	countersMu.Lock()
 	totals = totals.Add(d)

@@ -12,7 +12,7 @@ import (
 // every /statsz sim block, per-corner block and libchar -stats-out corner
 // entry is checked against.
 var counterKeys = []string{
-	"dc", "engine_runs", "linear_fast_path_runs", "low_rank_fallbacks", "low_rank_runs",
+	"dc", "engine_runs", "engine_steps", "linear_fast_path_runs", "low_rank_fallbacks", "low_rank_runs",
 	"newton_iters", "nl_stamp_evals", "predictor_fallbacks", "predictor_seeds",
 	"transient", "transient_steps", "warm_fallbacks", "warm_starts",
 }
