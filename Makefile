@@ -61,10 +61,32 @@ bench-check:
 # bench-record writes BENCH_$(PR).json, the perf record of one change: the
 # record of every benchmark workload at seeds 1..3 (`run.sh --runs 3`),
 # plus one traced seed-1 pass per workload whose work counters per op land
-# in the record's "counters_seed1" block (the counters the CI gate reads).
+# in the record's "counters_seed1" block (the counters the CI gate reads),
+# plus one pass of the `make bench` micro-benchmarks, whose rows (ns/op,
+# B/op, allocs/op and every custom unit, by package and benchmark name as
+# `go test` prints them) land in its "micro" block.
 # Run it on a quiet machine: `make bench-record PR=24`.
 BENCH_WORKLOADS = design-pessimistic design-realistic-warmstore charfarm-corners serve-mixed
 BENCH_COUNTERS = sim.dc_solves sim.transients sim.transient_steps sim.newton_iters core.engine_runs
+
+define BENCH_RECORD_PY
+import json, sys
+rec = json.load(open(".bench_build/record.json"))
+ws, names = sys.argv[1].split(), sys.argv[2].split()
+runs = {w: json.load(open(".bench_build/counters_%s.json" % w)) for w in ws}
+rec["counters_seed1"] = {w: dict(correct=r["correct"], **{n: r["metrics"][n]["value"] for n in names if n in r["metrics"]}) for w, r in runs.items()}
+micro, pkg = {}, None
+for line in open(".bench_build/micro.txt"):
+    f = line.split()
+    if line.startswith("pkg: "):
+        pkg = f[1]
+    elif line.startswith("Benchmark") and len(f) >= 4:
+        micro.setdefault(pkg, {})[f[0]] = dict(iterations=int(f[1]), **{u: float(v) for v, u in zip(f[2::2], f[3::2])})
+rec["micro"] = micro
+json.dump(rec, sys.stdout, indent=2)
+print()
+endef
+export BENCH_RECORD_PY
 
 bench-record:
 	@test -n "$(PR)" || { echo "usage: make bench-record PR=<n>" >&2; exit 2; }
@@ -73,10 +95,6 @@ bench-record:
 	for w in $(BENCH_WORKLOADS); do \
 		bash benchmark/run.sh --workload $$w --seed 1 --seconds 2 --trace 1 | tail -n 1 > .bench_build/counters_$$w.json || exit 1; \
 	done
-	python3 -c 'import json, sys; \
-	rec = json.load(open(".bench_build/record.json")); \
-	ws, names = sys.argv[1].split(), sys.argv[2].split(); \
-	runs = {w: json.load(open(".bench_build/counters_%s.json" % w)) for w in ws}; \
-	rec["counters_seed1"] = {w: dict(correct=r["correct"], **{n: r["metrics"][n]["value"] for n in names if n in r["metrics"]}) for w, r in runs.items()}; \
-	json.dump(rec, sys.stdout, indent=2); print()' "$(BENCH_WORKLOADS)" "$(BENCH_COUNTERS)" > BENCH_$(PR).json
+	$(MAKE) -s bench > .bench_build/micro.txt
+	python3 -c "$$BENCH_RECORD_PY" "$(BENCH_WORKLOADS)" "$(BENCH_COUNTERS)" > BENCH_$(PR).json
 	@echo "wrote BENCH_$(PR).json"

@@ -98,7 +98,8 @@ type simRig struct {
 	gen  int
 }
 
-// Validate checks structural consistency.
+// Validate checks structural consistency, and that no switching
+// aggressor's input ramp starts before t = 0.
 func (c *Cluster) Validate() error {
 	nLines := len(c.Bus.Lines)
 	if c.Victim.Line < 0 || c.Victim.Line >= nLines {
@@ -127,6 +128,20 @@ func (c *Cluster) Validate() error {
 	}
 	if c.Victim.Glitch.Height > 0 && c.Victim.Glitch.Width <= 0 {
 		return fmt.Errorf("core: glitch with height needs positive width")
+	}
+	return c.checkStarts()
+}
+
+// checkStarts rejects a switching aggressor whose input ramp starts before
+// t = 0. Every run starts from the quiet operating point, with each
+// aggressor port at its pre-transition rail, which such a ramp has
+// already left: the macromodel would inject noise golden never sees.
+func (c *Cluster) checkStarts() error {
+	for i := range c.Aggressors {
+		a := &c.Aggressors[i]
+		if s := a.StartTime(); !a.Quiet && s < 0 {
+			return fmt.Errorf("core: aggressor %d input ramp starts at %.4g ps, before t = 0", i, s*1e12)
+		}
 	}
 	return nil
 }

@@ -405,13 +405,7 @@ func clusterModels(t *testing.T, tt *tech.Tech, nAgg int) (*Cluster, *Models) {
 // driving point, the aggressors' Thevenin (or held) sources, and open
 // receiver ports.
 func clusterSources(c *Cluster, models *Models, vic PortSource) []PortSource {
-	srcs := make([]PortSource, len(models.Red.Ports))
-	for i := range srcs {
-		srcs[i] = OpenPort{}
-	}
-	srcs[models.VicPort] = vic
-	c.aggressorSources(models, srcs)
-	return srcs
+	return c.portSources(models, vic, c.switches)
 }
 
 // newtonPorts counts the ports RunEngine keeps in Newton.

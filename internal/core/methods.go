@@ -142,12 +142,16 @@ func (o EvalOptions) normalize(c *Cluster) EvalOptions {
 }
 
 // Evaluate computes the total noise with the chosen method. Models must
-// come from BuildModels on the same cluster (Golden ignores them). The
-// context cancels the underlying transient engines mid-run; a nil context
-// disables cancellation.
+// come from BuildModels on the same cluster (Golden ignores them). A
+// switching aggressor whose input ramp starts before t = 0 is an error
+// (see Validate). The context cancels the underlying transient engines
+// mid-run; a nil context disables cancellation.
 func (c *Cluster) Evaluate(ctx context.Context, m Method, models *Models, opts EvalOptions) (*Evaluation, error) {
 	if ctx == nil {
 		ctx = context.Background()
+	}
+	if err := c.checkStarts(); err != nil {
+		return nil, err
 	}
 	opts = opts.normalize(c)
 	switch m {
@@ -233,19 +237,31 @@ func (c *Cluster) seedQuietLevels(sess *sim.Session) {
 	}
 }
 
-// aggressorSources builds the Thevenin port sources with current offsets.
-// Quiet aggressors hold their pre-transition rail instead of switching
-// (heldPort), as the alignment timing runs hold every aggressor but one.
-func (c *Cluster) aggressorSources(models *Models, sources []PortSource) {
-	for i, pi := range models.AggPorts {
-		if c.Aggressors[i].Quiet {
-			sources[pi] = heldPort(models.Agg[i])
-			continue
-		}
-		drv := models.Agg[i].Shifted(c.Aggressors[i].Offset)
-		sources[pi] = NewTheveninPort(drv)
+// portSources is the port source set of one engine run: victim at the
+// victim driving point, aggressor i's Thevenin driver at its current
+// offset where switching(i) holds and its held pre-transition rail
+// (heldPort) where it does not, and every other port open. Evaluations
+// switch the aggressors that are not Quiet (switches); the alignment
+// timing runs switch one at a time.
+func (c *Cluster) portSources(models *Models, victim PortSource, switching func(i int) bool) []PortSource {
+	sources := make([]PortSource, len(models.Red.Ports))
+	for i := range sources {
+		sources[i] = OpenPort{}
 	}
+	sources[models.VicPort] = victim
+	for i, pi := range models.AggPorts {
+		if switching(i) {
+			sources[pi] = NewTheveninPort(models.Agg[i].Shifted(c.Aggressors[i].Offset))
+		} else {
+			sources[pi] = heldPort(models.Agg[i])
+		}
+	}
+	return sources
 }
+
+// switches reports whether aggressor i switches in an evaluation: it is
+// not Quiet.
+func (c *Cluster) switches(i int) bool { return !c.Aggressors[i].Quiet }
 
 // heldPort is an aggressor that does not switch: its quiet rail V0 behind
 // its Thevenin resistance.
@@ -277,18 +293,12 @@ func (c *Cluster) runMacromodel(ctx context.Context, models *Models, opts EvalOp
 // the victim's VCCS (with its Miller capacitor when asked for) and the
 // aggressors' Thevenin drivers.
 func (c *Cluster) macromodelSources(models *Models, opts EvalOptions) []PortSource {
-	sources := make([]PortSource, len(models.Red.Ports))
-	for i := range sources {
-		sources[i] = OpenPort{}
-	}
 	vin := c.victimInputWave()
 	var vic PortSource = &VCCSPort{LC: models.LC, Vin: vin}
 	if opts.Miller && models.MillerC > 0 {
 		vic = ParallelPort{vic, &CapPort{C: models.MillerC, W: vin}}
 	}
-	sources[models.VicPort] = vic
-	c.aggressorSources(models, sources)
-	return sources
+	return c.portSources(models, vic, c.switches)
 }
 
 // victimPeak runs the engine on sources for the victim driving point's
@@ -327,12 +337,7 @@ func (c *Cluster) evaluateSuperposition(ctx context.Context, models *Models, opt
 
 	// Injected noise: linear victim (holding conductance), aggressors
 	// switching.
-	sources := make([]PortSource, len(models.Red.Ports))
-	for i := range sources {
-		sources[i] = OpenPort{}
-	}
-	sources[models.VicPort] = &HoldingPort{G: models.HoldG, V0: quiet}
-	c.aggressorSources(models, sources)
+	sources := c.portSources(models, &HoldingPort{G: models.HoldG, V0: quiet}, c.switches)
 	res, err := RunEngine(ctx, models.Red, sources, models.V0, EngineOptions{Dt: opts.Dt, TStop: opts.tstop})
 	if err != nil {
 		return nil, err
@@ -432,12 +437,7 @@ func (c *Cluster) evaluateZolotov(ctx context.Context, models *Models, opts Eval
 
 	var res *EngineResult
 	for pass := 0; pass < opts.ZolotovPasses; pass++ {
-		sources := make([]PortSource, len(models.Red.Ports))
-		for i := range sources {
-			sources[i] = OpenPort{}
-		}
-		sources[models.VicPort] = &TheveninPort{W: pulse, RTh: rHold}
-		c.aggressorSources(models, sources)
+		sources := c.portSources(models, &TheveninPort{W: pulse, RTh: rHold}, c.switches)
 		res, err = RunEngine(ctx, models.Red, sources, models.V0, EngineOptions{Dt: opts.Dt, TStop: opts.tstop})
 		if err != nil {
 			return nil, err
@@ -505,20 +505,9 @@ func (c *Cluster) AlignPeaks(ctx context.Context, models *Models, opts EvalOptio
 		if c.Aggressors[i].Quiet {
 			continue
 		}
-		sources := make([]PortSource, len(models.Red.Ports))
-		for k := range sources {
-			sources[k] = OpenPort{}
-		}
-		sources[models.VicPort] = &HoldingPort{G: models.HoldG, V0: quiet}
 		// Only aggressor i switches; the others hold their quiet rail
 		// through their Thevenin resistance.
-		for j, pj := range models.AggPorts {
-			if j == i {
-				sources[pj] = NewTheveninPort(models.Agg[j].Shifted(c.Aggressors[j].Offset))
-			} else {
-				sources[pj] = heldPort(models.Agg[j])
-			}
-		}
+		sources := c.portSources(models, &HoldingPort{G: models.HoldG, V0: quiet}, func(j int) bool { return j == i })
 		peak, tPeak, err := victimPeak(ctx, models, sources, opts, quiet)
 		if err != nil {
 			return 0, nil, fmt.Errorf("core: alignment run for aggressor %d: %w", i, err)
@@ -644,8 +633,9 @@ func (c *Cluster) AlignWorstCase(ctx context.Context, models *Models, opts EvalO
 // EvaluateScenario evaluates the cluster with only a chosen subset of its
 // aggressors switching — one feasible scenario of the correlation filter.
 // active[i] selects whether aggressor i switches; starts[i] is the input
-// ramp start time of an active aggressor (ignored for inactive ones, which
-// are held quiet at their pre-transition rail but keep loading the bus).
+// ramp start time of an active aggressor, at t = 0 or later (ignored for
+// inactive ones, which are held quiet at their pre-transition rail but
+// keep loading the bus).
 // The aggressors' Quiet/Offset state is restored before returning, so a
 // scenario evaluation never perturbs a later classical one. Like every
 // evaluation it must not run concurrently with others on the same Cluster

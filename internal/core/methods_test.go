@@ -326,6 +326,43 @@ func TestEvaluateRequiresModels(t *testing.T) {
 	}
 }
 
+// An aggressor whose input ramp starts before t = 0 is an error, not an
+// evaluation: every run starts with the aggressor's port at its
+// pre-transition rail, which the ramp has already left, so the macromodel
+// would report noise golden does not see. Validate, golden and macromodel
+// evaluation and EvaluateScenario each name the aggressor and its start; a
+// quiet aggressor has no ramp and is not checked.
+func TestNegativeAggressorStartRejected(t *testing.T) {
+	ctx := context.Background()
+	c := fastCluster(t, 1)
+	models, err := c.BuildModels(ctx, ModelOptions{SkipProp: true, LoadCurve: fastModelOptions().LoadCurve})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const want = "core: aggressor 0 input ramp starts at -100 ps, before t = 0"
+	check := func(what string, err error) {
+		t.Helper()
+		if err == nil || err.Error() != want {
+			t.Errorf("%s with the ramp at -100 ps: err = %v, want %q", what, err, want)
+		}
+	}
+	c.Aggressors[0].Offset = -300e-12 // the ramp's nominal start is 200 ps
+	check("Validate", c.Validate())
+	for _, m := range []Method{Golden, Macromodel} {
+		_, err := c.Evaluate(ctx, m, models, fastEvalOptions())
+		check(m.String(), err)
+	}
+	c.Aggressors[0].Offset = 0
+	_, err = c.EvaluateScenario(ctx, Macromodel, models, fastEvalOptions(), []bool{true}, []float64{-100e-12})
+	check("EvaluateScenario", err)
+
+	c.Aggressors[0].Offset = -300e-12
+	c.Aggressors[0].Quiet = true
+	if err := c.Validate(); err != nil {
+		t.Errorf("quiet aggressor with a negative offset rejected: %v", err)
+	}
+}
+
 func TestMillerExtensionStaysAccurate(t *testing.T) {
 	c := fastCluster(t, 1)
 	models, err := c.BuildModels(context.Background(), ModelOptions{SkipProp: true, LoadCurve: charlib.LoadCurveOptions{NVin: 41, NVout: 41}})

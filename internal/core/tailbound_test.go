@@ -95,12 +95,7 @@ func clusterTailCases(t *testing.T, tt *tech.Tech, nAgg int) []tailCase {
 	}
 	c.Aggressors[nAgg-1].Offset = base
 	for i := range c.Aggressors {
-		srcs := clusterSources(c, models, &HoldingPort{G: models.HoldG, V0: models.QuietVic})
-		for j, pj := range models.AggPorts {
-			if j != i {
-				srcs[pj] = heldPort(models.Agg[j])
-			}
-		}
+		srcs := c.portSources(models, &HoldingPort{G: models.HoldG, V0: models.QuietVic}, func(j int) bool { return j == i })
 		cases = append(cases, tailCase{
 			name: fmt.Sprintf("%s/%dagg/timing%d", tt.Name, nAgg, i),
 			red:  models.Red, srcs: srcs, v0: models.V0, opts: eo,

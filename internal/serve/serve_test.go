@@ -11,6 +11,7 @@ import (
 	"net/http/httptest"
 	"runtime"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -355,12 +356,30 @@ func waitFor(t *testing.T, d time.Duration, what string, cond func() bool) {
 	}
 }
 
+// firstOnlyGate admits the first Acquire and holds every later one until
+// its context ends.
+type firstOnlyGate struct{ calls atomic.Int64 }
+
+func (g *firstOnlyGate) Acquire(ctx context.Context) error {
+	if g.calls.Add(1) == 1 {
+		return nil
+	}
+	<-ctx.Done()
+	return ctx.Err()
+}
+
+func (g *firstOnlyGate) Release() {}
+
 // TestClientDisconnectCancelsAndLeaksNothing drops the client mid-stream
 // and asserts the server observes the disconnect (canceled counter), stops
 // the analysis, and settles back to its pre-request goroutine count — the
-// leak-free contract for long-lived serving.
+// leak-free contract for long-lived serving. The fleet gate admits one
+// cluster and holds the other five until the request ends, so they are
+// still pending when the client goes, however fast they would run.
 func TestClientDisconnectCancelsAndLeaksNothing(t *testing.T) {
-	srv := NewServer(Config{Analysis: fastAnalysis()})
+	analysis := fastAnalysis()
+	analysis.Gate = &firstOnlyGate{}
+	srv := NewServer(Config{Analysis: analysis})
 	ts := httptest.NewServer(srv)
 	defer ts.Close()
 	base := runtime.NumGoroutine()
@@ -383,8 +402,10 @@ func TestClientDisconnectCancelsAndLeaksNothing(t *testing.T) {
 	cancel()
 	resp.Body.Close()
 
-	waitFor(t, 30*time.Second, "server to count the disconnect", func() bool {
-		return srv.canceled.Load() == 1
+	// The handler counts the cancel before it returns and gives back its
+	// admission slot, so wait for both.
+	waitFor(t, 30*time.Second, "server to count the disconnect and end the request", func() bool {
+		return srv.canceled.Load() == 1 && srv.Stats().Requests.InFlight == 0
 	})
 	if tr, ok := ts.Client().Transport.(*http.Transport); ok {
 		tr.CloseIdleConnections()

@@ -8,6 +8,7 @@ import (
 	"runtime"
 	"sort"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -87,9 +88,30 @@ func TestStreamEarlyBreak(t *testing.T) {
 	settleGoroutines(t, before)
 }
 
+// cancelAtGate is a Gate whose at-th Acquire cancels the run: a cancel at
+// a fixed point of the run, however fast the clusters go.
+type cancelAtGate struct {
+	at     int64
+	calls  atomic.Int64
+	cancel context.CancelFunc
+}
+
+func (g *cancelAtGate) Acquire(ctx context.Context) error {
+	if g.calls.Add(1) == g.at {
+		g.cancel()
+	}
+	return ctx.Err()
+}
+
+func (g *cancelAtGate) Release() {}
+
 // TestAnalyzeCancelPrompt: cancelling mid-run returns promptly with the
 // context error — through the characterisation loops and transient engines,
-// not just between clusters — and leaks no goroutines.
+// not just between clusters — and leaks no goroutines. The cancel comes
+// from the fifth gate Acquire, which one of the four workers makes only
+// after its first cluster: at most four clusters are admitted by then, so
+// at least eight of the twelve are never analysed and the run must end in
+// the cancel, however fast the clusters go.
 func TestAnalyzeCancelPrompt(t *testing.T) {
 	before := runtime.NumGoroutine()
 	d := GenerateDesign("cancel", 12)
@@ -99,10 +121,8 @@ func TestAnalyzeCancelPrompt(t *testing.T) {
 	opts.Cache = nil
 
 	ctx, cancel := context.WithCancel(context.Background())
-	go func() {
-		time.Sleep(30 * time.Millisecond)
-		cancel()
-	}()
+	defer cancel()
+	opts.Gate = &cancelAtGate{at: 5, cancel: cancel}
 	start := time.Now()
 	reports, err := NewAnalyzer(d, opts).Analyze(ctx)
 	returned := time.Since(start)

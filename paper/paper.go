@@ -14,11 +14,9 @@ import (
 	"sync"
 	"time"
 
-	"stanoise/internal/cell"
 	"stanoise/internal/charlib"
 	"stanoise/internal/core"
-	"stanoise/internal/interconnect"
-	"stanoise/internal/tech"
+	"stanoise/internal/sna"
 	"stanoise/internal/wave"
 )
 
@@ -105,77 +103,51 @@ func (q Quality) modelOptions() core.ModelOptions {
 	return opts
 }
 
+// cluster builds one of the paper's noise clusters from its geometric
+// description, as sna builds every design's clusters: on metal layer 4 of
+// the named technology card, at q's wire discretisation.
+func (q Quality) cluster(techName string, cs sna.ClusterSpec) (*core.Cluster, error) {
+	d := sna.Design{Tech: techName, Layer: "M4", Segments: q.segments()}
+	return d.BuildCluster(cs)
+}
+
+// invAggressor is the aggressor of every paper cluster: an INV X2 whose
+// input rises, on a line of the given length at side ("left" or "right")
+// of the victim. Its receiver is sna's default, an INV X2 on pin A.
+func invAggressor(side string, lengthUm float64) sna.AggressorSpec {
+	return sna.AggressorSpec{
+		Cell: "INV", Drive: 2, FromState: map[string]bool{"A": false}, SwitchPin: "A",
+		LengthUm: lengthUm, Side: side,
+	}
+}
+
+// table12Victim is the victim of the paper's Tables 1 and 2: a NAND2 X1
+// held high with A = 1 and B = 0 (sna's sensitised state for pin B), a
+// 0.70 V × 400 ps glitch arriving on B, driving 500 µm into an INV X2.
+var table12Victim = sna.VictimSpec{
+	Cell: "NAND2", NoisyPin: "B", GlitchHeightV: 0.70, GlitchWidthPs: 400, LengthUm: 500,
+}
+
 // Table1Cluster builds the paper's Table 1 test case: "a simple test case
 // in 0.13µm technology, consisting of two adjacent coupled nets … extracted
 // from two 500µm parallel-running interconnects, designed on metal layer 4,
 // where the aggressor cell is an inverter and the victim driver is a
 // 2-input nand", with one noise glitch propagating through the victim.
 func Table1Cluster(q Quality) (*core.Cluster, error) {
-	tt := tech.Tech130()
-	bus, err := interconnect.NewBus(tt, "M4", q.segments(),
-		interconnect.LineSpec{Name: "vic", LengthUm: 500},
-		interconnect.LineSpec{Name: "agg", LengthUm: 500},
-	)
-	if err != nil {
-		return nil, err
-	}
-	nand := cell.MustNew(tt, "NAND2", 1)
-	st, err := nand.SensitizedState("B", true) // A=1, B=0: output held high
-	if err != nil {
-		return nil, err
-	}
-	inv := func(d int) *cell.Cell { return cell.MustNew(tt, "INV", d) }
-	return &core.Cluster{
-		Tech: tt,
-		Bus:  bus,
-		Victim: core.VictimSpec{
-			Cell: nand, State: st, NoisyPin: "B",
-			Glitch:   core.GlitchSpec{Height: 0.70, Width: 400e-12, Start: 150e-12},
-			Line:     0,
-			Receiver: inv(2), ReceiverPin: "A",
-		},
-		Aggressors: []core.AggressorSpec{{
-			Cell: inv(2), FromState: cell.State{"A": false}, SwitchPin: "A",
-			Line: 1, Receiver: inv(2), ReceiverPin: "A",
-		}},
-	}, nil
+	return q.cluster("cmos130", sna.ClusterSpec{
+		Name: "table1", Victim: table12Victim,
+		Aggressors: []sna.AggressorSpec{invAggressor("right", 500)},
+	})
 }
 
 // Table2Cluster builds the paper's Table 2 test case: two in-phase
 // aggressors flanking the victim, plus the propagating glitch — the
 // worst-case overlap experiment.
 func Table2Cluster(q Quality) (*core.Cluster, error) {
-	tt := tech.Tech130()
-	bus, err := interconnect.NewBus(tt, "M4", q.segments(),
-		interconnect.LineSpec{Name: "agg1", LengthUm: 500},
-		interconnect.LineSpec{Name: "vic", LengthUm: 500},
-		interconnect.LineSpec{Name: "agg2", LengthUm: 500},
-	)
-	if err != nil {
-		return nil, err
-	}
-	nand := cell.MustNew(tt, "NAND2", 1)
-	st, err := nand.SensitizedState("B", true)
-	if err != nil {
-		return nil, err
-	}
-	inv := func(d int) *cell.Cell { return cell.MustNew(tt, "INV", d) }
-	return &core.Cluster{
-		Tech: tt,
-		Bus:  bus,
-		Victim: core.VictimSpec{
-			Cell: nand, State: st, NoisyPin: "B",
-			Glitch:   core.GlitchSpec{Height: 0.70, Width: 400e-12, Start: 150e-12},
-			Line:     1,
-			Receiver: inv(2), ReceiverPin: "A",
-		},
-		Aggressors: []core.AggressorSpec{
-			{Cell: inv(2), FromState: cell.State{"A": false}, SwitchPin: "A",
-				Line: 0, Receiver: inv(2), ReceiverPin: "A"},
-			{Cell: inv(2), FromState: cell.State{"A": false}, SwitchPin: "A",
-				Line: 2, Receiver: inv(2), ReceiverPin: "A"},
-		},
-	}, nil
+	return q.cluster("cmos130", sna.ClusterSpec{
+		Name: "table2", Victim: table12Victim,
+		Aggressors: []sna.AggressorSpec{invAggressor("left", 500), invAggressor("right", 500)},
+	})
 }
 
 // evalRow converts an evaluation into a table row with errors vs golden.

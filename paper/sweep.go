@@ -6,9 +6,8 @@ import (
 	"math"
 	"strings"
 
-	"stanoise/internal/cell"
 	"stanoise/internal/core"
-	"stanoise/internal/interconnect"
+	"stanoise/internal/sna"
 	"stanoise/internal/tech"
 )
 
@@ -55,64 +54,27 @@ func BuildSweepCluster(sc SweepCase, q Quality) (*core.Cluster, error) {
 	if err != nil {
 		return nil, err
 	}
-	vic, err := cell.New(tt, sc.VictimKind, 1)
-	if err != nil {
-		return nil, err
-	}
-	st, err := vic.SensitizedState(sc.VictimPin, true)
-	if err != nil {
-		return nil, err
-	}
-	inv := func(d int) *cell.Cell { return cell.MustNew(tt, "INV", d) }
-
-	var lines []interconnect.LineSpec
-	vicLine := 0
+	var aggs []sna.AggressorSpec
 	switch sc.NumAgg {
 	case 1:
-		lines = []interconnect.LineSpec{
-			{Name: "vic", LengthUm: sc.LengthUm},
-			{Name: "agg1", LengthUm: sc.LengthUm},
-		}
+		aggs = []sna.AggressorSpec{invAggressor("right", sc.LengthUm)}
 	case 2:
-		lines = []interconnect.LineSpec{
-			{Name: "agg1", LengthUm: sc.LengthUm},
-			{Name: "vic", LengthUm: sc.LengthUm},
-			{Name: "agg2", LengthUm: sc.LengthUm},
-		}
-		vicLine = 1
+		aggs = []sna.AggressorSpec{invAggressor("left", sc.LengthUm), invAggressor("right", sc.LengthUm)}
 	default:
 		return nil, fmt.Errorf("paper: sweep supports 1 or 2 aggressors, got %d", sc.NumAgg)
 	}
-	bus, err := interconnect.NewBus(tt, "M4", q.segments(), lines...)
-	if err != nil {
-		return nil, err
-	}
-	c := &core.Cluster{
-		Tech: tt,
-		Bus:  bus,
-		Victim: core.VictimSpec{
-			// A solidly propagating glitch, matching the regime of the
-			// paper's evaluation (total noise a large fraction of VDD).
-			// Marginal near-threshold glitches are a documented hard case
-			// for any DC-table macromodel — see EXPERIMENTS.md.
-			Cell: vic, State: st, NoisyPin: sc.VictimPin,
-			Glitch:   core.GlitchSpec{Height: 0.62 * tt.VDD, Width: 450e-12, Start: 150e-12},
-			Line:     vicLine,
-			Receiver: inv(2), ReceiverPin: "A",
+	return q.cluster(sc.TechName, sna.ClusterSpec{
+		Name: sc.Name,
+		// A solidly propagating glitch, matching the regime of the
+		// paper's evaluation (total noise a large fraction of VDD).
+		// Marginal near-threshold glitches are a documented hard case
+		// for any DC-table macromodel — see EXPERIMENTS.md.
+		Victim: sna.VictimSpec{
+			Cell: sc.VictimKind, NoisyPin: sc.VictimPin,
+			GlitchHeightV: 0.62 * tt.VDD, GlitchWidthPs: 450, LengthUm: sc.LengthUm,
 		},
-	}
-	aggLine := 0
-	for i := 0; i < sc.NumAgg; i++ {
-		if aggLine == vicLine {
-			aggLine++
-		}
-		c.Aggressors = append(c.Aggressors, core.AggressorSpec{
-			Cell: inv(2), FromState: cell.State{"A": false}, SwitchPin: "A",
-			Line: aggLine, Receiver: inv(2), ReceiverPin: "A",
-		})
-		aggLine++
-	}
-	return c, nil
+		Aggressors: aggs,
+	})
 }
 
 // RunSweep regenerates claim C1: macromodel and superposition accuracy over
