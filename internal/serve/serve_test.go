@@ -11,7 +11,6 @@ import (
 	"net/http/httptest"
 	"runtime"
 	"strings"
-	"sync/atomic"
 	"testing"
 	"time"
 
@@ -356,20 +355,6 @@ func waitFor(t *testing.T, d time.Duration, what string, cond func() bool) {
 	}
 }
 
-// firstOnlyGate admits the first Acquire and holds every later one until
-// its context ends.
-type firstOnlyGate struct{ calls atomic.Int64 }
-
-func (g *firstOnlyGate) Acquire(ctx context.Context) error {
-	if g.calls.Add(1) == 1 {
-		return nil
-	}
-	<-ctx.Done()
-	return ctx.Err()
-}
-
-func (g *firstOnlyGate) Release() {}
-
 // TestClientDisconnectCancelsAndLeaksNothing drops the client mid-stream
 // and asserts the server observes the disconnect (canceled counter), stops
 // the analysis, and settles back to its pre-request goroutine count — the
@@ -378,7 +363,7 @@ func (g *firstOnlyGate) Release() {}
 // still pending when the client goes, however fast they would run.
 func TestClientDisconnectCancelsAndLeaksNothing(t *testing.T) {
 	analysis := fastAnalysis()
-	analysis.Gate = &firstOnlyGate{}
+	analysis.Gate = &testGate{budget: 1}
 	srv := NewServer(Config{Analysis: analysis})
 	ts := httptest.NewServer(srv)
 	defer ts.Close()

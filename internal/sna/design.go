@@ -84,8 +84,8 @@ type AggressorSpec struct {
 // WindowSpec is the JSON form of an aggressor switching window: the input
 // transition of the aggressor driver may start no earlier than EarlyPs and
 // no later than LatePs (picoseconds from analysis time zero). A missing
-// window means the aggressor can switch at any time — exactly the
-// pessimistic assumption of the classical flow.
+// window means the aggressor can switch at any time from zero on — exactly
+// the pessimistic assumption of the classical flow.
 type WindowSpec struct {
 	EarlyPs float64 `json:"early_ps"`
 	LatePs  float64 `json:"late_ps"`

@@ -233,11 +233,14 @@ func evalScenarios(ctx context.Context, cl *core.Cluster, method core.Method, mo
 			// Constrained re-alignment: each member's peak delay is known
 			// from the timing runs (peak hits target when started at
 			// starts[i]), so the realizable common peak target within the
-			// windows follows from pure interval arithmetic.
+			// windows follows from pure interval arithmetic. No ramp
+			// starts before t = 0 (core rejects one), so an aggressor
+			// without a window may start at any time from 0 on.
 			subW := make([]feas.Window, len(idx))
 			subD := make([]float64, len(idx))
 			for k, i := range idx {
 				subW[k] = fctx.prob.Windows[i]
+				subW[k].Early = math.Max(subW[k].Early, 0)
 				subD[k] = target - starts[i]
 			}
 			sub := feas.AlignWindows(subW, subD, target)

@@ -92,6 +92,51 @@ func TestRealisticNeverBelowWorstCase(t *testing.T) {
 	}
 }
 
+// TestUnwindowedScenarioStartsAtZero covers a scenario whose windowed
+// member pulls the common peak target early: a fast aggressor that may
+// switch only in [0, 20] ps beside a slow, unwindowed one with a long
+// peak delay. Re-aligned with no floor, the slow ramp would start before
+// t = 0, which core rejects; the re-alignment starts it at 0 instead, so
+// the cluster gets its report instead of failing its feasibility stage.
+func TestUnwindowedScenarioStartsAtZero(t *testing.T) {
+	inv := func(name string, drive int, slewPs, lengthUm float64, side string, w *WindowSpec) AggressorSpec {
+		return AggressorSpec{Name: name, Cell: "INV", Drive: drive, FromState: map[string]bool{"A": false},
+			SwitchPin: "A", SlewPs: slewPs, LengthUm: lengthUm, Side: side, Window: w}
+	}
+	d := &Design{
+		Name: "skew", Tech: "cmos130", Layer: "M4", Segments: 10,
+		Clusters: []ClusterSpec{{
+			Name: "skew0",
+			Victim: VictimSpec{Cell: "NAND2", Drive: 1, NoisyPin: "B",
+				GlitchHeightV: 0.5, GlitchWidthPs: 300, LengthUm: 1500},
+			Aggressors: []AggressorSpec{
+				inv("fast", 4, 40, 100, "left", &WindowSpec{EarlyPs: 0, LatePs: 20}),
+				inv("slow", 1, 200, 1500, "right", nil),
+			},
+		}},
+	}
+	opts := fastOpts(core.Macromodel)
+	opts.Feasibility = true
+	reports, err := NewAnalyzer(d, opts).Analyze(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(reports) != 1 || reports[0].Feasibility == nil {
+		t.Fatalf("want one report with a feasibility census, got %+v", reports)
+	}
+	r := reports[0]
+	f := r.Feasibility
+	if got := strings.Join(f.Scenario, ","); got != "fast,slow" {
+		t.Errorf("governing scenario %q, want fast,slow", got)
+	}
+	if f.RealisticMarginV < r.MarginV {
+		t.Errorf("realistic margin %v V below classic %v V", f.RealisticMarginV, r.MarginV)
+	}
+	if f.RealisticFails && !r.Fails {
+		t.Error("realistic failure without a classic one")
+	}
+}
+
 // TestFeasibilityAcceptance is the PR's acceptance gate on a generated
 // 32-cluster windowed design: feasibility mode must (a) report a
 // realistic margin at least the classic one on every cluster, (b) prune a
