@@ -44,7 +44,7 @@ golden-check:
 # bench regenerates the benchmark numbers recorded in EXPERIMENTS.md.
 bench:
 	$(GO) test -run xxx -bench 'DesignAnalyze|LoadCurveCharacterization|Speedup' -benchtime=1x -benchmem .
-	$(GO) test -run xxx -bench 'Table2Macromodel|MacromodelEngine|AlignWorstCase|Table1Golden|Table2Golden' -benchmem .
+	$(GO) test -run xxx -bench 'Table2Macromodel|MacromodelEngine|AlignWorstCase|Table1Golden|Table2Golden|AblationMiller' -benchmem .
 	$(GO) test -run xxx -bench 'MulVecInto' -benchmem ./internal/linalg
 	$(GO) test -run xxx -bench 'TransientLowRank' -benchmem ./internal/sim
 	$(GO) test -run xxx -bench 'INVLoadCurveSweep|NAND2LoadCurveSweepFine|PropTableTransient' -benchmem ./internal/charlib

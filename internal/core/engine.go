@@ -53,13 +53,18 @@ func (p *TheveninPort) Current(t, v float64) (float64, float64) {
 
 // VCCSPort is the paper's victim-driver model: the non-linear DC table
 // I_DC = f(V_in(t), V_out) of eq. (1), with the known input-noise waveform
-// driving the first argument.
+// driving the first argument. MillerC, when non-zero, is the driver's
+// input-output feedthrough capacitor from Vin to the port, the Miller
+// extension of the macromodel: RunEngine integrates it as the trapezoidal
+// capacitor it is (DESIGN.md §28), and Current leaves it out.
 type VCCSPort struct {
-	LC  *charlib.LoadCurve
-	Vin *wave.Waveform
+	LC      *charlib.LoadCurve
+	Vin     *wave.Waveform
+	MillerC float64
 }
 
-// Current implements PortSource.
+// Current implements PortSource: the DC table's current, without the
+// Miller capacitor's.
 func (p *VCCSPort) Current(t, v float64) (float64, float64) {
 	i, _, didv := p.LC.Eval(p.Vin.At(t), v)
 	return i, didv
@@ -77,82 +82,6 @@ type HoldingPort struct {
 // Current implements PortSource.
 func (p *HoldingPort) Current(t, v float64) (float64, float64) {
 	return -p.G * (v - p.V0), -p.G
-}
-
-// DynamicPort is an optional extension of PortSource for elements with
-// internal state (capacitive companions). Init is called once before the
-// run with the step size and quiet port voltage; Commit is called exactly
-// once per accepted timestep with the solved port voltage.
-type DynamicPort interface {
-	PortSource
-	Init(h, t0, v0 float64)
-	Commit(t, v float64)
-}
-
-// CapPort is a capacitor between a known voltage waveform and the port —
-// the Miller feedthrough element of the extended macromodel. It uses a
-// trapezoidal companion model, consistent with the engine's integrator.
-type CapPort struct {
-	C float64
-	W *wave.Waveform
-
-	h     float64
-	dPrev float64 // previous branch voltage w−v
-	iPrev float64 // previous branch current
-}
-
-// Init implements DynamicPort.
-func (p *CapPort) Init(h, t0, v0 float64) {
-	p.h = h
-	p.dPrev = p.W.At(t0) - v0
-	p.iPrev = 0
-}
-
-// Current implements PortSource: the trapezoidal companion current of the
-// capacitor, injected into the port.
-func (p *CapPort) Current(t, v float64) (float64, float64) {
-	g := 2 * p.C / p.h
-	d := p.W.At(t) - v
-	return g*(d-p.dPrev) - p.iPrev, -g
-}
-
-// Commit implements DynamicPort.
-func (p *CapPort) Commit(t, v float64) {
-	i, _ := p.Current(t, v)
-	p.dPrev = p.W.At(t) - v
-	p.iPrev = i
-}
-
-// ParallelPort combines several sources at one port.
-type ParallelPort []PortSource
-
-// Current implements PortSource by summation.
-func (pp ParallelPort) Current(t, v float64) (float64, float64) {
-	var i, g float64
-	for _, s := range pp {
-		si, sg := s.Current(t, v)
-		i += si
-		g += sg
-	}
-	return i, g
-}
-
-// Init implements DynamicPort by forwarding.
-func (pp ParallelPort) Init(h, t0, v0 float64) {
-	for _, s := range pp {
-		if d, ok := s.(DynamicPort); ok {
-			d.Init(h, t0, v0)
-		}
-	}
-}
-
-// Commit implements DynamicPort by forwarding.
-func (pp ParallelPort) Commit(t, v float64) {
-	for _, s := range pp {
-		if d, ok := s.(DynamicPort); ok {
-			d.Commit(t, v)
-		}
-	}
 }
 
 // The macromodel engine's Newton settings: each step's Newton stops once
@@ -226,9 +155,11 @@ func (r *EngineResult) Waveform(k int) *wave.Waveform {
 // p_N ports alone, and an all-linear run takes no Newton iteration at all.
 // In every evaluation method p_N is 0 or 1, the victim's VCCS, and its
 // Newton is a scalar one. The iterates are those of a Newton on the full
-// Q×Q step system (DESIGN.md §15). A step costs one Q×Q matrix-vector
-// product plus a p_N×p_N solve per iteration, with Q ≈ 15, and the step
-// loop allocates nothing.
+// Q×Q step system (DESIGN.md §15). A VCCS port's Miller capacitor folds
+// into the step and history matrices, and its feed-through from Vin into
+// each step's known current (DESIGN.md §28), so every port law is
+// stateless. A step costs one Q×Q matrix-vector product plus a p_N×p_N
+// solve per iteration, with Q ≈ 15, and the step loop allocates nothing.
 // The context is checked periodically between timesteps so a cancelled
 // analysis stops mid-transient; a nil context disables cancellation.
 func RunEngine(ctx context.Context, red *mor.Reduced, sources []PortSource, v0 []float64, opts EngineOptions) (*EngineResult, error) {
@@ -281,9 +212,8 @@ func runEngine(ctx context.Context, red *mor.Reduced, sources []PortSource, v0 [
 	q := red.Q
 
 	// Order the ports non-linear first: perm[:pn] stay in Newton and
-	// perm[pn:] are linear. Every port vector below is in this order. The
-	// non-linear ports keep their relative order, and no linear port is a
-	// DynamicPort, so the DynamicPorts see Init and Commit in port order.
+	// perm[pn:] are linear. Every port vector below is in this order, and
+	// the non-linear ports keep their relative order.
 	perm := make([]int, 0, p)
 	for j, s := range sources {
 		if !linearPort(s) {
@@ -309,14 +239,8 @@ func runEngine(ctx context.Context, red *mor.Reduced, sources []PortSource, v0 [
 	// its slope g_j for the whole run.
 	iPrev := make([]float64, p)
 	slope := make([]float64, p)
-	dyn := make([]DynamicPort, p)
 	for jj, j := range perm {
-		s := sources[j]
-		if d, ok := s.(DynamicPort); ok {
-			dyn[jj] = d
-			d.Init(h, 0, v0[j])
-		}
-		iPrev[jj], slope[jj] = s.Current(0, v0[j])
+		iPrev[jj], slope[jj] = sources[j].Current(0, v0[j])
 		if res != nil {
 			res.PortV[j] = make([]float64, n+1)
 			res.PortV[j][0] = v0[j]
@@ -328,7 +252,8 @@ func runEngine(ctx context.Context, red *mor.Reduced, sources []PortSource, v0 [
 	// the linear ports' slopes and A2 = 2Cr/h − Gr is the history matrix:
 	// prop = A1′⁻¹A2 carries the state across a step, zt = (A1′⁻¹B)ᵀ maps
 	// port currents into the state, and m = B_NᵀZ_N is the non-linear
-	// ports' impedance of one step.
+	// ports' impedance of one step. A VCCS port's Miller capacitor C adds
+	// (2C/h)·b·bᵀ to both A1′ and A2, b its row of bt (DESIGN.md §28).
 	bt := linalg.NewMatrix(p, q)
 	for jj, j := range perm {
 		for a := 0; a < q; a++ {
@@ -347,6 +272,15 @@ func runEngine(ctx context.Context, red *mor.Reduced, sources []PortSource, v0 [
 	a2 := red.Cr.Clone()
 	a2.Scale(2 / h)
 	a2.AddScaled(-1, red.Gr)
+	for jj := range pn {
+		if vp, ok := sources[perm[jj]].(*VCCSPort); ok && vp.MillerC != 0 {
+			g, b := 2*vp.MillerC/h, row(bt, jj)
+			for a, ba := range b {
+				linalg.AxpyVec(g*ba, b, row(a1, a))
+				linalg.AxpyVec(g*ba, b, row(a2, a))
+			}
+		}
+	}
 	lu, err := linalg.Factor(a1)
 	if err != nil {
 		return nil, fmt.Errorf("core: singular macromodel system matrix: %w", err)
@@ -399,13 +333,17 @@ func runEngine(ctx context.Context, red *mor.Reduced, sources []PortSource, v0 [
 		// w = P·x_prev + Z·(i_prev + i0) solves A1′·w = A2·x_prev + B·i_prev + B_L·i0.
 		// A linear port draws i0_j(t) + g_j·y_j, and its intercept i0_j(t),
 		// the current at the quiet voltage, is known before the solve. Open
-		// ports draw nothing and add nothing.
+		// ports draw nothing and add nothing. A Miller capacitor adds its
+		// known feed-through (2C/h)·(Vin(t) − Vin(t−h)), 0 after Vin's last
+		// knot.
 		prop.MulVecInto(w, x)
 		for jj, j := range perm {
 			ij := iPrev[jj]
 			if jj >= pn {
 				i0[jj], _ = sources[j].Current(t, v0[j])
 				ij += i0[jj]
+			} else if vp, ok := sources[j].(*VCCSPort); ok && vp.MillerC != 0 {
+				ij += 2 * vp.MillerC / h * (vp.Vin.At(t) - vp.Vin.At(float64(k-1)*h))
 			}
 			if ij != 0 {
 				linalg.AxpyVec(ij, row(zt, jj), w)
@@ -494,16 +432,11 @@ func runEngine(ctx context.Context, red *mor.Reduced, sources []PortSource, v0 [
 		if !converged {
 			return nil, fmt.Errorf("core: macromodel Newton did not converge at t=%.3gps: %w", t*1e12, sim.ErrNoConvergence)
 		}
-		// Accept: store port currents for the trapezoidal history, then let
-		// stateful sources advance their companions. The linear ports read
-		// their voltages from Bᵀx.
+		// Accept: store port currents for the trapezoidal history. The
+		// linear ports read their voltages from Bᵀx.
 		for jj, j := range perm {
 			if jj < pn {
-				v := v0[j] + y[jj]
-				iPrev[jj], _ = sources[j].Current(t, v)
-				if dyn[jj] != nil {
-					dyn[jj].Commit(t, v)
-				}
+				iPrev[jj], _ = sources[j].Current(t, v0[j]+y[jj])
 			} else {
 				y[jj] = linalg.Dot(row(bt, jj), x)
 				iPrev[jj] = i0[jj] + slope[jj]*y[jj]
@@ -540,7 +473,7 @@ func singularJacobian(t float64, err error) error {
 // linearPort reports whether s draws a current affine in the port voltage
 // with a constant slope, so that RunEngine folds it into the step matrix.
 // The list is closed: any other source, a caller-defined one included, may
-// be non-linear or stateful and stays in Newton.
+// be non-linear and stays in Newton.
 func linearPort(s PortSource) bool {
 	switch s.(type) {
 	case OpenPort, *TheveninPort, *HoldingPort:

@@ -179,63 +179,19 @@ func TestOpenPort(t *testing.T) {
 	}
 }
 
-func TestParallelPortSums(t *testing.T) {
-	p := ParallelPort{
-		&HoldingPort{G: 1e-3, V0: 1.0},
-		&HoldingPort{G: 2e-3, V0: 1.0},
-	}
-	i, g := p.Current(0, 0.9)
-	if math.Abs(i-0.3e-3) > 1e-12 || math.Abs(g+3e-3) > 1e-12 {
-		t.Errorf("parallel sum wrong: %v %v", i, g)
-	}
-}
-
-func TestCapPortDifferentiates(t *testing.T) {
-	// A CapPort between a ramping waveform and a fixed port voltage must
-	// deliver i ≈ C·dV/dt mid-ramp.
-	const (
-		c    = 10e-15
-		rate = 1.2 / 100e-12 // V/s
-		h    = 1e-12
-	)
-	p := &CapPort{C: c, W: wave.SaturatedRamp(0, 1.2, 50e-12, 100e-12)}
-	p.Init(h, 0, 0)
-	want := c * rate
-	// Trapezoidal companions ring at PWL corners; the integrator consumes
-	// the average of consecutive step currents, which must equal C·dV/dt
-	// exactly during the ramp.
-	var prev, cur float64
-	for t0 := h; t0 <= 100e-12; t0 += h {
-		prev = cur
-		cur, _ = p.Current(t0, 0)
-		p.Commit(t0, 0)
-	}
-	if avg := 0.5 * (prev + cur); math.Abs(avg-want) > 0.02*want {
-		t.Errorf("mid-ramp average cap current = %v, want %v", avg, want)
-	}
-	// And zero once the ramp completes and the history settles.
-	for t0 := 101e-12; t0 <= 400e-12; t0 += h {
-		prev = cur
-		cur, _ = p.Current(t0, 0)
-		p.Commit(t0, 0)
-	}
-	if avg := 0.5 * (prev + cur); math.Abs(avg) > 0.01*want {
-		t.Errorf("post-ramp average cap current = %v, want ~0", avg)
-	}
-}
-
 // referenceEngine is the dense formulation of RunEngine, kept as the oracle
 // of the differential tests: every Newton iteration re-stamps and factors
 // the full Q×Q Jacobian A1 − B·diag(∂i/∂v)·Bᵀ of
-// F(x) = A1·x − A2·x_prev − B·i_prev − B·i(t, V0+Bᵀx). It runs on the same
-// indexed time grid, calls the sources in the same order and stops on the
-// same max |Δx| < engineTol rule, so the two engines differ only by
-// round-off.
+// F(x) = A1·x − A2·x_prev − B·i_prev − B·i(t, V0+Bᵀx). It runs every Miller
+// capacitor in its companion form (companionForm) and every other source
+// as given, on the same indexed time grid, and stops on the same
+// max |Δx| < engineTol rule, so the two engines differ only by round-off.
 func referenceEngine(red *mor.Reduced, sources []PortSource, v0 []float64, opts EngineOptions) (*EngineResult, error) {
 	opts, err := opts.normalize()
 	if err != nil {
 		return nil, err
 	}
+	sources = companionForm(sources)
 	p, q, h := len(red.Ports), red.Q, opts.Dt
 	a1 := red.Cr.Clone()
 	a1.Scale(2 / h)
@@ -422,12 +378,12 @@ func newtonPorts(srcs []PortSource) int {
 // TestEngineMatchesReferenceOnClusters drives both engines with the port
 // source sets every evaluation method builds (see methods.go) on real
 // noise clusters: the non-linear VCCS victim alone and with its Miller
-// companion (a ParallelPort holding a DynamicPort), the superposition
-// holding conductance, the Zolotov pulsed source, and a set with the first
-// aggressor held quiet. Two more sets keep the first aggressor's Thevenin
-// law in Newton, once wrapped in a one-element ParallelPort and once as a
-// type the engine does not know, so every Newton size from p_N = 0 to 2 is
-// covered.
+// capacitor (which the reference runs as a CapPort companion), the
+// superposition holding conductance, the Zolotov pulsed source, and a set
+// with the first aggressor held quiet. Two more sets keep the first
+// aggressor's Thevenin law in Newton, once wrapped in a one-element
+// ParallelPort and once as a type the engine does not know, so every
+// Newton size from p_N = 0 to 2 is covered.
 func TestEngineMatchesReferenceOnClusters(t *testing.T) {
 	ctx := context.Background()
 	worst := 0.0
@@ -453,7 +409,7 @@ func TestEngineMatchesReferenceOnClusters(t *testing.T) {
 				pn   int                         // ports kept in Newton
 			}{
 				{"macromodel", &VCCSPort{LC: models.LC, Vin: vin}, nil, 1},
-				{"miller", ParallelPort{&VCCSPort{LC: models.LC, Vin: vin}, &CapPort{C: models.MillerC, W: vin}}, nil, 1},
+				{"miller", &VCCSPort{LC: models.LC, Vin: vin, MillerC: models.MillerC}, nil, 1},
 				{"superposition", &HoldingPort{G: models.HoldG, V0: models.QuietVic}, nil, 0},
 				{"zolotov", &TheveninPort{W: pulseFromResponse(drv, vin, models.LC, rHold), RTh: rHold}, nil, 0},
 				{"quiet", &VCCSPort{LC: models.LC, Vin: vin}, nil, 1},
@@ -578,12 +534,14 @@ func TestEngineRejectsNonFiniteOptions(t *testing.T) {
 }
 
 // The step loop allocates nothing: a run four times longer allocates
-// exactly as often (the result arrays are sized once up front).
+// exactly as often (the result arrays are sized once up front). The near
+// port is a VCCS in Newton with a Miller capacitor: an inverter-like table,
+// 300 Ω to the rail its rising input selects.
 func TestEngineAllocsIndependentOfSteps(t *testing.T) {
 	red := reducedLadder(t, 8, 50, 10e-15)
-	ramp := wave.SaturatedRamp(1.2, 0, 100e-12, 80e-12)
+	lc := &charlib.LoadCurve{VinMax: 1.2, VoutMax: 1.2, NVin: 2, NVout: 2, I: []float64{1.2 / 300, 0, 0, -1.2 / 300}}
 	srcs := []PortSource{
-		ParallelPort{&TheveninPort{W: ramp, RTh: 300}, &CapPort{C: 2e-15, W: ramp}},
+		&VCCSPort{LC: lc, Vin: wave.SaturatedRamp(0, 1.2, 100e-12, 80e-12), MillerC: 2e-15},
 		&HoldingPort{G: 1e-3, V0: 1.2},
 	}
 	allocs := func(tstop float64) float64 {

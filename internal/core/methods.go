@@ -293,10 +293,9 @@ func (c *Cluster) runMacromodel(ctx context.Context, models *Models, opts EvalOp
 // the victim's VCCS (with its Miller capacitor when asked for) and the
 // aggressors' Thevenin drivers.
 func (c *Cluster) macromodelSources(models *Models, opts EvalOptions) []PortSource {
-	vin := c.victimInputWave()
-	var vic PortSource = &VCCSPort{LC: models.LC, Vin: vin}
-	if opts.Miller && models.MillerC > 0 {
-		vic = ParallelPort{vic, &CapPort{C: models.MillerC, W: vin}}
+	vic := &VCCSPort{LC: models.LC, Vin: c.victimInputWave()}
+	if opts.Miller {
+		vic.MillerC = models.MillerC
 	}
 	return c.portSources(models, vic, c.switches)
 }
@@ -645,20 +644,22 @@ func (c *Cluster) EvaluateScenario(ctx context.Context, m Method, models *Models
 		return nil, fmt.Errorf("core: scenario needs %d active/start entries, got %d/%d",
 			len(c.Aggressors), len(active), len(starts))
 	}
+	// Every start is checked before any aggressor moves, so an error
+	// leaves the cluster as it was.
+	for i, on := range active {
+		if on && (math.IsNaN(starts[i]) || math.IsInf(starts[i], 0)) {
+			return nil, fmt.Errorf("core: scenario start for aggressor %d is %v", i, starts[i])
+		}
+	}
 	savedQuiet := make([]bool, len(c.Aggressors))
 	savedOffset := make([]float64, len(c.Aggressors))
 	for i := range c.Aggressors {
 		a := &c.Aggressors[i]
 		savedQuiet[i], savedOffset[i] = a.Quiet, a.Offset
-		if !active[i] {
-			a.Quiet = true
-			continue
+		a.Quiet = !active[i]
+		if active[i] {
+			a.Offset = starts[i] - a.t0()
 		}
-		if math.IsNaN(starts[i]) || math.IsInf(starts[i], 0) {
-			return nil, fmt.Errorf("core: scenario start for aggressor %d is %v", i, starts[i])
-		}
-		a.Quiet = false
-		a.Offset = starts[i] - a.t0()
 	}
 	defer func() {
 		for i := range c.Aggressors {

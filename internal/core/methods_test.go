@@ -363,6 +363,42 @@ func TestNegativeAggressorStartRejected(t *testing.T) {
 	}
 }
 
+// A scenario with a non-finite start is an error that leaves every
+// aggressor's Quiet and Offset as it found them, the aggressors before the
+// bad one included: a later classical evaluation must see the cluster
+// unmoved.
+func TestEvaluateScenarioBadStartMovesNothing(t *testing.T) {
+	ctx := context.Background()
+	c, models := clusterModels(t, tech.Tech130(), 2)
+	type state struct {
+		quiet  bool
+		offset float64
+	}
+	snapshot := func() []state {
+		var s []state
+		for _, a := range c.Aggressors {
+			s = append(s, state{a.Quiet, a.Offset})
+		}
+		return s
+	}
+	want := snapshot()
+	for _, tc := range []struct {
+		active []bool
+		starts []float64
+	}{
+		{[]bool{true, true}, []float64{300e-12, math.NaN()}},
+		{[]bool{false, true}, []float64{0, math.Inf(1)}},
+	} {
+		_, err := c.EvaluateScenario(ctx, Macromodel, models, fastEvalOptions(), tc.active, tc.starts)
+		if err == nil {
+			t.Errorf("active %v starts %v: no error", tc.active, tc.starts)
+		}
+		if got := snapshot(); !slices.Equal(got, want) {
+			t.Errorf("active %v starts %v: aggressors (quiet, offset) %v, want %v unchanged", tc.active, tc.starts, got, want)
+		}
+	}
+}
+
 func TestMillerExtensionStaysAccurate(t *testing.T) {
 	c := fastCluster(t, 1)
 	models, err := c.BuildModels(context.Background(), ModelOptions{SkipProp: true, LoadCurve: charlib.LoadCurveOptions{NVin: 41, NVout: 41}})

@@ -226,6 +226,11 @@ func newTailBound(geo *tailGeometry, sources []PortSource, v0 []float64, perm []
 				return nil
 			}
 		case *VCCSPort:
+			// A settled Miller capacitor is a grounded one at the port,
+			// outside the geometry of red.Cr (DESIGN.md §28).
+			if s.MillerC != 0 {
+				return nil
+			}
 			var ok bool
 			if sMax, iMax, ok = settledRow(s); !ok {
 				return nil

@@ -381,7 +381,7 @@ func TestTailBoundRefusals(t *testing.T) {
 		tstop   float64
 		wantErr error
 	}{
-		{"miller", ParallelPort{vccs, &CapPort{C: models.MillerC, W: vin}}, 0, nil},
+		{"miller", &VCCSPort{LC: models.LC, Vin: vin, MillerC: models.MillerC}, 0, nil},
 		{"caller-defined", portLaw(vccs.Current), 0, nil},
 		// A rising cell far below the operating point: refused, and the
 		// run, which never visits it, completes.
