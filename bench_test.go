@@ -323,7 +323,9 @@ func BenchmarkDesignAnalyzeWarmCache(b *testing.B) { benchDesignAnalyze(b, 4, tr
 // pays the per-aggressor coordinate-ascent refinement, Feasible replaces
 // it with interval-arithmetic alignment plus one engine run per maximal
 // feasible scenario. The engine-solves/op metric makes the strictly-fewer-
-// simulations claim visible next to the wall-clock number.
+// simulations claim visible next to the wall-clock number, and
+// engine-steps/op the steps those runs took, which the alignment search's
+// stopped and resumed runs cut (DESIGN.md §26, §29).
 func benchDesignFeasibility(b *testing.B, feasibility bool) {
 	b.Helper()
 	d := sna.GenerateDesign("bench", benchDesignClusters)
@@ -346,8 +348,9 @@ func benchDesignFeasibility(b *testing.B, feasibility bool) {
 			b.Fatalf("reports = %d", len(reports))
 		}
 	}
-	runs := sim.Snapshot().Sub(before).EngineRuns
-	b.ReportMetric(float64(runs)/float64(b.N), "engine-solves/op")
+	work := sim.Snapshot().Sub(before)
+	b.ReportMetric(float64(work.EngineRuns)/float64(b.N), "engine-solves/op")
+	b.ReportMetric(float64(work.EngineSteps)/float64(b.N), "engine-steps/op")
 }
 
 func BenchmarkDesignAnalyzePessimistic(b *testing.B) { benchDesignFeasibility(b, false) }
@@ -454,8 +457,9 @@ func BenchmarkMacromodelEngine(b *testing.B) {
 // BenchmarkAlignWorstCase times the pessimistic flow's worst-case alignment
 // search on the Table 2 cluster: the peak-alignment runs, then the
 // coordinate-ascent probes, each an engine run whose one non-linear port
-// is the victim's VCCS (p_N = 1) and which stops once its peak is decided
-// (DESIGN.md §26). Every op restarts from the same offsets, so every op
+// is the victim's VCCS (p_N = 1), which resumes from the best run's state
+// where its sources first differ (DESIGN.md §29) and stops once its peak
+// is decided (§26). Every op restarts from the same offsets, so every op
 // does the same engine runs and steps.
 func BenchmarkAlignWorstCase(b *testing.B) {
 	p := prepareBench(b, "t2", paper.Table2Cluster, false)

@@ -35,7 +35,8 @@
 // # Corner-matrix and Monte Carlo farm
 //
 // Every run is a characterisation farm (charlib.SweepCorners): its jobs fan
-// out across -workers. Without -corners and -mc-samples the farm runs at
+// out across -workers (0 = GOMAXPROCS; a negative count is a usage error,
+// exit 2). Without -corners and -mc-samples the farm runs at
 // the nominal corner alone and writes one library to -out. -corners and/or
 // -mc-samples characterise every cell at every requested operating corner
 // (and sampled Monte Carlo variation), with one library file per corner:
@@ -91,6 +92,10 @@ func main() {
 	workers := flag.Int("workers", 0, "characterisation worker goroutines (0 = GOMAXPROCS)")
 	statsOut := flag.String("stats-out", "", "write per-corner work/cache counters as JSON to this path ('-' for stdout)")
 	flag.Parse()
+	if *workers < 0 {
+		fmt.Fprintf(os.Stderr, "libchar: -workers must be 0 (GOMAXPROCS) or positive, got %d\n", *workers)
+		os.Exit(2)
+	}
 
 	ctx, cancel := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer cancel()

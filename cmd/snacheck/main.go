@@ -119,6 +119,10 @@ func main() {
 		fmt.Fprintf(os.Stderr, "snacheck: -dt-ps must be a finite positive number, got %v\n", *dt)
 		os.Exit(2)
 	}
+	if *workers < 0 {
+		fmt.Fprintf(os.Stderr, "snacheck: -workers must be 0 (GOMAXPROCS) or positive, got %d\n", *workers)
+		os.Exit(2)
+	}
 	pol, err := stanoise.ParseErrorPolicy(*policy)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "snacheck: %v\n", err)

@@ -30,9 +30,10 @@
 // typed "bad_design" 400.
 //
 // -feasibility, -nlcaps and -corner set the server-wide defaults of the
-// matching request knobs. An unknown -corner name is a usage error (exit
-// 2), like every other bad flag, and a request carrying an unknown field
-// is a "bad_json" 400.
+// matching request knobs. An unknown -corner name or a negative -workers
+// is a usage error (exit 2), like every other bad flag, reported before
+// the server listens, and a request carrying an unknown field is a
+// "bad_json" 400.
 //
 // With -cache-dir several snaserve processes may share one directory: the
 // persistent store is safe under concurrent writers, and cross-process
@@ -99,6 +100,10 @@ func run() error {
 	rigPoolBytes := flag.Int64("rig-pool-bytes", 0, "estimated bytes of idle compiled benches the server retains (0 = unbounded)")
 	shutdownGrace := flag.Duration("shutdown-grace", 30*time.Second, "how long in-flight streams may finish after SIGINT/SIGTERM")
 	flag.Parse()
+	if *workers < 0 {
+		fmt.Fprintf(os.Stderr, "snaserve: -workers must be 0 (GOMAXPROCS) or positive, got %d\n", *workers)
+		os.Exit(2)
+	}
 
 	analysis.Workers, analysis.CacheDir = *workers, *cacheDir
 	analysis.RigPools = core.NewRigPool(core.RigPoolLimits{MaxRigs: *rigPoolRigs, MaxBytes: *rigPoolBytes})

@@ -172,10 +172,12 @@ func RunEngine(ctx context.Context, red *mor.Reduced, sources []PortSource, v0 [
 // settled step where the certificate of DESIGN.md §26 proves that no later
 // sample can exceed the running peak, so it returns the full run's peak
 // and peak time bit for bit. A run outside the certificate's
-// preconditions goes to TStop. geo, which may be nil, is the certificate's
-// geometry of red on the run's step when the caller holds it.
-func enginePeak(ctx context.Context, red *mor.Reduced, sources []PortSource, v0 []float64, opts EngineOptions, port int, quiet float64, geo *tailGeometry) (peak, tPeak float64, err error) {
-	pw := &peakWatch{port: port, quiet: quiet, geo: geo}
+// preconditions goes to TStop. s, which may be nil, is the state the runs
+// of one alignment search share (peakSearch): the certificate's geometry,
+// the last run's plan and, while the search probes, the traces a run
+// resumes from and records into (DESIGN.md §29).
+func enginePeak(ctx context.Context, red *mor.Reduced, sources []PortSource, v0 []float64, opts EngineOptions, port int, quiet float64, s *peakSearch) (peak, tPeak float64, err error) {
+	pw := &peakWatch{port: port, quiet: quiet, search: s}
 	if _, err := runEngine(ctx, red, sources, v0, opts, pw); err != nil {
 		return 0, 0, err
 	}
@@ -185,7 +187,8 @@ func enginePeak(ctx context.Context, red *mor.Reduced, sources []PortSource, v0 
 
 // runEngine is the one step loop behind RunEngine and enginePeak: with a
 // nil pw it records every port's waveform; with pw it records none,
-// follows pw's port and may stop early (pw.result holds the answer).
+// follows pw's port and may stop early (pw.result holds the answer), and
+// a probe of a search may start past step 1 (DESIGN.md §29).
 func runEngine(ctx context.Context, red *mor.Reduced, sources []PortSource, v0 []float64, opts EngineOptions, pw *peakWatch) (*EngineResult, error) {
 	if ctx == nil {
 		ctx = context.Background()
@@ -207,7 +210,7 @@ func runEngine(ctx context.Context, red *mor.Reduced, sources []PortSource, v0 [
 	if err != nil {
 		return nil, err
 	}
-	steps := 0 // accepted steps, counted once the run ends
+	steps := 0 // accepted steps after the resume point, counted once the run ends
 	defer func() { sim.Record(sim.Counters{EngineRuns: 1, EngineSteps: int64(steps)}) }()
 	q := red.Q
 
@@ -248,51 +251,25 @@ func runEngine(ctx context.Context, red *mor.Reduced, sources []PortSource, v0 [
 	}
 
 	// Per-run constants, one port per row of the port matrices in perm
-	// order. The step matrix A1′ = 2Cr/h + Gr − B_L·diag(g_L)·B_Lᵀ carries
-	// the linear ports' slopes and A2 = 2Cr/h − Gr is the history matrix:
-	// prop = A1′⁻¹A2 carries the state across a step, zt = (A1′⁻¹B)ᵀ maps
-	// port currents into the state, and m = B_NᵀZ_N is the non-linear
-	// ports' impedance of one step. A VCCS port's Miller capacitor C adds
-	// (2C/h)·b·bᵀ to both A1′ and A2, b its row of bt (DESIGN.md §28).
-	bt := linalg.NewMatrix(p, q)
-	for jj, j := range perm {
-		for a := 0; a < q; a++ {
-			bt.Set(jj, a, red.B.At(a, j))
+	// order (enginePlan.build). A peak-only run takes them from its search,
+	// which keeps the last run's plan while the key matches.
+	var (
+		local enginePlan
+		plan  = &local
+		s     *peakSearch
+	)
+	if pw != nil {
+		if s = pw.search; s == nil {
+			s = new(peakSearch)
 		}
+		plan, err = s.planFor(red, h, sources, v0, perm, pn, slope)
+	} else {
+		err = local.build(red, h, sources, perm, pn, slope)
 	}
-	a1 := red.Cr.Clone()
-	a1.Scale(2 / h)
-	a1.AddScaled(1, red.Gr)
-	for jj := pn; jj < p; jj++ {
-		b := row(bt, jj)
-		for a, ba := range b {
-			linalg.AxpyVec(-slope[jj]*ba, b, row(a1, a))
-		}
-	}
-	a2 := red.Cr.Clone()
-	a2.Scale(2 / h)
-	a2.AddScaled(-1, red.Gr)
-	for jj := range pn {
-		if vp, ok := sources[perm[jj]].(*VCCSPort); ok && vp.MillerC != 0 {
-			g, b := 2*vp.MillerC/h, row(bt, jj)
-			for a, ba := range b {
-				linalg.AxpyVec(g*ba, b, row(a1, a))
-				linalg.AxpyVec(g*ba, b, row(a2, a))
-			}
-		}
-	}
-	lu, err := linalg.Factor(a1)
 	if err != nil {
-		return nil, fmt.Errorf("core: singular macromodel system matrix: %w", err)
+		return nil, err
 	}
-	prop := lu.SolveMatrix(a2)
-	zt := lu.SolveMatrix(bt.Transpose()).Transpose()
-	m := linalg.NewMatrix(pn, pn)
-	for a := 0; a < pn; a++ {
-		for b := 0; b < pn; b++ {
-			m.Set(a, b, linalg.Dot(row(bt, a), row(zt, b)))
-		}
-	}
+	bt, prop, zt, m := &plan.bt, &plan.prop, &plan.zt, &plan.m
 	// A peak-only run follows its port at perm index wj and, when the
 	// certificate applies, checks it every tailCheckEvery settled steps.
 	var (
@@ -302,11 +279,11 @@ func runEngine(ctx context.Context, red *mor.Reduced, sources []PortSource, v0 [
 	if pw != nil {
 		wj = slices.Index(perm, pw.port)
 		pw.observe(0, v0[pw.port])
-		geo := pw.geo
+		geo := s.geo
 		if geo == nil || geo.red != red || geo.h != h {
 			geo = newTailGeometry(red, h)
 		}
-		tail = newTailBound(geo, sources, v0, perm, pn, bt, a1, a2, prop, zt, m, wj, pw.quiet, n)
+		tail = newTailBound(geo, plan, sources, v0, wj, pw.quiet, n)
 	}
 
 	x := make([]float64, q)  // reduced state
@@ -323,7 +300,16 @@ func runEngine(ctx context.Context, red *mor.Reduced, sources []PortSource, v0 [
 	jac := linalg.NewMatrix(pn, pn)
 	plu := linalg.NewLUWorkspace(pn)
 
-	for k := 1; k <= n; k++ {
+	// A probe of a search records its steps into the spare trace and
+	// starts after the last step k0 it shares with the best one's
+	// (DESIGN.md §29).
+	k0 := 0
+	var rec *engineTrace
+	if s != nil && s.spare != nil {
+		rec = s.spare
+		k0 = rec.resume(s.plan, s.best, sources, pw, opts.maxNewton, n, x, iPrev, y)
+	}
+	for k := k0 + 1; k <= n; k++ {
 		t := float64(k) * h
 		if k&63 == 0 {
 			if err := ctx.Err(); err != nil {
@@ -445,7 +431,7 @@ func runEngine(ctx context.Context, red *mor.Reduced, sources []PortSource, v0 [
 				res.PortV[j][k] = v0[j] + y[jj]
 			}
 		}
-		steps = k
+		steps = k - k0
 		if res != nil {
 			res.Times[k] = t
 			continue
@@ -453,6 +439,9 @@ func runEngine(ctx context.Context, red *mor.Reduced, sources []PortSource, v0 [
 		// A sample that raised the peak is inside the bound, so it is
 		// never the step to stop at.
 		rose := pw.observe(t, v0[pw.port]+y[wj])
+		if rec != nil && t <= rec.until {
+			rec.add(x, iPrev, y, pw)
+		}
 		switch {
 		case tail == nil || t < tail.te:
 		case pw.inspect != nil:

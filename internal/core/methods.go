@@ -122,10 +122,9 @@ type EvalOptions struct {
 	// and peak time of each of those runs in order. Test hooks.
 	forceFullHorizon bool
 	observe          func(peak, tPeak float64)
-	// geometry is the stop certificate's geometry of the models' reduced
-	// interconnect on Dt, computed once per alignment search for all its
-	// peak-only runs.
-	geometry *tailGeometry
+	// noResume keeps every probe of the alignment search at step 1, as
+	// before probes resumed from the best run's trace. Test hook.
+	noResume bool
 }
 
 func (o EvalOptions) normalize(c *Cluster) EvalOptions {
@@ -302,10 +301,11 @@ func (c *Cluster) macromodelSources(models *Models, opts EvalOptions) []PortSour
 
 // victimPeak runs the engine on sources for the victim driving point's
 // peak deviation from quiet and its time, the only numbers the alignment
-// search reads: a peak-only run that stops once they are decided
-// (enginePeak, DESIGN.md §26), or under forceFullHorizon a run to tstop
+// search reads: a peak-only run of the search s that stops once they are
+// decided (enginePeak, DESIGN.md §26) and, while s probes, resumes from
+// its best run's trace (§29), or under forceFullHorizon a run to tstop
 // measured by wave.MeasureNoise.
-func victimPeak(ctx context.Context, models *Models, sources []PortSource, opts EvalOptions, quiet float64) (peak, tPeak float64, err error) {
+func victimPeak(ctx context.Context, models *Models, sources []PortSource, opts EvalOptions, quiet float64, s *peakSearch) (peak, tPeak float64, err error) {
 	eo := EngineOptions{Dt: opts.Dt, TStop: opts.tstop}
 	if opts.forceFullHorizon {
 		res, err := RunEngine(ctx, models.Red, sources, models.V0, eo)
@@ -315,7 +315,7 @@ func victimPeak(ctx context.Context, models *Models, sources []PortSource, opts 
 		dp := &wave.Waveform{T: res.Times, V: res.PortV[models.VicPort]}
 		m := wave.MeasureNoise(dp, quiet)
 		peak, tPeak = m.Peak, m.TPeak
-	} else if peak, tPeak, err = enginePeak(ctx, models.Red, sources, models.V0, eo, models.VicPort, quiet, opts.geometry); err != nil {
+	} else if peak, tPeak, err = enginePeak(ctx, models.Red, sources, models.V0, eo, models.VicPort, quiet, s); err != nil {
 		return 0, 0, err
 	}
 	if opts.observe != nil {
@@ -494,9 +494,12 @@ func (c *Cluster) AlignPeaks(ctx context.Context, models *Models, opts EvalOptio
 		return 0, nil, fmt.Errorf("core: alignment needs models")
 	}
 	opts = opts.normalize(c)
-	if opts.geometry == nil {
-		opts.geometry = newTailGeometry(models.Red, opts.Dt)
-	}
+	return c.alignPeaks(ctx, models, opts, newPeakSearch(models.Red, opts.Dt))
+}
+
+// alignPeaks is AlignPeaks on normalized options, its timing runs part of
+// the search s.
+func (c *Cluster) alignPeaks(ctx context.Context, models *Models, opts EvalOptions, s *peakSearch) (target float64, starts []float64, err error) {
 	quiet := models.QuietVic
 
 	peaks := make([]float64, len(c.Aggressors))
@@ -507,7 +510,7 @@ func (c *Cluster) AlignPeaks(ctx context.Context, models *Models, opts EvalOptio
 		// Only aggressor i switches; the others hold their quiet rail
 		// through their Thevenin resistance.
 		sources := c.portSources(models, &HoldingPort{G: models.HoldG, V0: quiet}, func(j int) bool { return j == i })
-		peak, tPeak, err := victimPeak(ctx, models, sources, opts, quiet)
+		peak, tPeak, err := victimPeak(ctx, models, sources, opts, quiet, s)
 		if err != nil {
 			return 0, nil, fmt.Errorf("core: alignment run for aggressor %d: %w", i, err)
 		}
@@ -557,8 +560,8 @@ func (c *Cluster) AlignWorstCase(ctx context.Context, models *Models, opts EvalO
 		return fmt.Errorf("core: alignment needs models")
 	}
 	opts = opts.normalize(c)
-	opts.geometry = newTailGeometry(models.Red, opts.Dt)
-	if _, _, err := c.AlignPeaks(ctx, models, opts); err != nil {
+	s := newPeakSearch(models.Red, opts.Dt)
+	if _, _, err := c.alignPeaks(ctx, models, opts, s); err != nil {
 		return err
 	}
 	// Peak alignment is only a linear-model heuristic: with a non-linear
@@ -571,6 +574,17 @@ func (c *Cluster) AlignWorstCase(ctx context.Context, models *Models, opts EvalO
 		reach  = 4 // probes on each side of the current offset: ±80 ps
 		passes = 2
 	)
+	// Each probe differs from the best vector so far in one aggressor's
+	// ramp, so it repeats the best run's steps up to that ramp: it resumes
+	// from the best run's trace and records its own into the spare buffer,
+	// and the two swap when it becomes best (DESIGN.md §29). A probe read
+	// off the list below runs nothing and never becomes best; were it to,
+	// the best trace would stay another run's, which a probe only resumes
+	// from as far as their sources agree.
+	if !opts.noResume {
+		s.best, s.spare = new(engineTrace), new(engineTrace)
+	}
+	keep := func() { s.best, s.spare = s.spare, s.best }
 	// Pass 2 comes back to offset vectors pass 1 ran: each is run once, and
 	// a repeat reads the peak off the list of the search's probes, keyed
 	// by the bits of every aggressor's offset.
@@ -584,7 +598,7 @@ func (c *Cluster) AlignWorstCase(ctx context.Context, models *Models, opts EvalO
 		if p, ok := probed[string(key)]; ok {
 			return p, nil
 		}
-		p, err := c.macromodelPeak(ctx, models, opts)
+		p, err := c.macromodelPeak(ctx, models, opts, s)
 		if err != nil {
 			return 0, err
 		}
@@ -595,6 +609,7 @@ func (c *Cluster) AlignWorstCase(ctx context.Context, models *Models, opts EvalO
 	if err != nil {
 		return err
 	}
+	keep()
 	for pass := 0; pass < passes; pass++ {
 		improved := false
 		for i := range c.Aggressors {
@@ -618,6 +633,7 @@ func (c *Cluster) AlignWorstCase(ctx context.Context, models *Models, opts EvalO
 				if p > best+1e-9 {
 					best, bestOff = p, off
 					improved = true
+					keep()
 				}
 			}
 			c.Aggressors[i].Offset = bestOff
@@ -672,12 +688,13 @@ func (c *Cluster) EvaluateScenario(ctx context.Context, m Method, models *Models
 // macromodelPeak evaluates the cluster's macromodel noise peak at the
 // current offsets — the objective of the worst-case alignment search. It
 // is evaluateMacromodel's Metrics.Peak bit for bit, from a peak-only run
-// (victimPeak): no waveform, no receiver metrics, and no steps after the
-// peak is decided.
-func (c *Cluster) macromodelPeak(ctx context.Context, models *Models, opts EvalOptions) (float64, error) {
+// of the search s, which may be nil (victimPeak): no waveform, no receiver
+// metrics, no steps after the peak is decided, and, in a search, none
+// before the last one it shares with the best run.
+func (c *Cluster) macromodelPeak(ctx context.Context, models *Models, opts EvalOptions, s *peakSearch) (float64, error) {
 	if models == nil {
 		return 0, fmt.Errorf("core: macromodel evaluation needs models")
 	}
-	peak, _, err := victimPeak(ctx, models, c.macromodelSources(models, opts), opts, c.QuietVictimLevel())
+	peak, _, err := victimPeak(ctx, models, c.macromodelSources(models, opts), opts, c.QuietVictimLevel(), s)
 	return peak, err
 }

@@ -454,7 +454,7 @@ func TestMacromodelPeakMatchesEvaluation(t *testing.T) {
 				for _, miller := range []bool{false, true} {
 					c.Aggressors[nAgg-1].Offset = base + off
 					opts.Miller = miller
-					got, err := c.macromodelPeak(ctx, models, opts)
+					got, err := c.macromodelPeak(ctx, models, opts, nil)
 					if err != nil {
 						t.Fatal(err)
 					}

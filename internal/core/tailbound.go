@@ -2,6 +2,7 @@ package core
 
 import (
 	"math"
+	"slices"
 
 	"stanoise/internal/linalg"
 	"stanoise/internal/mor"
@@ -20,9 +21,9 @@ type peakWatch struct {
 	peak, tPeak float64
 	bad         bool // a non-finite sample was recorded
 
-	// geo, when it is the geometry of the run's model and step, saves the
-	// run computing it (see tailGeometry).
-	geo *tailGeometry
+	// search, when non-nil, is the state the runs of one alignment search
+	// share (peakSearch).
+	search *peakSearch
 
 	// inspect, when non-nil, is handed the certificate's bound at every
 	// settled step of a run that then never stops. Test hook.
@@ -92,7 +93,7 @@ type tailBound struct {
 // tailGeometry is the part of the certificate that depends on the reduced
 // model and the step alone: the Cholesky factor L of Cs = sym(Cr), the map
 // to U-space, every port's κ_j = ‖L⁻¹b_j‖₂ and the growth g. A search
-// computes it once for all its peak-only runs on one model (EvalOptions);
+// computes it once for all its peak-only runs on one model (peakSearch);
 // ok is false when Cs has no Cholesky factor or g is out of range, and
 // every run on the model then goes to TStop.
 type tailGeometry struct {
@@ -110,7 +111,6 @@ type tailGeometry struct {
 	lF, liF float64 // ‖L‖_F, ‖L⁻¹‖_F
 	tn, tbn float64 // ‖t‖_F and ‖lb‖_F bounds, for the evaluation error
 	grF, bF float64
-	xs      []float64 // the last run's settled state, the next one's guess
 }
 
 // newTailGeometry builds the geometry of red on the step h.
@@ -198,22 +198,26 @@ func newTailGeometry(red *mor.Reduced, h float64) *tailGeometry {
 // newTailBound builds the certificate of a run, or returns nil when one of
 // its preconditions fails — the run then goes to TStop as it always did.
 // The arguments are runEngine's per-run set-up: the geometry of its model
-// on its step, the sources and quiet levels in port order, perm
-// (non-linear ports first, pn of them), the port-incidence rows bt in perm
-// order, the step matrix a1 = A1′ and history matrix a2 = A2 with
-// prop = A1′⁻¹A2, zt = (A1′⁻¹B)ᵀ and m = B_NᵀZ_N, the watched port wj
-// (perm index) and its quiet level, and the n steps of the grid.
-func newTailBound(geo *tailGeometry, sources []PortSource, v0 []float64, perm []int, pn int,
-	bt, a1, a2, prop, zt, m *linalg.Matrix, wj int, quiet float64, n int) *tailBound {
+// on its step, its plan (the port order perm, non-linear ports first, pn
+// of them; the port-incidence rows bt in perm order; the step matrix
+// A1′, the history matrix A2, prop = A1′⁻¹A2, zt = (A1′⁻¹B)ᵀ and
+// m = B_NᵀZ_N), the sources and quiet levels in port order, the watched
+// port wj (perm index) and its quiet level, and the n steps of the grid.
+// The plan keeps the settled state of the run's settled laws, and the next
+// run with the same laws reuses it.
+func newTailBound(geo *tailGeometry, pl *enginePlan, sources []PortSource, v0 []float64, wj int, quiet float64, n int) *tailBound {
 	red, h := geo.red, geo.h
 	q, p := red.Q, len(sources)
+	perm, pn, bt, zt, m := pl.perm, pl.pn, &pl.bt, &pl.zt, &pl.m
 	if !geo.ok || pn > 1 {
 		return nil
 	}
-	// The closed list of port laws the proof covers, and the last knot.
+	// The closed list of port laws the proof covers, their settled forms,
+	// and the last knot.
 	te := 0.0
 	var sMax, iMax float64 // steepest slope and largest current of the VCCS row
-	for _, s := range sources {
+	laws := make([]settledLaw, len(sources))
+	for j, s := range sources {
 		switch s := s.(type) {
 		case OpenPort:
 		case *TheveninPort:
@@ -221,10 +225,12 @@ func newTailBound(geo *tailGeometry, sources []PortSource, v0 []float64, perm []
 				return nil
 			}
 			te = math.Max(te, s.W.End())
+			laws[j] = settledLaw{kind: 1, u: math.Float64bits(s.W.V[len(s.W.V)-1]), w: math.Float64bits(s.RTh)}
 		case *HoldingPort:
 			if !(s.G >= 0) || math.IsInf(s.G, 0) || !finite(s.V0) {
 				return nil
 			}
+			laws[j] = settledLaw{kind: 2, u: math.Float64bits(s.G), w: math.Float64bits(s.V0)}
 		case *VCCSPort:
 			// A settled Miller capacitor is a grounded one at the port,
 			// outside the geometry of red.Cr (DESIGN.md §28).
@@ -236,6 +242,7 @@ func newTailBound(geo *tailGeometry, sources []PortSource, v0 []float64, perm []
 				return nil
 			}
 			te = math.Max(te, s.Vin.End())
+			laws[j] = settledLaw{kind: 3, lc: s.LC, u: math.Float64bits(s.Vin.V[len(s.Vin.V)-1])}
 		default:
 			return nil
 		}
@@ -250,13 +257,17 @@ func newTailBound(geo *tailGeometry, sources []PortSource, v0 []float64, perm []
 		return nil
 	}
 
-	// The settled state x* and its residual r = f(x*). The runs of one
-	// search share their settled laws, so each starts from the last x*.
-	xs, is, r, ok := settledState(red, sources, v0, te, geo.xs)
-	if !ok {
-		return nil
+	// The settled state x* and its residual r = f(x*), a function of the
+	// settled laws and V0 alone: the probes of one search share them and
+	// solve them once, and a run with other laws starts from the last x*.
+	if pl.xs == nil || !slices.Equal(laws, pl.laws) {
+		xs, is, r, ok := settledState(red, sources, v0, te, pl.xs)
+		if !ok {
+			return nil
+		}
+		pl.laws, pl.xs, pl.iota, pl.res = laws, xs, is, r
 	}
-	geo.xs = xs
+	xs, is, r := pl.xs, pl.iota, pl.res
 	xsN, isN := norm2(xs), norm2(is)
 	eta, liF, bF := geo.eta, geo.liF, geo.bF
 
@@ -319,11 +330,7 @@ func newTailBound(geo *tailGeometry, sources []PortSource, v0 []float64, perm []
 		dn1 = kN * sMax * gamma(q+4) * bnN * x1
 	}
 	nuR := h * liF * (1 + eta) * (norm2(r) + gamma(q+p+1)*(geo.grF*xsN+bF*isN))
-	a1F, a2F, propF, ztF := frob(a1), frob(a2), frob(prop), frob(zt)
-	eP := residualNorm(a1, prop, a2) + gamma(q+1)*(a1F*propF+a2F)
-	eZ := residualNorm(a1, zt.Transpose(), bt.Transpose()) + gamma(q+1)*(a1F*ztF+bF)
-	cX := eP + gamma(q+p+3)*(a1F*(propF+1)+a2F)
-	cI := eZ + gamma(q+p+3)*(a1F*ztF+bF) + gamma(4)*bF
+	cX, cI, a1F := pl.residuals(bF)
 	zN := 0.0
 	if pn == 1 {
 		zN = norm2(row(zt, 0))

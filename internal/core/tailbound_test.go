@@ -468,7 +468,7 @@ func checkProbesStopEarly(t *testing.T) {
 			for _, off := range []float64{-80e-12, -20e-12, 0, 40e-12, 160e-12} {
 				c.Aggressors[nAgg-1].Offset = base + off
 				runs, steps := engineSteps(func() {
-					if _, err := c.macromodelPeak(ctx, models, opts); err != nil {
+					if _, err := c.macromodelPeak(ctx, models, opts, nil); err != nil {
 						t.Fatal(err)
 					}
 				})

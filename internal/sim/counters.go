@@ -64,8 +64,10 @@ type Counters struct {
 	EngineRuns int64 `json:"engine_runs"`
 	// EngineSteps counts the timesteps those engine runs took: a run the
 	// alignment search stops once its peak is decided (DESIGN.md §26)
-	// counts the steps it ran, not the steps to its stop time. Like
-	// EngineRuns it is evaluation work, excluded from Total().
+	// counts the steps it ran, not the steps to its stop time, and a probe
+	// that resumes from the best run's state (§29) counts only the steps
+	// after its resume point. Like EngineRuns it is evaluation work,
+	// excluded from Total().
 	EngineSteps int64 `json:"engine_steps"`
 }
 

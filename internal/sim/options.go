@@ -23,7 +23,8 @@ const (
 var ErrInvalidOptions = errors.New("sim: invalid options")
 
 // OptionsError reports a simulation setting that cannot be used: a NaN or
-// infinite step (NewSession) or stop time (RunTransient). The
+// infinite step (NewSession) or stop time (RunTransient), or a step too
+// long for the stop time to leave a single one (GridSteps). The
 // characterisation layers above report their grid entries with it too
 // (e.g. a zero glitch width). It unwraps to ErrInvalidOptions.
 type OptionsError struct {
@@ -74,11 +75,17 @@ func (e *GridError) Unwrap() error { return ErrInvalidOptions }
 // GridSteps returns the step count n of the indexed transient grid
 // t = k·dt, k = 0..n, which ends at the last step with t ≤ tstop + dt/2 —
 // the step count of the legacy loop that accumulated t += dt. tstop and dt
-// must be finite and positive. A run that records signals waveforms (the
-// time axis included) over the n+1 points, more than 2^25 samples in all,
-// is rejected with a *GridError before anything is allocated.
+// must be finite and positive. A step longer than twice tstop leaves no
+// step at all, and a run would record its initial point alone and read
+// no noise: it is rejected with an *OptionsError on Dt. A run that records
+// signals waveforms (the time axis included) over the n+1 points, more
+// than 2^25 samples in all, is rejected with a *GridError before anything
+// is allocated.
 func GridSteps(tstop, dt float64, signals int) (int, error) {
 	n := math.Floor(tstop/dt + 0.5)
+	if !(n >= 1) {
+		return 0, &OptionsError{Field: "Dt", Value: dt, Want: fmt.Sprintf("at most 2·TStop = %g", 2*tstop)}
+	}
 	if (n+1)*float64(signals) > maxRecordedSamples {
 		return 0, &GridError{Dt: dt, TStop: tstop, Signals: signals}
 	}

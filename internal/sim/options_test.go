@@ -186,12 +186,13 @@ func TestTransientRejectsOversizedGrid(t *testing.T) {
 }
 
 // GridSteps keeps the legacy loop's step count, and its cap counts samples
-// of every recorded signal: 2^25 in all fit, one point more does not.
+// of every recorded signal: 2^25 in all fit, one point more does not. A
+// grid of no step is TestGridStepsRejectsEmptyGrid's.
 func TestGridSteps(t *testing.T) {
 	for _, tc := range []struct {
 		tstop, dt float64
 		n         int
-	}{{1e-9, 1e-12, 1000}, {777.7e-12, 2e-12, 389}, {0.4e-12, 1e-12, 0}, {0.6e-12, 1e-12, 1}} {
+	}{{1e-9, 1e-12, 1000}, {777.7e-12, 2e-12, 389}, {0.6e-12, 1e-12, 1}} {
 		if n, err := GridSteps(tc.tstop, tc.dt, 3); err != nil || n != tc.n {
 			t.Errorf("GridSteps(%g, %g) = %d, %v; want %d steps", tc.tstop, tc.dt, n, err, tc.n)
 		}
@@ -209,5 +210,30 @@ func TestGridSteps(t *testing.T) {
 		case !tc.ok && !errors.As(err, &ge):
 			t.Errorf("%g steps of %d signals: err = %v, want *GridError", tc.steps, tc.signals, err)
 		}
+	}
+}
+
+// A step longer than twice the stop time leaves a grid of no step, whose
+// run would record t = 0 alone and read no noise: GridSteps rejects it
+// with an *OptionsError on Dt, and so does every transient on it.
+func TestGridStepsRejectsEmptyGrid(t *testing.T) {
+	for _, tc := range []struct{ tstop, dt float64 }{{0.4e-12, 1e-12}, {1.9e-9, 5e-9}, {1e-9, math.MaxFloat64}} {
+		n, err := GridSteps(tc.tstop, tc.dt, 3)
+		var oe *OptionsError
+		if !errors.Is(err, ErrInvalidOptions) || !errors.As(err, &oe) || oe.Field != "Dt" || oe.Value != tc.dt {
+			t.Errorf("GridSteps(%g, %g) = %d, %v; want an *OptionsError on Dt", tc.tstop, tc.dt, n, err)
+		}
+	}
+	if n, err := GridSteps(0.5e-12, 1e-12, 3); err != nil || n != 1 {
+		t.Errorf("GridSteps(0.5 ps, 1 ps) = %d, %v; want the one step it rounds to", n, err)
+	}
+	sess, err := NewSession(Compile(optTestCircuit()), 5e-9)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var res Result
+	var oe *OptionsError
+	if err := sess.RunTransient(context.Background(), &res, 1.9e-9, nil); !errors.As(err, &oe) || oe.Field != "Dt" {
+		t.Errorf("RunTransient at Dt 5 ns to 1.9 ns: err = %v, want an *OptionsError on Dt", err)
 	}
 }

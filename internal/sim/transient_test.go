@@ -2,6 +2,7 @@ package sim
 
 import (
 	"context"
+	"errors"
 	"math"
 	"testing"
 
@@ -15,17 +16,19 @@ import (
 // large tstop/Dt ratios the legacy accumulating loop (t += h) drifted by
 // an ulp per step and could drop or duplicate the final step; the indexed
 // loop must produce exactly round(tstop/Dt) steps plus the operating
-// point, with an exactly reproducible grid.
+// point, with an exactly reproducible grid. A stop time below Dt/2 rounds
+// to no step at all, and such a run is an *OptionsError on Dt, not a
+// record of the operating point alone (GridSteps).
 func TestTransientStepCountExact(t *testing.T) {
 	cases := []struct {
 		name      string
 		dt, tstop float64
-		want      int // recorded points, OP included
+		want      int // recorded points, OP included; 0: rejected
 	}{
 		{"exact_multiple", 1e-12, 1e-9, 1001},
 		{"long_run", 1e-12, 2e-7, 200001},
 		{"odd_ratio", 2e-12, 777.7e-12, 390},  // 777.7/2 = 388.85 → 389 steps
-		{"sub_half_step", 1e-12, 0.4e-12, 1},  // below Dt/2: OP only
+		{"sub_half_step", 1e-12, 0.4e-12, 0},  // below Dt/2: no step, rejected
 		{"near_half_step", 1e-12, 0.6e-12, 2}, // above Dt/2: one step
 	}
 	for _, tc := range cases {
@@ -39,6 +42,13 @@ func TestTransientStepCountExact(t *testing.T) {
 				t.Fatal(err)
 			}
 			res, err := transientOf(context.Background(), sess, tc.tstop)
+			if tc.want == 0 {
+				var oe *OptionsError
+				if !errors.As(err, &oe) || oe.Field != "Dt" {
+					t.Fatalf("err = %v, want an *OptionsError on Dt", err)
+				}
+				return
+			}
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -282,3 +282,27 @@ func TestReceiverNRCHonoursFailFrac(t *testing.T) {
 		t.Errorf("heights %v at 0.3·VDD equal the default curve's: the threshold never reached the probes", low.Heights)
 	}
 }
+
+// A step longer than twice a cluster's event horizon leaves its runs no
+// step: every cluster of the sample design fails with the typed
+// invalid-option error (sim.GridSteps), under the macromodel and golden
+// alike, where it used to record t = 0 alone and pass at 0 V.
+func TestAnalyzeRejectsStepPastHorizon(t *testing.T) {
+	ctx := context.Background()
+	d := SampleDesign()
+	for _, m := range []core.Method{core.Macromodel, core.Golden} {
+		opts := fastOpts(m)
+		opts.Dt, opts.Align, opts.OnError = 5e-9, false, ContinueOnError
+		failed := 0
+		for rep, err := range NewAnalyzer(d, opts).Stream(ctx) {
+			if !errors.Is(err, sim.ErrInvalidOptions) {
+				t.Errorf("%v: cluster %q: peak %v V, err = %v; want the invalid-option error", m, rep.Cluster, rep.PeakV, err)
+				continue
+			}
+			failed++
+		}
+		if failed != len(d.Clusters) {
+			t.Errorf("%v: %d of %d clusters failed, want every one", m, failed, len(d.Clusters))
+		}
+	}
+}
