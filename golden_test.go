@@ -341,7 +341,7 @@ func TestGoldenCharacterization(t *testing.T) {
 // TestGoldenWarmStartCharacterization holds every golden configuration to
 // the one characterisation path's DC seeding: in each artefact family
 // every DC solve after the sweep session's first is warm-started from the
-// previous converged solution (sim.Session.WarmStart) — each load-curve
+// previous converged solution (sim.Session.Seed) — each load-curve
 // grid point after the first, and each propagation and NRC probe's
 // operating point after the first probe's — and the seeded artefacts match
 // the fixtures. The tolerance comparison alone cannot tell a cold sweep
@@ -368,7 +368,7 @@ func TestGoldenWarmStartCharacterization(t *testing.T) {
 // TestGoldenPredictorCharacterization holds every golden configuration to
 // the one characterisation path's transient seeding: in the propagation
 // table and the NRC, every timestep after a probe's first is seeded by the
-// polynomial predictor (sim.Session.Predictor) — except, in the
+// polynomial predictor (sim.Session.Seed) — except, in the
 // propagation table, the first step after each of the three knots of a
 // probe's triangular glitch, where the adaptive time axis restarts the
 // predictor (sim.Session.RunTransientAdaptive) — the DC load curve runs no

@@ -141,7 +141,7 @@ func (o LoadCurveOptions) normalize() LoadCurveOptions {
 // source values mutated, so the NVin×NVout sweep pays circuit assembly,
 // node resolution and matrix allocation exactly once. Each grid point's
 // Newton solve is warm-started from the previous point's solution
-// (sim.Session.WarmStart); the table agrees with a cold sweep within
+// (sim.Session.Seed); the table agrees with a cold sweep within
 // solver tolerance (TestWarmStartLoadCurveMatchesCold).
 //
 // It also returns the sweep session's work counters, which the cache
@@ -181,7 +181,7 @@ func characterizeLoadCurve(ctx context.Context, cl *cell.Cell, st cell.State, no
 	}
 	hNoisy := prog.MustSource("v_" + noisyPin)
 	hForce := prog.MustSource("vforce")
-	sess.WarmStart(seeded)
+	sess.Seed(seeded)
 	// Report the sweep's solver work on every return, cancellation
 	// included: partial sweeps burned real iterations.
 	defer func() { stats = sess.Stats() }()

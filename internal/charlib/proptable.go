@@ -112,9 +112,9 @@ const (
 // from Dt/4 to 64·Dt as the error estimate allows, so fast edges are
 // integrated more finely than on a fixed Dt grid and the settled tail
 // costs a few dozen steps instead of a thousand. Each probe's operating point is
-// warm-started from the previous probe's (sim.Session.WarmStart) and each
-// timestep after a probe's first, and after each glitch knot, is seeded by
-// the polynomial predictor (sim.Session.Predictor); peaks and areas agree
+// warm-started from the previous probe's and each timestep after a probe's
+// first, and after each glitch knot, is seeded by the polynomial predictor
+// (sim.Session.Seed switches both); peaks and areas agree
 // with a cold characterisation within solver tolerance
 // (TestWarmStartPropTableMatchesCold), and with a fixed-grid table at
 // Dt/4 at least as closely as the fixed grid at Dt does
@@ -222,8 +222,7 @@ func newPropRig(cl *cell.Cell, st cell.State, noisyPin string, quietIn float64, 
 	if err != nil {
 		return nil, err
 	}
-	sess.WarmStart(mode != propCold)
-	sess.Predictor(mode != propCold)
+	sess.Seed(mode != propCold)
 	return &propRig{
 		sess:    sess,
 		hGlitch: prog.MustSource("v_" + noisyPin),

@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"fmt"
+	"math"
 	"sync"
 
 	"stanoise/internal/cell"
@@ -164,6 +165,24 @@ func (c *Cluster) victimInputWave() *wave.Waveform {
 		sign = -1
 	}
 	return wave.Triangle(quiet, sign*g.Height, g.Start, g.Width)
+}
+
+// shortestEdge returns the cluster's shortest input edge: the smallest
+// input slew among the aggressors that switch (not Quiet), or half the
+// victim glitch's width when the glitch has height, whichever is shorter;
+// +Inf when nothing switches. EvalOptions.normalize holds the step to a
+// tenth of it.
+func (c *Cluster) shortestEdge() float64 {
+	edge := math.Inf(1)
+	if g := c.Victim.Glitch; g.Height > 0 {
+		edge = g.Width / 2
+	}
+	for i := range c.Aggressors {
+		if a := &c.Aggressors[i]; !a.Quiet && a.slew() < edge {
+			edge = a.slew()
+		}
+	}
+	return edge
 }
 
 func (a *AggressorSpec) slew() float64 {

@@ -390,7 +390,7 @@ func TestEngineMatchesReferenceOnClusters(t *testing.T) {
 	for _, tt := range []*tech.Tech{tech.Tech130(), tech.Tech90()} {
 		for _, nAgg := range []int{1, 2} {
 			c, models := clusterModels(t, tt, nAgg)
-			opts := fastEvalOptions().normalize(c)
+			opts := fastEvalOptionsFor(t, c)
 			drv, err := c.DriverAloneResponse(ctx, models, opts)
 			if err != nil {
 				t.Fatal(err)
@@ -443,7 +443,7 @@ func TestEngineMatchesReferenceOnClusters(t *testing.T) {
 // a transistor-level run does.
 func TestEngineNonConvergenceIsTyped(t *testing.T) {
 	c, models := clusterModels(t, tech.Tech130(), 1)
-	opts := fastEvalOptions().normalize(c)
+	opts := fastEvalOptionsFor(t, c)
 	srcs := clusterSources(c, models, &VCCSPort{LC: models.LC, Vin: c.victimInputWave()})
 	_, err := RunEngine(context.Background(), models.Red, srcs, models.V0,
 		EngineOptions{Dt: opts.Dt, TStop: opts.tstop, maxNewton: 1})
@@ -569,7 +569,7 @@ func (f portLaw) Current(t, v float64) (float64, float64) { return f(t, v) }
 // return a NaN waveform that wave.MeasureNoise reads as no noise.
 func TestEngineNaNUpdateIsNotConverged(t *testing.T) {
 	c, models := clusterModels(t, tech.Tech130(), 1)
-	opts := fastEvalOptions().normalize(c)
+	opts := fastEvalOptionsFor(t, c)
 	vccs := &VCCSPort{LC: models.LC, Vin: c.victimInputWave()}
 	poisoned := portLaw(func(t, v float64) (float64, float64) {
 		i, didv := vccs.Current(t, v)

@@ -98,7 +98,11 @@ type Evaluation struct {
 
 // EvalOptions tunes cluster evaluation.
 type EvalOptions struct {
-	Dt float64 // timestep for every engine; default 1 ps
+	// Dt is the timestep of every engine; default 1 ps. It must be at
+	// most a tenth of the cluster's shortest input edge: the smallest
+	// slew among the aggressors that switch, or half the glitch width
+	// when the glitch has height. A longer step is an *sim.OptionsError.
+	Dt float64
 	// tstop is the end time of every run, Cluster.EventHorizon() at
 	// normalize. AlignWorstCase normalizes once, so its probes keep the
 	// horizon of the pre-alignment offsets.
@@ -127,9 +131,16 @@ type EvalOptions struct {
 	noResume bool
 }
 
-func (o EvalOptions) normalize(c *Cluster) EvalOptions {
+// normalize fills the defaults and rejects a step longer than a tenth of
+// the cluster's shortest input edge (see shortestEdge) with an
+// *sim.OptionsError on Dt: such a step cuts the edge into a few samples
+// and under-reads its noise, and the net would be signed off on it.
+func (o EvalOptions) normalize(c *Cluster) (EvalOptions, error) {
 	if o.Dt <= 0 {
 		o.Dt = 1e-12
+	}
+	if edge := c.shortestEdge(); o.Dt > edge/10 {
+		return o, &sim.OptionsError{Field: "Dt", Value: o.Dt, Want: fmt.Sprintf("at most %g, a tenth of the cluster's shortest input edge", edge/10)}
 	}
 	if o.tstop <= 0 {
 		o.tstop = c.EventHorizon()
@@ -137,7 +148,7 @@ func (o EvalOptions) normalize(c *Cluster) EvalOptions {
 	if o.ZolotovPasses <= 0 {
 		o.ZolotovPasses = 2
 	}
-	return o
+	return o, nil
 }
 
 // Evaluate computes the total noise with the chosen method. Models must
@@ -152,7 +163,10 @@ func (c *Cluster) Evaluate(ctx context.Context, m Method, models *Models, opts E
 	if err := c.checkStarts(); err != nil {
 		return nil, err
 	}
-	opts = opts.normalize(c)
+	opts, err := opts.normalize(c)
+	if err != nil {
+		return nil, err
+	}
 	switch m {
 	case Golden:
 		return c.evaluateGolden(ctx, opts)
@@ -371,7 +385,10 @@ func (c *Cluster) DriverAloneResponse(ctx context.Context, models *Models, opts 
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	opts = opts.normalize(c)
+	opts, err := opts.normalize(c)
+	if err != nil {
+		return nil, err
+	}
 	v := &c.Victim
 
 	// The bench depends only on the victim cell configuration, so a shared
@@ -493,7 +510,10 @@ func (c *Cluster) AlignPeaks(ctx context.Context, models *Models, opts EvalOptio
 	if models == nil {
 		return 0, nil, fmt.Errorf("core: alignment needs models")
 	}
-	opts = opts.normalize(c)
+	opts, err = opts.normalize(c)
+	if err != nil {
+		return 0, nil, err
+	}
 	return c.alignPeaks(ctx, models, opts, newPeakSearch(models.Red, opts.Dt))
 }
 
@@ -559,7 +579,10 @@ func (c *Cluster) AlignWorstCase(ctx context.Context, models *Models, opts EvalO
 	if models == nil {
 		return fmt.Errorf("core: alignment needs models")
 	}
-	opts = opts.normalize(c)
+	opts, err := opts.normalize(c)
+	if err != nil {
+		return err
+	}
 	s := newPeakSearch(models.Red, opts.Dt)
 	if _, _, err := c.alignPeaks(ctx, models, opts, s); err != nil {
 		return err

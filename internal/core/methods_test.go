@@ -2,9 +2,11 @@ package core
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"math"
 	"slices"
+	"strings"
 	"testing"
 
 	"stanoise/internal/cell"
@@ -73,6 +75,64 @@ func fastModelOptions() ModelOptions {
 }
 
 func fastEvalOptions() EvalOptions { return EvalOptions{Dt: 2e-12} }
+
+// fastEvalOptionsFor is fastEvalOptions normalized for c, as every
+// evaluation entry point normalizes its options before the first run.
+func fastEvalOptionsFor(t testing.TB, c *Cluster) EvalOptions {
+	t.Helper()
+	opts, err := fastEvalOptions().normalize(c)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return opts
+}
+
+// TestStepLongerThanEdgeRejected holds the evaluation entry points to the
+// step rule: a Dt longer than a tenth of the cluster's shortest input edge
+// is an *sim.OptionsError on Dt, returned before any run. The edge is the
+// smallest slew among the aggressors that switch or half the glitch width,
+// whichever is shorter; a Quiet aggressor's slew does not count.
+func TestStepLongerThanEdgeRejected(t *testing.T) {
+	cases := []struct {
+		name    string
+		set     func(c *Cluster)
+		ok, bad float64 // a step inside the limit and one past it
+	}{
+		// A 40 ps slew under a 350 ps glitch: the limit is 4 ps.
+		{"slew", func(c *Cluster) { c.Aggressors[1].InputSlew = 40e-12 }, 3e-12, 5e-12},
+		// A 100 ps glitch (a 50 ps edge) beside 60 ps slews: 5 ps.
+		{"glitch", func(c *Cluster) { c.Victim.Glitch.Width = 100e-12 }, 4e-12, 6e-12},
+		// A quiet aggressor's 10 ps slew beside a switching 60 ps one: 6 ps.
+		{"quiet", func(c *Cluster) { c.Aggressors[0].InputSlew, c.Aggressors[0].Quiet = 10e-12, true }, 5e-12, 7e-12},
+	}
+	ctx := context.Background()
+	models := &Models{}
+	for _, tc := range cases {
+		c := fastCluster(t, 2)
+		tc.set(c)
+		if _, err := (EvalOptions{Dt: tc.ok}).normalize(c); err != nil {
+			t.Errorf("%s: Dt %g rejected: %v", tc.name, tc.ok, err)
+		}
+		opts := EvalOptions{Dt: tc.bad}
+		before := sim.Snapshot()
+		for name, run := range map[string]func() error{
+			"Evaluate/golden":     func() error { _, err := c.Evaluate(ctx, Golden, nil, opts); return err },
+			"Evaluate/macromodel": func() error { _, err := c.Evaluate(ctx, Macromodel, models, opts); return err },
+			"AlignPeaks":          func() error { _, _, err := c.AlignPeaks(ctx, models, opts); return err },
+			"AlignWorstCase":      func() error { return c.AlignWorstCase(ctx, models, opts) },
+			"DriverAloneResponse": func() error { _, err := c.DriverAloneResponse(ctx, models, opts); return err },
+		} {
+			err := run()
+			var oe *sim.OptionsError
+			if !errors.As(err, &oe) || oe.Field != "Dt" || !errors.Is(err, sim.ErrInvalidOptions) || !strings.Contains(err.Error(), "invalid option") {
+				t.Errorf("%s: %s at Dt %g: err = %v, want the invalid-option error on Dt", tc.name, name, tc.bad, err)
+			}
+		}
+		if d := sim.Snapshot().Sub(before); d.DC != 0 || d.EngineRuns != 0 {
+			t.Errorf("%s: rejected steps ran %d DC solves and %d engine runs, want none", tc.name, d.DC, d.EngineRuns)
+		}
+	}
+}
 
 func TestClusterValidate(t *testing.T) {
 	c := fastCluster(t, 1)
@@ -448,7 +508,7 @@ func TestMacromodelPeakMatchesEvaluation(t *testing.T) {
 	for _, tt := range []*tech.Tech{tech.Tech130(), tech.Tech90()} {
 		for _, nAgg := range []int{1, 2} {
 			c, models := clusterModels(t, tt, nAgg)
-			opts := fastEvalOptions().normalize(c)
+			opts := fastEvalOptionsFor(t, c)
 			base := c.Aggressors[nAgg-1].Offset
 			for _, off := range []float64{-80e-12, -20e-12, 0, 40e-12, 160e-12} {
 				for _, miller := range []bool{false, true} {

@@ -81,7 +81,7 @@ func checkTailBound(t *testing.T, c tailCase) (checks int) {
 func clusterTailCases(t *testing.T, tt *tech.Tech, nAgg int) []tailCase {
 	t.Helper()
 	c, models := clusterModels(t, tt, nAgg)
-	opts := fastEvalOptions().normalize(c)
+	opts := fastEvalOptionsFor(t, c)
 	eo := EngineOptions{Dt: opts.Dt, TStop: opts.tstop}
 	var cases []tailCase
 	base := c.Aggressors[nAgg-1].Offset
@@ -351,7 +351,7 @@ func engineSteps(f func()) (runs, steps int64) {
 // and returns the full run's answer or error.
 func TestTailBoundRefusals(t *testing.T) {
 	c, models := clusterModels(t, tech.Tech130(), 1)
-	opts := fastEvalOptions().normalize(c)
+	opts := fastEvalOptionsFor(t, c)
 	eo := EngineOptions{Dt: opts.Dt, TStop: opts.tstop}
 	n, err := sim.GridSteps(eo.TStop, eo.Dt, 1)
 	if err != nil {
@@ -459,7 +459,7 @@ func checkProbesStopEarly(t *testing.T) {
 	for _, tt := range []*tech.Tech{tech.Tech130(), tech.Tech90()} {
 		for _, nAgg := range []int{1, 2} {
 			c, models := clusterModels(t, tt, nAgg)
-			opts := fastEvalOptions().normalize(c)
+			opts := fastEvalOptionsFor(t, c)
 			n, err := sim.GridSteps(opts.tstop, opts.Dt, 1)
 			if err != nil {
 				t.Fatal(err)

@@ -12,8 +12,7 @@
 //
 //   - temporal constraints: each aggressor carries a switching Window
 //     [Early, Late] bounding when its input ramp may start; a combination
-//     is realizable only if all members' windows share a common instant
-//     (within Problem.Slack),
+//     is realizable only if all members' windows share a common instant,
 //   - logic constraints: mutual-exclusion groups (at most one member
 //     switches — e.g. one-hot buses) and implication pairs (if i switches,
 //     j switches too — e.g. differential pairs / shared enables).
@@ -90,11 +89,6 @@ type Problem struct {
 	Mutex [][]int
 	// Implications lists implication pairs (see Implication).
 	Implications []Implication
-	// Slack widens the temporal-overlap test: a combination is temporally
-	// feasible when max(Early) <= min(Late) + Slack (s). A positive slack
-	// accounts for noise pulses interacting across a gap comparable to
-	// their width; zero (the default) requires a strict common instant.
-	Slack float64
 }
 
 // Set is a bitmask subset of a problem's aggressors: bit i set means
@@ -166,9 +160,6 @@ func (p *Problem) Validate() error {
 	if n > MaxAggressors {
 		return fmt.Errorf("feas: %d aggressors exceeds the %d-aggressor enumeration bound", n, MaxAggressors)
 	}
-	if math.IsNaN(p.Slack) || p.Slack < 0 {
-		return fmt.Errorf("feas: slack must be a non-negative number, got %v", p.Slack)
-	}
 	for i, w := range p.Windows {
 		if math.IsNaN(w.Early) || math.IsNaN(w.Late) {
 			return fmt.Errorf("feas: window %d has NaN bounds", i)
@@ -208,8 +199,8 @@ func (p *Problem) feasibleSet(s Set, mutexMasks []Set) bool {
 			return false
 		}
 	}
-	// Temporal: all members' windows must share a common instant (within
-	// the slack). Unbounded windows never constrain the overlap.
+	// Temporal: all members' windows must share a common instant.
+	// Unbounded windows never constrain the overlap.
 	lo, hi := math.Inf(-1), math.Inf(1)
 	for _, i := range s.Indices() {
 		w := p.Windows[i]
@@ -220,7 +211,7 @@ func (p *Problem) feasibleSet(s Set, mutexMasks []Set) bool {
 			hi = w.Late
 		}
 	}
-	return lo <= hi+p.Slack
+	return lo <= hi
 }
 
 // Solve enumerates every non-empty aggressor combination, classifies it

@@ -95,11 +95,11 @@ func (o Options) validate() error {
 // experience. The context is honoured between bisection probes, so a
 // cancelled analysis abandons the curve mid-characterisation.
 //
-// Every probe's operating point is warm-started from the previous probe's
-// (sim.Session.WarmStart) — the receiver's quiet point is the same across
-// probes, so every probe after the first starts converged — and each
-// timestep after a probe's first is seeded by the polynomial predictor
-// (sim.Session.Predictor).
+// The rig's session is seeded (sim.Session.Seed): every probe's operating
+// point is warm-started from the previous probe's — the receiver's quiet
+// point is the same across probes, so every probe after the first starts
+// converged — and each timestep after a probe's first is seeded by the
+// polynomial predictor.
 // Heights agree with a cold characterisation within one bisection bracket
 // (TestWarmStartCurveMatchesCold).
 //
@@ -205,8 +205,7 @@ func newGlitchRig(cl *cell.Cell, st cell.State, pin string, opts Options, seeded
 	if err != nil {
 		return nil, err
 	}
-	sess.WarmStart(seeded)
-	sess.Predictor(seeded)
+	sess.Seed(seeded)
 	quietOut := cl.PinVoltage(cl.Logic(st))
 	out, _ := ckt.LookupNode("out")
 	thr := opts.FailFrac * cl.Tech.VDD

@@ -131,10 +131,11 @@ type Server struct {
 	rejectStreak atomic.Int64
 }
 
-// NewServer builds a server from the configuration, opening the
-// persistent store named by cfg.Analysis.CacheDir if any. A store that
-// cannot be opened degrades to memory-only caching (see Server.StoreError)
-// — exactly like snacheck — rather than failing construction.
+// NewServer builds a server from the configuration, resolving its cache,
+// store and rig pool by sna.ResolveShared, the rule every analyzer
+// follows: a store that cannot be opened degrades to memory-only caching
+// (see Server.StoreError) — exactly like snacheck — rather than failing
+// construction.
 func NewServer(cfg Config) *Server {
 	if cfg.MaxInFlight <= 0 {
 		cfg.MaxInFlight = 8
@@ -147,27 +148,8 @@ func NewServer(cfg Config) *Server {
 	}
 	s := &Server{cfg: cfg, sem: make(chan struct{}, cfg.MaxInFlight)}
 
-	s.cache = cfg.Analysis.Cache
-	if s.cache == nil {
-		s.cache = charlib.NewCache()
-		switch {
-		case cfg.Analysis.Store != nil:
-			s.cache.SetStore(cfg.Analysis.Store)
-			s.store, _ = cfg.Analysis.Store.(*charstore.Store)
-		case cfg.Analysis.CacheDir != "":
-			store, err := charstore.Open(cfg.Analysis.CacheDir)
-			if err != nil {
-				s.storeErr = err
-			} else {
-				s.cache.SetStore(store)
-				s.store = store
-			}
-		}
-	}
-	s.pools = cfg.Analysis.RigPools
-	if s.pools == nil {
-		s.pools = core.NewRigPool(core.RigPoolLimits{})
-	}
+	s.base, s.store, s.storeErr = sna.ResolveShared(cfg.Analysis)
+	s.cache, s.pools = s.base.Cache, s.base.RigPools
 	s.gate = cfg.Analysis.Gate
 	if s.gate == nil && cfg.FleetWorkers >= 0 {
 		n := cfg.FleetWorkers
@@ -176,13 +158,7 @@ func NewServer(cfg Config) *Server {
 		}
 		s.gate = sna.NewGate(n)
 	}
-
-	s.base = cfg.Analysis
-	s.base.Cache = s.cache
-	s.base.RigPools = s.pools
 	s.base.Gate = s.gate
-	s.base.Store = nil
-	s.base.CacheDir = ""
 	s.base.Method, s.base.Align, s.base.Dt, s.base.OnError = core.Macromodel, true, 2e-12, sna.FailFast
 
 	mux := http.NewServeMux()

@@ -37,7 +37,7 @@ func adaptiveRig(t *testing.T, tc *tech.Tech) (*Session, []float64, []float64) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sess.Predictor(true)
+	sess.Seed(true)
 	kinks := []float64{100e-12, 150.5e-12, 180e-12, 231e-12, 250e-12, 308e-12, 400e-12}
 	guards := []float64{100e-12 - 1e-15, 400e-12 + 1e-15, 231e-12 - 1e-15, 308e-12 + 1e-15}
 	return sess, kinks, guards

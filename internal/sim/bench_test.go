@@ -153,10 +153,11 @@ func BenchmarkTransientSessionInto(b *testing.B) {
 	}
 }
 
-// BenchmarkTransientPredictor is the glitch-rig transient with polynomial
-// predictor seeding on — the Newton-iteration cut measured by
+// BenchmarkTransientPredictor is the glitch-rig transient with Newton
+// seeding on — the predictor's Newton-iteration cut measured by
 // TestPredictorCutsNewtonIterations, expressed as wall time against
-// BenchmarkTransientSessionInto.
+// BenchmarkTransientSessionInto; each run after the first also
+// warm-starts its operating point.
 func BenchmarkTransientPredictor(b *testing.B) {
 	ckt := benchTransientCircuit(b)
 	prog := Compile(ckt)
@@ -164,7 +165,7 @@ func BenchmarkTransientPredictor(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	sess.Predictor(true)
+	sess.Seed(true)
 	hGlitch := prog.MustSource("v_A")
 	res := &Result{}
 	b.ReportAllocs()

@@ -26,7 +26,7 @@ type Counters struct {
 	// gmin stepping) — the work metric warm-start continuation reduces.
 	NewtonIters int64 `json:"newton_iters"`
 	// WarmStarts counts DC solves seeded from the previous converged
-	// solution (Session.WarmStart); WarmFallbacks counts the subset whose
+	// solution (Session.Seed); WarmFallbacks counts the subset whose
 	// seed failed to converge and was re-solved from the cold guess.
 	WarmStarts    int64 `json:"warm_starts"`
 	WarmFallbacks int64 `json:"warm_fallbacks"`
@@ -48,7 +48,7 @@ type Counters struct {
 	// reduction.
 	TransientSteps int64 `json:"transient_steps"`
 	// PredictorSeeds counts accepted timesteps whose Newton solve was
-	// seeded by the polynomial predictor (Session.Predictor);
+	// seeded by the polynomial predictor (Session.Seed);
 	// PredictorFallbacks counts the seeded solves re-solved from the
 	// previous converged point.
 	PredictorSeeds     int64 `json:"predictor_seeds"`

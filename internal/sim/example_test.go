@@ -39,12 +39,13 @@ func ExampleSession() {
 	// vin=1.2  v(out)=0.600
 }
 
-// ExampleSession_warmStart enables the Newton continuation mode for a
-// sweep: each solve seeds from the previous grid point's converged
-// solution, and the session's statistics show how many solves were
-// warm-started. On fine characterisation grids this cuts total Newton
-// iterations roughly in half (see EXPERIMENTS.md).
-func ExampleSession_warmStart() {
+// ExampleSession_seed switches Newton seeding on for a sweep: each solve
+// seeds from the previous grid point's converged solution (and each
+// transient step from the polynomial predictor), and the session's
+// statistics show how many solves were warm-started. On fine
+// characterisation grids this cuts total Newton iterations roughly in
+// half (see EXPERIMENTS.md).
+func ExampleSession_seed() {
 	ckt := circuit.New()
 	ckt.AddVDC("vin", "in", "0", 0)
 	ckt.AddR("r1", "in", "out", 1000)
@@ -55,7 +56,7 @@ func ExampleSession_warmStart() {
 	if err != nil {
 		panic(err)
 	}
-	sess.WarmStart(true) // off by default: results may differ in the last bits
+	sess.Seed(true) // off by default: results may differ in the last bits
 	hVin := prog.MustSource("vin")
 
 	var dc sim.DCResult

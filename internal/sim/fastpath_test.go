@@ -160,23 +160,41 @@ func TestLinearFastPathCounters(t *testing.T) {
 	}
 }
 
-// TestLinearFastPathWarmStartDisables pins the documented interaction:
-// warm-start mode keeps its DC-continuation semantics by taking the legacy
-// path, so a warm linear transient must not count a fast-path run.
-func TestLinearFastPathWarmStartDisables(t *testing.T) {
-	sess, err := NewSession(Compile(rcLadderCircuit(t)), 1e-12)
+// TestLinearFastPathSeeded pins that seeding leaves a linear program on
+// the fast path, which has no Newton iterations to seed: every seeded
+// linear transient counts one fast-path run and zero Newton iterations,
+// the second run on the session included, and records the unseeded run's
+// samples bit for bit.
+func TestLinearFastPathSeeded(t *testing.T) {
+	prog := Compile(rcLadderCircuit(t))
+	cold, err := NewSession(prog, 1e-12)
 	if err != nil {
 		t.Fatal(err)
 	}
-	sess.WarmStart(true)
-	if _, err := transientOf(context.Background(), sess, 200e-12); err != nil {
+	want, err := transientOf(context.Background(), cold, 200e-12)
+	if err != nil {
 		t.Fatal(err)
 	}
-	st := sess.Stats()
-	if st.LinearFastPathRuns != 0 {
-		t.Errorf("warm-start run took the fast path %d times, want 0", st.LinearFastPathRuns)
+	sess, err := NewSession(prog, 1e-12)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if st.NewtonIters == 0 {
-		t.Error("warm-start run spent no Newton iterations; legacy path not taken")
+	sess.Seed(true)
+	for run := 1; run <= 2; run++ {
+		before := sess.Stats()
+		res, err := transientOf(context.Background(), sess, 200e-12)
+		if err != nil {
+			t.Fatal(err)
+		}
+		d := sess.Stats().Sub(before)
+		if d.LinearFastPathRuns != 1 || d.NewtonIters != 0 {
+			t.Errorf("seeded run %d: %d fast-path runs and %d Newton iterations, want 1 and 0", run, d.LinearFastPathRuns, d.NewtonIters)
+		}
+		if res.Steps() != want.Steps() {
+			t.Fatalf("seeded run %d: %d samples, unseeded run %d", run, res.Steps(), want.Steps())
+		}
+		if i := sameSamples(res, want); i >= 0 {
+			t.Errorf("seeded run %d: sample %d differs from the unseeded run", run, i)
+		}
 	}
 }

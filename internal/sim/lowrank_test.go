@@ -109,7 +109,7 @@ func runBoth(t *testing.T, prog *Program, pred bool, tstop float64) (got, dense 
 			t.Fatal(err)
 		}
 		sess.forceDense = forceDense
-		sess.Predictor(pred)
+		sess.Seed(pred)
 		res, err := transientOf(context.Background(), sess, tstop)
 		if err != nil {
 			t.Fatal(err)

@@ -345,7 +345,7 @@ func TestNLCapPredictorCutsIterations(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		sess.Predictor(pred)
+		sess.Seed(pred)
 		res, err := transientOf(context.Background(), sess, tstop)
 		if err != nil {
 			t.Fatal(err)
@@ -380,7 +380,7 @@ func TestNLCapWarmStartAgrees(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		sess.WarmStart(warm)
+		sess.Seed(warm)
 		res, err := transientOf(context.Background(), sess, 500e-12)
 		if err != nil {
 			t.Fatal(err)

@@ -47,7 +47,7 @@ func TestPredictorCutsNewtonIterations(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				sess.Predictor(pred)
+				sess.Seed(pred)
 				res, err := transientOf(context.Background(), sess, tstop)
 				if err != nil {
 					t.Fatal(err)
@@ -119,7 +119,7 @@ func TestPredictorFallbackRecovers(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		sess.Predictor(pred)
+		sess.Seed(pred)
 		res, err := transientOf(context.Background(), sess, 300e-12)
 		if err != nil {
 			t.Fatal(err)

@@ -84,21 +84,21 @@ type Session struct {
 	// Initial-guess seeds resolved to node indices.
 	guesses []guessEntry
 
-	// Warm-start state (see WarmStart): the last converged DC solution,
-	// used as the Newton seed of the next solve when warm starting is on.
-	warmStart bool
-	haveWarm  bool
-	xWarm     []float64
+	// seed is the Newton seeding switch (see Seed).
+	seed bool
+	// Warm-start state: the last converged DC solution, used as the
+	// Newton seed of the next solve while seeding is on.
+	haveWarm bool
+	xWarm    []float64
 
-	// Predictor state (see Predictor): a ring of the last three converged
-	// timestep solutions (xHist[0] newest) and the steps between them
-	// (hHist[0] from xHist[1] to xHist[0]), allocated lazily on the first
-	// transient run that seeds or estimates from them, so other sessions
-	// pay nothing. A seed that fails to converge is re-solved from
-	// xHist[0], the previous converged point.
-	predictor bool
-	xHist     [3][]float64
-	hHist     [2]float64
+	// Predictor state: a ring of the last three converged timestep
+	// solutions (xHist[0] newest) and the steps between them (hHist[0]
+	// from xHist[1] to xHist[0]), allocated lazily on the first transient
+	// run that seeds or estimates from them, so other sessions pay
+	// nothing. A seed that fails to converge is re-solved from xHist[0],
+	// the previous converged point.
+	xHist [3][]float64
+	hHist [2]float64
 
 	// Adaptive-run state (RunTransientAdaptive), reused across runs: the
 	// run's breakpoints, and for every capacitor (the linear ones first)
@@ -205,57 +205,50 @@ func (s *Session) SetSourceDC(h SourceHandle, v float64) {
 	s.srcW[h] = s.ownConst[h]
 }
 
-// WarmStart switches the Newton continuation mode of subsequent DC solves
-// (including the operating-point solve at the start of every transient).
+// Seed switches the Newton seeding of subsequent runs: the DC
+// continuation of every DC solve (the operating-point solve at the start
+// of every transient included) and the polynomial predictor of every
+// transient step. A new session starts cold, because a seeded result can
+// differ from a cold one in the last bits (Newton converges to the same
+// root from a different seed, within tolerance rather than bitwise): the
+// characterisation sweeps (charlib, nrc) switch seeding on, while golden
+// transients, Thevenin fits and one-off solves keep the cold start.
 //
-// When on, each solve seeds Newton from the previous converged DC solution
-// instead of the cold initial guess — the classic continuation trick for
-// characterisation sweeps, where neighbouring grid points have nearly
-// identical operating points. Ground-referenced source nodes are re-pinned
-// at their current values on top of the carried solution, so the seed
-// satisfies the new boundary conditions exactly, and warm solves terminate
-// on the standard small-undamped-update criterion (see newton), which
-// together reduce a fine sweep to about one iteration per grid point. A
-// warm-started solve that fails to converge transparently falls back to
-// the cold start (and then gmin stepping), so warm starting never costs
-// robustness. The converged result can differ from a cold solve in the
-// last bits, so a session starts cold: the characterisation sweeps
-// (charlib, nrc) switch it on, while golden transients, Thevenin fits and
-// one-off solves keep the cold start.
+// DC continuation: each solve seeds Newton from the previous converged DC
+// solution instead of the cold initial guess — the classic continuation
+// trick for characterisation sweeps, where neighbouring grid points have
+// nearly identical operating points. Ground-referenced source nodes are
+// re-pinned at their current values on top of the carried solution, so
+// the seed satisfies the new boundary conditions exactly, and warm solves
+// terminate on the standard small-undamped-update criterion (see newton),
+// which together reduce a fine sweep to about one iteration per grid
+// point. A warm-started solve that fails to converge falls back to the
+// cold start (and then gmin stepping); Counters.WarmStarts and
+// WarmFallbacks count both. Initial-guess seeds (SetGuess) only apply to
+// cold starts; while a warm seed is available they are ignored by design.
+// Switching seeding off discards the stored solution, so the next solve
+// is cold again.
 //
-// Initial-guess seeds (SetGuess) only apply to cold starts; while a warm
-// seed is available they are ignored by design. Switching warm start off
-// discards the stored solution, so the next solve is cold again.
-func (s *Session) WarmStart(on bool) {
-	s.warmStart = on
+// Predictor: each timestep's Newton solve is seeded by extrapolating the
+// previous converged timestep solutions instead of starting from the
+// previous point alone: the first step keeps the previous-point seed, the
+// second uses linear extrapolation (2·x₁ − x₀), and from the third on a
+// second-order polynomial over the last three points (3·x₂ − 3·x₁ + x₀).
+// On the smooth waveforms of glitch rigs the seed lands close enough to
+// the solution that Newton needs measurably fewer iterations per step
+// (TestPredictorCutsNewtonIterations asserts the floor). A predicted seed
+// that fails to converge is re-solved from the previous converged point,
+// so the predictor never costs robustness; Counters.PredictorSeeds and
+// PredictorFallbacks count both.
+//
+// The linear fast path (see RunTransient) has no Newton iterations to
+// seed, so a linear program runs it whether seeding is on or off.
+func (s *Session) Seed(on bool) {
+	s.seed = on
 	if !on {
 		s.haveWarm = false
 	}
 }
-
-// Predictor switches the polynomial-predictor seeding mode of subsequent
-// transient runs.
-//
-// When on, each timestep's Newton solve is seeded by extrapolating the
-// previous converged timestep solutions instead of starting from the
-// previous point alone: the first step keeps the legacy previous-point
-// seed, the second uses linear extrapolation (2·x₁ − x₀), and from the
-// third on a second-order polynomial over the last three points
-// (3·x₂ − 3·x₁ + x₀). On the smooth waveforms of glitch rigs the seed
-// lands close enough to the solution that Newton needs measurably fewer
-// iterations per step (TestPredictorCutsNewtonIterations asserts the
-// floor). A predicted seed that fails to converge is transparently
-// re-solved from the previous converged point — the legacy seed — so the
-// predictor never costs robustness; fallbacks are counted in
-// Counters.PredictorFallbacks.
-//
-// Like WarmStart it is off in a new session because the converged result
-// can differ from the legacy flow in the last bits (Newton converges to
-// the same solution from a different seed, within tolerance rather than
-// bitwise); the transient characterisation sweeps switch it on.
-// Linear-fast-path runs ignore the predictor: they perform no Newton
-// iterations to seed.
-func (s *Session) Predictor(on bool) { s.predictor = on }
 
 // MemoryBytes estimates the session's resident footprint: the dense
 // matrices (base, Jacobian, the LU workspace buffer, and the transient
@@ -701,10 +694,10 @@ func (s *Session) RunDC(res *DCResult) error {
 // other DC solve is dense: at DC the capacitors are open, so the nodes
 // they hold float behind gmin and base is no factor to correct from.
 //
-// In warm-start mode (see WarmStart) the solve is attempted first from the
+// While seeding is on (see Seed) the solve is attempted first from the
 // previous converged solution; a cold start — the bit-identical legacy
-// path — runs when warm starting is off, no previous solution exists, or
-// the warm seed failed to converge.
+// path — runs when seeding is off, no previous solution exists, or the
+// warm seed failed to converge.
 func (s *Session) solveDC(linear bool) error {
 	s.stats.DC++
 	if s.stampedGmin != gmin {
@@ -717,7 +710,7 @@ func (s *Session) solveDC(linear bool) error {
 			return nil
 		}
 	}
-	if s.warmStart && s.haveWarm {
+	if s.seed && s.haveWarm {
 		s.stats.WarmStarts++
 		// Hybrid continuation seed: carry the internal-node voltages and
 		// branch currents of the previous converged solution — the part a
@@ -765,9 +758,9 @@ func (s *Session) solveDC(linear bool) error {
 }
 
 // saveWarm records the converged DC solution as the next warm-start seed.
-// Skipped when warm starting is off so cold sessions pay nothing.
+// Skipped when seeding is off so cold sessions pay nothing.
 func (s *Session) saveWarm() {
-	if !s.warmStart {
+	if !s.seed {
 		return
 	}
 	copy(s.xWarm, s.x)
@@ -809,12 +802,11 @@ func (s *Session) saveWarm() {
 // (Program.Linear) are its r = 0 case, the linear fast path: every
 // timestep is a forward/back-substitution with zero Newton iterations,
 // counted in Counters.LinearFastPathRuns and bit-identical to the dense
-// Newton by construction. Warm-start mode disables the linear fast path
-// for the run, keeping WarmStart's documented DC continuation semantics.
-// Runs with r > 0 are counted in Counters.LowRankRuns; their iterates are
-// the dense Newton's up to round-off, and a step whose correction fails is
-// re-solved densely (Counters.LowRankFallbacks). Nonlinear programs can
-// opt into predictor seeding (see Predictor).
+// Newton by construction. Runs with r > 0 are counted in
+// Counters.LowRankRuns; their iterates are the dense Newton's up to
+// round-off, and a step whose correction fails is re-solved densely
+// (Counters.LowRankFallbacks). Nonlinear programs can opt into Newton
+// seeding (see Seed).
 func (s *Session) RunTransient(ctx context.Context, res *Result, tstop float64, stop func(x []float64) bool) error {
 	return s.runTransient(ctx, res, tstop, stop, false)
 }
@@ -887,13 +879,11 @@ func (s *Session) runTransient(ctx context.Context, res *Result, tstop float64, 
 
 	// The factored step loop, part 1 (DESIGN.md §17): the program's shape
 	// decides. A linear program (r = 0) also solves its operating point on
-	// a factor (see solveDC) — unless in warm-start mode, which takes the
-	// legacy ladder and the dense steps unconditionally so its
-	// continuation semantics and stats are untouched. An adaptive run
-	// changes its step matrix with its step, so it takes the dense Newton.
+	// a factor (see solveDC). An adaptive run changes its step matrix with
+	// its step, so it takes the dense Newton.
 	plan := &s.prog.lr
 	r := len(plan.rows)
-	factored := plan.use && !s.forceDense && !adaptive && (r > 0 || !s.warmStart)
+	factored := plan.use && !s.forceDense && !adaptive
 	if factored && s.lr == nil {
 		s.lr = newLowRankState(s.size, plan)
 	}
@@ -958,7 +948,7 @@ func (s *Session) runTransient(ctx context.Context, res *Result, tstop float64, 
 	// Predictor seeding only applies to runs with Newton iterations; a
 	// linear fast-path run has no Newton solve to seed. The history ring
 	// also feeds an adaptive run's error estimate.
-	pred := s.predictor && !(factored && r == 0)
+	pred := s.seed && !(factored && r == 0)
 	nh := 0
 	if pred || adaptive {
 		s.ensurePredictorBuffers()

@@ -59,12 +59,14 @@ func sameBranches(got, want [][]float64) int {
 }
 
 // TestRunTransientUntilStopsAtSample pins the stop contract on INV and
-// NAND2 glitch benches of both cards, predictor on and off: a run stopped
-// at step k records exactly k+1 samples, each bit-identical to the full
+// NAND2 glitch benches of both cards, seeding on and off: a run stopped at
+// step k records exactly k+1 samples, each bit-identical to the full
 // run's; it advances TransientSteps by k (with PredictorSeeds still one
 // short of it); stop sees each sample just as it was recorded, branch
 // currents included; and a stop that never fires is the full run, bit for
-// bit and counter for counter.
+// bit and counter for counter. Each compared run opens its own session: a
+// seeded session's second run warm-starts its operating point from the
+// first, which moves its Newton count and the last bits of its samples.
 func TestRunTransientUntilStopsAtSample(t *testing.T) {
 	const tstop = 600e-12
 	ctx := context.Background()
@@ -73,25 +75,29 @@ func TestRunTransientUntilStopsAtSample(t *testing.T) {
 			for _, pred := range []bool{false, true} {
 				ckt := glitchRig(t, tc, kind)
 				out, _ := ckt.LookupNode("out")
-				sess, err := NewSession(Compile(ckt), 1e-12)
-				if err != nil {
-					t.Fatal(err)
+				prog := Compile(ckt)
+				fresh := func() *Session {
+					sess, err := NewSession(prog, 1e-12)
+					if err != nil {
+						t.Fatal(err)
+					}
+					sess.Seed(pred)
+					return sess
 				}
-				sess.Predictor(pred)
+				sess := fresh()
 				var full Result
-				before := sess.Stats()
 				if err := sess.RunTransient(ctx, &full, tstop, nil); err != nil {
 					t.Fatal(err)
 				}
-				fullWork := sess.Stats().Sub(before)
+				fullWork := sess.Stats()
 				nsteps := full.Steps() - 1
 
-				before = sess.Stats()
+				sess = fresh()
 				never, branches, err := transientBranches(ctx, sess, tstop)
 				if err != nil {
 					t.Fatal(err)
 				}
-				if d := sess.Stats().Sub(before); d != fullWork {
+				if d := sess.Stats(); d != fullWork {
 					t.Errorf("%s/%s pred=%v: never-firing stop counted %+v, full run %+v", tc.Name, kind, pred, d, fullWork)
 				}
 				if never.Steps() != full.Steps() || sameSamples(never, &full) >= 0 {
@@ -115,11 +121,11 @@ func TestRunTransientUntilStopsAtSample(t *testing.T) {
 						seen++
 						return seen == k+1
 					}
-					before := sess.Stats()
+					sess = fresh()
 					if err := sess.RunTransient(ctx, &res, tstop, stop); err != nil {
 						t.Fatal(err)
 					}
-					d := sess.Stats().Sub(before)
+					d := sess.Stats()
 					if res.Steps() != k+1 {
 						t.Fatalf("%s/%s pred=%v stop at %d: %d samples, want %d", tc.Name, kind, pred, k, res.Steps(), k+1)
 					}
@@ -201,7 +207,7 @@ func TestNewtonRejectsNaN(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				sess.Predictor(pred)
+				sess.Seed(pred)
 				res, err := transientOf(context.Background(), sess, 400e-12)
 				if !errors.Is(err, ErrNoConvergence) {
 					t.Errorf("slope=%v segments=%d pred=%v: transient error %v, want ErrNoConvergence", slope, segments, pred, err)

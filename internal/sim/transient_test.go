@@ -142,7 +142,7 @@ func TestTransientStepAllocFree(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		sess.Predictor(true) // predictor buffers must be reused, not re-made
+		sess.Seed(true) // predictor buffers must be reused, not re-made
 		assertTransientAllocFree(t, sess, 600e-12)
 	})
 	t.Run("factored_path", func(t *testing.T) {
@@ -151,7 +151,7 @@ func TestTransientStepAllocFree(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		sess.Predictor(true)
+		sess.Seed(true)
 		assertTransientAllocFree(t, sess, 400e-12)
 		if st := sess.Stats(); st.LowRankRuns == 0 {
 			t.Fatal("golden-shaped bench did not take the factored path")

@@ -76,7 +76,7 @@ func TestRunDCIntoAllocFree(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		sess.WarmStart(warm)
+		sess.Seed(warm)
 		hNoisy := prog.MustSource("v_B")
 		hForce := prog.MustSource("vforce")
 		var dc DCResult
@@ -125,7 +125,7 @@ func TestWarmStartDCMatchesColdWithinTolerance(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			sess.WarmStart(warm)
+			sess.Seed(warm)
 			return sess, prog.MustSource("v_" + noisy), prog.MustSource("vforce")
 		}
 		cold, hNC, hFC := mk(false)
@@ -174,7 +174,7 @@ func TestWarmStartStatsAndReset(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sess.WarmStart(true)
+	sess.Seed(true)
 	run := func() {
 		if _, err := dcOf(sess); err != nil {
 			t.Fatal(err)
@@ -188,9 +188,9 @@ func TestWarmStartStatsAndReset(t *testing.T) {
 	if s := sess.Stats(); s.WarmStarts != 1 {
 		t.Fatalf("after second solve: %+v", s)
 	}
-	sess.WarmStart(false)
-	sess.WarmStart(true) // toggling off discards the seed
-	run()                // cold
+	sess.Seed(false)
+	sess.Seed(true) // toggling off discards the seed
+	run()           // cold
 	if s := sess.Stats(); s.WarmStarts != 1 || s.DC != 3 {
 		t.Fatalf("after reset: %+v", s)
 	}

@@ -29,7 +29,10 @@ type Options struct {
 	// the snacheck CLI defaults to) for the paper's fast non-linear VCCS
 	// flow.
 	Method core.Method
-	Dt     float64 // engine step; default 2 ps
+	// Dt is the engine step; default 2 ps. A step longer than a tenth of
+	// a cluster's shortest input edge fails that cluster with an
+	// *sim.OptionsError (see core.EvalOptions).
+	Dt float64
 	// Align enables the worst-case peak-alignment search per cluster.
 	Align bool
 	// Feasibility enables the FRAME-style aggressor-correlation filter:
@@ -284,34 +287,42 @@ func NewAnalyzer(d *Design, opts Options) *Analyzer {
 	if math.IsNaN(opts.Dt) || math.IsInf(opts.Dt, 0) {
 		optsErr = &sim.OptionsError{Field: "Dt", Value: opts.Dt}
 	}
-	opts = opts.normalize()
-	cache := opts.Cache
-	if cache == nil {
-		cache = charlib.NewCache()
-	}
-	pools := opts.RigPools
-	if pools == nil {
-		pools = core.NewRigPool(core.RigPoolLimits{})
-	}
-	a := &Analyzer{design: d, opts: opts, cache: cache, pools: pools, optsErr: optsErr}
-	switch {
-	case opts.Cache != nil:
-		// A shared cache is the caller's object: never mutate its disk
-		// tier from here (two analyzers with different CacheDirs would
-		// silently clobber each other's store).
-	case opts.Store != nil:
-		cache.SetStore(opts.Store)
-	case opts.CacheDir != "":
-		store, err := charstore.Open(opts.CacheDir)
-		if err != nil {
-			// Degrade to memory-only caching: a broken cache directory
-			// must never block sign-off. The error stays inspectable.
-			a.storeErr = err
-		} else {
-			cache.SetStore(store)
+	opts, _, storeErr := ResolveShared(opts.normalize())
+	return &Analyzer{design: d, opts: opts, cache: opts.Cache, pools: opts.RigPools, optsErr: optsErr, storeErr: storeErr}
+}
+
+// ResolveShared resolves the machinery an analysis shares across runs,
+// for NewAnalyzer and serve.NewServer alike. Options.Cache wins: a shared
+// cache is the caller's object, and its disk tier is never touched from
+// here (two analyzers with different CacheDirs would silently clobber
+// each other's store). Otherwise a new cache is made, carrying
+// Options.Store or else the store opened at Options.CacheDir; a directory
+// that cannot be opened degrades to memory-only caching, because a broken
+// cache directory must never block sign-off, and its error is returned as
+// storeErr. A default core.RigPool is made when Options.RigPools is nil.
+//
+// The resolved options carry the cache and the pool, with Store and
+// CacheDir cleared: the cache holds the tier. store is the
+// *charstore.Store the new cache carries, or nil when Options.Cache was
+// supplied or the tier is none or another charlib.PersistentStore.
+func ResolveShared(opts Options) (resolved Options, store *charstore.Store, storeErr error) {
+	if opts.Cache == nil {
+		opts.Cache = charlib.NewCache()
+		switch {
+		case opts.Store != nil:
+			opts.Cache.SetStore(opts.Store)
+			store, _ = opts.Store.(*charstore.Store)
+		case opts.CacheDir != "":
+			if store, storeErr = charstore.Open(opts.CacheDir); storeErr == nil {
+				opts.Cache.SetStore(store)
+			}
 		}
 	}
-	return a
+	if opts.RigPools == nil {
+		opts.RigPools = core.NewRigPool(core.RigPoolLimits{})
+	}
+	opts.Store, opts.CacheDir = nil, ""
+	return opts, store, storeErr
 }
 
 // StoreError reports why Options.CacheDir could not be opened, or nil.

@@ -124,6 +124,48 @@ func TestSharedCacheIsNeverStoreMutated(t *testing.T) {
 	}
 }
 
+// TestResolveShared pins the one rule NewAnalyzer and serve.NewServer
+// resolve their shared machinery by: a supplied cache and pool win (and
+// TestSharedCacheIsNeverStoreMutated holds the cache's tier untouched),
+// Store comes before CacheDir, an unusable directory degrades to a
+// memory-only cache with the error returned, a pool is made when none is
+// given, and Store and CacheDir never survive resolution.
+func TestResolveShared(t *testing.T) {
+	open := func() *charstore.Store {
+		s, err := charstore.Open(t.TempDir())
+		if err != nil {
+			t.Fatal(err)
+		}
+		return s
+	}
+	given, shared, pool := open(), charlib.NewCache(), core.NewRigPool(core.RigPoolLimits{})
+	for _, tc := range []struct {
+		name          string
+		opts          Options
+		store, failed bool // a store returned; a store error returned
+	}{
+		{"shared cache", Options{Cache: shared, Store: given, CacheDir: t.TempDir(), RigPools: pool}, false, false},
+		{"store before dir", Options{Store: given, CacheDir: "/dev/null/not-a-directory"}, true, false},
+		{"dir", Options{CacheDir: t.TempDir()}, true, false},
+		{"unusable dir", Options{CacheDir: "/dev/null/not-a-directory"}, false, true},
+		{"memory only", Options{}, false, false},
+	} {
+		got, store, err := ResolveShared(tc.opts)
+		if (store != nil) != tc.store || (err != nil) != tc.failed {
+			t.Errorf("%s: store %v, err %v; want a store %v, an error %v", tc.name, store, err, tc.store, tc.failed)
+		}
+		if tc.name == "store before dir" && store != given {
+			t.Errorf("%s: returned store %p, want the given %p", tc.name, store, given)
+		}
+		if got.Cache == nil || got.RigPools == nil || got.Store != nil || got.CacheDir != "" {
+			t.Errorf("%s: resolved cache %v, pool %v, store %v, dir %q", tc.name, got.Cache, got.RigPools, got.Store, got.CacheDir)
+		}
+		if tc.opts.Cache != nil && (got.Cache != shared || got.RigPools != pool) {
+			t.Errorf("%s: the supplied cache and pool were replaced", tc.name)
+		}
+	}
+}
+
 // TestCacheDirUnusableDegradesToMemory: a cache directory that cannot be
 // created must not fail analysis — memory-only caching with an
 // inspectable error.

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"math"
+	"slices"
 	"strings"
 	"testing"
 
@@ -284,25 +285,48 @@ func TestReceiverNRCHonoursFailFrac(t *testing.T) {
 }
 
 // A step longer than twice a cluster's event horizon leaves its runs no
-// step: every cluster of the sample design fails with the typed
-// invalid-option error (sim.GridSteps), under the macromodel and golden
-// alike, where it used to record t = 0 alone and pass at 0 V.
+// step (sim.GridSteps), and one longer than a tenth of a cluster's
+// shortest input edge under-reads its noise (core's step rule): every
+// cluster of the sample design, whose aggressors all switch in 60 ps,
+// fails with the typed invalid-option error at 5 ns, 1 ns and 7 ps, under
+// the macromodel and golden alike. Each used to pass: at 0 V, and at 1 ns
+// bus_bit7 at 0.247 V against 0.937 V at 2 ps. At 5 ps, inside the limit,
+// the sample still analyses.
 func TestAnalyzeRejectsStepPastHorizon(t *testing.T) {
 	ctx := context.Background()
 	d := SampleDesign()
 	for _, m := range []core.Method{core.Macromodel, core.Golden} {
-		opts := fastOpts(m)
-		opts.Dt, opts.Align, opts.OnError = 5e-9, false, ContinueOnError
-		failed := 0
-		for rep, err := range NewAnalyzer(d, opts).Stream(ctx) {
-			if !errors.Is(err, sim.ErrInvalidOptions) {
-				t.Errorf("%v: cluster %q: peak %v V, err = %v; want the invalid-option error", m, rep.Cluster, rep.PeakV, err)
-				continue
+		for _, tc := range []struct {
+			dt     float64
+			failed []string
+		}{
+			{5e-9, []string{"bus_bit7", "ctrl_en"}},
+			{1e-9, []string{"bus_bit7", "ctrl_en"}},
+			{7e-12, []string{"bus_bit7", "ctrl_en"}},
+			{5e-12, nil},
+		} {
+			opts := fastOpts(m)
+			opts.Dt, opts.Align, opts.OnError = tc.dt, false, ContinueOnError
+			var failed []string
+			n := 0
+			for rep, err := range NewAnalyzer(d, opts).Stream(ctx) {
+				n++
+				switch {
+				case err == nil:
+				case errors.Is(err, sim.ErrInvalidOptions) && strings.Contains(err.Error(), "invalid option"):
+					var ce *ClusterError
+					if !errors.As(err, &ce) {
+						t.Fatalf("%v at Dt %g: %v is not a ClusterError", m, tc.dt, err)
+					}
+					failed = append(failed, ce.Cluster)
+				default:
+					t.Errorf("%v at Dt %g: cluster %q: peak %v V, err = %v; want a report or the invalid-option error", m, tc.dt, rep.Cluster, rep.PeakV, err)
+				}
 			}
-			failed++
-		}
-		if failed != len(d.Clusters) {
-			t.Errorf("%v: %d of %d clusters failed, want every one", m, failed, len(d.Clusters))
+			slices.Sort(failed)
+			if n != len(d.Clusters) || !slices.Equal(failed, tc.failed) {
+				t.Errorf("%v at Dt %g: %d outcomes, clusters %v failed; want %d, %v", m, tc.dt, n, failed, len(d.Clusters), tc.failed)
+			}
 		}
 	}
 }
