@@ -459,8 +459,10 @@ func BenchmarkMacromodelEngine(b *testing.B) {
 // coordinate-ascent probes, each an engine run whose one non-linear port
 // is the victim's VCCS (p_N = 1), which resumes from the best run's state
 // where its sources first differ (DESIGN.md §29) and stops once its peak
-// is decided (§26). Every op restarts from the same offsets, so every op
-// does the same engine runs and steps.
+// is decided (§26). The cluster's victim glitch adds one transistor-level
+// driver-alone run, which stops once its peak is decided too (§31). Every
+// op restarts from the same offsets, so every op does the same engine
+// runs, engine steps and transient steps.
 func BenchmarkAlignWorstCase(b *testing.B) {
 	p := prepareBench(b, "t2", paper.Table2Cluster, false)
 	aggs := p.cluster.Aggressors
@@ -486,4 +488,5 @@ func BenchmarkAlignWorstCase(b *testing.B) {
 	d := sim.Snapshot().Sub(before)
 	b.ReportMetric(float64(d.EngineRuns)/float64(b.N), "engine-runs/op")
 	b.ReportMetric(float64(d.EngineSteps)/float64(b.N), "engine-steps/op")
+	b.ReportMetric(float64(d.TransientSteps)/float64(b.N), "transient-steps/op")
 }

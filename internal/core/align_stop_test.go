@@ -107,3 +107,92 @@ func checkSearchBitIdentical(t *testing.T, opts core.EvalOptions) (skipped float
 		runs, stopped, full, 100*skipped, fromStart, fromStart-stopped, 100*(1-float64(stopped)/float64(fromStart)))
 	return skipped
 }
+
+// The alignment's driver-alone runs stop once the charge-contraction
+// certificate (sim.Certificate, DESIGN.md §31) proves no later sample
+// reaches the running peak, and that changes no number: on every cluster
+// of the reference design with a victim glitch, AlignPeaks reads the same
+// driver-alone peak and peak time as the run taken to TStop, by
+// Float64bits, and ends at the same offsets, while skipping at least 70 %
+// of those runs' steps. At least 14 of the 16 runs must stop; the test
+// logs each refusal, and the slack beside the running peaks.
+func TestDriverAloneRunsStopBitIdentical(t *testing.T) {
+	ctx := context.Background()
+	d := sna.GenerateDesign("reference", 48)
+	cache := charlib.NewCache()
+	var stoppedSteps, fullSteps, runs, stops int
+	slackLo, slackHi, peakLo, peakHi := math.Inf(1), 0.0, math.Inf(1), 0.0
+	for _, cs := range d.Clusters {
+		if cs.Victim.GlitchHeightV == 0 {
+			continue
+		}
+		cl, err := d.BuildCluster(cs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		models, err := cl.BuildModels(ctx, core.ModelOptions{SkipProp: true, Cache: cache})
+		if err != nil {
+			t.Fatal(err)
+		}
+		base := make([]float64, len(cl.Aggressors))
+		for i := range cl.Aggressors {
+			base[i] = cl.Aggressors[i].Offset
+		}
+		type run struct {
+			peak, tPeak uint64
+			steps       int
+			stopped     bool
+			slack       float64
+			refusal     string
+		}
+		align := func(opts core.EvalOptions) (r run, offsets []float64) {
+			for i := range cl.Aggressors {
+				cl.Aggressors[i].Offset = base[i]
+			}
+			opts = core.ObserveDriver(opts, func(peak, tPeak float64, steps int, cert *sim.Certificate) {
+				r = run{peak: math.Float64bits(peak), tPeak: math.Float64bits(tPeak), steps: steps}
+				if cert != nil {
+					r.slack, r.refusal = cert.Slack(), cert.Refusal()
+				}
+			})
+			if _, _, err := cl.AlignPeaks(ctx, models, opts); err != nil {
+				t.Fatalf("%s: %v", cs.Name, err)
+			}
+			for i := range cl.Aggressors {
+				offsets = append(offsets, cl.Aggressors[i].Offset)
+			}
+			return r, offsets
+		}
+		opts := core.EvalOptions{Dt: 2e-12}
+		want, wantOff := align(core.FullHorizon(opts))
+		got, gotOff := align(opts)
+		if got.peak != want.peak || got.tPeak != want.tPeak {
+			t.Errorf("%s: driver-alone peak %v at %v, full run %v at %v", cs.Name,
+				math.Float64frombits(got.peak), math.Float64frombits(got.tPeak), math.Float64frombits(want.peak), math.Float64frombits(want.tPeak))
+		}
+		if !slices.Equal(gotOff, wantOff) {
+			t.Errorf("%s: offsets %v, full run %v", cs.Name, gotOff, wantOff)
+		}
+		runs++
+		stoppedSteps += got.steps
+		fullSteps += want.steps
+		peak := math.Float64frombits(got.peak)
+		if got.steps < want.steps {
+			stops++
+			slackLo, slackHi = math.Min(slackLo, got.slack), math.Max(slackHi, got.slack)
+			peakLo, peakHi = math.Min(peakLo, peak), math.Max(peakHi, peak)
+			t.Logf("%s %s/%s: stopped at step %d of %d, peak %.4g V, slack %.3g V", cs.Name, cs.Victim.Cell, cs.Victim.NoisyPin, got.steps, want.steps, peak, got.slack)
+		} else {
+			t.Logf("%s %s/%s: ran all %d steps, peak %.4g V (last refusal: %q)", cs.Name, cs.Victim.Cell, cs.Victim.NoisyPin, got.steps, peak, got.refusal)
+		}
+	}
+	skipped := 1 - float64(stoppedSteps)/float64(fullSteps)
+	t.Logf("%d of %d driver-alone runs stopped; %d of %d steps taken (%.1f %% skipped); slack %.3g–%.3g V against running peaks %.4g–%.4g V",
+		stops, runs, stoppedSteps, fullSteps, 100*skipped, slackLo, slackHi, peakLo, peakHi)
+	if runs != 16 || stops < 14 {
+		t.Errorf("%d of %d driver-alone runs stopped, want at least 14 of 16", stops, runs)
+	}
+	if skipped < 0.7 {
+		t.Errorf("the driver-alone runs skipped %.1f %% of their steps, want at least 70 %%", 100*skipped)
+	}
+}

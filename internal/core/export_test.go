@@ -34,6 +34,13 @@ func ObservePeaks(opts EvalOptions, f func(peak, tPeak float64)) EvalOptions {
 	return opts
 }
 
+// ObserveDriver returns opts with f handed the alignment's driver-alone
+// run: its peak and peak time, its steps and its certificate.
+func ObserveDriver(opts EvalOptions, f func(peak, tPeak float64, steps int, cert *sim.Certificate)) EvalOptions {
+	opts.observeDriver = f
+	return opts
+}
+
 // CheckProbesStopEarly is checkProbesStopEarly.
 var CheckProbesStopEarly = checkProbesStopEarly
 

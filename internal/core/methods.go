@@ -121,26 +121,28 @@ type EvalOptions struct {
 	Miller bool
 
 	// forceFullHorizon runs the alignment search's peak-only engine runs
-	// to tstop and measures the recorded waveform, as before they stopped
-	// once their peak was decided; observe, when non-nil, sees the peak
-	// and peak time of each of those runs in order. Test hooks.
+	// and its driver-alone run to tstop and measures the recorded
+	// waveform, as before they stopped once their peak was decided;
+	// observe, when non-nil, sees the peak and peak time of each of those
+	// engine runs in order. Test hooks.
 	forceFullHorizon bool
 	observe          func(peak, tPeak float64)
+	// observeDriver, when non-nil, sees the alignment's driver-alone run:
+	// its peak and peak time, the steps it took, and its certificate (nil
+	// under forceFullHorizon). Test hook.
+	observeDriver func(peak, tPeak float64, steps int, cert *sim.Certificate)
 	// noResume keeps every probe of the alignment search at step 1, as
 	// before probes resumed from the best run's trace. Test hook.
 	noResume bool
 }
 
-// normalize fills the defaults and rejects a step longer than a tenth of
-// the cluster's shortest input edge (see shortestEdge) with an
-// *sim.OptionsError on Dt: such a step cuts the edge into a few samples
-// and under-reads its noise, and the net would be signed off on it.
+// normalize fills the defaults and applies the step rule (CheckStep).
 func (o EvalOptions) normalize(c *Cluster) (EvalOptions, error) {
 	if o.Dt <= 0 {
 		o.Dt = 1e-12
 	}
-	if edge := c.shortestEdge(); o.Dt > edge/10 {
-		return o, &sim.OptionsError{Field: "Dt", Value: o.Dt, Want: fmt.Sprintf("at most %g, a tenth of the cluster's shortest input edge", edge/10)}
+	if err := c.CheckStep(o.Dt); err != nil {
+		return o, err
 	}
 	if o.tstop <= 0 {
 		o.tstop = c.EventHorizon()
@@ -149,6 +151,22 @@ func (o EvalOptions) normalize(c *Cluster) (EvalOptions, error) {
 		o.ZolotovPasses = 2
 	}
 	return o, nil
+}
+
+// CheckStep is the step rule of every evaluation: a step dt (≤ 0 selects
+// EvalOptions' default, 1 ps) longer than a tenth of the cluster's
+// shortest input edge (see shortestEdge) is an *sim.OptionsError on Dt.
+// Such a step cuts the edge into a few samples and under-reads its noise,
+// and the net would be signed off on it. A flow checks it before it
+// characterises the cluster, so a step every cluster fails builds nothing.
+func (c *Cluster) CheckStep(dt float64) error {
+	if dt <= 0 {
+		dt = 1e-12
+	}
+	if edge := c.shortestEdge(); dt > edge/10 {
+		return &sim.OptionsError{Field: "Dt", Value: dt, Want: fmt.Sprintf("at most %g, a tenth of the cluster's shortest input edge", edge/10)}
+	}
+	return nil
 }
 
 // Evaluate computes the total noise with the chosen method. Models must
@@ -379,15 +397,44 @@ func (c *Cluster) evaluateSuperposition(ctx context.Context, models *Models, opt
 // DriverAloneResponse simulates the victim driver transistor-level with its
 // input glitch into the lumped victim load — the waveform a pulsed-Thevenin
 // victim model uses as its source (and a useful diagnostic on its own).
-// The bench compiles once per cluster and is re-run with the glitch
-// waveform and lumped load mutated, like every other characterisation rig.
+// The bench is pooled per victim class (driverClassKey) and re-run with the
+// glitch waveform and lumped load mutated, like every other
+// characterisation rig.
 func (c *Cluster) DriverAloneResponse(ctx context.Context, models *Models, opts EvalOptions) (*wave.Waveform, error) {
+	var w *wave.Waveform
+	err := c.driverAlone(ctx, models, opts, false, 0, func(res *sim.Result, _ *sim.Certificate) { w = res.Waveform("out") })
+	return w, err
+}
+
+// driverAlonePeak is the driver-alone response's peak deviation from quiet
+// and its time, the only numbers the alignment reads off it: the run stops
+// once the charge-contraction certificate (sim.Certificate, DESIGN.md §31)
+// proves no later sample reaches the running peak, and wave.MeasureNoise
+// reads the recorded prefix. Under forceFullHorizon the run goes to tstop.
+func (c *Cluster) driverAlonePeak(ctx context.Context, models *Models, opts EvalOptions, quiet float64) (peak, tPeak float64, err error) {
+	err = c.driverAlone(ctx, models, opts, !opts.forceFullHorizon, quiet, func(res *sim.Result, cert *sim.Certificate) {
+		m := wave.MeasureNoise(res.Waveform("out"), quiet)
+		peak, tPeak = m.Peak, m.TPeak
+		if opts.observeDriver != nil {
+			opts.observeDriver(peak, tPeak, res.Steps()-1, cert)
+		}
+	})
+	return peak, tPeak, err
+}
+
+// driverAlone runs the driver-alone bench and hands the recorded run, and
+// its certificate when it has one, to read before the bench goes back to
+// its pool. With peakOnly the run stops at the first sample where the
+// certificate bounds every later deviation of the output from quiet below
+// the running peak, kept with wave.MeasureNoise's arithmetic
+// (|v − quiet|, a strict >).
+func (c *Cluster) driverAlone(ctx context.Context, models *Models, opts EvalOptions, peakOnly bool, quiet float64, read func(*sim.Result, *sim.Certificate)) error {
 	if ctx == nil {
 		ctx = context.Background()
 	}
 	opts, err := opts.normalize(c)
 	if err != nil {
-		return nil, err
+		return err
 	}
 	v := &c.Victim
 
@@ -397,7 +444,7 @@ func (c *Cluster) DriverAloneResponse(ctx context.Context, models *Models, opts 
 		return c.compileDriverRig(opts.Dt)
 	})
 	if err != nil {
-		return nil, err
+		return err
 	}
 	defer pool.giveBack(rig)
 	rig.sess.SetSource(rig.prog.MustSource("v_"+v.NoisyPin), c.victimInputWave())
@@ -408,10 +455,26 @@ func (c *Cluster) DriverAloneResponse(ctx context.Context, models *Models, opts 
 		clump = 0
 	}
 	rig.sess.SetLoad(rig.prog.MustCap("cl"), clump)
-	if err := rig.sess.RunTransient(ctx, &rig.res, opts.tstop, nil); err != nil {
-		return nil, fmt.Errorf("core: driver-alone simulation: %w", err)
+	var (
+		stop func([]float64) bool
+		cert *sim.Certificate
+	)
+	if peakOnly {
+		out, _ := rig.prog.Circuit().LookupNode("out")
+		cert = rig.sess.Certify(out, quiet)
+		running := 0.0
+		stop = func(x []float64) bool {
+			if d := math.Abs(x[out] - quiet); d > running {
+				running = d
+			}
+			return cert.Below(x, running)
+		}
 	}
-	return rig.res.Waveform("out"), nil
+	if err := rig.sess.RunTransient(ctx, &rig.res, opts.tstop, stop); err != nil {
+		return fmt.Errorf("core: driver-alone simulation: %w", err)
+	}
+	read(&rig.res, cert)
+	return nil
 }
 
 // compileDriverRig assembles and compiles the driver-alone bench: the
@@ -541,13 +604,12 @@ func (c *Cluster) alignPeaks(ctx context.Context, models *Models, opts EvalOptio
 	}
 
 	if c.Victim.Glitch.Height > 0 {
-		drv, err := c.DriverAloneResponse(ctx, models, opts)
+		peak, tPeak, err := c.driverAlonePeak(ctx, models, opts, quiet)
 		if err != nil {
 			return 0, nil, err
 		}
-		m := wave.MeasureNoise(drv, quiet)
-		if m.Peak > 0 {
-			target = m.TPeak
+		if peak > 0 {
+			target = tPeak
 		}
 	}
 	for i, t := range peaks {

@@ -165,3 +165,55 @@ func level1(p *Params, vgs, vds float64) (ids, gm, gds float64) {
 	gds = 0.5 * beta * vov * vov * p.Lambda
 	return ids, gm, gds
 }
+
+// ConductanceBounds bounds Eval's conductances over every terminal voltage
+// in the box vd ∈ [vd[0], vd[1]], vg ∈ [vg[0], vg[1]], vs ∈ [vs[0], vs[1]]:
+// gmax bounds |∂id/∂vd|, |∂id/∂vg| and |∂id/∂vs|, and spread bounds how far
+// ∂id/∂vd, and ∂id/∂vs, can differ between two points of the box. The stop
+// certificate of the simulator's cell benches reads its ball conditions off
+// them (DESIGN.md §31).
+//
+// With vov = vg − min(vd, vs) − VT0 and vds = |vd − vs|, the drain and
+// source conductances are, by the channel's direction, P = gm + gds or
+// Q = gds of level1 (forward gd = Q, −gs = P; reverse gd = P, −gs = Q), and
+// |gg| = gm ≤ P. In both regions
+//
+//	P = β·vov·(1 + λ·vds) + β·λ·(vov·vds − vds²/2) ≤ β·vov·(1 + λ·vds) + β·λ·vov²/2
+//
+// (saturation is the equality at vds ≥ vov), which rises with vov ≥ 0 and
+// vds ≥ 0 when λ ≥ 0, so gmax takes both at their largest over the box.
+// Q rises with vov, and while 2·λ·vov ≤ 1 it falls with vds
+// (∂Q/∂vds = −β·(1 + λ·vds) + 2·β·λ·(vov − vds) in triode, 0 in
+// saturation), so Q is least at the least vov and the largest vds; beyond
+// that Q ≥ 0 is the bound. Both conductances lie in [Q_min, gmax], and
+// spread is their difference. A PMOS is bounded in its mirrored frame, as
+// Eval evaluates it. Both carry a relative margin of 1e-12 over their own
+// rounding and Eval's, and both are +Inf when a bound is not finite or
+// λ < 0.
+func (p *Params) ConductanceBounds(vd, vg, vs [2]float64) (gmax, spread float64) {
+	n := *p
+	if p.Kind == PMOS {
+		n = Params{Kind: NMOS, W: p.W, L: p.L, KP: p.KP, VT0: -p.VT0, Lambda: p.Lambda}
+		vd, vg, vs = [2]float64{-vd[1], -vd[0]}, [2]float64{-vg[1], -vg[0]}, [2]float64{-vs[1], -vs[0]}
+	}
+	inf := math.Inf(1)
+	if !(n.Lambda >= 0) {
+		return inf, inf
+	}
+	vovHi := vg[1] - math.Min(vd[0], vs[0]) - n.VT0
+	vovLo := vg[0] - math.Min(vd[1], vs[1]) - n.VT0
+	vdsHi := math.Max(math.Max(vd[1]-vs[0], vs[1]-vd[0]), 0)
+	if math.IsNaN(vovHi) || math.IsNaN(vovLo) || math.IsNaN(vdsHi) {
+		return inf, inf
+	}
+	if vovHi <= 0 {
+		return 0, 0
+	}
+	beta := n.Beta()
+	gmax = (beta*vovHi*(1+n.Lambda*vdsHi) + 0.5*beta*n.Lambda*vovHi*vovHi) * (1 + 1e-12)
+	qMin := 0.0
+	if 2*n.Lambda*vovHi <= 1 {
+		_, _, qMin = level1(&n, vovLo+n.VT0, vdsHi)
+	}
+	return gmax, gmax - qMin*(1-1e-12)
+}

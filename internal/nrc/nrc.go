@@ -16,6 +16,7 @@ import (
 	"math"
 
 	"stanoise/internal/cell"
+	"stanoise/internal/circuit"
 	"stanoise/internal/sim"
 	"stanoise/internal/wave"
 )
@@ -179,10 +180,15 @@ type glitchRig struct {
 	quietIn  float64
 	quietOut float64
 	sign     float64
-	// stop ends a probe at its first failing sample, by the comparison
-	// glitchFails makes on the measured peak: |v − quietOut| ≥ FailFrac·VDD.
-	// A nil stop runs every probe to the end of its window.
-	stop func(x []float64) bool
+	out      circuit.NodeID
+	thr      float64 // the fail level FailFrac·VDD
+	// failStop ends a probe at its first failing sample, by the comparison
+	// glitchFails makes on the measured peak: |v − quietOut| ≥ thr.
+	// passStop ends it where the charge-contraction certificate proves
+	// every later sample below thr (sim.Certificate, DESIGN.md §31). Both
+	// are on outside the tests; with both off every probe runs to the end
+	// of its window.
+	failStop, passStop bool
 	// res is the reused transient result storage: after the first probe a
 	// bisection step allocates only its glitch waveform and measurement.
 	res sim.Result
@@ -206,17 +212,18 @@ func newGlitchRig(cl *cell.Cell, st cell.State, pin string, opts Options, seeded
 		return nil, err
 	}
 	sess.Seed(seeded)
-	quietOut := cl.PinVoltage(cl.Logic(st))
 	out, _ := ckt.LookupNode("out")
-	thr := opts.FailFrac * cl.Tech.VDD
 	return &glitchRig{
 		sess:     sess,
 		hGlitch:  prog.MustSource("v_" + pin),
 		vdd:      cl.Tech.VDD,
 		quietIn:  quietIn,
-		quietOut: quietOut,
+		quietOut: cl.PinVoltage(cl.Logic(st)),
 		sign:     sign,
-		stop:     func(x []float64) bool { return math.Abs(x[out]-quietOut) >= thr },
+		out:      out,
+		thr:      opts.FailFrac * cl.Tech.VDD,
+		failStop: true,
+		passStop: true,
 	}, nil
 }
 
@@ -257,11 +264,23 @@ func bisectFailingHeight(ctx context.Context, rig *glitchRig, width float64, opt
 
 // glitchFails simulates the receiver with a triangular glitch on the pin
 // and reports whether the output deviation exceeds the failure threshold.
-// The run stops at the first failing sample (r.stop); the recorded prefix
-// holds that sample, so its measured peak fails exactly as the full run's.
+// The run stops at the first failing sample, whose deviation makes the
+// recorded prefix's peak fail exactly as the full run's, or at the first
+// sample from which the certificate bounds every later deviation below the
+// threshold, so that the prefix's peak, like the full run's, passes.
 func (r *glitchRig) glitchFails(ctx context.Context, height, width float64, opts Options) (bool, error) {
 	r.sess.SetSource(r.hGlitch, wave.Triangle(r.quietIn, r.sign*height, glitchT0, width))
-	if err := r.sess.RunTransient(ctx, &r.res, glitchT0+width+1e-9, r.stop); err != nil {
+	var stop func(x []float64) bool
+	if r.failStop || r.passStop {
+		var cert *sim.Certificate
+		if r.passStop {
+			cert = r.sess.Certify(r.out, r.quietOut)
+		}
+		stop = func(x []float64) bool {
+			return r.failStop && math.Abs(x[r.out]-r.quietOut) >= r.thr || cert.Below(x, r.thr)
+		}
+	}
+	if err := r.sess.RunTransient(ctx, &r.res, glitchT0+width+1e-9, stop); err != nil {
 		return false, err
 	}
 	m := wave.MeasureNoise(r.res.Waveform("out"), r.quietOut)

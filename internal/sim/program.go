@@ -33,6 +33,9 @@ type Program struct {
 	// Session.RunTransient's linear fast path).
 	linear bool
 
+	// cert is the shape half of the stop certificate (DESIGN.md §31).
+	cert certPlan
+
 	// lr is the shape of the factored transient step loop: the device rows
 	// and columns and whether the path is taken (DESIGN.md §17). A linear
 	// program is its r = 0 case.
@@ -142,6 +145,7 @@ func Compile(c *circuit.Circuit) *Program {
 	}
 	p.linear = len(p.mos) == 0 && len(p.vccs) == 0 && len(p.nlcaps) == 0
 	p.lr = p.planLowRank()
+	p.cert = p.planCertificate()
 	return p
 }
 

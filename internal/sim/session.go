@@ -120,6 +120,15 @@ type Session struct {
 	// singular K. Test hook for the dense re-solve of a failed step.
 	failCorrections int
 
+	// The transient run in progress, for the stop certificate: the
+	// samples recorded so far after the operating point, the run's grid
+	// steps, and whether it is adaptive. cert is the session's one
+	// certificate (Certify), allocated on first use.
+	runK        int
+	runSteps    int
+	runAdaptive bool
+	cert        *Certificate
+
 	// stats is the work this session has performed since it was opened —
 	// the only place transistor-level work is counted (see Counters).
 	stats Counters
@@ -865,6 +874,7 @@ func (s *Session) runTransient(ctx context.Context, res *Result, tstop float64, 
 		return err
 	}
 	st := stepper{adaptive: adaptive, dt: h, nsteps: nsteps}
+	s.runK, s.runSteps, s.runAdaptive = 0, nsteps, adaptive
 	samples := nsteps + 1
 	if adaptive {
 		if _, err := GridSteps(tstop, math.Ldexp(h, minLevel), 1+s.n); err != nil {
@@ -1039,6 +1049,7 @@ func (s *Session) runTransient(ctx context.Context, res *Result, tstop float64, 
 			s.lteSwing(x)
 		}
 		res.record(t, x)
+		s.runK++
 		if stop != nil && stop(x) {
 			return nil
 		}

@@ -599,6 +599,11 @@ func (a *Analyzer) runCluster(ctx context.Context, cs ClusterSpec) (*clusterRun,
 	if err != nil {
 		return fail(StageBuild, err)
 	}
+	// The step rule fails the cluster here, before it characterises
+	// anything, whatever the later stages would run.
+	if err := cl.CheckStep(a.opts.Dt); err != nil {
+		return fail(StageBuild, err)
+	}
 	cl.UseRigPool(a.pools)
 	r.cl = cl
 	r.timing.Build = time.Since(t0)

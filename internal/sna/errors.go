@@ -13,7 +13,7 @@ type Stage string
 // The analysis pipeline stages, in execution order. StageFeas only appears
 // when the feasibility filter is enabled (Options.Feasibility).
 const (
-	StageBuild  Stage = "build"  // cluster construction: geometry, parasitics, cells
+	StageBuild  Stage = "build"  // cluster construction: geometry, parasitics, cells, and the step rule (core.Cluster.CheckStep)
 	StageModels Stage = "models" // pre-characterisation (load curve, Thevenin, MOR)
 	StageFeas   Stage = "feas"   // feasibility filter: constraint solve + scenario evaluations
 	StageAlign  Stage = "align"  // worst-case aggressor alignment search

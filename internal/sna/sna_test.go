@@ -330,3 +330,44 @@ func TestAnalyzeRejectsStepPastHorizon(t *testing.T) {
 		}
 	}
 }
+
+// The step rule fails a cluster right after it is built, before anything
+// is characterised: with a 1 ns step every cluster of the reference design
+// fails at StageBuild with the typed invalid-option error, with alignment
+// on and off, and the analysis builds no artefact and runs no solve. The
+// rule used to fire only at the evaluation entry points, after the models
+// stage had characterised every cell (49 cache misses), at align or eval.
+func TestStepRuleFailsAtBuild(t *testing.T) {
+	ctx := context.Background()
+	d := GenerateDesign("reference", 48)
+	for _, align := range []bool{true, false} {
+		opts := fastOpts(core.Macromodel)
+		opts.Dt, opts.Align, opts.OnError = 1e-9, align, ContinueOnError
+		an := NewAnalyzer(d, opts)
+		before := sim.Snapshot()
+		reports, err := an.Analyze(ctx)
+		work := sim.Snapshot().Sub(before)
+		if len(reports) != 0 {
+			t.Errorf("align %v: %d reports, want none", align, len(reports))
+		}
+		var errs []error
+		if j, ok := err.(interface{ Unwrap() []error }); ok {
+			errs = j.Unwrap()
+		}
+		if len(errs) != len(d.Clusters) {
+			t.Fatalf("align %v: %d cluster errors (err = %v), want %d", align, len(errs), err, len(d.Clusters))
+		}
+		for _, e := range errs {
+			var ce *ClusterError
+			if !errors.As(e, &ce) || ce.Stage != StageBuild || !errors.Is(e, sim.ErrInvalidOptions) {
+				t.Errorf("align %v: %v, want an invalid-option ClusterError at stage %q", align, e, StageBuild)
+			}
+		}
+		if cs := an.CacheStats(); cs.Misses != 0 {
+			t.Errorf("align %v: characterised %d artefacts before failing", align, cs.Misses)
+		}
+		if work.DC != 0 || work.Transient != 0 {
+			t.Errorf("align %v: %d DC solves and %d transients before failing, want none", align, work.DC, work.Transient)
+		}
+	}
+}
