@@ -46,7 +46,7 @@ bench:
 	$(GO) test -run xxx -bench 'DesignAnalyze|LoadCurveCharacterization|Speedup' -benchtime=1x -benchmem .
 	$(GO) test -run xxx -bench 'Table2Macromodel|MacromodelEngine|AlignWorstCase|Table1Golden|Table2Golden|AblationMiller' -benchmem .
 	$(GO) test -run xxx -bench 'MulVecInto' -benchmem ./internal/linalg
-	$(GO) test -run xxx -bench 'TransientLowRank' -benchmem ./internal/sim
+	$(GO) test -run xxx -bench 'TransientLowRank|NewtonSolve' -benchmem ./internal/sim
 	$(GO) test -run xxx -bench 'INVLoadCurveSweep|NAND2LoadCurveSweepFine|PropTableTransient' -benchmem ./internal/charlib
 	$(GO) test -run xxx -bench 'TheveninFit' -benchmem ./internal/thevenin
 	$(GO) test -run xxx -bench 'NRCCharacterize' -benchmem ./internal/nrc

@@ -128,6 +128,12 @@ func (w *LUWorkspace) SolveInto(dst, b []float64) {
 // Det returns the determinant of the currently factored matrix.
 func (w *LUWorkspace) Det() float64 { return w.f.Det() }
 
+// Buffer returns the workspace's factor buffer, Size² values, for a
+// caller that factors a block of its own in place. Writing to it leaves
+// the stored factorisation unusable until the next successful Factor, as
+// a failed Factor does.
+func (w *LUWorkspace) Buffer() []float64 { return w.f.lu.Data }
+
 // Solve solves A x = b for x using the stored factorisation. b is not
 // modified.
 func (f *LU) Solve(b []float64) []float64 {

@@ -141,23 +141,54 @@ func appendKinks(dst []float64, w *wave.Waveform, tEnd float64) []float64 {
 	return dst
 }
 
-// startSwing records every capacitor's branch voltage at the operating
-// point x and zeroes its swing, at the start of an adaptive run.
+// groupCapBranches groups linear capacitors by unordered node pair, in
+// order of first appearance: each branch as its first member's terminals,
+// and each capacitor's branch. The members' branch voltages are equal or
+// opposite bit for bit, and so are their divided differences and swings,
+// so the adaptive run's error estimate is one per branch.
+func groupCapBranches(caps []capPlan) (brs []capPlan, of []int) {
+	of = make([]int, len(caps))
+	at := make(map[[2]int]int)
+	for i, c := range caps {
+		key := [2]int{min(c.a, c.b), max(c.a, c.b)}
+		j, ok := at[key]
+		if !ok {
+			j = len(brs)
+			at[key] = j
+			brs = append(brs, c)
+		}
+		of[i] = j
+	}
+	return brs, of
+}
+
+// startSwing records every capacitor branch's voltage at the operating
+// point x and zeroes its swing, at the start of an adaptive run. A linear
+// branch counts in the run while any member has a nonzero capacitance,
+// since SetLoad may zero one.
 func (s *Session) startSwing(x []float64) {
-	nc := len(s.prog.caps) + len(s.prog.nlcaps)
+	nb := len(s.prog.capBranches)
+	nc := nb + len(s.prog.nlcaps)
 	if cap(s.swing) < nc {
 		s.u0 = make([]float64, nc)
 		s.swing = make([]float64, nc)
+		s.live = make([]bool, nb)
 	}
-	s.u0, s.swing = s.u0[:nc], s.swing[:nc]
+	s.u0, s.swing, s.live = s.u0[:nc], s.swing[:nc], s.live[:nb]
+	clear(s.live)
+	for c, br := range s.prog.capBranchOf {
+		if s.capC[c] != 0 {
+			s.live[br] = true
+		}
+	}
 	for i := range s.u0 {
 		s.u0[i] = s.branchV(i, x)
 	}
 	clear(s.swing)
 }
 
-// lteSwing folds the accepted solution x into every capacitor's largest
-// deviation from its operating-point branch voltage in the run so far:
+// lteSwing folds the accepted solution x into every capacitor branch's
+// largest deviation from its operating-point voltage in the run so far:
 // the scale of lteRel.
 func (s *Session) lteSwing(x []float64) {
 	for i, u0 := range s.u0 {
@@ -165,26 +196,25 @@ func (s *Session) lteSwing(x []float64) {
 	}
 }
 
-// branchV returns the branch voltage of capacitor i at x, numbering the
-// linear capacitors first and the NLMOS ones after them.
+// branchV returns the voltage of capacitor branch i at x, numbering the
+// linear capacitor branches first and the NLMOS capacitors after them.
 func (s *Session) branchV(i int, x []float64) float64 {
-	if i < len(s.prog.caps) {
-		cp := s.prog.caps[i]
-		return vIdx(x, cp.a) - vIdx(x, cp.b)
+	if brs := s.prog.capBranches; i < len(brs) {
+		return vIdx(x, brs[i].a) - vIdx(x, brs[i].b)
 	}
-	nc := &s.prog.nlcaps[i-len(s.prog.caps)]
+	nc := &s.prog.nlcaps[i-len(s.prog.capBranches)]
 	return vIdx(x, nc.a) - vIdx(x, nc.b)
 }
 
 // lteRatio estimates the local truncation error of the trapezoidal step of
 // length h that produced x, from x and the three accepted solutions of the
 // history ring (the predictor's seed never enters), and returns the
-// largest ratio of a capacitor's error to its bound. The error is measured
-// on charge: LTE = h³/12·q‴ with q‴ ≈ 6·q[t₀,t₁,t₂,t₃], the third
-// divided difference over the four points, and it is expressed in volts of
-// the capacitor's own capacitance — C·v for a linear capacitor, so its
-// branch voltage's own error, and the closed-form Q(u) over C(u) for an
-// NLMOS one.
+// largest ratio of a capacitor branch's error to its bound. The error is
+// measured on charge: LTE = h³/12·q‴ with q‴ ≈ 6·q[t₀,t₁,t₂,t₃], the
+// third divided difference over the four points, and it is expressed in
+// volts of the capacitor's own capacitance — C·v for a linear capacitor,
+// so its branch voltage's own error, and the closed-form Q(u) over C(u)
+// for an NLMOS one.
 func (s *Session) lteRatio(x []float64, h float64) float64 {
 	a, b := s.hHist[1], s.hHist[0] // x2 → x1, x1 → x0
 	x0, x1, x2 := s.xHist[0], s.xHist[1], s.xHist[2]
@@ -193,12 +223,12 @@ func (s *Session) lteRatio(x []float64, h float64) float64 {
 		return ((d3-d2)/(b+h) - (d2-d1)/(a+b)) / (a + b + h)
 	}
 	scale := h * h * h / 2
-	nl := len(s.prog.caps)
+	nl := len(s.prog.capBranches)
 	worst := 0.0
 	for i := range s.u0 {
 		var e float64
 		if i < nl {
-			if s.capC[i] == 0 {
+			if !s.live[i] {
 				continue
 			}
 			e = scale * math.Abs(dd3(s.branchV(i, x0), s.branchV(i, x1), s.branchV(i, x2), s.branchV(i, x)))

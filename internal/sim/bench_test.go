@@ -249,3 +249,66 @@ func BenchmarkTransientLowRank(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkNewtonSolve times one linear solve of the dense Newton on cell
+// benches, the Jacobian assembled mid-glitch: the INV and NAND2
+// propagation benches (5 and 8 unknowns, 1 and 2 free nodes) and the
+// NAND2 load-curve bench (9 unknowns, 1 free node), on the free-node
+// solve and on the dense LU. Both give the same update bit for bit
+// (TestFreeSolveMatchesDense); the ns/op ratio is the saving of
+// eliminating only the free nodes' columns.
+func BenchmarkNewtonSolve(b *testing.B) {
+	tc := tech.Tech130()
+	for _, bench := range []struct {
+		kind  string
+		force bool // the load-curve bench: out forced
+	}{{"INV", false}, {"NAND2", false}, {"NAND2", true}} {
+		cl := cell.MustNew(tc, bench.kind, 1)
+		st, err := cl.SensitizedState("A", true)
+		if err != nil {
+			b.Fatal(err)
+		}
+		ckt, err := cl.Bench(st)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if bench.force {
+			ckt.AddVDC("vforce", "out", "0", 0.6*tc.VDD)
+		} else {
+			ckt.AddC("cload", "out", "0", 20e-15)
+		}
+		prog := Compile(ckt)
+		for _, dense := range []bool{false, true} {
+			path := "free"
+			if dense {
+				path = "dense"
+			}
+			b.Run(fmt.Sprintf("n%d/%s", prog.Size(), path), func(b *testing.B) {
+				sess, err := NewSession(prog, 1e-12)
+				if err != nil {
+					b.Fatal(err)
+				}
+				sess.forceDense = dense
+				sess.SetSource(prog.MustSource("v_A"), wave.Triangle(0, 0.8*tc.VDD, 100e-12, 200e-12))
+				// Run to the glitch's peak; the session's step matrix and
+				// right-hand side are then the last step's.
+				var res Result
+				if err := sess.RunTransient(context.Background(), &res, 200e-12, nil); err != nil {
+					b.Fatal(err)
+				}
+				lin := sess.lin
+				if bench.force {
+					lin = sess.base
+				}
+				sess.assemble(lin, sess.x, sess.b)
+				b.ReportAllocs()
+				b.ResetTimer()
+				for b.Loop() {
+					if err := sess.solveNewton(); err != nil {
+						b.Fatal(err)
+					}
+				}
+			})
+		}
+	}
+}

@@ -29,7 +29,6 @@ type certPlan struct {
 // linear capacitor with at most one free terminal.
 func (p *Program) planCertificate() certPlan {
 	cp := certPlan{free: make([]int, p.n)}
-	held := make([]bool, p.n)
 	switch {
 	case len(p.nlcaps) > 0:
 		cp.refuse = "nonlinear gate capacitors"
@@ -37,15 +36,10 @@ func (p *Program) planCertificate() certPlan {
 		cp.refuse = "a VCCS"
 	case len(p.isrc) > 0:
 		cp.refuse = "a current source"
+	case p.floating:
+		cp.refuse = "a floating voltage source"
 	}
-	for _, v := range p.vsrc {
-		if v.neg >= 0 || v.pos < 0 {
-			cp.refuse = "a floating voltage source"
-			continue
-		}
-		held[v.pos] = true
-	}
-	isHeld := func(i int) bool { return i < 0 || held[i] }
+	isHeld := func(i int) bool { return i < 0 || p.held[i].src >= 0 }
 	for i := range cp.free {
 		cp.free[i] = -1
 		if !isHeld(i) {

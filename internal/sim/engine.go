@@ -7,7 +7,14 @@
 // handled with damped Newton–Raphson, capacitors with trapezoidal companion
 // models, and DC operating points with gmin stepping as a fallback.
 // Matrices are dense; noise clusters are small (tens of nodes), where dense
-// LU beats sparse bookkeeping.
+// LU beats sparse bookkeeping. The dense Newton factors only the columns
+// of the free nodes, those no voltage source holds, over the KCL rows of
+// every node: a held node's column and each source's branch column pivot
+// on a lone ±1, so the rest of the dense LU's work is on exact zeros. It
+// keeps the dense LU's column order, pivots and row order, so every update
+// is the dense LU's bit for bit, and an iteration whose Jacobian breaks
+// that premise runs the dense LU (DESIGN.md §32). Golden transients factor
+// their step matrix once per run instead (DESIGN.md §17).
 //
 // The engine is split into two phases (DESIGN.md §7). Compile resolves a
 // circuit into an immutable Program — index-resolved node table and
@@ -136,9 +143,13 @@ func (r *Result) Waveform(node string) *wave.Waveform {
 	return wave.FromPoints(r.Times, r.nodeV[id])
 }
 
-// At returns the voltage of node at the given step index.
+// At returns the voltage of node at the given step index. Like Waveform
+// it panics on a name the circuit does not have.
 func (r *Result) At(node string, step int) float64 {
-	id, _ := r.c.LookupNode(node)
+	id, ok := r.c.LookupNode(node)
+	if !ok {
+		panic(fmt.Sprintf("sim: unknown node %q", node))
+	}
 	if id == circuit.Ground {
 		return 0
 	}

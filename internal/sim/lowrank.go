@@ -63,15 +63,6 @@ func (p *Program) planLowRank() lowRankPlan {
 		mark(isRow, e.out)
 		mark(isCol, e.out, e.ctrl)
 	}
-	pinned := make([]bool, p.n)
-	for _, v := range p.vsrc {
-		switch {
-		case v.neg < 0 && v.pos >= 0:
-			pinned[v.pos] = true
-		case v.pos < 0 && v.neg >= 0:
-			pinned[v.neg] = true
-		}
-	}
 	hasCap := make([]bool, p.n)
 	for _, c := range p.caps {
 		mark(hasCap, c.a, c.b)
@@ -84,7 +75,7 @@ func (p *Program) planLowRank() lowRankPlan {
 			lr.rowOf[i] = len(lr.rows)
 			lr.rows = append(lr.rows, i)
 			switch {
-			case pinned[i]:
+			case p.held[i].src >= 0:
 			case hasCap[i]:
 				lr.capRows = append(lr.capRows, i)
 			default:

@@ -41,6 +41,14 @@ type Program struct {
 	// program is its r = 0 case.
 	lr lowRankPlan
 
+	// held is the held-node table: for each node, the voltage source that
+	// holds it against ground, or src −1 for a free node. floating reports
+	// a source that holds no node, and twice a node that two sources hold.
+	// The Newton seeds, both shape plans and the free-node solve
+	// (DESIGN.md §32) all read it.
+	held            []heldNode
+	floating, twice bool
+
 	// Index-resolved stamp plans. Ground is -1, matching circuit.Ground.
 	res    []resPlan
 	caps   []capPlan
@@ -49,6 +57,12 @@ type Program struct {
 	vccs   []vccsPlan
 	vsrc   []twoTerm // branch row for source k is n+k
 	isrc   []twoTerm
+
+	// capBranches are the caps' unordered node pairs, each as its first
+	// cap's terminals, and capBranchOf each cap's pair: the adaptive run's
+	// error estimate is one per branch.
+	capBranches []capPlan
+	capBranchOf []int
 
 	// Compile-time parameter values. Sessions copy the mutable ones
 	// (source waveforms, capacitances); current sources are fixed and read
@@ -89,6 +103,16 @@ type vccsPlan struct {
 }
 
 type twoTerm struct{ pos, neg int }
+
+// heldNode is one entry of the held-node table: src is the index of the
+// ground-referenced voltage source on the node, or −1, and sign its
+// incidence there: +1 when the node is the source's positive terminal
+// (`V n 0`), −1 when it is the negative one (`V 0 n`). The source then
+// holds the node at sign·V.
+type heldNode struct {
+	src  int
+	sign float64
+}
 
 // SourceHandle identifies a voltage source of a compiled Program for
 // parameter mutation between Session runs.
@@ -144,9 +168,36 @@ func Compile(c *circuit.Circuit) *Program {
 		p.isrcW0 = append(p.isrcW0, is.W)
 	}
 	p.linear = len(p.mos) == 0 && len(p.vccs) == 0 && len(p.nlcaps) == 0
+	p.capBranches, p.capBranchOf = groupCapBranches(p.caps)
+	p.planHeld()
 	p.lr = p.planLowRank()
 	p.cert = p.planCertificate()
 	return p
+}
+
+// planHeld fills the held-node table. A source from a node to ground, in
+// either orientation, holds that node; a source with both terminals off
+// ground, or both on it, holds none. Where two sources hold one node the
+// later one is its entry.
+func (p *Program) planHeld() {
+	p.held = make([]heldNode, p.n)
+	for i := range p.held {
+		p.held[i].src = -1
+	}
+	for k, v := range p.vsrc {
+		node, sign := v.pos, 1.0
+		if v.pos < 0 {
+			node, sign = v.neg, -1
+		}
+		if node < 0 || (v.pos >= 0 && v.neg >= 0) {
+			p.floating = true
+			continue
+		}
+		if p.held[node].src >= 0 {
+			p.twice = true
+		}
+		p.held[node] = heldNode{src: k, sign: sign}
+	}
 }
 
 // compileMOSCap compiles one gate-charge capacitor of a MOSFET instance. A

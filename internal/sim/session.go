@@ -101,20 +101,28 @@ type Session struct {
 	hHist [2]float64
 
 	// Adaptive-run state (RunTransientAdaptive), reused across runs: the
-	// run's breakpoints, and for every capacitor (the linear ones first)
-	// its operating-point branch voltage and its largest swing from it so
-	// far.
+	// run's breakpoints, for every linear capacitor branch, then every
+	// NLMOS capacitor, its operating-point voltage and its largest swing
+	// from it so far, and whether each linear branch stamps in this run.
 	bps       []float64
 	u0, swing []float64
+	live      []bool
 
 	// lr holds the factored step loop's buffers (DESIGN.md §17), allocated
 	// on the first transient run of a program whose shape takes the path;
 	// the loop factors the step matrix into lu.
 	lr *lowRankState
 
-	// forceDense keeps every solve on the dense Newton, whatever the
-	// program's shape. Test hook: the factored-path property tests run
-	// both paths on one topology and compare the results.
+	// fs holds the free-node solve's buffers (DESIGN.md §32), nil for a
+	// program outside its shape; tally counts how the dense Newton's
+	// solves ran.
+	fs    *freeState
+	tally solveTally
+
+	// forceDense keeps every solve on the dense Newton and its dense LU,
+	// whatever the program's shape. Test hook: the factored-path and
+	// free-node property tests run both paths on one topology and compare
+	// the results.
 	forceDense bool
 	// failCorrections makes the next n rank-r corrections report a
 	// singular K. Test hook for the dense re-solve of a failed step.
@@ -186,6 +194,9 @@ func NewSession(p *Program, dt float64) (*Session, error) {
 		s.cPrevNL = make([]float64, len(p.nlcaps))
 	}
 	s.xWarm = make([]float64, s.size)
+	if !p.floating && !p.twice {
+		s.fs = newFreeState(p)
+	}
 	s.stampBase(gmin)
 	return s, nil
 }
@@ -262,11 +273,11 @@ func (s *Session) Seed(on bool) {
 // MemoryBytes estimates the session's resident footprint: the dense
 // matrices (base, Jacobian, the LU workspace buffer, and the transient
 // system matrix once allocated) dominate at size² float64s each, plus the
-// per-unknown vectors and the factored step loop's buffers. The estimate
-// grows as the first runs allocate those buffers. Long-lived
-// holders of many sessions — core.RigPool above all — use it to enforce
-// byte-based retention bounds; it is an accounting estimate, not an exact
-// heap measurement.
+// per-unknown vectors, the factored step loop's buffers and the free-node
+// solve's. The estimate grows as the first runs allocate those buffers.
+// Long-lived holders of many sessions — core.RigPool above all — use it
+// to enforce byte-based retention bounds; it is an accounting estimate,
+// not an exact heap measurement.
 func (s *Session) MemoryBytes() int64 {
 	sz := int64(s.size)
 	matrices := int64(3) // base, jac, lu workspace buffer
@@ -282,9 +293,12 @@ func (s *Session) MemoryBytes() int64 {
 		// Predictor history ring (3 vectors).
 		b += 3 * sz * 8
 	}
-	b += int64(cap(s.bps)+cap(s.u0)+cap(s.swing)) * 8
+	b += int64(cap(s.bps)+cap(s.u0)+cap(s.swing))*8 + int64(cap(s.live))
 	if s.lr != nil {
 		b += s.lr.memoryBytes()
+	}
+	if s.fs != nil {
+		b += s.fs.memoryBytes()
 	}
 	return b
 }
@@ -473,8 +487,9 @@ func (s *Session) stampDevices(x []float64, jac *stampTarget) {
 }
 
 // newton solves F(x) = 0 starting from x, modifying it in place. The loop
-// body allocates nothing: the Jacobian factors into the session's LU
-// workspace and the update solves into the preallocated dx buffer.
+// body allocates nothing: the Jacobian, or only its node block
+// (solveNewton), factors into the session's LU workspace, and the update
+// solves into the preallocated dx buffer.
 //
 // relaxed selects the warm-start termination criterion (small undamped
 // update, no residual verification); DC solves pass it in warm-start mode,
@@ -483,10 +498,9 @@ func (s *Session) newton(lin *linalg.Matrix, x, b []float64, relaxed bool) error
 	for it := 0; it < maxNewton; it++ {
 		s.stats.NewtonIters++
 		s.assemble(lin, x, b)
-		if err := s.lu.Factor(s.jac); err != nil {
+		if err := s.solveNewton(); err != nil {
 			return fmt.Errorf("sim: singular Jacobian at Newton iteration %d: %w", it, err)
 		}
-		s.lu.SolveInto(s.dx, s.f)
 		if s.update(x, relaxed) {
 			return nil
 		}
@@ -627,15 +641,20 @@ func (s *Session) initialGuess(x []float64) {
 	for i := range x {
 		x[i] = 0
 	}
-	// Ground-referenced DC sources pin their node directly; this lands the
-	// first iterate close to the operating point for rail-connected nets.
-	for k, v := range s.prog.vsrc {
-		if v.neg < 0 && v.pos >= 0 {
-			x[v.pos] = s.srcW[k].At(0)
-		}
-	}
+	// Held nodes start at their source's value; this lands the first
+	// iterate close to the operating point for rail-connected nets.
+	s.pinHeld(x)
 	for _, g := range s.guesses {
 		x[g.node] = g.v
+	}
+}
+
+// pinHeld sets every held node of x to its source's value at t = 0.
+func (s *Session) pinHeld(x []float64) {
+	for i, h := range s.prog.held {
+		if h.src >= 0 {
+			x[i] = h.sign * s.srcW[h.src].At(0)
+		}
 	}
 }
 
@@ -723,18 +742,13 @@ func (s *Session) solveDC(linear bool) error {
 		s.stats.WarmStarts++
 		// Hybrid continuation seed: carry the internal-node voltages and
 		// branch currents of the previous converged solution — the part a
-		// cold guess can only approximate — but re-pin every
-		// ground-referenced source node at its *new* value (the same
-		// pinning initialGuess performs). The sweep mutates exactly those
-		// sources between points, so the seed then satisfies the new
-		// boundary conditions exactly and Newton only has to track the
-		// interior.
+		// cold guess can only approximate — but re-pin every held node at
+		// its *new* value (the same pinning initialGuess performs). The
+		// sweep mutates exactly those sources between points, so the seed
+		// then satisfies the new boundary conditions exactly and Newton
+		// only has to track the interior.
 		copy(s.x, s.xWarm)
-		for k, v := range s.prog.vsrc {
-			if v.neg < 0 && v.pos >= 0 {
-				s.x[v.pos] = s.srcW[k].At(0)
-			}
-		}
+		s.pinHeld(s.x)
 		if err := s.newton(s.base, s.x, s.rhs, true); err == nil {
 			copy(s.xWarm, s.x)
 			return nil
@@ -748,21 +762,30 @@ func (s *Session) solveDC(linear bool) error {
 		s.saveWarm()
 		return nil
 	}
-	// gmin stepping.
+	if err := s.gminStepping(); err != nil {
+		s.haveWarm = false
+		return err
+	}
+	s.saveWarm()
+	return nil
+}
+
+// gminStepping solves the DC system s.rhs from the cold guess through a
+// sequence of progressively less regularised systems, warm-starting each
+// from the last, and ends on gmin itself, leaving the operating point in
+// s.x.
+func (s *Session) gminStepping() error {
 	s.initialGuess(s.x)
 	for g := 1e-3; g >= gmin; g /= 10 {
 		s.stampBase(g)
 		if err := s.newton(s.base, s.x, s.rhs, false); err != nil {
-			s.haveWarm = false
 			return fmt.Errorf("sim: DC gmin stepping failed at gmin=%g: %w", g, err)
 		}
 	}
 	s.stampBase(gmin)
 	if err := s.newton(s.base, s.x, s.rhs, false); err != nil {
-		s.haveWarm = false
 		return fmt.Errorf("sim: DC failed after gmin stepping: %w", err)
 	}
-	s.saveWarm()
 	return nil
 }
 
